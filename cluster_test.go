@@ -109,15 +109,21 @@ func TestClusterConformance(t *testing.T) {
 	}
 }
 
-// TestClusterTCPConformance runs one full scenario (BW on Figure 1(a) with
-// a silent Byzantine node) over real TCP sockets.
+// TestClusterTCPConformance runs full scenarios over real TCP sockets: BW
+// on Figure 1(a), and ACS and AAD (the protocols the service tier serves
+// over the same Mux) on a clique, each with a silent Byzantine node.
 func TestClusterTCPConformance(t *testing.T) {
-	s := conformanceScenarios()["bw"]
-	res, err := repro.RunCluster(context.Background(), s, repro.RuntimeTCP)
-	if err != nil {
-		t.Fatal(err)
+	for _, proto := range []string{"bw", "acs", "aad"} {
+		s := conformanceScenarios()[proto]
+		t.Run(proto, func(t *testing.T) {
+			t.Parallel()
+			res, err := repro.RunCluster(context.Background(), s, repro.RuntimeTCP)
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertGuarantees(t, "tcp", res, s.Eps)
+		})
 	}
-	assertGuarantees(t, "tcp", res, s.Eps)
 }
 
 // TestClusterAdversaryConformance mirrors the protocol conformance suite

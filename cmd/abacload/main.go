@@ -14,15 +14,10 @@
 //   - Self-hosted (-selfhost): spin up an in-process daemon fleet for the
 //     scenario, drive it, and tear it down — the E16 throughput study.
 //     With -bench, the result is written as a BENCH_5-schema report
-//     (one cell per -protocols entry); -framebench appends the E16b
-//     frame-path microbenchmark cells (ns/frame and allocs/frame for the
-//     encode/write/read/queue-drain primitives); -dispatchbench appends
-//     the E16c dispatch micro-cell (the daemon's batched dispatch→inbox
-//     hand-off); -gomaxprocs "1,4" repeats the whole cell set per rung
-//     with the workers column stamped — the multi-core sweep.
+//     (one cell per -protocols entry). Per-layer frame costs are the
+//     repo benchmark's job (bench/README.md), not this tool's.
 //
-//     $ abacload -selfhost -protocols acs,bw -duration 3s \
-//     -framebench -dispatchbench -gomaxprocs 1,4 -bench BENCH_7.json
+//     $ abacload -selfhost -protocols acs,bw -duration 3s -bench /tmp/b5.json
 //
 // Output (both modes) is one JSON line per measured protocol.
 package main
@@ -33,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -53,16 +47,13 @@ func main() {
 
 func run() error {
 	var (
-		addrsFlag     = flag.String("addrs", "", "comma-separated client-plane addresses of a running fleet")
-		selfhost      = flag.Bool("selfhost", false, "spin up an in-process fleet instead of dialing -addrs")
-		scenarioPath  = flag.String("scenario", "", "scenario file for -selfhost (default: the built-in clique:8 service scenario)")
-		protocolsF    = flag.String("protocols", "", "comma-separated protocols to measure (default: the scenario's / the daemon default)")
-		duration      = flag.Duration("duration", 3*time.Second, "measurement window per protocol")
-		concurrency   = flag.Int("concurrency", 0, "closed-loop workers (default: 2 per client plane)")
-		benchOut      = flag.String("bench", "", "-selfhost only: write the result as a BENCH_5-schema report to this path")
-		frameBench    = flag.Bool("framebench", false, "-selfhost only: append the E16b frame-path microbenchmark cells (ns/frame, allocs/frame)")
-		dispatchBench = flag.Bool("dispatchbench", false, "-selfhost only: append the E16c dispatch micro-cell (ns/frame, allocs/frame through dispatch->inbox)")
-		goMaxProcs    = flag.String("gomaxprocs", "", "-selfhost only: comma-separated GOMAXPROCS sweep (e.g. \"1,4\"); each rung stamps the cells' workers column")
+		addrsFlag    = flag.String("addrs", "", "comma-separated client-plane addresses of a running fleet")
+		selfhost     = flag.Bool("selfhost", false, "spin up an in-process fleet instead of dialing -addrs")
+		scenarioPath = flag.String("scenario", "", "scenario file for -selfhost (default: the built-in clique:8 service scenario)")
+		protocolsF   = flag.String("protocols", "", "comma-separated protocols to measure (default: the scenario's / the daemon default)")
+		duration     = flag.Duration("duration", 3*time.Second, "measurement window per protocol")
+		concurrency  = flag.Int("concurrency", 0, "closed-loop workers (default: 2 per client plane)")
+		benchOut     = flag.String("bench", "", "-selfhost only: write the result as a BENCH_5-schema report to this path")
 	)
 	flag.Parse()
 
@@ -71,18 +62,9 @@ func run() error {
 
 	if *selfhost {
 		cfg := experiments.ServiceBenchConfig{
-			Protocols:     protocols,
-			Duration:      *duration,
-			Concurrency:   *concurrency,
-			FrameBench:    *frameBench,
-			DispatchBench: *dispatchBench,
-		}
-		for _, item := range splitCSV(*goMaxProcs) {
-			gmp, err := strconv.Atoi(item)
-			if err != nil || gmp < 1 {
-				return fmt.Errorf("-gomaxprocs: %q is not a positive integer", item)
-			}
-			cfg.GoMaxProcs = append(cfg.GoMaxProcs, gmp)
+			Protocols:   protocols,
+			Duration:    *duration,
+			Concurrency: *concurrency,
 		}
 		if *scenarioPath != "" {
 			data, err := os.ReadFile(*scenarioPath)
@@ -120,15 +102,6 @@ func run() error {
 
 	if *benchOut != "" {
 		return fmt.Errorf("-bench requires -selfhost (a fleet-external run cannot claim the committed bench schema)")
-	}
-	if *frameBench {
-		return fmt.Errorf("-framebench requires -selfhost (the micro cells belong in the bench report)")
-	}
-	if *dispatchBench {
-		return fmt.Errorf("-dispatchbench requires -selfhost (the micro cells belong in the bench report)")
-	}
-	if *goMaxProcs != "" {
-		return fmt.Errorf("-gomaxprocs requires -selfhost (it sweeps the in-process fleet)")
 	}
 	addrs := splitCSV(*addrsFlag)
 	if len(addrs) == 0 {

@@ -5,18 +5,17 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/node"
 	"repro/internal/wire"
 )
 
-// The batched write path shared by the tcp and mux transports: drain the
-// per-edge bounded queue in batches (one lock round-trip per burst, see
-// queue.popBatch), coalesce each batch into a single reused buffer with the
-// length prefixes appended in place (wire.AppendRawFrame), and hand the
-// whole batch to the kernel as one Write syscall. A write failure redials
-// with the unwritten tail retained and replays it — exactly once from the
-// peer's point of view, because a frame cut mid-write died with the broken
-// connection — keeping the redial/backoff semantics of the old
-// one-frame-at-a-time loops.
+// The Mux's batched write path: drain the per-edge bounded queue in
+// batches (one lock round-trip per burst, see queue.popBatch), coalesce
+// each batch into a single reused buffer with the length prefixes appended
+// in place (wire.AppendRawFrame), and hand the whole batch to the kernel as
+// one Write syscall. A write failure redials with the unwritten tail
+// retained and replays it — exactly once from the peer's point of view,
+// because a frame cut mid-write died with the broken connection.
 
 const (
 	// maxBatchFrames caps one coalesced write. The cap bounds both the
@@ -66,12 +65,30 @@ func releaseFrames(frames [][]byte) {
 	}
 }
 
-// drainLoop is the shared per-edge writer: batches from q, coalesced
+// pushFrames hands nd one burst of frames received from peer `from` as one
+// inbox slab — one channel op per burst, arrival order kept. PushBatch
+// transfers ownership of the slab and every frame; on false (node shut
+// down, ctx cancelled) nothing was consumed, so everything is released
+// here and the caller's pump should stop.
+func pushFrames(ctx context.Context, nd *node.Node, from int, frames [][]byte) bool {
+	slab := node.GetSlab()
+	for _, frame := range frames {
+		slab = append(slab, node.Inbound{From: from, Frame: frame})
+	}
+	if nd.PushBatch(ctx, slab) {
+		return true
+	}
+	releaseFrames(frames)
+	node.PutSlab(slab)
+	return false
+}
+
+// drainLoop is the per-edge writer: batches from q, coalesced
 // writes to a connection obtained from dial, redial with tail replay on
 // write failure, exit when the queue closes or ctx ends. track registers
 // each new connection for the owner's teardown (false means the owner is
 // already stopped). dial must block-retry until ctx ends, returning an
-// error only for shutdown — both transports' diallers do.
+// error only for shutdown (dialMux does).
 func drainLoop(ctx context.Context, q *queue[[]byte], dial func(context.Context) (net.Conn, error), track func(net.Conn) bool) {
 	var (
 		c       net.Conn

@@ -5,9 +5,10 @@ import "testing"
 // QueueDrainBench measures the bounded per-edge queue's push/popBatch
 // round trip — the per-burst lock cost the batched writers pay. It is an
 // exported testing.B function (rather than a _test.go benchmark) so the
-// E16b experiment tier can run it through testing.Benchmark from a normal
-// binary while the queue type stays unexported. Steady state must not
-// allocate: the alloc fences and the BENCH_6 micro cells both pin that.
+// repo benchmark (bench/, cluster.queue_drain_ns_per_frame) can run it
+// through testing.Benchmark from a normal binary while the queue type
+// stays unexported. Steady state must not allocate: TestQueueBatchAllocBudget
+// pins that.
 func QueueDrainBench(b *testing.B) {
 	q := newQueue[[]byte](DefaultQueueCap)
 	frame := make([]byte, 64)

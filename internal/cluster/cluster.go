@@ -2,10 +2,11 @@
 // real transport: one node.Node per graph vertex (faulty vertices carry
 // their adversary-wrapped handlers), connected either by the in-process
 // loopback transport (reliable per-edge FIFO channels through the wire
-// codec — what the tests use) or by TCP sockets on localhost or a real
-// network. It is the execution tier next to internal/sim: the same
-// machines, the same topology rules, but actual concurrency and actual
-// serialization instead of a centrally scheduled message pool.
+// codec — what the tests use) or by the Mux, the one socket transport the
+// one-shot TCP runtime and the service daemon share. It is the execution
+// tier next to internal/sim: the same machines, the same topology rules,
+// but actual concurrency and actual serialization instead of a centrally
+// scheduled message pool.
 //
 // The harness launches every node, waits until every honest vertex has
 // decided (or the context ends), then shuts the runtime down and collects
@@ -78,17 +79,18 @@ type Outcome struct {
 	Runtime string
 }
 
-// Transport wires a set of nodes together. Start is called with every node
-// already constructed (so inboxes exist); it launches whatever pumps or
-// sockets the medium needs and returns a stop function that tears them
-// down. The links passed to node construction come from Link.
+// transportDriver wires a set of nodes together. The links passed to node
+// construction come from link; start is called with every node already
+// constructed (so inboxes exist) and launches whatever pumps or sockets
+// the medium needs.
 type transportDriver interface {
 	name() string
 	// link returns the Outbound for vertex id.
 	link(id int) node.Outbound
 	// start launches the medium's goroutines feeding the given inboxes.
-	start(ctx context.Context, nodes []*node.Node) error
-	// stop tears the medium down; it must unblock any pump still pushing.
+	start(ctx context.Context, nodes []*node.Node)
+	// stop tears the medium down — listeners included — and must unblock
+	// any pump still pushing. It is idempotent and legal before start.
 	stop()
 	// queueStats aggregates the medium's bounded-queue accounting.
 	queueStats() QueueStats
@@ -96,22 +98,15 @@ type transportDriver interface {
 
 // RunLoopback executes the spec over the in-process loopback transport.
 func RunLoopback(ctx context.Context, spec Spec) (*Outcome, error) {
-	lb, err := newLoopback(spec.Graph)
-	if err != nil {
-		return nil, err
-	}
-	return run(ctx, spec, lb)
+	return run(ctx, spec, newLoopback)
 }
 
 // RunTCP executes the spec over localhost TCP sockets: every vertex gets
 // its own listener on an ephemeral port, ports are discovered in-process,
-// and each directed edge becomes one TCP connection dialed by the sender.
+// and each directed edge becomes one TCP connection dialed by the sender
+// (a Mux fleet carrying instance 0, see tcp.go).
 func RunTCP(ctx context.Context, spec Spec) (*Outcome, error) {
-	tn, err := newTCPNetwork(spec.Graph)
-	if err != nil {
-		return nil, err
-	}
-	return run(ctx, spec, tn)
+	return run(ctx, spec, newTCPNetwork)
 }
 
 // Runtimes lists the available cluster transports.
@@ -152,13 +147,20 @@ type decision struct {
 	value float64
 }
 
-// run is the shared harness: build nodes over the driver's links, start
-// the medium, run every node loop, wait for the honest set to decide (or
-// the context to end), then tear everything down and aggregate.
-func run(ctx context.Context, spec Spec, driver transportDriver) (*Outcome, error) {
+// run is the shared harness: validate the spec, construct the medium,
+// build nodes over its links, start it, run every node loop, wait for the
+// honest set to decide (or the context to end), then tear everything down
+// and aggregate. The spec is validated before newDriver runs, so an
+// invalid spec binds nothing; from there every return stops the driver.
+func run(ctx context.Context, spec Spec, newDriver func(*graph.Graph) (transportDriver, error)) (*Outcome, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
+	driver, err := newDriver(spec.Graph)
+	if err != nil {
+		return nil, err
+	}
+	defer driver.stop()
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
 		timeout := spec.Timeout
 		if timeout <= 0 {
@@ -188,10 +190,7 @@ func run(ctx context.Context, spec Spec, driver transportDriver) (*Outcome, erro
 		}
 		nodes[i] = nd
 	}
-	if err := driver.start(runCtx, nodes); err != nil {
-		return nil, err
-	}
-	defer driver.stop()
+	driver.start(runCtx, nodes)
 
 	var wg sync.WaitGroup
 	runErrs := make([]error, n)

@@ -119,6 +119,11 @@ func TestTCPTwoNodeIntegration(t *testing.T) {
 	if out.Runtime != "tcp" {
 		t.Fatalf("runtime = %q", out.Runtime)
 	}
+	// Every frame a node sent was either accepted by a per-edge queue or
+	// shed by one at shutdown: the queue accounting is wired end to end.
+	if q := out.Queue; q.Enqueued <= 0 || q.Enqueued+q.Shed != int64(out.Sent) {
+		t.Fatalf("queue accounting %+v does not add up to %d sent frames", q, out.Sent)
+	}
 }
 
 // TestJoinTCPWithPortCollision exercises the daemon path end to end: two

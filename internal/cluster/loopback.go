@@ -24,10 +24,7 @@ type loopback struct {
 	wg     sync.WaitGroup
 }
 
-func newLoopback(g *graph.Graph) (*loopback, error) {
-	if g == nil {
-		return nil, fmt.Errorf("cluster: loopback needs a graph")
-	}
+func newLoopback(g *graph.Graph) (transportDriver, error) {
 	lb := &loopback{g: g, edges: make(map[[2]int]*queue[[]byte], g.M())}
 	for _, e := range g.Edges() {
 		lb.edges[e] = newQueue[[]byte](0)
@@ -61,7 +58,7 @@ func (l loopLink) Send(to int, frame []byte) error {
 
 func (lb *loopback) link(id int) node.Outbound { return loopLink{lb: lb, from: id} }
 
-func (lb *loopback) start(ctx context.Context, nodes []*node.Node) error {
+func (lb *loopback) start(ctx context.Context, nodes []*node.Node) {
 	for e, q := range lb.edges {
 		from, to := e[0], e[1]
 		lb.wg.Add(1)
@@ -77,13 +74,7 @@ func (lb *loopback) start(ctx context.Context, nodes []*node.Node) error {
 				if batch, ok = q.popBatch(batch); !ok {
 					return
 				}
-				slab := node.GetSlab()
-				for _, frame := range batch {
-					slab = append(slab, node.Inbound{From: from, Frame: frame})
-				}
-				if !nd.PushBatch(ctx, slab) {
-					releaseFrames(batch)
-					node.PutSlab(slab)
+				if !pushFrames(ctx, nd, from, batch) {
 					return
 				}
 			}
@@ -97,7 +88,6 @@ func (lb *loopback) start(ctx context.Context, nodes []*node.Node) error {
 			q.close()
 		}
 	}()
-	return nil
 }
 
 func (lb *loopback) stop() {

@@ -13,22 +13,23 @@ import (
 	"repro/internal/wire"
 )
 
-// The Mux is the service tier's transport: one persistent TCP connection
-// per directed edge carrying frames for every concurrent consensus
-// instance (the instance id rides in the wire frame — codec v4), instead
-// of the classic transports' one-cluster-one-instance lifecycle. Per-peer
-// outbound queues are bounded (see queue): a daemon that outruns a slow
-// peer blocks on Send — backpressure that propagates to the instance event
-// loops — or sheds on TrySend, both accounted and surfaced through the
-// daemon's metrics plane. Inbound, one reader per in-edge hands raw frames
-// to the dispatcher; a dispatcher that blocks (an instance inbox at
+// The Mux is the live tier's one socket transport: one TCP connection per
+// directed edge (u, v), dialed by the sender u, carrying frames for every
+// consensus instance the two vertices share (the instance id rides in the
+// wire frame — codec v4; a one-shot run is the special case where every
+// frame says instance 0, see tcp.go). TCP gives the per-edge FIFO
+// reliability the model assumes, and the hello gives the receiver the
+// sender's identity. Per-peer outbound queues are bounded (see queue): a
+// vertex that outruns a slow peer blocks on Send — backpressure that
+// propagates to the node event loops — or sheds on TrySend, both accounted
+// and surfaced through QueueStats. Inbound, one reader per in-edge hands
+// read bursts to the dispatcher; a dispatcher that blocks (an inbox at
 // capacity) stalls exactly that one peer connection, which is TCP's own
 // flow control doing the rest.
 
-// muxMagic opens every mux connection; the bytes after it are the wire
-// codec version and the sender's vertex id (two big-endian bytes, so mux
-// clusters can use the full graph.MaxNodes id range — the classic tcp
-// hello's single byte caps at 255).
+// muxMagic opens every connection; the bytes after it are the wire codec
+// version and the sender's vertex id (two big-endian bytes, covering the
+// full graph.MaxNodes id range).
 var muxMagic = [4]byte{'A', 'B', 'M', 'X'}
 
 const muxHelloLen = 7
@@ -71,25 +72,21 @@ type MuxConfig struct {
 	Peers map[int]string
 	// QueueCap bounds each per-peer outbound queue (0 = DefaultQueueCap).
 	QueueCap int
-	// OnFrame consumes every inbound frame with the true sender (from the
-	// handshake — the reliable-link model's sender authentication, which
-	// each instance's node re-checks against the frame contents). It is
-	// invoked from per-connection reader goroutines and may block; a
-	// blocked dispatcher stalls only that peer's connection. Ownership of
-	// frame transfers with the call: the bytes are a pooled buffer and the
-	// dispatch chain's final consumer releases them with wire.PutBuf (the
-	// reader never touches the frame again).
-	OnFrame func(from int, frame []byte)
-	// OnFrameBatch, when non-nil, replaces OnFrame on the read path: the
-	// reader decodes bursts with wire.FrameReader.NextBatch and hands the
-	// whole burst over in one call, each frame's routing header already
-	// peeked into infos[i] (infos[i].Bad marks a frame whose header did not
-	// parse — the consumer accounts for it and releases it). frames[i] is
-	// in per-link arrival order. Ownership of every frame buffer transfers
-	// with the call, but the frames and infos slices themselves remain the
-	// reader's scratch and are reused for the next burst: the consumer must
-	// not retain either slice past return. At least one of OnFrame and
-	// OnFrameBatch must be set; when both are, OnFrameBatch wins.
+	// OnFrameBatch consumes every inbound read burst with the true sender
+	// (from the handshake — the reliable-link model's sender
+	// authentication, which each node re-checks against the frame
+	// contents). The reader decodes bursts with wire.FrameReader.NextBatch
+	// and hands the whole burst over in one call, each frame's routing
+	// header already peeked into infos[i] (infos[i].Bad marks a frame whose
+	// header did not parse — the consumer accounts for it and releases it).
+	// frames[i] is in per-link arrival order. It is invoked from
+	// per-connection reader goroutines and may block; a blocked dispatcher
+	// stalls only that peer's connection. Ownership of every frame buffer
+	// transfers with the call — the bytes are pooled and the dispatch
+	// chain's final consumer releases them with wire.PutBuf — but the frames
+	// and infos slices themselves remain the reader's scratch and are reused
+	// for the next burst: the consumer must not retain either slice past
+	// return.
 	OnFrameBatch func(from int, frames [][]byte, infos []wire.FrameInfo)
 }
 
@@ -119,7 +116,7 @@ func NewMux(cfg MuxConfig) (*Mux, error) {
 	if cfg.Listener == nil {
 		return nil, fmt.Errorf("cluster: mux needs a listener")
 	}
-	if cfg.OnFrame == nil && cfg.OnFrameBatch == nil {
+	if cfg.OnFrameBatch == nil {
 		return nil, fmt.Errorf("cluster: mux needs a frame dispatcher")
 	}
 	m := &Mux{cfg: cfg, queues: make(map[int]*queue[[]byte])}
@@ -268,50 +265,41 @@ func (m *Mux) acceptLoop(ctx context.Context) {
 				c.Close()
 				return
 			}
+			// One NextBatch per socket burst, one dispatcher call per burst.
+			// The scratch slices live for the connection and are reused every
+			// iteration — the dispatcher contract (see MuxConfig.OnFrameBatch)
+			// forbids retaining them, so the steady state allocates nothing.
 			fr := wire.NewFrameReader(c)
-			if m.cfg.OnFrameBatch != nil {
-				// Batched read path: one NextBatch per socket burst, one
-				// dispatcher call per burst. The scratch slices live for the
-				// connection and are reused every iteration — the dispatcher
-				// contract (see MuxConfig.OnFrameBatch) forbids retaining
-				// them, so the steady state allocates nothing.
-				frames := make([][]byte, 0, maxBatchFrames)
-				infos := make([]wire.FrameInfo, 0, maxBatchFrames)
-				for {
-					var err error
-					frames, infos, err = fr.NextBatch(frames[:0], infos[:0], maxBatchFrames)
-					if err != nil {
-						c.Close()
-						return
-					}
-					if ctx.Err() != nil {
-						releaseFrames(frames)
-						c.Close()
-						return
-					}
-					m.cfg.OnFrameBatch(peer, frames, infos) // frame ownership transfers
-				}
-			}
+			frames := make([][]byte, 0, maxBatchFrames)
+			infos := make([]wire.FrameInfo, 0, maxBatchFrames)
 			for {
-				frame, err := fr.Next()
+				var err error
+				frames, infos, err = fr.NextBatch(frames[:0], infos[:0], maxBatchFrames)
 				if err != nil {
 					c.Close()
 					return
 				}
 				if ctx.Err() != nil {
-					wire.PutBuf(frame)
+					releaseFrames(frames)
 					c.Close()
 					return
 				}
-				m.cfg.OnFrame(peer, frame) // ownership transfers
+				m.cfg.OnFrameBatch(peer, frames, infos) // frame ownership transfers
 			}
 		}(c)
 	}
 }
 
+// dialRetryFloor/Ceil bound the reconnect backoff (dialMux's, and the
+// pause drainLoop takes between a failed write and its redial).
+const (
+	dialRetryFloor = 5 * time.Millisecond
+	dialRetryCeil  = 250 * time.Millisecond
+)
+
 // dialMux connects to addr with retry/backoff until ctx ends, completing
-// the mux handshake — same start-order independence as the classic tcp
-// transport: whichever daemon starts first keeps knocking.
+// the handshake. The retry is what makes start order irrelevant: whichever
+// process starts first keeps knocking until the peer's listener is up.
 func (m *Mux) dialMux(ctx context.Context, addr string) (net.Conn, error) {
 	backoff := dialRetryFloor
 	d := net.Dialer{}
@@ -334,11 +322,9 @@ func (m *Mux) dialMux(ctx context.Context, addr string) (net.Conn, error) {
 	}
 }
 
-// writeLoop drains one peer's bounded queue onto its persistent connection
-// through the shared batched drain (see drainLoop): bursts coalesce into
-// one Write syscall, write failures redial with the unwritten tail
-// retained — identical reconnect discipline to the classic tcp transport,
-// but the connection now outlives any single consensus instance.
+// writeLoop drains one peer's bounded queue onto its connection through
+// the batched drain (see drainLoop): bursts coalesce into one Write
+// syscall, write failures redial with the unwritten tail retained.
 func (m *Mux) writeLoop(ctx context.Context, to int, q *queue[[]byte]) {
 	drainLoop(ctx, q, func(ctx context.Context) (net.Conn, error) {
 		return m.dialMux(ctx, m.cfg.Peers[to])

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -30,12 +31,12 @@ func muxPair(t *testing.T, ctx context.Context, qcap int) (ms [2]*Mux, got [2]ch
 		i := i
 		got[i] = make(chan Inbound2, 64)
 		ms[i], err = NewMux(MuxConfig{
-			ID:       i,
-			Graph:    g,
-			Listener: ls[i],
-			Peers:    map[int]string{1 - i: addrs[1-i]},
-			QueueCap: qcap,
-			OnFrame:  func(from int, frame []byte) { got[i] <- Inbound2{from, frame} },
+			ID:           i,
+			Graph:        g,
+			Listener:     ls[i],
+			Peers:        map[int]string{1 - i: addrs[1-i]},
+			QueueCap:     qcap,
+			OnFrameBatch: sinkTo(got[i]),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -50,6 +51,18 @@ type Inbound2 struct {
 	From  int
 	Frame []byte
 }
+
+// sinkTo is an OnFrameBatch that forwards each frame of a burst to ch.
+func sinkTo(ch chan<- Inbound2) func(int, [][]byte, []wire.FrameInfo) {
+	return func(from int, frames [][]byte, _ []wire.FrameInfo) {
+		for _, f := range frames {
+			ch <- Inbound2{from, f}
+		}
+	}
+}
+
+// discardBatch is an OnFrameBatch for endpoints that never receive.
+func discardBatch(int, [][]byte, []wire.FrameInfo) {}
 
 func recvFrame(t *testing.T, ch chan Inbound2) Inbound2 {
 	t.Helper()
@@ -144,9 +157,9 @@ func TestMuxTrySendShedsWhenFull(t *testing.T) {
 	defer l.Close()
 	m, err := NewMux(MuxConfig{
 		ID: 0, Graph: g, Listener: l,
-		Peers:    map[int]string{1: "127.0.0.1:1"},
-		QueueCap: 2,
-		OnFrame:  func(int, []byte) {},
+		Peers:        map[int]string{1: "127.0.0.1:1"},
+		QueueCap:     2,
+		OnFrameBatch: discardBatch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,8 +197,8 @@ func TestMuxLateListener(t *testing.T) {
 	}
 	m0, err := NewMux(MuxConfig{
 		ID: 0, Graph: g, Listener: l0,
-		Peers:   map[int]string{1: addr1},
-		OnFrame: func(int, []byte) {},
+		Peers:        map[int]string{1: addr1},
+		OnFrameBatch: discardBatch,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -212,8 +225,8 @@ func TestMuxLateListener(t *testing.T) {
 	got := make(chan Inbound2, 1)
 	m1, err := NewMux(MuxConfig{
 		ID: 1, Graph: g, Listener: l1b,
-		Peers:   map[int]string{0: l0.Addr().String()},
-		OnFrame: func(from int, f []byte) { got <- Inbound2{from, f} },
+		Peers:        map[int]string{0: l0.Addr().String()},
+		OnFrameBatch: sinkTo(got),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +247,11 @@ func TestMuxLateListener(t *testing.T) {
 func TestMuxRejectsBadHello(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	g := graph.Clique(2)
+	// 0 <-> 1 plus 0 -> 2: vertex 2 is a cluster member with no edge to 0.
+	g := graph.New(3)
+	g.MustAddEdge(0, 1)
+	g.MustAddEdge(1, 0)
+	g.MustAddEdge(0, 2)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -243,10 +260,10 @@ func TestMuxRejectsBadHello(t *testing.T) {
 	frames := 0
 	m, err := NewMux(MuxConfig{
 		ID: 0, Graph: g, Listener: l,
-		Peers: map[int]string{1: "127.0.0.1:1"},
-		OnFrame: func(int, []byte) {
+		Peers: map[int]string{1: "127.0.0.1:1", 2: "127.0.0.1:1"},
+		OnFrameBatch: func(_ int, batch [][]byte, _ []wire.FrameInfo) {
 			mu.Lock()
-			frames++
+			frames += len(batch)
 			mu.Unlock()
 		},
 	})
@@ -256,33 +273,45 @@ func TestMuxRejectsBadHello(t *testing.T) {
 	m.Start(ctx)
 	defer m.Stop()
 
-	// Wrong magic: the connection must be refused without dispatching.
-	c, err := net.Dial("tcp", l.Addr().String())
+	hello := func(version byte, id int) []byte {
+		h := append([]byte(nil), muxMagic[:]...)
+		return append(h, version, byte(id>>8), byte(id))
+	}
+	frame, err := wire.EncodeMessage(transport.Message{
+		From: 1, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Write([]byte("NOPE"))
-	c.Write(make([]byte, 16))
-	buf := make([]byte, 1)
-	c.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c.Read(buf); err == nil {
-		t.Fatal("connection with bad magic stayed open")
-	}
-	c.Close()
-
-	// Claimed id outside the graph: also refused.
-	c2, err := net.Dial("tcp", l.Addr().String())
+	body, err := wire.AppendRawFrame(nil, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := writeMuxHello(c2, 7); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		hello []byte
+	}{
+		{"bad magic", []byte("NOPE\x04\x00\x01")},
+		{"wrong wire version", hello(wire.Version+1, 1)},
+		{"id outside the graph", hello(wire.Version, 7)},
+		{"member with no edge to us", hello(wire.Version, 2)},
 	}
-	c2.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := c2.Read(buf); err == nil {
-		t.Fatal("connection claiming an out-of-graph id stayed open")
+	for _, tc := range cases {
+		// Each connection follows its hello with a well-formed frame: a
+		// refused link must close without dispatching it.
+		c, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Write(tc.hello)
+		c.Write(body)
+		c.SetReadDeadline(time.Now().Add(5 * time.Second))
+		var ne net.Error
+		if _, err := c.Read(make([]byte, 1)); err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+			t.Fatalf("%s: connection stayed open (read: %v)", tc.name, err)
+		}
+		c.Close()
 	}
-	c2.Close()
 
 	mu.Lock()
 	defer mu.Unlock()

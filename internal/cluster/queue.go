@@ -119,34 +119,10 @@ func (q *queue[T]) enqueue(v T) {
 	q.nonEmpty.Signal()
 }
 
-// pop blocks for the next item; ok is false once the queue is closed
-// (pending items are abandoned — the shutdown path).
-func (q *queue[T]) pop() (v T, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for q.depth() == 0 && !q.closed {
-		q.nonEmpty.Wait()
-	}
-	if q.closed {
-		return v, false
-	}
-	v = q.items[q.head]
-	var zero T
-	q.items[q.head] = zero // release the reference
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	q.nonFull.Signal()
-	return v, true
-}
-
 // popBatch blocks for at least one item, then moves up to cap(dst) queued
-// items into dst[:0] under a single lock acquisition — the batch form of
-// pop that lets a writer drain a burst with one mutex round-trip instead
-// of one per frame. Order is preserved (FIFO), accounting is identical to
-// the same number of pops, and every drained slot wakes blocked pushers.
+// items into dst[:0] under a single lock acquisition, so a writer drains a
+// burst with one mutex round-trip instead of one per frame. Order is
+// preserved (FIFO) and every drained slot wakes blocked pushers.
 // ok is false once the queue is closed; cap(dst) must be non-zero.
 func (q *queue[T]) popBatch(dst []T) (batch []T, ok bool) {
 	q.mu.Lock()

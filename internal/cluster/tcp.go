@@ -2,13 +2,9 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strconv"
-	"sync"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/linkfault"
@@ -17,53 +13,11 @@ import (
 	"repro/internal/wire"
 )
 
-// The TCP medium maps each directed edge (u, v) to one TCP connection
-// dialed by the sender u. A connection opens with a fixed-size hello —
-// magic, codec version, sender vertex — after which it carries
-// length-prefixed wire frames, one per protocol message, in send order
-// (TCP gives the per-edge FIFO reliability the model assumes). Dialing
-// retries with backoff until the context ends, so the inevitable races of
-// multi-process startup — the peer's listener not up yet — resolve
-// themselves; a write failure mid-run redials the same way, keeping the
-// frame that failed.
-
-// helloMagic opens every connection; the byte after it is the wire codec
-// version, then the sender's vertex id.
-var helloMagic = [4]byte{'A', 'B', 'A', 'C'}
-
-const helloLen = 6
-
-// dialRetryFloor/Ceil bound the reconnect backoff.
-const (
-	dialRetryFloor = 5 * time.Millisecond
-	dialRetryCeil  = 250 * time.Millisecond
-)
-
-func writeHello(c net.Conn, id int) error {
-	if id < 0 || id > 255 {
-		return fmt.Errorf("cluster: vertex id %d does not fit the hello byte", id)
-	}
-	var buf [helloLen]byte
-	copy(buf[:], helloMagic[:])
-	buf[4] = wire.Version
-	buf[5] = byte(id)
-	_, err := c.Write(buf[:])
-	return err
-}
-
-func readHello(c net.Conn) (int, error) {
-	var buf [helloLen]byte
-	if _, err := io.ReadFull(c, buf[:]); err != nil {
-		return 0, err
-	}
-	if [4]byte(buf[:4]) != helloMagic {
-		return 0, fmt.Errorf("cluster: bad hello magic %q", buf[:4])
-	}
-	if buf[4] != wire.Version {
-		return 0, fmt.Errorf("cluster: peer speaks wire version %d, this build speaks %d", buf[4], wire.Version)
-	}
-	return int(buf[5]), nil
-}
+// The one-shot TCP runtime is a Mux fleet whose every frame carries
+// instance id 0: each vertex owns one Mux (see mux.go for the hello, the
+// per-edge FIFO writers and the reconnect discipline), the Mux is the
+// node's Outbound, and its reader bursts land in the node's inbox one
+// slab per burst. Nothing here touches a socket except Listen.
 
 // Listen binds a TCP listener on addr. When the port is taken and non-zero,
 // it retries the next `attempts-1` consecutive ports — the port-collision
@@ -95,265 +49,98 @@ func Listen(addr string, attempts int) (net.Listener, error) {
 	return nil, fmt.Errorf("cluster: no free port in %d attempts from %s: %w", attempts, addr, lastErr)
 }
 
-// tcpEndpoint is one vertex's TCP presence: a listener accepting its
-// in-edges, one dialer+writer per out-edge (fed by a bounded queue — the
-// node's send path blocks only when a peer falls DefaultQueueCap frames
-// behind, the live tier's backpressure contract), and the reader
-// goroutines feeding the node's inbox.
-type tcpEndpoint struct {
-	id    int
-	g     *graph.Graph
-	ln    net.Listener
-	peers map[int]string // out-neighbor -> dial address
-
-	queues map[int]*queue[[]byte]
-	wg     sync.WaitGroup
-
-	mu     sync.Mutex
-	conns  []net.Conn
-	closed bool
-
-	stopOnce sync.Once
+// oneShot is one vertex of a one-shot run: its Mux and the node whose
+// inbox the Mux's readers feed.
+type oneShot struct {
+	mux *Mux
+	// ctx and nd are bound by start, before the Mux launches any reader
+	// (the Mux must exist first: it is the Outbound the node is built on).
+	ctx context.Context
+	nd  *node.Node
 }
 
-func newTCPEndpoint(id int, g *graph.Graph, ln net.Listener, peers map[int]string) (*tcpEndpoint, error) {
-	e := &tcpEndpoint{id: id, g: g, ln: ln, peers: peers, queues: make(map[int]*queue[[]byte])}
-	for _, v := range g.Out(id) {
-		if _, ok := peers[v]; !ok {
-			return nil, fmt.Errorf("cluster: vertex %d has edge to %d but no peer address for it", id, v)
-		}
-		e.queues[v] = newQueue[[]byte](0)
+// newOneShot builds the vertex's Mux over ln. On error the caller still
+// owns ln.
+func newOneShot(id int, g *graph.Graph, ln net.Listener, peers map[int]string) (*oneShot, error) {
+	o := &oneShot{}
+	var err error
+	o.mux, err = NewMux(MuxConfig{ID: id, Graph: g, Listener: ln, Peers: peers, OnFrameBatch: o.push})
+	if err != nil {
+		return nil, err
 	}
-	return e, nil
+	return o, nil
 }
 
-// Send implements node.Outbound: enqueue toward the per-edge writer.
-// Ownership of frame transfers to the endpoint; the writer releases it to
-// the pool after transmission (or here, when a shutdown shed drops it).
-func (e *tcpEndpoint) Send(to int, frame []byte) error {
-	q, ok := e.queues[to]
-	if !ok {
-		return fmt.Errorf("cluster: tcp send over non-edge %d->%d", e.id, to)
-	}
-	if !q.push(frame) {
-		wire.PutBuf(frame)
-	}
-	return nil
+func (o *oneShot) start(ctx context.Context, nd *node.Node) {
+	o.ctx, o.nd = ctx, nd
+	o.mux.Start(ctx)
 }
 
-// track registers a connection for teardown; it returns false (and closes
-// the conn) when the endpoint is already stopped.
-func (e *tcpEndpoint) track(c net.Conn) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		c.Close()
-		return false
-	}
-	e.conns = append(e.conns, c)
-	return true
+// push forwards one read burst to the node as one slab. The node decodes
+// every frame in full (and counts the malformed ones), so the peeked infos
+// go unused. A refused burst (the node has shut down) is released by
+// pushFrames; the reader stops when the Mux does.
+func (o *oneShot) push(from int, frames [][]byte, _ []wire.FrameInfo) {
+	pushFrames(o.ctx, o.nd, from, frames)
 }
 
-// start launches the accept loop and one dialer/writer per out-edge.
-func (e *tcpEndpoint) start(ctx context.Context, nd *node.Node) {
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		e.acceptLoop(ctx, nd)
-	}()
-	for to, q := range e.queues {
-		e.wg.Add(1)
-		go func(to int, q *queue[[]byte]) {
-			defer e.wg.Done()
-			e.writeLoop(ctx, to, q)
-		}(to, q)
-	}
-	// Teardown watcher: when the run context ends, close the listener and
-	// every connection so blocked reads/writes/accepts return.
-	e.wg.Add(1)
-	go func() {
-		defer e.wg.Done()
-		<-ctx.Done()
-		e.teardown()
-	}()
-}
-
-func (e *tcpEndpoint) teardown() {
-	e.mu.Lock()
-	conns := e.conns
-	e.conns = nil
-	e.closed = true
-	e.mu.Unlock()
-	e.ln.Close()
-	for _, q := range e.queues {
-		q.close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-}
-
-func (e *tcpEndpoint) stop() { e.stopOnce.Do(func() { e.teardown(); e.wg.Wait() }) }
-
-func (e *tcpEndpoint) queueStats() QueueStats {
-	var s QueueStats
-	for _, q := range e.queues {
-		s.add(q.snapshot())
-	}
-	return s
-}
-
-// acceptLoop serves inbound edges: handshake, validate the claimed peer
-// against the topology, then pump frames into the node's inbox.
-func (e *tcpEndpoint) acceptLoop(ctx context.Context, nd *node.Node) {
-	for {
-		c, err := e.ln.Accept()
-		if err != nil {
-			return // listener closed: shutdown
-		}
-		if !e.track(c) {
-			return
-		}
-		e.wg.Add(1)
-		go func(c net.Conn) {
-			defer e.wg.Done()
-			peer, err := readHello(c)
-			if err != nil || peer < 0 || peer >= e.g.N() || !e.g.HasEdge(peer, e.id) {
-				// Not a cluster member with an edge to us: refuse the link.
-				c.Close()
-				return
-			}
-			fr := wire.NewFrameReader(c)
-			frames := make([][]byte, 0, maxBatchFrames)
-			infos := make([]wire.FrameInfo, 0, maxBatchFrames)
-			for {
-				var err error
-				// One NextBatch per socket burst, one slab push per burst.
-				// The classic tier's node decodes every frame fully, so the
-				// peeked infos are unused here; the batch read still saves
-				// the per-frame header syscall discipline and channel ops.
-				frames, infos, err = fr.NextBatch(frames[:0], infos[:0], maxBatchFrames)
-				if err != nil {
-					c.Close()
-					return
-				}
-				slab := node.GetSlab()
-				for _, frame := range frames {
-					slab = append(slab, node.Inbound{From: peer, Frame: frame})
-				}
-				// PushBatch transfers ownership of the slab and every frame;
-				// on false (node shut down, ctx cancelled) everything is
-				// still ours to release.
-				if !nd.PushBatch(ctx, slab) {
-					releaseFrames(frames)
-					node.PutSlab(slab)
-					c.Close()
-					return
-				}
-			}
-		}(c)
-	}
-}
-
-// dial connects to addr with retry/backoff until ctx ends — the
-// reconnect-on-dial-race behavior: whichever process starts first just
-// keeps knocking until the peer's listener is up.
-func (e *tcpEndpoint) dial(ctx context.Context, addr string) (net.Conn, error) {
-	backoff := dialRetryFloor
-	d := net.Dialer{}
-	for {
-		c, err := d.DialContext(ctx, "tcp", addr)
-		if err == nil {
-			if err := writeHello(c, e.id); err == nil {
-				return c, nil
-			}
-			c.Close()
-		}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(backoff):
-		}
-		if backoff *= 2; backoff > dialRetryCeil {
-			backoff = dialRetryCeil
-		}
-	}
-}
-
-// writeLoop drains the per-edge queue onto the connection through the
-// shared batched drain (see drainLoop): bursts coalesce into one Write
-// syscall; a write failure backs off, redials, and replays the unwritten
-// tail of the batch.
-func (e *tcpEndpoint) writeLoop(ctx context.Context, to int, q *queue[[]byte]) {
-	drainLoop(ctx, q, func(ctx context.Context) (net.Conn, error) {
-		return e.dial(ctx, e.peers[to])
-	}, e.track)
-}
-
-// tcpNetwork is the in-process harness form of the medium: one endpoint
+// tcpNetwork is the in-process harness form of the runtime: one oneShot
 // per vertex, listeners bound up front on ephemeral ports so addresses are
 // discovered before anything dials.
 type tcpNetwork struct {
-	g         *graph.Graph
-	endpoints []*tcpEndpoint
-	stopOnce  sync.Once
+	vertices []*oneShot
 }
 
-func newTCPNetwork(g *graph.Graph) (*tcpNetwork, error) {
-	if g == nil {
-		return nil, fmt.Errorf("cluster: tcp needs a graph")
-	}
+func newTCPNetwork(g *graph.Graph) (transportDriver, error) {
 	n := g.N()
-	listeners := make([]net.Listener, n)
+	listeners := make([]net.Listener, 0, n)
+	closeAll := func() {
+		for _, ln := range listeners {
+			ln.Close()
+		}
+	}
 	addrs := make(map[int]string, n)
 	for i := 0; i < n; i++ {
 		ln, err := Listen("127.0.0.1:0", 1)
 		if err != nil {
-			for _, l := range listeners[:i] {
-				l.Close()
-			}
+			closeAll()
 			return nil, err
 		}
-		listeners[i] = ln
+		listeners = append(listeners, ln)
 		addrs[i] = ln.Addr().String()
 	}
-	tn := &tcpNetwork{g: g, endpoints: make([]*tcpEndpoint, n)}
-	for i := 0; i < n; i++ {
-		e, err := newTCPEndpoint(i, g, listeners[i], addrs)
+	tn := &tcpNetwork{vertices: make([]*oneShot, n)}
+	for i := range tn.vertices {
+		o, err := newOneShot(i, g, listeners[i], addrs)
 		if err != nil {
-			for _, l := range listeners {
-				l.Close()
-			}
+			closeAll()
 			return nil, err
 		}
-		tn.endpoints[i] = e
+		tn.vertices[i] = o
 	}
 	return tn, nil
 }
 
 func (tn *tcpNetwork) name() string { return "tcp" }
 
-func (tn *tcpNetwork) link(id int) node.Outbound { return tn.endpoints[id] }
+func (tn *tcpNetwork) link(id int) node.Outbound { return tn.vertices[id].mux }
 
-func (tn *tcpNetwork) start(ctx context.Context, nodes []*node.Node) error {
-	for i, e := range tn.endpoints {
-		e.start(ctx, nodes[i])
+func (tn *tcpNetwork) start(ctx context.Context, nodes []*node.Node) {
+	for i, o := range tn.vertices {
+		o.start(ctx, nodes[i])
 	}
-	return nil
 }
 
 func (tn *tcpNetwork) stop() {
-	tn.stopOnce.Do(func() {
-		for _, e := range tn.endpoints {
-			e.stop()
-		}
-	})
+	for _, o := range tn.vertices {
+		o.mux.Stop()
+	}
 }
 
 func (tn *tcpNetwork) queueStats() QueueStats {
 	var s QueueStats
-	for _, e := range tn.endpoints {
-		s.add(e.queueStats())
+	for _, o := range tn.vertices {
+		s.add(o.mux.QueueStats())
 	}
 	return s
 }
@@ -402,12 +189,6 @@ type NodeOutcome struct {
 // model honest nodes keep relaying for their peers). It returns the
 // vertex's outcome; cancellation is the normal exit and is not an error.
 func JoinTCP(ctx context.Context, cfg JoinConfig) (*NodeOutcome, error) {
-	if cfg.Graph == nil {
-		return nil, errors.New("cluster: join needs a graph")
-	}
-	if cfg.ID < 0 || cfg.ID >= cfg.Graph.N() {
-		return nil, fmt.Errorf("cluster: join id %d outside graph order %d", cfg.ID, cfg.Graph.N())
-	}
 	ln := cfg.Listener
 	if ln == nil {
 		addr := cfg.Listen
@@ -419,11 +200,14 @@ func JoinTCP(ctx context.Context, cfg JoinConfig) (*NodeOutcome, error) {
 			return nil, err
 		}
 	}
-	e, err := newTCPEndpoint(cfg.ID, cfg.Graph, ln, cfg.Peers)
+	o, err := newOneShot(cfg.ID, cfg.Graph, ln, cfg.Peers)
 	if err != nil {
 		ln.Close()
 		return nil, err
 	}
+	// Stop is safe before Start and closes the listener, so every return
+	// below releases what was bound above.
+	defer o.mux.Stop()
 	if cfg.OnListen != nil {
 		cfg.OnListen(ln.Addr().String())
 	}
@@ -431,20 +215,17 @@ func JoinTCP(ctx context.Context, cfg JoinConfig) (*NodeOutcome, error) {
 		ID:       cfg.ID,
 		Graph:    cfg.Graph,
 		Handler:  cfg.Handler,
-		Out:      FaultyOutbound(e, cfg.LinkFaults, cfg.ID),
+		Out:      FaultyOutbound(o.mux, cfg.LinkFaults, cfg.ID),
 		Observer: cfg.Observer,
 		OnDecide: cfg.OnDecide,
 	})
 	if err != nil {
-		ln.Close()
 		return nil, err
 	}
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	e.start(runCtx, nd)
+	o.start(runCtx, nd)
 	runErr := nd.Run(runCtx)
-	cancel()
-	e.stop()
 	out := &NodeOutcome{ID: cfg.ID, Addr: ln.Addr().String(), Stats: nd.Stats()}
 	out.Output, out.Decided = nd.Output()
 	if runErr != nil {

@@ -45,11 +45,12 @@ type BenchRun struct {
 	Waits     int64   `json:"waits,omitempty"`
 	Shed      int64   `json:"shed,omitempty"`
 	// Frame-path columns (BENCH_6): per-frame cost on the live tier's hot
-	// path. On "micro" cells they come from testing.Benchmark over the
-	// codec/queue primitives; on service cells AllocsPerFrame is the whole
-	// process's heap allocations over the window divided by the frames the
-	// fleet enqueued — an upper bound that includes client-plane and
-	// machine work, honest about everything the service does per frame.
+	// path. On service cells AllocsPerFrame is the whole process's heap
+	// allocations over the window divided by the frames the fleet enqueued
+	// — an upper bound that includes client-plane and machine work, honest
+	// about everything the service does per frame. NsPerFrame is read, not
+	// written: the committed BENCH_6/BENCH_7 "micro" cells carry it (their
+	// generator is gone; bench/ times the live primitives instead).
 	NsPerFrame     float64 `json:"nsPerFrame,omitempty"`
 	AllocsPerFrame float64 `json:"allocsPerFrame,omitempty"`
 }

@@ -29,18 +29,6 @@ type ServiceBenchConfig struct {
 	// Concurrency is the number of closed-loop submit workers, spread
 	// round-robin across the fleet's client planes (default 2 per daemon).
 	Concurrency int
-	// FrameBench appends the E16b frame-path microbenchmark cells
-	// (encode/write/read/queue-drain, Runtime "micro") to the report.
-	FrameBench bool
-	// DispatchBench appends the E16c dispatch micro-cell: ns/frame and
-	// allocs/frame through the daemon's batched dispatch→inbox hand-off.
-	DispatchBench bool
-	// GoMaxProcs, when non-empty, runs the whole cell set once per entry
-	// with runtime.GOMAXPROCS pinned to it, stamping each cell's Workers
-	// column — the multi-core sweep (E16c). Cells keep their BaseKey, so
-	// benchdiff's fallback compares every rung against a plain baseline.
-	// Empty means: run once at the ambient GOMAXPROCS, Workers unset.
-	GoMaxProcs []int
 }
 
 // DefaultServiceScenario is the committed service-tier base scenario.
@@ -95,55 +83,18 @@ func RunServiceBench(ctx context.Context, cfg ServiceBenchConfig) (*BenchReport,
 		},
 	}
 
-	sweep := cfg.GoMaxProcs
-	if len(sweep) == 0 {
-		sweep = []int{0} // one pass at the ambient setting, Workers unset
-	} else {
-		report.Notes = append(report.Notes, fmt.Sprintf(
-			"E16c: GOMAXPROCS sweep %v on a %d-CPU host; each cell's workers column records the sweep rung",
-			sweep, runtime.NumCPU()))
-	}
-	orig := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(orig)
-	for _, gmp := range sweep {
-		if gmp > 0 {
-			runtime.GOMAXPROCS(gmp)
+	for _, proto := range cfg.Protocols {
+		cell, err := serviceBenchCell(ctx, dep, cfg, proto)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: service bench %q: %w", proto, err)
 		}
-		stamp := func(cell BenchRun) BenchRun {
-			if gmp > 0 {
-				cell.Workers = gmp
-			}
-			return cell
-		}
-		for _, proto := range cfg.Protocols {
-			cell, err := serviceBenchCell(ctx, dep, cfg, proto)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: service bench %q: %w", proto, err)
-			}
-			report.Runs = append(report.Runs, stamp(cell))
-		}
-		if cfg.FrameBench {
-			for _, cell := range FramePathBenchCells() {
-				report.Runs = append(report.Runs, stamp(cell))
-			}
-		}
-		if cfg.DispatchBench {
-			report.Runs = append(report.Runs, stamp(DispatchBenchCell()))
-		}
+		report.Runs = append(report.Runs, cell)
 	}
 	totals := fleetQueueTotals(dep)
 	report.Notes = append(report.Notes, fmt.Sprintf(
 		"observed over the whole run: %d backpressure waits, %d shed frames (bounded per-peer queues; also on every daemon's /metrics)",
-		totals.waits, totals.shed))
-	if cfg.FrameBench {
-		report.Notes = append(report.Notes,
-			"micro cells (E16b): testing.Benchmark over the frame-path primitives; allocsPerFrame is allocs/op, the ~0 steady-state acceptance bar",
-			"service cells' allocsPerFrame: whole-process heap allocs over the window / frames enqueued fleet-wide — an upper bound including client-plane and machine work")
-	}
-	if cfg.DispatchBench {
-		report.Notes = append(report.Notes,
-			"dispatch-inbox cell (E16c): one pre-peeked 64-frame burst through the daemon's batched dispatch (grouping, shard/memo lookup, ready gate, slab inbox push) and back out of the inbox; ns/frame includes re-encoding each frame into a pooled buffer")
-	}
+		totals.waits, totals.shed),
+		"allocsPerFrame: whole-process heap allocs over the window / frames enqueued fleet-wide — an upper bound including client-plane and machine work")
 	return report, nil
 }
 

@@ -81,10 +81,11 @@ func PutSlab(s []Inbound) {
 	}
 }
 
-// Outbound transmits encoded frames toward a peer. Implementations must
-// not block indefinitely on a slow peer — the cluster transports enqueue
-// onto unbounded per-peer queues — because a blocked send path can deadlock
-// two nodes that are flooding each other.
+// Outbound transmits encoded frames toward a peer. The cluster transports
+// enqueue onto bounded per-peer queues: Send blocks when a peer falls
+// cluster.DefaultQueueCap frames behind — backpressure on this node's
+// event loop — and returns once the peer's writer drains or the run shuts
+// down. Ownership of frame transfers with the call.
 type Outbound interface {
 	Send(to int, frame []byte) error
 }
@@ -138,7 +139,7 @@ type Stats struct {
 }
 
 // Node runs one protocol endpoint over a live transport. Create with New,
-// feed via Inbox, drive with Run.
+// feed via PushBatch, drive with Run.
 type Node struct {
 	cfg     Config
 	inbox   chan []Inbound
@@ -183,21 +184,13 @@ func New(cfg Config) (*Node, error) {
 // ID returns the node's vertex id.
 func (n *Node) ID() int { return n.cfg.ID }
 
-// Inbox is the channel transports push inbound slabs into — one []Inbound
-// per channel operation (PushBatch is the usual front door; direct sends
-// are for tests). Pushing a slab transfers ownership of the slab and every
-// frame inside it. Senders must stop pushing (or tolerate blocking forever)
-// once Run has returned; cluster transports handle this by closing their
-// pumps alongside the node's context. InboxCap is therefore measured in
-// slabs, not frames.
-func (n *Node) Inbox() chan<- []Inbound { return n.inbox }
-
 // PushBatch delivers one slab of inbound frames in a single channel
-// operation. On true, ownership of slab and every frame in it has
-// transferred to the node (the event loop releases frames after decoding
-// and recycles the slab). On false the node is shutting down (or ctx was
-// cancelled) and nothing was consumed: the caller still owns the slab and
-// its frames and must release them.
+// operation — the only way into the inbox, whose InboxCap is therefore
+// measured in slabs, not frames. On true, ownership of slab and every
+// frame in it has transferred to the node (the event loop releases frames
+// after decoding and recycles the slab). On false the node is shutting
+// down (or ctx was cancelled) and nothing was consumed: the caller still
+// owns the slab and its frames and must release them.
 func (n *Node) PushBatch(ctx context.Context, slab []Inbound) bool {
 	if len(slab) == 0 {
 		PutSlab(slab)

@@ -70,6 +70,14 @@ func runNode(t *testing.T, n *node.Node) (cancel func()) {
 	}
 }
 
+// push hands the node one inbox slab the way a transport does.
+func push(t *testing.T, n *node.Node, slab []node.Inbound) {
+	t.Helper()
+	if !n.PushBatch(context.Background(), slab) {
+		t.Fatal("node refused an inbox slab")
+	}
+}
+
 // TestNodeRunsIterativeMachine drives a 2-node iterative run by hand: the
 // node under test is vertex 0 of a 2-clique with f=0, its peer's frames are
 // injected directly, and the node must decide on the averaged value.
@@ -92,9 +100,9 @@ func TestNodeRunsIterativeMachine(t *testing.T) {
 
 	// Peer 1 reports value 1 for round 1; with inputs {0, 1} the trimmed
 	// mean (f=0) is 0.5.
-	n.Inbox() <- []node.Inbound{{From: 1, Frame: encode(t, transport.Message{
+	push(t, n, []node.Inbound{{From: 1, Frame: encode(t, transport.Message{
 		From: 1, To: 0, Payload: iterative.ValPayload{Round: 1, Value: 1},
-	})}}
+	})}})
 	select {
 	case x := <-decided:
 		if x != 0.5 {
@@ -151,7 +159,7 @@ func TestNodeDropsForgedFrames(t *testing.T) {
 	// One slab carrying every case, in order — the loop drains slabs FIFO,
 	// so the genuine frame's delivery event (pushed last) means every
 	// forged frame before it has been processed.
-	n.Inbox() <- []node.Inbound{
+	push(t, n, []node.Inbound{
 		{From: 1, Frame: []byte("garbage")},
 		// Claimed sender 2 on a frame arriving over the link from 1.
 		{From: 1, Frame: encode(t, transport.Message{From: 2, To: 0, Payload: payload})},
@@ -161,7 +169,7 @@ func TestNodeDropsForgedFrames(t *testing.T) {
 		{From: 2, Frame: encode(t, transport.Message{From: 2, To: 0, Payload: payload})},
 		// The genuine frame.
 		{From: 1, Frame: encode(t, transport.Message{From: 1, To: 0, Payload: payload})},
-	}
+	})
 
 	select {
 	case <-delivered:
@@ -199,9 +207,9 @@ func TestNodeObserverSeesDeliveriesAndRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop := runNode(t, n)
-	n.Inbox() <- []node.Inbound{{From: 1, Frame: encode(t, transport.Message{
+	push(t, n, []node.Inbound{{From: 1, Frame: encode(t, transport.Message{
 		From: 1, To: 0, Payload: iterative.ValPayload{Round: 1, Value: 1},
-	})}}
+	})}})
 	<-decided
 	stop()
 
@@ -278,7 +286,7 @@ func TestNodeShutdownWithPendingInbox(t *testing.T) {
 	// the backlog is still pending.
 	frame := encode(t, transport.Message{From: 1, To: 0, Payload: iterative.ValPayload{Round: 1, Value: 1}})
 	for i := 0; i < 32; i++ {
-		n.Inbox() <- []node.Inbound{{From: 1, Frame: frame}}
+		push(t, n, []node.Inbound{{From: 1, Frame: frame}})
 	}
 	cancel()
 	select {

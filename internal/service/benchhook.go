@@ -18,8 +18,9 @@ import (
 // dispatchBatch — run grouping, memo/shard lookup, ready gate, one slab
 // push into the instance inbox — and back out through the inbox drain. It
 // is an exported testing.B function (like cluster.QueueDrainBench) so the
-// E16c experiment tier can run it through testing.Benchmark from a normal
-// binary while the dispatch internals stay unexported.
+// repo benchmark (bench/, service.dispatch_ns_per_frame) can run it through
+// testing.Benchmark from a normal binary while the dispatch internals stay
+// unexported.
 //
 // The harness is a daemon skeleton (routing table + one running
 // instance), no fabric or planes; one goroutine both dispatches and

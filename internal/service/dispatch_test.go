@@ -72,6 +72,16 @@ func dispatchFrame(t *testing.T, inst uint64, seq int) ([]byte, wire.FrameInfo) 
 	return frame, info
 }
 
+// dispatchOne hands the dispatcher a 1-frame batch peeked the way the
+// socket reader peeks it: a header that does not parse arrives marked Bad.
+func dispatchOne(d *Daemon, from int, frame []byte) {
+	info, err := wire.PeekFrame(frame)
+	if err != nil {
+		info = wire.FrameInfo{Bad: true}
+	}
+	d.dispatchBatch(from, [][]byte{frame}, []wire.FrameInfo{info})
+}
+
 // drainRounds pulls exactly want frames off ins's inbox and returns their
 // payload Round sequence in delivery order.
 func drainRounds(t *testing.T, ins *instance, want int) []int {
@@ -272,7 +282,7 @@ func TestDispatchRouteOpenRace(t *testing.T) {
 				from := (d.ID() + 1) % len(dep.Daemons)
 				// Junk: header does not parse.
 				bad := append(wire.GetBuf(), "garbage-frame"...)
-				d.dispatch(from, bad)
+				dispatchOne(d, from, bad)
 				badInjected.Add(1)
 				for _, inst := range seen {
 					// Duplicate OPEN for a known instance: a no-op against
@@ -284,7 +294,7 @@ func TestDispatchRouteOpenRace(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					d.dispatch(from, open)
+					dispatchOne(d, from, open)
 					// A protocol frame for a decided instance: delivered and
 					// ignored while it lingers, dropped into lateFrames once
 					// retired. Either way it must not wedge the dispatcher.
@@ -296,7 +306,7 @@ func TestDispatchRouteOpenRace(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					d.dispatch(from, frame)
+					dispatchOne(d, from, frame)
 					lateInjected.Add(1)
 				}
 				if len(seen) > 8 {

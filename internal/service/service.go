@@ -254,7 +254,6 @@ func New(cfg Config) (*Daemon, error) {
 		Listener:     cfg.PeerListener,
 		Peers:        cfg.Peers,
 		QueueCap:     cfg.QueueCap,
-		OnFrame:      d.dispatch,
 		OnFrameBatch: d.dispatchBatch,
 	})
 	if err != nil {
@@ -318,38 +317,19 @@ func (d *Daemon) shard(inst uint64) *routeShard {
 	return &d.shards[(inst*0x9E3779B97F4A7C15)>>(64-routeShardBits)]
 }
 
-// dispatch consumes one peer-plane frame — the per-frame compatibility
-// path (and the unit the batch path is defined in terms of): OPEN
-// announcements spawn instances; protocol frames route to their instance's
-// inbox. The frame is a pooled buffer whose ownership arrives with the
-// call; every path forwards or releases it.
-func (d *Daemon) dispatch(from int, frame []byte) {
-	fi, err := wire.PeekFrame(frame)
-	if err != nil {
-		wire.PutBuf(frame)
-		d.badFr.Add(1)
-		return
-	}
-	if fi.Open {
-		d.handleOpen(fi.Inst, frame)
-		return
-	}
-	group := [1][]byte{frame}
-	d.routeGroup(from, fi.Inst, group[:])
-}
-
-// dispatchBatch consumes one read burst: frames in per-link arrival order,
-// each routing header already peeked by the socket reader (never re-parsed
-// here). Frames are grouped into maximal consecutive runs of the same
-// instance id and each run pays one route lookup, one ready-gate wait and
-// one inbox channel op — the batch discipline's whole point. Only
-// *consecutive* frames group, so processing stays in scan order and
-// per-link FIFO is preserved by construction: a frame is never dispatched
-// before an earlier frame of the same connection, whatever the
-// interleaving of instances. OPENs are consumed inline at their arrival
-// position (they order before the sender's own protocol frames). Ownership
-// of every frame transfers with the call; the frames/infos slices are the
-// caller's scratch and are not retained.
+// dispatchBatch consumes one peer-plane read burst: frames in per-link
+// arrival order, each routing header already peeked by the socket reader
+// (never re-parsed here). OPEN announcements spawn instances; protocol
+// frames route to their instance's inbox. Frames are grouped into maximal
+// consecutive runs of the same instance id and each run pays one route
+// lookup, one ready-gate wait and one inbox channel op — the batch
+// discipline's whole point. Only *consecutive* frames group, so processing
+// stays in scan order and per-link FIFO is preserved by construction: a
+// frame is never dispatched before an earlier frame of the same
+// connection, whatever the interleaving of instances. OPENs are consumed
+// inline at their arrival position (they order before the sender's own
+// protocol frames). Ownership of every frame transfers with the call; the
+// frames/infos slices are the caller's scratch and are not retained.
 func (d *Daemon) dispatchBatch(from int, frames [][]byte, infos []wire.FrameInfo) {
 	for i := 0; i < len(frames); {
 		fi := infos[i]

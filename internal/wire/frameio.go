@@ -68,9 +68,9 @@ func PutBuf(b []byte) {
 }
 
 // AppendRawFrame appends body as one length-prefixed stream frame to dst
-// and returns the extended slice — the in-place form of WriteRawFrame that
-// lets a batch of frames coalesce into a single buffer (and a single Write
-// syscall). dst is returned unchanged on an oversized body.
+// and returns the extended slice — the only way a frame is put on a
+// stream, so a batch of frames coalesces into a single buffer (and a
+// single Write syscall). dst is returned unchanged on an oversized body.
 func AppendRawFrame(dst, body []byte) ([]byte, error) {
 	if len(body) > MaxFrame {
 		return dst, fmt.Errorf("wire: frame of %d bytes exceeds MaxFrame %d", len(body), MaxFrame)
@@ -102,7 +102,8 @@ func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{br: bufio.NewReaderSize(r, frameReaderBuf)}
 }
 
-// Next reads one frame body. The returned slice is pooled: ownership
+// Next reads one frame body — the primitive NextBatch is built on; live
+// readers call NextBatch. The returned slice is pooled: ownership
 // transfers to the caller, who must release it with PutBuf once done with
 // the bytes (DecodeMessage copies every payload field out, so releasing
 // immediately after a decode is safe) — or hand it on to a consumer that

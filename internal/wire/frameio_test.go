@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand"
 	"testing"
@@ -21,21 +22,19 @@ func frameioMessage() transport.Message {
 	}
 }
 
-func TestAppendRawFrameMatchesWriteRawFrame(t *testing.T) {
+func TestAppendRawFrameLayout(t *testing.T) {
 	body, err := wire.EncodeMessage(frameioMessage())
 	if err != nil {
-		t.Fatal(err)
-	}
-	var streamed bytes.Buffer
-	if err := wire.WriteRawFrame(&streamed, body); err != nil {
 		t.Fatal(err)
 	}
 	appended, err := wire.AppendRawFrame(nil, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(streamed.Bytes(), appended) {
-		t.Fatalf("AppendRawFrame and WriteRawFrame disagree:\n  write  %x\n  append %x", streamed.Bytes(), appended)
+	// A stream frame is a 4-byte big-endian body length, then the body.
+	want := append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
+	if !bytes.Equal(appended, want) {
+		t.Fatalf("AppendRawFrame layout:\n  got  %x\n  want %x", appended, want)
 	}
 	// Appending onto a non-empty prefix extends rather than replaces.
 	withPrefix, err := wire.AppendRawFrame(append([]byte(nil), appended...), body)
@@ -163,8 +162,8 @@ func TestFrameReaderNextBatch(t *testing.T) {
 }
 
 // TestFrameReaderNextBatchBadHeader: a frame whose body fails PeekFrame is
-// still delivered (infos[i].Bad set) and the stream survives — matching
-// the per-frame dispatcher, which drops the frame but keeps the link.
+// still delivered (infos[i].Bad set) and the stream survives — the
+// dispatcher drops that one frame but keeps the link.
 func TestFrameReaderNextBatchBadHeader(t *testing.T) {
 	good, err := wire.EncodeInstanceMessage(7, frameioMessage())
 	if err != nil {
@@ -256,8 +255,8 @@ func TestFrameReaderNextBatchAllocBudget(t *testing.T) {
 }
 
 // TestWireEncodeAllocBudget is the frame-path alloc fence: encode into a
-// reused buffer, pooled length-prefixed write, and pooled buffered read
-// must all be allocation-free in steady state. The pool is a channel
+// reused buffer, length-prefixed append into a reused coalesce buffer, and
+// pooled buffered read must all be allocation-free in steady state. The pool is a channel
 // freelist precisely so these are deterministic 0s, not GC-dependent.
 func TestWireEncodeAllocBudget(t *testing.T) {
 	msg := frameioMessage()
@@ -281,14 +280,17 @@ func TestWireEncodeAllocBudget(t *testing.T) {
 		}
 	})
 
-	t.Run("pooled-write", func(t *testing.T) {
+	t.Run("coalesced-write", func(t *testing.T) {
+		buf := wire.GetBuf()
+		defer wire.PutBuf(buf)
 		got := testing.AllocsPerRun(1000, func() {
-			if err := wire.WriteRawFrame(io.Discard, body); err != nil {
+			var err error
+			if buf, err = wire.AppendRawFrame(buf[:0], body); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if got != 0 {
-			t.Errorf("WriteRawFrame allocates %.2f per op, want 0", got)
+			t.Errorf("AppendRawFrame allocates %.2f per op, want 0", got)
 		}
 	})
 

@@ -18,9 +18,9 @@
 //	...     payload-specific fields
 //
 // The instance id multiplexes many concurrent consensus instances over one
-// persistent connection — the service tier's pipelining unit. Single-shot
-// runtimes (the classic cluster transports, abacnode) encode and accept
-// instance 0 via EncodeMessage/DecodeMessage; the service daemon stamps
+// persistent connection — the service tier's pipelining unit. One-shot
+// runs (cluster.RunTCP/JoinTCP, abacnode) encode and accept instance 0
+// via AppendMessage/DecodeMessage; the service daemon stamps
 // per-instance ids with EncodeInstanceMessage and routes inbound frames by
 // PeekFrame without paying a full decode.
 //
@@ -39,7 +39,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 
@@ -69,9 +68,9 @@ import (
 // failure.
 const Version = 4
 
-// MaxFrame bounds a frame body; ReadFrame rejects larger length prefixes
-// before allocating, so a corrupt or hostile peer cannot trigger huge
-// allocations.
+// MaxFrame bounds a frame body: AppendRawFrame refuses to write a larger
+// one and FrameReader rejects larger length prefixes before allocating, so
+// a corrupt or hostile peer cannot trigger huge allocations.
 const MaxFrame = 16 << 20
 
 // Sanity caps on decoded collection sizes. Propagation paths are redundant
@@ -121,9 +120,9 @@ const (
 )
 
 // EncodeMessage renders m as one frame body (without the stream length
-// prefix) under instance 0 — the single-shot form the classic cluster
-// transports speak. It fails on payload types the codec does not know and
-// on messages with negative coordinates.
+// prefix) under instance 0 — the form one-shot cluster runs speak. It fails
+// on payload types the codec does not know and on messages with negative
+// coordinates.
 func EncodeMessage(m transport.Message) ([]byte, error) {
 	return AppendInstanceMessage(nil, 0, m)
 }
@@ -350,10 +349,9 @@ type FrameInfo struct {
 	// traffic (which it routes to the instance's machine).
 	Open bool
 	// Bad reports that the frame body's routing header did not parse.
-	// Batch readers set it instead of failing the whole batch: the frame
-	// is still delivered (a dispatcher counts and releases it) and the
-	// connection stays up, matching the per-frame path where a header
-	// that fails PeekFrame is dropped without killing the link.
+	// NextBatch sets it instead of failing the whole batch: the frame is
+	// still delivered (a dispatcher counts and releases it) and the
+	// connection stays up — one unparseable frame does not kill the link.
 	Bad bool
 }
 
@@ -377,64 +375,6 @@ func PeekFrame(data []byte) (FrameInfo, error) {
 		return FrameInfo{}, d.err
 	}
 	return info, nil
-}
-
-// WriteFrame encodes m and writes it to w as a length-prefixed frame.
-func WriteFrame(w io.Writer, m transport.Message) error {
-	body, err := EncodeMessage(m)
-	if err != nil {
-		return err
-	}
-	return WriteRawFrame(w, body)
-}
-
-// WriteRawFrame writes an already-encoded frame body with its length
-// prefix in a single Write call (one syscall per frame on a net.Conn, and
-// no interleaving hazard when callers serialize writes per connection).
-// The scratch buffer carrying prefix+body comes from the frame pool, so
-// the steady state allocates nothing; body itself is untouched and remains
-// the caller's. Batch writers coalesce many frames into one buffer with
-// AppendRawFrame instead.
-func WriteRawFrame(w io.Writer, body []byte) error {
-	buf, err := AppendRawFrame(GetBuf(), body)
-	if err != nil {
-		PutBuf(buf)
-		return err
-	}
-	_, err = w.Write(buf)
-	PutBuf(buf)
-	return err
-}
-
-// ReadFrame reads one length-prefixed frame body from r. io.EOF at a frame
-// boundary is returned as io.EOF; a stream cut mid-frame is
-// io.ErrUnexpectedEOF.
-func ReadFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return nil, fmt.Errorf("wire: frame length %d exceeds MaxFrame %d", n, MaxFrame)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return nil, err
-	}
-	return body, nil
-}
-
-// ReadMessage reads and decodes one frame from r.
-func ReadMessage(r io.Reader) (transport.Message, error) {
-	body, err := ReadFrame(r)
-	if err != nil {
-		return transport.Message{}, err
-	}
-	return DecodeMessage(body)
 }
 
 func appendUint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }

@@ -94,37 +94,49 @@ func hasNaN(m transport.Message) bool {
 	}
 }
 
+// TestFrameStream sends every sample message down the one live frame path
+// — encode, AppendRawFrame into a coalesced stream, FrameReader.NextBatch,
+// decode — and expects the same messages in order, then io.EOF at the
+// frame boundary. (Truncation and MaxFrame rejection on the same reader:
+// TestFrameReaderCutMidFrame, TestFrameReaderRejectsOversizeHeader.)
 func TestFrameStream(t *testing.T) {
-	var buf bytes.Buffer
 	msgs := sampleMessages()
+	var stream []byte
 	for _, m := range msgs {
-		if err := wire.WriteFrame(&buf, m); err != nil {
-			t.Fatalf("write frame: %v", err)
-		}
-	}
-	r := bytes.NewReader(buf.Bytes())
-	for i, want := range msgs {
-		got, err := wire.ReadMessage(r)
+		body, err := wire.EncodeMessage(m)
 		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+			t.Fatalf("encode: %v", err)
 		}
-		if !equalMessage(want, got) {
-			t.Fatalf("frame %d changed: in %#v out %#v", i, want, got)
+		if stream, err = wire.AppendRawFrame(stream, body); err != nil {
+			t.Fatalf("append frame: %v", err)
 		}
 	}
-	if _, err := wire.ReadMessage(r); err != io.EOF {
+	fr := wire.NewFrameReader(bytes.NewReader(stream))
+	var got []transport.Message
+	for len(got) < len(msgs) {
+		frames, infos, err := fr.NextBatch(nil, nil, 4)
+		if err != nil {
+			t.Fatalf("after %d frames: %v", len(got), err)
+		}
+		for i, f := range frames {
+			if infos[i].Bad {
+				t.Fatalf("frame %d: routing header did not parse", len(got))
+			}
+			m, err := wire.DecodeMessage(f)
+			wire.PutBuf(f)
+			if err != nil {
+				t.Fatalf("frame %d: %v", len(got), err)
+			}
+			got = append(got, m)
+		}
+	}
+	for i, want := range msgs {
+		if !equalMessage(want, got[i]) {
+			t.Fatalf("frame %d changed: in %#v out %#v", i, want, got[i])
+		}
+	}
+	if _, _, err := fr.NextBatch(nil, nil, 4); err != io.EOF {
 		t.Fatalf("want io.EOF at stream end, got %v", err)
-	}
-}
-
-func TestTruncatedFrameIsUnexpectedEOF(t *testing.T) {
-	var buf bytes.Buffer
-	if err := wire.WriteFrame(&buf, sampleMessages()[0]); err != nil {
-		t.Fatal(err)
-	}
-	cut := buf.Bytes()[:buf.Len()-2]
-	if _, err := wire.ReadMessage(bytes.NewReader(cut)); err != io.ErrUnexpectedEOF {
-		t.Fatalf("want ErrUnexpectedEOF, got %v", err)
 	}
 }
 
