@@ -14,11 +14,9 @@
 package aad
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/rbc"
@@ -31,38 +29,39 @@ import (
 // aad's public surface — and the wire codec's references — unchanged.
 type Num = rbc.Num
 
-// Report is a reliably broadcast report: origin -> value. Exported for the
-// wire codec, like Num.
-type Report map[int]float64
-
-// RBCKey implements rbc.Content.
-func (r Report) RBCKey() string {
-	keys := make([]int, 0, len(r))
-	for k := range r {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%d=%x;", k, math.Float64bits(r[k]))
-	}
-	return b.String()
+// Entry is one accepted value of a report.
+type Entry struct {
+	Origin int
+	Value  float64
 }
 
-// roundState tracks one asynchronous round.
+// Report is a reliably broadcast report: the values its sender accepted,
+// in strictly ascending origin order — the order the wire codec writes and
+// the only one its decoder admits. Exported for the wire codec, like Num.
+type Report []Entry
+
+// Equal implements rbc.Content: same origins, values equal bit for bit.
+func (r Report) Equal(c rbc.Content) bool {
+	o, ok := c.(Report)
+	if !ok || len(o) != len(r) {
+		return false
+	}
+	for i, e := range r {
+		if e.Origin != o[i].Origin || math.Float64bits(e.Value) != math.Float64bits(o[i].Value) {
+			return false
+		}
+	}
+	return true
+}
+
+// roundState tracks one asynchronous round, indexed by origin.
 type roundState struct {
-	values    map[int]float64 // accepted state values by origin
-	reports   map[int]Report  // accepted reports by origin
-	reported  bool            // own report broadcast yet?
+	values    []float64 // accepted state values; valid where accepted.Has
+	accepted  graph.Set
+	reports   []Report // accepted reports; nil where none
+	reported  bool     // own report broadcast yet?
 	witnesses graph.Set
 	advanced  bool
-}
-
-func newRound() *roundState {
-	return &roundState{
-		values:  make(map[int]float64),
-		reports: make(map[int]Report),
-	}
 }
 
 // Machine is the AAD protocol endpoint for one nonfaulty node; it
@@ -76,7 +75,7 @@ type Machine struct {
 	bcast *rbc.Broadcaster
 	cur   int
 	x     float64
-	state map[int]*roundState
+	state []*roundState // state[r-1] is round r; nil until first touched
 
 	output  float64
 	done    bool
@@ -88,15 +87,16 @@ var _ sim.Handler = (*Machine)(nil)
 // NewMachine builds an AAD node for an n-clique with resilience f; rounds
 // follows the same log2(K/eps) bound as BW.
 func NewMachine(n, f, id, rounds int, input float64) (*Machine, error) {
-	b, err := rbc.New(n, f, id)
+	m := &Machine{
+		n: n, f: f, id: id, rounds: rounds, input: input,
+		state: make([]*roundState, rounds),
+	}
+	b, err := rbc.New(n, f, id, tagsPerRound*rounds, m.tagIndex)
 	if err != nil {
 		return nil, err
 	}
-	return &Machine{
-		n: n, f: f, id: id, rounds: rounds, input: input,
-		bcast: b,
-		state: make(map[int]*roundState),
-	}, nil
+	m.bcast = b
+	return m, nil
 }
 
 // ID implements sim.Handler.
@@ -121,75 +121,107 @@ func (m *Machine) Start(out *sim.Outbox) {
 
 // Deliver implements sim.Handler.
 func (m *Machine) Deliver(msg transport.Message, out *sim.Outbox) {
-	for _, d := range m.bcast.Handle(msg, out) {
+	ds := m.bcast.Handle(msg, out)
+	if len(ds) == 0 {
+		// Round state moves only on a delivery, and the previous call left
+		// maybeAdvance at its fixed point.
+		return
+	}
+	for _, d := range ds {
 		m.onDelivery(d, out)
 	}
 	m.maybeAdvance(out)
 }
 
 func (m *Machine) round(r int) *roundState {
-	rs, ok := m.state[r]
-	if !ok {
-		rs = newRound()
-		m.state[r] = rs
+	rs := m.state[r-1]
+	if rs == nil {
+		rs = &roundState{values: make([]float64, m.n), reports: make([]Report, m.n)}
+		m.state[r-1] = rs
 	}
 	return rs
 }
 
 func (m *Machine) beginRound(out *sim.Outbox) {
-	tag := "r" + strconv.Itoa(m.cur) + "/value"
-	for _, d := range m.bcast.Broadcast(tag, Num(m.x), out) {
+	for _, d := range m.bcast.Broadcast(slotTag(m.cur, kindValue), Num(m.x), out) {
 		m.onDelivery(d, out)
 	}
 	m.maybeAdvance(out)
 }
 
-// onDelivery routes a reliable delivery into its round state.
+// onDelivery routes a reliable delivery into its round state. rbc delivers
+// each (tag, origin) slot at most once and only for tags tagIndex admits,
+// so the round is in range and the entry is not yet filled.
 func (m *Machine) onDelivery(d rbc.Delivery, out *sim.Outbox) {
-	r, kind, ok := parseTag(d.Tag)
-	if !ok || r < 1 || r > m.rounds {
-		return
-	}
+	ti := m.tagIndex(d.Tag)
+	r := ti/tagsPerRound + 1
 	rs := m.round(r)
-	switch kind {
-	case "value":
+	switch ti % tagsPerRound {
+	case kindValue:
 		if v, ok := d.Content.(Num); ok {
-			if _, dup := rs.values[d.Origin]; !dup {
-				rs.values[d.Origin] = float64(v)
-			}
+			rs.values[d.Origin] = float64(v)
+			rs.accepted = rs.accepted.Add(d.Origin)
 		}
-	case "report":
-		if rep, ok := d.Content.(Report); ok {
-			if _, dup := rs.reports[d.Origin]; !dup && len(rep) >= m.n-m.f {
-				rs.reports[d.Origin] = rep
-			}
+	case kindReport:
+		if rep, ok := d.Content.(Report); ok && m.wellFormed(rep) {
+			rs.reports[d.Origin] = rep
 		}
 	}
 	// Broadcast our own report once n−f values are in (for the round we
 	// are actually in; later rounds report when we reach them).
-	if r == m.cur && !rs.reported && len(rs.values) >= m.n-m.f {
-		rs.reported = true
-		snapshot := make(Report, len(rs.values))
-		for o, v := range rs.values {
-			snapshot[o] = v
-		}
-		tag := "r" + strconv.Itoa(r) + "/report"
-		for _, dd := range m.bcast.Broadcast(tag, snapshot, out) {
-			m.onDelivery(dd, out)
-		}
+	if r == m.cur {
+		m.maybeReport(rs, out)
 	}
 }
 
-// witnessCount recomputes the witness set: reporters whose entire report
-// has been accepted by this node with matching values.
+// wellFormed reports whether rep could ever make its sender a witness: at
+// least n−f entries, origins strictly ascending and below n. The wire
+// decoder already enforces the order; a report built in-process by a
+// faulty handler has passed through no decoder.
+func (m *Machine) wellFormed(rep Report) bool {
+	if len(rep) < m.n-m.f {
+		return false
+	}
+	prev := -1
+	for _, e := range rep {
+		if e.Origin <= prev || e.Origin >= m.n {
+			return false
+		}
+		prev = e.Origin
+	}
+	return true
+}
+
+// maybeReport reliably broadcasts this node's report for the current round
+// once n−f values are accepted: a snapshot of them in origin order.
+func (m *Machine) maybeReport(rs *roundState, out *sim.Outbox) {
+	if rs.reported || rs.accepted.Count() < m.n-m.f {
+		return
+	}
+	rs.reported = true
+	snapshot := make(Report, 0, m.n)
+	for o := 0; o < m.n; o++ {
+		if rs.accepted.Has(o) {
+			snapshot = append(snapshot, Entry{Origin: o, Value: rs.values[o]})
+		}
+	}
+	for _, d := range m.bcast.Broadcast(slotTag(m.cur, kindReport), snapshot, out) {
+		m.onDelivery(d, out)
+	}
+}
+
+// refreshWitnesses recomputes the witness set: reporters whose entire
+// report has been accepted by this node with matching values. Values match
+// bit for bit — the identity rbc agreed on — so a NaN a faulty origin
+// broadcast still matches itself.
 func (m *Machine) refreshWitnesses(rs *roundState) {
 	for origin, rep := range rs.reports {
-		if rs.witnesses.Has(origin) {
+		if rep == nil || rs.witnesses.Has(origin) {
 			continue
 		}
 		ok := true
-		for o, v := range rep {
-			if got, have := rs.values[o]; !have || got != v {
+		for _, e := range rep {
+			if !rs.accepted.Has(e.Origin) || math.Float64bits(rs.values[e.Origin]) != math.Float64bits(e.Value) {
 				ok = false
 				break
 			}
@@ -206,22 +238,11 @@ func (m *Machine) maybeAdvance(out *sim.Outbox) {
 		if rs.advanced {
 			return
 		}
+		// The report threshold can also be crossed by deliveries that
+		// arrived before this round began.
+		m.maybeReport(rs, out)
 		if !rs.reported {
-			// The report threshold can also be crossed by deliveries that
-			// arrived before this round began.
-			if len(rs.values) >= m.n-m.f {
-				rs.reported = true
-				snapshot := make(Report, len(rs.values))
-				for o, v := range rs.values {
-					snapshot[o] = v
-				}
-				tag := "r" + strconv.Itoa(m.cur) + "/report"
-				for _, dd := range m.bcast.Broadcast(tag, snapshot, out) {
-					m.onDelivery(dd, out)
-				}
-			} else {
-				return
-			}
+			return
 		}
 		m.refreshWitnesses(rs)
 		if rs.witnesses.Count() < m.n-m.f {
@@ -229,9 +250,11 @@ func (m *Machine) maybeAdvance(out *sim.Outbox) {
 		}
 		// Update: trim f lowest and f highest accepted values, midpoint.
 		rs.advanced = true
-		vals := make([]float64, 0, len(rs.values))
-		for _, v := range rs.values {
-			vals = append(vals, v)
+		vals := make([]float64, 0, m.n)
+		for o := 0; o < m.n; o++ {
+			if rs.accepted.Has(o) {
+				vals = append(vals, rs.values[o])
+			}
 		}
 		sort.Float64s(vals)
 		trimmed := vals[m.f : len(vals)-m.f]
@@ -246,17 +269,46 @@ func (m *Machine) maybeAdvance(out *sim.Outbox) {
 	}
 }
 
-func parseTag(tag string) (round int, kind string, ok bool) {
-	if !strings.HasPrefix(tag, "r") {
-		return 0, "", false
+// Each round owns two rbc tags, "r<round>/value" and "r<round>/report".
+const (
+	kindValue = iota
+	kindReport
+	tagsPerRound
+)
+
+func slotTag(round, kind int) string {
+	if kind == kindValue {
+		return "r" + strconv.Itoa(round) + "/value"
 	}
-	parts := strings.SplitN(tag[1:], "/", 2)
-	if len(parts) != 2 {
-		return 0, "", false
+	return "r" + strconv.Itoa(round) + "/report"
+}
+
+// tagIndex is the machine's rbc slot map: slotTag(round, kind) for a round in
+// [1, rounds] has index (round−1)·tagsPerRound + kind, and every other
+// string has none. Only the canonical spelling is admitted — plain decimal,
+// no sign, no leading zero — because rbc keeps one slot per accepted
+// string: "r01/value" beside "r1/value" would hand a faulty origin two
+// deliveries for one round, and nodes that saw them in different orders
+// would keep different values.
+func (m *Machine) tagIndex(tag string) int {
+	if len(tag) < 2 || tag[0] != 'r' || tag[1] == '0' {
+		return -1
 	}
-	r, err := strconv.Atoi(parts[0])
-	if err != nil {
-		return 0, "", false
+	round, i := 0, 1
+	for ; i < len(tag) && tag[i] >= '0' && tag[i] <= '9'; i++ {
+		round = round*10 + int(tag[i]-'0')
+		if round > m.rounds {
+			return -1
+		}
 	}
-	return r, parts[1], true
+	if i == 1 {
+		return -1
+	}
+	switch tag[i:] {
+	case "/value":
+		return (round-1)*tagsPerRound + kindValue
+	case "/report":
+		return (round-1)*tagsPerRound + kindReport
+	}
+	return -1
 }

@@ -60,8 +60,20 @@ type Msg struct {
 	Value int // 0 or 1
 }
 
-// Kind implements transport.Payload.
-func (m Msg) Kind() string { return "ABA-" + m.Phase.String() }
+// Kind implements transport.Payload. The node runtime calls it once per
+// sent frame, so the valid phases return constants.
+func (m Msg) Kind() string {
+	switch m.Phase {
+	case PhaseBval:
+		return "ABA-BVAL"
+	case PhaseAux:
+		return "ABA-AUX"
+	case PhaseDone:
+		return "ABA-DONE"
+	default:
+		return "ABA-" + m.Phase.String()
+	}
+}
 
 // coinSalt decorrelates the common-coin stream from every other consumer
 // of the run seed (adversary node seeds use seedmix.Mix(seed, id), link

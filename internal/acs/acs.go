@@ -55,7 +55,7 @@ type Machine struct {
 // New builds the ACS handler for node id with the given input; n > 3f is
 // required by the RBC substrate and enforced there.
 func New(n, f, id int, seed int64, input float64) (*Machine, error) {
-	b, err := rbc.New(n, f, id)
+	b, err := rbc.New(n, f, id, 1, valueTagIndex)
 	if err != nil {
 		return nil, err
 	}
@@ -75,6 +75,15 @@ func New(n, f, id int, seed int64, input float64) (*Machine, error) {
 		m.cores[j] = c
 	}
 	return m, nil
+}
+
+// valueTagIndex is the machine's rbc slot map: ValueTag, spelled exactly,
+// is the only tag, so the n origins are the n slots.
+func valueTagIndex(tag string) int {
+	if tag == ValueTag {
+		return 0
+	}
+	return -1
 }
 
 // ID implements sim.Handler.
@@ -100,11 +109,10 @@ func (m *Machine) Deliver(msg transport.Message, out *sim.Outbox) {
 }
 
 func (m *Machine) onRBCDeliver(d rbc.Delivery, out *sim.Outbox) {
+	// rbc delivers each slot once and only under ValueTag from an origin
+	// in range (valueTagIndex), so the content type is the only check left.
 	num, ok := d.Content.(rbc.Num)
-	if !ok || d.Tag != ValueTag || d.Origin < 0 || d.Origin >= m.n {
-		return
-	}
-	if m.values[d.Origin] != nil {
+	if !ok {
 		return
 	}
 	v := float64(num)

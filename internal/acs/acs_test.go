@@ -173,12 +173,14 @@ func TestACSIgnoresForeignInstances(t *testing.T) {
 	g := graph.Clique(4)
 	m := newMachine(t, 4, 1, 0, 1, 2.5)
 	col := sim.NewCollector(0, g)
-	// RBC itself is tag-agnostic (it will echo the foreign slot), but the
-	// ACS layer must never credit it as a value delivery.
+	// A tag other than ValueTag addresses no RBC slot: not even an echo.
 	m.Deliver(transport.Message{From: 1, To: 0, Payload: rbc.Msg{
 		Phase: rbc.PhaseInit, Origin: 1, Tag: "other", Content: rbc.Num(9),
 	}}, col)
 	baseline := len(col.Messages())
+	if baseline != 0 {
+		t.Fatalf("foreign RBC tag produced %d sends", baseline)
+	}
 	// ABA traffic for instances outside [0,n) must be dropped outright.
 	m.Deliver(transport.Message{From: 1, To: 0, Payload: aba.Msg{
 		Inst: 99, Round: 1, Phase: aba.PhaseBval, Value: 1,

@@ -102,6 +102,8 @@ type Mutant struct {
 	Inner    sim.Handler
 	Mutators []Mutator
 	Rng      *rand.Rand
+
+	col *sim.Outbox // Inner's sends for the current invocation, reused
 }
 
 var _ sim.Handler = (*Mutant)(nil)
@@ -109,16 +111,26 @@ var _ sim.Handler = (*Mutant)(nil)
 // ID implements sim.Handler.
 func (b *Mutant) ID() int { return b.Inner.ID() }
 
+// collector returns the emptied outbox Inner sends into; emit has copied
+// everything out of it before the next invocation starts.
+func (b *Mutant) collector(out *sim.Outbox) *sim.Outbox {
+	if b.col == nil {
+		b.col = sim.NewCollector(b.Inner.ID(), out.Graph())
+	}
+	b.col.Reset()
+	return b.col
+}
+
 // Start implements sim.Handler.
 func (b *Mutant) Start(out *sim.Outbox) {
-	col := sim.NewCollector(b.Inner.ID(), out.Graph())
+	col := b.collector(out)
 	b.Inner.Start(col)
 	b.emit(col.Messages(), out)
 }
 
 // Deliver implements sim.Handler.
 func (b *Mutant) Deliver(msg transport.Message, out *sim.Outbox) {
-	col := sim.NewCollector(b.Inner.ID(), out.Graph())
+	col := b.collector(out)
 	b.Inner.Deliver(msg, col)
 	b.emit(col.Messages(), out)
 }

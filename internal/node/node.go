@@ -147,7 +147,11 @@ type Node struct {
 	steps   int
 	decided bool
 	seen    int // rounds already streamed to the observer
-	done    chan struct{}
+	// out collects one handler invocation's sends; the event loop owns it,
+	// resets it before each delivery and has transmitted everything in it
+	// before the next.
+	out  *sim.Outbox
+	done chan struct{}
 }
 
 // New validates the config and builds a node.
@@ -177,6 +181,7 @@ func New(cfg Config) (*Node, error) {
 		cfg:   cfg,
 		inbox: make(chan []Inbound, cfg.InboxCap),
 		stats: Stats{ByKind: make(map[string]int)},
+		out:   sim.NewCollector(cfg.ID, cfg.Graph),
 		done:  make(chan struct{}),
 	}, nil
 }
@@ -233,9 +238,8 @@ func (n *Node) Done() <-chan struct{} { return n.done }
 // safe to read from any goroutine.
 func (n *Node) Run(ctx context.Context) error {
 	defer close(n.done)
-	out := sim.NewCollector(n.cfg.ID, n.cfg.Graph)
-	n.cfg.Handler.Start(out)
-	if err := n.transmit(out.Messages()); err != nil {
+	n.cfg.Handler.Start(n.out)
+	if err := n.transmit(n.out.Messages()); err != nil {
 		return err
 	}
 	n.observeProgress()
@@ -296,9 +300,9 @@ func (n *Node) deliver(in Inbound) error {
 	if n.cfg.Observer != nil {
 		n.cfg.Observer.Observe(sim.Event{Type: sim.EventDeliver, Step: n.steps, Message: m})
 	}
-	out := sim.NewCollector(n.cfg.ID, n.cfg.Graph)
-	n.cfg.Handler.Deliver(m, out)
-	if err := n.transmit(out.Messages()); err != nil {
+	n.out.Reset()
+	n.cfg.Handler.Deliver(m, n.out)
+	if err := n.transmit(n.out.Messages()); err != nil {
 		return err
 	}
 	n.observeProgress()

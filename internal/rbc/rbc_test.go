@@ -1,6 +1,7 @@
 package rbc_test
 
 import (
+	"fmt"
 	"strconv"
 	"testing"
 
@@ -13,7 +14,18 @@ import (
 // strContent is a trivial rbc.Content for tests.
 type strContent string
 
-func (s strContent) RBCKey() string { return string(s) }
+func (s strContent) Equal(c rbc.Content) bool { return c == rbc.Content(s) }
+
+// oneTag is the slot map of every test here: the single tag "t".
+func oneTag(tag string) int {
+	if tag == "t" {
+		return 0
+	}
+	return -1
+}
+
+// label renders a content for comparison between nodes.
+func label(c rbc.Content) string { return fmt.Sprintf("%T:%v", c, c) }
 
 // rbcNode drives one Broadcaster and records deliveries.
 type rbcNode struct {
@@ -25,7 +37,7 @@ type rbcNode struct {
 
 func newRBCNode(t *testing.T, n, f, id int) *rbcNode {
 	t.Helper()
-	b, err := rbc.New(n, f, id)
+	b, err := rbc.New(n, f, id, 1, oneTag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +58,7 @@ func (r *rbcNode) Deliver(msg transport.Message, out *sim.Outbox) {
 
 func (r *rbcNode) record(ds []rbc.Delivery) {
 	for _, d := range ds {
-		r.delivered[strconv.Itoa(d.Origin)+"/"+d.Tag] = d.Content.RBCKey()
+		r.delivered[strconv.Itoa(d.Origin)+"/"+d.Tag] = label(d.Content)
 	}
 }
 
@@ -143,7 +155,7 @@ func TestRBCEquivocatorAgreement(t *testing.T) {
 func TestRBCRejectsForeignInit(t *testing.T) {
 	// An INIT claiming origin X sent by Y != X must be ignored.
 	const n, f = 4, 1
-	b, err := rbc.New(n, f, 1)
+	b, err := rbc.New(n, f, 1, 1, oneTag)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,10 +171,10 @@ func TestRBCRejectsForeignInit(t *testing.T) {
 }
 
 func TestRBCParameters(t *testing.T) {
-	if _, err := rbc.New(3, 1, 0); err == nil {
+	if _, err := rbc.New(3, 1, 0, 1, oneTag); err == nil {
 		t.Error("n=3f accepted")
 	}
-	if _, err := rbc.New(4, 1, 0); err != nil {
+	if _, err := rbc.New(4, 1, 0, 1, oneTag); err != nil {
 		t.Errorf("n=3f+1 rejected: %v", err)
 	}
 }
@@ -215,13 +227,13 @@ type hookNode struct {
 
 func newHookNode(t *testing.T, n, f, id int) *hookNode {
 	t.Helper()
-	b, err := rbc.New(n, f, id)
+	b, err := rbc.New(n, f, id, 1, oneTag)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h := &hookNode{id: id, b: b, toSend: map[string]rbc.Content{}, hooked: map[string]string{}}
 	b.OnDeliver(func(d rbc.Delivery, _ *sim.Outbox) {
-		h.hooked[strconv.Itoa(d.Origin)+"/"+d.Tag] = d.Content.RBCKey()
+		h.hooked[strconv.Itoa(d.Origin)+"/"+d.Tag] = label(d.Content)
 	})
 	return h
 }
@@ -267,7 +279,7 @@ func TestRBCDeliveryHook(t *testing.T) {
 			}
 		}
 	}
-	if key := nodes[0].hooked["2/t"]; key != rbc.Num(2.5).RBCKey() {
-		t.Errorf("slot 2/t key = %q, want %q", key, rbc.Num(2.5).RBCKey())
+	if got := nodes[0].hooked["2/t"]; got != label(rbc.Num(2.5)) {
+		t.Errorf("slot 2/t delivered %q, want %q", got, label(rbc.Num(2.5)))
 	}
 }

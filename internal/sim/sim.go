@@ -66,6 +66,10 @@ func NewCollector(from int, g *graph.Graph) *Outbox {
 // Messages returns the sends collected so far.
 func (o *Outbox) Messages() []transport.Message { return o.msgs }
 
+// Reset empties a collector for its owner's next invocation, keeping the
+// backing array; slices earlier returned by Messages are overwritten.
+func (o *Outbox) Reset() { o.msgs = o.msgs[:0] }
+
 // Broadcast sends the payload to every out-neighbor.
 func (o *Outbox) Broadcast(p transport.Payload) {
 	for _, v := range o.g.Out(o.from) {

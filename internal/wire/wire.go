@@ -40,7 +40,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/aad"
 	"repro/internal/aba"
@@ -227,18 +226,15 @@ func appendContent(dst []byte, c rbc.Content) ([]byte, error) {
 		return appendFloat(dst, float64(v)), nil
 	case aad.Report:
 		dst = append(dst, contentReport)
-		keys := make([]int, 0, len(v))
-		for k := range v {
-			if k < 0 {
-				return nil, fmt.Errorf("wire: report with negative origin %d", k)
+		dst = appendUint(dst, uint64(len(v)))
+		prev := -1
+		for _, e := range v {
+			if e.Origin <= prev {
+				return nil, fmt.Errorf("wire: report origin %d after %d, want non-negative and strictly ascending", e.Origin, prev)
 			}
-			keys = append(keys, k)
-		}
-		sort.Ints(keys)
-		dst = appendUint(dst, uint64(len(keys)))
-		for _, k := range keys {
-			dst = appendUint(dst, uint64(k))
-			dst = appendFloat(dst, v[k])
+			prev = e.Origin
+			dst = appendUint(dst, uint64(e.Origin))
+			dst = appendFloat(dst, e.Value)
 		}
 		return dst, nil
 	case nil:
@@ -548,15 +544,15 @@ func (d *decoder) content() rbc.Content {
 		// header must not buy a huge allocation before the first truncated
 		// field fails the decode (legitimate reports have one entry per
 		// node, so at most graph.MaxNodes).
-		rep := make(aad.Report, min(n, graph.MaxNodes))
+		rep := make(aad.Report, 0, min(n, graph.MaxNodes))
+		prev := -1
 		for i := 0; i < n && d.err == nil; i++ {
-			k := d.intVal()
-			v := d.float()
-			if _, dup := rep[k]; dup {
-				d.fail("report with duplicate origin %d", k)
-				return nil
+			e := aad.Entry{Origin: d.intVal(), Value: d.float()}
+			if d.err == nil && e.Origin <= prev {
+				d.fail("report origin %d after %d, want strictly ascending", e.Origin, prev)
 			}
-			rep[k] = v
+			prev = e.Origin
+			rep = append(rep, e)
 		}
 		if d.err != nil {
 			return nil

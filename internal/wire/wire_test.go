@@ -41,7 +41,7 @@ func sampleMessages() []transport.Message {
 		{From: 9, To: 8, Payload: iterative.ValPayload{Round: 4, Value: -3}},
 		{From: 0, To: 1, Payload: rbc.Msg{Phase: rbc.PhaseInit, Origin: 0, Tag: "r1/value", Content: aad.Num(1.5)}},
 		{From: 1, To: 2, Payload: rbc.Msg{Phase: rbc.PhaseEcho, Origin: 0, Tag: "r2/report",
-			Content: aad.Report{0: 1, 3: -2.5, 2: math.Pi}}},
+			Content: aad.Report{{Origin: 0, Value: 1}, {Origin: 2, Value: math.Pi}, {Origin: 3, Value: -2.5}}}},
 		{From: 2, To: 3, Payload: rbc.Msg{Phase: rbc.PhaseReady, Origin: 2, Tag: "", Content: aad.Num(math.NaN())}},
 		{From: 0, To: 1, Payload: aba.Msg{Inst: 0, Round: 1, Phase: aba.PhaseBval, Value: 0}},
 		{From: 3, To: 2, Payload: aba.Msg{Inst: 6, Round: 300, Phase: aba.PhaseAux, Value: 1}},
@@ -223,7 +223,7 @@ func TestGoldenWireVectors(t *testing.T) {
 		{0, transport.Message{From: 0, To: 1, Payload: rbc.Msg{Phase: rbc.PhaseInit, Origin: 0, Tag: "acs/v", Content: rbc.Num(1.5)}},
 			"04000001050100056163732f76013ff8000000000000"},
 		{0, transport.Message{From: 1, To: 2, Payload: rbc.Msg{Phase: rbc.PhaseEcho, Origin: 0, Tag: "r2/report",
-			Content: aad.Report{0: 1, 2: -2.5}}},
+			Content: aad.Report{{Origin: 0, Value: 1}, {Origin: 2, Value: -2.5}}}},
 			"040001020502000972322f7265706f72740202003ff000000000000002c004000000000000"},
 		{0, transport.Message{From: 0, To: 1, Payload: aba.Msg{Inst: 0, Round: 1, Phase: aba.PhaseBval, Value: 1}},
 			"040000010601000101"},
@@ -348,6 +348,65 @@ func TestPeekFrameRejects(t *testing.T) {
 // encoding it again reproduces the same bytes (idempotence). The seed
 // corpus is every sample message's real encoding, so the fuzzer starts on
 // the valid-format manifold instead of random headers.
+// nonCanonicalReportFrames returns the golden r2/report frame (origins 0,
+// 2) rewritten with its origins out of order (2, 0) and repeated (0, 0):
+// one byte each, with the count, the values and every other field intact.
+func nonCanonicalReportFrames(tb testing.TB) [][]byte {
+	tb.Helper()
+	var frames [][]byte
+	for _, h := range []string{
+		"040001020502000972322f7265706f72740202023ff000000000000000c004000000000000",
+		"040001020502000972322f7265706f72740202003ff000000000000000c004000000000000",
+	} {
+		frame, err := hex.DecodeString(h)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		frames = append(frames, frame)
+	}
+	return frames
+}
+
+// TestDecodeRejectsNonCanonicalReport: a report is an origin-sorted list on
+// the wire, and the decoder admits nothing else — an unsorted or repeated
+// origin is a decode error, never a report with a shadowed entry.
+func TestDecodeRejectsNonCanonicalReport(t *testing.T) {
+	for _, frame := range nonCanonicalReportFrames(t) {
+		if _, err := wire.DecodeMessage(frame); err == nil {
+			t.Errorf("frame %x decoded", frame)
+		}
+	}
+	unsorted := transport.Message{From: 1, To: 2, Payload: rbc.Msg{Phase: rbc.PhaseEcho, Origin: 0, Tag: "r2/report",
+		Content: aad.Report{{Origin: 2, Value: 1}, {Origin: 0, Value: -2.5}}}}
+	if _, err := wire.EncodeMessage(unsorted); err == nil {
+		t.Error("unsorted report encoded")
+	}
+}
+
+// TestWireDecodeReportAllocBudget pins the decode of an rbc frame carrying
+// an 8-entry report: the tag string, the report's entries, and the two
+// interface boxes (Report into Content, Msg into Payload) — no map, no
+// per-entry allocation.
+func TestWireDecodeReportAllocBudget(t *testing.T) {
+	rep := make(aad.Report, 8)
+	for i := range rep {
+		rep[i] = aad.Entry{Origin: i, Value: float64(i) / 4}
+	}
+	frame, err := wire.EncodeMessage(transport.Message{From: 1, To: 2, Payload: rbc.Msg{
+		Phase: rbc.PhaseReady, Origin: 3, Tag: "r2/report", Content: rep}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(1000, func() {
+		if _, err := wire.DecodeMessage(frame); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 4 {
+		t.Errorf("DecodeMessage of a report frame allocates %.2f per op, want 4", got)
+	}
+}
+
 func FuzzWireRoundTrip(f *testing.F) {
 	for i, m := range sampleMessages() {
 		// Seed across the instance-id widths so the fuzzer starts with
@@ -357,6 +416,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(body)
+	}
+	for _, frame := range nonCanonicalReportFrames(f) {
+		f.Add(frame)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		inst, m, err := wire.DecodeInstanceMessage(data)
