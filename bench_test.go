@@ -291,9 +291,9 @@ func BenchmarkScalability(b *testing.B) {
 
 // BenchmarkRuntimes compares the deterministic inline simulator against the
 // live loopback cluster on the fig1a (BW, silent Byzantine node) and
-// table1-style clique (AAD) scenarios — the same pairs cmd/benchruntimes
-// snapshots into BENCH_1.json. The gap is the price of real concurrency:
-// goroutine scheduling plus a full wire encode/decode per message.
+// table1-style clique (AAD) scenarios. The gap is the price of real
+// concurrency: goroutine scheduling plus a full wire encode/decode per
+// message.
 func BenchmarkRuntimes(b *testing.B) {
 	scenarios := []repro.Scenario{
 		{

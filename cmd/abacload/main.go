@@ -1,25 +1,14 @@
-// Command abacload drives sustained load through a consensus-service
-// fleet's client planes: closed-loop workers submit instances and wait for
-// decisions, and the tool reports decisions/sec plus the fleet's
-// backpressure accounting.
+// Command abacload drives sustained load through a running consensus-service
+// fleet's client planes (abacd processes): closed-loop workers submit
+// instances and wait for decisions, and the tool reports decisions/sec plus
+// the fleet's backpressure accounting, one JSON line per measured protocol.
 //
-// Two modes:
+//	$ abacload -addrs 127.0.0.1:8100,127.0.0.1:8101 -protocols acs \
+//	    -duration 5s -concurrency 16
 //
-//   - Against a running fleet (abacd processes): point -addrs at one or
-//     more client planes.
-//
-//     $ abacload -addrs 127.0.0.1:8100,127.0.0.1:8101 -protocol acs \
-//     -duration 5s -concurrency 16
-//
-//   - Self-hosted (-selfhost): spin up an in-process daemon fleet for the
-//     scenario, drive it, and tear it down — the E16 throughput study.
-//     With -bench, the result is written as a BENCH_5-schema report
-//     (one cell per -protocols entry). Per-layer frame costs are the
-//     repo benchmark's job (bench/README.md), not this tool's.
-//
-//     $ abacload -selfhost -protocols acs,bw -duration 3s -bench /tmp/b5.json
-//
-// Output (both modes) is one JSON line per measured protocol.
+// It exits non-zero when a window decides nothing or any worker fails.
+// Self-hosted fleets, per-layer frame costs and performance claims are the
+// repo benchmark's job (bench/README.md), not this tool's.
 package main
 
 import (
@@ -27,99 +16,54 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro"
-	"repro/internal/experiments"
 	"repro/internal/service"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "abacload:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("abacload", flag.ExitOnError)
 	var (
-		addrsFlag    = flag.String("addrs", "", "comma-separated client-plane addresses of a running fleet")
-		selfhost     = flag.Bool("selfhost", false, "spin up an in-process fleet instead of dialing -addrs")
-		scenarioPath = flag.String("scenario", "", "scenario file for -selfhost (default: the built-in clique:8 service scenario)")
-		protocolsF   = flag.String("protocols", "", "comma-separated protocols to measure (default: the scenario's / the daemon default)")
-		duration     = flag.Duration("duration", 3*time.Second, "measurement window per protocol")
-		concurrency  = flag.Int("concurrency", 0, "closed-loop workers (default: 2 per client plane)")
-		benchOut     = flag.String("bench", "", "-selfhost only: write the result as a BENCH_5-schema report to this path")
+		addrsFlag   = fs.String("addrs", "", "comma-separated client-plane addresses of a running fleet")
+		protocolsF  = fs.String("protocols", "", "comma-separated protocols to measure (default: the daemon default)")
+		duration    = fs.Duration("duration", 3*time.Second, "measurement window per protocol")
+		concurrency = fs.Int("concurrency", 0, "closed-loop workers (default: 2 per client plane)")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag never returns
 
-	protocols := splitCSV(*protocolsF)
-	ctx := context.Background()
-
-	if *selfhost {
-		cfg := experiments.ServiceBenchConfig{
-			Protocols:   protocols,
-			Duration:    *duration,
-			Concurrency: *concurrency,
-		}
-		if *scenarioPath != "" {
-			data, err := os.ReadFile(*scenarioPath)
-			if err != nil {
-				return err
-			}
-			s, err := repro.ParseScenario(data)
-			if err != nil {
-				return err
-			}
-			cfg.Scenario = *s
-		}
-		report, err := experiments.RunServiceBench(ctx, cfg)
-		if err != nil {
-			return err
-		}
-		enc := json.NewEncoder(os.Stdout)
-		for _, cell := range report.Runs {
-			if err := enc.Encode(cell); err != nil {
-				return err
-			}
-		}
-		if *benchOut != "" {
-			buf, err := json.MarshalIndent(report, "", "  ")
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile(*benchOut, append(buf, '\n'), 0o644); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "abacload: wrote %s\n", *benchOut)
-		}
-		return nil
-	}
-
-	if *benchOut != "" {
-		return fmt.Errorf("-bench requires -selfhost (a fleet-external run cannot claim the committed bench schema)")
-	}
 	addrs := splitCSV(*addrsFlag)
 	if len(addrs) == 0 {
-		return fmt.Errorf("either -addrs or -selfhost is required")
+		return fmt.Errorf("-addrs is required")
 	}
+	protocols := splitCSV(*protocolsF)
 	if len(protocols) == 0 {
 		protocols = []string{""} // daemon default
 	}
 	if *concurrency <= 0 {
 		*concurrency = 2 * len(addrs)
 	}
-	enc := json.NewEncoder(os.Stdout)
+	enc := json.NewEncoder(stdout)
 	for _, proto := range protocols {
-		row, err := drive(ctx, addrs, proto, *duration, *concurrency)
+		row, err := drive(context.Background(), addrs, proto, *duration, *concurrency)
 		if err != nil {
 			return err
 		}
 		if err := enc.Encode(row); err != nil {
+			return err
+		}
+		if err := row.failure(); err != nil {
 			return err
 		}
 	}
@@ -137,6 +81,15 @@ type loadRow struct {
 	QueueWaits  int64   `json:"queueWaits"`
 	QueueShed   int64   `json:"queueShed"`
 	PendingShed int64   `json:"pendingShed"`
+}
+
+// failure reports a window that must not pass for a healthy run: a worker
+// that could not dial or submit, or no decision at all.
+func (r loadRow) failure() error {
+	if r.Errors > 0 || r.Decisions == 0 {
+		return fmt.Errorf("protocol %q: %d decisions, %d worker errors", r.Protocol, r.Decisions, r.Errors)
+	}
+	return nil
 }
 
 func drive(ctx context.Context, addrs []string, proto string, window time.Duration, workers int) (loadRow, error) {

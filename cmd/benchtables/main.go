@@ -12,7 +12,8 @@
 //	benchtables -list               # list experiment names
 //	benchtables -workers 4          # fan experiments across 4 workers
 //	benchtables -engine goroutine   # run protocols on the goroutine engine
-//	benchtables -json BENCH_0.json  # also record timings as JSON
+//	benchtables -json out.json      # also record timings as JSON
+//	benchtables -maxn 0 -json e14.json scale   # the full E14 ladder, per-cell rows
 package main
 
 import (
@@ -20,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"time"
@@ -30,87 +32,89 @@ import (
 )
 
 // experiment is one catalog entry. run returns the rendered report and,
-// for experiments that measure per-scenario cells (the exact tier), those
-// cells; when such an experiment is the sole selection, -json records the
-// cells as "runs" instead of the per-experiment timing (the BENCH_4
-// generator). The two report forms are mutually exclusive by schema.
+// for experiments that measure per-scenario cells (the E14 ladder, the
+// exact tier), those cells with their skip and caveat notes; when such an
+// experiment is the sole selection, -json records the cells as "runs"
+// instead of the per-experiment timing. The two report forms are mutually
+// exclusive by schema.
 type experiment struct {
 	name string
 	desc string
-	run  func(seed int64) (string, []experiments.BenchRun, error)
+	run  func(ctx context.Context, seed int64) (string, *experiments.BenchReport, error)
 }
 
-func catalog() []experiment {
+// catalog lists every experiment; maxN caps the E14 ladder (0 = the build's
+// node limit).
+func catalog(maxN int) []experiment {
 	return []experiment{
-		{"table1", "E1: undirected condition equivalences (Table 1)", func(seed int64) (string, []experiments.BenchRun, error) {
+		{"table1", "E1: undirected condition equivalences (Table 1)", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
 			rep := experiments.Table1(8, seed)
 			return rep.Render(), nil, nil
 		}},
-		{"table2", "E2: directed condition equivalences (Table 2, Theorem 17)", func(seed int64) (string, []experiments.BenchRun, error) {
+		{"table2", "E2: directed condition equivalences (Table 2, Theorem 17)", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
 			rep := experiments.Table2(12, seed)
 			return rep.Render(), nil, nil
 		}},
-		{"fig1a", "E3: Figure 1(a) claims + BW run", func(seed int64) (string, []experiments.BenchRun, error) {
+		{"fig1a", "E3: Figure 1(a) claims + BW run", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunFig1a(seed)
 			return rep.Render(), nil, err
 		}},
-		{"fig1b", "E4: Figure 1(b) claims (exhaustive f=2) + scaled BW run", func(seed int64) (string, []experiments.BenchRun, error) {
+		{"fig1b", "E4: Figure 1(b) claims (exhaustive f=2) + scaled BW run", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunFig1b(seed)
 			return rep.Render(), nil, err
 		}},
-		{"sufficiency", "E5: Theorem 4 sufficiency matrix (graph x adversary)", func(seed int64) (string, []experiments.BenchRun, error) {
+		{"sufficiency", "E5: Theorem 4 sufficiency matrix (graph x adversary)", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunSufficiency(seed)
 			return rep.Render(), nil, err
 		}},
-		{"sweep", "E5b: BW on random 3-reach digraphs with random adversaries", func(seed int64) (string, []experiments.BenchRun, error) {
+		{"sweep", "E5b: BW on random 3-reach digraphs with random adversaries", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunSweep(8, seed+1000)
 			return rep.Render(), nil, err
 		}},
-		{"convergence", "E6: Lemma 15 per-round contraction", func(seed int64) (string, []experiments.BenchRun, error) {
+		{"convergence", "E6: Lemma 15 per-round contraction", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunConvergence(seed)
 			return rep.Render(), nil, err
 		}},
-		{"necessity", "E7: Theorem 18 necessity construction", func(seed int64) (string, []experiments.BenchRun, error) {
+		{"necessity", "E7: Theorem 18 necessity construction", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunNecessity(seed)
 			return rep.Render(), nil, err
 		}},
-		{"aad", "E8: Abraham-Amit-Dolev baseline vs BW", func(seed int64) (string, []experiments.BenchRun, error) {
+		{"aad", "E8: Abraham-Amit-Dolev baseline vs BW", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunAADComparison(seed)
 			return rep.Render(), nil, err
 		}},
-		{"iterative", "E9: local iterative ablation", func(seed int64) (string, []experiments.BenchRun, error) {
+		{"iterative", "E9: local iterative ablation", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunIterativeAblation(seed)
 			return rep.Render(), nil, err
 		}},
-		{"kreach", "E10: k-reach hierarchy (Appendix A)", func(seed int64) (string, []experiments.BenchRun, error) {
+		{"kreach", "E10: k-reach hierarchy (Appendix A)", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
 			rep := experiments.RunKReach()
 			return rep.Render(), nil, nil
 		}},
-		{"structure", "E11: Theorems 5 and 12 structure checks", func(seed int64) (string, []experiments.BenchRun, error) {
+		{"structure", "E11: Theorems 5 and 12 structure checks", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
 			rep := experiments.RunStructure()
 			return rep.Render(), nil, nil
 		}},
-		{"crashcell", "Table 2 crash/async cell (Theorem 2 algorithm)", func(seed int64) (string, []experiments.BenchRun, error) {
+		{"crashcell", "Table 2 crash/async cell (Theorem 2 algorithm)", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunCrashCell(seed)
 			return rep.Render(), nil, err
 		}},
-		{"scaling", "E12: BW cost growth on circulant family", func(seed int64) (string, []experiments.BenchRun, error) {
+		{"scaling", "E12: BW cost growth on circulant family", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunScaling(seed)
 			return rep.Render(), nil, err
 		}},
-		{"attackmatrix", "E13: protocol x adversary x graph attack matrix (registry-driven)", func(seed int64) (string, []experiments.BenchRun, error) {
+		{"attackmatrix", "E13: protocol x adversary x graph attack matrix (registry-driven)", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunAttackMatrix(seed)
 			return rep.Render(), nil, err
 		}},
-		{"scale", "E14: scale-out study to n=128 (full ladder to the build's node limit: benchruntimes -suite scale)", func(seed int64) (string, []experiments.BenchRun, error) {
+		{"scale", "E14: scale-out study to n=-maxn (default 128; -maxn 0 = the full ladder to the build's node limit)", func(ctx context.Context, seed int64) (string, *experiments.BenchReport, error) {
 			// The default benchtables invocation runs every experiment, so
-			// this entry caps the ladder at a seconds-scale size; the full
-			// multi-minute, multi-GB run to n=1024 is regenerated explicitly
-			// via `benchruntimes -suite scale -json BENCH_2.json`.
-			rep, err := experiments.RunScaleExec(context.Background(), seed, experiments.DefaultExec, 128)
-			return rep.Render(), nil, err
+			// -maxn defaults to a seconds-scale cap; the full ladder to
+			// n=1024 is a multi-minute, multi-GB run asked for explicitly.
+			rep, err := experiments.RunScaleExec(ctx, seed, experiments.DefaultExec, maxN)
+			return rep.Render(), &experiments.BenchReport{Runs: rep.BenchRuns(), Skipped: rep.Skipped, Notes: rep.Notes}, err
 		}},
-		{"exact", "E15: exact tier (aba, acs) x complete-graph families x the adversary matrix (sole selection + -json = BENCH_4)", func(seed int64) (string, []experiments.BenchRun, error) {
+		{"exact", "E15: exact tier (aba, acs) x complete-graph families x the adversary matrix", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunExact(seed)
 			if err != nil {
 				return "", nil, err
@@ -118,30 +122,36 @@ func catalog() []experiment {
 			if !rep.AllPassed() {
 				return "", nil, fmt.Errorf("exact matrix has failing cells:\n%s", rep.Render())
 			}
-			return rep.Render(), rep.BenchRuns(), nil
+			return rep.Render(), &experiments.BenchReport{Runs: rep.BenchRuns()}, nil
 		}},
 	}
 }
 
 func main() {
-	if err := run(); err != nil {
+	// An interrupt stops the run between experiments, and the E14 ladder
+	// between cells, instead of leaving a long run unkillable.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtables:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(ctx context.Context, args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("benchtables", flag.ExitOnError)
 	var (
-		list       = flag.Bool("list", false, "list experiments and exit")
-		seed       = flag.Int64("seed", 1, "base seed for all randomized pieces")
-		engine     = flag.String("engine", "", "execution engine for protocol runs: inline (default) | goroutine | parallel")
-		eworkers   = flag.Int("engine-workers", 0, "worker count for engines that take one, e.g. parallel (0 = one per CPU)")
-		workers    = flag.Int("workers", 1, "run experiments on this many workers (0 = one per CPU); output order is fixed")
-		jsonPath   = flag.String("json", "", "also write per-experiment timings to this JSON file")
-		cpuProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProfile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
+		list       = fs.Bool("list", false, "list experiments and exit")
+		seed       = fs.Int64("seed", 1, "base seed for all randomized pieces")
+		engine     = fs.String("engine", "", "execution engine for protocol runs: inline (default) | goroutine | parallel")
+		eworkers   = fs.Int("engine-workers", 0, "worker count for engines that take one, e.g. parallel (0 = one per CPU)")
+		workers    = fs.Int("workers", 1, "run experiments on this many workers (0 = one per CPU); output order is fixed")
+		maxN       = fs.Int("maxn", 128, "scale: largest graph order of the E14 ladder (0 = the build's node limit)")
+		jsonPath   = fs.String("json", "", "also write per-experiment timings (or a sole scale/exact selection's cells) to this JSON file")
+		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		memProfile = fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag never returns
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -153,22 +163,22 @@ func run() error {
 		}
 	}()
 
-	all := catalog()
+	all := catalog(*maxN)
 	if *list {
 		for _, e := range all {
-			fmt.Printf("%-12s %s\n", e.name, e.desc)
+			fmt.Fprintf(stdout, "%-12s %s\n", e.name, e.desc)
 		}
 		return nil
 	}
 
 	selected := all
-	if args := flag.Args(); len(args) > 0 {
+	if names := fs.Args(); len(names) > 0 {
 		byName := make(map[string]experiment, len(all))
 		for _, e := range all {
 			byName[e.name] = e
 		}
 		selected = selected[:0]
-		for _, name := range args {
+		for _, name := range names {
 			e, ok := byName[name]
 			if !ok {
 				return fmt.Errorf("unknown experiment %q (use -list)", name)
@@ -195,20 +205,15 @@ func run() error {
 	type outcome struct {
 		text   string
 		timing experiments.BenchRun
-		cells  []experiments.BenchRun
+		cells  *experiments.BenchReport
 	}
-	// An interrupt stops the run between experiments instead of leaving a
-	// long matrix unkillable.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
 	// Experiments only share the read-only DefaultExec, so they fan across
 	// the pool freely; par.Map returns them in catalog order, keeping the
 	// printed report identical at any worker count.
 	results, err := par.Map(ctx, *workers, len(selected), func(i int) (outcome, error) {
 		e := selected[i]
 		start := time.Now()
-		out, cells, err := e.run(*seed)
+		out, cells, err := e.run(ctx, *seed)
 		if err != nil {
 			return outcome{}, fmt.Errorf("%s: %w", e.name, err)
 		}
@@ -223,30 +228,27 @@ func run() error {
 		return err
 	}
 	for _, r := range results {
-		fmt.Println(r.text)
+		fmt.Fprintln(stdout, r.text)
 	}
 
 	if *jsonPath != "" {
-		// The shared BENCH schema (experiments.BenchReport): BENCH_0.json's
-		// generator. Engine/Workers at report level are this process's
-		// settings; the per-experiment cells carry name and ms.
-		report := experiments.BenchReport{
-			Engine: experiments.DefaultExec.Engine, Workers: *workers, Seed: *seed,
-		}
-		if report.Engine == "" {
-			report.Engine = "inline"
-		}
 		// A sole selected experiment that measured per-scenario cells
-		// records them as runs (BENCH_4); any other selection records the
-		// per-experiment timings (BENCH_0). The schema forbids mixing the
-		// two, so a multi-experiment selection never emits cells.
-		if len(results) == 1 && len(results[0].cells) > 0 {
+		// records them as runs; any other selection records the
+		// per-experiment timings. The schema forbids mixing the two, so a
+		// multi-experiment selection never emits cells. Engine/Workers at
+		// report level are this process's settings.
+		var report experiments.BenchReport
+		if len(results) == 1 && results[0].cells != nil {
+			report = *results[0].cells
 			report.Suite = selected[0].name
-			report.Runs = results[0].cells
 		} else {
 			for _, r := range results {
 				report.Experiments = append(report.Experiments, r.timing)
 			}
+		}
+		report.Engine, report.Workers, report.Seed = *engine, *workers, *seed
+		if report.Engine == "" {
+			report.Engine = "inline"
 		}
 		blob, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
@@ -255,7 +257,7 @@ func run() error {
 		if err := os.WriteFile(*jsonPath, append(blob, '\n'), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s\n", *jsonPath)
+		fmt.Fprintf(stdout, "wrote %s\n", *jsonPath)
 	}
 	return nil
 }

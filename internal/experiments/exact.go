@@ -68,7 +68,7 @@ func (r ExactReport) AllPassed() bool {
 	return true
 }
 
-// BenchRuns renders the report as BENCH_4.json cells.
+// BenchRuns renders the report as benchtables -json cells.
 func (r ExactReport) BenchRuns() []BenchRun {
 	runs := make([]BenchRun, 0, len(r.Rows))
 	for _, row := range r.Rows {

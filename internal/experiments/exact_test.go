@@ -76,7 +76,7 @@ func TestExactMatrixDeterministicAcrossWorkersAndEngines(t *testing.T) {
 	}
 }
 
-// TestExactBenchRuns pins the BENCH_4 cell mapping.
+// TestExactBenchRuns pins the E15 -json cell mapping.
 func TestExactBenchRuns(t *testing.T) {
 	rep, err := experiments.RunExact(9)
 	if err != nil {

@@ -11,8 +11,7 @@ import (
 )
 
 // ScaleCase is one prepared cell of the E14 scale-out study: a declarative
-// scenario plus the runtimes it runs on. Exported so cmd/benchruntimes can
-// record the identical ladder into BENCH_2.json.
+// scenario plus the runtimes it runs on.
 type ScaleCase struct {
 	Scenario repro.Scenario
 	Family   string   // graph family label ("cycle", "torus", "expander")
@@ -38,9 +37,9 @@ var ScaleSizes = []int{8, 32, 128, 512, 1024, 2048, 4096}
 const scaleLoopbackMaxBW = 128
 
 // scaleBWMaxN bounds the BW simulator rows: the n=1024 cycle rung already
-// costs minutes of single-core delivery (BENCH_2), and the redundant-path
-// machinery grows superlinearly past it. The 2048/4096 rungs run the
-// iterative baseline only, with an explicit skip note.
+// costs minutes of single-core delivery (EXPERIMENTS.md E14), and the
+// redundant-path machinery grows superlinearly past it. The 2048/4096 rungs
+// run the iterative baseline only, with an explicit skip note.
 const scaleBWMaxN = 1024
 
 // scaleTorusDims factors the ladder sizes into torus sides.
@@ -141,7 +140,13 @@ type ScaleRow struct {
 	Ms        float64
 	Decided   bool
 	Converged bool
+	Valid     bool
 	CertNote  string
+	// Engine, Workers and Policy record a sim cell's non-default engine
+	// configuration and delivery-policy override; empty on cluster cells.
+	Engine  string
+	Workers int
+	Policy  string
 }
 
 // ScaleReport aggregates experiment E14: how the delivery core and the
@@ -152,6 +157,33 @@ type ScaleReport struct {
 	// Skipped lists cells deliberately not run, with reasons (no silent
 	// caps).
 	Skipped []string
+	// Notes carries measurement caveats that apply to the whole report.
+	Notes []string
+}
+
+// BenchRuns renders the report as benchtables -json cells.
+func (r ScaleReport) BenchRuns() []BenchRun {
+	runs := make([]BenchRun, 0, len(r.Rows))
+	for _, row := range r.Rows {
+		runs = append(runs, BenchRun{
+			Name:      row.Name,
+			Runtime:   row.Runtime,
+			Engine:    row.Engine,
+			Workers:   row.Workers,
+			Policy:    row.Policy,
+			Ms:        row.Ms,
+			Steps:     row.Steps,
+			Sends:     row.Messages,
+			Decided:   row.Decided,
+			Converged: row.Converged,
+			Valid:     row.Valid,
+			Protocol:  row.Protocol,
+			Family:    row.Family,
+			N:         row.N,
+			F:         row.F,
+		})
+	}
+	return runs
 }
 
 // Render prints the study.
@@ -167,6 +199,9 @@ func (r ScaleReport) Render() string {
 	}
 	for _, s := range r.Skipped {
 		fmt.Fprintf(&b, "  skipped: %s\n", s)
+	}
+	for _, s := range r.Notes {
+		fmt.Fprintf(&b, "  note: %s\n", s)
 	}
 	return b.String()
 }
@@ -185,17 +220,20 @@ func certNote(spec string, f int) string {
 	return fmt.Sprintf("3-reach=%v", rep.ThreeReach)
 }
 
-// RunScale produces the full E14 report under DefaultExec.
-func RunScale(seed int64) (ScaleReport, error) {
-	return RunScaleExec(context.Background(), seed, DefaultExec, 0)
-}
-
 // RunScaleExec runs the ladder up to maxN (0 = all sizes). Cells run
 // sequentially — each large cell saturates memory bandwidth on its own, and
 // wall-clock per cell is itself a reported measurement, so fanning cells
-// across workers would corrupt the numbers.
+// across workers would corrupt the numbers. Under the parallel engine the
+// sim cells run on the fifo delivery policy — the injection-immune schedule
+// the engine can batch — so worker counts compare the same schedule; the
+// override is recorded on every such cell and in the report notes.
 func RunScaleExec(ctx context.Context, seed int64, exec Exec, maxN int) (ScaleReport, error) {
 	var rep ScaleReport
+	simPolicy := ""
+	if exec.Engine == "parallel" {
+		simPolicy = "fifo"
+		rep.Notes = append(rep.Notes, "parallel-engine cells run under the fifo delivery policy (the schedule the engine batches); other cells keep the scenario default")
+	}
 	for _, c := range ScaleCases(seed, maxN) {
 		// Note-only cases (rungs above the build dimension, BW rows past the
 		// budget) carry no scenario to certify or run.
@@ -208,10 +246,18 @@ func RunScaleExec(ctx context.Context, seed int64, exec Exec, maxN int) (ScaleRe
 				return rep, err
 			}
 			s := c.Scenario
+			row := ScaleRow{
+				Name: s.Name, Protocol: s.Protocol, Family: c.Family, N: c.N, F: c.F,
+				Runtime: runtime, CertNote: note,
+			}
 			var out *repro.Result
 			var err error
 			start := time.Now()
 			if runtime == "sim" {
+				if simPolicy != "" {
+					s.Policy = &repro.PolicySpec{Name: simPolicy}
+				}
+				row.Engine, row.Workers, row.Policy = exec.Engine, exec.EngineWorkers, simPolicy
 				out, err = runScenario(s, exec)
 			} else {
 				// Cluster runtimes reject sim-only knobs; the scenario stays
@@ -221,19 +267,10 @@ func RunScaleExec(ctx context.Context, seed int64, exec Exec, maxN int) (ScaleRe
 			if err != nil {
 				return rep, fmt.Errorf("%s on %s: %w", s.Name, runtime, err)
 			}
-			rep.Rows = append(rep.Rows, ScaleRow{
-				Name:     s.Name,
-				Protocol: s.Protocol,
-				Family:   c.Family,
-				N:        c.N,
-				F:        c.F,
-				Runtime:  runtime,
-				Steps:    out.Steps, Messages: out.MessagesSent,
-				Ms:        float64(time.Since(start).Microseconds()) / 1000,
-				Decided:   out.Decided,
-				Converged: out.Converged,
-				CertNote:  note,
-			})
+			row.Ms = float64(time.Since(start).Microseconds()) / 1000
+			row.Steps, row.Messages = out.Steps, out.MessagesSent
+			row.Decided, row.Converged, row.Valid = out.Decided, out.Converged, out.ValidityOK
+			rep.Rows = append(rep.Rows, row)
 		}
 		if c.SkipNote != "" {
 			rep.Skipped = append(rep.Skipped, c.SkipNote)
