@@ -58,17 +58,29 @@ func runQuiescent(t *testing.T, g *graph.Graph, f int, inputs []float64, k, eps 
 func runWithFaults(t *testing.T, g *graph.Graph, f int, inputs []float64, k, eps float64,
 	faulty map[int]func(inner sim.Handler) sim.Handler, seed int64) (map[int]float64, graph.Set) {
 	t.Helper()
+	outs, honest, _ := runMachinesWithFaults(t, g, f, inputs, k, eps, faulty, seed)
+	return outs, honest
+}
+
+// runMachinesWithFaults is runWithFaults that also hands back every node's
+// BW machine (the faulty nodes' are the wrapped, unused inner ones), for
+// tests that read an honest machine's metrics after the run.
+func runMachinesWithFaults(t *testing.T, g *graph.Graph, f int, inputs []float64, k, eps float64,
+	faulty map[int]func(inner sim.Handler) sim.Handler, seed int64) (map[int]float64, graph.Set, []*bw.Machine) {
+	t.Helper()
 	proto, err := bw.NewProto(g, f, k, eps, 0)
 	if err != nil {
 		t.Fatalf("NewProto: %v", err)
 	}
 	honest := graph.EmptySet
 	handlers := make([]sim.Handler, g.N())
+	machines := make([]*bw.Machine, g.N())
 	for i := 0; i < g.N(); i++ {
 		m, err := bw.NewMachine(proto, i, inputs[i])
 		if err != nil {
 			t.Fatalf("NewMachine(%d): %v", i, err)
 		}
+		machines[i] = m
 		if wrap, bad := faulty[i]; bad {
 			handlers[i] = wrap(m)
 		} else {
@@ -88,7 +100,7 @@ func runWithFaults(t *testing.T, g *graph.Graph, f int, inputs []float64, k, eps
 		t.Fatalf("honest nodes failed to decide: outputs=%v steps=%d", outs, r.Steps())
 	}
 	t.Logf("graph=%s honest outputs=%v (steps=%d, sent=%d)", g, outs, r.Steps(), r.Stats().Sent)
-	return outs, honest
+	return outs, honest, machines
 }
 
 func assertAgreementValidity(t *testing.T, outs map[int]float64, eps, lo, hi float64) {

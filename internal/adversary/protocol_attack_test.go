@@ -10,14 +10,17 @@ import (
 )
 
 // seqJammer attacks the FIFO layer: it floods COMPLETE messages with a
-// gapped sequence number (seq = 7 with nothing before it) and a bogus but
+// gapped sequence number (seq with nothing before it) and a bogus but
 // well-formed message set, trying to wedge receivers' FIFO streams, plus
 // VAL messages carrying its own trivial path so the traffic looks alive.
-// Receiver-side gap buffering must simply hold the jammed messages forever
-// without blocking the actual-fault-set thread.
+// A sequence number past what an honest origin can reach in a round (one
+// COMPLETE per thread) is dropped and counted on arrival — neither parked
+// nor relayed; one inside that range is parked behind the gap for the rest
+// of the run. Neither may block the actual-fault-set thread.
 type seqJammer struct {
-	id int
-	g  *graph.Graph
+	id  int
+	g   *graph.Graph
+	seq int
 }
 
 func (j *seqJammer) ID() int { return j.id }
@@ -28,7 +31,7 @@ func (j *seqJammer) Start(out *sim.Outbox) {
 		out.Send(w, bw.CompletePayload{
 			Round:  1,
 			Origin: j.id,
-			Seq:    7, // gap: seqs 1..6 never sent
+			Seq:    j.seq, // gap: seqs 1..seq-1 never sent
 			Tag:    graph.EmptySet,
 			Entries: []bw.ValEntry{
 				{Value: 123, PathKey: (graph.Path{j.id}).Key()},
@@ -44,12 +47,31 @@ func (j *seqJammer) Output() (float64, bool) { return 0, false }
 
 func TestBWSeqJammer(t *testing.T) {
 	g := graph.Clique(4)
-	outs, _ := runWithFaults(t, g, 1, []float64{0, 1, 1.5, 2}, 2, 0.25,
-		map[int]func(sim.Handler) sim.Handler{
-			1: func(sim.Handler) sim.Handler { return &seqJammer{id: 1, g: g} },
-		}, 77)
-	// Honest inputs 0, 1.5, 2.
-	assertAgreementValidity(t, outs, 0.25, 0, 2)
+	// On clique:4 with f=1 each node runs 4 threads (∅ and three
+	// singletons), so 4 is the last sequence number an honest origin uses.
+	for _, tc := range []struct {
+		name    string
+		seq     int
+		dropped int // per honest receiver: the jammer's one direct send
+	}{
+		{"beyond-cap", 7, 1},
+		{"gapped-in-range", 3, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			outs, honest, machines := runMachinesWithFaults(t, g, 1, []float64{0, 1, 1.5, 2}, 2, 0.25,
+				map[int]func(sim.Handler) sim.Handler{
+					1: func(sim.Handler) sim.Handler { return &seqJammer{id: 1, g: g, seq: tc.seq} },
+				}, 77)
+			// Honest inputs 0, 1.5, 2.
+			assertAgreementValidity(t, outs, 0.25, 0, 2)
+			honest.ForEach(func(v int) bool {
+				if got := machines[v].Snapshot().SeqDropped; got != tc.dropped {
+					t.Errorf("node %d dropped %d out-of-range COMPLETEs, want %d", v, got, tc.dropped)
+				}
+				return true
+			})
+		})
+	}
 }
 
 // tagForger floods syntactically valid COMPLETE messages whose tag names an

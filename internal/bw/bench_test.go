@@ -1,6 +1,7 @@
 package bw_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/bw"
@@ -37,23 +38,24 @@ func BenchmarkBWRoundClique4(b *testing.B) {
 	}
 }
 
-// BenchmarkMachinePrecompute measures the per-node setup (path enumeration,
-// FIFO requirements) on the two-clique analog.
+// BenchmarkMachinePrecompute measures the per-node setup (plan tables, path
+// enumeration, FIFO requirements) on the two-clique analog. The setup is
+// kept per Proto, so each iteration starts from a fresh one.
 func BenchmarkMachinePrecompute(b *testing.B) {
 	g := graph.Fig1bAnalog()
-	proto, err := bw.NewProto(g, 1, 1, 0.5, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		proto, err := bw.NewProto(g, 1, 1, 0.5, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if _, err := bw.NewMachine(proto, 0, 0.5); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkProtoSetup measures the shared source-component precomputation.
+// BenchmarkProtoSetup measures what a run pays before its first machine:
+// validation and fault-set enumeration.
 func BenchmarkProtoSetup(b *testing.B) {
 	g := graph.Fig1a()
 	b.ResetTimer()
@@ -61,5 +63,76 @@ func BenchmarkProtoSetup(b *testing.B) {
 		if _, err := bw.NewProto(g, 1, 4, 0.25, 0); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// runFig1a is one full honest BW execution on fig1a with f=1, K=4, eps=0.1
+// — the sim-bw benchmark cell: shared setup, five machines, all rounds —
+// and returns the number of deliveries.
+func runFig1a(tb testing.TB, seed int64) int {
+	g := graph.Fig1a()
+	proto, err := bw.NewProto(g, 1, 4, 0.1, 0)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	inputs := []float64{0.1, 3.9, 1.3, 2.7, 0.6}
+	handlers := make([]sim.Handler, g.N())
+	for id := range handlers {
+		m, err := bw.NewMachine(proto, id, inputs[id])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		handlers[id] = m
+	}
+	r, err := sim.New(sim.Config{Graph: g, Policy: transport.NewRandomPolicy(seed)}, handlers)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := r.Run(); err != nil {
+		tb.Fatal(err)
+	}
+	if _, all := r.Outputs(g.Nodes()); !all {
+		tb.Fatal("not all nodes decided")
+	}
+	return r.Steps()
+}
+
+// BenchmarkBWFig1a measures the sim-bw cell end to end.
+func BenchmarkBWFig1a(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		runFig1a(b, int64(i))
+	}
+}
+
+// TestBWRunAllocBudget is the allocation fence for the round state: one
+// full fig1a run, setup included, divided by its deliveries. Per delivery
+// the machine inherently allocates the key string of an accepted path and,
+// when it relays, one extended path and one boxed payload; the budgets are
+// the measured 4.5 allocations and 450 bytes plus a tenth, against 9.3 and
+// 1 660 when M_v, the FIFO tables and the snapshot clauses were keyed by
+// strings and node sets. About one and a half node sets per delivery are
+// part of the bytes (M_v's copy, a relayed COMPLETE's tag), so that budget
+// moves with the build dimension.
+func TestBWRunAllocBudget(t *testing.T) {
+	const setBytes = graph.MaxNodes / 8
+	const maxAllocs, maxBytes = 5.0, 310 + setBytes*3/2 // 502 in the default build
+	runFig1a(t, 1)                                      // warm the runtime's size classes and the test binary
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	steps := runFig1a(t, 1)
+	runtime.ReadMemStats(&after)
+	if steps != 26664 {
+		t.Fatalf("fig1a run took %d deliveries, the fenced schedule has 26664", steps)
+	}
+	allocs := float64(after.Mallocs-before.Mallocs) / float64(steps)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(steps)
+	t.Logf("%.2f allocations, %.0f bytes per delivery", allocs, bytes)
+	if allocs > maxAllocs {
+		t.Errorf("%.2f allocations per delivery, budget %.1f", allocs, maxAllocs)
+	}
+	if bytes > maxBytes {
+		t.Errorf("%.0f bytes per delivery, budget %d", bytes, maxBytes)
 	}
 }

@@ -1,0 +1,155 @@
+package bw
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/sim"
+	"repro/internal/transport"
+)
+
+// stateFlooder is a Byzantine vertex that pushes every shape of VAL and
+// COMPLETE a well-formed frame can take at its out-neighbors: walks of the
+// graph ending at itself (simple, redundant and neither) and a few that are
+// not walks at all, fresh values, tags that are and are not fault sets,
+// rounds inside and outside [1, Rounds], sequence numbers from 1 to 1<<20.
+type stateFlooder struct {
+	id     int
+	g      *graph.Graph
+	rounds int
+	frames int
+}
+
+func (a *stateFlooder) ID() int { return a.id }
+
+// walk returns a random walk of g ending at the flooder — or, one time in
+// sixteen, a node sequence with a missing edge or a foreign terminal.
+func (a *stateFlooder) walk(rng *rand.Rand) graph.Path {
+	p := graph.Path{a.id}
+	for n := rng.Intn(2 * a.g.N()); n > 0; n-- {
+		in := a.g.In(p[0])
+		p = append(graph.Path{in[rng.Intn(len(in))]}, p...)
+	}
+	if rng.Intn(16) == 0 {
+		p[rng.Intn(len(p))] = rng.Intn(a.g.N() + 2)
+	}
+	return p
+}
+
+func (a *stateFlooder) Start(out *sim.Outbox) {
+	rng := rand.New(rand.NewSource(17))
+	seqs := []int{1, 2, 3, 4, 5, 6, 7, 1 << 10, 1 << 20}
+	for i := 0; i < a.frames; i++ {
+		round := rng.Intn(a.rounds+4) - 1
+		p := a.walk(rng)
+		out.Broadcast(ValPayload{Round: round, Value: rng.Float64() * 1e6, Path: p})
+
+		var tag graph.Set
+		for k := rng.Intn(3); k > 0; k-- {
+			tag = tag.Add(rng.Intn(a.g.N() + 1))
+		}
+		origin := p.Init()
+		if rng.Intn(16) == 0 {
+			origin = rng.Intn(a.g.N())
+		}
+		entries := make([]ValEntry, 1+rng.Intn(3))
+		for j := range entries {
+			entries[j] = ValEntry{Value: rng.Float64(), PathKey: a.walk(rng).Key()}
+		}
+		out.Broadcast(CompletePayload{
+			Round: round, Origin: origin, Seq: seqs[rng.Intn(len(seqs))],
+			Tag: tag, Entries: entries, Path: p,
+		})
+	}
+}
+
+func (a *stateFlooder) Deliver(transport.Message, *sim.Outbox) {}
+func (a *stateFlooder) Output() (float64, bool)                { return 0, false }
+
+// TestBWBoundedState: whatever one Byzantine in-neighbor pushes — here
+// 2 × 4 000 frames at each of its three out-neighbors, which relay what
+// passes validation to everyone else — an honest machine's per-round state
+// stays inside bounds the plan gives: M_v within the ∅-thread's fullness
+// set, FIFO streams within the simple paths ending here, every stream's
+// buffer within seqCap, interned contents within streams × seqCap, and one
+// round slot per round of the protocol. The honest vertices still decide
+// inside the hull of their inputs.
+func TestBWBoundedState(t *testing.T) {
+	const byz, frames = 4, 4000
+	g := graph.Fig1a()
+	inputs := []float64{0.1, 3.9, 1.3, 2.7, 0.6}
+	proto, err := NewProto(g, 1, 4, 0.1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handlers := make([]sim.Handler, g.N())
+	var honest []*Machine
+	for i := range handlers {
+		if i == byz {
+			handlers[i] = &stateFlooder{id: i, g: g, rounds: proto.Rounds, frames: frames}
+			continue
+		}
+		m, err := NewMachine(proto, i, inputs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		handlers[i] = m
+		honest = append(honest, m)
+	}
+	r, err := sim.New(sim.Config{Graph: g, Policy: transport.NewRandomPolicy(5)}, handlers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	seqCap := proto.plan.seqCap
+	if seqCap != 5 {
+		t.Fatalf("seqCap = %d, want 5 (∅ and the four singletons avoiding a node)", seqCap)
+	}
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for _, m := range honest {
+		lo, hi = math.Min(lo, m.input), math.Max(hi, m.input)
+	}
+	dropped := 0
+	for _, m := range honest {
+		x, done := m.Output()
+		if !done || x < lo || x > hi {
+			t.Errorf("node %d: output %v (decided=%v) outside the honest hull [%v, %v]", m.id, x, done, lo, hi)
+		}
+		dropped += m.metrics.SeqDropped
+		if len(m.rounds) != proto.Rounds+1 {
+			t.Errorf("node %d holds %d round slots, want Rounds+1 = %d", m.id, len(m.rounds), proto.Rounds+1)
+		}
+		full, streams := m.pre.threads[0].expectedCount, m.pre.simplePaths
+		for round, rs := range m.rounds {
+			if rs == nil {
+				continue
+			}
+			if round == 0 {
+				t.Errorf("node %d: round slot 0 in use", m.id)
+			}
+			if len(rs.vals) > full || len(rs.byPath) > full {
+				t.Errorf("node %d round %d: %d entries (%d digests), the fullness set has %d", m.id, round, len(rs.vals), len(rs.byPath), full)
+			}
+			if len(rs.streams) > streams {
+				t.Errorf("node %d round %d: %d FIFO streams, %d simple paths end here", m.id, round, len(rs.streams), streams)
+			}
+			for _, st := range rs.streams {
+				if len(st.buf) > seqCap {
+					t.Errorf("node %d round %d: a stream buffers %d COMPLETEs, cap %d", m.id, round, len(st.buf), seqCap)
+				}
+			}
+			if len(rs.contents) > streams*seqCap || len(rs.contentIdx) != len(rs.contents) {
+				t.Errorf("node %d round %d: %d contents interned (%d indexed), bound %d", m.id, round, len(rs.contents), len(rs.contentIdx), streams*seqCap)
+			}
+		}
+	}
+	// Four of the nine sequence numbers the flooder draws from pass the cap.
+	if dropped < frames/4 {
+		t.Errorf("honest nodes counted %d out-of-range sequence numbers, want at least %d", dropped, frames/4)
+	}
+}

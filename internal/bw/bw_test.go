@@ -67,16 +67,32 @@ func TestProtoSourceComponentTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Table entries must agree with direct computation for all unions.
-	graph.Subsets(g.Nodes(), 2, func(s graph.Set) bool {
-		if got, want := p.SourceComponent(s, graph.EmptySet), g.SourceComponent(s, graph.EmptySet); got != want {
-			t.Errorf("S_%s: table %s, direct %s", s, got, want)
+	pl := p.getPlan()
+	T := len(p.FaultSets)
+	// Table entries must agree with direct computation for every pair of
+	// fault sets — which covers all unions of up to 2f nodes.
+	for i, fi := range p.FaultSets {
+		for j, fj := range p.FaultSets {
+			got, want := pl.comps[pl.srcComp[i*T+j]].s, g.SourceComponent(fi.Union(fj), graph.EmptySet)
+			if got != want {
+				t.Errorf("S_{%s,%s}: table %s, direct %s", fi, fj, got, want)
+			}
+			// Symmetric in its arguments.
+			if pl.srcComp[i*T+j] != pl.srcComp[j*T+i] {
+				t.Errorf("S_{%s,%s}: source component not symmetric", fi, fj)
+			}
 		}
-		return true
-	})
-	// Symmetric in its arguments.
-	if p.SourceComponent(graph.SetOf(0), graph.SetOf(1)) != p.SourceComponent(graph.SetOf(1), graph.SetOf(0)) {
-		t.Error("source component not symmetric")
+	}
+	// Each distinct component is stored once, with its derived forms.
+	for a, ca := range pl.comps {
+		for b, cb := range pl.comps {
+			if a != b && ca.s == cb.s {
+				t.Errorf("component %s stored twice", ca.s)
+			}
+		}
+		if ca.outside != g.Nodes().Minus(ca.s) || len(ca.members) != ca.s.Count() {
+			t.Errorf("component %s: outside %s, members %v", ca.s, ca.outside, ca.members)
+		}
 	}
 }
 
@@ -96,7 +112,7 @@ func TestThreadPrecompute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, err := p.precompute(0)
+	pre, err := p.nodePre(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,17 +137,8 @@ func TestThreadPrecompute(t *testing.T) {
 		if _, ok := brute[(graph.Path{0}).Key()]; !ok {
 			t.Errorf("thread %s misses the trivial path", th.fv)
 		}
-		// reach_v(Fv) contains v, and the FIFO requirement for v itself is
-		// exactly the trivial path.
 		if !th.reach.Has(0) {
 			t.Errorf("thread %s: reach misses v", th.fv)
-		}
-		self, ok := th.requiredFIFO[0]
-		if !ok || len(self) != 1 {
-			t.Errorf("thread %s: self FIFO requirement = %v", th.fv, self)
-		}
-		if _, ok := self[digestPath(graph.Path{0})]; !ok {
-			t.Errorf("thread %s: self FIFO requirement is not the trivial path", th.fv)
 		}
 		// FIFO requirements are exactly the simple (c,0)-paths inside the
 		// reach set, per origin, as digests.
@@ -141,6 +148,7 @@ func TestThreadPrecompute(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantFIFO := make(map[int]map[pathDigest]struct{})
+		all := make(map[pathDigest]struct{})
 		for _, sp := range simple {
 			c := sp.Init()
 			if !th.reach.Has(c) {
@@ -150,9 +158,41 @@ func TestThreadPrecompute(t *testing.T) {
 				wantFIFO[c] = make(map[pathDigest]struct{})
 			}
 			wantFIFO[c][digestPath(sp)] = struct{}{}
+			all[digestPath(sp)] = struct{}{}
 		}
-		if !reflect.DeepEqual(th.requiredFIFO, wantFIFO) {
+		got := make(map[pathDigest]struct{})
+		for d := range th.required {
+			got[d] = struct{}{}
+		}
+		if !reflect.DeepEqual(got, all) {
 			t.Errorf("thread %s: requiredFIFO mismatch", th.fv)
+		}
+		// Each origin's paths are numbered 0..k-1, with k recorded at the
+		// origin's rank in the reach set.
+		for r, c := range th.reach.Members() {
+			nums := make(map[uint32]bool)
+			for d := range wantFIFO[c] {
+				nums[th.required[d]] = true
+			}
+			if int(th.need[r]) != len(wantFIFO[c]) || len(nums) != len(wantFIFO[c]) {
+				t.Errorf("thread %s origin %d: need %d, %d distinct numbers for %d paths", th.fv, c, th.need[r], len(nums), len(wantFIFO[c]))
+			}
+			for num := range nums {
+				if num >= th.need[r] {
+					t.Errorf("thread %s origin %d: path number %d out of range", th.fv, c, num)
+				}
+			}
+		}
+		if th.origins != len(wantFIFO) {
+			t.Errorf("thread %s: origins = %d, want %d", th.fv, th.origins, len(wantFIFO))
+		}
+		// reach_v(Fv) contains v (checked above), and the FIFO requirement
+		// for v itself is exactly the trivial path.
+		if self := wantFIFO[0]; len(self) != 1 {
+			t.Errorf("thread %s: self FIFO requirement = %v", th.fv, self)
+		}
+		if _, ok := th.required[digestPath(graph.Path{0})]; !ok {
+			t.Errorf("thread %s: self FIFO requirement is not the trivial path", th.fv)
 		}
 	}
 }
@@ -180,27 +220,62 @@ func TestContentKeyCanonical(t *testing.T) {
 }
 
 func TestFloodInfoConsistency(t *testing.T) {
+	proto, err := NewProto(graph.Fig1a(), 1, 1, 0.5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proto.getPlan()
 	p := &CompletePayload{Origin: 0, Entries: []ValEntry{
 		{Value: 1, PathKey: graph.Path{2, 0}.Key()},
 		{Value: 1, PathKey: graph.Path{2, 1, 0}.Key()},
 		{Value: 3, PathKey: graph.Path{4, 0}.Key()},
 	}}
-	rec := newFloodInfo(p)
+	rec := proto.newFloodInfo(p)
 	if !rec.consistent {
 		t.Error("consistent set flagged inconsistent")
 	}
-	if rec.values[2] != 1 || rec.values[4] != 3 {
+	if v2, _ := rec.value(2); v2 != 1 {
 		t.Errorf("values = %v", rec.values)
+	}
+	if v4, _ := rec.value(4); v4 != 3 {
+		t.Errorf("values = %v", rec.values)
+	}
+	if _, ok := rec.value(3); ok || rec.tagIdx != 0 {
+		t.Errorf("values = %v, tag index %d", rec.values, rec.tagIdx)
 	}
 	p2 := &CompletePayload{Origin: 0, Entries: []ValEntry{
 		{Value: 1, PathKey: graph.Path{2, 0}.Key()},
 		{Value: 2, PathKey: graph.Path{2, 1, 0}.Key()}, // same init, different value
 	}}
-	if newFloodInfo(p2).consistent {
+	if proto.newFloodInfo(p2).consistent {
 		t.Error("inconsistent set not flagged")
 	}
 	p3 := &CompletePayload{Origin: 0, Entries: []ValEntry{{Value: 1, PathKey: ""}}}
-	if newFloodInfo(p3).consistent {
+	if proto.newFloodInfo(p3).consistent {
 		t.Error("empty path key accepted")
+	}
+	// A Byzantine flood need not be sorted: same verdicts, same lookups.
+	p4 := &CompletePayload{Origin: 0, Tag: graph.SetOf(3), Entries: []ValEntry{
+		{Value: 3, PathKey: graph.Path{4, 0}.Key()},
+		{Value: 1, PathKey: graph.Path{2, 0}.Key()},
+		{Value: 3, PathKey: graph.Path{4, 1, 0}.Key()},
+		{Value: 1, PathKey: graph.Path{2, 1, 0}.Key()},
+	}}
+	rec = proto.newFloodInfo(p4)
+	v2, ok2 := rec.value(2)
+	v4, ok4 := rec.value(4)
+	if !rec.consistent || !ok2 || !ok4 || v2 != 1 || v4 != 3 || len(rec.values) != 2 {
+		t.Errorf("unsorted consistent set: consistent=%v values=%v", rec.consistent, rec.values)
+	}
+	if got := proto.FaultSets[rec.tagIdx]; got != graph.SetOf(3) {
+		t.Errorf("tag index %d names %s", rec.tagIdx, got)
+	}
+	p4.Entries[2].Value = 5
+	if proto.newFloodInfo(p4).consistent {
+		t.Error("unsorted inconsistent set not flagged")
+	}
+	p4.Tag = graph.SetOf(3, 900)
+	if idx := proto.newFloodInfo(p4).tagIdx; idx != -1 {
+		t.Errorf("tag outside the graph got index %d", idx)
 	}
 }

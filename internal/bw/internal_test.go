@@ -2,6 +2,8 @@ package bw
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -64,7 +66,7 @@ func TestClauseAddPathMatchesCoverSearch(t *testing.T) {
 				p = p.Add(rng.Intn(n))
 			}
 			paths = append(paths, p)
-			cl.addPath(p)
+			cl.addPath(&p)
 			want := !cond.HasFCover(paths, fBound, allowed)
 			if cl.satisfied != want {
 				t.Logf("seed=%d step=%d paths=%v f=%d allowed=%s: incremental=%v exact=%v",
@@ -83,11 +85,12 @@ func TestClauseAddPathMatchesCoverSearch(t *testing.T) {
 // unsatisfy a clause (monotonicity the algorithm relies on).
 func TestClauseAddPathLatched(t *testing.T) {
 	cl := &clause{f: 1, allowed: graph.SetOf(0, 1)}
-	cl.addPath(graph.SetOf(2)) // no candidate can hit {2}
+	two, zero := graph.SetOf(2), graph.SetOf(0)
+	cl.addPath(&two) // no candidate can hit {2}
 	if !cl.satisfied {
 		t.Fatal("clause should be satisfied")
 	}
-	cl.addPath(graph.SetOf(0))
+	cl.addPath(&zero)
 	if !cl.satisfied {
 		t.Fatal("satisfaction must latch")
 	}
@@ -108,17 +111,180 @@ func TestDigestCacheDistinguishesContents(t *testing.T) {
 		Entries: []ValEntry{{Value: 1, PathKey: "\x01\x00"}}}
 	b := &CompletePayload{Origin: 1, Tag: graph.SetOf(2),
 		Entries: []ValEntry{{Value: 2, PathKey: "\x01\x00"}}}
-	if m.contentDigest(a) == m.contentDigest(b) {
+	if m.floodInfo(a).key == m.floodInfo(b).key {
 		t.Error("different contents produced the same digest")
 	}
 	// Same payload twice: cached, equal.
-	if m.contentDigest(a) != m.contentDigest(a) {
+	if m.floodInfo(a).key != m.floodInfo(a).key {
 		t.Error("digest not stable")
 	}
 	// Equal content in a different backing array still digests equally.
 	c := &CompletePayload{Origin: 1, Tag: graph.SetOf(2),
 		Entries: []ValEntry{{Value: 1, PathKey: "\x01\x00"}}}
-	if m.contentDigest(a) != m.contentDigest(c) {
+	if m.floodInfo(a).key != m.floodInfo(c).key {
 		t.Error("equal contents digested differently")
+	}
+}
+
+// TestNodePreOncePerProto: however many machines a Proto builds for a node,
+// from however many goroutines (cluster runtimes and parallel-engine lanes
+// construct and run machines concurrently), the plan and each node's static
+// context are computed once and shared.
+func TestNodePreOncePerProto(t *testing.T) {
+	g := graph.Fig1a()
+	p, err := NewProto(g, 1, 4, 0.1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.plan != nil {
+		t.Fatal("NewProto built the plan; it belongs to the first NewMachine")
+	}
+	const perNode = 4
+	machines := make([]*Machine, perNode*g.N())
+	var wg sync.WaitGroup
+	for i := range machines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			m, err := NewMachine(p, i%g.N(), 0.5)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			machines[i] = m
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	plans := make(map[*plan]struct{})
+	pres := make(map[*nodePre]struct{})
+	for _, m := range machines {
+		plans[m.plan] = struct{}{}
+		pres[m.pre] = struct{}{}
+	}
+	if len(plans) != 1 || len(pres) != g.N() {
+		t.Errorf("%d machines hold %d plans and %d node contexts, want 1 and %d", len(machines), len(plans), len(pres), g.N())
+	}
+}
+
+// TestPlanClauseLists cross-validates the per-tag clause lists against the
+// nested loops they replace: for each Fw ≠ tag in fault-set order, each q
+// of S_{tag,Fw} in ascending order, first occurrence of (S, q) only.
+func TestPlanClauseLists(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.Fig1a(), graph.Clique(4), graph.Fig1bAnalog()} {
+		p, err := NewProto(g, 1, 1, 0.5, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl := p.getPlan()
+		for i, tag := range p.FaultSets {
+			type sq struct {
+				s graph.Set
+				q int
+			}
+			var want []sq
+			seen := make(map[sq]bool)
+			for _, fw := range p.FaultSets {
+				if fw == tag {
+					continue
+				}
+				s := g.SourceComponent(tag, fw)
+				for _, q := range s.Members() {
+					if k := (sq{s, q}); !seen[k] {
+						seen[k] = true
+						want = append(want, k)
+					}
+				}
+			}
+			var got []sq
+			for _, c := range pl.clauses[i] {
+				got = append(got, sq{pl.comps[c.comp].s, int(c.q)})
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s tag %s: clause list %v, want %v", g, tag, got, want)
+			}
+			if idx := p.tagIndex(&tag); int(idx) != i {
+				t.Errorf("%s: tagIndex(%s) = %d, want %d", g, tag, idx, i)
+			}
+		}
+		for _, notTag := range []graph.Set{graph.SetOf(0, 1), graph.SetOf(g.N()), graph.SetOf(0, graph.MaxNodes-1)} {
+			if idx := p.tagIndex(&notTag); idx != -1 {
+				t.Errorf("%s: tagIndex(%s) = %d for a set that is no fault set", g, notTag, idx)
+			}
+		}
+	}
+}
+
+// TestKeyOrderMatchesSort: binary insertion into the tail plus in-place
+// merges yields exactly the sorted order, whenever a reader asks.
+func TestKeyOrderMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var o keyOrder
+	var keys []string
+	seen := make(map[string]bool)
+	for len(keys) < 5*keyOrderTail+13 {
+		p := make(graph.Path, 1+rng.Intn(6))
+		for i := range p {
+			p[i] = rng.Intn(7)
+		}
+		k := p.Key()
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		keys = append(keys, k)
+		o.insert(keys, int32(len(keys)-1))
+		if n := len(keys); n%37 == 0 || n == 1 {
+			got := o.sorted(keys)
+			if len(got) != n {
+				t.Fatalf("after %d inserts the order holds %d entries", n, len(got))
+			}
+			for i := 1; i < n; i++ {
+				if keys[got[i-1]] >= keys[got[i]] {
+					t.Fatalf("after %d inserts positions %d,%d are out of order", n, i-1, i)
+				}
+			}
+		}
+	}
+}
+
+// TestCoverablePrefixMatchesCond cross-validates Filter-and-Average's
+// trimming — the clause cover filter run over a growing prefix — against
+// the hitting-set search of cond.CoverablePrefix it stands in for.
+func TestCoverablePrefixMatchesCond(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, f := range []int{0, 1, 2} {
+		g := graph.Clique(6)
+		p, err := NewProto(g, f, 1, 0.5, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := NewMachine(p, 2, 0.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allowed := g.Nodes().Remove(m.id)
+		for trial := 0; trial < 200; trial++ {
+			rs := &roundState{}
+			order := make([]int32, 1+rng.Intn(12))
+			for i := range order {
+				var s graph.Set
+				for k := 1 + rng.Intn(3); k > 0; k-- {
+					s = s.Add(rng.Intn(g.N()))
+				}
+				rs.sets = append(rs.sets, s)
+				order[i] = int32(i)
+			}
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			sets := make([]graph.Set, len(order))
+			for i, e := range order {
+				sets[i] = rs.sets[e]
+			}
+			if got, want := m.coverablePrefix(rs, order), cond.CoverablePrefix(sets, f, allowed); got != want {
+				t.Fatalf("f=%d sets=%v: coverable prefix %d, cond says %d", f, sets, got, want)
+			}
+		}
 	}
 }

@@ -3,9 +3,8 @@ package bw
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
-	"repro/internal/cond"
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -15,18 +14,24 @@ import (
 // sim.Handler; all state is confined to the node's goroutine.
 type Machine struct {
 	proto *Proto
+	plan  *plan
 	pre   *nodePre
 	id    int
 	input float64
 
-	cur    int
-	x      float64
-	rounds map[int]*roundState
+	cur int
+	x   float64
+	// rounds[r] is round r's state, nil until its first message; slot 0 is
+	// unused.
+	rounds []*roundState
 
-	// ext is the reusable redundant-extension scratch for deliverVal; the
-	// machine is single-threaded per the Handler contract, so one instance
-	// serves every delivery without reinitialization (epoch tagging).
-	ext redundantExt
+	// ext is the reusable redundant-extension scratch for deliverVal, and
+	// storage the reusable buffer a received path is extended in before it
+	// is known to be worth an allocation; the machine is single-threaded
+	// per the Handler contract, so one instance of each serves every
+	// delivery (ext without reinitialization: epoch tagging).
+	ext     redundantExt
+	storage graph.Path
 
 	output float64
 	done   bool
@@ -41,6 +46,9 @@ type Metrics struct {
 	MCFires       int
 	FAExecutions  int
 	TrimAnomalies int
+	// SeqDropped counts COMPLETE messages discarded for a sequence number
+	// no honest origin reaches.
+	SeqDropped int
 	// History records x_v[r] after each Filter-and-Average execution.
 	History []float64
 	// DecidedThreads records, per round, the suspect set F_v of the
@@ -48,20 +56,22 @@ type Metrics struct {
 	DecidedThreads []graph.Set
 }
 
-// NewMachine builds the node's machine, precomputing its fullness and
-// FIFO-path requirements. It fails if the graph's redundant-path count for
-// some candidate fault set exceeds the protocol's budget.
+// NewMachine builds the node's machine over the Proto's shared plan; the
+// first machine for a node computes that node's fullness and FIFO-path
+// requirements. It fails if the graph's redundant-path count for some
+// candidate fault set exceeds the protocol's budget.
 func NewMachine(p *Proto, id int, input float64) (*Machine, error) {
-	pre, err := p.precompute(id)
+	pre, err := p.nodePre(id)
 	if err != nil {
 		return nil, err
 	}
 	m := &Machine{
 		proto:  p,
+		plan:   p.plan,
 		pre:    pre,
 		id:     id,
 		input:  input,
-		rounds: make(map[int]*roundState),
+		rounds: make([]*roundState, p.Rounds+1),
 	}
 	m.ext.mark = make([]uint64, p.G.N())
 	return m, nil
@@ -97,19 +107,21 @@ func (m *Machine) Start(out *sim.Outbox) {
 func (m *Machine) Deliver(msg transport.Message, out *sim.Outbox) {
 	switch p := msg.Payload.(type) {
 	case ValPayload:
-		m.deliverVal(p, msg.From, out)
+		m.deliverVal(&p, msg.From, out)
 	case CompletePayload:
-		m.deliverComplete(p, msg.From, out)
+		m.deliverComplete(&p, msg.From, out)
 	default:
 		// Unknown payloads (from Byzantine peers) are ignored.
 	}
 	m.tryAdvance(out)
 }
 
+// round returns round r's state, creating it on the round's first message;
+// callers have checked 1 <= r <= Rounds.
 func (m *Machine) round(r int) *roundState {
-	rs, ok := m.rounds[r]
-	if !ok {
-		rs = newRoundState(r, m.pre)
+	rs := m.rounds[r]
+	if rs == nil {
+		rs = newRoundState(r, m.proto.G.N(), m.pre)
 		m.rounds[r] = rs
 	}
 	return rs
@@ -123,39 +135,53 @@ func (m *Machine) startRound(r int, out *sim.Outbox) {
 	rs.x = m.x
 	self := graph.Path{m.id}
 	out.Broadcast(ValPayload{Round: r, Value: m.x, Path: self})
-	m.acceptVal(rs, valEntry{
-		value: m.x,
-		key:   self.Key(),
-		set:   graph.SetOf(m.id),
-		init:  m.id,
-	}, out)
+	set := graph.SetOf(m.id)
+	rs.byPath[digestPath(self)] = struct{}{}
+	m.acceptVal(rs, m.x, self, &set, out)
+}
+
+// extend returns path with the local node appended, in the machine's
+// reusable buffer: valid until the next delivery.
+func (m *Machine) extend(path graph.Path) graph.Path {
+	m.storage = append(append(m.storage[:0], path...), m.id)
+	return m.storage
 }
 
 // deliverVal validates, relays and stores one RedundantFlood message
 // (Algorithm 4 plus the receiver-side checks of Appendix E).
-func (m *Machine) deliverVal(p ValPayload, from int, out *sim.Outbox) {
+func (m *Machine) deliverVal(p *ValPayload, from int, out *sim.Outbox) {
 	if p.Round < 1 || p.Round > m.proto.Rounds {
 		return
 	}
 	if len(p.Path) == 0 || p.Path.Ter() != from || !p.Path.ValidIn(m.proto.G) {
 		return
 	}
-	storage := p.Path.Append(m.id)
+	storage := m.extend(p.Path)
 	if !m.ext.analyze(storage) {
 		return // storage itself is not a redundant path
 	}
 
 	rs := m.round(p.Round)
-	key := storage.Key()
-	if _, dup := rs.byPath[key]; dup {
+	// One map operation both tests and records the path: the insert leaves
+	// the size unchanged exactly when the digest was already there.
+	stored := len(rs.byPath)
+	rs.byPath[digestPath(storage)] = struct{}{}
+	if len(rs.byPath) == stored {
 		return // first message per path wins (Algorithm 4 line 3)
 	}
+	// One copy of the extended path and one boxed payload serve every
+	// relay; a path no neighbor can extend costs neither.
+	var relay transport.Payload
 	for _, w := range m.proto.G.Out(m.id) {
 		if m.ext.extendable(w) {
-			out.Send(w, ValPayload{Round: p.Round, Value: p.Value, Path: storage})
+			if relay == nil {
+				relay = ValPayload{Round: p.Round, Value: p.Value, Path: storage.Clone()}
+			}
+			out.Send(w, relay)
 		}
 	}
-	m.acceptVal(rs, valEntry{value: p.Value, key: key, set: storage.Set(), init: storage.Init()}, out)
+	set := storage.Set()
+	m.acceptVal(rs, p.Value, storage, &set, out)
 }
 
 // redundantExt answers "is storage||w still a redundant path?" in O(1) per
@@ -255,21 +281,30 @@ func (e *redundantExt) extendable(w int) bool {
 
 // acceptVal appends the message to M_v and updates every parallel
 // execution: Maximal-Consistency progress for threads whose exclusion set
-// the path avoids, and outstanding Completeness clauses everywhere.
-func (m *Machine) acceptVal(rs *roundState, e valEntry, out *sim.Outbox) {
-	rs.byPath[e.key] = len(rs.entries)
-	rs.entries = append(rs.entries, e)
-	rs.byInit[e.init] = append(rs.byInit[e.init], len(rs.entries)-1)
+// the path avoids, and outstanding Completeness clauses everywhere. The
+// caller has recorded the path's digest in byPath; set is the path's nodes.
+func (m *Machine) acceptVal(rs *roundState, value float64, path graph.Path, set *graph.Set, out *sim.Outbox) {
+	e := int32(len(rs.vals))
+	init := path.Init()
+	rs.vals = append(rs.vals, value)
+	rs.keys = append(rs.keys, path.Key())
+	rs.sets = append(rs.sets, *set)
+	rs.byInit[init] = append(rs.byInit[init], e)
+	rs.order.insert(rs.keys, e)
 
-	for _, t := range rs.threads {
+	words := m.plan.words
+	for i := range rs.threads {
+		t := &rs.threads[i]
 		// Membership in the fullness set is a bitmask test: every accepted
 		// entry is a redundant path of G ending here, so it belongs to
-		// thread t's expected set exactly when it avoids F_v.
-		if !t.mcFired && !t.inconsistent && !e.set.Intersects(t.pre.fv) {
-			if prev, ok := t.initVals[e.init]; ok && prev != e.value {
+		// thread t's expected set exactly when it avoids F_v — and then its
+		// initial node reaches v outside F_v, so it has a rank in reach.
+		if !t.mcFired && !t.inconsistent && !intersects(set, &t.pre.fv, words) {
+			o := &t.origins[rankIn(&t.pre.reach, init)]
+			if o.seen && o.val != value {
 				t.inconsistent = true
 			} else {
-				t.initVals[e.init] = e.value
+				o.val, o.seen = value, true
 			}
 			t.missing--
 			if t.missing == 0 && !t.inconsistent {
@@ -277,13 +312,13 @@ func (m *Machine) acceptVal(rs *roundState, e valEntry, out *sim.Outbox) {
 			}
 		}
 		if t.snapshotDone && t.pendingLeft > 0 {
-			for _, cl := range t.clauseByInit[e.init] {
-				if cl.satisfied || cl.want != e.value {
+			for _, cl := range t.clauseByInit[init] {
+				if cl.satisfied || cl.want != value {
 					continue
 				}
-				cl.addPath(e.set)
+				cl.addPath(set)
 				if cl.satisfied {
-					m.clauseSatisfied(t, cl)
+					clauseSatisfied(t, cl)
 				}
 			}
 		}
@@ -292,35 +327,51 @@ func (m *Machine) acceptVal(rs *roundState, e valEntry, out *sim.Outbox) {
 
 // fireMC executes lines 10-11: the Maximal-Consistency condition holds for
 // this thread for the first time, so the node FIFO-floods
-// (M_v excluding F_v, COMPLETE(F_v)).
+// (M_v excluding F_v, COMPLETE(F_v)). The entries go out sorted by path key
+// so that equal message sets serialize identically: a filtered walk of the
+// round's key order.
 func (m *Machine) fireMC(rs *roundState, t *threadState, out *sim.Outbox) {
 	t.mcFired = true
 	m.metrics.MCFires++
 
-	entries := make([]ValEntry, 0, len(t.initVals))
-	for _, e := range rs.entries {
-		if !e.set.Intersects(t.pre.fv) {
-			entries = append(entries, ValEntry{Value: e.value, PathKey: e.key})
+	// Exactly the fullness set: missing just reached zero.
+	entries := make([]ValEntry, 0, t.pre.expectedCount)
+	words := m.plan.words
+	for _, e := range rs.order.sorted(rs.keys) {
+		if !intersects(&rs.sets[e], &t.pre.fv, words) {
+			entries = append(entries, ValEntry{Value: rs.vals[e], PathKey: rs.keys[e]})
 		}
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].PathKey < entries[j].PathKey })
 
 	rs.outSeq++
+	self := graph.Path{m.id}
 	payload := CompletePayload{
 		Round:   rs.round,
 		Origin:  m.id,
 		Seq:     rs.outSeq,
 		Tag:     t.pre.fv,
 		Entries: entries,
-		Path:    graph.Path{m.id},
+		Path:    self,
 	}
 	out.Broadcast(payload)
 	// The node FIFO-receives its own flood through the trivial path <v>.
-	m.registerComplete(rs, &payload, graph.Path{m.id}, out)
+	set := graph.SetOf(m.id)
+	m.registerComplete(rs, m.floodInfo(&payload), m.stream(rs, digestPath(self), &set))
+}
+
+// stream returns the round's FIFO stream for the storage path with the
+// given digest and node set, creating it on first use.
+func (m *Machine) stream(rs *roundState, dig pathDigest, set *graph.Set) *fifoStream {
+	st, ok := rs.streams[dig]
+	if !ok {
+		st = &fifoStream{digest: dig, set: *set, next: 1}
+		rs.streams[dig] = st
+	}
+	return st
 }
 
 // deliverComplete validates, relays and FIFO-buffers one COMPLETE message.
-func (m *Machine) deliverComplete(p CompletePayload, from int, out *sim.Outbox) {
+func (m *Machine) deliverComplete(p *CompletePayload, from int, out *sim.Outbox) {
 	if p.Round < 1 || p.Round > m.proto.Rounds || p.Seq < 1 {
 		return
 	}
@@ -330,52 +381,60 @@ func (m *Machine) deliverComplete(p CompletePayload, from int, out *sim.Outbox) 
 	if p.Tag.Count() > m.proto.F || p.Tag.Has(p.Origin) {
 		return // no honest thread floods such a tag (line 5)
 	}
-	storage := p.Path.Append(m.id)
-	if !storage.IsSimple() {
-		return // FIFO floods use simple paths only (Appendix F)
+	if p.Seq > m.plan.seqCap {
+		// An honest origin floods once per thread per round, so no honest
+		// stream reaches this number; parking it would let one Byzantine
+		// in-neighbor grow the buffer, and the relay traffic, without bound.
+		m.metrics.SeqDropped++
+		return
+	}
+	storage := m.extend(p.Path)
+	var set graph.Set
+	for _, v := range storage {
+		if !addNode(&set, v) {
+			return // FIFO floods use simple paths only (Appendix F)
+		}
 	}
 	rs := m.round(p.Round)
 	// The stream is keyed by (origin, path); the path digest alone suffices
 	// because the path begins at the origin (validated above).
-	streamKey := digestPath(storage)
-	st, ok := rs.streams[streamKey]
-	if !ok {
-		st = &fifoStream{next: 1, buf: make(map[int]*bufferedComplete)}
-		rs.streams[streamKey] = st
-	}
-	if _, dup := st.buf[p.Seq]; dup || p.Seq < st.next {
+	st := m.stream(rs, digestPath(storage), &set)
+	if p.Seq < st.next || (p.Seq <= len(st.buf) && st.buf[p.Seq-1] != nil) {
 		return // first message per (origin, path, seq) wins
 	}
 	// Relay before FIFO reordering: forwarding is immediate, ordering is
-	// enforced receiver-side.
+	// enforced receiver-side. As for VAL, one path copy and one boxed
+	// payload serve every relay.
+	var relay transport.Payload
 	for _, w := range m.proto.G.Out(m.id) {
-		if !storage.Set().Has(w) {
-			fwd := p
-			fwd.Path = storage
-			out.Send(w, fwd)
+		if !hasNode(&set, w) {
+			if relay == nil {
+				fwd := *p
+				fwd.Path = storage.Clone()
+				relay = fwd
+			}
+			out.Send(w, relay)
 		}
 	}
-	st.buf[p.Seq] = &bufferedComplete{payload: &p, storage: storage}
-	for {
-		b, ok := st.buf[st.next]
-		if !ok {
-			break
-		}
-		delete(st.buf, st.next)
+	for len(st.buf) < p.Seq {
+		st.buf = append(st.buf, nil)
+	}
+	st.buf[p.Seq-1] = m.floodInfo(p)
+	for st.next <= len(st.buf) && st.buf[st.next-1] != nil {
+		info := st.buf[st.next-1]
 		st.next++
-		m.registerComplete(rs, b.payload, b.storage, out)
+		m.registerComplete(rs, info, st)
 	}
 }
 
-// digestKey identifies a COMPLETE payload's content by the identity of its
+// floodKey identifies a COMPLETE payload's content by the identity of its
 // (immutable, relay-shared) entry slice, so the flood summary is computed
 // once per distinct flood rather than once per delivered copy — and, via
 // the Proto's shared cache, once per run rather than once per receiver.
-// Two payloads share a cache entry only when they share the same backing
-// array, origin and tag — in which case their contents are byte-identical.
-type digestKey struct {
+// Two payloads sharing the same backing array and origin differ at most in
+// their tag, which the cached summary records and floodInfo compares.
+type floodKey struct {
 	origin int
-	tag    graph.Set
 	first  *ValEntry
 	n      int
 }
@@ -387,20 +446,24 @@ func (m *Machine) floodInfo(p *CompletePayload) *floodInfo {
 	if len(p.Entries) > 0 {
 		first = &p.Entries[0]
 	}
-	dk := digestKey{origin: p.Origin, tag: p.Tag, first: first, n: len(p.Entries)}
-	if v, ok := m.proto.floods.Load(dk); ok {
-		return v.(*floodInfo)
+	fk := floodKey{origin: p.Origin, first: first, n: len(p.Entries)}
+	if v, ok := m.proto.floods.Load(fk); ok {
+		if info := v.(*floodInfo); info.tag == p.Tag {
+			return info
+		}
+		// The same entries under another tag (a Byzantine relay's doing):
+		// summarized per delivery, the cache slot stays with the first.
+		return m.proto.newFloodInfo(p)
 	}
 	// LoadOrStore, not Store: machines on different parallel-engine lanes
 	// may race to summarize the same flood. The summary is a pure function
 	// of the payload content, so whichever instance wins the race is
 	// equivalent — LoadOrStore just keeps one canonical pointer in the map.
-	v, _ := m.proto.floods.LoadOrStore(dk, newFloodInfo(p))
-	return v.(*floodInfo)
-}
-
-func (m *Machine) contentDigest(p *CompletePayload) string {
-	return m.floodInfo(p).key
+	info := m.proto.newFloodInfo(p)
+	if v, loaded := m.proto.floods.LoadOrStore(fk, info); loaded && v.(*floodInfo).tag == p.Tag {
+		return v.(*floodInfo)
+	}
+	return info
 }
 
 // registerComplete processes one FIFO-delivered COMPLETE: it records the
@@ -408,53 +471,55 @@ func (m *Machine) contentDigest(p *CompletePayload) string {
 // suspect set matches the tag, and — when that condition fires — snapshots
 // the qualifying COMPLETE messages for verification (Algorithm 1 lines
 // 12-13 and the Section 4.3 snapshot semantics).
-func (m *Machine) registerComplete(rs *roundState, p *CompletePayload, storage graph.Path, out *sim.Outbox) {
-	info := m.floodInfo(p)
-	key := info.key
-	rec, ok := rs.contents[key]
+func (m *Machine) registerComplete(rs *roundState, info *floodInfo, st *fifoStream) {
+	ci, ok := rs.contentIdx[info.key]
 	if !ok {
-		rec = &contentRecord{
-			origin: p.Origin,
-			tag:    p.Tag,
-			info:   info,
-			via:    make(map[pathDigest]graph.Set),
-		}
-		rs.contents[key] = rec
-		rs.contentOrder = append(rs.contentOrder, key)
+		ci = int32(len(rs.contents))
+		rs.contentIdx[info.key] = ci
+		rs.contents = append(rs.contents, contentRecord{info: info})
 	}
-	dig := digestPath(storage)
-	rec.via[dig] = storage.Set()
+	rec := &rs.contents[ci]
+	rec.via = append(rec.via, st)
 
-	idx, ok := m.pre.byFv[p.Tag]
-	if !ok {
+	if info.tagIdx < 0 {
 		return
 	}
-	t := rs.threads[idx]
+	ti := m.pre.threadOf[info.tagIdx]
+	if ti < 0 {
+		return
+	}
+	t := &rs.threads[ti]
 	if t.fifoDone {
 		return
 	}
-	required, ok := t.pre.requiredFIFO[p.Origin]
-	if !ok {
+	r := rankIn(&t.pre.reach, info.key.origin)
+	if r < 0 {
 		return // origin outside reach_v(F_v); not part of the condition
 	}
-	if _, need := required[dig]; !need {
+	num, need := t.pre.required[st.digest]
+	if !need {
 		return
 	}
-	byContent, ok := t.perOrigin[p.Origin]
-	if !ok {
-		byContent = make(map[string]map[pathDigest]struct{})
-		t.perOrigin[p.Origin] = byContent
+	o := &t.origins[r]
+	var fp *fifoProgress
+	for i := range o.progress {
+		if o.progress[i].content == ci {
+			fp = &o.progress[i]
+			break
+		}
 	}
-	paths, ok := byContent[key]
-	if !ok {
-		paths = make(map[pathDigest]struct{})
-		byContent[key] = paths
+	if fp == nil {
+		o.progress = append(o.progress, fifoProgress{content: ci, got: make([]uint64, (t.pre.need[r]+63)>>6)})
+		fp = &o.progress[len(o.progress)-1]
 	}
-	paths[dig] = struct{}{}
-	if len(paths) == len(required) && !t.satisfied[p.Origin] {
-		t.satisfied[p.Origin] = true
+	if bit := uint64(1) << (num & 63); fp.got[num>>6]&bit == 0 {
+		fp.got[num>>6] |= bit
+		fp.count++
+	}
+	if fp.count == t.pre.need[r] && !o.satisfied {
+		o.satisfied = true
 		t.satCount++
-		if t.satCount == len(t.pre.requiredFIFO) {
+		if t.satCount == t.pre.origins {
 			t.fifoDone = true
 			m.buildSnapshot(rs, t)
 		}
@@ -464,19 +529,20 @@ func (m *Machine) registerComplete(rs *roundState, p *CompletePayload, storage g
 // buildSnapshot freezes the set of COMPLETE messages this thread must
 // verify: every consistent content FIFO-received so far through at least
 // one simple (c,v)-path inside reach_v(F_v) (Verify, lines 20-26). Each
-// snapshot member contributes the Algorithm 2 clauses; clause state is
-// shared across snapshot members imposing the same (S, q, want) obligation.
+// snapshot member contributes the Algorithm 2 clauses its tag's plan list
+// names; clause state is shared across snapshot members imposing the same
+// (S, q, want) obligation.
 func (m *Machine) buildSnapshot(rs *roundState, t *threadState) {
-	t.clauseByInit = make(map[int][]*clause)
-	t.clauseDedup = make(map[sharedClauseKey]*clause)
-	for _, key := range rs.contentOrder {
-		rec := rs.contents[key]
+	t.clauseByInit = make([][]*clause, m.proto.G.N())
+	words := m.plan.words
+	for ci := range rs.contents {
+		rec := &rs.contents[ci]
 		if !rec.info.consistent {
 			continue
 		}
 		qualifies := false
-		for _, set := range rec.via {
-			if set.Minus(t.pre.reach).Empty() {
+		for _, st := range rec.via {
+			if within(&st.set, &t.pre.reach, words) {
 				qualifies = true
 				break
 			}
@@ -484,37 +550,22 @@ func (m *Machine) buildSnapshot(rs *roundState, t *threadState) {
 		if !qualifies {
 			continue
 		}
-		pc := &pendingComplete{content: rec, fu: rec.tag}
-		type pcClauseKey struct {
-			s graph.Set
-			q int
-		}
-		seen := make(map[pcClauseKey]struct{})
-		for _, fw := range m.proto.FaultSets {
-			if fw == rec.tag {
-				continue
-			}
-			s := m.proto.SourceComponent(rec.tag, fw)
-			for _, q := range s.Members() {
-				ck := pcClauseKey{s: s, q: q}
-				if _, dup := seen[ck]; dup {
-					continue
-				}
-				seen[ck] = struct{}{}
-				want, okv := rec.info.values[q]
-				if !okv {
+		pi := int32(len(t.pending))
+		var pc pendingComplete
+		// A tag that is no fault set has no source components, hence no
+		// clauses.
+		if rec.info.tagIdx >= 0 {
+			for _, c := range m.plan.clauses[rec.info.tagIdx] {
+				want, ok := rec.info.value(int(c.q))
+				if !ok {
 					pc.impossible = true
 					break
 				}
-				cl := m.sharedClause(rs, t, s, q, want)
-				pc.clauses = append(pc.clauses, cl)
+				cl := m.sharedClause(rs, t, c, want)
 				if !cl.satisfied {
 					pc.remaining++
-					cl.subscribers = append(cl.subscribers, pc)
+					cl.subscribers = append(cl.subscribers, pi)
 				}
-			}
-			if pc.impossible {
-				break
 			}
 		}
 		t.pending = append(t.pending, pc)
@@ -527,31 +578,33 @@ func (m *Machine) buildSnapshot(rs *roundState, t *threadState) {
 
 // sharedClause returns the thread's clause for (S, q, want), creating and
 // pre-feeding it from the current M_v on first use.
-func (m *Machine) sharedClause(rs *roundState, t *threadState, s graph.Set, q int, want float64) *clause {
-	key := sharedClauseKey{s: s, q: q, wantBits: math.Float64bits(want)}
-	if cl, ok := t.clauseDedup[key]; ok {
-		return cl
+func (m *Machine) sharedClause(rs *roundState, t *threadState, c planClause, want float64) *clause {
+	wantBits := math.Float64bits(want)
+	for _, cl := range t.clauseByInit[c.q] {
+		if cl.comp == c.comp && math.Float64bits(cl.want) == wantBits {
+			return cl
+		}
 	}
 	cl := &clause{
-		s: s, q: q, want: want, f: m.proto.F,
-		allowed: m.proto.G.Nodes().Minus(s).Remove(m.id),
+		comp: c.comp, want: want, f: m.proto.F,
+		allowed: m.plan.comps[c.comp].outside.Remove(m.id),
 	}
-	for _, idx := range rs.byInit[q] {
-		if e := rs.entries[idx]; e.value == want {
-			cl.addPath(e.set)
+	for _, e := range rs.byInit[c.q] {
+		if rs.vals[e] == want {
+			cl.addPath(&rs.sets[e])
 			if cl.satisfied {
 				break
 			}
 		}
 	}
-	t.clauseDedup[key] = cl
-	t.clauseByInit[q] = append(t.clauseByInit[q], cl)
+	t.clauseByInit[c.q] = append(t.clauseByInit[c.q], cl)
 	return cl
 }
 
 // clauseSatisfied fans a newly satisfied clause out to its subscribers.
-func (m *Machine) clauseSatisfied(t *threadState, cl *clause) {
-	for _, pc := range cl.subscribers {
+func clauseSatisfied(t *threadState, cl *clause) {
+	for _, pi := range cl.subscribers {
+		pc := &t.pending[pi]
 		if pc.impossible {
 			continue
 		}
@@ -569,14 +622,14 @@ func (m *Machine) clauseSatisfied(t *threadState, cl *clause) {
 // delivery.
 func (m *Machine) tryAdvance(out *sim.Outbox) {
 	for !m.done {
-		rs, ok := m.rounds[m.cur]
-		if !ok || !rs.started || rs.advanced {
+		rs := m.rounds[m.cur]
+		if rs == nil || !rs.started || rs.advanced {
 			return
 		}
 		var winner *threadState
-		for _, t := range rs.threads {
-			if t.verified() {
-				winner = t
+		for i := range rs.threads {
+			if rs.threads[i].verified() {
+				winner = &rs.threads[i]
 				break
 			}
 		}
@@ -604,36 +657,51 @@ func (m *Machine) tryAdvance(out *sim.Outbox) {
 // extremes. The node's own trivial-path message admits no cover (a node
 // never suspects itself), so the trimmed vector is always nonempty.
 func (m *Machine) filterAndAverage(rs *roundState) float64 {
-	order := make([]int, len(rs.entries))
-	for i := range order {
-		order[i] = i
+	// Ties in value are broken by path key: an entry's position in the
+	// round's key order stands in for comparing the strings.
+	byKey := rs.order.sorted(rs.keys)
+	rank := make([]int32, len(byKey))
+	for pos, e := range byKey {
+		rank[e] = int32(pos)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ea, eb := rs.entries[order[a]], rs.entries[order[b]]
-		if ea.value != eb.value {
-			return ea.value < eb.value
+	order := slices.Clone(byKey)
+	slices.SortFunc(order, func(a, b int32) int {
+		if va, vb := rs.vals[a], rs.vals[b]; va != vb {
+			if va < vb {
+				return -1
+			}
+			return 1
 		}
-		return ea.key < eb.key
+		return int(rank[a] - rank[b])
 	})
-	sets := make([]graph.Set, len(order))
-	for i, idx := range order {
-		sets[i] = rs.entries[idx].set
-	}
-	allowed := m.proto.G.Nodes().Remove(m.id)
-	lo := cond.CoverablePrefix(sets, m.proto.F, allowed)
-	rev := make([]graph.Set, len(sets))
-	for i := range sets {
-		rev[i] = sets[len(sets)-1-i]
-	}
-	hi := cond.CoverablePrefix(rev, m.proto.F, allowed)
+	lo := m.coverablePrefix(rs, order)
+	slices.Reverse(order)
+	hi := m.coverablePrefix(rs, order)
 	if lo+hi >= len(order) {
 		// Unreachable when the node's own message is present; defensive.
 		m.metrics.TrimAnomalies++
 		return rs.x
 	}
-	low := rs.entries[order[lo]].value
-	high := rs.entries[order[len(order)-1-hi]].value
+	// order is descending now.
+	low := rs.vals[order[len(order)-1-lo]]
+	high := rs.vals[order[hi]]
 	return (low + high) / 2
+}
+
+// coverablePrefix returns the largest k such that the paths of the first k
+// entries of order admit an f-cover that excludes the local node (lines 2–3
+// of Algorithm 3). Covering only gets harder as paths are added, so k is
+// where the incremental cover filter of a clause over V \ {v} first runs
+// out of candidates.
+func (m *Machine) coverablePrefix(rs *roundState, order []int32) int {
+	cl := clause{f: m.proto.F, allowed: m.proto.G.Nodes().Remove(m.id)}
+	for k, e := range order {
+		cl.addPath(&rs.sets[e])
+		if cl.satisfied {
+			return k
+		}
+	}
+	return len(order)
 }
 
 // String aids debugging.

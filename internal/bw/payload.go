@@ -13,8 +13,8 @@
 package bw
 
 import (
-	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -56,7 +56,7 @@ type CompletePayload struct {
 // Kind implements transport.Payload.
 func (CompletePayload) Kind() string { return "COMPLETE" }
 
-// contentKey digests the content of a COMPLETE message (origin, tag and
+// contentKey identifies the content of a COMPLETE message (origin, tag and
 // entry set — not the propagation path or sequence number), so that "the
 // same message received from all paths" (the FIFO-Receive-All condition,
 // Algorithm 1 line 12) is a key comparison. The digest is a 128-bit FNV-1a
@@ -64,7 +64,12 @@ func (CompletePayload) Kind() string { return "COMPLETE" }
 // paths, so full canonical serialization per receipt dominated profiles;
 // a collision would require two distinct Byzantine message sets hashing
 // identically under both variants, which is negligible at simulation scale.
-func (c CompletePayload) contentKey() string {
+type contentKey struct {
+	origin int
+	h1, h2 uint64
+}
+
+func (c *CompletePayload) contentKey() contentKey {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -91,60 +96,88 @@ func (c CompletePayload) contentKey() string {
 		mix(0xff) // entry separator
 		mix64(math.Float64bits(e.Value))
 	}
-	var out [18]byte
-	out[0] = byte(c.Origin >> 8)
-	out[1] = byte(c.Origin)
-	for i := 0; i < 8; i++ {
-		out[2+i] = byte(h1 >> (8 * i))
-		out[10+i] = byte(h2 >> (8 * i))
-	}
-	return string(out[:])
+	return contentKey{origin: c.Origin, h1: h1, h2: h2}
 }
 
 // floodInfo is the receiver-independent summary of one distinct COMPLETE
-// flood: its content key and per-origin value map with the Definition 8
-// consistency flag. It is computed once per flood and shared by every
-// receiver through the Proto's flood cache — both the content hash and the
-// value-map scan cost O(|entries|), which per receiver added up to the
-// dominant term of large-graph profiles.
+// flood: its content key, its tag as a fault-set index, and its per-origin
+// values with the Definition 8 consistency flag. It is computed once per
+// flood and shared by every receiver through the Proto's flood cache —
+// both the content hash and the value scan cost O(|entries|), which per
+// receiver added up to the dominant term of large-graph profiles.
 type floodInfo struct {
-	key        string
+	key        contentKey
+	tag        graph.Set
+	tagIdx     int32 // index of tag in Proto.FaultSets; -1 when it is not a fault set
 	consistent bool
-	values     map[int]float64 // init node -> unique value (Definition 8)
+	values     []originValue // init node -> unique value (Definition 8), ascending by node
 }
 
-func newFloodInfo(p *CompletePayload) *floodInfo {
+type originValue struct {
+	node  int
+	value float64
+}
+
+func (p *Proto) newFloodInfo(c *CompletePayload) *floodInfo {
 	info := &floodInfo{
-		key:        p.contentKey(),
+		key:        c.contentKey(),
+		tag:        c.Tag,
+		tagIdx:     p.tagIndex(&c.Tag),
 		consistent: true,
-		values:     make(map[int]float64),
 	}
-	for _, e := range p.Entries {
+	// Entries arrive sorted by path key, so an honest flood's origins are
+	// already ascending with each one's entries adjacent; only a Byzantine
+	// flood takes the sort and the second folding pass.
+	ordered := true
+	for _, e := range c.Entries {
 		init := graph.KeyInit(e.PathKey)
 		if init < 0 {
 			info.consistent = false
 			continue
 		}
-		if prev, ok := info.values[init]; ok && prev != e.Value {
-			info.consistent = false
+		if n := len(info.values); n > 0 && info.values[n-1].node > init {
+			ordered = false
 		}
-		info.values[init] = e.Value
+		info.add(originValue{node: init, value: e.Value})
+	}
+	if !ordered {
+		vals := info.values
+		slices.SortStableFunc(vals, func(a, b originValue) int { return a.node - b.node })
+		info.values = vals[:0]
+		for _, ov := range vals {
+			info.add(ov)
+		}
 	}
 	return info
 }
 
-// contentRecord is the per-receiver state of one distinct COMPLETE content:
-// the shared flood summary plus the set of propagation paths it has been
-// FIFO-received through so far at this node.
-type contentRecord struct {
-	origin int
-	tag    graph.Set
-	info   *floodInfo
-	via    map[pathDigest]graph.Set // delivered path digest -> node set of that path
+// add folds the next entry into values: one slot per origin holding its
+// latest value, the set inconsistent as soon as two consecutive values of
+// one origin differ (Definition 8).
+func (info *floodInfo) add(ov originValue) {
+	if n := len(info.values); n > 0 && info.values[n-1].node == ov.node {
+		if info.values[n-1].value != ov.value {
+			info.consistent = false
+		}
+		info.values[n-1].value = ov.value
+		return
+	}
+	info.values = append(info.values, ov)
 }
 
-// String aids debugging.
-func (r *contentRecord) String() string {
-	return fmt.Sprintf("COMPLETE(origin=%d tag=%s consistent=%v |values|=%d)",
-		r.origin, r.tag, r.info.consistent, len(r.info.values))
+// value returns value_q of the flood's message set.
+func (info *floodInfo) value(q int) (float64, bool) {
+	lo, hi := 0, len(info.values)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if info.values[mid].node < q {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(info.values) && info.values[lo].node == q {
+		return info.values[lo].value, true
+	}
+	return 0, false
 }

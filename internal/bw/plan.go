@@ -1,0 +1,300 @@
+package bw
+
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+	"sync"
+
+	"repro/internal/graph"
+)
+
+// plan is the graph-derived half of a Proto: every table the machines
+// consult that depends only on (G, F) and not on inputs, seeds or messages.
+// It numbers what the round state would otherwise key by value — fault sets
+// by their index in Proto.FaultSets, source components by their index in
+// comps, an origin's required FIFO paths 0..k-1 — so that per-delivery work
+// is integer indexing, and it holds no per-run state, so one plan can serve
+// any number of executions on the same (G, F). Built once per Proto on the
+// first NewMachine; read-only and safe for concurrent use afterwards.
+type plan struct {
+	// words is how many 64-bit words of a graph.Set the graph's order
+	// occupies. Sets built from validated paths carry no bits beyond it, so
+	// the pointer-form set operations below stop there.
+	words int
+	// seqCap is the number of fault sets not containing a given node — the
+	// same for every node — and so the most COMPLETE floods (one per
+	// thread) an honest origin sends in one round.
+	seqCap int
+	// tagOrder lists fault-set indices in compareSets order; tagIndex
+	// binary-searches it.
+	tagOrder []int32
+
+	// comps are the distinct source components S_{Fi,Fj} (Definition 6);
+	// srcComp[i*T+j] indexes the one for fault sets i and j.
+	comps   []sourceComp
+	srcComp []int32
+	// clauses[i] is the Algorithm 2 obligation list of a COMPLETE tagged
+	// with fault set i: every (S_{Fi,Fw}, q ∈ S) for Fw ≠ Fi, each pair
+	// once, in the order the Fw and q loops first reach it.
+	clauses [][]planClause
+
+	// nodes[v] is node v's static context, built on the first NewMachine
+	// for v.
+	nodes []nodeSlot
+}
+
+// sourceComp is one distinct source component with the derived forms its
+// clauses use.
+type sourceComp struct {
+	s       graph.Set
+	outside graph.Set // V \ S: where covers are sought, before the local node is removed
+	members []int
+}
+
+// planClause names one Completeness obligation: node q of source component
+// comps[comp].
+type planClause struct {
+	comp int32
+	q    int32
+}
+
+type nodeSlot struct {
+	once sync.Once
+	pre  *nodePre
+	err  error
+}
+
+// getPlan returns the Proto's plan, building it on first use.
+func (p *Proto) getPlan() *plan {
+	p.planOnce.Do(func() { p.plan = p.buildPlan() })
+	return p.plan
+}
+
+func (p *Proto) buildPlan() *plan {
+	n, T := p.G.N(), len(p.FaultSets)
+	pl := &plan{
+		words:    (n + 63) >> 6,
+		seqCap:   graph.CountSubsets(n-1, p.F),
+		tagOrder: make([]int32, T),
+		srcComp:  make([]int32, T*T),
+		clauses:  make([][]planClause, T),
+		nodes:    make([]nodeSlot, n),
+	}
+	for i := range pl.tagOrder {
+		pl.tagOrder[i] = int32(i)
+	}
+	slices.SortFunc(pl.tagOrder, func(a, b int32) int {
+		return compareSets(&p.FaultSets[a], &p.FaultSets[b])
+	})
+
+	// S_{Fi,Fj} depends on (Fi, Fj) only through the union, and many unions
+	// share one component: compute once per union, store once per value.
+	all := p.G.Nodes()
+	byUnion := make(map[graph.Set]int32)
+	byValue := make(map[graph.Set]int32)
+	for i := 0; i < T; i++ {
+		for j := i; j < T; j++ {
+			u := p.FaultSets[i].Union(p.FaultSets[j])
+			c, ok := byUnion[u]
+			if !ok {
+				s := p.G.SourceComponent(u, graph.EmptySet)
+				if c, ok = byValue[s]; !ok {
+					c = int32(len(pl.comps))
+					byValue[s] = c
+					pl.comps = append(pl.comps, sourceComp{s: s, outside: all.Minus(s), members: s.Members()})
+				}
+				byUnion[u] = c
+			}
+			pl.srcComp[i*T+j], pl.srcComp[j*T+i] = c, c
+		}
+	}
+
+	seen := make(map[planClause]struct{})
+	for i := 0; i < T; i++ {
+		clear(seen)
+		for j := 0; j < T; j++ {
+			if j == i {
+				continue
+			}
+			c := pl.srcComp[i*T+j]
+			for _, q := range pl.comps[c].members {
+				pc := planClause{comp: c, q: int32(q)}
+				if _, dup := seen[pc]; !dup {
+					seen[pc] = struct{}{}
+					pl.clauses[i] = append(pl.clauses[i], pc)
+				}
+			}
+		}
+	}
+	return pl
+}
+
+// tagIndex returns the index of tag in Proto.FaultSets, or -1 when tag is
+// not a fault set (more than f members, or members outside the graph).
+func (p *Proto) tagIndex(tag *graph.Set) int32 {
+	order := p.plan.tagOrder
+	lo, hi := 0, len(order)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		switch c := compareSets(&p.FaultSets[order[mid]], tag); {
+		case c == 0:
+			return order[mid]
+		case c < 0:
+			lo = mid + 1
+		default:
+			hi = mid
+		}
+	}
+	return -1
+}
+
+// nodePre is the full static context of one node's machine.
+type nodePre struct {
+	threads []*threadPre
+	// threadOf maps a fault-set index to the position in threads of the
+	// thread suspecting it, -1 for sets containing the node itself.
+	threadOf []int32
+	// simplePaths counts the simple paths of G ending at the node, trivial
+	// path included: the FIFO streams a round can ever hold.
+	simplePaths int
+}
+
+// threadPre is the per-(node, suspect set) static context: the reach set,
+// the fullness target of the Maximal-Consistency condition and the
+// per-origin simple-path requirements of the FIFO-Receive-All condition.
+type threadPre struct {
+	fv    graph.Set
+	reach graph.Set
+	// expectedCount is the size of the fullness set
+	// {p ∈ Pr_{V\Fv} : ter(p) = v} of Definition 9. Only the count is
+	// needed at run time: every accepted entry is a redundant path of G
+	// ending at v, so it belongs to the set exactly when it avoids F_v —
+	// membership never has to be tested, and the paths are counted without
+	// being materialized (graph.CountRedundantPathsTo), which is what keeps
+	// the precomputation feasible on the scale experiments' graphs.
+	expectedCount int
+	// required numbers, per origin c, the simple (c,v)-paths contained in
+	// reach_v(Fv) 0..k-1, keyed by path digest (Algorithm 1 line 12); a
+	// digest determines its origin, so one map serves the whole thread.
+	// need[i] is k for the i-th member of reach in ascending order — the
+	// rank every per-origin table of this thread's round state is indexed
+	// by — and origins counts the members with k > 0.
+	required map[pathDigest]uint32
+	need     []uint32
+	origins  int
+}
+
+// nodePre returns node v's static context, enumerating redundant paths
+// within the budget the first time v is asked for.
+func (p *Proto) nodePre(v int) (*nodePre, error) {
+	slot := &p.getPlan().nodes[v]
+	slot.once.Do(func() { slot.pre, slot.err = p.precompute(v) })
+	return slot.pre, slot.err
+}
+
+func (p *Proto) precompute(v int) (*nodePre, error) {
+	pre := &nodePre{threadOf: make([]int32, len(p.FaultSets))}
+	for i, fv := range p.FaultSets {
+		if fv.Has(v) {
+			pre.threadOf[i] = -1
+			continue
+		}
+		t := &threadPre{fv: fv, reach: p.G.ReachSet(v, fv)}
+		count, err := p.G.CountRedundantPathsTo(v, fv, p.PathBudget)
+		if err != nil {
+			return nil, fmt.Errorf("bw: node %d, thread %s: %w", v, fv, err)
+		}
+		t.expectedCount = count
+		// All simple paths ending at v whose nodes lie inside the reach
+		// set; grouped by initial node they realize line 12's requirement.
+		outside := p.G.Nodes().Minus(t.reach)
+		simple, err := p.G.SimplePathsTo(v, outside, p.PathBudget)
+		if err != nil {
+			return nil, fmt.Errorf("bw: node %d, thread %s simple paths: %w", v, fv, err)
+		}
+		t.required = make(map[pathDigest]uint32, len(simple))
+		t.need = make([]uint32, t.reach.Count())
+		for _, sp := range simple {
+			r := rankIn(&t.reach, sp.Init())
+			if t.need[r] == 0 {
+				t.origins++
+			}
+			t.required[digestPath(sp)] = t.need[r]
+			t.need[r]++
+		}
+		if fv.Empty() {
+			pre.simplePaths = len(simple)
+		}
+		pre.threadOf[i] = int32(len(pre.threads))
+		pre.threads = append(pre.threads, t)
+	}
+	return pre, nil
+}
+
+// Pointer forms of the graph.Set operations the per-delivery paths use. A
+// Set is 128 bytes (512 under graph4096) and its value-receiver methods
+// copy both operands; these read in place.
+
+// compareSets orders sets as multiword integers. It reads every word: tags
+// arrive from the wire and may carry bits beyond the graph's order.
+func compareSets(a, b *graph.Set) int {
+	for i := len(a) - 1; i >= 0; i-- {
+		if a[i] != b[i] {
+			if a[i] < b[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
+// hasNode reports v ∈ s.
+func hasNode(s *graph.Set, v int) bool {
+	return s[uint(v)>>6]>>(uint(v)&63)&1 != 0
+}
+
+// addNode adds v to s and reports whether it was absent.
+func addNode(s *graph.Set, v int) bool {
+	w, bit := uint(v)>>6, uint64(1)<<(uint(v)&63)
+	if s[w]&bit != 0 {
+		return false
+	}
+	s[w] |= bit
+	return true
+}
+
+// intersects reports a ∩ b ≠ ∅ over the first words words.
+func intersects(a, b *graph.Set, words int) bool {
+	for i := 0; i < words; i++ {
+		if a[i]&b[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// within reports a ⊆ b over the first words words.
+func within(a, b *graph.Set, words int) bool {
+	for i := 0; i < words; i++ {
+		if a[i]&^b[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// rankIn returns the number of members of s below v, or -1 when v is not a
+// member: the index of v in any table laid out over s's members.
+func rankIn(s *graph.Set, v int) int {
+	if uint(v) >= uint(graph.MaxNodes) || !hasNode(s, v) {
+		return -1
+	}
+	w, bit := uint(v)>>6, uint(v)&63
+	r := bits.OnesCount64(s[w] & (1<<bit - 1))
+	for i := uint(0); i < w; i++ {
+		r += bits.OnesCount64(s[i])
+	}
+	return r
+}

@@ -9,10 +9,9 @@ import (
 )
 
 // Proto holds the static, shared context of a BW execution: the topology,
-// the resilience parameter, the termination bound and the precomputed
-// structures every node consults (fault-set enumeration and source
-// components). A Proto is immutable after construction and safely shared by
-// all node machines.
+// the resilience parameter, the termination bound and the fault-set
+// enumeration. Its fields are immutable after construction and it is safely
+// shared by all node machines.
 type Proto struct {
 	G   *graph.Graph
 	F   int
@@ -28,23 +27,25 @@ type Proto struct {
 
 	// FaultSets enumerates every F ⊆ V with |F| <= f in a deterministic
 	// order; one parallel thread per member of this list runs at each node
-	// (restricted to sets not containing the node itself).
+	// (restricted to sets not containing the node itself). A COMPLETE tag is
+	// referred to by its index in this list everywhere past validation.
 	FaultSets []graph.Set
-	// srcComp maps a removal union F1 ∪ F2 (size <= 2f) to the source
-	// component S_{F1,F2} of Definition 6, which depends on F1, F2 only
-	// through their union.
-	srcComp map[graph.Set]graph.Set
 
-	// floods caches the content digest and per-origin value map of each
-	// distinct COMPLETE flood, keyed by the identity of its immutable,
-	// relay-shared entry slice (digestKey). The cache lives on the shared
-	// Proto rather than per machine: hashing a flood's content costs
-	// O(total key bytes), and with per-machine caches every receiver paid
-	// it again — an O(n^4)-byte bill that dominated large-graph profiles.
-	// sync.Map because cluster runtimes invoke machines from concurrent
-	// node loops; the deterministic simulator is single-threaded and pays
-	// only the map overhead.
-	floods sync.Map // digestKey -> *floodInfo
+	// plan is everything else the machines consult that depends only on
+	// (G, F): built on the first NewMachine, read-only afterwards.
+	planOnce sync.Once
+	plan     *plan
+
+	// floods caches the content digest and per-origin values of each
+	// distinct COMPLETE flood of the current run, keyed by the identity of
+	// its immutable, relay-shared entry slice (floodKey). The cache lives on
+	// the shared Proto rather than per machine: hashing a flood's content
+	// costs O(total key bytes), and with per-machine caches every receiver
+	// paid it again — an O(n^4)-byte bill that dominated large-graph
+	// profiles. sync.Map because cluster runtimes invoke machines from
+	// concurrent node loops; the deterministic simulator is single-threaded
+	// and pays only the map overhead.
+	floods sync.Map // floodKey -> *floodInfo
 }
 
 // DefaultPathBudget bounds per-node redundant path enumeration.
@@ -66,10 +67,13 @@ func RoundsFor(k, eps float64) int {
 	return r
 }
 
-// NewProto validates the configuration and precomputes the shared
-// structures. It does not verify 3-reach (checking is the condition
-// package's job and some experiments deliberately run BW on graphs that
-// violate it); callers wanting the guarantee should check first.
+// NewProto validates the configuration and enumerates the fault sets. The
+// graph-derived tables (plan.go) wait for the first NewMachine: a Proto
+// that is only validated, or only asked for its round bound, should not
+// pay for source components and clause lists. It does not verify 3-reach
+// (checking is the condition package's job and some experiments
+// deliberately run BW on graphs that violate it); callers wanting the
+// guarantee should check first.
 func NewProto(g *graph.Graph, f int, k, eps float64, pathBudget int) (*Proto, error) {
 	if f < 0 {
 		return nil, fmt.Errorf("bw: negative fault bound %d", f)
@@ -87,41 +91,12 @@ func NewProto(g *graph.Graph, f int, k, eps float64, pathBudget int) (*Proto, er
 		Eps:        eps,
 		Rounds:     RoundsFor(k, eps),
 		PathBudget: pathBudget,
-		srcComp:    make(map[graph.Set]graph.Set),
 	}
 	graph.Subsets(g.Nodes(), f, func(s graph.Set) bool {
 		p.FaultSets = append(p.FaultSets, s)
 		return true
 	})
-	graph.Subsets(g.Nodes(), 2*f, func(s graph.Set) bool {
-		p.srcComp[s] = g.SourceComponent(s, graph.EmptySet)
-		return true
-	})
 	return p, nil
-}
-
-// SourceComponent returns S_{F1,F2} from the precomputed table.
-func (p *Proto) SourceComponent(f1, f2 graph.Set) graph.Set {
-	return p.srcComp[f1.Union(f2)]
-}
-
-// threadPre is the per-(node, suspect set) static context: the reach set,
-// the fullness target of the Maximal-Consistency condition and the
-// per-origin simple-path requirements of the FIFO-Receive-All condition.
-type threadPre struct {
-	fv    graph.Set
-	reach graph.Set
-	// expectedCount is the size of the fullness set
-	// {p ∈ Pr_{V\Fv} : ter(p) = v} of Definition 9. Only the count is
-	// needed at run time: every accepted entry is a redundant path of G
-	// ending at v, so it belongs to the set exactly when it avoids F_v —
-	// membership never has to be tested, and the paths are counted without
-	// being materialized (graph.CountRedundantPathsTo), which is what keeps
-	// the precomputation feasible on the scale experiments' graphs.
-	expectedCount int
-	// requiredFIFO maps each c in reach_v(Fv) to the digest set of all
-	// simple (c,v)-paths contained in reach_v(Fv) (Algorithm 1 line 12).
-	requiredFIFO map[int]map[pathDigest]struct{}
 }
 
 // pathDigest is a 128-bit FNV-1a pair over a path's node sequence. The
@@ -145,48 +120,4 @@ func digestPath(p graph.Path) pathDigest {
 		}
 	}
 	return pathDigest{h1, h2}
-}
-
-// nodePre is the full static context of one node's machine.
-type nodePre struct {
-	id      int
-	threads []*threadPre
-	byFv    map[graph.Set]int
-}
-
-// precompute builds nodePre for node v, enumerating redundant paths within
-// the budget.
-func (p *Proto) precompute(v int) (*nodePre, error) {
-	pre := &nodePre{id: v, byFv: make(map[graph.Set]int)}
-	for _, fv := range p.FaultSets {
-		if fv.Has(v) {
-			continue
-		}
-		t := &threadPre{fv: fv, reach: p.G.ReachSet(v, fv)}
-		count, err := p.G.CountRedundantPathsTo(v, fv, p.PathBudget)
-		if err != nil {
-			return nil, fmt.Errorf("bw: node %d, thread %s: %w", v, fv, err)
-		}
-		t.expectedCount = count
-		t.requiredFIFO = make(map[int]map[pathDigest]struct{})
-		// All simple paths ending at v whose nodes lie inside the reach
-		// set; grouped by initial node they realize line 12's requirement.
-		outside := p.G.Nodes().Minus(t.reach)
-		simple, err := p.G.SimplePathsTo(v, outside, p.PathBudget)
-		if err != nil {
-			return nil, fmt.Errorf("bw: node %d, thread %s simple paths: %w", v, fv, err)
-		}
-		for _, sp := range simple {
-			c := sp.Init()
-			set, ok := t.requiredFIFO[c]
-			if !ok {
-				set = make(map[pathDigest]struct{})
-				t.requiredFIFO[c] = set
-			}
-			set[digestPath(sp)] = struct{}{}
-		}
-		pre.byFv[fv] = len(pre.threads)
-		pre.threads = append(pre.threads, t)
-	}
-	return pre, nil
 }
