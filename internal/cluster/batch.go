@@ -31,7 +31,8 @@ const (
 // in ends the buffer offset at which each frame is complete (parallel to
 // frames). An oversized frame appends nothing — its end equals its
 // predecessor's, so the replay logic treats it as written and it is
-// dropped, like a frame shed at the queue.
+// dropped. That is a defensive skip only: Mux.Send refuses (and counts)
+// such a frame before it can be queued.
 func coalesceFrames(buf []byte, ends []int, frames [][]byte) ([]byte, []int) {
 	for _, f := range frames {
 		if next, err := wire.AppendRawFrame(buf, f); err == nil {

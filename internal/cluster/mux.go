@@ -129,16 +129,35 @@ func NewMux(cfg MuxConfig) (*Mux, error) {
 	return m, nil
 }
 
-// Send enqueues a frame toward an out-neighbor, blocking while that peer's
-// bounded queue is full (the backpressure path). Frames enqueued after
-// shutdown are shed silently, like messages in flight when a run ends.
-// Ownership of frame transfers to the fabric: the per-edge writer releases
-// it to the pool after transmission (or here, when the shutdown shed drops
-// it), so the caller must not retain it.
-func (m *Mux) Send(to int, frame []byte) error {
+// admit finds the queue toward an out-neighbor and refuses a frame the link
+// cannot carry: a body over wire.MaxFrame would be skipped by the writer's
+// coalesce and lost without a trace on a link the model calls reliable, so
+// it is released, counted as shed and reported here instead — to a node
+// event loop that is a run error, like a payload the codec cannot encode.
+func (m *Mux) admit(to int, frame []byte) (*queue[[]byte], error) {
 	q, ok := m.queues[to]
 	if !ok {
-		return fmt.Errorf("cluster: mux send over non-edge %d->%d", m.cfg.ID, to)
+		return nil, fmt.Errorf("cluster: mux send over non-edge %d->%d", m.cfg.ID, to)
+	}
+	if len(frame) > wire.MaxFrame {
+		q.countShed()
+		wire.PutBuf(frame)
+		return nil, fmt.Errorf("cluster: mux send %d->%d: frame of %d bytes exceeds MaxFrame %d", m.cfg.ID, to, len(frame), wire.MaxFrame)
+	}
+	return q, nil
+}
+
+// Send enqueues a frame toward an out-neighbor, blocking while that peer's
+// bounded queue is full (the backpressure path). Frames enqueued after
+// shutdown are shed silently, like messages in flight when a run ends; an
+// oversized frame is shed with an error (see admit). Ownership of frame
+// transfers to the fabric: the per-edge writer releases it to the pool
+// after transmission (or here, when a shed drops it), so the caller must
+// not retain it.
+func (m *Mux) Send(to int, frame []byte) error {
+	q, err := m.admit(to, frame)
+	if err != nil {
+		return err
 	}
 	if !q.push(frame) {
 		wire.PutBuf(frame)
@@ -152,9 +171,9 @@ func (m *Mux) Send(to int, frame []byte) error {
 // retrying. Ownership transfers on every path: a shed frame is released
 // here, so the caller must re-encode rather than retry the same slice.
 func (m *Mux) TrySend(to int, frame []byte) (bool, error) {
-	q, ok := m.queues[to]
-	if !ok {
-		return false, fmt.Errorf("cluster: mux send over non-edge %d->%d", m.cfg.ID, to)
+	q, err := m.admit(to, frame)
+	if err != nil {
+		return false, err
 	}
 	accepted := q.tryPush(frame)
 	if !accepted {

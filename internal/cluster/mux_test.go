@@ -178,6 +178,39 @@ func TestMuxTrySendShedsWhenFull(t *testing.T) {
 	}
 }
 
+// TestMuxSendRefusesOversize: a frame over wire.MaxFrame cannot cross the
+// link (the writer's coalesce would skip it), so Send and TrySend must
+// refuse it out loud — an error for the caller and a count in
+// QueueStats.Shed — rather than accept a protocol frame and lose it.
+func TestMuxSendRefusesOversize(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	m, err := NewMux(MuxConfig{
+		ID: 0, Graph: graph.Clique(2), Listener: l,
+		Peers:        map[int]string{1: "127.0.0.1:1"},
+		OnFrameBatch: discardBatch,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := make([]byte, wire.MaxFrame+1)
+	if err := m.Send(1, huge); err == nil {
+		t.Error("Send accepted a frame over MaxFrame")
+	}
+	if ok, err := m.TrySend(1, huge); ok || err == nil {
+		t.Errorf("TrySend over MaxFrame = %v, %v; want refused with an error", ok, err)
+	}
+	if err := m.Send(1, huge[:wire.MaxFrame]); err != nil {
+		t.Errorf("Send refused a frame of exactly MaxFrame: %v", err)
+	}
+	if st := m.QueueStats(); st.Shed != 2 || st.Enqueued != 1 {
+		t.Fatalf("stats = %+v; want both oversize frames shed, the MaxFrame one enqueued", st)
+	}
+}
+
 func TestMuxLateListener(t *testing.T) {
 	// Endpoint 0 starts sending before endpoint 1 exists; the dial retry
 	// loop delivers once 1 comes up (start-order independence).

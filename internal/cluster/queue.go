@@ -15,9 +15,9 @@ const DefaultQueueCap = 1 << 14
 type QueueStats struct {
 	// Enqueued counts accepted items.
 	Enqueued int64
-	// Shed counts rejected items: tryPush against a full queue, or any
-	// push after close (shutdown drops, exactly like messages still in
-	// flight when a run ends).
+	// Shed counts rejected items: tryPush against a full queue, any push
+	// after close (shutdown drops, exactly like messages still in flight
+	// when a run ends), or a frame the Mux refused as over wire.MaxFrame.
 	Shed int64
 	// Waits counts pushes that found the queue full and blocked — each is
 	// one backpressure event propagated to the producer.
@@ -100,6 +100,14 @@ func (q *queue[T]) tryPush(v T) bool {
 	}
 	q.enqueue(v)
 	return true
+}
+
+// countShed records an item its producer refused before offering it — the
+// Mux's oversize check — so no dropped frame goes uncounted.
+func (q *queue[T]) countShed() {
+	q.mu.Lock()
+	q.stats.Shed++
+	q.mu.Unlock()
 }
 
 func (q *queue[T]) enqueue(v T) {

@@ -17,6 +17,7 @@ package node
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -39,8 +40,9 @@ type Inbound struct {
 // Slabs are the unit the inbox channel carries: one []Inbound per channel
 // operation, so a transport that read a burst of frames pays one send (and
 // the event loop one receive) for the whole burst instead of one per frame.
-// Like frame buffers, slabs are pooled in a capacity band through a channel
-// freelist — deterministic for the alloc fences, inert for foreign slices.
+// Like frame buffers, slabs are pooled in a capacity band — inert for
+// foreign slices — in a processor-local LIFO pool of recycled headers; see
+// wire's framePool for the design and what it does to the alloc fences.
 const (
 	// defaultSlabCap matches the transports' read-batch ceiling, so one
 	// socket batch fits one slab without growing it.
@@ -49,18 +51,22 @@ const (
 	maxSlabCap     = 1024
 )
 
-// slabPool holds released inbox slabs.
-var slabPool = make(chan []Inbound, 1024)
+var (
+	slabPool       sync.Pool // *[]Inbound, each holding one released in-band slab
+	slabHeaderPool sync.Pool // *[]Inbound emptied by GetSlab, for PutSlab to refill
+)
 
 // GetSlab returns an empty Inbound slab, reusing a released one when
 // available. The caller owns it until it hands it off or releases it.
 func GetSlab() []Inbound {
-	select {
-	case s := <-slabPool:
-		return s[:0]
-	default:
+	h, _ := slabPool.Get().(*[]Inbound)
+	if h == nil {
 		return make([]Inbound, 0, defaultSlabCap)
 	}
+	s := *h
+	*h = nil
+	slabHeaderPool.Put(h)
+	return s
 }
 
 // PutSlab releases a slab back to the pool. Entries are zeroed first so a
@@ -72,13 +78,13 @@ func PutSlab(s []Inbound) {
 	if cap(s) < minSlabCap || cap(s) > maxSlabCap {
 		return
 	}
-	for i := range s {
-		s[i] = Inbound{}
+	clear(s)
+	h, _ := slabHeaderPool.Get().(*[]Inbound)
+	if h == nil {
+		h = new([]Inbound)
 	}
-	select {
-	case slabPool <- s[:0]:
-	default:
-	}
+	*h = s[:0]
+	slabPool.Put(h)
 }
 
 // Outbound transmits encoded frames toward a peer. The cluster transports

@@ -24,11 +24,11 @@ import (
 //
 // The harness is a daemon skeleton (routing table + one running
 // instance), no fabric or planes; one goroutine both dispatches and
-// drains, so the frame and slab pools reach a deterministic steady state
-// — the alloc fence pins it at 0 allocs/op. b.N counts frames; each
-// dispatched frame is re-encoded into a pooled buffer first (a GetBuf and
-// a copy), which is the cost the real reader pays to hand the dispatcher
-// an owned frame, so ns/frame includes it.
+// drains, so every Get finds what the last Put left in the processor-local
+// frame and slab pools — the alloc fence pins it at 0 allocs/op. b.N counts
+// frames; each dispatched frame is re-encoded into a pooled buffer first (a
+// GetBuf and a copy), which is the cost the real reader pays to hand the
+// dispatcher an owned frame, so ns/frame includes it.
 func DispatchBench(b *testing.B) {
 	g := graph.Clique(2)
 	d := &Daemon{cfg: Config{ID: 1, PendingCap: DefaultPendingCap}}

@@ -211,11 +211,18 @@ func TestDispatchBatchPendingAndRetired(t *testing.T) {
 
 // TestDispatchAllocBudget pins the batch-dispatch steady state at zero
 // allocations per frame: grouping scratch, slabs and frame buffers are all
-// recycled, so dispatch cost cannot creep back in as GC pressure. The
-// channel-freelist pools make the fence deterministic (see wire.GetBuf).
+// recycled, so dispatch cost cannot creep back in as GC pressure. The count
+// is asserted in normal builds only: under -race sync.Pool drops a quarter
+// of all releases on purpose (see wire.GetBuf), so there the benchmark body
+// runs for the detector's sake and the count is logged.
 func TestDispatchAllocBudget(t *testing.T) {
 	res := testing.Benchmark(DispatchBench)
-	if a := res.AllocsPerOp(); a != 0 {
+	a := res.AllocsPerOp()
+	if wire.RaceEnabled {
+		t.Logf("batched dispatch: %d allocs/frame under -race, not asserted", a)
+		return
+	}
+	if a != 0 {
 		t.Fatalf("batched dispatch allocates %d allocs/frame steady state, want 0", a)
 	}
 }

@@ -10,17 +10,18 @@ package wire
 // releasing it, and nobody may release a frame twice; see DESIGN.md
 // ("live-tier hot path") for the full ownership rules.
 //
-// The pool is a buffered channel rather than a sync.Pool: channel sends
-// and receives of []byte values allocate nothing (no interface boxing of
-// the slice header) and the pool is not emptied by GC, which makes the
-// 0-allocs/op fences in the alloc-budget tests deterministic instead of
-// flaky.
+// The pool is processor-local and LIFO (see framePool): a frame crosses it
+// four times on its way from one machine to the next, from hundreds of
+// goroutines, so it must not be a structure they all serialise on, and the
+// buffer it hands out should be the one this processor released last — the
+// warm one.
 
 import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Pooled buffers live in a capacity band: GetBuf never hands out less than
@@ -36,35 +37,62 @@ const (
 	maxPooledCap = 64 << 10
 )
 
-// framePool holds released frame buffers. A full pool drops further Puts
-// (the buffers become garbage, which is the pre-pool behavior); an empty
-// pool makes GetBuf allocate.
-var framePool = make(chan []byte, 4096)
+// framePool holds released frame buffers as *[]byte headers in a sync.Pool:
+// a private slot and a lock-free stack per P, so GetBuf normally returns
+// the buffer this processor released last — still in its cache — and takes
+// no lock; another P's stack is raided only when the local one is empty.
+// Both properties are load-bearing. Every frame crosses the pool four times
+// (transmit, peer writer, FrameReader, deliver) from every goroutine of
+// every in-process daemon, so one shared structure — a buffered channel was
+// measured — costs a fifth of the live tier's CPU in its lock; and a FIFO,
+// or a lock-free structure without locality, hands an 18-byte frame the
+// coldest of megabytes of buffers (EXPERIMENTS.md E20).
+//
+// A sync.Pool stores pointers, and boxing a slice header on every Put would
+// allocate, so the headers are recycled too: GetBuf empties the header it
+// popped and parks it in headerPool, PutBuf takes one from there. Steady
+// state therefore allocates nothing. The collector drains both pools over
+// two cycles and the next Gets allocate afresh: the 0-allocs/op fences
+// tolerate that (testing.AllocsPerRun floors its average), and it bounds
+// the pool by the traffic between collections instead of pinning a
+// high-water mark for the life of the process. Under -race sync.Pool drops
+// a quarter of all Puts on purpose, so the fences count only in normal
+// builds (RaceEnabled); race builds poison released buffers instead.
+var (
+	framePool  sync.Pool // *[]byte, each holding one released in-band buffer
+	headerPool sync.Pool // *[]byte emptied by GetBuf, for PutBuf to refill
+)
 
 // GetBuf returns an empty frame buffer with at least minPooledCap capacity,
-// reusing a released one when available. The caller owns the buffer until
-// it hands it off or releases it with PutBuf.
+// reusing a released one — at whatever in-band capacity it had grown to —
+// when available. The caller owns the buffer until it hands it off or
+// releases it with PutBuf.
 func GetBuf() []byte {
-	select {
-	case b := <-framePool:
-		return b[:0]
-	default:
+	h, _ := framePool.Get().(*[]byte)
+	if h == nil {
 		return make([]byte, 0, minPooledCap)
 	}
+	b := *h
+	*h = nil // a parked header must not pin the buffer it handed out
+	headerPool.Put(h)
+	return b
 }
 
 // PutBuf releases a frame buffer back to the pool. Buffers outside the
 // pooled capacity band — including nil — are dropped silently, so releasing
 // a buffer that did not come from GetBuf is always safe. The caller must
-// not touch b afterwards.
+// not touch b afterwards: the next GetBuf on this processor returns it.
 func PutBuf(b []byte) {
 	if cap(b) < minPooledCap || cap(b) > maxPooledCap {
 		return
 	}
-	select {
-	case framePool <- b[:0]:
-	default:
+	poisonReleased(b)
+	h, _ := headerPool.Get().(*[]byte)
+	if h == nil {
+		h = new([]byte)
 	}
+	*h = b[:0]
+	framePool.Put(h)
 }
 
 // AppendRawFrame appends body as one length-prefixed stream frame to dst
