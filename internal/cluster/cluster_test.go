@@ -26,7 +26,7 @@ func iterativeSpec(t *testing.T, n, rounds int) cluster.Spec {
 	g := graph.Clique(n)
 	handlers := make([]sim.Handler, n)
 	for i := 0; i < n; i++ {
-		h, err := iterative.NewMachine(g, 0, i, rounds, float64(i))
+		h, err := iterative.NewMachine(g, 0, i, rounds, float64(i), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestTCPTwoNodeIntegration(t *testing.T) {
 func TestJoinTCPWithPortCollision(t *testing.T) {
 	g := graph.Clique(2)
 	mk := func(id int) sim.Handler {
-		h, err := iterative.NewMachine(g, 0, id, 1, float64(id))
+		h, err := iterative.NewMachine(g, 0, id, 1, float64(id), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestJoinTCPLateJoiner(t *testing.T) {
 	const n = 3
 	g := graph.Clique(n)
 	mk := func(id int) sim.Handler {
-		h, err := iterative.NewMachine(g, 0, id, 2, float64(id))
+		h, err := iterative.NewMachine(g, 0, id, 2, float64(id), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +357,7 @@ func TestLoopbackCancellation(t *testing.T) {
 
 func TestSpecValidation(t *testing.T) {
 	g := graph.Clique(2)
-	h0, _ := iterative.NewMachine(g, 0, 0, 1, 0)
+	h0, _ := iterative.NewMachine(g, 0, 0, 1, 0, nil)
 	cases := []cluster.Spec{
 		{},                                      // no graph
 		{Graph: g, Handlers: []sim.Handler{h0}}, // wrong arity

@@ -7,24 +7,27 @@ import (
 
 // Clique returns the complete digraph on n nodes (every ordered pair joined).
 func Clique(n int) *Graph {
-	g := New(n)
+	b := newBulk(n, n*(n-1))
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			if u != v {
-				g.MustAddEdge(u, v)
+				b.add(u, v)
 			}
 		}
 	}
-	return g.SetName(fmt.Sprintf("clique%d", n))
+	return b.finish(fmt.Sprintf("clique%d", n))
 }
 
-// DirectedCycle returns the cycle 0 -> 1 -> ... -> n-1 -> 0.
+// DirectedCycle returns the cycle 0 -> 1 -> ... -> n-1 -> 0; on one node
+// that is the node alone, the edge set having no self-loops.
 func DirectedCycle(n int) *Graph {
-	g := New(n)
+	b := newBulk(n, n)
 	for u := 0; u < n; u++ {
-		g.MustAddEdge(u, (u+1)%n)
+		if v := (u + 1) % n; v != u {
+			b.add(u, v)
+		}
 	}
-	return g.SetName(fmt.Sprintf("cycle%d", n))
+	return b.finish(fmt.Sprintf("cycle%d", n))
 }
 
 // Wheel returns the (bidirected) wheel W_k: hub node 0 joined to every rim
@@ -32,16 +35,12 @@ func DirectedCycle(n int) *Graph {
 // our stand-in for the paper's Figure 1(a): n > 3f and κ(G) > 2f hold for
 // f = 1, and removing any single edge breaks κ(G) > 2f.
 func Wheel(k int) *Graph {
-	g := New(k + 1)
+	b := newBulk(k+1, 4*k)
 	for i := 1; i <= k; i++ {
-		if err := g.AddBoth(0, i); err != nil {
-			panic(err)
-		}
-		if err := g.AddBoth(i, i%k+1); err != nil {
-			panic(err)
-		}
+		b.both(0, i)
+		b.both(i, i%k+1)
 	}
-	return g.SetName(fmt.Sprintf("wheel%d", k))
+	return b.finish(fmt.Sprintf("wheel%d", k))
 }
 
 // Fig1a returns the Figure 1(a) stand-in graph (see DESIGN.md fidelity
@@ -104,48 +103,46 @@ func Fig1bAnalog() *Graph {
 // satisfy 3-reach for small f and grow sparsely, which makes them the
 // scalability family for the benchmarks.
 func Circulant(n int, offsets ...int) *Graph {
-	g := New(n)
+	b := newBulk(n, n*len(offsets))
 	for u := 0; u < n; u++ {
 		for _, d := range offsets {
 			v := ((u+d)%n + n) % n
 			if v != u {
-				g.MustAddEdge(u, v)
+				b.add(u, v)
 			}
 		}
 	}
-	return g.SetName(fmt.Sprintf("circulant%d", n))
+	return b.finish(fmt.Sprintf("circulant%d", n))
 }
 
 // RandomDigraph returns a digraph where each ordered pair (u, v), u != v, is
 // an edge independently with probability p, using the given seed.
 func RandomDigraph(n int, p float64, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := New(n)
+	b := newBulk(n, 0)
 	for u := 0; u < n; u++ {
 		for v := 0; v < n; v++ {
 			if u != v && rng.Float64() < p {
-				g.MustAddEdge(u, v)
+				b.add(u, v)
 			}
 		}
 	}
-	return g.SetName(fmt.Sprintf("random%d", n))
+	return b.finish(fmt.Sprintf("random%d", n))
 }
 
 // RandomUndirected returns a bidirected digraph where each unordered pair is
 // joined (in both directions) independently with probability p.
 func RandomUndirected(n int, p float64, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := New(n)
+	b := newBulk(n, 0)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v++ {
 			if rng.Float64() < p {
-				if err := g.AddBoth(u, v); err != nil {
-					panic(err) // unreachable: endpoints valid by loop bounds
-				}
+				b.both(u, v)
 			}
 		}
 	}
-	return g.SetName(fmt.Sprintf("randomU%d", n))
+	return b.finish(fmt.Sprintf("randomU%d", n))
 }
 
 // Torus returns the bidirected rows x cols torus: node r*cols+c is joined
@@ -153,23 +150,21 @@ func RandomUndirected(n int, p float64, seed int64) *Graph {
 // standard sparse mesh family for the scale experiments — constant degree,
 // diameter (rows+cols)/2.
 func Torus(rows, cols int) *Graph {
-	g := New(rows * cols)
-	id := func(r, c int) int { return ((r+rows)%rows)*cols + (c+cols)%cols }
+	b := newBulk(rows*cols, 4*rows*cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			// Adding the "forward" neighbor in both directions covers every
-			// torus edge exactly once; duplicate AddBoth calls on 2-cycles
-			// (rows or cols == 2) are no-ops.
-			for _, nb := range [][2]int{{r, c + 1}, {r + 1, c}} {
-				if v := id(nb[0], nb[1]); v != id(r, c) {
-					if err := g.AddBoth(id(r, c), v); err != nil {
-						panic(err) // unreachable: ids valid by construction
-					}
+			// torus edge exactly once; the duplicates on 2-cycles (rows or
+			// cols == 2) are no-ops, and a side of 1 has no forward neighbor.
+			u := r*cols + c
+			for _, v := range [2]int{r*cols + (c+1)%cols, (r+1)%rows*cols + c} {
+				if v != u {
+					b.both(u, v)
 				}
 			}
 		}
 	}
-	return g.SetName(fmt.Sprintf("torus%dx%d", rows, cols))
+	return b.finish(fmt.Sprintf("torus%dx%d", rows, cols))
 }
 
 // KRegular returns a random k-out-regular digraph: every node gets exactly k
@@ -177,7 +172,7 @@ func Torus(rows, cols int) *Graph {
 // given seed. In-degrees are k only in expectation. Requires 1 <= k < n.
 func KRegular(n, k int, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := New(n)
+	b := newBulk(n, n*k)
 	others := make([]int, n-1)
 	for u := 0; u < n; u++ {
 		j := 0
@@ -191,10 +186,10 @@ func KRegular(n, k int, seed int64) *Graph {
 		for i := 0; i < k; i++ {
 			swap := i + rng.Intn(len(others)-i)
 			others[i], others[swap] = others[swap], others[i]
-			g.MustAddEdge(u, others[i])
+			b.add(u, others[i])
 		}
 	}
-	return g.SetName(fmt.Sprintf("kregular%d", n))
+	return b.finish(fmt.Sprintf("kregular%d", n))
 }
 
 // Expander returns a d-regular digraph built as the union of d random
@@ -204,7 +199,7 @@ func KRegular(n, k int, seed int64) *Graph {
 // and in-degree exactly d. Requires 1 <= d < n.
 func Expander(n, d int, seed int64) *Graph {
 	rng := rand.New(rand.NewSource(seed))
-	g := New(n)
+	b := newBulk(n, n*d)
 	for layer := 0; layer < d; layer++ {
 		perm := rng.Perm(n)
 		// Repair fixed points and edges duplicating earlier layers by random
@@ -213,7 +208,7 @@ func Expander(n, d int, seed int64) *Graph {
 		for attempts := 0; ; attempts++ {
 			bad := -1
 			for u, v := range perm {
-				if u == v || g.HasEdge(u, v) {
+				if u == v || b.g.HasEdge(u, v) {
 					bad = u
 					break
 				}
@@ -228,27 +223,27 @@ func Expander(n, d int, seed int64) *Graph {
 			perm[bad], perm[j] = perm[j], perm[bad]
 		}
 		for u, v := range perm {
-			g.MustAddEdge(u, v)
+			b.add(u, v)
 		}
 	}
-	return g.SetName(fmt.Sprintf("expander%d", n))
+	return b.finish(fmt.Sprintf("expander%d", n))
 }
 
 // TwoCliquesBridged is the generic two-clique family behind Figure 1(b):
 // cliques of size k on nodes 0..k-1 and k..2k-1, plus the given cross edges
 // (pairs are (u, v) node IDs in the combined numbering).
 func TwoCliquesBridged(k int, cross [][2]int) *Graph {
-	g := New(2 * k)
+	b := newBulk(2*k, 2*k*(k-1)+len(cross))
 	for u := 0; u < k; u++ {
 		for v := 0; v < k; v++ {
 			if u != v {
-				g.MustAddEdge(u, v)
-				g.MustAddEdge(u+k, v+k)
+				b.add(u, v)
+				b.add(u+k, v+k)
 			}
 		}
 	}
 	for _, e := range cross {
-		g.MustAddEdge(e[0], e[1])
+		b.add(e[0], e[1])
 	}
-	return g.SetName(fmt.Sprintf("twocliques%d", k))
+	return b.finish(fmt.Sprintf("twocliques%d", k))
 }

@@ -44,13 +44,21 @@ var ErrSelfLoop = errors.New("graph: self-loops are not allowed")
 // ErrNodeRange is returned when an edge endpoint is out of range.
 var ErrNodeRange = errors.New("graph: node id out of range")
 
-// AddEdge inserts the directed edge (u, v). Duplicate insertions are no-ops.
-func (g *Graph) AddEdge(u, v int) error {
+// checkEdge reports why (u, v) cannot be an edge of g, if it cannot.
+func (g *Graph) checkEdge(u, v int) error {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		return fmt.Errorf("%w: (%d,%d) with n=%d", ErrNodeRange, u, v, g.n)
 	}
 	if u == v {
 		return fmt.Errorf("%w: (%d,%d)", ErrSelfLoop, u, v)
+	}
+	return nil
+}
+
+// AddEdge inserts the directed edge (u, v). Duplicate insertions are no-ops.
+func (g *Graph) AddEdge(u, v int) error {
+	if err := g.checkEdge(u, v); err != nil {
+		return err
 	}
 	if g.outMask[u].Has(v) {
 		return nil

@@ -10,8 +10,9 @@ import (
 // grammar form plus near-miss malformations.
 func FuzzNamed(f *testing.F) {
 	seeds := []string{
-		"clique:5", "cycle:3", "wheel:4", "fig1a", "fig1b", "fig1b-analog",
-		"circulant:7:1,2", "random:6:0.5:42",
+		"clique:5", "clique:1", "cycle:3", "cycle:1", "wheel:4", "wheel:2", "fig1a", "fig1b", "fig1b-analog",
+		"circulant:7:1,2", "circulant:1:1", "random:6:0.5:42", "random:1:1:1",
+		"torus:2:2", "torus:2:5", "kregular:2:1:1", "expander:3:1:1",
 		"clique:-1", "clique:99999999999999999999", "wheel:1",
 		"circulant:5:", "circulant:5:1,,2", "random:5:NaN:1", "random:5:1e308:1",
 		":::", "clique:5:5", "random:5:0.5:9223372036854775807", "circulant:5:-1000000",

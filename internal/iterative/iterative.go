@@ -14,7 +14,8 @@ package iterative
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -30,17 +31,34 @@ type ValPayload struct {
 // Kind implements transport.Payload.
 func (ValPayload) Kind() string { return "ITER-VAL" }
 
+// eagerRounds is how many rounds of state a machine takes at construction.
+// It covers every default round count short of the cap (bw.RoundsFor stops
+// at 65), so a run only grows its state when a scenario sets Rounds beyond
+// it — and Scenario.Rounds has no upper bound, so the state cannot simply
+// be sized by it.
+const eagerRounds = 32
+
 // Machine is the iterative protocol endpoint; it implements sim.Handler.
+//
+// Round state is a dense block with one row per round and one column per
+// in-neighbor. Row r−1 holds, in its first counts[r−1] cells, the round-r
+// values in arrival order; seen marks the (round, sender position) pairs
+// already counted, so the first value per pair wins. The block has rows
+// for eagerRounds rounds from the start and grows by whole rounds, never
+// past rounds, when a message or the node itself reaches a later one.
 type Machine struct {
-	g      *graph.Graph
 	f      int
 	id     int
 	rounds int
 	input  float64
+	in     []int // g.In(id), ascending: a sender's index here is its column
+	need   int   // values a round waits for
 
 	cur     int
 	x       float64
-	state   map[int]map[int]float64 // round -> sender -> value
+	vals    []float64
+	seen    []bool
+	counts  []int32
 	output  float64
 	done    bool
 	history []float64
@@ -48,15 +66,66 @@ type Machine struct {
 
 var _ sim.Handler = (*Machine)(nil)
 
+// Arena backs the machines of one run with a few shared allocations in
+// place of five per machine. The zero value is ready; hand the same Arena
+// to every NewMachine call of the run, from one goroutine. Machines touch
+// it at construction only, so they may then run concurrently.
+type Arena struct {
+	machines      chunk[Machine]
+	vals, history chunk[float64]
+	seen          chunk[bool]
+	counts        chunk[int32]
+}
+
+// chunk is a bump allocator that is told, with every request, how much the
+// whole run will ask for. The first request is served exactly — a live
+// node builds one machine and stops there — and the second allocates the
+// rest of the run in one piece.
+type chunk[T any] struct {
+	free   []T
+	carved int
+}
+
+func (c *chunk[T]) take(n, total int) []T {
+	if n > len(c.free) {
+		size := n
+		if c.carved > 0 {
+			size = max(n, total-c.carved)
+		}
+		c.free = make([]T, size)
+	}
+	c.carved += n
+	// Capacity stops at n: appending to one carving must not overwrite the
+	// next.
+	s := c.free[:n:n]
+	c.free = c.free[n:]
+	return s
+}
+
 // NewMachine builds an iterative node that runs the given number of rounds.
-func NewMachine(g *graph.Graph, f, id, rounds int, input float64) (*Machine, error) {
+// Its state comes from arena; nil means the machine is on its own.
+func NewMachine(g *graph.Graph, f, id, rounds int, input float64, arena *Arena) (*Machine, error) {
 	if f < 0 || rounds < 0 {
 		return nil, fmt.Errorf("iterative: invalid f=%d rounds=%d", f, rounds)
 	}
-	return &Machine{
-		g: g, f: f, id: id, rounds: rounds, input: input,
-		state: make(map[int]map[int]float64),
-	}, nil
+	if id < 0 || id >= g.N() {
+		return nil, fmt.Errorf("iterative: node %d outside graph order %d", id, g.N())
+	}
+	if arena == nil {
+		arena = new(Arena)
+	}
+	in := g.In(id)
+	rows := min(rounds, eagerRounds)
+	m := &arena.machines.take(1, g.N())[0]
+	*m = Machine{
+		f: f, id: id, rounds: rounds, input: input,
+		in: in, need: max(len(in)-f, 0),
+		vals:    arena.vals.take(rows*len(in), rows*g.M()),
+		seen:    arena.seen.take(rows*len(in), rows*g.M()),
+		counts:  arena.counts.take(rows, rows*g.N()),
+		history: arena.history.take(rows, rows*g.N())[:0],
+	}
+	return m, nil
 }
 
 // ID implements sim.Handler.
@@ -80,21 +149,55 @@ func (m *Machine) Start(out *sim.Outbox) {
 	m.tryAdvance(out)
 }
 
-// Deliver implements sim.Handler.
+// Deliver implements sim.Handler. It drops what cannot count: a round
+// outside [1, rounds] or already completed, a sender that is not an
+// in-neighbor, a second value for the same (round, sender), and a value
+// that is not a finite number — NaN sorts below everything yet compares
+// below nothing, so the trim would keep it and it would poison the mean.
+// A faulty in-neighbor sending one is treated like a silent one, which the
+// indegree−f wait already allows for.
 func (m *Machine) Deliver(msg transport.Message, out *sim.Outbox) {
 	p, ok := msg.Payload.(ValPayload)
-	if !ok || p.Round < 1 || p.Round > m.rounds {
+	if !ok || p.Round < m.cur || p.Round < 1 || p.Round > m.rounds ||
+		math.IsNaN(p.Value) || math.IsInf(p.Value, 0) {
 		return
 	}
-	bySender, ok := m.state[p.Round]
+	col, ok := slices.BinarySearch(m.in, msg.From)
 	if !ok {
-		bySender = make(map[int]float64)
-		m.state[p.Round] = bySender
+		return
 	}
-	if _, dup := bySender[msg.From]; !dup {
-		bySender[msg.From] = p.Value
+	if p.Round > len(m.counts) {
+		m.grow(p.Round)
 	}
-	m.tryAdvance(out)
+	row := (p.Round - 1) * len(m.in)
+	if m.seen[row+col] {
+		return
+	}
+	m.seen[row+col] = true
+	m.vals[row+int(m.counts[p.Round-1])] = p.Value
+	m.counts[p.Round-1]++
+	if p.Round == m.cur {
+		m.tryAdvance(out)
+	}
+}
+
+// grow extends the block to cover round r: to twice its rows when that is
+// enough, so repeated growth stays linear, and never past rounds. A run the
+// honest nodes complete reaches rounds rows on its own, so naming a late
+// round early costs a faulty in-neighbor's victim nothing it would not
+// spend anyway.
+func (m *Machine) grow(r int) {
+	rows := min(m.rounds, max(r, 2*len(m.counts)))
+	m.vals = extended(m.vals, rows*len(m.in))
+	m.seen = extended(m.seen, rows*len(m.in))
+	m.counts = extended(m.counts, rows)
+}
+
+// extended returns a copy of s lengthened to n with zero values.
+func extended[T any](s []T, n int) []T {
+	t := make([]T, n)
+	copy(t, s)
+	return t
 }
 
 // tryAdvance applies the W-MSR update once enough in-neighbor values for
@@ -103,15 +206,15 @@ func (m *Machine) Deliver(msg transport.Message, out *sim.Outbox) {
 // silent).
 func (m *Machine) tryAdvance(out *sim.Outbox) {
 	for !m.done {
-		need := len(m.g.In(m.id)) - m.f
-		if need < 0 {
-			need = 0
+		if m.cur > len(m.counts) {
+			m.grow(m.cur)
 		}
-		got := m.state[m.cur]
-		if len(got) < need {
+		got := int(m.counts[m.cur-1])
+		if got < m.need {
 			return
 		}
-		m.x = m.trimmedUpdate(got)
+		row := (m.cur - 1) * len(m.in)
+		m.x = m.trimmedUpdate(m.vals[row : row+got])
 		m.history = append(m.history, m.x)
 		if m.cur == m.rounds {
 			m.output, m.done = m.x, true
@@ -124,13 +227,10 @@ func (m *Machine) tryAdvance(out *sim.Outbox) {
 
 // trimmedUpdate is the W-MSR rule: among received values, discard up to f
 // strictly above own value and up to f strictly below, then average the
-// survivors together with the own value.
-func (m *Machine) trimmedUpdate(received map[int]float64) float64 {
-	vals := make([]float64, 0, len(received))
-	for _, v := range received {
-		vals = append(vals, v)
-	}
-	sort.Float64s(vals)
+// survivors together with the own value. It sorts vals in place; a round's
+// row is a multiset, so the order it is left in does not matter.
+func (m *Machine) trimmedUpdate(vals []float64) float64 {
+	slices.Sort(vals)
 	lo := 0
 	for lo < len(vals) && lo < m.f && vals[lo] < m.x {
 		lo++

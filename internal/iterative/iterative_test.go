@@ -21,7 +21,7 @@ func run(t *testing.T, g *graph.Graph, f, rounds int, inputs []float64,
 			handlers[i] = h
 			continue
 		}
-		m, err := iterative.NewMachine(g, f, i, rounds, inputs[i])
+		m, err := iterative.NewMachine(g, f, i, rounds, inputs[i], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestIterativeValidity(t *testing.T) {
 
 func TestIterativeZeroRounds(t *testing.T) {
 	g := graph.Clique(3)
-	m, err := iterative.NewMachine(g, 1, 0, 0, 5)
+	m, err := iterative.NewMachine(g, 1, 0, 0, 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,10 +124,76 @@ func TestIterativeZeroRounds(t *testing.T) {
 
 func TestIterativeRejectsBadParams(t *testing.T) {
 	g := graph.Clique(3)
-	if _, err := iterative.NewMachine(g, -1, 0, 5, 0); err == nil {
+	if _, err := iterative.NewMachine(g, -1, 0, 5, 0, nil); err == nil {
 		t.Error("negative f accepted")
 	}
-	if _, err := iterative.NewMachine(g, 1, 0, -5, 0); err == nil {
+	if _, err := iterative.NewMachine(g, 1, 0, -5, 0, nil); err == nil {
 		t.Error("negative rounds accepted")
+	}
+}
+
+// nonFinite is a faulty in-neighbor inside the model: every message it
+// sends is well formed, and every value it sends is bad.
+type nonFinite struct {
+	id, rounds int
+	bad        float64
+}
+
+func (h *nonFinite) ID() int { return h.id }
+func (h *nonFinite) Start(out *sim.Outbox) {
+	for r := 1; r <= h.rounds; r++ {
+		out.Broadcast(iterative.ValPayload{Round: r, Value: h.bad})
+	}
+}
+func (h *nonFinite) Deliver(transport.Message, *sim.Outbox) {}
+func (h *nonFinite) Output() (float64, bool)                { return 0, false }
+
+// TestIterativeNonFiniteSender: one in-neighbor sending NaN or ±Inf — a
+// single fault, inside the f = 1 budget — must not move an honest output
+// out of the honest input hull, let alone make it NaN, and must not stop
+// the run from deciding.
+func TestIterativeNonFiniteSender(t *testing.T) {
+	// The shortest reproduction: sort.Float64s puts NaN first, the low trim
+	// only removes values below x, and NaN is below nothing.
+	g := graph.Clique(5)
+	m, err := iterative.NewMachine(g, 1, 0, 1, 1.0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := sim.NewCollector(0, g)
+	m.Start(out)
+	m.Deliver(transport.Message{From: 1, To: 0, Payload: iterative.ValPayload{Round: 1, Value: math.NaN()}}, out)
+	for from := 2; from <= 4; from++ {
+		m.Deliver(transport.Message{From: from, To: 0, Payload: iterative.ValPayload{Round: 1, Value: 2.0}}, out)
+	}
+	if x, done := m.Output(); !done || !(x >= 1 && x <= 2) {
+		t.Errorf("node 0 output %g (done=%v), want a value in [1,2]", x, done)
+	}
+
+	for _, tc := range []struct {
+		g      *graph.Graph
+		rounds int
+	}{{graph.Clique(5), 6}, {graph.Torus(4, 4), 6}} {
+		n := tc.g.N()
+		inputs := make([]float64, n)
+		lo, hi := math.Inf(1), math.Inf(-1)
+		for i := range inputs {
+			inputs[i] = float64(37*i%41) / 10
+			if i != n-1 {
+				lo, hi = math.Min(lo, inputs[i]), math.Max(hi, inputs[i])
+			}
+		}
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for seed := int64(1); seed <= 3; seed++ {
+				faulty := map[int]sim.Handler{n - 1: &nonFinite{id: n - 1, rounds: tc.rounds, bad: bad}}
+				outs := run(t, tc.g, 1, tc.rounds, inputs, faulty, seed) // fails unless every honest node decides
+				for v, x := range outs {
+					if !(x >= lo && x <= hi) {
+						t.Errorf("%s, in-neighbor sending %g, seed %d: node %d output %g outside [%g,%g]",
+							tc.g, bad, seed, v, x, lo, hi)
+					}
+				}
+			}
+		}
 	}
 }

@@ -83,7 +83,7 @@ func push(t *testing.T, n *node.Node, slab []node.Inbound) {
 // injected directly, and the node must decide on the averaged value.
 func TestNodeRunsIterativeMachine(t *testing.T) {
 	g := graph.Clique(2)
-	h, err := iterative.NewMachine(g, 0, 0, 1, 0) // one round, input 0
+	h, err := iterative.NewMachine(g, 0, 0, 1, 0, nil) // one round, input 0
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestNodeRunsIterativeMachine(t *testing.T) {
 func TestNodeDropsForgedFrames(t *testing.T) {
 	g := graph.New(3)
 	g.MustAddEdge(1, 0) // only 1->0 exists
-	h, err := iterative.NewMachine(g, 0, 0, 1, 0)
+	h, err := iterative.NewMachine(g, 0, 0, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestNodeDropsForgedFrames(t *testing.T) {
 // TestNodeObserverSeesDeliveriesAndRounds verifies the event stream.
 func TestNodeObserverSeesDeliveriesAndRounds(t *testing.T) {
 	g := graph.Clique(2)
-	h, err := iterative.NewMachine(g, 0, 0, 1, 0)
+	h, err := iterative.NewMachine(g, 0, 0, 1, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestNodeObserverSeesDeliveriesAndRounds(t *testing.T) {
 
 func TestNodeConfigValidation(t *testing.T) {
 	g := graph.Clique(2)
-	h, _ := iterative.NewMachine(g, 0, 1, 1, 0)
+	h, _ := iterative.NewMachine(g, 0, 1, 1, 0, nil)
 	cases := []node.Config{
 		{}, // no graph
 		{Graph: g, ID: 5, Handler: h, Out: &memOut{}}, // id out of range
@@ -270,7 +270,7 @@ func (errSentinel) Error() string { return "transport collapsed" }
 // so transport pumps blocked mid-push can unwind.
 func TestNodeShutdownWithPendingInbox(t *testing.T) {
 	g := graph.Clique(2)
-	h, err := iterative.NewMachine(g, 0, 0, 50, 0)
+	h, err := iterative.NewMachine(g, 0, 0, 50, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestNodeShutdownWithPendingInbox(t *testing.T) {
 // of delivering on top of a partial broadcast.
 func TestNodeOutboundFailureStopsRun(t *testing.T) {
 	g := graph.Clique(2)
-	h, err := iterative.NewMachine(g, 0, 0, 2, 0)
+	h, err := iterative.NewMachine(g, 0, 0, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestNodeInstanceEncode(t *testing.T) {
 			return wire.AppendInstanceMessage(dst, inst, m)
 		}, inst},
 	} {
-		h, err := iterative.NewMachine(g, 0, 0, 2, 0)
+		h, err := iterative.NewMachine(g, 0, 0, 2, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

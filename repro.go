@@ -629,8 +629,11 @@ func buildIterative(g *Graph, inputs []float64, opts Options) (HandlerFactory, e
 	if rounds == 0 {
 		rounds = bw.RoundsFor(opts.K, opts.Eps)
 	}
+	// One arena per build, which is per run: the simulator mints every
+	// vertex's machine from this factory, in one goroutine.
+	arena := new(iterative.Arena)
 	return func(id int) (Handler, error) {
-		return iterative.NewMachine(g, opts.F, id, rounds, inputs[id])
+		return iterative.NewMachine(g, opts.F, id, rounds, inputs[id], arena)
 	}, nil
 }
 
