@@ -13,8 +13,6 @@ import (
 	"repro/internal/cond"
 	"repro/internal/experiments"
 	"repro/internal/graph"
-	"repro/internal/sim"
-	"repro/internal/transport"
 )
 
 // BenchmarkTable1Undirected is E1: Table 1's undirected equivalences.
@@ -74,14 +72,14 @@ func BenchmarkFig1bDisjointPaths(b *testing.B) {
 // BenchmarkBWSufficiency is a single E5 cell: BW on the wheel with a
 // relay-tampering Byzantine node.
 func BenchmarkBWSufficiency(b *testing.B) {
-	g := repro.Fig1a()
-	inputs := []float64{0, 4, 1, 3, 2}
+	s := repro.Scenario{
+		Graph: "fig1a", Protocol: "bw", Inputs: []float64{0, 4, 1, 3, 2}, F: 1, K: 4, Eps: 0.5,
+		Faults: []repro.FaultSpec{{Node: 1, Kind: "tamper", Params: map[string]float64{"delta": 50}}},
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := repro.RunBW(g, inputs, repro.Options{
-			F: 1, K: 4, Eps: 0.5, Seed: int64(i),
-			Faults: map[int]repro.Fault{1: {Kind: "tamper", Params: map[string]float64{"delta": 50}}},
-		})
+		s.Seed = int64(i)
+		res, err := s.Run()
 		if err != nil || !res.Converged || !res.ValidityOK {
 			b.Fatalf("run failed: %v %+v", err, res)
 		}
@@ -166,92 +164,6 @@ func BenchmarkCrashCell(b *testing.B) {
 	}
 }
 
-// relayNode is a minimal protocol for measuring engine dispatch overhead:
-// each delivery does O(1) work and forwards one message, so nearly all the
-// measured time is the simulator's own per-delivery cost.
-type relayNode struct {
-	id   int
-	hops int
-	got  int
-}
-
-type relayPayload int
-
-func (relayPayload) Kind() string { return "RELAY" }
-
-func (r *relayNode) ID() int { return r.id }
-
-func (r *relayNode) Start(out *sim.Outbox) {
-	if r.hops > 0 {
-		out.Broadcast(relayPayload(r.hops))
-	}
-}
-
-func (r *relayNode) Deliver(m transport.Message, out *sim.Outbox) {
-	r.got++
-	if p := m.Payload.(relayPayload); p > 1 {
-		out.Send((r.id+1)%out.Graph().N(), p-1)
-	}
-}
-
-func (r *relayNode) Output() (float64, bool) { return float64(r.got), true }
-
-// BenchmarkEngineDispatch isolates per-delivery engine overhead on a
-// trivial relay workload: the inline engine's direct calls against the
-// goroutine engine's channel round-trips (~10x on one CPU). This is the
-// engine machinery's own speedup; end-to-end protocol speedups
-// (BenchmarkBWEngines) are smaller because protocol work dominates there.
-func BenchmarkEngineDispatch(b *testing.B) {
-	g := graph.Clique(6)
-	for _, name := range repro.EngineNames() {
-		eng, err := sim.EngineByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				hs := make([]sim.Handler, g.N())
-				for j := range hs {
-					hs[j] = &relayNode{id: j, hops: 500}
-				}
-				r, err := sim.New(sim.Config{Graph: g,
-					Policy: transport.NewRandomPolicy(int64(i)), Engine: eng}, hs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := r.Run(); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(r.Steps()), "deliveries/run")
-			}
-		})
-	}
-}
-
-// BenchmarkBWEngines compares the execution engines on the BW convergence
-// workload (the E6 graph with a Byzantine tamperer): identical schedules
-// and outputs, different invocation machinery. Here protocol work (path
-// flooding, storage) dominates, so the inline margin is smaller than the
-// raw dispatch margin of BenchmarkEngineDispatch.
-func BenchmarkBWEngines(b *testing.B) {
-	g := repro.Fig1a()
-	inputs := []float64{0, 4, 1, 3, 2}
-	for _, engine := range repro.EngineNames() {
-		b.Run(engine, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := repro.RunBW(g, inputs, repro.Options{
-					F: 1, K: 4, Eps: 0.25, Seed: int64(i), Engine: engine,
-					Faults: map[int]repro.Fault{1: {Kind: "tamper", Params: map[string]float64{"delta": 50}}},
-				})
-				if err != nil || !res.Converged || !res.ValidityOK {
-					b.Fatalf("run failed: %v %+v", err, res)
-				}
-				b.ReportMetric(float64(res.Steps), "deliveries/run")
-			}
-		})
-	}
-}
-
 // BenchmarkSweepWorkers compares the sequential and parallel sweep runners
 // on identical workloads (byte-identical reports; see the determinism
 // tests) — the scaling knob for multi-run experiments.
@@ -272,14 +184,14 @@ func BenchmarkSweepWorkers(b *testing.B) {
 // sparse circulant family.
 func BenchmarkScalability(b *testing.B) {
 	for _, n := range []int{5, 6, 7} {
-		g := graph.Circulant(n, 1, 2, 3)
-		inputs := make([]float64, n)
-		for i := range inputs {
-			inputs[i] = float64(i % 3)
+		s := repro.Scenario{
+			Graph: fmt.Sprintf("circulant:%d:1,2,3", n), Protocol: "bw",
+			InputGen: &repro.InputGenSpec{Kind: "mod", Mod: 3}, F: 1, K: 2, Eps: 0.5,
 		}
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := repro.RunBW(g, inputs, repro.Options{F: 1, K: 2, Eps: 0.5, Seed: int64(i)})
+				s.Seed = int64(i)
+				res, err := s.Run()
 				if err != nil || !res.Converged {
 					b.Fatalf("n=%d failed: %v", n, err)
 				}

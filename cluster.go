@@ -132,17 +132,11 @@ func (s Scenario) clusterSpec() ([]float64, Options, cluster.Spec, error) {
 }
 
 // validateForCluster rejects, eagerly and by name, the scenario knobs that
-// only mean something on the central simulator: engines, delivery
-// policies, and trace recording all manipulate the simulator's message
+// only mean something on the central simulator: delivery policies and
+// trace recording both manipulate the simulator's message
 // pool, which a live cluster does not have. Silently ignoring them would
 // replay the wrong experiment.
 func (s Scenario) validateForCluster() error {
-	if s.Engine != "" {
-		return fmt.Errorf("repro: scenario engine %q applies to the sim runtime only (a cluster has no central engine)", s.Engine)
-	}
-	if s.EngineWorkers != 0 {
-		return fmt.Errorf("repro: scenario engineWorkers applies to the sim runtime only (a cluster has no central engine)")
-	}
 	if s.Policy != nil {
 		return fmt.Errorf("repro: scenario policy %q applies to the sim runtime only (a cluster's schedule is the network's)", s.Policy.Name)
 	}

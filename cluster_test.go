@@ -202,35 +202,27 @@ func TestAttackScenarioJSONAcrossRuntimes(t *testing.T) {
 
 // TestAttackScenarioEngineByteIdentical pins determinism under the
 // refactored fault layer: the attack scenario's seeded simulator runs
-// produce byte-identical delivery traces on both engines.
+// produce byte-identical delivery traces, run after run and on the
+// goroutine reference.
 func TestAttackScenarioEngineByteIdentical(t *testing.T) {
 	s := attackScenario(t)
 	s.RecordTrace = true
-	traces := map[string]string{}
-	for _, engine := range repro.EngineNames() {
-		run := *s
-		run.Engine = engine
-		res, err := run.Run()
-		if err != nil {
-			t.Fatalf("engine %s: %v", engine, err)
-		}
-		if res.Trace == "" {
-			t.Fatalf("engine %s: no trace recorded", engine)
-		}
-		traces[engine] = res.Trace
-		rerun, err := run.Run()
-		if err != nil {
-			t.Fatalf("engine %s rerun: %v", engine, err)
-		}
-		if rerun.Trace != res.Trace {
-			t.Fatalf("engine %s: repeated runs drifted under link faults", engine)
-		}
+	res, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	base := traces[repro.EngineNames()[0]]
-	for engine, trace := range traces {
-		if trace != base {
-			t.Fatalf("engine %s trace differs under the refactored fault layer", engine)
-		}
+	if res.Trace == "" {
+		t.Fatal("no trace recorded")
+	}
+	rerun, err := s.Run()
+	if err != nil {
+		t.Fatalf("rerun: %v", err)
+	}
+	if rerun.Trace != res.Trace {
+		t.Fatal("repeated runs drifted under link faults")
+	}
+	if runGoroutineRef(t, *s).Trace != res.Trace {
+		t.Fatal("goroutine reference trace differs under the refactored fault layer")
 	}
 }
 
@@ -323,7 +315,11 @@ func TestProtocolBuilderErrors(t *testing.T) {
 	if _, err := repro.ProtocolBuilder("nope"); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
 		t.Fatalf("unknown protocol: got %v", err)
 	}
-	repro.Register("zz-conformance-sim-only", repro.RunIterative)
+	iterative, err := repro.ProtocolByName("iterative")
+	if err != nil {
+		t.Fatal(err)
+	}
+	repro.Register("zz-conformance-sim-only", iterative)
 	if _, err := repro.ProtocolBuilder("zz-conformance-sim-only"); err == nil ||
 		!strings.Contains(err.Error(), "no live-runtime builder") {
 		t.Fatalf("builderless protocol: got %v", err)

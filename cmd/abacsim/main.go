@@ -1,7 +1,7 @@
 // Command abacsim runs one of the repository's consensus protocols on a
 // chosen graph under a chosen adversary and schedule, and reports outputs,
 // agreement spread, validity and message accounting. Flag runs and scenario
-// files share one engine: the flags are compiled into a repro.Scenario, so
+// files share one path: the flags are compiled into a repro.Scenario, so
 // everything the CLI can do, a JSON scenario can express — and replay.
 //
 // Usage:
@@ -13,8 +13,6 @@
 //	abacsim -graph fig1b-analog -algo iterative -inputs 0,0,0,0,1,1,1,1
 //	abacsim -graph clique:3 -algo necessity -f 1
 //	abacsim -graph fig1a -algo bw -seeds 32 -workers 8   # parallel seed sweep
-//	abacsim -graph fig1a -algo bw -engine goroutine      # alternate engine
-//	abacsim -graph torus:16:16 -algo bw -policy fifo -engine parallel -engine-workers 4  # multi-core delivery
 //	abacsim -graph fig1a -algo bw -policy lifo           # adversarial schedule
 //	abacsim -graph fig1a -algo bw -policy bounded:bound=8
 //	abacsim -graph fig1a -algo bw -runtime loopback      # live node cluster, in-process
@@ -57,8 +55,6 @@ func run() error {
 		faults   = flag.String("fault", "", "semicolon-separated faults: node:kind[:param] (kinds: see -list)")
 		rounds   = flag.Int("rounds", 0, "round override for the iterative baseline")
 		history  = flag.Bool("history", false, "print per-round value histories")
-		engine   = flag.String("engine", "", "execution engine (see -list)")
-		eworkers = flag.Int("engine-workers", 0, "worker count for engines that take one, e.g. parallel (0 = one per CPU)")
 		policy   = flag.String("policy", "", "delivery policy name[:key=val,...], e.g. lifo or bounded:bound=8 (see -list)")
 		seeds    = flag.Int("seeds", 0, "run this many consecutive seeds (a seed sweep when > 1)")
 		workers  = flag.Int("workers", 0, "worker pool size for seed sweeps (0 = one per CPU, 1 = sequential)")
@@ -66,7 +62,7 @@ func run() error {
 		save     = flag.Bool("save", false, "print the run's canonical scenario JSON instead of executing it")
 		emit     = flag.String("emit", "", "stream execution events to stdout: jsonl")
 		runtime  = flag.String("runtime", "", "execution runtime: sim (default, deterministic simulator) | loopback | tcp (live node cluster; see -list)")
-		list     = flag.Bool("list", false, "list registered protocols, policies, engines, runtimes, fault kinds and graph specs")
+		list     = flag.Bool("list", false, "list registered protocols, policies, runtimes, fault kinds and graph specs")
 	)
 	flag.Parse()
 
@@ -97,13 +93,13 @@ func run() error {
 		if s, err = repro.ParseScenario(data); err != nil {
 			return err
 		}
-		if err := applyOverrides(s, *seed, *seeds, *engine, *eworkers); err != nil {
+		if err := applyOverrides(s, *seed, *seeds); err != nil {
 			return err
 		}
 	} else {
 		if *algo == "necessity" {
-			if *seeds > 1 || *engine != "" || *eworkers != 0 || *policy != "" || *emit != "" || *runtime != "" {
-				return fmt.Errorf("-seeds, -engine, -engine-workers, -policy, -emit and -runtime do not apply to -algo necessity")
+			if *seeds > 1 || *policy != "" || *emit != "" || *runtime != "" {
+				return fmt.Errorf("-seeds, -policy, -emit and -runtime do not apply to -algo necessity")
 			}
 			g, err := repro.NamedGraph(*spec)
 			if err != nil {
@@ -118,7 +114,7 @@ func run() error {
 		}
 		var err error
 		if s, err = buildScenario(*spec, *algo, *f, *k, *eps, *seed, *seeds,
-			*inputs, *faults, *rounds, *engine, *eworkers, *policy); err != nil {
+			*inputs, *faults, *rounds, *policy); err != nil {
 			return err
 		}
 	}
@@ -143,11 +139,11 @@ func run() error {
 	return runSingle(ctx, *s, *runtime, *emit == "jsonl", *history)
 }
 
-// applyOverrides lets explicitly passed -seed/-seeds/-engine flags override
-// the corresponding scenario-file fields, so one file serves many seeds and
-// engines. Any other run-shaping flag passed alongside -scenario is an
-// error: silently ignoring, say, -policy would replay the wrong schedule.
-func applyOverrides(s *repro.Scenario, seed int64, seeds int, engine string, engineWorkers int) error {
+// applyOverrides lets explicitly passed -seed/-seeds flags override the
+// corresponding scenario-file fields, so one file serves many seeds. Any
+// other run-shaping flag passed alongside -scenario is an error: silently
+// ignoring, say, -policy would replay the wrong schedule.
+func applyOverrides(s *repro.Scenario, seed int64, seeds int) error {
 	var clash []string
 	flag.Visit(func(fl *flag.Flag) {
 		switch fl.Name {
@@ -155,34 +151,29 @@ func applyOverrides(s *repro.Scenario, seed int64, seeds int, engine string, eng
 			s.Seed = seed
 		case "seeds":
 			s.Seeds = seeds
-		case "engine":
-			s.Engine = engine
-		case "engine-workers":
-			s.EngineWorkers = engineWorkers
 		case "graph", "algo", "f", "k", "eps", "inputs", "fault", "rounds", "policy":
 			clash = append(clash, "-"+fl.Name)
 		}
 	})
 	if len(clash) > 0 {
-		return fmt.Errorf("%s cannot be combined with -scenario: edit the file instead (only -seed, -seeds, -engine and -engine-workers override it)",
+		return fmt.Errorf("%s cannot be combined with -scenario: edit the file instead (only -seed and -seeds override it)",
 			strings.Join(clash, ", "))
 	}
 	return nil
 }
 
 // buildScenario compiles the imperative flags into a declarative Scenario.
-// The closing Validate checks every name eagerly — protocol, engine, graph,
+// The closing Validate checks every name eagerly — protocol, graph,
 // policy, fault kinds — so errors carry the valid values instead of
 // surfacing from deep inside the simulator.
 func buildScenario(spec, algo string, f int, k, eps float64, seed int64, seeds int,
-	inputs, faults string, rounds int, engine string, engineWorkers int, policy string) (*repro.Scenario, error) {
+	inputs, faults string, rounds int, policy string) (*repro.Scenario, error) {
 	if algo == "crash" {
 		algo = "crashapprox" // legacy alias from earlier releases
 	}
 	s := &repro.Scenario{
 		Graph: spec, Protocol: algo,
-		F: f, K: k, Eps: eps, Seed: seed, Seeds: seeds,
-		Engine: engine, EngineWorkers: engineWorkers, Rounds: rounds,
+		F: f, K: k, Eps: eps, Seed: seed, Seeds: seeds, Rounds: rounds,
 	}
 	var err error
 	if s.Policy, err = parsePolicy(policy); err != nil {
@@ -275,13 +266,6 @@ func printCatalog() {
 	fmt.Println("policies:")
 	for _, name := range repro.Policies() {
 		fmt.Printf("  %s\n", name)
-	}
-	fmt.Println("engines:")
-	for _, info := range repro.EngineCatalog() {
-		fmt.Printf("  %-13s %s\n", info.Name, info.Doc)
-		if info.Workers {
-			fmt.Printf("  %13s params: -engine-workers N (0 = one per CPU)\n", "")
-		}
 	}
 	fmt.Println("runtimes:")
 	for _, name := range repro.RuntimeNames() {
@@ -485,7 +469,7 @@ func parseFaults(s string) (map[int]repro.FaultSpec, error) {
 			return nil, fmt.Errorf("fault %q: bad node: %w", item, err)
 		}
 		// Unknown kinds fail here, at flag-parse time, in every argument
-		// form — the same eager UX as -engine and -policy.
+		// form — the same eager UX as -policy.
 		if _, err := repro.FaultDefaults(head[1]); err != nil {
 			return nil, fmt.Errorf("fault %q: %w", item, err)
 		}
@@ -507,6 +491,9 @@ func parseFaults(s string) (map[int]repro.FaultSpec, error) {
 				}
 			}
 			fl.Compose = append(fl.Compose, m)
+		}
+		if _, dup := out[node]; dup {
+			return nil, fmt.Errorf("fault %q: node %d has two fault entries", item, node)
 		}
 		out[node] = fl
 	}

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"flag"
+	"os"
+	"os/exec"
 	"reflect"
 	"strings"
 	"testing"
@@ -76,6 +79,11 @@ func TestParseFaults(t *testing.T) {
 			t.Errorf("parseFaults(%q) should fail", bad)
 		}
 	}
+	// Two entries for one node are the scenario path's hard error, not
+	// last-one-wins.
+	if _, err := parseFaults("1:silent;1:extreme:1e6"); err == nil || !strings.Contains(err.Error(), "node 1 has two fault entries") {
+		t.Errorf("two faults for node 1: %v", err)
+	}
 	if got, err := parseFaults(""); err != nil || got != nil {
 		t.Errorf("empty spec: %v %v", got, err)
 	}
@@ -111,16 +119,13 @@ func TestBuildScenarioValidatesEagerly(t *testing.T) {
 		errHas string
 	}{
 		{"bad protocol", func() (*repro.Scenario, error) {
-			return buildScenario("fig1a", "paxos", 1, 0, 0.1, 1, 0, "", "", 0, "", 0, "")
-		}, "valid values are"},
-		{"bad engine", func() (*repro.Scenario, error) {
-			return buildScenario("fig1a", "bw", 1, 0, 0.1, 1, 0, "", "", 0, "quantum", 0, "")
+			return buildScenario("fig1a", "paxos", 1, 0, 0.1, 1, 0, "", "", 0, "")
 		}, "valid values are"},
 		{"bad graph", func() (*repro.Scenario, error) {
-			return buildScenario("mobius:4", "bw", 1, 0, 0.1, 1, 0, "", "", 0, "", 0, "")
+			return buildScenario("mobius:4", "bw", 1, 0, 0.1, 1, 0, "", "", 0, "")
 		}, "unknown spec"},
 		{"bad fault node", func() (*repro.Scenario, error) {
-			return buildScenario("fig1a", "bw", 1, 0, 0.1, 1, 0, "", "9:silent", 0, "", 0, "")
+			return buildScenario("fig1a", "bw", 1, 0, 0.1, 1, 0, "", "9:silent", 0, "")
 		}, "outside graph order"},
 	}
 	for _, tc := range cases {
@@ -136,14 +141,14 @@ func TestBuildScenarioValidatesEagerly(t *testing.T) {
 
 func TestBuildScenarioCompilesFlags(t *testing.T) {
 	s, err := buildScenario("clique:4", "crash", 1, 3, 0.2, 9, 4,
-		"0,1,2,3", "2:silent", 0, "inline", 0, "bounded:bound=5")
+		"0,1,2,3", "2:silent", 0, "bounded:bound=5")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Protocol != "crashapprox" { // legacy alias resolved
 		t.Errorf("protocol = %q", s.Protocol)
 	}
-	if s.Seeds != 4 || s.Seed != 9 || s.Engine != "inline" {
+	if s.Seeds != 4 || s.Seed != 9 {
 		t.Errorf("scenario = %+v", s)
 	}
 	if s.Policy == nil || s.Policy.Name != "bounded" || s.Policy.Params["bound"] != 5 {
@@ -208,9 +213,25 @@ func TestCatalogDefaults(t *testing.T) {
 	}
 }
 
+// TestEngineFlagIsGone: the engine knobs went with the engines, so the flag
+// is an unknown one. Flag errors exit the process, hence the re-run of this
+// test binary as abacsim (the arguments after "--").
+func TestEngineFlagIsGone(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		os.Args = append([]string{"abacsim"}, args...)
+		flag.CommandLine = flag.NewFlagSet("abacsim", flag.ExitOnError)
+		main()
+		os.Exit(0)
+	}
+	out, err := exec.Command(os.Args[0], "-test.run=^TestEngineFlagIsGone$", "--", "-engine", "inline").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "flag provided but not defined: -engine") {
+		t.Fatalf("abacsim -engine inline: err %v, output:\n%s", err, out)
+	}
+}
+
 func TestRuntimeFlagValidatesEagerly(t *testing.T) {
 	// Every listed runtime is accepted; anything else fails by name with
-	// the valid values — the same eager UX as -engine and -policy.
+	// the valid values — the same eager UX as -policy.
 	for _, name := range repro.RuntimeNames() {
 		if err := validateName("runtime", name, repro.RuntimeNames()); err != nil {
 			t.Errorf("runtime %q rejected: %v", name, err)

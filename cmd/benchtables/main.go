@@ -11,7 +11,6 @@
 //	benchtables table1 fig1b        # run selected experiments
 //	benchtables -list               # list experiment names
 //	benchtables -workers 4          # fan experiments across 4 workers
-//	benchtables -engine goroutine   # run protocols on the goroutine engine
 //	benchtables -json out.json      # also record timings as JSON
 //	benchtables -maxn 0 -json e14.json scale   # the full E14 ladder, per-cell rows
 package main
@@ -33,7 +32,7 @@ import (
 
 // experiment is one catalog entry. run returns the rendered report and,
 // for experiments that measure per-scenario cells (the E14 ladder, the
-// exact tier), those cells with their skip and caveat notes; when such an
+// exact tier), those cells with their skip notes; when such an
 // experiment is the sole selection, -json records the cells as "runs"
 // instead of the per-experiment timing. The two report forms are mutually
 // exclusive by schema.
@@ -111,8 +110,8 @@ func catalog(maxN int) []experiment {
 			// The default benchtables invocation runs every experiment, so
 			// -maxn defaults to a seconds-scale cap; the full ladder to
 			// n=1024 is a multi-minute, multi-GB run asked for explicitly.
-			rep, err := experiments.RunScaleExec(ctx, seed, experiments.DefaultExec, maxN)
-			return rep.Render(), &experiments.BenchReport{Runs: rep.BenchRuns(), Skipped: rep.Skipped, Notes: rep.Notes}, err
+			rep, err := experiments.RunScaleExec(ctx, seed, maxN)
+			return rep.Render(), &experiments.BenchReport{Runs: rep.BenchRuns(), Skipped: rep.Skipped}, err
 		}},
 		{"exact", "E15: exact tier (aba, acs) x complete-graph families x the adversary matrix", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunExact(seed)
@@ -143,8 +142,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	var (
 		list       = fs.Bool("list", false, "list experiments and exit")
 		seed       = fs.Int64("seed", 1, "base seed for all randomized pieces")
-		engine     = fs.String("engine", "", "execution engine for protocol runs: inline (default) | goroutine | parallel")
-		eworkers   = fs.Int("engine-workers", 0, "worker count for engines that take one, e.g. parallel (0 = one per CPU)")
 		workers    = fs.Int("workers", 1, "run experiments on this many workers (0 = one per CPU); output order is fixed")
 		maxN       = fs.Int("maxn", 128, "scale: largest graph order of the E14 ladder (0 = the build's node limit)")
 		jsonPath   = fs.String("json", "", "also write per-experiment timings (or a sole scale/exact selection's cells) to this JSON file")
@@ -187,20 +184,17 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}
 	}
 
-	// Reports stay deterministic whatever the engine or fan-out; only the
-	// wall-clock changes. -workers is one concurrency budget, not two
-	// multiplying levels: with several experiments selected it fans the
-	// experiments and the sweeps inside each stay sequential; with a single
-	// experiment selected it goes to that experiment's internal fan-out.
-	// -engine-workers is a separate, per-run budget (the parallel engine's
-	// lanes); when both are active the engine clamps itself to a sweep
-	// lane's fair CPU share instead of multiplying (par.NestedWorkers).
-	// Set once, before any driver runs.
+	// Reports stay deterministic whatever the fan-out; only the wall-clock
+	// changes. -workers is one concurrency budget, not two multiplying
+	// levels: with several experiments selected it fans the experiments and
+	// the sweeps inside each stay sequential; with a single experiment
+	// selected it goes to that experiment's internal fan-out. Set once,
+	// before any driver runs.
 	inner := 1
 	if len(selected) == 1 {
 		inner = *workers
 	}
-	experiments.DefaultExec = experiments.Exec{Engine: *engine, EngineWorkers: *eworkers, Workers: inner}
+	experiments.DefaultExec = experiments.Exec{Workers: inner}
 
 	type outcome struct {
 		text   string
@@ -235,8 +229,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		// A sole selected experiment that measured per-scenario cells
 		// records them as runs; any other selection records the
 		// per-experiment timings. The schema forbids mixing the two, so a
-		// multi-experiment selection never emits cells. Engine/Workers at
-		// report level are this process's settings.
+		// multi-experiment selection never emits cells. Workers at report
+		// level is this process's setting.
 		var report experiments.BenchReport
 		if len(results) == 1 && results[0].cells != nil {
 			report = *results[0].cells
@@ -246,10 +240,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 				report.Experiments = append(report.Experiments, r.timing)
 			}
 		}
-		report.Engine, report.Workers, report.Seed = *engine, *workers, *seed
-		if report.Engine == "" {
-			report.Engine = "inline"
-		}
+		report.Workers, report.Seed = *workers, *seed
 		blob, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
 			return err

@@ -5,9 +5,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"flag"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/experiments"
@@ -59,32 +62,23 @@ func TestScaleJSONCells(t *testing.T) {
 		if !cell.Decided {
 			t.Errorf("%s on %s: not decided", cell.Name, cell.Runtime)
 		}
-		if cell.Engine != "" || cell.Policy != "" {
-			t.Errorf("%s on %s: default run stamped engine %q policy %q", cell.Name, cell.Runtime, cell.Engine, cell.Policy)
-		}
 		if want := simSteps[i/2]; runtime == "sim" && (cell.Steps != want || cell.Sends != want) {
 			t.Errorf("%s on sim: steps, sends = %d, %d, want %d", cell.Name, cell.Steps, cell.Sends, want)
 		}
 	}
 }
 
-// TestScaleParallelRunsFifo: under the parallel engine the simulator cells,
-// and only those, run and are stamped with the fifo delivery policy, and the
-// report says so.
-func TestScaleParallelRunsFifo(t *testing.T) {
-	rep := runJSON(t, "-maxn", "8", "-engine", "parallel", "-engine-workers", "2", "scale")
-	if len(rep.Runs) == 0 || len(rep.Notes) == 0 {
-		t.Fatalf("report = %+v, want cells and a policy note", rep)
+// TestEngineWorkersFlagIsGone: the engine knobs went with the engines, so
+// the flag is an unknown one. Flag errors exit the process, hence the
+// re-run of this test binary as benchtables (the arguments after "--").
+func TestEngineWorkersFlagIsGone(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		run(context.Background(), args, io.Discard)
+		os.Exit(0)
 	}
-	for _, cell := range rep.Runs {
-		want := experiments.BenchRun{}
-		if cell.Runtime == "sim" {
-			want = experiments.BenchRun{Engine: "parallel", Workers: 2, Policy: "fifo"}
-		}
-		if cell.Engine != want.Engine || cell.Workers != want.Workers || cell.Policy != want.Policy {
-			t.Errorf("%s on %s: engine %q workers %d policy %q, want %q %d %q", cell.Name, cell.Runtime,
-				cell.Engine, cell.Workers, cell.Policy, want.Engine, want.Workers, want.Policy)
-		}
+	out, err := exec.Command(os.Args[0], "-test.run=^TestEngineWorkersFlagIsGone$", "--", "-engine-workers", "2", "scale").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "flag provided but not defined: -engine-workers") {
+		t.Fatalf("benchtables -engine-workers 2: err %v, output:\n%s", err, out)
 	}
 }
 

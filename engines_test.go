@@ -1,8 +1,8 @@
-// Cross-engine equivalence and schedule-determinism regression tests: the
-// inline and goroutine engines must replay byte-identical delivery traces
-// and produce identical outputs for the same (seed, policy, graph) tuple,
-// and repeated runs of one tuple must never drift. These tests pin the
-// guarantee the Engine abstraction is built on (see internal/sim).
+// Reference-equivalence and schedule-determinism regression tests: the
+// delivery loop's direct handler calls and the goroutine-per-node reference
+// (reference_test.go) must replay byte-identical delivery traces and
+// produce identical outputs for the same (seed, policy, graph) tuple, and
+// repeated runs of one tuple must never drift.
 package repro_test
 
 import (
@@ -17,45 +17,27 @@ import (
 )
 
 // TestCrossEngineEquivalenceBW runs the full BW protocol with a Byzantine
-// fault on both engines and demands identical traces, outputs and message
-// accounting.
+// fault on the bare machines and on the goroutine reference and demands
+// identical traces, outputs and message accounting.
 func TestCrossEngineEquivalenceBW(t *testing.T) {
-	g := repro.Fig1a()
-	inputs := []float64{0, 4, 1, 3, 2}
 	for _, seed := range []int64{1, 5, 23} {
-		run := func(engine string) *repro.Result {
-			res, err := repro.RunBW(g, inputs, repro.Options{
-				F: 1, K: 4, Eps: 0.25, Seed: seed,
-				Engine: engine, RecordTrace: true,
-				Faults: map[int]repro.Fault{1: {Kind: "tamper", Params: map[string]float64{"delta": 50}}},
-			})
-			if err != nil {
-				t.Fatalf("engine %q seed %d: %v", engine, seed, err)
-			}
-			return res
+		s := repro.Scenario{
+			Graph: "fig1a", Protocol: "bw", Inputs: []float64{0, 4, 1, 3, 2},
+			F: 1, K: 4, Eps: 0.25, Seed: seed, RecordTrace: true,
+			Faults: []repro.FaultSpec{{Node: 1, Kind: "tamper", Params: map[string]float64{"delta": 50}}},
 		}
-		inline, goroutine := run("inline"), run("goroutine")
-		if inline.Trace == "" {
-			t.Fatal("no trace recorded")
+		direct, err := s.Run()
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if inline.Trace != goroutine.Trace {
-			t.Fatalf("seed %d: delivery traces differ between engines", seed)
-		}
-		if inline.Steps != goroutine.Steps || inline.MessagesSent != goroutine.MessagesSent {
-			t.Fatalf("seed %d: accounting differs: %d/%d steps, %d/%d sends",
-				seed, inline.Steps, goroutine.Steps, inline.MessagesSent, goroutine.MessagesSent)
-		}
-		for id, x := range inline.Outputs {
-			if goroutine.Outputs[id] != x {
-				t.Fatalf("seed %d node %d: %v vs %v", seed, id, x, goroutine.Outputs[id])
-			}
-		}
+		requireSameRun(t, fmt.Sprintf("seed %d", seed), direct, runGoroutineRef(t, s))
 	}
 }
 
-// bwTrace runs honest BW on g under the given policy and engine and returns
-// the delivery trace plus a rendering of the outputs.
-func bwTrace(t *testing.T, g *graph.Graph, policy transport.Policy, engine sim.Engine) (string, string) {
+// bwTrace runs honest BW on g under the given policy — on the goroutine
+// reference when wrap is set — and returns the delivery trace plus a
+// rendering of the outputs.
+func bwTrace(t *testing.T, g *graph.Graph, policy transport.Policy, wrap bool) (string, string) {
 	t.Helper()
 	proto, err := bw.NewProto(g, 1, 4, 0.25, 0)
 	if err != nil {
@@ -68,8 +50,11 @@ func bwTrace(t *testing.T, g *graph.Graph, policy transport.Policy, engine sim.E
 			t.Fatal(err)
 		}
 		handlers[i] = m
+		if wrap {
+			handlers[i] = inGoroutine(t, g, m)
+		}
 	}
-	r, err := sim.New(sim.Config{Graph: g, Policy: policy, Engine: engine, RecordTrace: true}, handlers)
+	r, err := sim.New(sim.Config{Graph: g, Policy: policy, RecordTrace: true}, handlers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,10 +66,10 @@ func bwTrace(t *testing.T, g *graph.Graph, policy transport.Policy, engine sim.E
 }
 
 // TestScheduleDeterminismRegression fixes (seed, policy, graph) and demands
-// a byte-identical delivery trace across repeated runs and across both
-// engines, for every asynchrony policy. This is the regression fence for
-// the transport determinism contract (pending order is a pure function of
-// the Add/Take/ReleaseHeld sequence).
+// a byte-identical delivery trace across repeated runs, on the bare
+// machines and on the goroutine reference, for every asynchrony policy.
+// This is the regression fence for the transport determinism contract
+// (pending order is a pure function of the Add/Take/ReleaseHeld sequence).
 func TestScheduleDeterminismRegression(t *testing.T) {
 	g := graph.Clique(4)
 	policies := []struct {
@@ -98,19 +83,19 @@ func TestScheduleDeterminismRegression(t *testing.T) {
 	}
 	for _, pc := range policies {
 		t.Run(pc.name, func(t *testing.T) {
-			baseTrace, baseOut := bwTrace(t, g, pc.make(), sim.Inline())
+			baseTrace, baseOut := bwTrace(t, g, pc.make(), false)
 			if baseTrace == "" {
 				t.Fatal("empty trace")
 			}
 			for run := 0; run < 2; run++ {
-				for _, eng := range []sim.Engine{sim.Inline(), sim.Goroutine()} {
-					trace, out := bwTrace(t, g, pc.make(), eng)
+				for _, wrap := range []bool{false, true} {
+					trace, out := bwTrace(t, g, pc.make(), wrap)
 					if trace != baseTrace {
-						t.Fatalf("engine %s run %d: trace drifted", eng.Name(), run)
+						t.Fatalf("goroutine reference %v run %d: trace drifted", wrap, run)
 					}
 					if out != baseOut {
-						t.Fatalf("engine %s run %d: outputs drifted: %s vs %s",
-							eng.Name(), run, out, baseOut)
+						t.Fatalf("goroutine reference %v run %d: outputs drifted: %s vs %s",
+							wrap, run, out, baseOut)
 					}
 				}
 			}

@@ -1,8 +1,8 @@
 // Conformance tests for the exact tier (aba, acs): the same scenario —
 // composed adversaries, link faults and all — must satisfy the tier's
 // guarantees on the deterministic simulator, the loopback cluster and real
-// TCP sockets, and on the simulator the parallel engine must replay the
-// inline engine's delivery trace byte for byte at every worker count.
+// TCP sockets, and on the simulator the goroutine reference must replay the
+// bare machines' delivery trace byte for byte.
 //
 // Exact consensus has no ε slack: agreement means spread exactly zero, and
 // for acs additionally that every honest node decides the same subset and
@@ -143,28 +143,21 @@ func TestExactCrossRuntime(t *testing.T) {
 	}
 }
 
-// TestExactCrossEngine: on the simulator, the goroutine engine and the
-// parallel engine at workers 1, 2 and 8 must replay the inline engine's
-// delivery trace byte for byte — the exact tier inherits the determinism
-// contract wholesale, including its decision vectors.
+// TestExactCrossEngine: on the simulator, the goroutine reference must
+// replay the bare machines' delivery trace byte for byte — the exact tier
+// inherits the determinism contract wholesale, including its decision
+// vectors.
 func TestExactCrossEngine(t *testing.T) {
 	for _, seed := range []int64{1, 23} {
 		for _, s := range exactScenarios(seed) {
+			s := traced(s)
 			t.Run(fmt.Sprintf("%s/seed%d", s.Name, seed), func(t *testing.T) {
-				base := runEngine(t, s, "inline", 0)
+				base, err := s.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
 				checkExactResult(t, "inline", s, base)
-				got := runEngine(t, s, "goroutine", 0)
-				requireSameRun(t, "goroutine", base, got)
-				if !reflect.DeepEqual(got.Vectors, base.Vectors) {
-					t.Fatalf("goroutine: vectors diverged: %v vs %v", got.Vectors, base.Vectors)
-				}
-				for _, w := range []int{1, 2, 8} {
-					got := runEngine(t, s, "parallel", w)
-					requireSameRun(t, fmt.Sprintf("parallel w=%d", w), base, got)
-					if !reflect.DeepEqual(got.Vectors, base.Vectors) {
-						t.Fatalf("parallel w=%d: vectors diverged: %v vs %v", w, got.Vectors, base.Vectors)
-					}
-				}
+				requireSameRun(t, "goroutine", base, runGoroutineRef(t, s))
 			})
 		}
 	}

@@ -5,7 +5,7 @@
 // admitted set, and a common coin breaks symmetry. The coin here is the
 // seeded deterministic one every node can compute locally from the run
 // seed (internal/seedmix), which keeps simulator traces byte-identical
-// across engines and worker counts and needs no extra message kinds.
+// across runs and worker counts and needs no extra message kinds.
 //
 // Termination is made quiescent in two complementary ways. First,
 // coin-bounded participation: a node that decides v at round r keeps
@@ -87,8 +87,8 @@ const maxRound = 1 << 20
 
 // Coin is the seeded deterministic common coin: every node computes the
 // same bit for (instance, round) from the shared run seed. This is the
-// coin determinism contract — no coin messages exist, so schedules,
-// engines and worker counts cannot perturb it.
+// coin determinism contract — no coin messages exist, so schedules and
+// worker counts cannot perturb it.
 func Coin(seed int64, inst, round int) int {
 	return int(seedmix.Mix(seed, coinSalt, int64(inst), int64(round)) & 1)
 }

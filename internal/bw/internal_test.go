@@ -127,9 +127,9 @@ func TestDigestCacheDistinguishesContents(t *testing.T) {
 }
 
 // TestNodePreOncePerProto: however many machines a Proto builds for a node,
-// from however many goroutines (cluster runtimes and parallel-engine lanes
-// construct and run machines concurrently), the plan and each node's static
-// context are computed once and shared.
+// from however many goroutines (cluster runtimes construct and run machines
+// concurrently), the plan and each node's static context are computed once
+// and shared.
 func TestNodePreOncePerProto(t *testing.T) {
 	g := graph.Fig1a()
 	p, err := NewProto(g, 1, 4, 0.1, 0)

@@ -455,7 +455,7 @@ func (m *Machine) floodInfo(p *CompletePayload) *floodInfo {
 		// summarized per delivery, the cache slot stays with the first.
 		return m.proto.newFloodInfo(p)
 	}
-	// LoadOrStore, not Store: machines on different parallel-engine lanes
+	// LoadOrStore, not Store: machines on different cluster event loops
 	// may race to summarize the same flood. The summary is a pure function
 	// of the payload content, so whichever instance wins the race is
 	// equivalent — LoadOrStore just keeps one canonical pointer in the map.

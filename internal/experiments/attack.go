@@ -132,14 +132,14 @@ func RunAttackMatrix(seed int64) (AttackMatrixReport, error) {
 	return RunAttackMatrixExec(context.Background(), seed, DefaultExec)
 }
 
-// RunAttackMatrixExec runs the attack matrix on the configured engine with
-// the configured worker fan-out. Cells are independent seeded scenarios,
-// so the report is identical for every worker count and engine. Cancelling
+// RunAttackMatrixExec runs the attack matrix with the configured worker
+// fan-out. Cells are independent seeded scenarios, so the report is
+// identical for every worker count. Cancelling
 // ctx stops the matrix between runs and surfaces ctx.Err().
 func RunAttackMatrixExec(ctx context.Context, seed int64, exec Exec) (AttackMatrixReport, error) {
 	cells := attackScenarios(seed)
 	rows, err := par.Map(ctx, exec.Workers, len(cells), func(i int) (AttackCell, error) {
-		out, err := runScenario(cells[i].s, exec)
+		out, err := cells[i].s.Run()
 		if err != nil {
 			return AttackCell{}, fmt.Errorf("%s: %w", cells[i].s.Name, err)
 		}

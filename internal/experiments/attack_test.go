@@ -33,17 +33,17 @@ func TestAttackMatrixAllPass(t *testing.T) {
 	}
 }
 
-// TestAttackMatrixDeterministicAcrossWorkersAndEngines extends the sweep
-// determinism guarantee to the attack matrix: the report is byte-identical
-// whatever the worker count and engine.
-func TestAttackMatrixDeterministicAcrossWorkersAndEngines(t *testing.T) {
+// TestAttackMatrixDeterministicAcrossWorkers extends the sweep determinism
+// guarantee to the attack matrix: the report is byte-identical whatever the
+// worker count.
+func TestAttackMatrixDeterministicAcrossWorkers(t *testing.T) {
 	base, err := experiments.RunAttackMatrixExec(context.Background(), 5, experiments.Exec{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, exec := range []experiments.Exec{
 		{Workers: 4},
-		{Workers: 4, Engine: "goroutine"},
+		{Workers: 0}, // one worker per CPU
 	} {
 		rep, err := experiments.RunAttackMatrixExec(context.Background(), 5, exec)
 		if err != nil {

@@ -4,14 +4,8 @@ package experiments
 // timing (Name and Ms only) or one executed cell of the E14/E15 tables with
 // its wall time and the run's acceptance facts.
 type BenchRun struct {
-	Name    string `json:"name"`
-	Runtime string `json:"runtime,omitempty"`
-	// Engine and Workers record the sim engine configuration when it is not
-	// the inline default (the E14 workers column).
-	Engine  string `json:"engine,omitempty"`
-	Workers int    `json:"workers,omitempty"`
-	// Policy records a delivery-policy override ("" = the scenario's own).
-	Policy    string  `json:"policy,omitempty"`
+	Name      string  `json:"name"`
+	Runtime   string  `json:"runtime,omitempty"`
 	Ms        float64 `json:"ms"`
 	Steps     int     `json:"steps,omitempty"`
 	Sends     int     `json:"sends,omitempty"`
@@ -35,15 +29,10 @@ type BenchRun struct {
 // baseline for performance claims; those are bench/'s job (BENCHMARK.json).
 type BenchReport struct {
 	Suite string `json:"suite,omitempty"`
-	// Engine/Workers at this level are benchtables' process-wide settings;
-	// per-cell engine configuration lives on the runs.
-	Engine      string     `json:"engine,omitempty"`
+	// Workers is benchtables' process-wide -workers setting.
 	Workers     int        `json:"workers,omitempty"`
 	Seed        int64      `json:"seed"`
 	Runs        []BenchRun `json:"runs,omitempty"`
 	Experiments []BenchRun `json:"experiments,omitempty"`
 	Skipped     []string   `json:"skipped,omitempty"`
-	// Notes carries measurement caveats (policy overrides) that belong with
-	// the numbers rather than in prose.
-	Notes []string `json:"notes,omitempty"`
 }

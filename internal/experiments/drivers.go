@@ -11,16 +11,6 @@ import (
 	"repro/internal/graph"
 )
 
-// runScenario executes one declarative scenario on the engine configured by
-// exec. Every driver below goes through this: each experiment cell IS a
-// (graph, adversary, schedule) triple in the Scenario sense, so the tables
-// are assembled from the same replayable specs the CLIs accept.
-func runScenario(s repro.Scenario, exec Exec) (*repro.Result, error) {
-	s.Engine = exec.Engine
-	s.EngineWorkers = exec.EngineWorkers
-	return s.Run()
-}
-
 // spreadOf computes max-min over a round's recorded values.
 func spreadOf(histories map[int][]float64, round int) float64 {
 	min, max := math.Inf(1), math.Inf(-1)
@@ -51,12 +41,12 @@ func RunFig1a(seed int64) (Fig1aReport, error) {
 		}
 	}
 
-	out, err := runScenario(repro.Scenario{
+	out, err := repro.Scenario{
 		Name: "fig1a-bw", Graph: "fig1a", Protocol: "bw",
 		Inputs: []float64{0, 4, 1, 3, 2},
 		F:      1, K: 4, Eps: 0.25, Seed: seed,
 		Faults: []repro.FaultSpec{{Node: 1, Kind: "extreme", Params: map[string]float64{"value": 1e6}}},
-	}, DefaultExec)
+	}.Run()
 	if err != nil {
 		return rep, err
 	}
@@ -83,11 +73,11 @@ func RunFig1b(seed int64) (Fig1bReport, error) {
 	ok, _ := cond.Check3Reach(broken, 2)
 	rep.BridgeBreak = !ok
 
-	out, err := runScenario(repro.Scenario{
+	out, err := repro.Scenario{
 		Name: "fig1b-analog-bw", Graph: "fig1b-analog", Protocol: "bw",
 		Inputs: []float64{0, 0.5, 1, 0.25, 0.75, 1, 0, 0.5},
 		F:      1, K: 1, Eps: 0.25, Seed: seed,
-	}, DefaultExec)
+	}.Run()
 	if err != nil {
 		return rep, err
 	}
@@ -176,7 +166,7 @@ func RunSufficiency(seed int64) (SufficiencyReport, error) {
 			if adv.kind != "" {
 				s.Faults = []repro.FaultSpec{{Node: 1, Kind: adv.kind, Params: adv.params}}
 			}
-			out, err := runScenario(s, DefaultExec)
+			out, err := s.Run()
 			if err != nil {
 				return rep, err
 			}
@@ -222,12 +212,12 @@ func (r ConvergenceReport) Render() string {
 func RunConvergence(seed int64) (ConvergenceReport, error) {
 	k, eps := 8.0, 0.2
 	rep := ConvergenceReport{Graph: "fig1a", K: k, Eps: eps, Rounds: bw.RoundsFor(k, eps)}
-	out, err := runScenario(repro.Scenario{
+	out, err := repro.Scenario{
 		Name: "fig1a-contraction", Graph: "fig1a", Protocol: "bw",
 		Inputs: []float64{0, 8, 4, 6, 2},
 		F:      1, K: k, Eps: eps, Seed: seed,
 		Faults: []repro.FaultSpec{{Node: 3, Kind: "extreme", Params: map[string]float64{"value": 1e9}}},
-	}, DefaultExec)
+	}.Run()
 	if err != nil {
 		return rep, err
 	}
@@ -291,13 +281,13 @@ func RunAADComparison(seed int64) (AADReport, error) {
 		}
 		aadRun := base
 		aadRun.Protocol = "aad"
-		aadOut, err := runScenario(aadRun, DefaultExec)
+		aadOut, err := aadRun.Run()
 		if err != nil {
 			return rep, err
 		}
 		bwRun := base
 		bwRun.Protocol = "bw"
-		bwOut, err := runScenario(bwRun, DefaultExec)
+		bwOut, err := bwRun.Run()
 		if err != nil {
 			return rep, err
 		}
@@ -343,11 +333,11 @@ func RunIterativeAblation(seed int64) (IterativeReport, error) {
 	var rep IterativeReport
 	// Clique: iterative works.
 	rep.CliqueRobust, _ = cond.CheckRobustness(graph.Clique(5), 2, 2)
-	out, err := runScenario(repro.Scenario{
+	out, err := repro.Scenario{
 		Name: "k5-iterative", Graph: "clique:5", Protocol: "iterative",
 		Inputs: []float64{0, 1, 2, 3, 4},
 		F:      1, Eps: 0.01, Rounds: 30, Seed: seed,
-	}, DefaultExec)
+	}.Run()
 	if err != nil {
 		return rep, err
 	}
@@ -359,22 +349,22 @@ func RunIterativeAblation(seed int64) (IterativeReport, error) {
 	rep.TwoClique3Reach, _ = cond.Check3Reach(g, 1)
 	rep.TwoCliqueRobust, _ = cond.CheckRobustness(g, 2, 2)
 	inputs := []float64{0, 0, 0, 0, 1, 1, 1, 1}
-	out, err = runScenario(repro.Scenario{
+	out, err = repro.Scenario{
 		Name: "two-clique-iterative", Graph: "fig1b-analog", Protocol: "iterative",
 		Inputs: inputs,
 		F:      1, Eps: 0.5, Rounds: 30, Seed: seed,
-	}, DefaultExec)
+	}.Run()
 	if err != nil {
 		return rep, err
 	}
 	rep.TwoCliqueSpread = out.Spread
 	rep.TwoCliqueStalled = out.Spread >= 0.5
 
-	bwOut, err := runScenario(repro.Scenario{
+	bwOut, err := repro.Scenario{
 		Name: "two-clique-bw", Graph: "fig1b-analog", Protocol: "bw",
 		Inputs: inputs,
 		F:      1, K: 1, Eps: 0.25, Seed: seed,
-	}, DefaultExec)
+	}.Run()
 	if err != nil {
 		return rep, err
 	}
@@ -408,12 +398,12 @@ func RunCrashCell(seed int64) (CrashReport, error) {
 	g := graph.Circulant(5, 1, 2)
 	rep := CrashReport{Graph: g.Name()}
 	rep.TwoReach, _ = cond.Check2Reach(g, 1)
-	out, err := runScenario(repro.Scenario{
+	out, err := repro.Scenario{
 		Name: "crash-cell", Graph: "circulant:5:1,2", Protocol: "crashapprox",
 		Inputs: []float64{0, 1, 2, 3, 4},
 		F:      1, K: 4, Eps: 0.2, Seed: seed,
 		Faults: []repro.FaultSpec{{Node: 2, Kind: "crash", Params: map[string]float64{"after": 12}}},
-	}, DefaultExec)
+	}.Run()
 	if err != nil {
 		return rep, err
 	}

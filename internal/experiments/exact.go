@@ -216,16 +216,15 @@ func RunExact(seed int64) (ExactReport, error) {
 	return RunExactExec(context.Background(), seed, DefaultExec)
 }
 
-// RunExactExec runs the matrix on the configured engine with the
-// configured worker fan-out. Cells are independent seeded scenarios, so
-// the acceptance facts are identical for every worker count and engine;
-// only the per-cell wall times move.
+// RunExactExec runs the matrix with the configured worker fan-out. Cells
+// are independent seeded scenarios, so the acceptance facts are identical
+// for every worker count; only the per-cell wall times move.
 func RunExactExec(ctx context.Context, seed int64, exec Exec) (ExactReport, error) {
 	cases, skipped := exactCases(seed)
 	rows, err := par.Map(ctx, exec.Workers, len(cases), func(i int) (ExactRow, error) {
 		c := cases[i]
 		start := time.Now()
-		out, err := runScenario(c.s, exec)
+		out, err := c.s.Run()
 		if err != nil {
 			return ExactRow{}, fmt.Errorf("%s: %w", c.s.Name, err)
 		}

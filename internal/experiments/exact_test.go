@@ -45,10 +45,9 @@ func TestExactMatrixAllPass(t *testing.T) {
 	}
 }
 
-// TestExactMatrixDeterministicAcrossWorkersAndEngines: the acceptance
-// facts are identical whatever the sweep fan-out and sim engine — only
-// wall times move.
-func TestExactMatrixDeterministicAcrossWorkersAndEngines(t *testing.T) {
+// TestExactMatrixDeterministicAcrossWorkers: the acceptance facts are
+// identical whatever the sweep fan-out — only wall times move.
+func TestExactMatrixDeterministicAcrossWorkers(t *testing.T) {
 	strip := func(rep experiments.ExactReport) []experiments.ExactRow {
 		rows := make([]experiments.ExactRow, len(rep.Rows))
 		copy(rows, rep.Rows)
@@ -63,8 +62,7 @@ func TestExactMatrixDeterministicAcrossWorkersAndEngines(t *testing.T) {
 	}
 	for _, exec := range []experiments.Exec{
 		{Workers: 4},
-		{Engine: "goroutine", Workers: 2},
-		{Engine: "parallel", EngineWorkers: 2, Workers: 2},
+		{Workers: 2},
 	} {
 		got, err := experiments.RunExactExec(context.Background(), 5, exec)
 		if err != nil {

@@ -1,19 +1,7 @@
 package experiments
 
-// Exec selects how experiment executions run: which sim engine invokes the
-// protocol handlers (via each driver's Scenario.Engine), and how many
-// workers fan out the independent runs of a sweep. The zero value — inline
-// engine, one worker per CPU for sweeps — is the fast default.
+// Exec selects how a sweep's independent runs are fanned out.
 type Exec struct {
-	// Engine names a sim engine ("inline", "goroutine", "parallel"); ""
-	// selects inline.
-	Engine string
-	// EngineWorkers is the worker count for engines that take one
-	// ("parallel"); 0 means the engine default. Engine workers never change
-	// results. When sweeps fan out too, the engine clamps itself to a sweep
-	// lane's fair CPU share (par.NestedWorkers) rather than multiplying the
-	// two budgets.
-	EngineWorkers int
 	// Workers bounds the sweep fan-out: < 1 means one worker per CPU,
 	// 1 runs sequentially. Single executions ignore it.
 	Workers int

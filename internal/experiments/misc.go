@@ -234,12 +234,12 @@ func RunScaling(seed int64) (ScalingReport, error) {
 		if err != nil {
 			return rep, err
 		}
-		out, err := runScenario(repro.Scenario{
+		out, err := repro.Scenario{
 			Name:  fmt.Sprintf("scaling-n%d", n),
 			Graph: fmt.Sprintf("circulant:%d:1,2,3", n), Protocol: "bw",
 			InputGen: &repro.InputGenSpec{Kind: "mod", Mod: 3},
 			F:        1, K: 2, Eps: 0.25, Seed: seed,
-		}, DefaultExec)
+		}.Run()
 		if err != nil {
 			return rep, err
 		}

@@ -142,11 +142,6 @@ type ScaleRow struct {
 	Converged bool
 	Valid     bool
 	CertNote  string
-	// Engine, Workers and Policy record a sim cell's non-default engine
-	// configuration and delivery-policy override; empty on cluster cells.
-	Engine  string
-	Workers int
-	Policy  string
 }
 
 // ScaleReport aggregates experiment E14: how the delivery core and the
@@ -157,8 +152,6 @@ type ScaleReport struct {
 	// Skipped lists cells deliberately not run, with reasons (no silent
 	// caps).
 	Skipped []string
-	// Notes carries measurement caveats that apply to the whole report.
-	Notes []string
 }
 
 // BenchRuns renders the report as benchtables -json cells.
@@ -168,9 +161,6 @@ func (r ScaleReport) BenchRuns() []BenchRun {
 		runs = append(runs, BenchRun{
 			Name:      row.Name,
 			Runtime:   row.Runtime,
-			Engine:    row.Engine,
-			Workers:   row.Workers,
-			Policy:    row.Policy,
 			Ms:        row.Ms,
 			Steps:     row.Steps,
 			Sends:     row.Messages,
@@ -200,9 +190,6 @@ func (r ScaleReport) Render() string {
 	for _, s := range r.Skipped {
 		fmt.Fprintf(&b, "  skipped: %s\n", s)
 	}
-	for _, s := range r.Notes {
-		fmt.Fprintf(&b, "  note: %s\n", s)
-	}
 	return b.String()
 }
 
@@ -223,17 +210,9 @@ func certNote(spec string, f int) string {
 // RunScaleExec runs the ladder up to maxN (0 = all sizes). Cells run
 // sequentially — each large cell saturates memory bandwidth on its own, and
 // wall-clock per cell is itself a reported measurement, so fanning cells
-// across workers would corrupt the numbers. Under the parallel engine the
-// sim cells run on the fifo delivery policy — the injection-immune schedule
-// the engine can batch — so worker counts compare the same schedule; the
-// override is recorded on every such cell and in the report notes.
-func RunScaleExec(ctx context.Context, seed int64, exec Exec, maxN int) (ScaleReport, error) {
+// across workers would corrupt the numbers.
+func RunScaleExec(ctx context.Context, seed int64, maxN int) (ScaleReport, error) {
 	var rep ScaleReport
-	simPolicy := ""
-	if exec.Engine == "parallel" {
-		simPolicy = "fifo"
-		rep.Notes = append(rep.Notes, "parallel-engine cells run under the fifo delivery policy (the schedule the engine batches); other cells keep the scenario default")
-	}
 	for _, c := range ScaleCases(seed, maxN) {
 		// Note-only cases (rungs above the build dimension, BW rows past the
 		// budget) carry no scenario to certify or run.
@@ -250,20 +229,8 @@ func RunScaleExec(ctx context.Context, seed int64, exec Exec, maxN int) (ScaleRe
 				Name: s.Name, Protocol: s.Protocol, Family: c.Family, N: c.N, F: c.F,
 				Runtime: runtime, CertNote: note,
 			}
-			var out *repro.Result
-			var err error
 			start := time.Now()
-			if runtime == "sim" {
-				if simPolicy != "" {
-					s.Policy = &repro.PolicySpec{Name: simPolicy}
-				}
-				row.Engine, row.Workers, row.Policy = exec.Engine, exec.EngineWorkers, simPolicy
-				out, err = runScenario(s, exec)
-			} else {
-				// Cluster runtimes reject sim-only knobs; the scenario stays
-				// engine-free.
-				out, err = s.RunOn(ctx, runtime)
-			}
+			out, err := s.RunOn(ctx, runtime)
 			if err != nil {
 				return rep, fmt.Errorf("%s on %s: %w", s.Name, runtime, err)
 			}

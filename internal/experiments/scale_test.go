@@ -74,7 +74,7 @@ func TestScaleLadderShape(t *testing.T) {
 // runtimes: BW must decide and converge on the cycle rows, the report must
 // carry certification notes, and nothing may be silently skipped.
 func TestScaleSmallRuns(t *testing.T) {
-	rep, err := RunScaleExec(context.Background(), 1, Exec{}, 32)
+	rep, err := RunScaleExec(context.Background(), 1, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func generateSweepCases(count int, seed int64, rep *SweepReport) []sweepCase {
 // runSweepCase is the execution phase for one case; cases are independent,
 // so these run in parallel.
 func runSweepCase(c sweepCase, exec Exec) (SweepRow, error) {
-	out, err := runScenario(c.scenario, exec)
+	out, err := c.scenario.Run()
 	if err != nil {
 		return SweepRow{}, err
 	}
@@ -159,12 +159,12 @@ func RunSweep(count int, seed int64) (SweepReport, error) {
 	return RunSweepExec(context.Background(), count, seed, DefaultExec)
 }
 
-// RunSweepExec runs the generality sweep on the configured engine with the
-// configured worker fan-out. Candidate generation is sequential (so the rng
+// RunSweepExec runs the generality sweep with the configured worker
+// fan-out. Candidate generation is sequential (so the rng
 // stream, and therefore the chosen graphs, inputs and fault patterns, are
 // identical whatever the worker count); the independent BW executions fan
 // across the worker pool; rows are reported in candidate order. The report
-// is byte-identical for every Workers setting and every engine. Cancelling
+// is byte-identical for every Workers setting. Cancelling
 // ctx stops the sweep between runs and surfaces ctx.Err().
 func RunSweepExec(ctx context.Context, count int, seed int64, exec Exec) (SweepReport, error) {
 	var rep SweepReport

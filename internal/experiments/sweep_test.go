@@ -25,10 +25,9 @@ func TestRandomSweep(t *testing.T) {
 	}
 }
 
-// TestSweepDeterministicAcrossWorkersAndEngines pins the parallel runner's
-// core guarantee: the report is byte-identical whatever the worker count
-// and whichever engine executes the runs.
-func TestSweepDeterministicAcrossWorkersAndEngines(t *testing.T) {
+// TestSweepDeterministicAcrossWorkers pins the parallel runner's core
+// guarantee: the report is byte-identical whatever the worker count.
+func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	count := 4
 	if testing.Short() {
 		count = 2
@@ -43,15 +42,13 @@ func TestSweepDeterministicAcrossWorkersAndEngines(t *testing.T) {
 	for _, exec := range []experiments.Exec{
 		{Workers: 4},
 		{Workers: 0}, // one worker per CPU
-		{Workers: 4, Engine: "goroutine"},
-		{Workers: 1, Engine: "goroutine"},
 	} {
 		rep, err := experiments.RunSweepExec(context.Background(), count, 99, exec)
 		if err != nil {
 			t.Fatalf("%+v: %v", exec, err)
 		}
 		if rep.Render() != base.Render() {
-			t.Fatalf("%+v diverged from sequential inline run:\n%s\nvs\n%s",
+			t.Fatalf("%+v diverged from sequential run:\n%s\nvs\n%s",
 				exec, rep.Render(), base.Render())
 		}
 	}

@@ -11,7 +11,7 @@
 // path (delays are measured in milliseconds). Decisions are seeded and
 // deterministic per edge: every (rule, edge) pair owns an independent
 // splitmix-derived rand stream, so the fate of the k-th send on an edge is a
-// pure function of (seed, rule index, edge, k) — identical across engines,
+// pure function of (seed, rule index, edge, k) — identical across runs,
 // and identical across the per-process Sets of a multi-process cluster,
 // which each consult only their own out-edges.
 package linkfault

@@ -13,20 +13,12 @@ import (
 	"sync/atomic"
 )
 
-// DefaultWorkers is the one GOMAXPROCS-derived worker default shared by
-// every concurrency knob in the repository: sweep fan-out (Workers) and the
-// parallel execution engine's lane count both resolve "use the hardware" to
-// this value, so the two layers agree on what a full machine means.
-func DefaultWorkers() int {
-	return runtime.GOMAXPROCS(0)
-}
-
 // Workers normalizes a worker-count knob: values < 1 mean "one worker per
-// available CPU" (DefaultWorkers), and the count never exceeds the job
+// available CPU" (GOMAXPROCS), and the count never exceeds the job
 // count.
 func Workers(workers, jobs int) int {
 	if workers < 1 {
-		workers = DefaultWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > jobs {
 		workers = jobs
@@ -35,37 +27,6 @@ func Workers(workers, jobs int) int {
 		workers = 1
 	}
 	return workers
-}
-
-// active tracks how many extra sweep workers (beyond the caller's own
-// goroutine) are currently fanned out by Map. Nested parallel consumers —
-// the sim "parallel" engine binding inside a sweep lane — consult it via
-// NestedWorkers so that sweep workers × engine workers cannot silently
-// oversubscribe the machine.
-var active atomic.Int64
-
-// NestedWorkers resolves a worker request made from code that may itself be
-// running inside a Map fan-out. Outside any sweep the request stands
-// (requested < 1 means DefaultWorkers). Inside an active sweep the machine
-// is already divided among the sweep lanes, so the request is clamped to
-// the lane's fair share of DefaultWorkers — never below 1. Results are
-// unaffected either way (worker counts change wall-clock, never outputs);
-// the clamp only prevents w sweep lanes × e engine workers goroutine
-// explosions.
-func NestedWorkers(requested int) int {
-	if requested < 1 {
-		requested = DefaultWorkers()
-	}
-	if extra := active.Load(); extra > 0 {
-		share := DefaultWorkers() / (int(extra) + 1)
-		if share < 1 {
-			share = 1
-		}
-		if requested > share {
-			return share
-		}
-	}
-	return requested
 }
 
 // Map runs job(0..n-1) across the given number of workers and returns the
@@ -106,10 +67,6 @@ func Map[T any](ctx context.Context, workers, n int, job func(i int) (T, error))
 	errs := make([]error, n)
 	var next, completed atomic.Int64
 	var wg sync.WaitGroup
-	// Register the extra lanes (beyond the caller's goroutine) so nested
-	// parallel consumers see the sweep via NestedWorkers.
-	active.Add(int64(workers - 1))
-	defer active.Add(int64(-(workers - 1)))
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {

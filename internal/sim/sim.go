@@ -1,12 +1,9 @@
 // Package sim executes protocol handlers over the transport pool: a central
 // loop picks the next in-flight message according to the configured
-// asynchrony policy and hands it to the receiving handler through a
-// pluggable execution Engine — by default a direct-call inline event loop,
-// optionally a goroutine-per-node message-passing arrangement. Any
+// asynchrony policy and calls the receiving handler with it. Any
 // serialization of deliveries chosen this way is a legal asynchronous
 // schedule, so seeded executions are both adversarially reorderable and
-// exactly reproducible; the schedule is engine-independent (see Engine), so
-// the same seed yields the same delivery trace on every engine.
+// exactly reproducible: the same seed yields the same delivery trace.
 package sim
 
 import (
@@ -23,7 +20,7 @@ import (
 // any delivery; Deliver is invoked once per received message. Handlers send
 // by calling Outbox methods; sends are collected per invocation and injected
 // into the network atomically afterwards. The Outbox is only valid for the
-// duration of the invocation — engines may reuse it, so handlers must not
+// duration of the invocation — the runner reuses it, so handlers must not
 // retain it (or slices obtained from it) once Start/Deliver returns. Output
 // reports the node's consensus output once available.
 type Handler interface {
@@ -85,8 +82,6 @@ func (o *Outbox) Graph() *graph.Graph { return o.g }
 type Config struct {
 	Graph  *graph.Graph
 	Policy transport.Policy
-	// Engine selects the execution engine; nil means the inline engine.
-	Engine Engine
 	// Hold withholds matching messages until ReleaseWhen fires (or until the
 	// rest of the network quiesces — delays are finite). Optional.
 	Hold *transport.HoldRule
@@ -95,7 +90,7 @@ type Config struct {
 	// dropped, duplicated, or delayed by Fate.Delay delivery steps before it
 	// enters the pool. Delays are finite: once the rest of the network
 	// quiesces, every delayed message is released. Decisions happen in the
-	// runner loop, so they are engine-independent and seed-deterministic.
+	// runner loop, in injection order, so they are seed-deterministic.
 	LinkFaults *linkfault.Set
 	// ReleaseWhen, checked after every delivery, releases held messages when
 	// it returns true. Optional.
@@ -140,6 +135,10 @@ type Runner struct {
 	trace    []transport.Message
 	// delayed holds link-fault-delayed messages until their release step.
 	delayed []delayedMessage
+	// out is the one Outbox every invocation sends through: Run drains it
+	// into the pool (copying each Message) before the next handler runs, and
+	// no handler retains it — the contract stated on Handler.
+	out Outbox
 }
 
 // delayedMessage is one send a link-fault delay rule is holding back; it
@@ -166,9 +165,6 @@ func New(cfg Config, handlers []Handler) (*Runner, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = transport.NewRandomPolicy(1)
 	}
-	if cfg.Engine == nil {
-		cfg.Engine = Inline()
-	}
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = DefaultMaxSteps
 	}
@@ -185,6 +181,7 @@ func New(cfg Config, handlers []Handler) (*Runner, error) {
 		handlers: handlers,
 		pool:     transport.NewPoolSized(cfg.Hold, stats, capacity),
 		stats:    stats,
+		out:      Outbox{g: cfg.Graph, stats: stats},
 	}
 	if cfg.RecordTrace {
 		// Preallocate the trace buffer: up to the cap when one is set,
@@ -201,28 +198,21 @@ func New(cfg Config, handlers []Handler) (*Runner, error) {
 	return r, nil
 }
 
-// Run executes until quiescence, early stop, or the delivery cap. The loop
-// is engine-independent: every pool mutation and policy pick happens here,
-// in the same order regardless of engine, which is what makes delivery
-// traces comparable across engines.
+// Run executes until quiescence, early stop, or the delivery cap. Every
+// pool mutation, policy pick and handler call happens here, on the caller's
+// goroutine, one delivery at a time.
 func (r *Runner) Run() error {
-	inv := r.cfg.Engine.Bind(r.handlers, r.cfg.Graph, r.stats)
-	defer inv.Close()
-
 	var rounds *roundWatch
 	if r.cfg.Observer != nil {
 		rounds = newRoundWatch(len(r.handlers))
 	}
 
-	for i := range r.handlers {
-		r.injectAll(inv.Start(i))
+	for i, h := range r.handlers {
+		h.Start(r.outbox(i))
+		r.injectAll(r.out.msgs)
 		if rounds != nil {
-			rounds.emit(i, r.handlers[i], r.steps, r.cfg.Observer)
+			rounds.emit(i, h, r.steps, r.cfg.Observer)
 		}
-	}
-
-	if b, ok := inv.(BatchInvoker); ok && r.windowedEligible() {
-		return r.runWindowed(b)
 	}
 
 	for {
@@ -260,84 +250,20 @@ func (r *Runner) Run() error {
 		if r.cfg.Observer != nil {
 			r.cfg.Observer.Observe(Event{Type: EventDeliver, Step: r.steps, Message: m})
 		}
-		r.injectAll(inv.Deliver(m.To, m))
+		h := r.handlers[m.To]
+		h.Deliver(m, r.outbox(m.To))
+		r.injectAll(r.out.msgs)
 		if rounds != nil {
-			rounds.emit(m.To, r.handlers[m.To], r.steps, r.cfg.Observer)
+			rounds.emit(m.To, h, r.steps, r.cfg.Observer)
 		}
 	}
 }
 
-// windowedEligible reports whether the run may draw whole delivery windows
-// up front instead of picking one message at a time. The requirement is
-// that nothing between two picks can change what the policy would pick or
-// demand per-delivery interposition:
-//
-//   - the policy must be injection-immune (its next k picks are fixed
-//     before the window's injections happen — transport.InjectionImmune);
-//   - no hold rule: released held messages keep their original Seq, which
-//     can be lower than pending ones and would invalidate a drawn window;
-//   - no observer, stop or release predicate: those contractually run
-//     between every two deliveries.
-//
-// Link faults stay compatible: their fate decisions happen at commit, in
-// exact injection order, and delayed messages are re-stamped with fresh
-// Seqs on release.
-func (r *Runner) windowedEligible() bool {
-	return transport.IsInjectionImmune(r.cfg.Policy) &&
-		r.cfg.Hold == nil &&
-		r.cfg.Observer == nil &&
-		r.cfg.StopWhen == nil &&
-		r.cfg.ReleaseWhen == nil
-}
-
-// windowCap bounds how many deliveries one window may hold. Large enough to
-// amortize the per-window fork/join, small enough that the batch and span
-// scratch stays cache-resident.
-const windowCap = 1 << 13
-
-// runWindowed is the batched delivery loop: draw up to windowCap deliveries
-// from the pool in policy order, invoke the handlers for all of them (the
-// BatchInvoker may parallelize), then commit each invocation — trace entry,
-// outbox injection, delayed-message release — in window order. Every pool
-// mutation happens in exactly the order the serial loop would have
-// performed it, so traces, statistics and link-fault accounting are
-// byte-identical to the per-delivery loop (the cross-engine tests pin
-// this).
-func (r *Runner) runWindowed(inv BatchInvoker) error {
-	batch := make([]transport.Message, 0, windowCap)
-	for {
-		r.releaseDelayed(false)
-		if r.pool.PendingEmpty() {
-			if len(r.delayed) > 0 {
-				// Link-fault delays are finite: once everything else has
-				// quiesced the delayed messages must eventually arrive.
-				r.releaseDelayed(true)
-				continue
-			}
-			if r.pool.HeldCount() > 0 {
-				r.releaseHeld()
-				continue
-			}
-			return nil
-		}
-		if r.steps >= r.cfg.MaxSteps {
-			return fmt.Errorf("%w: %d deliveries", ErrLivelock, r.steps)
-		}
-		max := windowCap
-		if rem := r.cfg.MaxSteps - r.steps; rem < max {
-			max = rem
-		}
-		batch = r.pool.DrawBatch(r.cfg.Policy, batch[:0], max)
-		outs := inv.DeliverBatch(batch)
-		for i, m := range batch {
-			r.steps++
-			if r.cfg.RecordTrace && (r.cfg.TraceCap == 0 || len(r.trace) < r.cfg.TraceCap) {
-				r.trace = append(r.trace, m)
-			}
-			r.injectAll(outs[i])
-			r.releaseDelayed(false)
-		}
-	}
+// outbox empties the shared Outbox and addresses it from node.
+func (r *Runner) outbox(node int) *Outbox {
+	r.out.from = node
+	r.out.msgs = r.out.msgs[:0]
+	return &r.out
 }
 
 // injectAll routes one invocation's batch of sends into the pool. With no
@@ -361,8 +287,8 @@ func (r *Runner) injectAll(msgs []transport.Message) {
 
 // inject routes a freshly sent message through the link-fault rules (drop,
 // duplicate, delay) and into the pool. The fate decision happens here, on
-// the runner's goroutine, in injection order — engine-independent and
-// therefore schedule-deterministic.
+// the runner's goroutine, in injection order, and is therefore
+// schedule-deterministic.
 func (r *Runner) inject(m transport.Message) {
 	if r.cfg.LinkFaults != nil {
 		fate := r.cfg.LinkFaults.Next(m.From, m.To)
@@ -426,7 +352,7 @@ func (r *Runner) Stats() *transport.Stats { return r.stats }
 func (r *Runner) Trace() []transport.Message { return r.trace }
 
 // TraceString renders the recorded trace one delivery per line — the byte
-// format the determinism and cross-engine equivalence tests compare.
+// format the determinism and reference-equivalence tests compare.
 func (r *Runner) TraceString() string {
 	var b strings.Builder
 	for _, m := range r.trace {

@@ -232,7 +232,7 @@ func TestOutputsCollection(t *testing.T) {
 }
 
 // outboxSpy records the Outbox pointers and pre-invocation lengths it sees,
-// pinning the engine contract that outboxes are reused across invocations
+// pinning the runner contract that outboxes are reused across invocations
 // and arrive empty each time.
 type outboxSpy struct {
 	echoNode
@@ -252,13 +252,17 @@ func (s *outboxSpy) Deliver(msg transport.Message, out *Outbox) {
 	s.echoNode.Deliver(msg, out)
 }
 
-// TestOutboxReuseAcrossInvocations: both engines may hand the same Outbox to
-// every invocation (the inline engine shares one across all handlers, the
-// goroutine engine one per proc), and it must always arrive drained — the
+// TestOutboxReuseAcrossInvocations: the same Outbox is handed to every
+// invocation (the runner shares one across all handlers, the goroutine
+// reference keeps one per node), and it must always arrive drained — the
 // reuse the Handler contract permits and the batching refactor relies on.
 func TestOutboxReuseAcrossInvocations(t *testing.T) {
-	for _, eng := range []Engine{Inline(), Goroutine()} {
-		t.Run(eng.Name(), func(t *testing.T) {
+	for _, wrap := range []bool{false, true} {
+		name := "inline"
+		if wrap {
+			name = "goroutine"
+		}
+		t.Run(name, func(t *testing.T) {
 			g := graph.Clique(3)
 			spies := make([]*outboxSpy, g.N())
 			hs := make([]Handler, g.N())
@@ -266,7 +270,10 @@ func TestOutboxReuseAcrossInvocations(t *testing.T) {
 				spies[i] = &outboxSpy{echoNode: echoNode{id: i, initial: 3}}
 				hs[i] = spies[i]
 			}
-			r, err := New(Config{Graph: g, Policy: transport.NewRandomPolicy(3), Engine: eng}, hs)
+			if wrap {
+				hs = inGoroutines(t, g, hs)
+			}
+			r, err := New(Config{Graph: g, Policy: transport.NewRandomPolicy(3)}, hs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,9 +14,9 @@
 // fills the vacated slot), and ReleaseHeld appends the held messages in
 // their original send order. No map iteration, goroutine interleaving or
 // other nondeterminism ever influences the order, so an index-based policy
-// such as RandomPolicy replays the exact same schedule for the same seed —
-// on any execution engine. Changing any of these three behaviors is a
-// schedule-breaking change and must be flagged as such.
+// such as RandomPolicy replays the exact same schedule for the same seed.
+// Changing any of these three behaviors is a schedule-breaking change and
+// must be flagged as such.
 package transport
 
 import (
@@ -72,29 +72,6 @@ type Policy interface {
 	Pick(pending PendingView) int
 }
 
-// InjectionImmune marks policies whose next k picks, for any k not
-// exceeding the current pending count, are unaffected by messages injected
-// after the picks are drawn. FIFO has this property: every later injection
-// receives a strictly larger Seq than everything currently pending, so the
-// k smallest Seqs — FIFO's next k picks — are already in the pool.
-// Count-sensitive policies (random: Intn over the pending length) and
-// newest-first policies (lifo, bounded's random arm) do not qualify: an
-// injection between two picks changes which message they choose. The
-// parallel execution engine uses this property to draw a whole batch of
-// picks up front and replay the inline schedule exactly; see
-// IsInjectionImmune.
-type InjectionImmune interface {
-	// injectionImmune is a marker; it carries no behavior.
-	injectionImmune()
-}
-
-// IsInjectionImmune reports whether the policy guarantees the
-// InjectionImmune prefix property.
-func IsInjectionImmune(p Policy) bool {
-	_, ok := p.(InjectionImmune)
-	return ok
-}
-
 // RandomPolicy delivers a uniformly random pending message; with a fixed
 // seed the whole execution is deterministic (the pool's pending order is
 // itself deterministic — see the package contract). This is the default
@@ -121,10 +98,6 @@ type FIFOPolicy struct{}
 func (FIFOPolicy) Pick(pending PendingView) int {
 	return pending.OldestIndex()
 }
-
-// injectionImmune marks FIFO as batch-drawable: later injections always
-// carry larger Seqs, so the next k oldest-first picks are fixed in advance.
-func (FIFOPolicy) injectionImmune() {}
 
 // LIFOPolicy delivers the most recently sent message first — a pathological
 // but legal asynchronous schedule that stresses the event-driven conditions.
@@ -243,11 +216,6 @@ func (s *Stats) recordSend(m Message) {
 
 // RecordDrop counts a message that was discarded before entering the pool.
 func (s *Stats) RecordDrop() { s.Dropped++ }
-
-// AddDropped merges n drops recorded elsewhere (per-worker staging stats in
-// the parallel engine). Dropped is a pure counter, so merge order does not
-// affect the result.
-func (s *Stats) AddDropped(n int) { s.Dropped += n }
 
 func (s *Stats) recordDelivery() { s.Delivered++ }
 
@@ -494,20 +462,6 @@ func (p *Pool) Take(i int) Message {
 	p.free = append(p.free, ai)
 	p.stats.recordDelivery()
 	return m
-}
-
-// DrawBatch removes up to max pending messages by repeatedly applying the
-// policy, appending them to dst in pick order, and returns the extended
-// slice. The resulting sequence is exactly what max successive
-// Pick/Take rounds would have delivered when nothing is injected in
-// between; for an InjectionImmune policy that makes it the inline engine's
-// next-max delivery schedule verbatim, which is how the parallel engine
-// stays byte-identical to inline.
-func (p *Pool) DrawBatch(policy Policy, dst []Message, max int) []Message {
-	for n := 0; n < max && len(p.pending) > 0; n++ {
-		dst = append(dst, p.Take(policy.Pick(p.View())))
-	}
-	return dst
 }
 
 func (p *Pool) oldestIndex() int {

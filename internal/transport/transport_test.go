@@ -358,67 +358,3 @@ func TestArenaReuse(t *testing.T) {
 		}
 	}
 }
-
-// TestDrawBatchMatchesSequentialTakes: a windowed draw must pick exactly
-// the messages that the same number of policy.Pick/Take rounds would, in
-// the same order — the property the parallel engine's batching rests on.
-func TestDrawBatchMatchesSequentialTakes(t *testing.T) {
-	fill := func(p *Pool) {
-		for i := 0; i < 9; i++ {
-			p.Add(msg(i%3, (i+1)%3, string(rune('a'+i))))
-		}
-	}
-	seq := NewPool(nil, NewStats())
-	fill(seq)
-	var want []Message
-	for i := 0; i < 6; i++ {
-		want = append(want, seq.Take(FIFOPolicy{}.Pick(seq.View())))
-	}
-
-	batched := NewPool(nil, NewStats())
-	fill(batched)
-	got := batched.DrawBatch(FIFOPolicy{}, nil, 6)
-	if len(got) != 6 {
-		t.Fatalf("drew %d messages, want 6", len(got))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("draw %d: got %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	if batched.PendingLen() != 3 {
-		t.Fatalf("pending after draw = %d, want 3", batched.PendingLen())
-	}
-	// Capacity beyond the pending count drains the pool and stops.
-	rest := batched.DrawBatch(FIFOPolicy{}, nil, 100)
-	if len(rest) != 3 || batched.PendingLen() != 0 {
-		t.Fatalf("overdraw: got %d drawn, %d pending", len(rest), batched.PendingLen())
-	}
-	// The dst slice is appended to, not replaced.
-	refill := NewPool(nil, NewStats())
-	fill(refill)
-	buf := make([]Message, 0, 16)
-	buf = refill.DrawBatch(FIFOPolicy{}, buf[:0], 2)
-	buf = refill.DrawBatch(FIFOPolicy{}, buf, 2)
-	if len(buf) != 4 {
-		t.Fatalf("appended draw length = %d, want 4", len(buf))
-	}
-}
-
-// TestInjectionImmunity pins which policies advertise the marker the
-// windowed runner gates on: only FIFO's pick is invariant under messages
-// injected behind the window start.
-func TestInjectionImmunity(t *testing.T) {
-	if !IsInjectionImmune(FIFOPolicy{}) {
-		t.Error("fifo must be injection-immune")
-	}
-	for name, p := range map[string]Policy{
-		"random":  NewRandomPolicy(1),
-		"lifo":    LIFOPolicy{},
-		"bounded": NewBoundedDelayPolicy(5, 1),
-	} {
-		if IsInjectionImmune(p) {
-			t.Errorf("%s must not advertise injection immunity", name)
-		}
-	}
-}

@@ -36,7 +36,7 @@ func (c iterTraceCell) String() string {
 // node decided, and FNV-64a hashes of the full delivery trace, of every
 // honest output's bit pattern and of every Histories entry's bit pattern
 // (both in vertex order).
-func iterTraceFingerprint(t *testing.T, c iterTraceCell, engine string) string {
+func iterTraceFingerprint(t *testing.T, c iterTraceCell) string {
 	t.Helper()
 	g, err := repro.NamedGraph(c.graph)
 	if err != nil {
@@ -48,7 +48,7 @@ func iterTraceFingerprint(t *testing.T, c iterTraceCell, engine string) string {
 	}
 	s := repro.Scenario{
 		Graph: c.graph, Protocol: "iterative", Inputs: inputs,
-		F: 1, K: 4, Eps: 0.1, Seed: c.seed, Engine: engine, RecordTrace: true,
+		F: 1, K: 4, Eps: 0.1, Seed: c.seed, RecordTrace: true,
 		Policy: &repro.PolicySpec{Name: c.policy},
 	}
 	if c.policy == "bounded" {
@@ -59,7 +59,7 @@ func iterTraceFingerprint(t *testing.T, c iterTraceCell, engine string) string {
 	}
 	res, err := s.Run()
 	if err != nil {
-		t.Fatalf("%v on %s: %v", c, engine, err)
+		t.Fatalf("%v: %v", c, err)
 	}
 	kinds := make([]string, 0, len(res.ByKind))
 	for k, n := range res.ByKind {
@@ -110,17 +110,15 @@ func iterTraceCells() []iterTraceCell {
 // TestIterTraceFence: the iterative machine on clique:5, torus:8:8 and
 // expander:32:4:1, seeds 1-3, under the random, fifo and bounded policies,
 // honest and with the last vertex equivocating, sending extremes or silent,
-// replays the recorded runs exactly on the inline and the parallel engine.
+// replays the recorded runs exactly.
 func TestIterTraceFence(t *testing.T) {
 	cells := iterTraceCells()
 	if len(cells) != len(iterTraces) {
 		t.Fatalf("%d cells, %d recorded fingerprints", len(cells), len(iterTraces))
 	}
 	for i, c := range cells {
-		for _, engine := range []string{"inline", "parallel"} {
-			if got := iterTraceFingerprint(t, c, engine); got != iterTraces[i] {
-				t.Errorf("%v on %s:\n got %s\nwant %s", c, engine, got, iterTraces[i])
-			}
+		if got := iterTraceFingerprint(t, c); got != iterTraces[i] {
+			t.Errorf("%v:\n got %s\nwant %s", c, got, iterTraces[i])
 		}
 	}
 }

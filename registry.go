@@ -51,9 +51,10 @@ var (
 
 // Register adds a protocol under a unique, non-empty name. Re-registration
 // panics: two packages claiming one name is a programming error, not a
-// runtime condition. The built-in protocols "bw", "aad", "crashapprox" and
-// "iterative" are pre-registered. A protocol registered this way runs on
-// the simulator only; add RegisterBuilder to run it on cluster runtimes.
+// runtime condition. The built-in protocols "bw", "aad", "crashapprox",
+// "iterative", "aba" and "acs" are pre-registered. A protocol registered
+// this way runs on the simulator only; add RegisterBuilder to run it on
+// cluster runtimes.
 func Register(name string, run RunFunc) {
 	protocolMu.Lock()
 	defer protocolMu.Unlock()
@@ -168,19 +169,27 @@ func ProtocolBuilder(name string) (BuilderFunc, error) {
 	return e.build, nil
 }
 
+// simRun is a built-in's simulator face: normalize the options, build the
+// run's machines, execute them on the simulator.
+func simRun(build BuilderFunc) RunFunc {
+	return func(g *Graph, inputs []float64, opts Options) (*Result, error) {
+		opts.normalize(inputs)
+		factory, err := build(g, inputs, opts)
+		if err != nil {
+			return nil, err
+		}
+		return runProtocol(g, inputs, opts, factory)
+	}
+}
+
 func init() {
-	Register("bw", RunBW)
-	Register("aad", RunAAD)
-	Register("crashapprox", RunCrashApprox)
-	Register("iterative", RunIterative)
-	Register("aba", RunABA)
-	Register("acs", RunACS)
-	RegisterBuilder("bw", buildBW)
-	RegisterBuilder("aad", buildAAD)
-	RegisterBuilder("crashapprox", buildCrashApprox)
-	RegisterBuilder("iterative", buildIterative)
-	RegisterBuilder("aba", buildABA)
-	RegisterBuilder("acs", buildACS)
+	for name, build := range map[string]BuilderFunc{
+		"bw": buildBW, "aad": buildAAD, "crashapprox": buildCrashApprox,
+		"iterative": buildIterative, "aba": buildABA, "acs": buildACS,
+	} {
+		Register(name, simRun(build))
+		RegisterBuilder(name, build)
+	}
 	RegisterInfo("bw", ProtocolInfo{Tier: TierApproximate, Shape: ShapeScalar,
 		Doc: "the paper's Algorithm BW: Byzantine approximate consensus on directed graphs"})
 	RegisterInfo("aad", ProtocolInfo{Tier: TierApproximate, Shape: ShapeScalar,

@@ -14,10 +14,8 @@
 //     agreement on a common subset ("acs", a vector decision) — all over
 //     a deterministic simulator with registry-backed,
 //     composable fault injection — named node adversaries (FaultKinds)
-//     plus per-edge Byzantine link failures (LinkFaultKinds) — and
-//     pluggable execution engines (a direct-call inline event loop by
-//     default, a goroutine-per-node arrangement on request — both replay
-//     the identical delivery schedule for a given seed),
+//     plus per-edge Byzantine link failures (LinkFaultKinds); a seed
+//     fixes the delivery schedule, so runs replay byte for byte,
 //   - a live node runtime: the same protocol machines as real networked
 //     nodes exchanging wire-encoded frames, in-process (Scenario.RunOn
 //     with "loopback"), over local TCP sockets ("tcp"), or as genuinely
@@ -310,19 +308,6 @@ type Options struct {
 	Eps float64
 	// Seed drives both the asynchrony schedule and randomized faults.
 	Seed int64
-	// Engine selects the execution engine: "inline" (default, a
-	// single-threaded direct-call event loop), "goroutine" (one goroutine
-	// per node) or "parallel" (speculative multi-core delivery). All
-	// produce identical schedules and outputs for the same seed; see
-	// EngineNames.
-	Engine string
-	// EngineWorkers sets the worker count for engines that take one
-	// ("parallel"); 0 means the engine default, one worker per CPU. Worker
-	// counts change wall-clock only, never results. Setting it with a
-	// single-threaded engine is an error. When runs fan out across sweep
-	// workers (RunSeeds) too, the engine clamps itself to the sweep lane's
-	// fair share of the CPUs instead of oversubscribing — see par.NestedWorkers.
-	EngineWorkers int
 	// Policy names the asynchrony schedule policy deciding which in-flight
 	// message is delivered next: "random" (default), "fifo", "lifo" or
 	// "bounded"; see Policies. Stateful policies are seeded with Seed.
@@ -407,7 +392,7 @@ type Result struct {
 	Vectors map[int]map[int]float64
 	// Trace is the delivery schedule, one message per line, recorded only
 	// when Options.RecordTrace is set. Identical seeds yield identical
-	// traces, on every engine.
+	// traces.
 	Trace string
 	// LinkStats counts link-fault interventions (zero when the run had no
 	// link-fault rules). Reported by the simulator and the cluster
@@ -506,10 +491,6 @@ func runProtocol(g *Graph, inputs []float64, opts Options, factory HandlerFactor
 	if err != nil {
 		return nil, err
 	}
-	engine, err := sim.NewEngine(opts.Engine, opts.EngineWorkers)
-	if err != nil {
-		return nil, err
-	}
 	policy, err := transport.NewPolicy(opts.Policy, opts.PolicyParams, opts.Seed)
 	if err != nil {
 		return nil, err
@@ -521,7 +502,6 @@ func runProtocol(g *Graph, inputs []float64, opts Options, factory HandlerFactor
 	runner, err := sim.New(sim.Config{
 		Graph:       g,
 		Policy:      policy,
-		Engine:      engine,
 		LinkFaults:  links,
 		RecordTrace: opts.RecordTrace,
 		Observer:    opts.Observer,
@@ -569,16 +549,6 @@ func buildBW(g *Graph, inputs []float64, opts Options) (HandlerFactory, error) {
 	}, nil
 }
 
-// RunBW executes the paper's Algorithm BW on g.
-func RunBW(g *Graph, inputs []float64, opts Options) (*Result, error) {
-	opts.normalize(inputs)
-	factory, err := buildBW(g, inputs, opts)
-	if err != nil {
-		return nil, err
-	}
-	return runProtocol(g, inputs, opts, factory)
-}
-
 // buildAAD is the Abraham–Amit–Dolev baseline's BuilderFunc.
 func buildAAD(g *Graph, inputs []float64, opts Options) (HandlerFactory, error) {
 	if g.M() != g.N()*(g.N()-1) {
@@ -590,17 +560,6 @@ func buildAAD(g *Graph, inputs []float64, opts Options) (HandlerFactory, error) 
 	}, nil
 }
 
-// RunAAD executes the Abraham–Amit–Dolev baseline; g must be a clique with
-// n > 3f.
-func RunAAD(g *Graph, inputs []float64, opts Options) (*Result, error) {
-	opts.normalize(inputs)
-	factory, err := buildAAD(g, inputs, opts)
-	if err != nil {
-		return nil, err
-	}
-	return runProtocol(g, inputs, opts, factory)
-}
-
 // buildCrashApprox is the 2-reach crash-fault algorithm's BuilderFunc.
 func buildCrashApprox(g *Graph, inputs []float64, opts Options) (HandlerFactory, error) {
 	proto, err := crashapprox.NewProto(g, opts.F, opts.K, opts.Eps, opts.PathBudget)
@@ -610,17 +569,6 @@ func buildCrashApprox(g *Graph, inputs []float64, opts Options) (HandlerFactory,
 	return func(id int) (Handler, error) {
 		return crashapprox.NewMachine(proto, id, inputs[id])
 	}, nil
-}
-
-// RunCrashApprox executes the 2-reach crash-fault algorithm (Table 2's
-// crash/asynchronous cell).
-func RunCrashApprox(g *Graph, inputs []float64, opts Options) (*Result, error) {
-	opts.normalize(inputs)
-	factory, err := buildCrashApprox(g, inputs, opts)
-	if err != nil {
-		return nil, err
-	}
-	return runProtocol(g, inputs, opts, factory)
 }
 
 // buildIterative is the local trimmed-mean baseline's BuilderFunc.
@@ -635,17 +583,6 @@ func buildIterative(g *Graph, inputs []float64, opts Options) (HandlerFactory, e
 	return func(id int) (Handler, error) {
 		return iterative.NewMachine(g, opts.F, id, rounds, inputs[id], arena)
 	}, nil
-}
-
-// RunIterative executes the local trimmed-mean baseline for opts.Rounds
-// rounds (default: the log2(K/Eps) bound).
-func RunIterative(g *Graph, inputs []float64, opts Options) (*Result, error) {
-	opts.normalize(inputs)
-	factory, err := buildIterative(g, inputs, opts)
-	if err != nil {
-		return nil, err
-	}
-	return runProtocol(g, inputs, opts, factory)
 }
 
 // buildABA is the exact tier's binary-agreement BuilderFunc: MMR-style ABA
@@ -667,18 +604,6 @@ func buildABA(g *Graph, inputs []float64, opts Options) (HandlerFactory, error) 
 	}, nil
 }
 
-// RunABA executes asynchronous binary agreement; g must be a clique with
-// n > 3f. The common coin derives from opts.Seed, so the same seed decides
-// the same way on every engine and runtime.
-func RunABA(g *Graph, inputs []float64, opts Options) (*Result, error) {
-	opts.normalize(inputs)
-	factory, err := buildABA(g, inputs, opts)
-	if err != nil {
-		return nil, err
-	}
-	return runProtocol(g, inputs, opts, factory)
-}
-
 // buildACS is the exact tier's agreement-on-a-common-subset BuilderFunc:
 // n reliable broadcasts plus n ABA instances (BKR). The scalar output is
 // the mean of the agreed subset's values; the full vector is surfaced as
@@ -692,18 +617,6 @@ func buildACS(g *Graph, inputs []float64, opts Options) (HandlerFactory, error) 
 	}, nil
 }
 
-// RunACS executes agreement on a common subset; g must be a clique with
-// n > 3f. All honest nodes decide the identical subset of at least n−f
-// input values (Result.Vectors) and output its mean.
-func RunACS(g *Graph, inputs []float64, opts Options) (*Result, error) {
-	opts.normalize(inputs)
-	factory, err := buildACS(g, inputs, opts)
-	if err != nil {
-		return nil, err
-	}
-	return runProtocol(g, inputs, opts, factory)
-}
-
 // RunNecessity executes the Theorem 18 construction on a graph violating
 // 3-reach; see adversary.RunNecessity.
 func RunNecessity(g *Graph, f int, k, eps float64, seed int64) (*NecessityResult, error) {
@@ -713,18 +626,12 @@ func RunNecessity(g *Graph, f int, k, eps float64, seed int64) (*NecessityResult
 // BWRounds exposes the paper's termination bound r > log2(K/eps).
 func BWRounds(k, eps float64) int { return bw.RoundsFor(k, eps) }
 
-// EngineNames lists the available execution engines for Options.Engine.
-func EngineNames() []string { return sim.EngineNames() }
+// EngineNames reports the one delivery loop the simulator has. Kept until
+// bench/micro.go's parallelSpeedup, its last caller, is retired.
+func EngineNames() []string { return []string{"inline"} }
 
-// EngineInfo describes one execution engine for catalogs: its name, a
-// one-line doc, and whether it accepts a worker count (Options.EngineWorkers).
-type EngineInfo = sim.EngineInfo
-
-// EngineCatalog returns the registered engines' descriptors, sorted by name.
-func EngineCatalog() []EngineInfo { return sim.Engines() }
-
-// RunFunc is the shared signature of the Run* protocol entry points
-// (RunBW, RunAAD, RunCrashApprox, RunIterative).
+// RunFunc is the signature of a protocol's simulator face: one complete
+// execution of g with the given inputs (see Register, ProtocolByName).
 type RunFunc func(g *Graph, inputs []float64, opts Options) (*Result, error)
 
 // RunSeeds executes run across n consecutive seeds starting at opts.Seed,

@@ -39,9 +39,20 @@ func TestCheckConditionsLargeUsesReachForPartitions(t *testing.T) {
 	}
 }
 
+// protocol resolves a registered protocol's simulator face, the imperative
+// (graph, inputs, Options) entry point under Scenario.Run.
+func protocol(t testing.TB, name string) repro.RunFunc {
+	t.Helper()
+	run, err := repro.ProtocolByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
 func TestRunBWFacade(t *testing.T) {
 	g := repro.Fig1a()
-	res, err := repro.RunBW(g, []float64{0, 4, 1, 3, 2}, repro.Options{
+	res, err := protocol(t, "bw")(g, []float64{0, 4, 1, 3, 2}, repro.Options{
 		F: 1, K: 4, Eps: 0.25, Seed: 5,
 		Faults: map[int]repro.Fault{2: {Kind: "silent"}},
 	})
@@ -68,28 +79,28 @@ func TestRunBWFacade(t *testing.T) {
 }
 
 func TestRunBWInputMismatch(t *testing.T) {
-	if _, err := repro.RunBW(repro.Clique(4), []float64{1}, repro.Options{}); err == nil {
+	if _, err := protocol(t, "bw")(repro.Clique(4), []float64{1}, repro.Options{}); err == nil {
 		t.Error("input length mismatch accepted")
 	}
 }
 
 func TestRunAADFacade(t *testing.T) {
 	g := repro.Clique(4)
-	res, err := repro.RunAAD(g, []float64{0, 1, 2, 3}, repro.Options{F: 1, K: 3, Eps: 0.2, Seed: 2})
+	res, err := protocol(t, "aad")(g, []float64{0, 1, 2, 3}, repro.Options{F: 1, K: 3, Eps: 0.2, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Converged || !res.ValidityOK {
 		t.Errorf("AAD result: %+v", res)
 	}
-	if _, err := repro.RunAAD(repro.DirectedCycle(4), []float64{0, 1, 2, 3}, repro.Options{}); err == nil {
+	if _, err := protocol(t, "aad")(repro.DirectedCycle(4), []float64{0, 1, 2, 3}, repro.Options{}); err == nil {
 		t.Error("AAD on non-clique accepted")
 	}
 }
 
 func TestRunCrashApproxFacade(t *testing.T) {
 	g := repro.Circulant(5, 1, 2)
-	res, err := repro.RunCrashApprox(g, []float64{0, 1, 2, 3, 4}, repro.Options{
+	res, err := protocol(t, "crashapprox")(g, []float64{0, 1, 2, 3, 4}, repro.Options{
 		F: 1, K: 4, Eps: 0.2, Seed: 3,
 		Faults: map[int]repro.Fault{4: {Kind: "crash", Params: map[string]float64{"after": 10}}},
 	})
@@ -102,7 +113,7 @@ func TestRunCrashApproxFacade(t *testing.T) {
 }
 
 func TestRunIterativeFacade(t *testing.T) {
-	res, err := repro.RunIterative(repro.Clique(5), []float64{0, 1, 2, 3, 4}, repro.Options{
+	res, err := protocol(t, "iterative")(repro.Clique(5), []float64{0, 1, 2, 3, 4}, repro.Options{
 		F: 1, K: 4, Eps: 0.1, Seed: 4, Rounds: 25,
 	})
 	if err != nil {
@@ -112,7 +123,7 @@ func TestRunIterativeFacade(t *testing.T) {
 		t.Errorf("iterative on clique should converge: %+v", res)
 	}
 	// The E9 separation via the facade.
-	sep, err := repro.RunIterative(repro.Fig1bAnalog(),
+	sep, err := protocol(t, "iterative")(repro.Fig1bAnalog(),
 		[]float64{0, 0, 0, 0, 1, 1, 1, 1}, repro.Options{F: 1, K: 1, Eps: 0.1, Seed: 4, Rounds: 25})
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +156,7 @@ func TestBWRounds(t *testing.T) {
 func TestFaultKindsAllRun(t *testing.T) {
 	g := repro.Clique(4)
 	for i, kind := range repro.FaultKinds() {
-		res, err := repro.RunBW(g, []float64{1, 0, 1.5, 2}, repro.Options{
+		res, err := protocol(t, "bw")(g, []float64{1, 0, 1.5, 2}, repro.Options{
 			F: 1, K: 2, Eps: 0.25, Seed: int64(i + 1),
 			Faults: map[int]repro.Fault{1: {Kind: kind}},
 		})
@@ -164,17 +175,17 @@ func TestFaultKindsAllRun(t *testing.T) {
 func TestUnknownFaultHardError(t *testing.T) {
 	g := repro.Clique(4)
 	inputs := []float64{0, 1, 2, 3}
-	if _, err := repro.RunBW(g, inputs, repro.Options{
+	if _, err := protocol(t, "bw")(g, inputs, repro.Options{
 		Faults: map[int]repro.Fault{1: {Kind: "gremlin"}},
 	}); err == nil || !strings.Contains(err.Error(), "unknown fault kind") {
 		t.Errorf("unknown kind: got %v", err)
 	}
-	if _, err := repro.RunBW(g, inputs, repro.Options{
+	if _, err := protocol(t, "bw")(g, inputs, repro.Options{
 		Faults: map[int]repro.Fault{1: {Kind: "crash", Params: map[string]float64{"fuel": 1}}},
 	}); err == nil || !strings.Contains(err.Error(), `unknown param "fuel"`) {
 		t.Errorf("unknown param: got %v", err)
 	}
-	if _, err := repro.RunBW(g, inputs, repro.Options{
+	if _, err := protocol(t, "bw")(g, inputs, repro.Options{
 		Faults: map[int]repro.Fault{1: {Kind: ""}},
 	}); err == nil {
 		t.Error("empty kind accepted")

@@ -12,7 +12,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/linkfault"
 	"repro/internal/par"
-	"repro/internal/sim"
 	"repro/internal/transport"
 )
 
@@ -20,10 +19,10 @@ import (
 // (graph, protocol, adversary, schedule) tuple plus execution knobs. It is
 // the unit the experiment matrices are made of — serialize a Scenario,
 // archive it next to the numbers it produced, decode and Run it again and
-// the delivery trace is byte-identical on every engine.
+// the delivery trace is byte-identical.
 //
 // The zero values defer to the same defaults as Options: F=1, Eps=0.1,
-// K=max(|input|), random delivery policy, inline engine. Inputs and
+// K=max(|input|), random delivery policy. Inputs and
 // InputGen are mutually exclusive; with neither, nodes get input i mod 4
 // (the CLI default).
 type Scenario struct {
@@ -55,12 +54,11 @@ type Scenario struct {
 	// Seeds is the batch width for RunBatch: consecutive seeds starting at
 	// Seed. 0 and 1 both mean a single run.
 	Seeds int `json:"seeds,omitempty"`
-	// Engine selects the execution engine ("inline", "goroutine",
-	// "parallel").
+	// Engine carries no behaviour: it must be "" or "inline". Kept until
+	// bench/micro.go's parallelSpeedup, its last caller, is retired.
 	Engine string `json:"engine,omitempty"`
-	// EngineWorkers sets the worker count for engines that take one
-	// ("parallel"); 0 means the engine default. Worker counts never change
-	// results, only wall-clock.
+	// EngineWorkers carries no behaviour: it must be 0. Kept for the same
+	// last caller, bench/micro.go's parallelSpeedup.
 	EngineWorkers int `json:"engineWorkers,omitempty"`
 	// Policy selects the asynchrony schedule policy (default random).
 	Policy *PolicySpec `json:"policy,omitempty"`
@@ -240,7 +238,7 @@ func (g *InputGenSpec) validate() error {
 var defaultInputGen = InputGenSpec{Kind: "mod", Mod: 4}
 
 // Validate checks every name and cross-reference in the scenario eagerly —
-// graph spec, protocol, engine, policy and params, fault kinds and node
+// graph spec, protocol, policy and params, fault kinds and node
 // ranges, input arity — so a bad scenario file fails at decode time with a
 // message naming the valid values, not mid-run from deep inside the
 // simulator.
@@ -268,11 +266,8 @@ func (s Scenario) Materialize() (*Graph, []float64, error) {
 	if s.F < FZero || s.K < 0 || s.Eps < 0 || s.Rounds < 0 || s.Seeds < 0 {
 		return nil, nil, fmt.Errorf("repro: scenario: k, eps, rounds and seeds must be non-negative and f >= %d (%d = explicit zero fault bound)", FZero, FZero)
 	}
-	if s.EngineWorkers < 0 {
-		return nil, nil, fmt.Errorf("repro: scenario: engineWorkers must be non-negative, got %d", s.EngineWorkers)
-	}
-	if _, err := sim.NewEngine(s.Engine, s.EngineWorkers); err != nil {
-		return nil, nil, fmt.Errorf("repro: scenario: %w", err)
+	if (s.Engine != "" && s.Engine != "inline") || s.EngineWorkers != 0 {
+		return nil, nil, fmt.Errorf("repro: scenario: engine %q with engineWorkers %d: the goroutine and parallel engines were removed, only \"inline\" with 0 workers decodes", s.Engine, s.EngineWorkers)
 	}
 	if s.Policy != nil {
 		if err := transport.ValidatePolicy(s.Policy.Name, s.Policy.Params); err != nil {
@@ -330,7 +325,6 @@ func (s Scenario) Materialize() (*Graph, []float64, error) {
 func (s Scenario) options() Options {
 	opts := Options{
 		F: s.F, K: s.K, Eps: s.Eps, Seed: s.Seed,
-		Engine: s.Engine, EngineWorkers: s.EngineWorkers,
 		Rounds: s.Rounds, RecordTrace: s.RecordTrace,
 	}
 	if s.Policy != nil {

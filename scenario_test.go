@@ -144,7 +144,10 @@ func TestParseScenarioRejectsBadDocuments(t *testing.T) {
 		{"bad graph", `{"graph":"hypercube:4","protocol":"bw"}`, "unknown spec"},
 		{"missing protocol", `{"graph":"fig1a"}`, "missing protocol"},
 		{"bad protocol", `{"graph":"fig1a","protocol":"paxos"}`, "unknown protocol"},
-		{"bad engine", `{"graph":"fig1a","protocol":"bw","engine":"quantum"}`, "unknown engine"},
+		{"bad engine", `{"graph":"fig1a","protocol":"bw","engine":"quantum"}`, "removed"},
+		{"parallel engine", `{"graph":"fig1a","protocol":"bw","engine":"parallel"}`, "removed"},
+		{"goroutine engine", `{"graph":"fig1a","protocol":"bw","engine":"goroutine"}`, "removed"},
+		{"engine workers", `{"graph":"fig1a","protocol":"bw","engine":"inline","engineWorkers":2}`, "removed"},
 		{"bad policy", `{"graph":"fig1a","protocol":"bw","policy":{"name":"warp"}}`, "unknown policy"},
 		{"bad policy param", `{"graph":"fig1a","protocol":"bw","policy":{"name":"fifo","params":{"bound":3}}}`, "unknown param"},
 		{"missing policy param", `{"graph":"fig1a","protocol":"bw","policy":{"name":"bounded"}}`, `missing param "bound"`},
@@ -184,10 +187,18 @@ func TestParseScenarioRejectsBadDocuments(t *testing.T) {
 	}
 }
 
+// TestEngineNamesInlineOnly: the list bench/micro.go's parallelSpeedup
+// still reads names the one delivery loop and nothing else.
+func TestEngineNamesInlineOnly(t *testing.T) {
+	if got := repro.EngineNames(); !reflect.DeepEqual(got, []string{"inline"}) {
+		t.Fatalf("EngineNames() = %v, want [inline]", got)
+	}
+}
+
 // TestScenarioRoundTripTraceIdentical is the API's reproducibility
 // guarantee: a scenario serialized to JSON, decoded, and re-run produces a
-// byte-identical Result.Trace — on both engines and under every registered
-// policy.
+// byte-identical Result.Trace — on the bare machines, on the goroutine
+// reference and under every registered policy.
 func TestScenarioRoundTripTraceIdentical(t *testing.T) {
 	policies := []*repro.PolicySpec{
 		nil, // default random
@@ -196,7 +207,17 @@ func TestScenarioRoundTripTraceIdentical(t *testing.T) {
 		{Name: "lifo"},
 		{Name: "bounded", Params: map[string]float64{"bound": 6}},
 	}
-	for _, engine := range repro.EngineNames() {
+	runners := map[string]func(*testing.T, repro.Scenario) *repro.Result{
+		"inline": func(t *testing.T, s repro.Scenario) *repro.Result {
+			res, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res
+		},
+		"goroutine": runGoroutineRef,
+	}
+	for engine, run := range runners {
 		for _, pol := range policies {
 			name := engine + "/default"
 			if pol != nil {
@@ -208,15 +229,11 @@ func TestScenarioRoundTripTraceIdentical(t *testing.T) {
 					Protocol: "bw",
 					Inputs:   []float64{0, 4, 1, 3, 2},
 					F:        1, K: 4, Eps: 0.25, Seed: 23,
-					Engine:      engine,
 					Policy:      pol,
 					Faults:      []repro.FaultSpec{{Node: 1, Kind: "tamper", Params: map[string]float64{"delta": 50}}},
 					RecordTrace: true,
 				}
-				direct, err := s.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
+				direct := run(t, s)
 				if direct.Trace == "" {
 					t.Fatal("no trace recorded")
 				}
@@ -228,10 +245,7 @@ func TestScenarioRoundTripTraceIdentical(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				rerun, err := decoded.Run()
-				if err != nil {
-					t.Fatal(err)
-				}
+				rerun := run(t, *decoded)
 				if rerun.Trace != direct.Trace {
 					t.Error("trace not byte-identical after JSON round-trip")
 				}
@@ -411,7 +425,7 @@ func TestJSONLObserverSharedAcrossSeeds(t *testing.T) {
 	var sb strings.Builder
 	obs, flushErr := repro.JSONLObserver(&sb)
 	opts := repro.Options{F: 1, K: 4, Eps: 0.25, Seed: 1, Observer: obs}
-	results, err := repro.RunSeeds(context.Background(), repro.RunBW, repro.Fig1a(), []float64{0, 4, 1, 3, 2}, opts, 4, 4)
+	results, err := repro.RunSeeds(context.Background(), protocol(t, "bw"), repro.Fig1a(), []float64{0, 4, 1, 3, 2}, opts, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +453,7 @@ func TestJSONLObserverSharedAcrossSeeds(t *testing.T) {
 func TestOptionsNormalizeNegativeInputs(t *testing.T) {
 	g := repro.Fig1a()
 	inputs := []float64{-8, -2, -6, -4, -7}
-	res, err := repro.RunBW(g, inputs, repro.Options{F: 1, Eps: 0.25, Seed: 3})
+	res, err := protocol(t, "bw")(g, inputs, repro.Options{F: 1, Eps: 0.25, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
