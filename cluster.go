@@ -3,10 +3,8 @@ package repro
 import (
 	"context"
 	"fmt"
-	"net"
 	"sort"
 
-	"repro/internal/adversary"
 	"repro/internal/cluster"
 )
 
@@ -147,116 +145,4 @@ func (s Scenario) validateForCluster() error {
 		return fmt.Errorf("repro: seed batches run on the sim runtime (RunBatch); cluster runtimes execute one run")
 	}
 	return nil
-}
-
-// JoinSpec describes one vertex joining a multi-process TCP cluster: the
-// shared scenario file plus this process's identity and addressing.
-type JoinSpec struct {
-	// Scenario is the run specification every member process shares.
-	Scenario Scenario
-	// ID is this process's vertex.
-	ID int
-	// Listener, when non-nil, is used as-is for inbound links (embedders
-	// and tests bind it up front so peer addresses are known before any
-	// node starts). Otherwise Listen is the bind address (defaults to
-	// 127.0.0.1:0); when its port is taken, up to ListenAttempts
-	// consecutive ports are tried.
-	Listener       net.Listener
-	Listen         string
-	ListenAttempts int
-	// Peers maps vertex ids to dial addresses; it must cover every
-	// out-neighbor of ID.
-	Peers map[int]string
-	// Observer streams this node's runtime events; OnDecide fires once
-	// when the vertex decides; OnListen reports the bound address before
-	// dialing starts.
-	Observer Observer
-	OnDecide func(output float64)
-	OnListen func(addr string)
-}
-
-// NodeReport is one vertex's outcome from JoinCluster.
-type NodeReport struct {
-	ID        int
-	Output    float64
-	Decided   bool
-	Addr      string
-	Delivered int
-	Sent      int
-}
-
-// JoinCluster runs one vertex of the scenario as a live TCP node until ctx
-// ends — the library form of the abacnode daemon. The vertex's machine is
-// built from the scenario (adversary-wrapped if the scenario marks it
-// faulty); deciding does not stop the node, because in the asynchronous
-// model honest nodes keep relaying for their peers — the caller chooses
-// when to leave by cancelling ctx (abacnode lingers a grace period after
-// deciding).
-func JoinCluster(ctx context.Context, spec JoinSpec) (*NodeReport, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := spec.Scenario.validateForCluster(); err != nil {
-		return nil, err
-	}
-	g, inputs, err := spec.Scenario.Materialize()
-	if err != nil {
-		return nil, err
-	}
-	if spec.ID < 0 || spec.ID >= g.N() {
-		return nil, fmt.Errorf("repro: join id %d outside graph order %d", spec.ID, g.N())
-	}
-	for _, v := range g.Out(spec.ID) {
-		if _, ok := spec.Peers[v]; !ok {
-			return nil, fmt.Errorf("repro: join: no peer address for out-neighbor %d of vertex %d", v, spec.ID)
-		}
-	}
-	build, err := ProtocolBuilder(spec.Scenario.Protocol)
-	if err != nil {
-		return nil, err
-	}
-	opts := spec.Scenario.options()
-	opts.normalize(inputs)
-	factory, err := build(g, inputs, opts)
-	if err != nil {
-		return nil, err
-	}
-	handler, err := factory(spec.ID)
-	if err != nil {
-		return nil, err
-	}
-	if fl, bad := opts.Faults[spec.ID]; bad {
-		handler, err = adversary.BuildHandler(spec.ID, fl.spec(), handler, adversary.NodeSeed(opts.Seed, spec.ID))
-		if err != nil {
-			return nil, fmt.Errorf("repro: fault at node %d: %w", spec.ID, err)
-		}
-	}
-	links, err := buildLinkFaults(g, opts)
-	if err != nil {
-		return nil, err
-	}
-	var onDecide func(int, float64)
-	if spec.OnDecide != nil {
-		onDecide = func(_ int, x float64) { spec.OnDecide(x) }
-	}
-	out, err := cluster.JoinTCP(ctx, cluster.JoinConfig{
-		ID:             spec.ID,
-		Graph:          g,
-		Handler:        handler,
-		Listener:       spec.Listener,
-		Listen:         spec.Listen,
-		ListenAttempts: spec.ListenAttempts,
-		Peers:          spec.Peers,
-		LinkFaults:     links,
-		Observer:       spec.Observer,
-		OnDecide:       onDecide,
-		OnListen:       spec.OnListen,
-	})
-	if out == nil {
-		return nil, err
-	}
-	return &NodeReport{
-		ID: out.ID, Output: out.Output, Decided: out.Decided, Addr: out.Addr,
-		Delivered: out.Stats.Delivered, Sent: out.Stats.Sent,
-	}, err
 }

@@ -2,12 +2,9 @@ package repro_test
 
 import (
 	"context"
-	"net"
 	"os"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro"
 )
@@ -328,122 +325,5 @@ func TestProtocolBuilderErrors(t *testing.T) {
 	if _, err := s.RunOn(context.Background(), repro.RuntimeLoopback); err == nil ||
 		!strings.Contains(err.Error(), "no live-runtime builder") {
 		t.Fatalf("RunOn without builder: got %v", err)
-	}
-}
-
-// TestJoinClusterMultiNode exercises the public daemon path (the library
-// form of abacnode): four goroutines, one per vertex, each joining the
-// same AAD scenario over TCP with explicit peer addressing. AAD cannot
-// progress without collecting n−f values per round, so deciding proves
-// genuine protocol traffic crossed the sockets.
-func TestJoinClusterMultiNode(t *testing.T) {
-	const n = 4
-	inputs := []float64{0, 3, 1, 2}
-	s := repro.Scenario{
-		Graph: "clique:4", Protocol: "aad",
-		Inputs: inputs, F: 1, K: 3, Eps: 0.25,
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	runCtx, stopNodes := context.WithCancel(ctx)
-	defer stopNodes()
-
-	// Listeners are bound up front (as an operator assigns ports in a
-	// config), so every peer address is known before any node starts.
-	listeners := make([]net.Listener, n)
-	addrs := make(map[int]string, n)
-	for i := range listeners {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-
-	decided := make(chan struct{}, n)
-	reports := make([]*repro.NodeReport, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			peers := make(map[int]string, n-1)
-			for j, a := range addrs {
-				if j != i {
-					peers[j] = a
-				}
-			}
-			reports[i], errs[i] = repro.JoinCluster(runCtx, repro.JoinSpec{
-				Scenario: s, ID: i,
-				Listener: listeners[i],
-				Peers:    peers,
-				OnDecide: func(float64) { decided <- struct{}{} },
-			})
-		}(i)
-	}
-	for i := 0; i < n; i++ {
-		select {
-		case <-decided:
-		case <-ctx.Done():
-			t.Fatal("vertices never decided")
-		}
-	}
-	stopNodes()
-	wg.Wait()
-
-	lo, hi := inputs[0], inputs[0]
-	for _, x := range inputs {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	omin, omax := reports[0].Output, reports[0].Output
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("join %d: %v", i, errs[i])
-		}
-		r := reports[i]
-		if !r.Decided {
-			t.Fatalf("join %d did not decide: %+v", i, r)
-		}
-		if r.Output < lo || r.Output > hi {
-			t.Fatalf("join %d output %g violates validity [%g, %g]", i, r.Output, lo, hi)
-		}
-		if r.Delivered == 0 || r.Sent == 0 {
-			t.Fatalf("join %d reports no traffic: %+v", i, r)
-		}
-		if r.Output < omin {
-			omin = r.Output
-		}
-		if r.Output > omax {
-			omax = r.Output
-		}
-	}
-	if omax-omin >= s.Eps {
-		t.Fatalf("spread %g >= eps %g across joined nodes", omax-omin, s.Eps)
-	}
-}
-
-// TestJoinClusterValidation pins the eager error paths of JoinCluster.
-func TestJoinClusterValidation(t *testing.T) {
-	s := repro.Scenario{Graph: "clique:2", Protocol: "iterative", F: 0}
-	cases := []struct {
-		spec repro.JoinSpec
-		want string
-	}{
-		{repro.JoinSpec{Scenario: s, ID: 9}, "outside graph order"},
-		{repro.JoinSpec{Scenario: s, ID: 0}, "no peer address"},
-		{repro.JoinSpec{Scenario: repro.Scenario{Graph: "clique:2"}, ID: 0}, "missing protocol"},
-	}
-	for _, tc := range cases {
-		if _, err := repro.JoinCluster(context.Background(), tc.spec); err == nil ||
-			!strings.Contains(err.Error(), tc.want) {
-			t.Errorf("want error containing %q, got %v", tc.want, err)
-		}
 	}
 }

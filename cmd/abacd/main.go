@@ -1,10 +1,13 @@
 // Command abacd runs ONE vertex of a scenario as a long-lived consensus
-// daemon — consensus as a service. Where abacnode executes a single
-// protocol instance and exits, abacd stays up, multiplexing any number of
-// concurrent instances over persistent peer connections: clients submit
-// instances on the JSON-lines client plane, every daemon of the fleet
-// runs the instance's machine for its own vertex, and each reports the
-// decision at its vertex.
+// daemon — consensus as a service, and the repository's one multi-process
+// binary. It stays up, multiplexing any number of concurrent instances
+// over persistent peer connections: clients submit instances on the
+// JSON-lines client plane, every daemon of the fleet runs the instance's
+// machine for its own vertex, and each reports the decision at its
+// vertex. A single run is a fleet plus one submitwait. The scenario's
+// faults and linkFaults are enforced on every instance; policy,
+// recordTrace and seeds, which only mean something on the simulator, are
+// refused at start.
 //
 // A four-terminal clique:4 fleet (see README for the full walkthrough):
 //
@@ -184,8 +187,7 @@ func peerOutEdges(peers map[int]string, self int) map[int]string {
 }
 
 // parsePeers parses "0=host:port,1=host:port,..." into a vertex->address
-// map, rejecting duplicates and malformed entries eagerly (the same
-// grammar as abacnode).
+// map, rejecting duplicates and malformed entries eagerly.
 func parsePeers(s string) (map[int]string, error) {
 	if s == "" {
 		return nil, nil

@@ -42,13 +42,3 @@ func TestParsePeersRejects(t *testing.T) {
 		}
 	}
 }
-
-func TestRenderPeers(t *testing.T) {
-	got := renderPeers(map[int]string{0: "a:1", 1: "b:2", 2: "c:3"}, 1)
-	if got != "0@a:1 2@c:3" {
-		t.Fatalf("renderPeers = %q", got)
-	}
-	if renderPeers(map[int]string{1: "b:2"}, 1) != "(none)" {
-		t.Fatal("self-only peers should render (none)")
-	}
-}

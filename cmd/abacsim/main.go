@@ -8,7 +8,7 @@
 //
 //	abacsim -graph fig1a -algo bw -f 1 -eps 0.25 -inputs 0,4,1,3,2 -fault 2:silent
 //	abacsim -graph clique:4 -algo aad -inputs 0,1,2,3
-//	abacsim -graph circulant:5:1,2 -algo crashapprox -fault 4:crash:10
+//	abacsim -graph circulant:5:1,2 -algo crashapprox -fault 4:crash:after=10
 //	abacsim -graph fig1a -algo bw -fault "1:crash:after=8,finalSends=2+noise:amp=25"  # composed adversary
 //	abacsim -graph fig1b-analog -algo iterative -inputs 0,0,0,0,1,1,1,1
 //	abacsim -graph clique:3 -algo necessity -f 1
@@ -52,7 +52,7 @@ func run() error {
 		eps      = flag.Float64("eps", 0.1, "agreement parameter")
 		seed     = flag.Int64("seed", 1, "asynchrony schedule seed")
 		inputs   = flag.String("inputs", "", "comma-separated inputs (default: i mod 4)")
-		faults   = flag.String("fault", "", "semicolon-separated faults: node:kind[:param] (kinds: see -list)")
+		faults   = flag.String("fault", "", "semicolon-separated faults: node:kind[:key=val,...] (kinds and params: see -list)")
 		rounds   = flag.Int("rounds", 0, "round override for the iterative baseline")
 		history  = flag.Bool("history", false, "print per-round value histories")
 		policy   = flag.String("policy", "", "delivery policy name[:key=val,...], e.g. lifo or bounded:bound=8 (see -list)")
@@ -273,11 +273,10 @@ func printCatalog() {
 	}
 	fmt.Println("adversaries (fault kinds):")
 	for _, name := range repro.FaultKinds() {
-		defs, _ := repro.FaultDefaults(name)
-		primary, doc, _ := repro.FaultPrimary(name)
+		defs, doc, _ := repro.FaultDefaults(name)
 		fmt.Printf("  %-13s %s\n", name, doc)
 		if len(defs) > 0 {
-			fmt.Printf("  %13s params: %s (scalar sets %q)\n", "", renderParams(defs), primary)
+			fmt.Printf("  %13s params: %s\n", "", renderParams(defs))
 		}
 	}
 	fmt.Println("link fault kinds:")
@@ -294,8 +293,12 @@ func printCatalog() {
 	}
 }
 
-// renderParams formats a params map as sorted key=value pairs.
+// renderParams formats a params map as sorted key=value pairs ("none"
+// when empty).
 func renderParams(defs map[string]float64) string {
+	if len(defs) == 0 {
+		return "none"
+	}
 	keys := make([]string, 0, len(defs))
 	for k := range defs {
 		keys = append(keys, k)
@@ -447,12 +450,8 @@ func parseInputs(s string, n int) ([]float64, error) {
 // parseFaults parses the -fault grammar: semicolon-separated items, each
 //
 //	node:kind                       registered defaults
-//	node:kind:3.5                   scalar sets the strategy's primary param
 //	node:kind:key=val,key=val       named params
 //	node:kind[:args]+kind[:args]    composed mutator layers
-//
-// Scalars are folded into the primary param immediately, so parsed specs
-// are already in the canonical (params-map) form.
 func parseFaults(s string) (map[int]repro.FaultSpec, error) {
 	if s == "" {
 		return nil, nil
@@ -462,7 +461,7 @@ func parseFaults(s string) (map[int]repro.FaultSpec, error) {
 		layers := splitLayers(strings.TrimSpace(item))
 		head := strings.SplitN(layers[0], ":", 3)
 		if len(head) < 2 {
-			return nil, fmt.Errorf("fault %q: want node:kind[:param|:key=val,...][+kind[:...]]", item)
+			return nil, fmt.Errorf("fault %q: want node:kind[:key=val,...][+kind[:...]]", item)
 		}
 		node, err := strconv.Atoi(head[0])
 		if err != nil {
@@ -470,23 +469,25 @@ func parseFaults(s string) (map[int]repro.FaultSpec, error) {
 		}
 		// Unknown kinds fail here, at flag-parse time, in every argument
 		// form — the same eager UX as -policy.
-		if _, err := repro.FaultDefaults(head[1]); err != nil {
+		defs, _, err := repro.FaultDefaults(head[1])
+		if err != nil {
 			return nil, fmt.Errorf("fault %q: %w", item, err)
 		}
 		fl := repro.FaultSpec{Node: node, Kind: head[1]}
 		if len(head) > 2 {
-			if fl.Params, err = parseFaultParams(head[1], head[2]); err != nil {
+			if fl.Params, err = parseFaultParams(defs, head[2]); err != nil {
 				return nil, fmt.Errorf("fault %q: %w", item, err)
 			}
 		}
 		for _, layer := range layers[1:] {
 			kind, args, hasArgs := strings.Cut(layer, ":")
-			if _, err := repro.FaultDefaults(kind); err != nil {
+			defs, _, err := repro.FaultDefaults(kind)
+			if err != nil {
 				return nil, fmt.Errorf("fault %q: %w", item, err)
 			}
-			m := repro.MutationSpec{Kind: kind}
+			m := repro.Mutation{Kind: kind}
 			if hasArgs {
-				if m.Params, err = parseFaultParams(kind, args); err != nil {
+				if m.Params, err = parseFaultParams(defs, args); err != nil {
 					return nil, fmt.Errorf("fault %q: %w", item, err)
 				}
 			}
@@ -502,7 +503,7 @@ func parseFaults(s string) (map[int]repro.FaultSpec, error) {
 
 // splitLayers splits one -fault item into its composed layers: a "+" only
 // separates layers when it introduces a strategy name (the next rune is a
-// letter), so exponent notation inside values — 1:extreme:1e+9,
+// letter), so exponent notation inside values — 1:extreme:value=1e+9,
 // amp=2.5e+3 — stays intact.
 func splitLayers(item string) []string {
 	var out []string
@@ -517,28 +518,14 @@ func splitLayers(item string) []string {
 	return append(out, item[start:])
 }
 
-// parseFaultParams parses one layer's args: either a bare scalar (folded
-// into the strategy's primary param) or a key=val list.
-func parseFaultParams(kind, args string) (map[string]float64, error) {
-	if !strings.Contains(args, "=") {
-		x, err := strconv.ParseFloat(args, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad param %q: %w", args, err)
-		}
-		primary, _, err := repro.FaultPrimary(kind)
-		if err != nil {
-			return nil, err
-		}
-		if primary == "" {
-			return nil, fmt.Errorf("fault kind %q takes no scalar param", kind)
-		}
-		return map[string]float64{primary: x}, nil
-	}
+// parseFaultParams parses one layer's key=val list; defs (the kind's
+// registered params) only words the error for a bare value.
+func parseFaultParams(defs map[string]float64, args string) (map[string]float64, error) {
 	params := map[string]float64{}
 	for _, kv := range strings.Split(args, ",") {
 		key, val, ok := strings.Cut(kv, "=")
 		if !ok {
-			return nil, fmt.Errorf("fault param %q: want key=value", kv)
+			return nil, fmt.Errorf("fault param %q: want key=value (the kind's params: %s)", kv, renderParams(defs))
 		}
 		x, err := strconv.ParseFloat(val, 64)
 		if err != nil {

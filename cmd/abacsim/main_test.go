@@ -32,14 +32,13 @@ func TestParseInputs(t *testing.T) {
 }
 
 func TestParseFaults(t *testing.T) {
-	got, err := parseFaults("2:silent; 3:extreme:42")
+	got, err := parseFaults("2:silent; 3:extreme:value=42")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[2].Kind != "silent" || got[2].Params != nil {
 		t.Errorf("fault 2 = %+v", got[2])
 	}
-	// The scalar folds into the strategy's primary param eagerly.
 	if got[3].Kind != "extreme" || got[3].Params["value"] != 42 {
 		t.Errorf("fault 3 = %+v", got[3])
 	}
@@ -58,7 +57,7 @@ func TestParseFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []repro.MutationSpec{
+	want := []repro.Mutation{
 		{Kind: "noise", Params: map[string]float64{"amp": 25}},
 		{Kind: "replay"},
 	}
@@ -67,7 +66,7 @@ func TestParseFaults(t *testing.T) {
 	}
 	// Exponent notation with an explicit plus is a value, not a layer
 	// separator (regression: the compose splitter must not cut 1e+9).
-	exp, err := parseFaults("1:extreme:1e+9; 2:noise:amp=2.5e+3")
+	exp, err := parseFaults("1:extreme:value=1e+9; 2:noise:amp=2.5e+3")
 	if err != nil || exp[1].Params["value"] != 1e9 || exp[2].Params["amp"] != 2.5e3 {
 		t.Errorf("exponent params: %+v %v", exp, err)
 	}
@@ -81,7 +80,11 @@ func TestParseFaults(t *testing.T) {
 	}
 	// Two entries for one node are the scenario path's hard error, not
 	// last-one-wins.
-	if _, err := parseFaults("1:silent;1:extreme:1e6"); err == nil || !strings.Contains(err.Error(), "node 1 has two fault entries") {
+	// A bare value is not a spelling any more; the error names what is.
+	if _, err := parseFaults("4:crash:10"); err == nil || !strings.Contains(err.Error(), "after=20 finalSends=1") {
+		t.Errorf("bare scalar: %v", err)
+	}
+	if _, err := parseFaults("1:silent;1:extreme:value=1e6"); err == nil || !strings.Contains(err.Error(), "node 1 has two fault entries") {
 		t.Errorf("two faults for node 1: %v", err)
 	}
 	if got, err := parseFaults(""); err != nil || got != nil {
@@ -197,7 +200,7 @@ func TestFaultSpecsSortedByNode(t *testing.T) {
 // defaultParam switch is gone; the registry is the single source).
 func TestCatalogDefaults(t *testing.T) {
 	for _, kind := range repro.FaultKinds() {
-		defs, err := repro.FaultDefaults(kind)
+		defs, _, err := repro.FaultDefaults(kind)
 		if err != nil {
 			t.Fatal(err)
 		}

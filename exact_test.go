@@ -39,7 +39,7 @@ func exactScenarios(seed int64) []repro.Scenario {
 			Inputs: []float64{1, 1, 1, 0}, F: 1, K: 1, Eps: 0.25, Seed: seed,
 			Faults: []repro.FaultSpec{{
 				Node: 3, Kind: "equivocate",
-				Compose: []repro.MutationSpec{{Kind: "noise", Params: map[string]float64{"amp": 3}}},
+				Compose: []repro.Mutation{{Kind: "noise", Params: map[string]float64{"amp": 3}}},
 			}},
 			LinkFaults: links,
 		},
@@ -48,7 +48,7 @@ func exactScenarios(seed int64) []repro.Scenario {
 			Inputs: []float64{0, 3, 1, 2}, F: 1, K: 3, Eps: 0.25, Seed: seed,
 			Faults: []repro.FaultSpec{{
 				Node: 3, Kind: "crash", Params: map[string]float64{"after": 40},
-				Compose: []repro.MutationSpec{{Kind: "noise", Params: map[string]float64{"amp": 1}}},
+				Compose: []repro.Mutation{{Kind: "noise", Params: map[string]float64{"amp": 1}}},
 			}},
 			LinkFaults: links,
 		},

@@ -3,10 +3,15 @@ package repro_test
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"repro"
 )
+
+// legacyScalarSeed spells the removed scalar form; FuzzFaultSpec asserts it
+// stops at decode, with the message that says what to write.
+const legacyScalarSeed = `{"node":1,"kind":"crash","param":10}`
 
 // FuzzFaultSpec fuzzes the FaultSpec decode path: arbitrary JSON documents
 // are decoded as a scenario fault entry and validated. Three properties
@@ -16,16 +21,17 @@ import (
 // loop over the valid set.
 func FuzzFaultSpec(f *testing.F) {
 	for _, seed := range []string{
+		legacyScalarSeed,
 		`{"node":1,"kind":"silent"}`,
-		`{"node":1,"kind":"crash","param":10}`,
+		`{"node":1,"kind":"crash","params":{"after":10}}`,
 		`{"node":2,"kind":"crash","params":{"after":5,"finalSends":2}}`,
-		`{"node":3,"kind":"extreme","param":1e9}`,
+		`{"node":3,"kind":"extreme","params":{"value":1e9}}`,
 		`{"node":1,"kind":"tamper","params":{"delta":50},"compose":[{"kind":"noise","params":{"amp":3}}]}`,
 		`{"node":4,"kind":"split","params":{"lo":-1,"hi":1,"pivot":2}}`,
-		`{"node":1,"kind":"replay","param":0.5,"compose":[{"kind":"replay"}]}`,
+		`{"node":1,"kind":"replay","params":{"prob":0.5},"compose":[{"kind":"replay"}]}`,
 		`{"node":0,"kind":"gremlin"}`,
 		`{"node":-1,"kind":"silent"}`,
-		`{"node":1,"kind":"crash","param":1,"params":{"after":2}}`,
+		`{"node":1,"kind":"crash","params":{"after":2,"finalSends":-1}}`,
 		`{"kind":"noise"}`,
 		`{}`,
 		`[]`,
@@ -38,6 +44,12 @@ func FuzzFaultSpec(f *testing.F) {
 		dec.DisallowUnknownFields()
 		var fs repro.FaultSpec
 		if err := dec.Decode(&fs); err != nil {
+			if string(data) == legacyScalarSeed {
+				doc := `{"graph":"fig1a","protocol":"bw","faults":[` + legacyScalarSeed + `]}`
+				if _, err := repro.ParseScenario([]byte(doc)); err == nil || !strings.Contains(err.Error(), `"params"`) {
+					t.Fatalf("legacy scalar form: %v", err)
+				}
+			}
 			return // not a fault spec; nothing to check
 		}
 		s := repro.Scenario{
@@ -58,9 +70,6 @@ func FuzzFaultSpec(f *testing.F) {
 		}
 		if len(back.Faults) != 1 || back.Faults[0].Kind != fs.Kind {
 			t.Fatalf("canonical round-trip changed the fault: %+v vs %+v", back.Faults, fs)
-		}
-		if back.Faults[0].Param != nil {
-			t.Fatalf("canonical form still carries a legacy scalar: %+v", back.Faults[0])
 		}
 	})
 }

@@ -31,9 +31,6 @@ type Strategy interface {
 	// Defaults lists the accepted parameter names with their default
 	// values; params outside this set are rejected.
 	Defaults() Params
-	// Primary names the parameter the legacy scalar fault form maps to
-	// ("" when the strategy has no scalar shorthand).
-	Primary() string
 	// Build wraps the vertex's machine with the behavior. b.Params is
 	// complete (defaults filled) and validated.
 	Build(b Build) (sim.Handler, error)
@@ -79,11 +76,6 @@ func Register(s Strategy) {
 	}
 	if _, dup := registry[s.Name()]; dup {
 		panic(fmt.Sprintf("adversary: strategy %q registered twice", s.Name()))
-	}
-	if p := s.Primary(); p != "" {
-		if _, ok := s.Defaults()[p]; !ok {
-			panic(fmt.Sprintf("adversary: strategy %q declares primary param %q outside its defaults", s.Name(), p))
-		}
 	}
 	registry[s.Name()] = s
 }

@@ -36,11 +36,6 @@ func TestRegistryListsBuiltins(t *testing.T) {
 		if s.Name() != name || s.Doc() == "" {
 			t.Errorf("strategy %q: name=%q doc=%q", name, s.Name(), s.Doc())
 		}
-		if p := s.Primary(); p != "" {
-			if _, ok := s.Defaults()[p]; !ok {
-				t.Errorf("strategy %q: primary %q not in defaults %v", name, p, s.Defaults())
-			}
-		}
 	}
 }
 

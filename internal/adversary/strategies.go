@@ -18,7 +18,6 @@ type wrapperStrategy struct {
 	name          string
 	doc           string
 	defaults      Params
-	primary       string
 	discardsInner bool
 	check         func(p Params) error
 	build         func(b Build) (sim.Handler, error)
@@ -27,7 +26,6 @@ type wrapperStrategy struct {
 func (s wrapperStrategy) Name() string                       { return s.name }
 func (s wrapperStrategy) Doc() string                        { return s.doc }
 func (s wrapperStrategy) Defaults() Params                   { return cloneParams(s.defaults) }
-func (s wrapperStrategy) Primary() string                    { return s.primary }
 func (s wrapperStrategy) DiscardsInner() bool                { return s.discardsInner }
 func (s wrapperStrategy) Build(b Build) (sim.Handler, error) { return s.build(b) }
 func (s wrapperStrategy) CheckParams(p Params) error {
@@ -43,7 +41,6 @@ type mutatorStrategy struct {
 	name     string
 	doc      string
 	defaults Params
-	primary  string
 	check    func(p Params) error
 	mutators func(id int, p Params, rng *rand.Rand) []Mutator
 }
@@ -51,7 +48,6 @@ type mutatorStrategy struct {
 func (s mutatorStrategy) Name() string     { return s.name }
 func (s mutatorStrategy) Doc() string      { return s.doc }
 func (s mutatorStrategy) Defaults() Params { return cloneParams(s.defaults) }
-func (s mutatorStrategy) Primary() string  { return s.primary }
 func (s mutatorStrategy) CheckParams(p Params) error {
 	if s.check == nil {
 		return nil
@@ -109,7 +105,6 @@ func init() {
 		name:     "crash",
 		doc:      "behaves honestly, then crashes after `after` deliveries with at most `finalSends` escaping sends",
 		defaults: Params{"after": 20, "finalSends": 1},
-		primary:  "after",
 		check:    nonNegParam("finalSends"),
 		build: func(b Build) (sim.Handler, error) {
 			return &Crash{
@@ -123,7 +118,6 @@ func init() {
 		name:     "extreme",
 		doc:      "floods the extreme value `value` instead of its input",
 		defaults: Params{"value": 1e9},
-		primary:  "value",
 		mutators: func(_ int, p Params, _ *rand.Rand) []Mutator {
 			return []Mutator{ExtremeInput(p["value"])}
 		},
@@ -132,7 +126,6 @@ func init() {
 		name:     "equivocate",
 		doc:      "reports input + step*(neighbor+1) per out-neighbor",
 		defaults: Params{"step": 0.5},
-		primary:  "step",
 		mutators: func(_ int, p Params, _ *rand.Rand) []Mutator {
 			return []Mutator{EquivocateInput(p["step"])}
 		},
@@ -141,7 +134,6 @@ func init() {
 		name:     "tamper",
 		doc:      "negates and shifts every relayed value and corrupts relayed COMPLETE sets by `delta`",
 		defaults: Params{"delta": 100},
-		primary:  "delta",
 		mutators: func(_ int, p Params, _ *rand.Rand) []Mutator {
 			delta := p["delta"]
 			return []Mutator{
@@ -154,7 +146,6 @@ func init() {
 		name:     "noise",
 		doc:      "perturbs every outgoing value by uniform noise in [-amp, amp]",
 		defaults: Params{"amp": 10},
-		primary:  "amp",
 		check:    nonNegParam("amp"),
 		mutators: func(_ int, p Params, _ *rand.Rand) []Mutator {
 			return []Mutator{RandomNoise(p["amp"])}
@@ -164,7 +155,6 @@ func init() {
 		name:     "delayedequiv",
 		doc:      "honest for the first `after` originations, then equivocates by `step` per neighbor — defeats detectors that only audit early rounds",
 		defaults: Params{"step": 0.5, "after": 6},
-		primary:  "step",
 		check:    nonNegParam("after"),
 		mutators: func(_ int, p Params, _ *rand.Rand) []Mutator {
 			return []Mutator{DelayedEquivocation(p["step"], int(p["after"]))}
@@ -174,7 +164,6 @@ func init() {
 		name:     "split",
 		doc:      "targeted two-faced originations: out-neighbors with id <= `pivot` receive `lo`, the rest `hi`",
 		defaults: Params{"lo": -1e6, "hi": 1e6, "pivot": 0},
-		primary:  "hi",
 		mutators: func(_ int, p Params, _ *rand.Rand) []Mutator {
 			return []Mutator{SplitInput(p["lo"], p["hi"], int(p["pivot"]))}
 		},
@@ -183,7 +172,6 @@ func init() {
 		name:     "replay",
 		doc:      "with probability `prob`, re-sends a previously sent payload alongside each outgoing message",
 		defaults: Params{"prob": 0.3},
-		primary:  "prob",
 		check:    probParam("prob"),
 		mutators: func(_ int, p Params, _ *rand.Rand) []Mutator {
 			return []Mutator{Replay(p["prob"])}

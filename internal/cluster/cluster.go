@@ -299,9 +299,8 @@ type vectorProvider interface{ Vector() map[int]float64 }
 // FaultyOutbound wraps vertex from's outbound with the link-fault rule
 // set: each frame's fate (drop, duplicate, delay in milliseconds) is drawn
 // from the set's seeded per-edge streams before the frame reaches the
-// transport. A nil set returns out unchanged. Exported so multi-process
-// members (JoinTCP callers) enforce the same rules as the in-process
-// harness.
+// transport. A nil set returns out unchanged. Exported so the service
+// daemon enforces the same rules, per instance, as the in-process harness.
 func FaultyOutbound(out node.Outbound, set *linkfault.Set, from int) node.Outbound {
 	if set == nil {
 		return out

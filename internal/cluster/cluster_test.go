@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -123,197 +121,6 @@ func TestTCPTwoNodeIntegration(t *testing.T) {
 	// shed by one at shutdown: the queue accounting is wired end to end.
 	if q := out.Queue; q.Enqueued <= 0 || q.Enqueued+q.Shed != int64(out.Sent) {
 		t.Fatalf("queue accounting %+v does not add up to %d sent frames", q, out.Sent)
-	}
-}
-
-// TestJoinTCPWithPortCollision exercises the daemon path end to end: two
-// vertices join over real sockets, and the first vertex's configured port
-// is deliberately occupied so Listen must fall back to the next port. The
-// dial side starts before the second listener is up, exercising the
-// dial-race retry too.
-func TestJoinTCPWithPortCollision(t *testing.T) {
-	g := graph.Clique(2)
-	mk := func(id int) sim.Handler {
-		h, err := iterative.NewMachine(g, 0, id, 1, float64(id), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-
-	// Occupy a port so vertex 0's Listen(addr, 4) has to skip it.
-	blocker, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer blocker.Close()
-	blockedAddr := blocker.Addr().String()
-
-	// Vertex 1's listener is pre-bound so its address is known up front;
-	// vertex 0 discovers its own (post-fallback) address via OnListen and
-	// hands it to vertex 1 through a channel. Vertex 1 therefore dials an
-	// address whose listener may not be accepting yet — the dial-race the
-	// retry loop absorbs.
-	ln1, err := cluster.Listen("127.0.0.1:0", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	addr0 := make(chan string, 1)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	runCtx, stopNodes := context.WithCancel(ctx)
-	defer stopNodes()
-
-	var wg sync.WaitGroup
-	outcomes := make([]*cluster.NodeOutcome, 2)
-	errs := make([]error, 2)
-	decided := make(chan int, 2)
-
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		outcomes[0], errs[0] = cluster.JoinTCP(runCtx, cluster.JoinConfig{
-			ID: 0, Graph: g, Handler: mk(0),
-			Listen: blockedAddr, ListenAttempts: 4,
-			Peers:    map[int]string{1: ln1.Addr().String()},
-			OnListen: func(a string) { addr0 <- a },
-			OnDecide: func(int, float64) { decided <- 0 },
-		})
-	}()
-	go func() {
-		defer wg.Done()
-		outcomes[1], errs[1] = cluster.JoinTCP(runCtx, cluster.JoinConfig{
-			ID: 1, Graph: g, Handler: mk(1),
-			Listener: ln1,
-			Peers:    map[int]string{0: <-addr0},
-			OnDecide: func(int, float64) { decided <- 1 },
-		})
-	}()
-
-	for i := 0; i < 2; i++ {
-		select {
-		case <-decided:
-		case <-ctx.Done():
-			t.Fatal("nodes never decided")
-		}
-	}
-	stopNodes()
-	wg.Wait()
-
-	for i := 0; i < 2; i++ {
-		if errs[i] != nil {
-			t.Fatalf("join %d: %v", i, errs[i])
-		}
-		if !outcomes[i].Decided || outcomes[i].Output != 0.5 {
-			t.Fatalf("join %d outcome = %+v, want decided 0.5", i, outcomes[i])
-		}
-	}
-	if outcomes[0].Addr == blockedAddr {
-		t.Fatalf("vertex 0 bound the occupied port %s", blockedAddr)
-	}
-}
-
-// TestJoinTCPLateJoiner exercises joining mid-instance: two of three
-// vertices start immediately and send their round-1 values toward the
-// third, whose JoinTCP only begins well after the instance is underway.
-// Its pre-bound listener holds the early connections in the accept
-// backlog, so the latecomer must drain already-queued frames on join; the
-// early vertices (f=0, so each round waits for every in-neighbor) are
-// blocked on it and may only decide once it catches up.
-func TestJoinTCPLateJoiner(t *testing.T) {
-	const n = 3
-	g := graph.Clique(n)
-	mk := func(id int) sim.Handler {
-		h, err := iterative.NewMachine(g, 0, id, 2, float64(id), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h
-	}
-
-	listeners := make([]net.Listener, n)
-	peers := make(map[int]string, n)
-	for i := range listeners {
-		ln, err := cluster.Listen("127.0.0.1:0", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		listeners[i] = ln
-		peers[i] = ln.Addr().String()
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	runCtx, stopNodes := context.WithCancel(ctx)
-	defer stopNodes()
-
-	var wg sync.WaitGroup
-	outcomes := make([]*cluster.NodeOutcome, n)
-	errs := make([]error, n)
-	decided := make(chan int, n)
-	join := func(i int) {
-		defer wg.Done()
-		others := make(map[int]string, n-1)
-		for j, addr := range peers {
-			if j != i {
-				others[j] = addr
-			}
-		}
-		outcomes[i], errs[i] = cluster.JoinTCP(runCtx, cluster.JoinConfig{
-			ID: i, Graph: g, Handler: mk(i),
-			Listener: listeners[i],
-			Peers:    others,
-			OnDecide: func(int, float64) { decided <- i },
-		})
-	}
-
-	wg.Add(n)
-	go join(0)
-	go join(1)
-	go func() {
-		time.Sleep(300 * time.Millisecond) // instance well underway
-		join(2)
-	}()
-
-	for i := 0; i < n; i++ {
-		select {
-		case <-decided:
-		case <-ctx.Done():
-			t.Fatal("nodes never decided")
-		}
-	}
-	stopNodes()
-	wg.Wait()
-
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("join %d: %v", i, errs[i])
-		}
-		if !outcomes[i].Decided || outcomes[i].Output != 1 {
-			t.Fatalf("join %d outcome = %+v, want decided 1 (mean of 0,1,2)", i, outcomes[i])
-		}
-	}
-}
-
-func TestListenPortFallback(t *testing.T) {
-	blocker, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer blocker.Close()
-	addr := blocker.Addr().String()
-
-	if _, err := cluster.Listen(addr, 1); err == nil {
-		t.Fatal("want collision error with a single attempt")
-	}
-	ln, err := cluster.Listen(addr, 8)
-	if err != nil {
-		t.Fatalf("fallback failed: %v", err)
-	}
-	defer ln.Close()
-	if ln.Addr().String() == addr {
-		t.Fatal("fallback bound the occupied address")
 	}
 }
 

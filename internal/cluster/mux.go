@@ -21,11 +21,11 @@ import (
 // reliability the model assumes, and the hello gives the receiver the
 // sender's identity. Per-peer outbound queues are bounded (see queue): a
 // vertex that outruns a slow peer blocks on Send — backpressure that
-// propagates to the node event loops — or sheds on TrySend, both accounted
-// and surfaced through QueueStats. Inbound, one reader per in-edge hands
-// read bursts to the dispatcher; a dispatcher that blocks (an inbox at
-// capacity) stalls exactly that one peer connection, which is TCP's own
-// flow control doing the rest.
+// propagates to the node event loops, accounted and surfaced through
+// QueueStats. Inbound, one reader per in-edge hands read bursts to the
+// dispatcher; a dispatcher that blocks (an inbox at capacity) stalls
+// exactly that one peer connection, which is TCP's own flow control doing
+// the rest.
 
 // muxMagic opens every connection; the bytes after it are the wire codec
 // version and the sender's vertex id (two big-endian bytes, covering the
@@ -91,7 +91,7 @@ type MuxConfig struct {
 }
 
 // Mux is one vertex's persistent multiplexed connection fabric. Create
-// with NewMux, launch with Start, transmit with Send/TrySend.
+// with NewMux, launch with Start, transmit with Send.
 type Mux struct {
 	cfg    MuxConfig
 	queues map[int]*queue[[]byte]
@@ -129,57 +129,30 @@ func NewMux(cfg MuxConfig) (*Mux, error) {
 	return m, nil
 }
 
-// admit finds the queue toward an out-neighbor and refuses a frame the link
-// cannot carry: a body over wire.MaxFrame would be skipped by the writer's
-// coalesce and lost without a trace on a link the model calls reliable, so
-// it is released, counted as shed and reported here instead — to a node
-// event loop that is a run error, like a payload the codec cannot encode.
-func (m *Mux) admit(to int, frame []byte) (*queue[[]byte], error) {
+// Send enqueues a frame toward an out-neighbor, blocking while that peer's
+// bounded queue is full (the backpressure path). Frames enqueued after
+// shutdown are shed silently, like messages in flight when a run ends.
+// A frame the link cannot carry is refused: a body over wire.MaxFrame would
+// be skipped by the writer's coalesce and lost without a trace on a link
+// the model calls reliable, so it is released, counted as shed and reported
+// here instead — to a node event loop that is a run error, like a payload
+// the codec cannot encode. Ownership of frame transfers to the fabric: the
+// per-edge writer releases it to the pool after transmission (or here, when
+// a shed drops it), so the caller must not retain it.
+func (m *Mux) Send(to int, frame []byte) error {
 	q, ok := m.queues[to]
 	if !ok {
-		return nil, fmt.Errorf("cluster: mux send over non-edge %d->%d", m.cfg.ID, to)
+		return fmt.Errorf("cluster: mux send over non-edge %d->%d", m.cfg.ID, to)
 	}
 	if len(frame) > wire.MaxFrame {
 		q.countShed()
 		wire.PutBuf(frame)
-		return nil, fmt.Errorf("cluster: mux send %d->%d: frame of %d bytes exceeds MaxFrame %d", m.cfg.ID, to, len(frame), wire.MaxFrame)
-	}
-	return q, nil
-}
-
-// Send enqueues a frame toward an out-neighbor, blocking while that peer's
-// bounded queue is full (the backpressure path). Frames enqueued after
-// shutdown are shed silently, like messages in flight when a run ends; an
-// oversized frame is shed with an error (see admit). Ownership of frame
-// transfers to the fabric: the per-edge writer releases it to the pool
-// after transmission (or here, when a shed drops it), so the caller must
-// not retain it.
-func (m *Mux) Send(to int, frame []byte) error {
-	q, err := m.admit(to, frame)
-	if err != nil {
-		return err
+		return fmt.Errorf("cluster: mux send %d->%d: frame of %d bytes exceeds MaxFrame %d", m.cfg.ID, to, len(frame), wire.MaxFrame)
 	}
 	if !q.push(frame) {
 		wire.PutBuf(frame)
 	}
 	return nil
-}
-
-// TrySend enqueues without blocking; a full queue sheds the frame
-// (counted and released) and reports false. The daemon uses this for
-// re-floodable control traffic where blocking an event loop is worse than
-// retrying. Ownership transfers on every path: a shed frame is released
-// here, so the caller must re-encode rather than retry the same slice.
-func (m *Mux) TrySend(to int, frame []byte) (bool, error) {
-	q, err := m.admit(to, frame)
-	if err != nil {
-		return false, err
-	}
-	accepted := q.tryPush(frame)
-	if !accepted {
-		wire.PutBuf(frame)
-	}
-	return accepted, nil
 }
 
 // QueueStats aggregates the outbound queues' accounting across peers.

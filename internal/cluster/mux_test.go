@@ -141,45 +141,13 @@ func TestMuxRejectsNonEdgeSend(t *testing.T) {
 	if err := ms[0].Send(0, []byte{1}); err == nil {
 		t.Fatal("self-send over a non-edge was accepted")
 	}
-	if _, err := ms[0].TrySend(5, []byte{1}); err == nil {
+	if err := ms[0].Send(5, []byte{1}); err == nil {
 		t.Fatal("send to an unknown vertex was accepted")
 	}
 }
 
-func TestMuxTrySendShedsWhenFull(t *testing.T) {
-	// No Start: nothing drains the queue, so a capacity-2 queue sheds the
-	// third TrySend and counts it.
-	g := graph.Clique(2)
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	m, err := NewMux(MuxConfig{
-		ID: 0, Graph: g, Listener: l,
-		Peers:        map[int]string{1: "127.0.0.1:1"},
-		QueueCap:     2,
-		OnFrameBatch: discardBatch,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		if ok, err := m.TrySend(1, []byte{byte(i)}); err != nil || !ok {
-			t.Fatalf("TrySend %d = %v, %v; want accept", i, ok, err)
-		}
-	}
-	if ok, err := m.TrySend(1, []byte{2}); err != nil || ok {
-		t.Fatalf("TrySend over full queue = %v, %v; want shed", ok, err)
-	}
-	st := m.QueueStats()
-	if st.Shed != 1 || st.Enqueued != 2 || st.MaxDepth != 2 {
-		t.Fatalf("stats = %+v; want 2 enqueued, 1 shed, max depth 2", st)
-	}
-}
-
 // TestMuxSendRefusesOversize: a frame over wire.MaxFrame cannot cross the
-// link (the writer's coalesce would skip it), so Send and TrySend must
+// link (the writer's coalesce would skip it), so Send must
 // refuse it out loud — an error for the caller and a count in
 // QueueStats.Shed — rather than accept a protocol frame and lose it.
 func TestMuxSendRefusesOversize(t *testing.T) {
@@ -200,14 +168,11 @@ func TestMuxSendRefusesOversize(t *testing.T) {
 	if err := m.Send(1, huge); err == nil {
 		t.Error("Send accepted a frame over MaxFrame")
 	}
-	if ok, err := m.TrySend(1, huge); ok || err == nil {
-		t.Errorf("TrySend over MaxFrame = %v, %v; want refused with an error", ok, err)
-	}
 	if err := m.Send(1, huge[:wire.MaxFrame]); err != nil {
 		t.Errorf("Send refused a frame of exactly MaxFrame: %v", err)
 	}
-	if st := m.QueueStats(); st.Shed != 2 || st.Enqueued != 1 {
-		t.Fatalf("stats = %+v; want both oversize frames shed, the MaxFrame one enqueued", st)
+	if st := m.QueueStats(); st.Shed != 1 || st.Enqueued != 1 {
+		t.Fatalf("stats = %+v; want the oversize frame shed, the MaxFrame one enqueued", st)
 	}
 }
 

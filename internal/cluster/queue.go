@@ -5,9 +5,9 @@ import "sync"
 // DefaultQueueCap bounds a per-edge frame queue when the caller does not
 // choose a capacity. The bound is the backpressure contract of the live
 // tier: a sender that outruns a peer's drain rate by this many frames
-// blocks (push) or sheds (tryPush) instead of growing the heap without
-// limit — the failure mode the unbounded queues of the earlier single-shot
-// transports had under sustained service traffic.
+// blocks (push) instead of growing the heap without limit — the failure
+// mode the unbounded queues of the earlier single-shot transports had under
+// sustained service traffic.
 const DefaultQueueCap = 1 << 14
 
 // QueueStats counts one queue's admission decisions. Counters are
@@ -15,9 +15,9 @@ const DefaultQueueCap = 1 << 14
 type QueueStats struct {
 	// Enqueued counts accepted items.
 	Enqueued int64
-	// Shed counts rejected items: tryPush against a full queue, any push
-	// after close (shutdown drops, exactly like messages still in flight
-	// when a run ends), or a frame the Mux refused as over wire.MaxFrame.
+	// Shed counts rejected items: any push after close (shutdown drops,
+	// exactly like messages still in flight when a run ends), a frame the
+	// Mux refused as over wire.MaxFrame, or a tryPush against a full queue.
 	Shed int64
 	// Waits counts pushes that found the queue full and blocked — each is
 	// one backpressure event propagated to the producer.
@@ -38,9 +38,9 @@ func (s *QueueStats) add(o QueueStats) {
 }
 
 // queue is a bounded FIFO connecting a producer to a consumer pump. A full
-// queue blocks push (backpressure) or rejects tryPush (shedding), both
-// accounted in QueueStats; closing wakes every waiter. The previous
-// generation of this type was unbounded — mirroring the paper's
+// queue blocks push (backpressure) or rejects tryPush (shedding; only the
+// drain benchmark produces that way), both accounted in QueueStats; closing
+// wakes every waiter. The previous generation of this type was unbounded — mirroring the paper's
 // arbitrarily-many-messages-in-flight network model — which is the right
 // model for one bounded-length protocol run but lets a long-lived service
 // trade memory for a slow peer forever; the bound turns that into explicit,

@@ -109,7 +109,7 @@ func attackScenarios(seed int64) []struct {
 		s.Seed = seed + int64(100*ti+90)
 		s.Faults = []repro.FaultSpec{{
 			Node: 1, Kind: "crash", Params: map[string]float64{"after": 10, "finalSends": 2},
-			Compose: []repro.MutationSpec{{Kind: "noise", Params: map[string]float64{"amp": 25}}},
+			Compose: []repro.Mutation{{Kind: "noise", Params: map[string]float64{"amp": 25}}},
 		}}
 		add(s, "crash+noise")
 		// Link faults: duplication and delay preserve liveness, so the

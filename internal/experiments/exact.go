@@ -140,7 +140,7 @@ type exactAdversaryCell struct {
 // the silent+link-faults cell (duplication and delay only — unconditional
 // drops could starve a quorum, which no Byzantine node is allowed to do).
 func exactAdversaries(n, f int) []exactAdversaryCell {
-	lastF := func(kind string, params map[string]float64, compose []repro.MutationSpec) []repro.FaultSpec {
+	lastF := func(kind string, params map[string]float64, compose []repro.Mutation) []repro.FaultSpec {
 		specs := make([]repro.FaultSpec, 0, f)
 		for i := 0; i < f; i++ {
 			specs = append(specs, repro.FaultSpec{Node: n - 1 - i, Kind: kind, Params: params, Compose: compose})
@@ -154,7 +154,7 @@ func exactAdversaries(n, f int) []exactAdversaryCell {
 	cells = append(cells, exactAdversaryCell{
 		name: "crash+noise",
 		faults: lastF("crash", map[string]float64{"after": 20, "finalSends": 2},
-			[]repro.MutationSpec{{Kind: "noise", Params: map[string]float64{"amp": 25}}}),
+			[]repro.Mutation{{Kind: "noise", Params: map[string]float64{"amp": 25}}}),
 	})
 	cells = append(cells, exactAdversaryCell{
 		name:   "silent+linkfaults",

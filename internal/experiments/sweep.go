@@ -87,7 +87,7 @@ var sweepBehaviors = []struct {
 	{"split", repro.FaultSpec{Kind: "split", Params: map[string]float64{"lo": -100, "hi": 100, "pivot": 2}}},
 	{"replay", repro.FaultSpec{Kind: "replay", Params: map[string]float64{"prob": 0.5}}},
 	{"crash+noise", repro.FaultSpec{Kind: "crash", Params: map[string]float64{"after": 15, "finalSends": 2},
-		Compose: []repro.MutationSpec{{Kind: "noise", Params: map[string]float64{"amp": 40}}}}},
+		Compose: []repro.Mutation{{Kind: "noise", Params: map[string]float64{"amp": 40}}}}},
 }
 
 // generateSweepCases is the sequential phase: it draws random digraphs,

@@ -517,6 +517,12 @@ func (d *Daemon) open(inst uint64, protocol string, local bool) error {
 		d.refused.Add(1)
 		return err
 	}
+	links, err := fac.LinkFaultsFor(inst)
+	if err != nil {
+		sh.mu.Unlock()
+		d.refused.Add(1)
+		return err
+	}
 	ictx, cancel := context.WithCancel(d.ctx)
 	ins := &instance{
 		inst:     inst,
@@ -530,7 +536,7 @@ func (d *Daemon) open(inst uint64, protocol string, local bool) error {
 		ID:       d.cfg.ID,
 		Graph:    fac.Graph(),
 		Handler:  h,
-		Out:      muxOutbound{d.mux},
+		Out:      cluster.FaultyOutbound(muxOutbound{d.mux}, links, d.cfg.ID),
 		InboxCap: d.cfg.InboxCap,
 		Encode: func(dst []byte, m transport.Message) ([]byte, error) {
 			return wire.AppendInstanceMessage(dst, inst, m)

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -328,8 +329,7 @@ func TestServiceDrain(t *testing.T) {
 
 // TestServiceLateDaemon starts one daemon only after instances are already
 // in flight: the mux dial retry plus the pending-frame buffer must let the
-// latecomer catch up and decide — the service-tier analog of JoinTCP
-// joining mid-instance.
+// latecomer catch up and decide.
 func TestServiceLateDaemon(t *testing.T) {
 	s := testScenario()
 	g, _, err := s.Materialize()
@@ -399,5 +399,88 @@ func TestServiceLateDaemon(t *testing.T) {
 	}
 	if dec.Value != 2.5 {
 		t.Fatalf("late daemon decided %v, want 2.5", dec.Value)
+	}
+}
+
+// TestServiceHonoursLinkFaults: a fleet enforces the scenario's link-fault
+// rules on protocol frames, as the simulator and the one-shot runtimes do.
+// With vertex 0 partitioned away, daemons 1–3 decide one common subset
+// without origin 0, and daemon 0 — which still hears the OPEN flood, the
+// service's own control plane — opens the instance and never decides it.
+func TestServiceHonoursLinkFaults(t *testing.T) {
+	s := testScenario()
+	s.Inputs = []float64{1, 2, 3, 4}
+	s.LinkFaults = []repro.LinkFault{{Kind: "partition", Nodes: []int{0}}}
+	dep, _ := deploy(t, DeployConfig{Scenario: s})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	inst, err := dep.Daemons[1].Submit("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref Decision
+	for i := 1; i < len(dep.Daemons); i++ {
+		dec, err := dep.Daemons[i].Wait(ctx, inst)
+		if err != nil {
+			t.Fatalf("daemon %d: %v", i, err)
+		}
+		if _, has := dec.Vector[0]; has || len(dec.Vector) != 3 {
+			t.Fatalf("daemon %d subset %v, want origins 1, 2, 3", i, dec.Vector)
+		}
+		if i == 1 {
+			ref = dec
+		} else if fmt.Sprint(dec.Vector) != fmt.Sprint(ref.Vector) || dec.Value != ref.Value {
+			t.Fatalf("daemon %d decided %v %v, daemon 1 decided %v %v", i, dec.Value, dec.Vector, ref.Value, ref.Vector)
+		}
+	}
+	// The other three linger, retire, and leave daemon 0 where it was.
+	settled := func() bool {
+		for _, d := range dep.Daemons[1:] {
+			if d.Snapshot().Retired < 1 {
+				return false
+			}
+		}
+		return dep.Daemons[0].Snapshot().Opened == 1
+	}
+	for !settled() {
+		select {
+		case <-ctx.Done():
+			t.Fatal("daemons 1-3 did not retire the instance, or daemon 0 never opened it")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if snap := dep.Daemons[0].Snapshot(); snap.Decided != 0 || snap.Active != 1 {
+		t.Fatalf("partitioned daemon 0: decided %d, active %d; want 0 and 1", snap.Decided, snap.Active)
+	}
+}
+
+// TestServiceNewRejects: a daemon refuses at construction, by name, the
+// scenario knobs that only mean something on the simulator, and the
+// identity and addressing mistakes a multi-process member can make.
+func TestServiceNewRejects(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		set    func(*Config)
+		errHas string
+	}{
+		{"policy", func(c *Config) { c.Scenario.Policy = &repro.PolicySpec{Name: "fifo"} }, "policy"},
+		{"recordTrace", func(c *Config) { c.Scenario.RecordTrace = true }, "recordTrace"},
+		{"seeds", func(c *Config) { c.Scenario.Seeds = 3 }, "seed batches"},
+		{"id outside graph", func(c *Config) { c.ID = 9 }, "outside graph order"},
+		{"missing peer", func(c *Config) { delete(c.Peers, 2) }, "no peer address"},
+		{"no protocol", func(c *Config) { c.Scenario.Protocol = "" }, "no protocols"},
+	} {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{ID: 0, Scenario: testScenario(), PeerListener: l, Peers: map[int]string{1: "x", 2: "x", 3: "x"}}
+		tc.set(&cfg)
+		_, err = New(cfg)
+		l.Close()
+		if err == nil || !strings.Contains(err.Error(), tc.errHas) {
+			t.Errorf("%s: New returned %v, want an error containing %q", tc.name, err, tc.errHas)
+		}
 	}
 }

@@ -19,8 +19,8 @@
 //
 // The instance id multiplexes many concurrent consensus instances over one
 // persistent connection — the service tier's pipelining unit. One-shot
-// runs (cluster.RunTCP/JoinTCP, abacnode) encode and accept instance 0
-// via AppendMessage/DecodeMessage; the service daemon stamps
+// runs (cluster.RunTCP) encode and accept instance 0 via
+// AppendMessage/DecodeMessage; the service daemon stamps
 // per-instance ids with EncodeInstanceMessage and routes inbound frames by
 // PeekFrame without paying a full decode.
 //

@@ -69,8 +69,8 @@ func Register(name string, run RunFunc) {
 
 // RegisterBuilder attaches a live-runtime machine factory to an already
 // registered protocol, making it runnable on the cluster runtimes
-// (Scenario.RunOn, JoinCluster, abacnode). Unknown names and double
-// registration panic, like Register.
+// (Scenario.RunOn) and under the service daemon (InstanceFactory, abacd).
+// Unknown names and double registration panic, like Register.
 func RegisterBuilder(name string, build BuilderFunc) {
 	protocolMu.Lock()
 	defer protocolMu.Unlock()

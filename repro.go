@@ -19,7 +19,7 @@
 //   - a live node runtime: the same protocol machines as real networked
 //     nodes exchanging wire-encoded frames, in-process (Scenario.RunOn
 //     with "loopback"), over local TCP sockets ("tcp"), or as genuinely
-//     separate processes (JoinCluster / cmd/abacnode) — cross-runtime
+//     separate processes (InstanceFactory / cmd/abacd) — cross-runtime
 //     conformance tests pin that cluster runs satisfy the same validity
 //     and ε-agreement criteria as simulator runs,
 //   - the Theorem 18 necessity construction, which exhibits a convergence
@@ -198,10 +198,10 @@ type Fault struct {
 	Compose []Mutation
 }
 
-// Mutation is one composed mutator layer of a Fault.
+// Mutation is one composed mutator layer of a Fault or FaultSpec.
 type Mutation struct {
-	Kind   string
-	Params map[string]float64
+	Kind   string             `json:"kind"`
+	Params map[string]float64 `json:"params,omitempty"`
 }
 
 // spec converts to the adversary package's resolved form.
@@ -220,24 +220,13 @@ func (f Fault) spec() adversary.Spec {
 func FaultKinds() []string { return adversary.Adversaries() }
 
 // FaultDefaults returns the named strategy's parameters with their default
-// values (for catalogs and CLIs).
-func FaultDefaults(kind string) (map[string]float64, error) {
+// values, plus a one-line description (for catalogs and CLIs).
+func FaultDefaults(kind string) (params map[string]float64, doc string, err error) {
 	s, err := adversary.ByName(kind)
 	if err != nil {
-		return nil, fmt.Errorf("repro: %w", err)
+		return nil, "", fmt.Errorf("repro: %w", err)
 	}
-	return s.Defaults(), nil
-}
-
-// FaultPrimary returns the parameter name the strategy's legacy scalar
-// "param" form maps to ("" when the strategy has none), and a one-line
-// description of the strategy.
-func FaultPrimary(kind string) (primary, doc string, err error) {
-	s, err := adversary.ByName(kind)
-	if err != nil {
-		return "", "", fmt.Errorf("repro: %w", err)
-	}
-	return s.Primary(), s.Doc(), nil
+	return s.Defaults(), s.Doc(), nil
 }
 
 // LinkFault is one Byzantine link-failure rule, applied per directed edge

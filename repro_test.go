@@ -193,28 +193,18 @@ func TestUnknownFaultHardError(t *testing.T) {
 }
 
 // TestFaultRegistryFacade pins the public catalog surface: kinds, defaults
-// and primary-param lookups.
+// and one-line docs.
 func TestFaultRegistryFacade(t *testing.T) {
 	kinds := repro.FaultKinds()
 	if len(kinds) < 9 {
 		t.Fatalf("FaultKinds() = %v", kinds)
 	}
 	for _, kind := range kinds {
-		defs, err := repro.FaultDefaults(kind)
-		if err != nil {
-			t.Fatal(err)
-		}
-		primary, doc, err := repro.FaultPrimary(kind)
-		if err != nil || doc == "" {
-			t.Errorf("FaultPrimary(%q) = %q, %q, %v", kind, primary, doc, err)
-		}
-		if primary != "" {
-			if _, ok := defs[primary]; !ok {
-				t.Errorf("kind %q: primary %q missing from defaults %v", kind, primary, defs)
-			}
+		if _, doc, err := repro.FaultDefaults(kind); err != nil || doc == "" {
+			t.Errorf("FaultDefaults(%q): doc %q, err %v", kind, doc, err)
 		}
 	}
-	if _, err := repro.FaultDefaults("gremlin"); err == nil {
+	if _, _, err := repro.FaultDefaults("gremlin"); err == nil {
 		t.Error("unknown kind accepted by FaultDefaults")
 	}
 	if lk := repro.LinkFaultKinds(); len(lk) != 4 {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"repro/internal/graph"
 	"repro/internal/linkfault"
@@ -82,88 +83,24 @@ type PolicySpec struct {
 
 // FaultSpec assigns one node a registered adversary strategy (see
 // FaultKinds) with named parameters and optional composed mutator layers.
-//
-// Param is the legacy single-scalar form: a present Param — including an
-// explicit 0, which is why the field is a pointer — sets the strategy's
-// primary parameter (e.g. "crash"'s after, "extreme"'s value), so
-// pre-registry scenario files decode unchanged. The canonical JSON form
-// (Scenario.JSON) always folds Param into Params.
 type FaultSpec struct {
 	Node int `json:"node"`
 	// Kind is a registered strategy name: "silent", "crash", "extreme",
 	// "equivocate", "tamper", "noise", "delayedequiv", "split", "replay",
 	// ... (see FaultKinds).
 	Kind    string             `json:"kind"`
-	Param   *float64           `json:"param,omitempty"`
 	Params  map[string]float64 `json:"params,omitempty"`
-	Compose []MutationSpec     `json:"compose,omitempty"`
+	Compose []Mutation         `json:"compose,omitempty"`
 }
 
-// MutationSpec is one composed mutator layer of a FaultSpec; Param is the
-// same legacy scalar shorthand.
-type MutationSpec struct {
-	Kind   string             `json:"kind"`
-	Param  *float64           `json:"param,omitempty"`
-	Params map[string]float64 `json:"params,omitempty"`
-}
-
-// foldScalar folds the legacy scalar into the strategy's primary param,
-// returning the merged params map.
-func foldScalar(kind string, scalar *float64, params map[string]float64) (map[string]float64, error) {
-	if scalar == nil {
-		return params, nil
-	}
-	primary, _, err := FaultPrimary(kind)
-	if err != nil {
-		return nil, err
-	}
-	if primary == "" {
-		return nil, fmt.Errorf("repro: fault kind %q takes no scalar param; use the params map", kind)
-	}
-	if _, dup := params[primary]; dup {
-		return nil, fmt.Errorf("repro: fault kind %q: param and params[%q] both set", kind, primary)
-	}
-	merged := make(map[string]float64, len(params)+1)
-	for k, v := range params {
-		merged[k] = v
-	}
-	merged[primary] = *scalar
-	return merged, nil
-}
-
-// fault resolves the spec into the imperative Fault form, folding legacy
-// scalars, and validates every name and param against the registry.
+// fault resolves the spec into the imperative Fault form and validates
+// every name and param against the registry.
 func (fl FaultSpec) fault() (Fault, error) {
-	params, err := foldScalar(fl.Kind, fl.Param, fl.Params)
-	if err != nil {
-		return Fault{}, err
-	}
-	f := Fault{Kind: fl.Kind, Params: params}
-	for _, m := range fl.Compose {
-		mp, err := foldScalar(m.Kind, m.Param, m.Params)
-		if err != nil {
-			return Fault{}, err
-		}
-		f.Compose = append(f.Compose, Mutation{Kind: m.Kind, Params: mp})
-	}
+	f := Fault{Kind: fl.Kind, Params: fl.Params, Compose: fl.Compose}
 	if err := f.spec().Validate(); err != nil {
 		return Fault{}, err
 	}
 	return f, nil
-}
-
-// normalize returns the spec in canonical form: legacy scalars folded into
-// the params map. Only valid on validated specs.
-func (fl FaultSpec) normalize() FaultSpec {
-	f, err := fl.fault()
-	if err != nil {
-		return fl
-	}
-	out := FaultSpec{Node: fl.Node, Kind: f.Kind, Params: f.Params}
-	for _, m := range f.Compose {
-		out.Compose = append(out.Compose, MutationSpec{Kind: m.Kind, Params: m.Params})
-	}
-	return out
 }
 
 // InputGenSpec derives per-node inputs from the graph order:
@@ -414,6 +351,11 @@ func ParseScenario(data []byte) (*Scenario, error) {
 	dec.DisallowUnknownFields()
 	var s Scenario
 	if err := dec.Decode(&s); err != nil {
+		// The scalar fault form is gone; json's own "unknown field" would
+		// not tell the owner of an old file what to write instead.
+		if strings.Contains(err.Error(), `unknown field "param"`) {
+			return nil, fmt.Errorf(`repro: scenario: the scalar "param" fault form was removed: write "params": {"<name>": <value>} (abacsim -list prints each fault kind's param names)`)
+		}
 		return nil, fmt.Errorf("repro: scenario: %w", err)
 	}
 	// Anything but clean EOF after the object — valid JSON or garbage — is
@@ -429,20 +371,15 @@ func ParseScenario(data []byte) (*Scenario, error) {
 
 // JSON renders the scenario as validated, stable, indented JSON — the
 // canonical serialized form, which ParseScenario round-trips: the fault
-// list is in node order and legacy scalar params are folded into the
-// params maps. Link-fault rules keep their listed order (rules apply in
-// order).
+// list is in node order. Link-fault rules keep their listed order (rules
+// apply in order).
 func (s Scenario) JSON() ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	if len(s.Faults) > 0 {
-		faults := make([]FaultSpec, len(s.Faults))
-		for i, fl := range s.Faults {
-			faults[i] = fl.normalize()
-		}
-		sort.Slice(faults, func(i, j int) bool { return faults[i].Node < faults[j].Node })
-		s.Faults = faults
+		s.Faults = append([]FaultSpec(nil), s.Faults...)
+		sort.Slice(s.Faults, func(i, j int) bool { return s.Faults[i].Node < s.Faults[j].Node })
 	}
 	return json.MarshalIndent(s, "", "  ")
 }

@@ -3,6 +3,9 @@ package repro_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,7 +16,6 @@ import (
 // TestScenarioJSONGolden pins the canonical serialized form: encode must
 // produce exactly this document, and decoding it must reproduce the value.
 func TestScenarioJSONGolden(t *testing.T) {
-	legacy := 50.0
 	s := repro.Scenario{
 		Name:     "fig1a-bw-tamper",
 		Graph:    "fig1a",
@@ -26,8 +28,8 @@ func TestScenarioJSONGolden(t *testing.T) {
 		Engine:   "inline",
 		Policy:   &repro.PolicySpec{Name: "bounded", Params: map[string]float64{"bound": 8}},
 		Faults: []repro.FaultSpec{
-			{Node: 2, Kind: "tamper", Param: &legacy,
-				Compose: []repro.MutationSpec{{Kind: "noise", Params: map[string]float64{"amp": 3}}}},
+			{Node: 2, Kind: "tamper", Params: map[string]float64{"delta": 50},
+				Compose: []repro.Mutation{{Kind: "noise", Params: map[string]float64{"amp": 3}}}},
 			{Node: 1, Kind: "silent"},
 		},
 		LinkFaults: []repro.LinkFault{
@@ -117,13 +119,12 @@ func TestScenarioJSONGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// JSON() canonicalizes: faults in node order, legacy scalars folded
-	// into the params maps. Compare against the normalized form.
+	// JSON() canonicalizes: faults in node order.
 	want := s
 	want.Faults = []repro.FaultSpec{
 		{Node: 1, Kind: "silent"},
 		{Node: 2, Kind: "tamper", Params: map[string]float64{"delta": 50},
-			Compose: []repro.MutationSpec{{Kind: "noise", Params: map[string]float64{"amp": 3}}}},
+			Compose: []repro.Mutation{{Kind: "noise", Params: map[string]float64{"amp": 3}}}},
 	}
 	if !reflect.DeepEqual(*back, want) {
 		t.Errorf("round-trip mismatch:\n got %+v\nwant %+v", *back, want)
@@ -153,8 +154,8 @@ func TestParseScenarioRejectsBadDocuments(t *testing.T) {
 		{"missing policy param", `{"graph":"fig1a","protocol":"bw","policy":{"name":"bounded"}}`, `missing param "bound"`},
 		{"bad fault kind", `{"graph":"fig1a","protocol":"bw","faults":[{"node":1,"kind":"gaslight"}]}`, "unknown fault kind"},
 		{"bad fault param", `{"graph":"fig1a","protocol":"bw","faults":[{"node":1,"kind":"crash","params":{"fuel":3}}]}`, `unknown param "fuel"`},
-		{"scalar on paramless kind", `{"graph":"fig1a","protocol":"bw","faults":[{"node":1,"kind":"silent","param":2}]}`, "takes no scalar param"},
-		{"scalar vs params conflict", `{"graph":"fig1a","protocol":"bw","faults":[{"node":1,"kind":"extreme","param":2,"params":{"value":3}}]}`, "both set"},
+		{"scalar on paramless kind", `{"graph":"fig1a","protocol":"bw","faults":[{"node":1,"kind":"silent","param":2}]}`, `"params"`},
+		{"scalar vs params conflict", `{"graph":"fig1a","protocol":"bw","faults":[{"node":1,"kind":"extreme","param":2,"params":{"value":3}}]}`, `"params"`},
 		{"bad compose kind", `{"graph":"fig1a","protocol":"bw","faults":[{"node":1,"kind":"crash","compose":[{"kind":"warp"}]}]}`, "unknown fault kind"},
 		{"non-mutator compose", `{"graph":"fig1a","protocol":"bw","faults":[{"node":1,"kind":"noise","compose":[{"kind":"silent"}]}]}`, "cannot compose"},
 		{"compose under silent", `{"graph":"fig1a","protocol":"bw","faults":[{"node":1,"kind":"silent","compose":[{"kind":"noise"}]}]}`, "cannot carry composed mutators"},
@@ -518,44 +519,38 @@ func TestFaultKindNames(t *testing.T) {
 	}
 }
 
-// TestScenarioLegacyScalarDecodes pins backward compatibility: an archived
-// pre-registry scenario file using the scalar "param" form decodes, folds
-// into the primary param, and runs.
-func TestScenarioLegacyScalarDecodes(t *testing.T) {
-	doc := `{"graph":"fig1a","protocol":"bw","inputs":[0,4,1,3,2],"f":1,"k":4,"eps":0.25,"seed":7,
-		"faults":[{"node":1,"kind":"crash","param":10}]}`
-	s, err := repro.ParseScenario([]byte(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Decided || !res.ValidityOK {
-		t.Errorf("legacy scenario run: %+v", res)
-	}
-	// The canonical re-encoding folds the scalar away.
-	data, err := s.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(string(data), `"param":`) {
-		t.Errorf("canonical JSON still carries legacy scalars:\n%s", data)
-	}
-	if !strings.Contains(string(data), `"after": 10`) {
-		t.Errorf("canonical JSON missing folded params:\n%s", data)
+// TestScenarioLegacyScalarRejected: the scalar "param" form is gone from the
+// fault entry and from composed layers alike, and the error says what to
+// write instead — json's own `unknown field "param"` would not.
+func TestScenarioLegacyScalarRejected(t *testing.T) {
+	for _, fault := range []string{
+		`{"node":1,"kind":"crash","param":10}`,
+		`{"node":1,"kind":"tamper","compose":[{"kind":"noise","param":3}]}`,
+	} {
+		doc := `{"graph":"fig1a","protocol":"bw","faults":[` + fault + `]}`
+		_, err := repro.ParseScenario([]byte(doc))
+		if err == nil {
+			t.Fatalf("%s decoded", fault)
+		}
+		for _, want := range []string{`"params"`, "abacsim -list"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: error %q does not mention %s", fault, err, want)
+			}
+		}
 	}
 }
 
-// TestScenarioExplicitZeroScalar pins that a legacy explicit "param": 0 is
-// a present value (the pointer field), not an absent one: crash with
-// param 0 must fold to after=0 — crash on the first delivery — rather than
-// silently reverting to the default of 20.
+// TestScenarioExplicitZeroScalar: a scalar 0 is refused like any other
+// scalar, and the explicit zero it used to spell survives in the params
+// map — crash with after=0 is crash on the first delivery, not a silent
+// revert to the default of 20.
 func TestScenarioExplicitZeroScalar(t *testing.T) {
-	doc := `{"graph":"fig1a","protocol":"bw","inputs":[0,4,1,3,2],"f":1,"k":4,"eps":0.25,"seed":3,
-		"faults":[{"node":1,"kind":"crash","param":0}]}`
-	s, err := repro.ParseScenario([]byte(doc))
+	const head = `{"graph":"fig1a","protocol":"bw","inputs":[0,4,1,3,2],"f":1,"k":4,"eps":0.25,"seed":3,
+		"faults":[{"node":1,"kind":"crash",`
+	if _, err := repro.ParseScenario([]byte(head + `"param":0}]}`)); err == nil || !strings.Contains(err.Error(), `"params"`) {
+		t.Fatalf(`"param": 0: %v`, err)
+	}
+	s, err := repro.ParseScenario([]byte(head + `"params":{"after":0}}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +559,7 @@ func TestScenarioExplicitZeroScalar(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(string(data), `"after": 0`) {
-		t.Errorf("explicit zero scalar lost in canonicalization:\n%s", data)
+		t.Errorf("explicit zero lost in canonicalization:\n%s", data)
 	}
 	res, err := s.Run()
 	if err != nil {
@@ -572,5 +567,44 @@ func TestScenarioExplicitZeroScalar(t *testing.T) {
 	}
 	if !res.Decided || !res.ValidityOK {
 		t.Errorf("crash-at-first-delivery run: %+v", res)
+	}
+}
+
+// TestDocumentedScenariosDecode: every scenario the repo shows a reader —
+// the files under examples/ and each fenced JSON object in README.md that
+// carries a "graph" key — goes through ParseScenario, so a spelling the
+// loader stops accepting cannot survive in the documentation.
+func TestDocumentedScenariosDecode(t *testing.T) {
+	docs := map[string][]byte{}
+	files, err := filepath.Glob("examples/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("examples/*.json: %v, %v", files, err)
+	}
+	for _, f := range files {
+		if docs[f], err = os.ReadFile(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fences := strings.Split(string(readme), "```json\n")[1:]
+	for i, rest := range fences {
+		body, _, closed := strings.Cut(rest, "```")
+		var obj map[string]json.RawMessage
+		if !closed || json.Unmarshal([]byte(body), &obj) != nil {
+			t.Errorf("README.md json fence %d is not one JSON object:\n%s", i, body)
+		} else if _, isScenario := obj["graph"]; isScenario {
+			docs[fmt.Sprintf("README.md fence %d", i)] = []byte(body)
+		}
+	}
+	if len(docs) == len(files) {
+		t.Error("no scenario found in README.md's json fences")
+	}
+	for name, doc := range docs {
+		if _, err := repro.ParseScenario(doc); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/graph"
+	"repro/internal/linkfault"
 	"repro/internal/seedmix"
 )
 
@@ -36,10 +37,14 @@ func NewInstanceFactory(s Scenario) (*InstanceFactory, error) {
 
 // NewInstanceFactoryFor is NewInstanceFactory with the protocol overridden
 // — the daemon uses it to pipeline several protocols over one materialized
-// scenario (same graph, inputs and fault plan).
+// scenario (same graph, inputs and fault plan). Like RunOn it refuses, by
+// name, the knobs that only mean something on the simulator.
 func NewInstanceFactoryFor(s Scenario, protocol string) (*InstanceFactory, error) {
 	if protocol == "" {
 		return nil, fmt.Errorf("repro: instance factory needs a protocol (valid values are: %v)", Protocols())
+	}
+	if err := s.validateForCluster(); err != nil {
+		return nil, err
 	}
 	s.Protocol = protocol
 	g, inputs, err := s.Materialize()
@@ -115,6 +120,14 @@ func (f *InstanceFactory) HandlerFor(inst uint64, id int) (Handler, error) {
 		return h, nil
 	}
 	return inner, nil
+}
+
+// LinkFaultsFor compiles the scenario's link-fault rules for instance inst,
+// seeded from the instance seed; nil when the scenario has none. One set per
+// instance, never one per daemon: linkfault.Set.Next allows one sender
+// goroutine per edge, and a daemon runs many instance loops over one edge.
+func (f *InstanceFactory) LinkFaultsFor(inst uint64) (*linkfault.Set, error) {
+	return buildLinkFaults(f.g, f.instOpts(inst))
 }
 
 // HandlersFor mints the full per-vertex machine set for instance inst —
