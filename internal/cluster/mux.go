@@ -21,11 +21,12 @@ import (
 // reliability the model assumes, and the hello gives the receiver the
 // sender's identity. Per-peer outbound queues are bounded (see queue): a
 // vertex that outruns a slow peer blocks on Send — backpressure that
-// propagates to the node event loops, accounted and surfaced through
+// propagates to whoever runs the machine, accounted and surfaced through
 // QueueStats. Inbound, one reader per in-edge hands read bursts to the
-// dispatcher; a dispatcher that blocks (an inbox at capacity) stalls
-// exactly that one peer connection, which is TCP's own flow control doing
-// the rest.
+// dispatcher; a dispatcher that blocks (an inbox or mailbox at capacity, or
+// the reader itself running an instance whose Send waits on a full peer
+// queue) stalls exactly that one peer connection, which is TCP's own flow
+// control doing the rest.
 
 // muxMagic opens every connection; the bytes after it are the wire codec
 // version and the sender's vertex id (two big-endian bytes, covering the
@@ -135,10 +136,11 @@ func NewMux(cfg MuxConfig) (*Mux, error) {
 // A frame the link cannot carry is refused: a body over wire.MaxFrame would
 // be skipped by the writer's coalesce and lost without a trace on a link
 // the model calls reliable, so it is released, counted as shed and reported
-// here instead — to a node event loop that is a run error, like a payload
-// the codec cannot encode. Ownership of frame transfers to the fabric: the
-// per-edge writer releases it to the pool after transmission (or here, when
-// a shed drops it), so the caller must not retain it.
+// here instead — to a node that is a run error, like a payload the codec
+// cannot encode (the service tier retires the instance with it as cause).
+// Ownership of frame transfers to the fabric: the per-edge writer releases
+// it to the pool after transmission (or here, when a shed drops it), so the
+// caller must not retain it.
 func (m *Mux) Send(to int, frame []byte) error {
 	q, ok := m.queues[to]
 	if !ok {

@@ -11,7 +11,10 @@
 // edge must exist), invokes the handler, and transmits everything the
 // handler sent through the Outbound. Handlers therefore keep the exact
 // concurrency contract they have in the simulator: one invocation at a
-// time, on one goroutine, with sends collected per invocation.
+// time, with sends collected per invocation. The one-shot runtimes run one
+// such loop per vertex (Run); the service tier keeps the contract without the
+// goroutine by calling the loop's two halves, Start and Deliver, from
+// whichever goroutine holds an instance's mailbox (internal/service).
 package node
 
 import (
@@ -144,15 +147,18 @@ type Stats struct {
 	ByKind map[string]int
 }
 
-// Node runs one protocol endpoint over a live transport. Create with New,
-// feed via PushBatch, drive with Run.
+// Node runs one protocol endpoint over a live transport. Create with New;
+// feed via PushBatch and drive with Run, or call Start and Deliver directly.
 type Node struct {
-	cfg     Config
-	inbox   chan []Inbound
-	stats   Stats
-	steps   int
-	decided bool
-	seen    int // rounds already streamed to the observer
+	cfg Config
+	// inbox is made on first use (inboxOnce): a node driven through Start
+	// and Deliver never needs one.
+	inboxOnce sync.Once
+	inbox     chan []Inbound
+	stats     Stats
+	steps     int
+	decided   bool
+	seen      int // rounds already streamed to the observer
 	// out collects one handler invocation's sends; the event loop owns it,
 	// resets it before each delivery and has transmitted everything in it
 	// before the next.
@@ -185,11 +191,15 @@ func New(cfg Config) (*Node, error) {
 	}
 	return &Node{
 		cfg:   cfg,
-		inbox: make(chan []Inbound, cfg.InboxCap),
 		stats: Stats{ByKind: make(map[string]int)},
 		out:   sim.NewCollector(cfg.ID, cfg.Graph),
 		done:  make(chan struct{}),
 	}, nil
+}
+
+func (n *Node) queue() chan []Inbound {
+	n.inboxOnce.Do(func() { n.inbox = make(chan []Inbound, n.cfg.InboxCap) })
+	return n.inbox
 }
 
 // ID returns the node's vertex id.
@@ -208,7 +218,7 @@ func (n *Node) PushBatch(ctx context.Context, slab []Inbound) bool {
 		return true
 	}
 	select {
-	case n.inbox <- slab:
+	case n.queue() <- slab:
 		return true
 	case <-n.done:
 		return false
@@ -217,25 +227,24 @@ func (n *Node) PushBatch(ctx context.Context, slab []Inbound) bool {
 	}
 }
 
-// ReceiveBatch takes one slab off the inbox without running the event
-// loop. It exists for the dispatch benchmarks and tests that need to
-// observe the inbox hand-off itself; never call it while Run is live (the
-// two would race for slabs and break per-link FIFO). Ownership of the
-// returned slab and its frames transfers to the caller.
-func (n *Node) ReceiveBatch(ctx context.Context) ([]Inbound, bool) {
-	select {
-	case slab := <-n.inbox:
-		return slab, true
-	case <-ctx.Done():
-		return nil, false
-	}
-}
-
 // Done is closed when Run returns; transports use it to unblock pumps that
 // are mid-push into a full inbox.
 func (n *Node) Done() <-chan struct{} { return n.done }
 
-// Run executes the node's event loop: Start the handler, then deliver
+// Start is the first half of Run: it starts the handler and transmits its
+// opening sends. A caller that drives the machine itself instead of running
+// the loop (the service tier's runners) calls Start once, then Deliver one
+// frame at a time, never concurrently and never alongside Run.
+func (n *Node) Start() error {
+	n.cfg.Handler.Start(n.out)
+	if err := n.transmit(n.out.Messages()); err != nil {
+		return err
+	}
+	n.observeProgress()
+	return nil
+}
+
+// Run executes the node's event loop: Start the handler, then Deliver
 // inbound frames until ctx is cancelled. Cancellation is the normal
 // shutdown path and returns nil; Run only errors when the outbound
 // transport fails, which on reliable links means the run is unsalvageable.
@@ -244,17 +253,15 @@ func (n *Node) Done() <-chan struct{} { return n.done }
 // safe to read from any goroutine.
 func (n *Node) Run(ctx context.Context) error {
 	defer close(n.done)
-	n.cfg.Handler.Start(n.out)
-	if err := n.transmit(n.out.Messages()); err != nil {
+	if err := n.Start(); err != nil {
 		return err
 	}
-	n.observeProgress()
-
+	inbox := n.queue()
 	for {
 		select {
 		case <-ctx.Done():
 			return nil
-		case slab := <-n.inbox:
+		case slab := <-inbox:
 			if err := n.deliverSlab(slab); err != nil {
 				return err
 			}
@@ -262,13 +269,13 @@ func (n *Node) Run(ctx context.Context) error {
 	}
 }
 
-// deliverSlab drains one inbox slab through deliver and recycles the slab.
+// deliverSlab drains one inbox slab through Deliver and recycles the slab.
 // On a delivery error (outbound transport failure) the remaining frames
-// are released — deliver already released the failing frame's buffer — so
+// are released — Deliver already released the failing frame's buffer — so
 // pool accounting stays balanced on the unsalvageable-run path too.
 func (n *Node) deliverSlab(slab []Inbound) error {
 	for i := range slab {
-		if err := n.deliver(slab[i]); err != nil {
+		if err := n.Deliver(slab[i]); err != nil {
 			for _, rest := range slab[i+1:] {
 				wire.PutBuf(rest.Frame)
 			}
@@ -280,9 +287,11 @@ func (n *Node) deliverSlab(slab []Inbound) error {
 	return nil
 }
 
-// deliver decodes, validates and hands one frame to the handler, then
-// transmits the handler's response traffic.
-func (n *Node) deliver(in Inbound) error {
+// Deliver decodes, validates and hands one frame to the handler, then
+// transmits the handler's response traffic. Ownership of in.Frame transfers
+// with the call, error or not; the only error is an outbound transport
+// failure (see Run) — a malformed or forged frame is counted and dropped.
+func (n *Node) Deliver(in Inbound) error {
 	m, err := wire.DecodeMessage(in.Frame)
 	// The decode copies every payload field out of the frame, so the node —
 	// the frame's final owner — releases the buffer to the pool right here,

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"sync/atomic"
 	"testing"
 
@@ -13,52 +12,28 @@ import (
 	"repro/internal/wire"
 )
 
-// DispatchBench measures the daemon's batched inbound dispatch in
-// isolation: a pre-peeked burst of same-instance frames through
-// dispatchBatch — run grouping, memo/shard lookup, ready gate, one slab
-// push into the instance inbox — and back out through the inbox drain. It
-// is an exported testing.B function (like cluster.QueueDrainBench) so the
-// repo benchmark (bench/, service.dispatch_ns_per_frame) can run it through
-// testing.Benchmark from a normal binary while the dispatch internals stay
-// unexported.
+// DispatchBench measures what a frame pays on the way into its machine: a
+// pre-peeked burst of same-instance frames through dispatchBatch — run
+// grouping, memo/shard lookup, mailbox post — and, because the posting
+// goroutine is the instance's runner, on through node.Deliver: full decode,
+// sender/edge check and an inert Handler.Deliver. It is an exported
+// testing.B function (like cluster.QueueDrainBench) so the repo benchmark
+// (bench/, service.dispatch_ns_per_frame) can run it from a normal binary
+// while the dispatch internals stay unexported. b.N counts frames; each is
+// first copied into a pooled buffer, the cost the real reader pays to hand
+// the dispatcher an owned frame.
 //
-// The harness is a daemon skeleton (routing table + one running
-// instance), no fabric or planes; one goroutine both dispatches and
-// drains, so every Get finds what the last Put left in the processor-local
-// frame and slab pools — the alloc fence pins it at 0 allocs/op. b.N counts
-// frames; each dispatched frame is re-encoded into a pooled buffer first (a
-// GetBuf and a copy), which is the cost the real reader pays to hand the
-// dispatcher an owned frame, so ns/frame includes it.
+// Not comparable with values recorded before the mailbox (PR 22): that cell
+// stopped at the inbox channel and drained it undecoded, 0 allocs/frame; this
+// one's 2 allocs/frame are the decode of its bw.ValPayload frame
+// (TestDispatchAllocBudget pins dispatch at exactly node.Deliver's count).
 func DispatchBench(b *testing.B) {
 	g := graph.Clique(2)
-	d := &Daemon{cfg: Config{ID: 1, PendingCap: DefaultPendingCap}}
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.instances = make(map[uint64]*instance)
-		sh.retired = make(map[uint64]struct{})
-		sh.decisions = make(map[uint64]Decision)
-		sh.pending = make(map[uint64][]node.Inbound)
-	}
-	d.memo = make([]atomic.Pointer[instance], g.N())
-
+	d := newSkeleton(g)
 	const inst = uint64(42<<10 | 1)
-	nd, err := node.New(node.Config{
-		ID: 1, Graph: g, Handler: benchHandler{id: 1}, Out: nullOut{},
-		// The drain keeps pace within each iteration; a few slabs of slack.
-		InboxCap: 4,
-	})
-	if err != nil {
+	if _, err := d.addIdle(g, inst, benchHandler{id: 1}, nullOut{}); err != nil {
 		b.Fatal(err)
 	}
-	ictx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ins := &instance{
-		inst: inst, protocol: "bench", nd: nd,
-		cancel: cancel, ictx: ictx, ready: make(chan struct{}),
-	}
-	close(ins.ready) // no pre-open backlog: the gate is open
-	sh := d.shard(inst)
-	sh.instances[inst] = ins
 
 	body, err := wire.EncodeInstanceMessage(inst, transport.Message{
 		From: 0, To: 1,
@@ -79,33 +54,40 @@ func DispatchBench(b *testing.B) {
 			frames[j] = append(wire.GetBuf(), body...)
 		}
 		d.dispatchBatch(0, frames[:k], infos[:k])
-		for drained := 0; drained < k; {
-			slab, ok := nd.ReceiveBatch(ictx)
-			if !ok {
-				b.Fatal("inbox drain cancelled mid-bench")
-			}
-			for _, in := range slab {
-				wire.PutBuf(in.Frame)
-			}
-			drained += len(slab)
-			node.PutSlab(slab)
-		}
 	}
 	round(batch) // warm the frame and slab pools before the fence
 	b.ReportAllocs()
 	b.ResetTimer()
-	for done := 0; done < b.N; {
-		k := batch
-		if done+k > b.N {
-			k = b.N - done
-		}
-		round(k)
-		done += k
+	for done := 0; done < b.N; done += batch {
+		round(min(batch, b.N-done))
 	}
 }
 
-// benchHandler is an inert protocol machine: DispatchBench never runs the
-// node's event loop, so it only has to satisfy construction.
+// newSkeleton builds vertex 1 of g as a daemon with a routing table and
+// nothing else (no fabric, no planes, never started): what DispatchBench and
+// the dispatch tests drive dispatchBatch against.
+func newSkeleton(g *graph.Graph) *Daemon {
+	d := &Daemon{cfg: Config{ID: 1, PendingCap: DefaultPendingCap}}
+	d.initShards()
+	d.memo = make([]atomic.Pointer[instance], g.N())
+	return d
+}
+
+// addIdle publishes an idle instance (empty mailbox, machine not started)
+// whose node wraps h and sends through out.
+func (d *Daemon) addIdle(g *graph.Graph, inst uint64, h sim.Handler, out node.Outbound) (*instance, error) {
+	nd, err := node.New(node.Config{ID: d.cfg.ID, Graph: g, Handler: h, Out: out})
+	if err != nil {
+		return nil, err
+	}
+	ins := newInstance(inst, "bench")
+	ins.nd = nd
+	d.shard(inst).instances[inst] = ins
+	return ins, nil
+}
+
+// benchHandler is an inert protocol machine: it accepts every delivery and
+// sends nothing.
 type benchHandler struct{ id int }
 
 func (h benchHandler) ID() int                              { return h.id }

@@ -16,60 +16,23 @@ import (
 )
 
 // newDispatchHarness builds a daemon skeleton (routing table only, no
-// fabric or planes) with one running-instance entry per id in insts, each
-// backed by a real node whose event loop is NOT running — tests drain the
-// inboxes directly with ReceiveBatch to observe exactly what dispatch
-// delivered, in order.
-func newDispatchHarness(t *testing.T, insts []uint64) (*Daemon, map[uint64]*instance) {
+// fabric or planes) with one idle instance per id in insts, each wrapping a
+// recording probe: a test dispatches from its own goroutine, which makes it
+// the runner, so when dispatchBatch returns the probes hold exactly what
+// dispatch delivered, in order.
+func newDispatchHarness(t *testing.T, insts []uint64) (*Daemon, map[uint64]*probe) {
 	t.Helper()
 	g := graph.Clique(2)
-	d := &Daemon{cfg: Config{ID: 1, PendingCap: DefaultPendingCap}}
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.instances = make(map[uint64]*instance)
-		sh.retired = make(map[uint64]struct{})
-		sh.decisions = make(map[uint64]Decision)
-		sh.pending = make(map[uint64][]node.Inbound)
-	}
-	d.memo = make([]atomic.Pointer[instance], g.N())
-	byInst := make(map[uint64]*instance, len(insts))
+	d := newSkeleton(g)
+	byInst := make(map[uint64]*probe, len(insts))
 	for _, inst := range insts {
-		nd, err := node.New(node.Config{
-			ID: 1, Graph: g, Handler: benchHandler{id: 1}, Out: nullOut{},
-			InboxCap: 256,
-		})
-		if err != nil {
+		p := &probe{id: 1}
+		if _, err := d.addIdle(g, inst, p, nullOut{}); err != nil {
 			t.Fatal(err)
 		}
-		ictx, cancel := context.WithCancel(context.Background())
-		t.Cleanup(cancel)
-		ins := &instance{
-			inst: inst, protocol: "bench", nd: nd,
-			cancel: cancel, ictx: ictx, ready: make(chan struct{}),
-		}
-		close(ins.ready)
-		d.shard(inst).instances[inst] = ins
-		byInst[inst] = ins
+		byInst[inst] = p
 	}
 	return d, byInst
-}
-
-// dispatchFrame encodes one protocol frame for inst whose payload Round
-// carries seq, so drains can verify ordering.
-func dispatchFrame(t *testing.T, inst uint64, seq int) ([]byte, wire.FrameInfo) {
-	t.Helper()
-	frame, err := wire.EncodeInstanceMessage(inst, transport.Message{
-		From: 0, To: 1,
-		Payload: bw.ValPayload{Round: seq, Value: 0.5, Path: graph.Path{0, 1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := wire.PeekFrame(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return frame, info
 }
 
 // dispatchOne hands the dispatcher a 1-frame batch peeked the way the
@@ -80,31 +43,6 @@ func dispatchOne(d *Daemon, from int, frame []byte) {
 		info = wire.FrameInfo{Bad: true}
 	}
 	d.dispatchBatch(from, [][]byte{frame}, []wire.FrameInfo{info})
-}
-
-// drainRounds pulls exactly want frames off ins's inbox and returns their
-// payload Round sequence in delivery order.
-func drainRounds(t *testing.T, ins *instance, want int) []int {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	var rounds []int
-	for len(rounds) < want {
-		slab, ok := ins.nd.ReceiveBatch(ctx)
-		if !ok {
-			t.Fatalf("inbox drain timed out with %d/%d frames", len(rounds), want)
-		}
-		for _, in := range slab {
-			_, m, err := wire.DecodeInstanceMessage(in.Frame)
-			wire.PutBuf(in.Frame)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rounds = append(rounds, m.Payload.(bw.ValPayload).Round)
-		}
-		node.PutSlab(slab)
-	}
-	return rounds
 }
 
 // TestDispatchBatchFIFO pins the FIFO-preservation argument of the batch
@@ -131,7 +69,7 @@ func TestDispatchBatchFIFO(t *testing.T) {
 			frames = append(frames, []byte("not a frame"))
 			infos = append(infos, wire.FrameInfo{Bad: true})
 		}
-		f, fi := dispatchFrame(t, inst, seq)
+		f, fi := probeFrame(t, inst, 0, 1, seq)
 		frames = append(frames, f)
 		infos = append(infos, fi)
 		if inst == instA {
@@ -142,8 +80,8 @@ func TestDispatchBatchFIFO(t *testing.T) {
 	}
 	d.dispatchBatch(0, frames, infos)
 
-	gotA := drainRounds(t, byInst[instA], len(wantA))
-	gotB := drainRounds(t, byInst[instB], len(wantB))
+	gotA := byInst[instA].seqsFrom(0)
+	gotB := byInst[instB].seqsFrom(0)
 	if fmt.Sprint(gotA) != fmt.Sprint(wantA) {
 		t.Fatalf("instance A delivery order %v, want %v", gotA, wantA)
 	}
@@ -165,17 +103,17 @@ func TestDispatchBatchPendingAndRetired(t *testing.T) {
 		instGone = uint64(13<<10 | 3)
 	)
 	d, _ := newDispatchHarness(t, nil)
-	d.shard(instGone).retired[instGone] = struct{}{}
+	d.shard(instGone).retired[instGone] = nil
 
 	var frames [][]byte
 	var infos []wire.FrameInfo
 	for seq := 0; seq < 3; seq++ {
-		f, fi := dispatchFrame(t, instPend, seq)
+		f, fi := probeFrame(t, instPend, 0, 1, seq)
 		frames = append(frames, f)
 		infos = append(infos, fi)
 	}
 	for seq := 0; seq < 2; seq++ {
-		f, fi := dispatchFrame(t, instGone, seq)
+		f, fi := probeFrame(t, instGone, 0, 1, seq)
 		frames = append(frames, f)
 		infos = append(infos, fi)
 	}
@@ -209,28 +147,48 @@ func TestDispatchBatchPendingAndRetired(t *testing.T) {
 	}
 }
 
-// TestDispatchAllocBudget pins the batch-dispatch steady state at zero
-// allocations per frame: grouping scratch, slabs and frame buffers are all
-// recycled, so dispatch cost cannot creep back in as GC pressure. The count
-// is asserted in normal builds only: under -race sync.Pool drops a quarter
-// of all releases on purpose (see wire.GetBuf), so there the benchmark body
-// runs for the detector's sake and the count is logged.
+// TestDispatchAllocBudget pins what dispatch adds to a frame's allocation
+// bill at nothing: a burst through dispatchBatch — grouping, routing, the
+// mailbox and the runner's loop — allocates exactly what node.Deliver alone
+// allocates on the same frames (the decode). Box slabs and frame buffers are
+// all recycled, so dispatch cost cannot creep back in as GC pressure. The
+// count is asserted in normal builds only: under -race sync.Pool drops a
+// quarter of all releases on purpose (see wire.GetBuf), so there the
+// benchmark bodies run for the detector's sake and the counts are logged.
 func TestDispatchAllocBudget(t *testing.T) {
-	res := testing.Benchmark(DispatchBench)
-	a := res.AllocsPerOp()
+	dispatch := testing.Benchmark(DispatchBench).AllocsPerOp()
+	alone := testing.Benchmark(deliverAloneBench).AllocsPerOp()
 	if wire.RaceEnabled {
-		t.Logf("batched dispatch: %d allocs/frame under -race, not asserted", a)
+		t.Logf("dispatch %d, node.Deliver alone %d allocs/frame under -race, not asserted", dispatch, alone)
 		return
 	}
-	if a != 0 {
-		t.Fatalf("batched dispatch allocates %d allocs/frame steady state, want 0", a)
+	if dispatch != alone {
+		t.Fatalf("dispatch allocates %d allocs/frame steady state, node.Deliver alone %d: want equal", dispatch, alone)
+	}
+}
+
+// deliverAloneBench is DispatchBench's frame through node.Deliver and
+// nothing else: the allocation floor the dispatch path is held to.
+func deliverAloneBench(b *testing.B) {
+	g := graph.Clique(2)
+	nd, err := node.New(node.Config{ID: 1, Graph: g, Handler: benchHandler{id: 1}, Out: nullOut{}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	body, _ := probeFrame(b, 42<<10|1, 0, 1, 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := nd.Deliver(node.Inbound{From: 0, Frame: append(wire.GetBuf(), body...)}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
 // TestDispatchRouteOpenRace is the -race regression fence for the
 // route/open/retire races: a fleet under concurrent submissions (OPEN
-// floods racing protocol traffic through bufferPending and the ready
-// gate) while injector goroutines hammer the same daemons' dispatchers
+// floods racing protocol traffic through bufferPending and the mailbox
+// hand-over in open) while injector goroutines hammer the same daemons' dispatchers
 // with duplicate OPENs, protocol frames for decided-and-retiring
 // instances, and malformed frames. Every submission must still decide —
 // no frame lost where it matters — and the injected garbage must land in

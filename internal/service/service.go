@@ -2,12 +2,13 @@
 // (one per graph vertex) that multiplexes many concurrent consensus
 // instances over persistent peer connections, instead of the single-shot
 // lifecycle of the cluster harness. Every wire frame carries an instance
-// id (codec v4); the daemon routes frames to per-instance node event
-// loops, spawning machines on demand from a repro.InstanceFactory and
-// retiring them after decision. New instances are announced with a flooded
-// OPEN control frame; per-connection FIFO ordering guarantees a sender's
-// OPEN precedes its protocol traffic, and frames that race ahead of the
-// announcement through third parties wait in a bounded pending buffer.
+// id (codec v4); the daemon routes frames to per-instance mailboxes (see
+// mailbox.go for who runs an instance), spawning machines on demand from a
+// repro.InstanceFactory and retiring them after decision. New instances are
+// announced with a flooded OPEN control frame; per-connection FIFO ordering
+// guarantees a sender's OPEN precedes its protocol traffic, and frames that
+// race ahead of the announcement through third parties wait in a bounded
+// pending buffer.
 //
 // The daemon exposes three planes: the peer plane (the cluster.Mux fabric,
 // bounded per-peer queues with backpressure and shed accounting), a client
@@ -21,8 +22,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -37,7 +40,6 @@ import (
 
 // Defaults for Config knobs left zero.
 const (
-	DefaultInboxCap     = 1024
 	DefaultPendingCap   = 4096
 	DefaultLinger       = 1500 * time.Millisecond
 	DefaultDrainTimeout = 30 * time.Second
@@ -65,8 +67,9 @@ type routeShard struct {
 	instances map[uint64]*instance
 	// retired and decisions grow with instance count; a service-lifetime
 	// ledger (the id space is never reused, so retirement must be
-	// remembered to keep late frames and duplicate OPENs out).
-	retired   map[uint64]struct{}
+	// remembered to keep late frames and duplicate OPENs out). A retired
+	// entry's value is why the instance failed, nil when it did not.
+	retired   map[uint64]error
 	decisions map[uint64]Decision
 	pending   map[uint64][]node.Inbound
 }
@@ -92,8 +95,6 @@ type Config struct {
 	HTTPListener net.Listener
 	// QueueCap bounds each per-peer outbound queue (0 = cluster default).
 	QueueCap int
-	// InboxCap buffers each instance's inbox (0 = DefaultInboxCap).
-	InboxCap int
 	// PendingCap bounds frames buffered per not-yet-opened instance;
 	// overflow is shed and counted (0 = DefaultPendingCap).
 	PendingCap int
@@ -148,23 +149,6 @@ type Snapshot struct {
 
 type vectorProvider interface{ Vector() map[int]float64 }
 
-// instance is one consensus instance's machinery at this vertex.
-type instance struct {
-	inst     uint64
-	protocol string
-	nd       *node.Node
-	started  time.Time
-	cancel   context.CancelFunc
-	ictx     context.Context
-	// ready closes once buffered pre-open frames are replayed, so the
-	// dispatcher cannot reorder live frames ahead of them (per-link FIFO).
-	ready chan struct{}
-
-	mu       sync.Mutex
-	decision *Decision
-	waiters  []chan Decision
-}
-
 // Daemon is one vertex's consensus service.
 type Daemon struct {
 	cfg   Config
@@ -188,8 +172,8 @@ type Daemon struct {
 	// most groups hit the memo and skip the shard lock entirely. Entries
 	// are atomic pointers because a peer that double-connects would give
 	// two readers the same index. A stale entry is harmless — instance ids
-	// are never reused, so a memoized retired instance fails the push (its
-	// context is done) and the frames land in lateFrames, exactly like the
+	// are never reused, so a memoized retired instance refuses the post (its
+	// mailbox is closed) and the frames land in lateFrames, exactly like the
 	// retired-ledger path.
 	memo     []atomic.Pointer[instance]
 	seq      uint64
@@ -203,9 +187,6 @@ type Daemon struct {
 func New(cfg Config) (*Daemon, error) {
 	if cfg.ID < 0 || cfg.ID > maxDaemonID {
 		return nil, fmt.Errorf("service: daemon id %d outside [0,%d]", cfg.ID, maxDaemonID)
-	}
-	if cfg.InboxCap == 0 {
-		cfg.InboxCap = DefaultInboxCap
 	}
 	if cfg.PendingCap == 0 {
 		cfg.PendingCap = DefaultPendingCap
@@ -227,13 +208,7 @@ func New(cfg Config) (*Daemon, error) {
 		cfg:  cfg,
 		facs: make(map[string]*repro.InstanceFactory, len(names)),
 	}
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.instances = make(map[uint64]*instance)
-		sh.retired = make(map[uint64]struct{})
-		sh.decisions = make(map[uint64]Decision)
-		sh.pending = make(map[uint64][]node.Inbound)
-	}
+	d.initShards()
 	for _, name := range names {
 		if _, dup := d.facs[name]; dup {
 			continue
@@ -261,6 +236,16 @@ func New(cfg Config) (*Daemon, error) {
 	}
 	d.mux = mux
 	return d, nil
+}
+
+func (d *Daemon) initShards() {
+	for i := range d.shards {
+		sh := &d.shards[i]
+		sh.instances = make(map[uint64]*instance)
+		sh.retired = make(map[uint64]error)
+		sh.decisions = make(map[uint64]Decision)
+		sh.pending = make(map[uint64][]node.Inbound)
+	}
 }
 
 func (d *Daemon) logf(format string, args ...any) {
@@ -306,7 +291,24 @@ func (d *Daemon) Start(ctx context.Context) {
 		if d.cfg.ClientListener != nil {
 			d.cfg.ClientListener.Close()
 		}
+		d.retireAll()
 	}()
+}
+
+// retireAll closes every instance once the daemon's context is done: linger
+// timers stop, posters parked at a full mailbox leave, undelivered frames
+// return to the pool. open refuses under the shard lock from the moment the
+// context ends, so an instance this sweep does not see was never published.
+func (d *Daemon) retireAll() {
+	for i := range d.shards {
+		sh := &d.shards[i]
+		sh.mu.RLock()
+		live := slices.Collect(maps.Values(sh.instances))
+		sh.mu.RUnlock()
+		for _, ins := range live {
+			d.retire(ins)
+		}
+	}
 }
 
 // shard selects inst's routing-table slice. Instance ids pack
@@ -320,13 +322,13 @@ func (d *Daemon) shard(inst uint64) *routeShard {
 // dispatchBatch consumes one peer-plane read burst: frames in per-link
 // arrival order, each routing header already peeked by the socket reader
 // (never re-parsed here). OPEN announcements spawn instances; protocol
-// frames route to their instance's inbox. Frames are grouped into maximal
+// frames route to their instance's mailbox. Frames are grouped into maximal
 // consecutive runs of the same instance id and each run pays one route
-// lookup, one ready-gate wait and one inbox channel op — the batch
-// discipline's whole point. Only *consecutive* frames group, so processing
-// stays in scan order and per-link FIFO is preserved by construction: a
-// frame is never dispatched before an earlier frame of the same
-// connection, whatever the interleaving of instances. OPENs are consumed
+// lookup and one mailbox post — the batch discipline's whole point. Only
+// *consecutive* frames group, so processing stays in scan order and per-link
+// FIFO is preserved by construction: a frame is never dispatched before an
+// earlier frame of the same connection, whatever the interleaving of
+// instances. OPENs are consumed
 // inline at their arrival position (they order before the sender's own
 // protocol frames). Ownership of every frame transfers with the call; the
 // frames/infos slices are the caller's scratch and are not retained.
@@ -348,13 +350,19 @@ func (d *Daemon) dispatchBatch(from int, frames [][]byte, infos []wire.FrameInfo
 		for j < len(frames) && !infos[j].Bad && !infos[j].Open && infos[j].Inst == fi.Inst {
 			j++
 		}
-		d.routeGroup(from, fi.Inst, frames[i:j])
+		// One run: memo hit or one shard read-lock lookup, then one mailbox
+		// post; an instance not running here takes the pending slow path.
+		if ins := d.lookup(from, fi.Inst); ins != nil {
+			d.post(ins, from, frames[i:j])
+		} else {
+			d.bufferPendingGroup(from, fi.Inst, frames[i:j])
+		}
 		i = j
 	}
 }
 
 // handleOpen consumes one OPEN announcement frame (released here — OPENs
-// never reach an instance inbox).
+// never reach an instance's mailbox).
 func (d *Daemon) handleOpen(inst uint64, frame []byte) {
 	_, msg, err := wire.DecodeInstanceMessage(frame)
 	wire.PutBuf(frame)
@@ -370,17 +378,6 @@ func (d *Daemon) handleOpen(inst uint64, frame []byte) {
 	if err := d.open(inst, op.Protocol, false); err != nil {
 		d.logf("service[%d]: refused open inst=%d: %v", d.cfg.ID, inst, err)
 	}
-}
-
-// routeGroup routes one same-instance run of frames from one connection:
-// memo hit or one shard read-lock lookup, then one batched inbox push; the
-// not-running slow path falls through to the pending buffer.
-func (d *Daemon) routeGroup(from int, inst uint64, frames [][]byte) {
-	if ins := d.lookup(from, inst); ins != nil {
-		d.pushGroup(ins, from, frames)
-		return
-	}
-	d.bufferPendingGroup(from, inst, frames)
 }
 
 // lookup finds a running instance, consulting the per-connection memo
@@ -402,7 +399,7 @@ func (d *Daemon) lookup(from int, inst uint64) *instance {
 	return ins
 }
 
-// bufferPendingGroup is routeGroup's slow path: under the shard write
+// bufferPendingGroup is dispatch's slow path: under the shard write
 // lock, recheck (the instance may have opened or retired between the
 // lookup and here), then buffer the run for the not-yet-opened instance,
 // bounded by PendingCap with per-frame shed accounting.
@@ -411,7 +408,7 @@ func (d *Daemon) bufferPendingGroup(from int, inst uint64, frames [][]byte) {
 	sh.mu.Lock()
 	if ins, running := sh.instances[inst]; running {
 		sh.mu.Unlock()
-		d.pushGroup(ins, from, frames)
+		d.post(ins, from, frames)
 		return
 	}
 	if _, gone := sh.retired[inst]; gone {
@@ -430,30 +427,6 @@ func (d *Daemon) bufferPendingGroup(from int, inst uint64, frames [][]byte) {
 	}
 	sh.pending[inst] = pend
 	sh.mu.Unlock()
-}
-
-// pushGroup delivers one same-instance run to a running instance. Wait
-// once for the pre-open replay so no frame of the run can jump the queue
-// (per-link FIFO), then hand the whole run to the inbox as one slab with
-// backpressure: a full inbox blocks this peer's reader, which is the
-// inbound flow-control path.
-func (d *Daemon) pushGroup(ins *instance, from int, frames [][]byte) {
-	select {
-	case <-ins.ready:
-	case <-ins.ictx.Done():
-		d.dropLate(frames)
-		return
-	}
-	slab := node.GetSlab()
-	for _, frame := range frames {
-		slab = append(slab, node.Inbound{From: from, Frame: frame})
-	}
-	// PushBatch transfers ownership of slab and frames on true; on false
-	// (instance cancelled or its loop gone) everything is still ours.
-	if !ins.nd.PushBatch(ins.ictx, slab) {
-		d.dropLate(frames)
-		node.PutSlab(slab)
-	}
 }
 
 // dropLate releases a run of frames that arrived after their instance
@@ -480,9 +453,10 @@ func (d *Daemon) Submit(protocol string) (uint64, error) {
 	return inst, nil
 }
 
-// open spawns instance inst running protocol, replays any buffered frames,
-// and floods the OPEN announcement. Duplicate opens (every daemon
-// re-floods the first sighting) are no-ops.
+// open spawns instance inst running protocol, floods the OPEN announcement
+// and runs the machine's start and any buffered frames as the instance's
+// first runner. Duplicate opens (every daemon re-floods the first sighting)
+// are no-ops.
 func (d *Daemon) open(inst uint64, protocol string, local bool) error {
 	if d.ctx == nil {
 		return errors.New("service: daemon not started")
@@ -503,56 +477,51 @@ func (d *Daemon) open(inst uint64, protocol string, local bool) error {
 		sh.mu.Unlock()
 		return nil
 	}
-	if d.draining.Load() {
+	refuse := func(err error) error {
 		sh.mu.Unlock()
 		d.refused.Add(1)
-		return errors.New("service: draining")
+		return err
+	}
+	if d.draining.Load() || d.ctx.Err() != nil {
+		return refuse(errors.New("service: draining or stopped"))
 	}
 	// Spawn under the shard lock so a concurrent duplicate OPEN cannot
 	// double-start; machine construction is cheap (the factory
 	// pre-materialized the shared context).
 	h, err := fac.HandlerFor(inst, d.cfg.ID)
 	if err != nil {
-		sh.mu.Unlock()
-		d.refused.Add(1)
-		return err
+		return refuse(err)
 	}
 	links, err := fac.LinkFaultsFor(inst)
 	if err != nil {
-		sh.mu.Unlock()
-		d.refused.Add(1)
-		return err
+		return refuse(err)
 	}
-	ictx, cancel := context.WithCancel(d.ctx)
-	ins := &instance{
-		inst:     inst,
-		protocol: protocol,
-		started:  time.Now(),
-		cancel:   cancel,
-		ictx:     ictx,
-		ready:    make(chan struct{}),
-	}
+	ins := newInstance(inst, protocol)
 	nd, err := node.New(node.Config{
-		ID:       d.cfg.ID,
-		Graph:    fac.Graph(),
-		Handler:  h,
-		Out:      cluster.FaultyOutbound(muxOutbound{d.mux}, links, d.cfg.ID),
-		InboxCap: d.cfg.InboxCap,
+		ID:      d.cfg.ID,
+		Graph:   fac.Graph(),
+		Handler: h,
+		// The Mux is the outbound: blocking bounded sends, so an instance's
+		// runner feels peer backpressure directly.
+		Out: cluster.FaultyOutbound(d.mux, links, d.cfg.ID),
 		Encode: func(dst []byte, m transport.Message) ([]byte, error) {
 			return wire.AppendInstanceMessage(dst, inst, m)
 		},
 		OnDecide: func(int, float64) { d.onDecide(ins) },
 	})
 	if err != nil {
-		cancel()
-		sh.mu.Unlock()
-		d.refused.Add(1)
-		return err
+		return refuse(err)
 	}
 	ins.nd = nd
-	sh.instances[inst] = ins
-	pend := sh.pending[inst]
+	// The buffered pre-open frames become the head of the mailbox before the
+	// instance is published, and the opener holds the runner role from the
+	// start: whatever a reader posts once it can find the instance queues
+	// behind them and behind the machine's start (per-link FIFO across the
+	// open boundary).
+	ins.box = sh.pending[inst]
 	delete(sh.pending, inst)
+	ins.running = true
+	sh.instances[inst] = ins
 	sh.mu.Unlock()
 	d.opened.Add(1)
 
@@ -561,36 +530,12 @@ func (d *Daemon) open(inst uint64, protocol string, local bool) error {
 	// our protocol frames for this instance.
 	d.flood(inst, protocol)
 
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		_ = ins.nd.Run(ictx)
+	if ins.err = ins.nd.Start(); ins.err != nil {
 		d.finish(ins)
-	}()
-	if len(pend) == 0 {
-		// Nothing buffered: the gate opens immediately, no replay goroutine.
-		close(ins.ready)
 		return nil
 	}
-	d.wg.Add(1)
-	go func() {
-		defer d.wg.Done()
-		defer close(ins.ready)
-		// The buffered pre-open frames are already a []node.Inbound in
-		// arrival order — push them as one slab (ownership of slab and
-		// frames transfers on success; the event loop recycles both).
-		if !ins.nd.PushBatch(ictx, pend) {
-			releasePending(pend)
-		}
-	}()
+	d.run(ins, runBudget)
 	return nil
-}
-
-// releasePending returns an aborted pending replay's frames to the pool.
-func releasePending(pend []node.Inbound) {
-	for _, in := range pend {
-		wire.PutBuf(in.Frame)
-	}
 }
 
 // flood announces inst on every out-edge. Send blocks under backpressure —
@@ -643,45 +588,14 @@ func (d *Daemon) onDecide(ins *instance) {
 		w <- dec
 	}
 	// The machine keeps answering peers for the linger window — vertices
-	// that have not decided yet may need its frames — then retires.
-	linger := time.AfterFunc(d.cfg.Linger, ins.cancel)
+	// that have not decided yet may need its frames — then retires. The
+	// daemon's WaitGroup counts the armed timer: its callback, or whoever
+	// stops it first (finish), gives the count back.
 	d.wg.Add(1)
-	go func() {
+	ins.linger = time.AfterFunc(d.cfg.Linger, func() {
 		defer d.wg.Done()
-		<-ins.ictx.Done()
-		linger.Stop()
-	}()
-}
-
-// finish retires an instance whose event loop has returned.
-func (d *Daemon) finish(ins *instance) {
-	ins.cancel()
-	ins.mu.Lock()
-	dec := ins.decision
-	waiters := ins.waiters
-	ins.waiters = nil
-	ins.mu.Unlock()
-	sh := d.shard(ins.inst)
-	sh.mu.Lock()
-	delete(sh.instances, ins.inst)
-	sh.retired[ins.inst] = struct{}{}
-	if dec != nil {
-		sh.decisions[ins.inst] = *dec
-	}
-	sh.mu.Unlock()
-	// Evict the retired instance from the connection memos. A lookup racing
-	// this sweep can re-install it, but that is benign: ids are never
-	// reused, pushes against it fail (context done) into lateFrames, and
-	// the next successful lookup from that connection overwrites the entry.
-	for i := range d.memo {
-		d.memo[i].CompareAndSwap(ins, nil)
-	}
-	d.retiredN.Add(1)
-	// Waiters on an instance that retired undecided learn it from the
-	// closed channel.
-	for _, w := range waiters {
-		close(w)
-	}
+		d.retire(ins)
+	})
 }
 
 // Wait blocks until instance inst decides at this vertex (or ctx ends).
@@ -695,8 +609,11 @@ func (d *Daemon) Wait(ctx context.Context, inst uint64) (Decision, error) {
 			sh.mu.RUnlock()
 			return dec, nil
 		}
-		if _, gone := sh.retired[inst]; gone {
+		if cause, gone := sh.retired[inst]; gone {
 			sh.mu.RUnlock()
+			if cause != nil {
+				return Decision{}, fmt.Errorf("service: instance %d retired without deciding: %w", inst, cause)
+			}
 			return Decision{}, fmt.Errorf("service: instance %d retired without deciding", inst)
 		}
 		ins, running := sh.instances[inst]
@@ -723,7 +640,7 @@ func (d *Daemon) Wait(ctx context.Context, inst uint64) (Decision, error) {
 		select {
 		case dec, ok := <-ch:
 			if !ok {
-				return Decision{}, fmt.Errorf("service: instance %d retired without deciding", inst)
+				continue // retired undecided: the ledger says why
 			}
 			return dec, nil
 		case <-ctx.Done():
@@ -743,13 +660,6 @@ func (d *Daemon) SubmitWait(ctx context.Context, protocol string) (Decision, err
 
 // Snapshot dumps the daemon's counters (the /metrics body).
 func (d *Daemon) Snapshot() Snapshot {
-	var active int64
-	for i := range d.shards {
-		sh := &d.shards[i]
-		sh.mu.RLock()
-		active += int64(len(sh.instances))
-		sh.mu.RUnlock()
-	}
 	draining := d.draining.Load()
 	up := time.Since(d.start).Seconds()
 	dec := d.decided.Load()
@@ -762,7 +672,7 @@ func (d *Daemon) Snapshot() Snapshot {
 		Opened:      d.opened.Load(),
 		Decided:     dec,
 		Retired:     d.retiredN.Load(),
-		Active:      active,
+		Active:      d.active(),
 		LateFrames:  d.lateFrames.Load(),
 		PendingShed: d.pendingShed.Load(),
 		Refused:     d.refused.Load(),
@@ -783,19 +693,19 @@ func (d *Daemon) BeginDrain() {
 	d.logf("service[%d]: draining", d.cfg.ID)
 }
 
-// Drained reports whether no instances remain in flight.
-func (d *Daemon) Drained() bool {
+// active counts the instances in flight.
+func (d *Daemon) active() (n int64) {
 	for i := range d.shards {
 		sh := &d.shards[i]
 		sh.mu.RLock()
-		n := len(sh.instances)
+		n += int64(len(sh.instances))
 		sh.mu.RUnlock()
-		if n > 0 {
-			return false
-		}
 	}
-	return true
+	return n
 }
+
+// Drained reports whether no instances remain in flight.
+func (d *Daemon) Drained() bool { return d.active() == 0 }
 
 // Shutdown drains gracefully: refuse new work, wait for in-flight
 // instances to decide and retire (bounded by DrainTimeout or ctx), then
@@ -824,8 +734,9 @@ wait:
 	return err
 }
 
-// Close tears the daemon down immediately: in-flight instances are
-// abandoned like messages in flight at the end of a run.
+// Close tears the daemon down immediately: in-flight instances are retired
+// undecided (retireAll), like messages in flight at the end of a run. When
+// it returns the daemon owns no goroutine and no timer.
 func (d *Daemon) Close() {
 	if d.cancel != nil {
 		d.cancel()
@@ -834,9 +745,3 @@ func (d *Daemon) Close() {
 	d.closeHTTP()
 	d.wg.Wait()
 }
-
-// muxOutbound adapts the Mux to the node's Outbound: blocking bounded
-// sends, i.e. instance event loops feel peer backpressure directly.
-type muxOutbound struct{ mux *cluster.Mux }
-
-func (o muxOutbound) Send(to int, frame []byte) error { return o.mux.Send(to, frame) }

@@ -125,7 +125,8 @@ func (f *InstanceFactory) HandlerFor(inst uint64, id int) (Handler, error) {
 // LinkFaultsFor compiles the scenario's link-fault rules for instance inst,
 // seeded from the instance seed; nil when the scenario has none. One set per
 // instance, never one per daemon: linkfault.Set.Next allows one sender
-// goroutine per edge, and a daemon runs many instance loops over one edge.
+// goroutine per edge, and a daemon runs many instances over one edge (each
+// with one runner at a time).
 func (f *InstanceFactory) LinkFaultsFor(inst uint64) (*linkfault.Set, error) {
 	return buildLinkFaults(f.g, f.instOpts(inst))
 }
