@@ -171,7 +171,7 @@ func BenchmarkSweepWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rep, err := experiments.RunSweepExec(context.Background(), 6, 1234, experiments.Exec{Workers: workers})
+				rep, err := experiments.RunSweepExec(context.Background(), 6, 1234, workers)
 				if err != nil || !rep.AllPassed() {
 					b.Fatalf("sweep failed: %v", err)
 				}
@@ -239,7 +239,7 @@ func BenchmarkRuntimes(b *testing.B) {
 // BenchmarkExactMatrix is E15: the exact tier's adversary matrix.
 func BenchmarkExactMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunExact(int64(i))
+		rep, err := experiments.RunExactExec(context.Background(), int64(i), 0)
 		if err != nil || !rep.AllPassed() {
 			b.Fatalf("exact matrix failed: %v", err)
 		}

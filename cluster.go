@@ -91,12 +91,6 @@ func (s Scenario) RunOnObserved(ctx context.Context, runtime string, obs Observe
 	return res, nil
 }
 
-// RunCluster is the package-level spelling of Scenario.RunOn for cluster
-// runtimes ("loopback" or "tcp").
-func RunCluster(ctx context.Context, s Scenario, runtime string) (*Result, error) {
-	return s.RunOn(ctx, runtime)
-}
-
 // clusterSpec validates the scenario for live execution and materializes
 // its inputs, normalized options and handler set.
 func (s Scenario) clusterSpec() ([]float64, Options, cluster.Spec, error) {

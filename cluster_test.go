@@ -114,7 +114,7 @@ func TestClusterTCPConformance(t *testing.T) {
 		s := conformanceScenarios()[proto]
 		t.Run(proto, func(t *testing.T) {
 			t.Parallel()
-			res, err := repro.RunCluster(context.Background(), s, repro.RuntimeTCP)
+			res, err := s.RunOn(context.Background(), repro.RuntimeTCP)
 			if err != nil {
 				t.Fatal(err)
 			}

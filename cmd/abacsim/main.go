@@ -101,6 +101,9 @@ func run() error {
 			if *seeds > 1 || *policy != "" || *emit != "" || *runtime != "" {
 				return fmt.Errorf("-seeds, -policy, -emit and -runtime do not apply to -algo necessity")
 			}
+			if *f < 0 {
+				return fmt.Errorf("-f %d: -algo necessity needs a fault bound >= 0", *f)
+			}
 			g, err := repro.NamedGraph(*spec)
 			if err != nil {
 				return err

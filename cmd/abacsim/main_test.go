@@ -246,3 +246,25 @@ func TestRuntimeFlagValidatesEagerly(t *testing.T) {
 		t.Fatalf("want unknown-runtime error naming the valid values, got %v", err)
 	}
 }
+
+// TestNecessityRejectsNegativeF: -f -1 means "explicitly zero" to a
+// Scenario, but the necessity construction has no Scenario to normalize it
+// and used to panic sizing a slice with it. The door names the flag and the
+// library call returns an error.
+func TestNecessityRejectsNegativeF(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		os.Args = append([]string{"abacsim"}, args...)
+		flag.CommandLine = flag.NewFlagSet("abacsim", flag.ExitOnError)
+		main()
+		os.Exit(0)
+	}
+	out, err := exec.Command(os.Args[0], "-test.run=^TestNecessityRejectsNegativeF$", "--",
+		"-graph", "clique:4", "-algo", "necessity", "-f", "-1").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "abacsim: -f -1") || strings.Contains(string(out), "goroutine ") ||
+		strings.Count(strings.TrimSpace(string(out)), "\n") != 0 {
+		t.Fatalf("abacsim -algo necessity -f -1: err %v, output:\n%s", err, out)
+	}
+	if _, err := repro.RunNecessity(repro.Clique(4), -1, 1, 0.25, 1); err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Fatalf("repro.RunNecessity(f=-1) = %v, want a negative-fault-bound error", err)
+	}
+}

@@ -39,82 +39,82 @@ import (
 type experiment struct {
 	name string
 	desc string
-	run  func(ctx context.Context, seed int64) (string, *experiments.BenchReport, error)
+	run  func(ctx context.Context, seed int64, workers int) (string, *experiments.BenchReport, error)
 }
 
 // catalog lists every experiment; maxN caps the E14 ladder (0 = the build's
 // node limit).
 func catalog(maxN int) []experiment {
 	return []experiment{
-		{"table1", "E1: undirected condition equivalences (Table 1)", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
+		{"table1", "E1: undirected condition equivalences (Table 1)", func(_ context.Context, seed int64, _ int) (string, *experiments.BenchReport, error) {
 			rep := experiments.Table1(8, seed)
 			return rep.Render(), nil, nil
 		}},
-		{"table2", "E2: directed condition equivalences (Table 2, Theorem 17)", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
+		{"table2", "E2: directed condition equivalences (Table 2, Theorem 17)", func(_ context.Context, seed int64, _ int) (string, *experiments.BenchReport, error) {
 			rep := experiments.Table2(12, seed)
 			return rep.Render(), nil, nil
 		}},
-		{"fig1a", "E3: Figure 1(a) claims + BW run", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
+		{"fig1a", "E3: Figure 1(a) claims + BW run", func(_ context.Context, seed int64, _ int) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunFig1a(seed)
 			return rep.Render(), nil, err
 		}},
-		{"fig1b", "E4: Figure 1(b) claims (exhaustive f=2) + scaled BW run", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
+		{"fig1b", "E4: Figure 1(b) claims (exhaustive f=2) + scaled BW run", func(_ context.Context, seed int64, _ int) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunFig1b(seed)
 			return rep.Render(), nil, err
 		}},
-		{"sufficiency", "E5: Theorem 4 sufficiency matrix (graph x adversary)", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
+		{"sufficiency", "E5: Theorem 4 sufficiency matrix (graph x adversary)", func(_ context.Context, seed int64, _ int) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunSufficiency(seed)
 			return rep.Render(), nil, err
 		}},
-		{"sweep", "E5b: BW on random 3-reach digraphs with random adversaries", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
-			rep, err := experiments.RunSweep(8, seed+1000)
+		{"sweep", "E5b: BW on random 3-reach digraphs with random adversaries", func(ctx context.Context, seed int64, workers int) (string, *experiments.BenchReport, error) {
+			rep, err := experiments.RunSweepExec(ctx, 8, seed+1000, workers)
 			return rep.Render(), nil, err
 		}},
-		{"convergence", "E6: Lemma 15 per-round contraction", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
+		{"convergence", "E6: Lemma 15 per-round contraction", func(_ context.Context, seed int64, _ int) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunConvergence(seed)
 			return rep.Render(), nil, err
 		}},
-		{"necessity", "E7: Theorem 18 necessity construction", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
+		{"necessity", "E7: Theorem 18 necessity construction", func(_ context.Context, seed int64, _ int) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunNecessity(seed)
 			return rep.Render(), nil, err
 		}},
-		{"aad", "E8: Abraham-Amit-Dolev baseline vs BW", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
+		{"aad", "E8: Abraham-Amit-Dolev baseline vs BW", func(_ context.Context, seed int64, _ int) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunAADComparison(seed)
 			return rep.Render(), nil, err
 		}},
-		{"iterative", "E9: local iterative ablation", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
+		{"iterative", "E9: local iterative ablation", func(_ context.Context, seed int64, _ int) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunIterativeAblation(seed)
 			return rep.Render(), nil, err
 		}},
-		{"kreach", "E10: k-reach hierarchy (Appendix A)", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
+		{"kreach", "E10: k-reach hierarchy (Appendix A)", func(_ context.Context, seed int64, _ int) (string, *experiments.BenchReport, error) {
 			rep := experiments.RunKReach()
 			return rep.Render(), nil, nil
 		}},
-		{"structure", "E11: Theorems 5 and 12 structure checks", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
+		{"structure", "E11: Theorems 5 and 12 structure checks", func(_ context.Context, seed int64, _ int) (string, *experiments.BenchReport, error) {
 			rep := experiments.RunStructure()
 			return rep.Render(), nil, nil
 		}},
-		{"crashcell", "Table 2 crash/async cell (Theorem 2 algorithm)", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
+		{"crashcell", "Table 2 crash/async cell (Theorem 2 algorithm)", func(_ context.Context, seed int64, _ int) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunCrashCell(seed)
 			return rep.Render(), nil, err
 		}},
-		{"scaling", "E12: BW cost growth on circulant family", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
+		{"scaling", "E12: BW cost growth on circulant family", func(_ context.Context, seed int64, _ int) (string, *experiments.BenchReport, error) {
 			rep, err := experiments.RunScaling(seed)
 			return rep.Render(), nil, err
 		}},
-		{"attackmatrix", "E13: protocol x adversary x graph attack matrix (registry-driven)", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
-			rep, err := experiments.RunAttackMatrix(seed)
+		{"attackmatrix", "E13: protocol x adversary x graph attack matrix (registry-driven)", func(ctx context.Context, seed int64, workers int) (string, *experiments.BenchReport, error) {
+			rep, err := experiments.RunAttackMatrixExec(ctx, seed, workers)
 			return rep.Render(), nil, err
 		}},
-		{"scale", "E14: scale-out study to n=-maxn (default 128; -maxn 0 = the full ladder to the build's node limit)", func(ctx context.Context, seed int64) (string, *experiments.BenchReport, error) {
+		{"scale", "E14: scale-out study to n=-maxn (default 128; -maxn 0 = the full ladder to the build's node limit)", func(ctx context.Context, seed int64, _ int) (string, *experiments.BenchReport, error) {
 			// The default benchtables invocation runs every experiment, so
 			// -maxn defaults to a seconds-scale cap; the full ladder to
 			// n=1024 is a multi-minute, multi-GB run asked for explicitly.
 			rep, err := experiments.RunScaleExec(ctx, seed, maxN)
 			return rep.Render(), &experiments.BenchReport{Runs: rep.BenchRuns(), Skipped: rep.Skipped}, err
 		}},
-		{"exact", "E15: exact tier (aba, acs) x complete-graph families x the adversary matrix", func(_ context.Context, seed int64) (string, *experiments.BenchReport, error) {
-			rep, err := experiments.RunExact(seed)
+		{"exact", "E15: exact tier (aba, acs) x complete-graph families x the adversary matrix", func(ctx context.Context, seed int64, workers int) (string, *experiments.BenchReport, error) {
+			rep, err := experiments.RunExactExec(ctx, seed, workers)
 			if err != nil {
 				return "", nil, err
 			}
@@ -188,26 +188,24 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	// changes. -workers is one concurrency budget, not two multiplying
 	// levels: with several experiments selected it fans the experiments and
 	// the sweeps inside each stay sequential; with a single experiment
-	// selected it goes to that experiment's internal fan-out. Set once,
-	// before any driver runs.
+	// selected it goes to that experiment's internal fan-out.
 	inner := 1
 	if len(selected) == 1 {
 		inner = *workers
 	}
-	experiments.DefaultExec = experiments.Exec{Workers: inner}
 
 	type outcome struct {
 		text   string
 		timing experiments.BenchRun
 		cells  *experiments.BenchReport
 	}
-	// Experiments only share the read-only DefaultExec, so they fan across
-	// the pool freely; par.Map returns them in catalog order, keeping the
-	// printed report identical at any worker count.
+	// Experiments share nothing, so they fan across the pool freely;
+	// par.Map returns them in catalog order, keeping the printed report
+	// identical at any worker count.
 	results, err := par.Map(ctx, *workers, len(selected), func(i int) (outcome, error) {
 		e := selected[i]
 		start := time.Now()
-		out, cells, err := e.run(ctx, *seed)
+		out, cells, err := e.run(ctx, *seed, inner)
 		if err != nil {
 			return outcome{}, fmt.Errorf("%s: %w", e.name, err)
 		}

@@ -103,7 +103,7 @@ func TestScaleStopsOnCancelledContext(t *testing.T) {
 		if e.name != "scale" {
 			continue
 		}
-		_, cells, err := e.run(ctx, 1)
+		_, cells, err := e.run(ctx, 1, 1)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}

@@ -19,6 +19,11 @@ import (
 	"repro/internal/graph"
 )
 
+// extrasLimit is the largest order for which graphcheck runs its scans that
+// are quadratic in the vertex or removal-set count; it matches the bound
+// repro.CheckConditions puts on κ.
+const extrasLimit = 64
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "graphcheck:", err)
@@ -35,6 +40,12 @@ func run() error {
 		dot    = flag.Bool("dot", false, "also print Graphviz DOT")
 	)
 	flag.Parse()
+	if *f < 0 {
+		return fmt.Errorf("-f %d: the fault bound must be >= 0", *f)
+	}
+	if *kreach < 1 {
+		return fmt.Errorf("-k %d: the k-reach family starts at k = 1", *kreach)
+	}
 
 	g, err := load(*spec, *file)
 	if err != nil {
@@ -64,25 +75,37 @@ func run() error {
 		fmt.Printf("  undirected: κ(G) = %d (n > 3f: %v, κ > 2f: %v)\n",
 			rep.Kappa, g.N() > 3**f, rep.Kappa > 2**f)
 	}
+	// The extras below are quadratic in things CheckConditions is not: even
+	// k compares every pair of removal sets, and the path scan is a max-flow
+	// per vertex pair. They share κ's order bound.
+	small := g.N() <= extrasLimit
 	for k := 4; k <= *kreach; k++ {
+		if !small {
+			fmt.Printf("  %d-reach: skipped (order %d > %d)\n", k, g.N(), extrasLimit)
+			continue
+		}
 		ok, _ := repro.CheckKReach(g, k, *f)
 		fmt.Printf("  %d-reach: %v\n", k, ok)
 	}
 
 	// Disjoint-path extremes (the Figure 1(b) discussion).
-	minPair, minU, minV := g.N(), -1, -1
-	for u := 0; u < g.N(); u++ {
-		for v := 0; v < g.N(); v++ {
-			if u == v {
-				continue
-			}
-			if k := g.MaxDisjointPaths(u, v, graph.EmptySet); k < minPair {
-				minPair, minU, minV = k, u, v
+	if small {
+		minPair, minU, minV := g.N(), -1, -1
+		for u := 0; u < g.N(); u++ {
+			for v := 0; v < g.N(); v++ {
+				if u == v {
+					continue
+				}
+				if k := g.MaxDisjointPaths(u, v, graph.EmptySet); k < minPair {
+					minPair, minU, minV = k, u, v
+				}
 			}
 		}
+		fmt.Printf("  min disjoint paths over pairs: %d (%d -> %d); all-pair RMT needs 2f+1 = %d\n",
+			minPair, minU, minV, 2**f+1)
+	} else {
+		fmt.Printf("  min disjoint paths over pairs: skipped (order %d > %d: one max-flow per vertex pair)\n", g.N(), extrasLimit)
 	}
-	fmt.Printf("  min disjoint paths over pairs: %d (%d -> %d); all-pair RMT needs 2f+1 = %d\n",
-		minPair, minU, minV, 2**f+1)
 
 	if *dot {
 		fmt.Println(g.DOT())

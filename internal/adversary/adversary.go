@@ -295,16 +295,6 @@ func ForgeCompletes(delta float64) Mutator {
 	}
 }
 
-// DropKind drops all messages of the given payload kind with probability p.
-func DropKind(kind string, p float64) Mutator {
-	return func(rng *rand.Rand, m transport.Message) []transport.Payload {
-		if m.Payload.Kind() == kind && rng.Float64() < p {
-			return nil
-		}
-		return []transport.Payload{m.Payload}
-	}
-}
-
 // RandomNoise perturbs every carried value (originations, relays and
 // COMPLETE entries) by a uniform offset in [-amp, amp], independently per
 // message — a seeded fuzzing adversary.

@@ -66,6 +66,9 @@ var ErrConditionHolds = errors.New("adversary: graph satisfies 3-reach; no viola
 // k is the a-priori input range bound (e2 uses input k everywhere) and eps
 // the agreement parameter; k >= eps is required for a meaningful violation.
 func RunNecessity(g *graph.Graph, f int, k, eps float64, seed int64) (*NecessityResult, error) {
+	if f < 0 {
+		return nil, fmt.Errorf("adversary: negative fault bound f=%d", f)
+	}
 	ok, w := cond.Check3Reach(g, f)
 	if ok {
 		return nil, ErrConditionHolds

@@ -26,6 +26,28 @@ func BenchmarkCheck3ReachFig1bAnalog(b *testing.B) {
 	}
 }
 
+// BenchmarkCheck3ReachScale is the E25 ladder: f = 1 from the set-up path's
+// sizes (fig1a, clique:8) through the order at which the table-based checker
+// stopped (64) to the 512-vertex E14 rung.
+func BenchmarkCheck3ReachScale(b *testing.B) {
+	for _, spec := range []string{
+		"fig1a", "clique:8", "torus:4:4", "torus:4:8", "torus:8:8", "circulant:64:1,2,3", "clique:64",
+		"torus:8:16", "torus:16:16", "torus:16:32",
+	} {
+		g, err := graph.Named(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(spec, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if ok, _ := Check3Reach(g, 1); !ok {
+					b.Fatal("must hold")
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkCheckBCS(b *testing.B) {
 	g := graph.Fig1a()
 	b.ResetTimer()

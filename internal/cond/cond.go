@@ -11,8 +11,7 @@
 //   - reduced graphs and source components (Definitions 5–6) together with
 //     the structural Theorems 5 and 12 used by the algorithm's proof.
 //
-// Checkers are exhaustive (and exact) for the graph orders used in the
-// paper's figures; Monte-Carlo variants are provided for larger sweeps.
+// Checkers are exhaustive and exact.
 package cond
 
 import (
@@ -42,145 +41,98 @@ func (w Witness) RemovalU() graph.Set { return w.F.Union(w.Fu) }
 // RemovalV returns the full removal set on v's side (F ∪ Fv).
 func (w Witness) RemovalV() graph.Set { return w.F.Union(w.Fv) }
 
-// reachTable caches Ancestors(u, A) for every removal set A with
-// |A| <= maxSize, keyed by the set's position in enumeration order.
-type reachTable struct {
-	g     *graph.Graph
-	sets  []graph.Set
-	index map[graph.Set]int
-	reach [][]graph.Set // reach[i][u] = Ancestors(u, sets[i])
+// sourceTable holds the source components of G−A for every removal set A of
+// at most m vertices. Sets are ordered by size, then colexicographically, so
+// a set's position is a sum of binomials (rank) and no set → index map is
+// kept; of the sets themselves only the small ones the checker draws F and
+// its extensions from are retained.
+type sourceTable struct {
+	width  int         // m+1, the row length of choose
+	choose []int       // choose[v*width+i] = C(v, i)
+	base   []int       // base[c] = number of sets with fewer than c members
+	sets   []graph.Set // the sets of at most keep members, in table order
+	start  []int32     // set r's sources are comps[start[r]:start[r+1]]
+	comps  []graph.Set
 }
 
-func buildReachTable(g *graph.Graph, maxSize int) *reachTable {
-	t := &reachTable{
-		g:     g,
-		index: make(map[graph.Set]int),
-	}
-	graph.Subsets(g.Nodes(), maxSize, func(s graph.Set) bool {
-		t.index[s] = len(t.sets)
-		t.sets = append(t.sets, s)
-		return true
-	})
-	t.reach = make([][]graph.Set, len(t.sets))
-	for i, s := range t.sets {
-		row := make([]graph.Set, g.N())
-		for u := 0; u < g.N(); u++ {
-			if !s.Has(u) {
-				row[u] = g.Ancestors(u, s)
-			}
+func tabulate(g *graph.Graph, m, keep int) *sourceTable {
+	n, w := g.N(), m+1
+	t := &sourceTable{width: w, choose: make([]int, (n+1)*w), base: make([]int, m+2)}
+	for v := 0; v <= n; v++ {
+		t.choose[v*w] = 1
+		for i := 1; i <= m && i <= v; i++ {
+			t.choose[v*w+i] = t.choose[(v-1)*w+i-1] + t.choose[(v-1)*w+i]
 		}
-		t.reach[i] = row
 	}
+	for c := 0; c <= m; c++ {
+		t.base[c+1] = t.base[c] + t.choose[n*w+c]
+	}
+	t.sets = make([]graph.Set, 0, t.base[keep+1])
+	t.start = make([]int32, 0, t.base[m+1]+1)
+	t.comps = make([]graph.Set, 0, t.base[m+1])
+	// colex extends s by every c-subset of {0..below-1}, largest member first.
+	var colex func(below, c int, s graph.Set)
+	colex = func(below, c int, s graph.Set) {
+		if c == 0 {
+			if len(t.sets) < cap(t.sets) {
+				t.sets = append(t.sets, s)
+			}
+			t.start = append(t.start, int32(len(t.comps)))
+			t.comps = g.SourceComponents(s, t.comps)
+			return
+		}
+		for top := c - 1; top < below; top++ {
+			colex(top, c-1, s.Add(top))
+		}
+	}
+	for c := 0; c <= m; c++ {
+		colex(n, c, graph.EmptySet)
+	}
+	t.start = append(t.start, int32(len(t.comps)))
 	return t
 }
 
-// decomposable is decompose's feasibility test alone, through pointers and
-// without materializing any set: it runs once per enumerated pair of
-// removal sets — quadratic in the (exponential) set count — so it must not
-// copy the multiword arrays.
-func decomposable(a, b *graph.Set, f int) bool {
-	ca, cb, ci := 0, 0, 0
-	for w := range a {
-		ca += bits.OnesCount64(a[w])
-		cb += bits.OnesCount64(b[w])
-		ci += bits.OnesCount64(a[w] & b[w])
+// rank returns s's position in the table.
+func (t *sourceTable) rank(s *graph.Set) int {
+	r, c := 0, 0
+	for w, word := range s {
+		for ; word != 0; word &= word - 1 {
+			c++
+			r += t.choose[(w<<6+bits.TrailingZeros64(word))*t.width+c]
+		}
 	}
-	if ci > f {
-		ci = f
-	}
-	return ca-ci <= f && cb-ci <= f
+	return t.base[c] + r
 }
 
-// decompose splits removal sets A and B into (F, Fu, Fv) with F shared,
-// each of size at most f, if possible. It implements the feasibility rule
-// derived from A = F ∪ Fu, B = F ∪ Fv, F ⊆ A ∩ B:
-// feasible iff max(|A|,|B|) − min(f, |A∩B|) <= f.
-func decompose(a, b graph.Set, f int) (fShared, fu, fv graph.Set, ok bool) {
-	inter := a.Intersect(b)
-	take := inter.Count()
-	if take > f {
-		take = f
-	}
-	if a.Count()-take > f || b.Count()-take > f {
-		return graph.EmptySet, graph.EmptySet, graph.EmptySet, false
-	}
-	var fs graph.Set
-	inter.ForEach(func(v int) bool {
-		if fs.Count() == take {
-			return false
+// disjointSources returns a source component of the a-th set and one of the
+// b-th that share no vertex, if there are two.
+func (t *sourceTable) disjointSources(a, b int) (sa, sb *graph.Set, ok bool) {
+	for i := t.start[a]; i < t.start[a+1]; i++ {
+		for j := t.start[b]; j < t.start[b+1]; j++ {
+			if !setsIntersect(&t.comps[i], &t.comps[j]) {
+				return &t.comps[i], &t.comps[j], true
+			}
 		}
-		fs = fs.Add(v)
-		return true
-	})
-	return fs, a.Minus(fs), b.Minus(fs), true
+	}
+	return nil, nil, false
 }
 
 // Check1Reach verifies Definition 3's 1-reach condition: for any F with
 // |F| <= f and any u, v outside F, reach_u(F) ∩ reach_v(F) != ∅.
-func Check1Reach(g *graph.Graph, f int) (bool, *Witness) {
-	t := buildReachTable(g, f)
-	for i, fset := range t.sets {
-		row := t.reach[i]
-		for u := 0; u < g.N(); u++ {
-			if fset.Has(u) {
-				continue
-			}
-			for v := u + 1; v < g.N(); v++ {
-				if fset.Has(v) {
-					continue
-				}
-				if !setsIntersect(&row[u], &row[v]) {
-					return false, &Witness{U: u, V: v, F: fset, Fu: fset, Fv: fset}
-				}
-			}
-		}
-	}
-	return true, nil
-}
+func Check1Reach(g *graph.Graph, f int) (bool, *Witness) { return CheckKReach(g, 1, f) }
 
 // Check2Reach verifies Definition 3's 2-reach condition: for any u, v and
 // any Fu (not containing u), Fv (not containing v) of size at most f,
 // reach_v(Fv) ∩ reach_u(Fu) != ∅.
-func Check2Reach(g *graph.Graph, f int) (bool, *Witness) {
-	t := buildReachTable(g, f)
-	for i := range t.sets {
-		for j := i; j < len(t.sets); j++ {
-			if w := checkPair(t, i, j); w != nil {
-				w.F = graph.EmptySet
-				w.Fu = t.sets[i]
-				w.Fv = t.sets[j]
-				return false, w
-			}
-		}
-	}
-	return true, nil
-}
+func Check2Reach(g *graph.Graph, f int) (bool, *Witness) { return CheckKReach(g, 2, f) }
 
 // Check3Reach verifies Definition 3's 3-reach condition — the paper's tight
 // condition for asynchronous Byzantine approximate consensus (Theorem 4).
-// The checker enumerates removal sets A = F ∪ Fu and B = F ∪ Fv of size at
-// most 2f and tests every feasible shared-F decomposition.
-func Check3Reach(g *graph.Graph, f int) (bool, *Witness) {
-	t := buildReachTable(g, 2*f)
-	for i := range t.sets {
-		for j := i; j < len(t.sets); j++ {
-			if !decomposable(&t.sets[i], &t.sets[j], f) {
-				continue
-			}
-			if w := checkPair(t, i, j); w != nil {
-				// Materialize the witness decomposition only on failure.
-				w.F, w.Fu, w.Fv, _ = decompose(t.sets[i], t.sets[j], f)
-				return false, w
-			}
-		}
-	}
-	return true, nil
-}
+func Check3Reach(g *graph.Graph, f int) (bool, *Witness) { return CheckKReach(g, 3, f) }
 
-// setsIntersect is Set.Intersects through pointers: this predicate runs
-// |sets|^2 * n^2 times in the reach checkers, and the method form copies
-// two full multiword arrays per call — the dominant cost after Set grew to
-// 16 words for the scale experiments.
+// setsIntersect is Set.Intersects through pointers: it runs once per pair
+// of removal sets, and the method form copies two full multiword arrays per
+// call.
 func setsIntersect(a, b *graph.Set) bool {
 	for w := range a {
 		if a[w]&b[w] != 0 {
@@ -190,39 +142,21 @@ func setsIntersect(a, b *graph.Set) bool {
 	return false
 }
 
-// hasNode is Set.Has through a pointer (method calls on *Set auto-deref and
-// copy the array).
-func hasNode(s *graph.Set, v int) bool {
-	return s[uint(v)>>6]&(1<<(uint(v)&63)) != 0
-}
-
-// checkPair scans all node pairs (u outside sets[i], v outside sets[j]) for
-// an empty reach intersection; it returns a partially filled witness with
-// U and V set, or nil if every pair intersects. Both orientations of the
-// pair are covered because u and v range over all nodes.
-func checkPair(t *reachTable, i, j int) *Witness {
-	a, b := &t.sets[i], &t.sets[j]
-	ra, rb := t.reach[i], t.reach[j]
-	n := t.g.N()
-	for u := 0; u < n; u++ {
-		if hasNode(a, u) {
-			continue
-		}
-		for v := 0; v < n; v++ {
-			if hasNode(b, v) || u == v {
-				continue
-			}
-			if !setsIntersect(&ra[u], &rb[v]) {
-				return &Witness{U: u, V: v}
-			}
-		}
-	}
-	return nil
-}
-
 // CheckKReach verifies the general k-reach condition family (Definition 20)
-// for the given k >= 1; k = 1, 2, 3 coincide with Check1Reach, Check2Reach
-// and Check3Reach.
+// for k >= 1; k = 1, 2, 3 are Definition 3's conditions. The two sides
+// remove F ∪ Fu and F ∪ Fv: F is shared, of at most f vertices when k is
+// odd and empty when k is even, and Fu, Fv each gather ⌊k/2⌋ fault sets, so
+// at most ⌊k/2⌋·f vertices.
+//
+// In G−A every reach set contains a source component of the condensation,
+// and a vertex inside a source component has exactly that component as its
+// reach set. So reach_u(A) ∩ reach_v(B) != ∅ for every u outside A and v
+// outside B iff every source component of G−A meets every source component
+// of G−B, and those — usually one per set — are what is compared, over the
+// pairs the definition quantifies: for each F, every two removal sets that
+// contain F and exceed it by at most ⌊k/2⌋·f vertices. A witness names the
+// smallest members of two disjoint source components; for k = 1 it repeats
+// the single fault set as Fu = Fv = F.
 //
 // Fidelity note: as printed, Definition 20 unions k fault sets per side,
 // which does not specialize to Definition 3 (2-reach removes one set per
@@ -232,41 +166,30 @@ func checkPair(t *reachTable, i, j int) *Witness {
 // equivalent to n > k·f for every k, matching the paper's Appendix A
 // remarks; the printed form would give n > 2⌈k/2⌉·f instead.
 func CheckKReach(g *graph.Graph, k, f int) (bool, *Witness) {
-	switch k {
-	case 1:
-		return Check1Reach(g, f)
-	case 2:
-		return Check2Reach(g, f)
-	case 3:
-		return Check3Reach(g, f)
+	if k < 0 || f < 0 {
+		return true, nil // no fault sets to quantify over
 	}
-	perSide := (k + 1) / 2
-	t := buildReachTable(g, perSide*f)
-	shared := k%2 == 1
-	for i := range t.sets {
-		for j := i; j < len(t.sets); j++ {
-			if shared {
-				// A = F ∪ (perSide-1 sets of size <= f): feasible iff
-				// max(|A|,|B|) − min(f,|A∩B|) <= (perSide-1)·f.
-				a, b := &t.sets[i], &t.sets[j]
-				ca, cb, inter := 0, 0, 0
-				for w := range a {
-					ca += bits.OnesCount64(a[w])
-					cb += bits.OnesCount64(b[w])
-					inter += bits.OnesCount64(a[w] & b[w])
-				}
-				if inter > f {
-					inter = f
-				}
-				rest := (perSide - 1) * f
-				if ca-inter > rest || cb-inter > rest {
-					continue
-				}
+	shared, rest := k%2*f, k/2*f
+	t := tabulate(g, shared+rest, max(shared, rest))
+	type member struct{ ext, rank int } // sets[ext] added to F is the set at rank
+	group := make([]member, 0, t.base[rest+1])
+	for _, fs := range t.sets[:t.base[shared+1]] {
+		group = group[:0]
+		for e := range t.sets[:t.base[rest+1]] {
+			if !setsIntersect(&fs, &t.sets[e]) {
+				a := fs.Union(t.sets[e])
+				group = append(group, member{e, t.rank(&a)})
 			}
-			if w := checkPair(t, i, j); w != nil {
-				w.Fu = t.sets[i]
-				w.Fv = t.sets[j]
-				return false, w
+		}
+		for i, a := range group {
+			for _, b := range group[i:] {
+				if sa, sb, ok := t.disjointSources(a.rank, b.rank); ok {
+					w := &Witness{U: sa.Min(), V: sb.Min(), F: fs, Fu: t.sets[a.ext], Fv: t.sets[b.ext]}
+					if k == 1 {
+						w.Fu, w.Fv = fs, fs
+					}
+					return false, w
+				}
 			}
 		}
 	}

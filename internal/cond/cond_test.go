@@ -178,25 +178,3 @@ func TestDirectedCycleConditions(t *testing.T) {
 		t.Error("disconnected pair cannot satisfy 1-reach")
 	}
 }
-
-func TestDecompose(t *testing.T) {
-	a, b := graph.SetOf(0, 1), graph.SetOf(1, 2)
-	fs, fu, fv, ok := decompose(a, b, 1)
-	if !ok {
-		t.Fatal("decompose failed")
-	}
-	if fs != graph.SetOf(1) || fu != graph.SetOf(0) || fv != graph.SetOf(2) {
-		t.Errorf("decompose = %s %s %s", fs, fu, fv)
-	}
-	if fs.Count() > 1 || fu.Count() > 1 || fv.Count() > 1 {
-		t.Error("sizes exceed f")
-	}
-	// Infeasible: disjoint 2-sets with f=1.
-	if _, _, _, ok := decompose(graph.SetOf(0, 1), graph.SetOf(2, 3), 1); ok {
-		t.Error("expected infeasible decomposition")
-	}
-	// A = B of size 2f decomposes with F = A.
-	if _, _, _, ok := decompose(graph.SetOf(0, 1), graph.SetOf(0, 1), 1); !ok {
-		t.Error("A=B size 2 should decompose for f=1 via F={x}, Fu={y}")
-	}
-}

@@ -41,7 +41,6 @@ func forEachPartition3(universe graph.Set, fn func(l, c, r graph.Set) bool) {
 	if n == 0 {
 		return
 	}
-	assign := make([]int, n) // 0 = L, 1 = C, 2 = R
 	var rec func(i int, l, c, r graph.Set) bool
 	rec = func(i int, l, c, r graph.Set) bool {
 		if i == n {
@@ -51,15 +50,12 @@ func forEachPartition3(universe graph.Set, fn func(l, c, r graph.Set) bool) {
 			return fn(l, c, r)
 		}
 		v := members[i]
-		assign[i] = 0
 		if !rec(i+1, l.Add(v), c, r) {
 			return false
 		}
-		assign[i] = 1
 		if !rec(i+1, l, c.Add(v), r) {
 			return false
 		}
-		assign[i] = 2
 		return rec(i+1, l, c, r.Add(v))
 	}
 	rec(0, graph.EmptySet, graph.EmptySet, graph.EmptySet)
@@ -69,21 +65,10 @@ func forEachPartition3(universe graph.Set, fn func(l, c, r graph.Set) bool) {
 // L, C, R of V with L, R nonempty, either L∪C has f+1 incoming links into R
 // or R∪C has f+1 incoming links into L.
 func CheckCCA(g *graph.Graph, f int) (bool, *PartitionWitness) {
-	var w *PartitionWitness
-	forEachPartition3(g.Nodes(), func(l, c, r graph.Set) bool {
-		if incomingCount(g, l.Union(c), r) >= f+1 {
-			return true
-		}
-		if incomingCount(g, r.Union(c), l) >= f+1 {
-			return true
-		}
-		w = &PartitionWitness{L: l, C: c, R: r}
-		return false
-	})
-	return w == nil, w
+	return checkFPartition(g, 0, f+1) // no F is set aside: only the empty one
 }
 
-// checkFPartition is the shared engine for CCS and BCS: for every F with
+// checkFPartition is the shared engine for CCS, CCA and BCS: for every F with
 // |F| <= f and every partition L, C, R of V \ F (L, R nonempty), one of the
 // two incoming-neighbor thresholds must hold.
 func checkFPartition(g *graph.Graph, f, threshold int) (bool, *PartitionWitness) {

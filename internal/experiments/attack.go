@@ -127,18 +127,13 @@ func attackScenarios(seed int64) []struct {
 	return cells
 }
 
-// RunAttackMatrix runs the matrix under DefaultExec.
-func RunAttackMatrix(seed int64) (AttackMatrixReport, error) {
-	return RunAttackMatrixExec(context.Background(), seed, DefaultExec)
-}
-
-// RunAttackMatrixExec runs the attack matrix with the configured worker
-// fan-out. Cells are independent seeded scenarios, so the report is
+// RunAttackMatrixExec runs the attack matrix over the given number of
+// workers (< 1 means one per CPU, 1 runs sequentially). Cells are independent seeded scenarios, so the report is
 // identical for every worker count. Cancelling
 // ctx stops the matrix between runs and surfaces ctx.Err().
-func RunAttackMatrixExec(ctx context.Context, seed int64, exec Exec) (AttackMatrixReport, error) {
+func RunAttackMatrixExec(ctx context.Context, seed int64, workers int) (AttackMatrixReport, error) {
 	cells := attackScenarios(seed)
-	rows, err := par.Map(ctx, exec.Workers, len(cells), func(i int) (AttackCell, error) {
+	rows, err := par.Map(ctx, workers, len(cells), func(i int) (AttackCell, error) {
 		out, err := cells[i].s.Run()
 		if err != nil {
 			return AttackCell{}, fmt.Errorf("%s: %w", cells[i].s.Name, err)

@@ -9,7 +9,7 @@ import (
 )
 
 func TestAttackMatrixAllPass(t *testing.T) {
-	rep, err := experiments.RunAttackMatrix(777)
+	rep, err := experiments.RunAttackMatrixExec(context.Background(), 777, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,20 +37,17 @@ func TestAttackMatrixAllPass(t *testing.T) {
 // guarantee to the attack matrix: the report is byte-identical whatever the
 // worker count.
 func TestAttackMatrixDeterministicAcrossWorkers(t *testing.T) {
-	base, err := experiments.RunAttackMatrixExec(context.Background(), 5, experiments.Exec{Workers: 1})
+	base, err := experiments.RunAttackMatrixExec(context.Background(), 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, exec := range []experiments.Exec{
-		{Workers: 4},
-		{Workers: 0}, // one worker per CPU
-	} {
-		rep, err := experiments.RunAttackMatrixExec(context.Background(), 5, exec)
+	for _, workers := range []int{4, 0} { // 0: one worker per CPU
+		rep, err := experiments.RunAttackMatrixExec(context.Background(), 5, workers)
 		if err != nil {
-			t.Fatalf("%+v: %v", exec, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if rep.Render() != base.Render() {
-			t.Fatalf("%+v diverged:\n%s\nvs\n%s", exec, rep.Render(), base.Render())
+			t.Fatalf("workers=%d diverged:\n%s\nvs\n%s", workers, rep.Render(), base.Render())
 		}
 	}
 }

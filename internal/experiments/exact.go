@@ -211,17 +211,13 @@ func exactCases(seed int64) ([]exactCase, []string) {
 	return cases, skipped
 }
 
-// RunExact produces the full E15 report under DefaultExec.
-func RunExact(seed int64) (ExactReport, error) {
-	return RunExactExec(context.Background(), seed, DefaultExec)
-}
-
-// RunExactExec runs the matrix with the configured worker fan-out. Cells
+// RunExactExec produces the full E15 report over the given number of
+// workers (< 1 means one per CPU, 1 runs sequentially). Cells
 // are independent seeded scenarios, so the acceptance facts are identical
 // for every worker count; only the per-cell wall times move.
-func RunExactExec(ctx context.Context, seed int64, exec Exec) (ExactReport, error) {
+func RunExactExec(ctx context.Context, seed int64, workers int) (ExactReport, error) {
 	cases, skipped := exactCases(seed)
-	rows, err := par.Map(ctx, exec.Workers, len(cases), func(i int) (ExactRow, error) {
+	rows, err := par.Map(ctx, workers, len(cases), func(i int) (ExactRow, error) {
 		c := cases[i]
 		start := time.Now()
 		out, err := c.s.Run()

@@ -10,7 +10,7 @@ import (
 )
 
 func TestExactMatrixAllPass(t *testing.T) {
-	rep, err := experiments.RunExact(1)
+	rep, err := experiments.RunExactExec(context.Background(), 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,27 +56,24 @@ func TestExactMatrixDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return rows
 	}
-	base, err := experiments.RunExactExec(context.Background(), 5, experiments.Exec{Workers: 1})
+	base, err := experiments.RunExactExec(context.Background(), 5, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, exec := range []experiments.Exec{
-		{Workers: 4},
-		{Workers: 2},
-	} {
-		got, err := experiments.RunExactExec(context.Background(), 5, exec)
+	for _, workers := range []int{4, 2} {
+		got, err := experiments.RunExactExec(context.Background(), 5, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(strip(got), strip(base)) {
-			t.Fatalf("report diverged under %+v", exec)
+			t.Fatalf("report diverged at workers=%d", workers)
 		}
 	}
 }
 
 // TestExactBenchRuns pins the E15 -json cell mapping.
 func TestExactBenchRuns(t *testing.T) {
-	rep, err := experiments.RunExact(9)
+	rep, err := experiments.RunExactExec(context.Background(), 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

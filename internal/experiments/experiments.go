@@ -2,10 +2,9 @@
 // table/figure/claim of the paper (see EXPERIMENTS.md's experiment index).
 // Each driver returns a structured report with a text rendering;
 // cmd/benchtables prints them and the top-level benchmarks re-run them, so
-// EXPERIMENTS.md numbers are regenerable with one command. Sweep drivers fan
-// out over the worker pool configured by Exec (DefaultExec for the
-// no-argument entry points); reports are deterministic for a fixed seed
-// whatever the fan-out.
+// EXPERIMENTS.md numbers are regenerable with one command. Sweep drivers
+// (Run*Exec) fan out over the worker count they are passed; reports are
+// deterministic for a fixed seed whatever the fan-out.
 package experiments
 
 import (

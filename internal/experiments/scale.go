@@ -193,8 +193,8 @@ func (r ScaleReport) Render() string {
 	return b.String()
 }
 
-// certNote certifies the cell's graph when it is small enough, with the
-// explicit skip note above CertLimit.
+// certNote certifies the cell's graph, or carries CheckConditions' explicit
+// skip note when the cell is past CertLimit's budget of removal sets.
 func certNote(spec string, f int) string {
 	g, err := repro.NamedGraph(spec)
 	if err != nil {

@@ -97,14 +97,20 @@ func TestScaleSmallRuns(t *testing.T) {
 	}
 }
 
-// TestScaleCertNoteAboveLimit: ladder rows beyond CertLimit must carry the
-// explicit skip note, not a fabricated verdict.
+// TestScaleCertNoteAboveLimit: a cell past CertLimit's removal-set budget
+// must carry the explicit skip note, not a fabricated verdict — and the
+// rungs that were past the limit while it was 64 now carry a verdict.
 func TestScaleCertNoteAboveLimit(t *testing.T) {
-	note := certNote("cycle:128", 0)
+	note := certNote("torus:16:16", 2)
 	if !strings.Contains(note, "skipped") {
-		t.Fatalf("cert note for n=128 should record the skip, got %q", note)
+		t.Fatalf("cert note for n=256, f=2 should record the skip, got %q", note)
 	}
-	if certNote("cycle:32", 0) != "3-reach=true" {
-		t.Fatalf("cycle:32 f=0 should certify, got %q", certNote("cycle:32", 0))
+	for _, c := range []struct {
+		spec string
+		f    int
+	}{{"cycle:32", 0}, {"cycle:128", 0}, {"torus:8:16", 1}, {"expander:128:3:1", 1}} {
+		if got := certNote(c.spec, c.f); got != "3-reach=true" {
+			t.Fatalf("%s f=%d should certify, got %q", c.spec, c.f, got)
+		}
 	}
 }

@@ -141,7 +141,7 @@ func generateSweepCases(count int, seed int64, rep *SweepReport) []sweepCase {
 
 // runSweepCase is the execution phase for one case; cases are independent,
 // so these run in parallel.
-func runSweepCase(c sweepCase, exec Exec) (SweepRow, error) {
+func runSweepCase(c sweepCase) (SweepRow, error) {
 	out, err := c.scenario.Run()
 	if err != nil {
 		return SweepRow{}, err
@@ -154,23 +154,18 @@ func runSweepCase(c sweepCase, exec Exec) (SweepRow, error) {
 	}, nil
 }
 
-// RunSweep runs the generality sweep under DefaultExec.
-func RunSweep(count int, seed int64) (SweepReport, error) {
-	return RunSweepExec(context.Background(), count, seed, DefaultExec)
-}
-
-// RunSweepExec runs the generality sweep with the configured worker
-// fan-out. Candidate generation is sequential (so the rng
+// RunSweepExec runs the generality sweep over the given number of workers
+// (< 1 means one per CPU, 1 runs sequentially). Candidate generation is sequential (so the rng
 // stream, and therefore the chosen graphs, inputs and fault patterns, are
 // identical whatever the worker count); the independent BW executions fan
 // across the worker pool; rows are reported in candidate order. The report
-// is byte-identical for every Workers setting. Cancelling
+// is byte-identical for every worker count. Cancelling
 // ctx stops the sweep between runs and surfaces ctx.Err().
-func RunSweepExec(ctx context.Context, count int, seed int64, exec Exec) (SweepReport, error) {
+func RunSweepExec(ctx context.Context, count int, seed int64, workers int) (SweepReport, error) {
 	var rep SweepReport
 	cases := generateSweepCases(count, seed, &rep)
-	rows, err := par.Map(ctx, exec.Workers, len(cases), func(i int) (SweepRow, error) {
-		return runSweepCase(cases[i], exec)
+	rows, err := par.Map(ctx, workers, len(cases), func(i int) (SweepRow, error) {
+		return runSweepCase(cases[i])
 	})
 	if err != nil {
 		return rep, err

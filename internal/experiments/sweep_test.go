@@ -12,7 +12,7 @@ func TestRandomSweep(t *testing.T) {
 	if testing.Short() {
 		count = 3
 	}
-	rep, err := experiments.RunSweep(count, 1234)
+	rep, err := experiments.RunSweepExec(context.Background(), count, 1234, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,24 +32,21 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		count = 2
 	}
-	base, err := experiments.RunSweepExec(context.Background(), count, 99, experiments.Exec{Workers: 1})
+	base, err := experiments.RunSweepExec(context.Background(), count, 99, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(base.Rows) < count {
 		t.Fatalf("only %d of %d runs completed", len(base.Rows), count)
 	}
-	for _, exec := range []experiments.Exec{
-		{Workers: 4},
-		{Workers: 0}, // one worker per CPU
-	} {
-		rep, err := experiments.RunSweepExec(context.Background(), count, 99, exec)
+	for _, workers := range []int{4, 0} { // 0: one worker per CPU
+		rep, err := experiments.RunSweepExec(context.Background(), count, 99, workers)
 		if err != nil {
-			t.Fatalf("%+v: %v", exec, err)
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if rep.Render() != base.Render() {
-			t.Fatalf("%+v diverged from sequential run:\n%s\nvs\n%s",
-				exec, rep.Render(), base.Render())
+			t.Fatalf("workers=%d diverged from sequential run:\n%s\nvs\n%s",
+				workers, rep.Render(), base.Render())
 		}
 	}
 }

@@ -7,8 +7,8 @@ import "math/bits"
 // directly and stop at nw — the number of words a graph of this order can
 // populate — instead of going through the value-receiver algebra over all
 // 16 words: these searches run once per (node, removal set) in the
-// exponential condition checkers, whose graphs are capped at CertLimit
-// (one word), so the fixed-size method forms cost ~16x the useful work.
+// exponential condition checkers, mostly on graphs of one word, where the
+// fixed-size method forms cost ~16x the useful work.
 func bfsMasked(masks []Set, v int, excl Set, nw int) Set {
 	var seen Set
 	seen[uint(v)>>6] = 1 << (uint(v) & 63)
@@ -59,6 +59,37 @@ func (g *Graph) Ancestors(v int, excl Set) Set {
 		return EmptySet
 	}
 	return bfsMasked(g.inMask, v, excl, g.words())
+}
+
+// SourceComponents appends to dst the source components of G − excl: the
+// strongly connected components of the subgraph induced by V \ excl that no
+// edge enters from outside. Every reach set reach_v(excl) contains one, and
+// a vertex inside one has exactly that component as its reach set — which
+// lets the reach conditions (internal/cond) compare a few source components
+// per removal set instead of one reach set per vertex.
+//
+// No graph is rebuilt and nothing is allocated per vertex: from an
+// uncovered vertex the search climbs to one whose ancestors all lie among
+// its descendants (its component is then its ancestor set, and a source),
+// and marks that component's descendants covered. A strongly connected
+// remainder costs two walks.
+func (g *Graph) SourceComponents(excl Set, dst []Set) []Set {
+	nw := g.words()
+	uncovered := g.Nodes().Minus(excl)
+	for v := uncovered.Min(); v >= 0; v = uncovered.Min() {
+		for {
+			anc := bfsMasked(g.inMask, v, excl, nw)
+			desc := bfsMasked(g.outMask, v, excl, nw)
+			if up := anc.Minus(desc); !up.Empty() {
+				v = up.Min() // strictly upstream: its ancestor set is smaller
+				continue
+			}
+			dst = append(dst, anc)
+			uncovered = uncovered.Minus(desc)
+			break
+		}
+	}
+	return dst
 }
 
 // ReachSet implements Definition 2 of the paper: reach_v(F) is the set of

@@ -90,3 +90,65 @@ func TestSCCPartition(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestSourceComponentsMatchTarjan: for every removal set of at most two
+// vertices, the masked source components are the condensation sources of
+// the rebuilt induced subgraph, minus the removed vertices (which
+// InducedExclude leaves behind as isolated singletons).
+func TestSourceComponentsMatchTarjan(t *testing.T) {
+	var graphs []*Graph
+	for _, spec := range []string{
+		"clique:1", "clique:3", "clique:6", "cycle:1", "cycle:5", "wheel:2", "wheel:5", "fig1a", "fig1b", "fig1b-analog",
+		"circulant:7:1,2", "circulant:9:1,2,3", "random:6:0.5:42", "random:9:0.2:5", "random:12:0.15:3",
+		"torus:2:2", "torus:3:4", "kregular:9:2:2", "expander:9:3:1", "cycle:70", "torus:5:14",
+	} {
+		g, err := Named(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	for seed := int64(0); seed < 40; seed++ {
+		graphs = append(graphs, RandomDigraph(4+int(seed%6), 0.15+0.1*float64(seed%5), seed),
+			RandomUndirected(4+int(seed%4), 0.4+0.2*float64(seed%3), seed))
+	}
+	chain := New(6) // a DAG: every climb ends at vertex 0
+	for v := 0; v < 5; v++ {
+		chain.MustAddEdge(v, v+1)
+	}
+	graphs = append(graphs, chain, New(3))
+
+	key := func(sets []Set) map[Set]bool {
+		m := make(map[Set]bool, len(sets))
+		for _, s := range sets {
+			m[s] = true
+		}
+		return m
+	}
+	for _, g := range graphs {
+		maxSize := 2
+		if g.N() > 20 {
+			maxSize = 1
+		}
+		Subsets(g.Nodes(), maxSize, func(excl Set) bool {
+			got := g.SourceComponents(excl, nil)
+			var want []Set
+			for _, c := range g.InducedExclude(excl).CondensationSources() {
+				if !c.Intersects(excl) {
+					want = append(want, c)
+				}
+			}
+			gk, wk := key(got), key(want)
+			if len(got) != len(gk) || len(gk) != len(wk) {
+				t.Errorf("%s minus %s: sources %v, Tarjan %v", g, excl, got, want)
+				return true
+			}
+			for s := range wk {
+				if !gk[s] {
+					t.Errorf("%s minus %s: sources %v, Tarjan %v", g, excl, got, want)
+				}
+			}
+			return true
+		})
+	}
+}

@@ -1,6 +1,6 @@
 // Package graph provides the directed-graph substrate used throughout the
-// repository: bitmask node sets, adjacency structures, strongly connected
-// components, reachability, vertex-disjoint paths (Menger via max-flow),
+// repository: bitmask node sets, adjacency structures, reachability and
+// source components, vertex-disjoint paths (Menger via max-flow),
 // simple/redundant path enumeration with explicit budgets, generators for
 // the paper's example graphs, and text serialization.
 //
@@ -10,7 +10,6 @@ package graph
 
 import (
 	"math/bits"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -200,8 +199,12 @@ func PathSet(path []int) Set {
 
 // Subsets enumerates every subset of universe with at most k members, in a
 // deterministic order (lexicographic DFS over the ascending member list),
-// and calls fn for each. Enumeration stops early if fn returns false.
+// and calls fn for each; a negative k admits no subset, not even the empty
+// one. Enumeration stops early if fn returns false.
 func Subsets(universe Set, k int, fn func(Set) bool) {
+	if k < 0 {
+		return
+	}
 	members := universe.Members()
 	if k > len(members) {
 		k = len(members)
@@ -266,15 +269,4 @@ func binomial(n, k int) int {
 		res = res * (n - k + i) / i
 	}
 	return res
-}
-
-// SortedMembers is a convenience for tests: it returns the members of each
-// set in the slice, sorted by the sets' string forms for stable comparison.
-func SortedMembers(sets []Set) []string {
-	out := make([]string, len(sets))
-	for i, s := range sets {
-		out[i] = s.String()
-	}
-	sort.Strings(out)
-	return out
 }

@@ -171,6 +171,17 @@ func TestSubsetsEarlyStop(t *testing.T) {
 	}
 }
 
+// TestSubsetsNegativeK: a negative bound admits no subset; it used to size a
+// slice and panic.
+func TestSubsetsNegativeK(t *testing.T) {
+	for _, k := range []int{-1, -1 << 40} {
+		Subsets(FullSet(4), k, func(s Set) bool {
+			t.Errorf("Subsets(k=%d) produced %s", k, s)
+			return true
+		})
+	}
+}
+
 func TestSubsetsOfSize(t *testing.T) {
 	count := 0
 	SubsetsOfSize(FullSet(6), 2, func(s Set) bool {

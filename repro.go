@@ -34,6 +34,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/aad"
 	"repro/internal/aba"
@@ -65,9 +66,6 @@ type ReachWitness = cond.Witness
 
 // NecessityResult is the outcome of the Theorem 18 construction.
 type NecessityResult = adversary.NecessityResult
-
-// NewGraph returns an empty graph with n nodes.
-func NewGraph(n int) *Graph { return graph.New(n) }
 
 // NamedGraph constructs a built-in graph from a spec string such as
 // "clique:5", "fig1b" or "random:7:0.5:3"; see graph.Named for the full
@@ -106,61 +104,92 @@ type ConditionReport struct {
 	// -1 for directed inputs).
 	Kappa int
 	// Certified reports whether the condition checkers actually ran. It is
-	// false above CertLimit — the reach checkers enumerate pairs of
-	// candidate fault sets, which is exponential in f and polynomially
-	// explosive in n — in which case every condition field is false and
-	// Note explains the skip. Callers showing results must surface Note
-	// rather than presenting the unchecked falses as violations.
+	// false when the fault bound and order put the reach checkers' table of
+	// removal sets past what CertLimit allows, in which case every
+	// condition field is false and Note explains the skip. Callers showing
+	// results must surface Note rather than presenting the unchecked falses
+	// as violations.
 	Certified bool
 	// Note carries a human-readable caveat: why certification was skipped,
-	// or that the partition conditions were substituted by their proven
-	// reach equivalents.
+	// that the partition conditions were substituted by their proven reach
+	// equivalents, or that κ was not computed.
 	Note string
 }
 
 // CheckConditions evaluates all conditions on g with fault bound f. The
 // partition conditions enumerate 3^n assignments and are skipped (reported
-// as the equivalent reach results) for n > PartitionLimit; above CertLimit
-// the whole certification is skipped with an explicit Note — the scale
-// experiments run graphs with orders far beyond what the exhaustive
-// checkers can enumerate.
+// as the equivalent reach results) for n > PartitionLimit; κ is skipped
+// above kappaLimit; and past CertLimit's budget of removal sets the whole
+// certification is skipped with an explicit Note.
 func CheckConditions(g *Graph, f int) ConditionReport {
 	rep := ConditionReport{N: g.N(), M: g.M(), F: f, Kappa: -1}
-	if g.N() > CertLimit {
-		rep.Note = fmt.Sprintf("condition certification skipped: order %d exceeds CertLimit %d "+
-			"(reach checkers enumerate C(n,<=f)^2 fault-set pairs)", g.N(), CertLimit)
+	if budget := graph.CountSubsets(CertLimit, 2); !subsetsWithin(g.N(), 2*f, budget) {
+		rep.Note = fmt.Sprintf("condition certification skipped: order %d with f=%d means more than %d removal sets "+
+			"of at most 2f vertices to tabulate (what f=1 costs at CertLimit %d)", g.N(), f, budget, CertLimit)
 		return rep
 	}
 	rep.Certified = true
-	rep.OneReach, _ = cond.Check1Reach(g, f)
-	rep.TwoReach, _ = cond.Check2Reach(g, f)
-	var w *cond.Witness
-	rep.ThreeReach, w = cond.Check3Reach(g, f)
-	rep.Witness3 = w
+	// 3-reach with F = ∅ is 2-reach, and 2-reach with Fu = Fv is 1-reach:
+	// when the strongest holds — the expensive case, every pair is tested —
+	// its one table answers all three; a violation is found early and the
+	// weaker conditions' tables are the small ones (sets of <= f vertices).
+	rep.ThreeReach, rep.Witness3 = cond.Check3Reach(g, f)
+	if rep.TwoReach = rep.ThreeReach; !rep.TwoReach {
+		rep.TwoReach, _ = cond.Check2Reach(g, f)
+	}
+	if rep.OneReach = rep.TwoReach; !rep.OneReach {
+		rep.OneReach, _ = cond.Check1Reach(g, f)
+	}
+	var notes []string
 	if g.N() <= PartitionLimit {
 		rep.CCS, _ = cond.CheckCCS(g, f)
 		rep.CCA, _ = cond.CheckCCA(g, f)
 		rep.BCS, _ = cond.CheckBCS(g, f)
 	} else {
 		rep.CCS, rep.CCA, rep.BCS = rep.OneReach, rep.TwoReach, rep.ThreeReach
-		rep.Note = fmt.Sprintf("partition conditions substituted by their reach equivalents (order %d > PartitionLimit %d)",
-			g.N(), PartitionLimit)
+		notes = append(notes, fmt.Sprintf("partition conditions substituted by their reach equivalents (order %d > PartitionLimit %d)",
+			g.N(), PartitionLimit))
 	}
 	if g.IsUndirected() {
-		rep.Kappa = g.VertexConnectivity()
+		if g.N() <= kappaLimit {
+			rep.Kappa = g.VertexConnectivity()
+		} else {
+			notes = append(notes, fmt.Sprintf("κ not computed (order %d > %d: vertex connectivity is n² max-flows on a (2n+2)² matrix each)",
+				g.N(), kappaLimit))
+		}
 	}
+	rep.Note = strings.Join(notes, "; ")
 	return rep
+}
+
+// subsetsWithin reports whether a set of n elements has at most budget
+// subsets of at most m members, without overflowing on the way to "no".
+func subsetsWithin(n, m, budget int) bool {
+	total, term := 0, 1
+	for i := 0; i <= m && i <= n; i++ {
+		if total += term; total > budget {
+			return false
+		}
+		term = term * (n - i) / (i + 1)
+	}
+	return true
 }
 
 // PartitionLimit is the largest order for which CheckConditions runs the
 // exponential partition-based checkers directly.
 const PartitionLimit = 9
 
-// CertLimit is the largest order for which CheckConditions runs at all;
-// beyond it the report is returned uncertified with a Note. 64 keeps the
-// checkers exact on every graph the paper's figures use while letting the
-// scale experiments skip certification deliberately and visibly.
-const CertLimit = 64
+// CertLimit is the largest order CheckConditions certifies at f = 1. The
+// reach checkers tabulate the source components of G−A for every removal
+// set A of at most 2f vertices, so the bound is on that count: certification
+// runs when C(n, <=2f) is at most C(CertLimit, <=2) = 524 801 sets — about
+// 70 MB and 20 s on a 2-CPU host at (1024, f = 1), the top of the default
+// build's E14 ladder (EXPERIMENTS.md E25); f = 2 fits up to n = 60, and
+// f = 0 at any order.
+const CertLimit = 1024
+
+// kappaLimit is the largest order for which CheckConditions computes κ.
+const kappaLimit = 64
 
 // Check3Reach verifies the paper's tight condition (Definition 3) and
 // returns a violation witness when it fails.

@@ -292,27 +292,48 @@ func TestCheckKReachFacade(t *testing.T) {
 	}
 }
 
-// TestCheckConditionsSkipsAboveCertLimit: beyond CertLimit the exponential
-// checkers must not run; the report says so explicitly instead of
-// presenting unchecked falses as violations.
+// TestCheckConditionsSkipsAboveCertLimit: past the removal-set budget that
+// CertLimit stands for (what f = 1 tabulates at that order) the checkers
+// must not run; the report says so explicitly instead of presenting
+// unchecked falses as violations.
 func TestCheckConditionsSkipsAboveCertLimit(t *testing.T) {
-	g, err := repro.NamedGraph("torus:16:32")
-	if err != nil {
-		t.Fatal(err)
+	check := func(spec string, f int) repro.ConditionReport {
+		g, err := repro.NamedGraph(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return repro.CheckConditions(g, f)
 	}
-	rep := repro.CheckConditions(g, 1)
-	if rep.Certified {
-		t.Fatal("512-node graph should not certify")
+	// f = 2 fits up to n = 60: C(61, <=4) sets is over C(1024, <=2).
+	over := []repro.ConditionReport{check("torus:16:16", 2), check("clique:61", 2), check("cycle:1024", 3)}
+	if _, err := repro.NamedGraph("cycle:1025"); err == nil {
+		over = append(over, check("cycle:1025", 1)) // buildable under -tags graph4096 only
 	}
-	if rep.Note == "" {
-		t.Fatal("skip must carry a note")
+	for _, rep := range over {
+		if rep.Certified || !strings.Contains(rep.Note, "skipped") || !strings.Contains(rep.Note, "removal sets") {
+			t.Fatalf("n=%d f=%d should not certify, and say why: %+v", rep.N, rep.F, rep)
+		}
+		if rep.OneReach || rep.ThreeReach || rep.CCS {
+			t.Fatal("skipped report must not claim any condition holds")
+		}
 	}
-	if rep.OneReach || rep.ThreeReach || rep.CCS {
-		t.Fatal("skipped report must not claim any condition holds")
-	}
-	// At or below the limit, certification still runs.
-	small := repro.CheckConditions(repro.Fig1b(), 2)
-	if !small.Certified || !small.ThreeReach {
+	// Inside the budget certification runs: Figure 1(b) at f = 2, f = 0 at
+	// CertLimit itself, and the 512-vertex torus that was past the limit
+	// while the limit was 64 (Table 1: n > 3f and κ = 4 > 2f).
+	if small := repro.CheckConditions(repro.Fig1b(), 2); !small.Certified || !small.ThreeReach {
 		t.Fatalf("fig1b should certify: %+v", small)
+	}
+	if rep := check("cycle:1024", 0); !rep.Certified || !rep.ThreeReach {
+		t.Fatalf("cycle:%d, f=0 should certify: %+v", repro.CertLimit, rep)
+	}
+	if testing.Short() {
+		return
+	}
+	rep := check("torus:16:32", 1)
+	if !rep.Certified || !rep.OneReach || !rep.TwoReach || !rep.ThreeReach {
+		t.Fatalf("torus:16:32, f=1 should certify and hold: %+v", rep)
+	}
+	if rep.Kappa != -1 || !strings.Contains(rep.Note, "κ not computed") {
+		t.Fatalf("κ is bounded at 64 vertices and the note must say so: %+v", rep)
 	}
 }
