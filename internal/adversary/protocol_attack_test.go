@@ -65,8 +65,14 @@ func TestBWSeqJammer(t *testing.T) {
 			// Honest inputs 0, 1.5, 2.
 			assertAgreementValidity(t, outs, 0.25, 0, 2)
 			honest.ForEach(func(v int) bool {
-				if got := machines[v].Snapshot().SeqDropped; got != tc.dropped {
-					t.Errorf("node %d dropped %d out-of-range COMPLETEs, want %d", v, got, tc.dropped)
+				snap := machines[v].Snapshot()
+				if snap.SeqDropped != tc.dropped {
+					t.Errorf("node %d dropped %d out-of-range COMPLETEs, want %d", v, snap.SeqDropped, tc.dropped)
+				}
+				// The jammer lies about sequence numbers, not routes: its
+				// trivial path is in every out-neighbor's table.
+				if snap.PathDropped != 0 {
+					t.Errorf("node %d dropped %d paths, the jammer sent none outside its table", v, snap.PathDropped)
 				}
 				return true
 			})
@@ -116,4 +122,63 @@ func TestBWTagForger(t *testing.T) {
 			1: func(sim.Handler) sim.Handler { return &tagForger{id: 1, g: g, victim: 0} },
 		}, 79)
 	assertAgreementValidity(t, outs, 0.25, 0, 2)
+}
+
+// pathForger attacks the door: besides its honest-looking origination it
+// sends every out-neighbor VAL and COMPLETE messages on routes no honest
+// relay produces — a walk over a missing edge, one that passes through a
+// vertex too often to be redundant, one that ends at someone else, one that
+// names a vertex outside the graph, an empty one — each carrying an extreme
+// value. None is in a receiver's path table, so each is dropped at the door
+// and counted; none reaches M_v, a FIFO stream or a relay.
+type pathForger struct {
+	id int
+	g  *graph.Graph
+}
+
+func (p *pathForger) ID() int { return p.id }
+
+func (p *pathForger) Start(out *sim.Outbox) {
+	out.Broadcast(bw.ValPayload{Round: 1, Value: 0.5, Path: graph.Path{p.id}})
+	other := (p.id + 1) % p.g.N()
+	for _, forged := range []graph.Path{
+		{p.id, p.id},                     // no self-loop in G
+		{p.id, other, p.id, other, p.id}, // a walk, but not redundant
+		{p.id, other},                    // ends at someone else
+		{p.g.N() + 3, p.id},              // a vertex outside the graph
+		{-1, p.id},                       // a negative vertex
+		{},                               // no path at all
+	} {
+		out.Broadcast(bw.ValPayload{Round: 1, Value: 1e9, Path: forged})
+		origin := p.id
+		if len(forged) > 0 {
+			origin = forged[0]
+		}
+		out.Broadcast(bw.CompletePayload{
+			Round: 1, Origin: origin, Seq: 1, Tag: graph.EmptySet,
+			Entries: []bw.ValEntry{{Value: 1e9, PathKey: (graph.Path{p.id}).Key()}},
+			Path:    forged,
+		})
+	}
+}
+
+func (p *pathForger) Deliver(msg transport.Message, out *sim.Outbox) {}
+
+func (p *pathForger) Output() (float64, bool) { return 0, false }
+
+func TestBWPathForger(t *testing.T) {
+	g := graph.Clique(4)
+	outs, honest, machines := runMachinesWithFaults(t, g, 1, []float64{0, 1, 1.5, 2}, 2, 0.25,
+		map[int]func(sim.Handler) sim.Handler{
+			1: func(sim.Handler) sim.Handler { return &pathForger{id: 1, g: g} },
+		}, 83)
+	assertAgreementValidity(t, outs, 0.25, 0, 2)
+	honest.ForEach(func(v int) bool {
+		// Six forged routes, each once as a VAL and once as a COMPLETE,
+		// straight from the forger; nothing forged is relayed on.
+		if got := machines[v].Snapshot().PathDropped; got != 12 {
+			t.Errorf("node %d dropped %d forged paths, want 12", v, got)
+		}
+		return true
+	})
 }

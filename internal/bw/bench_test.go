@@ -106,17 +106,23 @@ func BenchmarkBWFig1a(b *testing.B) {
 }
 
 // TestBWRunAllocBudget is the allocation fence for the round state: one
-// full fig1a run, setup included, divided by its deliveries. Per delivery
-// the machine inherently allocates the key string of an accepted path and,
-// when it relays, one extended path and one boxed payload; the budgets are
-// the measured 4.5 allocations and 450 bytes plus a tenth, against 9.3 and
-// 1 660 when M_v, the FIFO tables and the snapshot clauses were keyed by
-// strings and node sets. About one and a half node sets per delivery are
-// part of the bytes (M_v's copy, a relayed COMPLETE's tag), so that budget
-// moves with the build dimension.
+// full fig1a run, setup included, divided by its deliveries. A delivery no
+// longer allocates anything for the path it arrived on — validating,
+// extending, keying and ordering it are lookups in the node's path table,
+// whose build (once per run; 45 bytes a delivery here) is in the figure.
+// What is left: one boxed payload when the message is relayed (the table's
+// spelling of the path rides in it), the snapshot's clauses and their
+// candidate covers, FIFO buffers and progress bitsets, a COMPLETE's entry
+// list. The budgets are the measured 2.1 allocations and 264 bytes plus a
+// tenth, against 4.5 and 450 when every accepted path cost a key string and
+// every relay a copy, and 9.3 and 1 660 when M_v, the FIFO tables and the
+// snapshot clauses were keyed by strings and node sets. About three quarters
+// of a node set per delivery are part of the bytes (a relayed COMPLETE's
+// tag, the table's set column), so that budget moves with the build
+// dimension.
 func TestBWRunAllocBudget(t *testing.T) {
 	const setBytes = graph.MaxNodes / 8
-	const maxAllocs, maxBytes = 5.0, 310 + setBytes*3/2 // 502 in the default build
+	const maxAllocs, maxBytes = 2.3, 200 + setBytes*3/4 // 296 in the default build
 	runFig1a(t, 1)                                      // warm the runtime's size classes and the test binary
 	var before, after runtime.MemStats
 	runtime.GC()

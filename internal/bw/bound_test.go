@@ -71,11 +71,12 @@ func (a *stateFlooder) Output() (float64, bool)                { return 0, false
 // TestBWBoundedState: whatever one Byzantine in-neighbor pushes — here
 // 2 × 4 000 frames at each of its three out-neighbors, which relay what
 // passes validation to everyone else — an honest machine's per-round state
-// stays inside bounds the plan gives: M_v within the ∅-thread's fullness
-// set, FIFO streams within the simple paths ending here, every stream's
-// buffer within seqCap, interned contents within streams × seqCap, and one
-// round slot per round of the protocol. The honest vertices still decide
-// inside the hull of their inputs.
+// stays inside bounds the plan gives: M_v and the FIFO streams are laid out
+// over the node's path table (every redundant path, every simple path ending
+// here) and a path outside it is dropped at the door and counted, every
+// stream's buffer stays within seqCap, interned contents within streams ×
+// seqCap, and one round slot per round of the protocol. The honest vertices
+// still decide inside the hull of their inputs.
 func TestBWBoundedState(t *testing.T) {
 	const byz, frames = 4, 4000
 	g := graph.Fig1a()
@@ -114,17 +115,21 @@ func TestBWBoundedState(t *testing.T) {
 	for _, m := range honest {
 		lo, hi = math.Min(lo, m.input), math.Max(hi, m.input)
 	}
-	dropped := 0
+	seqDropped, pathDropped := 0, 0
 	for _, m := range honest {
 		x, done := m.Output()
 		if !done || x < lo || x > hi {
 			t.Errorf("node %d: output %v (decided=%v) outside the honest hull [%v, %v]", m.id, x, done, lo, hi)
 		}
-		dropped += m.metrics.SeqDropped
+		seqDropped += m.metrics.SeqDropped
+		pathDropped += m.metrics.PathDropped
 		if len(m.rounds) != proto.Rounds+1 {
 			t.Errorf("node %d holds %d round slots, want Rounds+1 = %d", m.id, len(m.rounds), proto.Rounds+1)
 		}
-		full, streams := m.pre.threads[0].expectedCount, m.pre.simplePaths
+		full, streams := len(m.pre.paths.head), len(m.pre.paths.simples)
+		if full != m.pre.threads[0].expectedCount {
+			t.Errorf("node %d: the table holds %d paths, the ∅-thread's fullness set %d", m.id, full, m.pre.threads[0].expectedCount)
+		}
 		for round, rs := range m.rounds {
 			if rs == nil {
 				continue
@@ -132,10 +137,14 @@ func TestBWBoundedState(t *testing.T) {
 			if round == 0 {
 				t.Errorf("node %d: round slot 0 in use", m.id)
 			}
-			if len(rs.vals) > full || len(rs.byPath) > full {
-				t.Errorf("node %d round %d: %d entries (%d digests), the fullness set has %d", m.id, round, len(rs.vals), len(rs.byPath), full)
+			accepted := 0
+			for _, entries := range rs.byInit {
+				accepted += len(entries)
 			}
-			if len(rs.streams) > streams {
+			if len(rs.vals) != full || len(rs.has) != full || accepted > full {
+				t.Errorf("node %d round %d: %d entries accepted into %d slots, the table has %d", m.id, round, accepted, len(rs.vals), full)
+			}
+			if len(rs.streams) != streams {
 				t.Errorf("node %d round %d: %d FIFO streams, %d simple paths end here", m.id, round, len(rs.streams), streams)
 			}
 			for _, st := range rs.streams {
@@ -148,8 +157,14 @@ func TestBWBoundedState(t *testing.T) {
 			}
 		}
 	}
-	// Four of the nine sequence numbers the flooder draws from pass the cap.
-	if dropped < frames/4 {
-		t.Errorf("honest nodes counted %d out-of-range sequence numbers, want at least %d", dropped, frames/4)
+	// Four of the nine sequence numbers the flooder draws from pass the cap;
+	// they count on the frames whose round, path and tag are admissible. One
+	// walk in sixteen is broken on purpose, and most of the rest repeat a
+	// vertex too often to be redundant, or simple for a COMPLETE.
+	if seqDropped < frames/16 {
+		t.Errorf("honest nodes counted %d out-of-range sequence numbers, want at least %d", seqDropped, frames/16)
+	}
+	if pathDropped < frames {
+		t.Errorf("honest nodes counted %d inadmissible paths, want at least %d", pathDropped, frames)
 	}
 }

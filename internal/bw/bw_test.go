@@ -141,28 +141,34 @@ func TestThreadPrecompute(t *testing.T) {
 			t.Errorf("thread %s: reach misses v", th.fv)
 		}
 		// FIFO requirements are exactly the simple (c,0)-paths inside the
-		// reach set, per origin, as digests.
+		// reach set, per origin, named by the table's streams.
 		outside := g.Nodes().Minus(th.reach)
 		simple, err := g.SimplePathsTo(0, outside, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantFIFO := make(map[int]map[pathDigest]struct{})
-		all := make(map[pathDigest]struct{})
+		wantFIFO := make(map[int]map[string]struct{})
+		all := make(map[string]struct{})
 		for _, sp := range simple {
 			c := sp.Init()
 			if !th.reach.Has(c) {
 				t.Errorf("thread %s: simple path origin %d outside reach", th.fv, c)
 			}
 			if wantFIFO[c] == nil {
-				wantFIFO[c] = make(map[pathDigest]struct{})
+				wantFIFO[c] = make(map[string]struct{})
 			}
-			wantFIFO[c][digestPath(sp)] = struct{}{}
-			all[digestPath(sp)] = struct{}{}
+			wantFIFO[c][sp.Key()] = struct{}{}
+			all[sp.Key()] = struct{}{}
 		}
-		got := make(map[pathDigest]struct{})
-		for d := range th.required {
-			got[d] = struct{}{}
+		required := make(map[string]int32)
+		for stream, num := range th.required {
+			if num >= 0 {
+				required[pre.paths.key[pre.paths.simples[stream]]] = num
+			}
+		}
+		got := make(map[string]struct{})
+		for k := range required {
+			got[k] = struct{}{}
 		}
 		if !reflect.DeepEqual(got, all) {
 			t.Errorf("thread %s: requiredFIFO mismatch", th.fv)
@@ -170,15 +176,15 @@ func TestThreadPrecompute(t *testing.T) {
 		// Each origin's paths are numbered 0..k-1, with k recorded at the
 		// origin's rank in the reach set.
 		for r, c := range th.reach.Members() {
-			nums := make(map[uint32]bool)
-			for d := range wantFIFO[c] {
-				nums[th.required[d]] = true
+			nums := make(map[int32]bool)
+			for k := range wantFIFO[c] {
+				nums[required[k]] = true
 			}
 			if int(th.need[r]) != len(wantFIFO[c]) || len(nums) != len(wantFIFO[c]) {
 				t.Errorf("thread %s origin %d: need %d, %d distinct numbers for %d paths", th.fv, c, th.need[r], len(nums), len(wantFIFO[c]))
 			}
 			for num := range nums {
-				if num >= th.need[r] {
+				if uint32(num) >= th.need[r] {
 					t.Errorf("thread %s origin %d: path number %d out of range", th.fv, c, num)
 				}
 			}
@@ -191,7 +197,7 @@ func TestThreadPrecompute(t *testing.T) {
 		if self := wantFIFO[0]; len(self) != 1 {
 			t.Errorf("thread %s: self FIFO requirement = %v", th.fv, self)
 		}
-		if _, ok := th.required[digestPath(graph.Path{0})]; !ok {
+		if _, ok := required[graph.Path{0}.Key()]; !ok {
 			t.Errorf("thread %s: self FIFO requirement is not the trivial path", th.fv)
 		}
 	}

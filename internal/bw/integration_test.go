@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/adversary"
 	"repro/internal/bw"
 	"repro/internal/graph"
 	"repro/internal/sim"
@@ -161,6 +162,9 @@ func TestBWMetrics(t *testing.T) {
 		if snap.TrimAnomalies != 0 {
 			t.Errorf("node %d: trim anomalies = %d", i, snap.TrimAnomalies)
 		}
+		if snap.PathDropped != 0 || snap.SeqDropped != 0 {
+			t.Errorf("node %d: an honest run dropped %d paths and %d sequence numbers", i, snap.PathDropped, snap.SeqDropped)
+		}
 		if len(snap.DecidedThreads) != snap.FAExecutions {
 			t.Errorf("node %d: decided threads %d != FA %d", i, len(snap.DecidedThreads), snap.FAExecutions)
 		}
@@ -214,8 +218,52 @@ func TestBWIgnoresGarbage(t *testing.T) {
 	if _, done := m.Output(); done {
 		t.Error("garbage alone made the node decide")
 	}
+	// The wrong terminal, the invalid walk, the empty path and the COMPLETE
+	// whose path does not start at its origin are dropped for their path
+	// and counted; the rest fail on round, tag, sequence number or type.
+	if got := m.Snapshot().PathDropped; got != 4 {
+		t.Errorf("PathDropped = %d after the garbage, want 4", got)
+	}
 }
 
 type junkPayload struct{}
 
 func (junkPayload) Kind() string { return "JUNK" }
+
+// TestPathTableImmutableUnderAdversaries: relays hand out the path table's
+// own slices, shared by every round of a run and by the entries whose tail
+// they are, so nothing downstream may write to a path it was handed — not a
+// receiving machine, not the simulator, not any registered Byzantine
+// behavior wrapped around a machine. Every spelled-out path and key is the
+// same after a run against each of them as before it.
+func TestPathTableImmutableUnderAdversaries(t *testing.T) {
+	const byz = 1
+	g := graph.Fig1a()
+	inputs := []float64{0.1, 3.9, 1.3, 2.7, 0.6}
+	for _, kind := range adversary.Adversaries() {
+		proto, err := bw.NewProto(g, 1, 4, 0.5, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handlers := make([]sim.Handler, g.N())
+		for i := range handlers {
+			m, err := bw.NewMachine(proto, i, inputs[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			handlers[i] = m
+		}
+		handlers[byz], err = adversary.BuildHandler(byz, adversary.Spec{Kind: kind}, handlers[byz], adversary.NodeSeed(9, byz))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := bw.PathTableChecksum(proto)
+		r := execute(t, g, handlers, transport.NewRandomPolicy(9))
+		if _, all := r.Outputs(g.Nodes().Remove(byz)); !all {
+			t.Errorf("%s: an honest node did not decide", kind)
+		}
+		if after := bw.PathTableChecksum(proto); after != before {
+			t.Errorf("%s: the path tables' spelled-out paths changed during the run (%x -> %x)", kind, before, after)
+		}
+	}
+}

@@ -11,40 +11,6 @@ import (
 	"repro/internal/graph"
 )
 
-// TestAnalyzeRedundantMatchesDefinition cross-validates the O(1) relay
-// extension test against the direct IsRedundant definition over random
-// walks — the incremental prefix/suffix bound arithmetic is hand-derived,
-// so it gets exhaustive scrutiny.
-func TestAnalyzeRedundantMatchesDefinition(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	// One shared scratch across all trials exercises the epoch tagging the
-	// way a machine does: no clearing between deliveries. mark is sized for
-	// the largest node ID the trials use, as NewMachine sizes it for the
-	// graph order.
-	ext := redundantExt{mark: make([]uint64, 6)}
-	for trial := 0; trial < 5000; trial++ {
-		n := 1 + rng.Intn(10)
-		p := make(graph.Path, n)
-		for i := range p {
-			p[i] = rng.Intn(5)
-		}
-		ok := ext.analyze(p)
-		if ok != p.IsRedundant() {
-			t.Fatalf("analyze(%v) ok=%v, IsRedundant=%v", p, ok, p.IsRedundant())
-		}
-		if !ok {
-			continue
-		}
-		for w := 0; w < 6; w++ {
-			got := ext.extendable(w)
-			want := p.Append(w).IsRedundant()
-			if got != want {
-				t.Fatalf("extendable(%v, %d) = %v, want %v", p, w, got, want)
-			}
-		}
-	}
-}
-
 // TestClauseAddPathMatchesCoverSearch cross-validates the incremental
 // viable-cover clause evaluation against the exact hitting-set search it
 // replaced: after any sequence of paths, the clause is satisfied iff the
@@ -217,39 +183,6 @@ func TestPlanClauseLists(t *testing.T) {
 	}
 }
 
-// TestKeyOrderMatchesSort: binary insertion into the tail plus in-place
-// merges yields exactly the sorted order, whenever a reader asks.
-func TestKeyOrderMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var o keyOrder
-	var keys []string
-	seen := make(map[string]bool)
-	for len(keys) < 5*keyOrderTail+13 {
-		p := make(graph.Path, 1+rng.Intn(6))
-		for i := range p {
-			p[i] = rng.Intn(7)
-		}
-		k := p.Key()
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		keys = append(keys, k)
-		o.insert(keys, int32(len(keys)-1))
-		if n := len(keys); n%37 == 0 || n == 1 {
-			got := o.sorted(keys)
-			if len(got) != n {
-				t.Fatalf("after %d inserts the order holds %d entries", n, len(got))
-			}
-			for i := 1; i < n; i++ {
-				if keys[got[i-1]] >= keys[got[i]] {
-					t.Fatalf("after %d inserts positions %d,%d are out of order", n, i-1, i)
-				}
-			}
-		}
-	}
-}
-
 // TestCoverablePrefixMatchesCond cross-validates Filter-and-Average's
 // trimming — the clause cover filter run over a growing prefix — against
 // the hitting-set search of cond.CoverablePrefix it stands in for.
@@ -267,22 +200,22 @@ func TestCoverablePrefixMatchesCond(t *testing.T) {
 		}
 		allowed := g.Nodes().Remove(m.id)
 		for trial := 0; trial < 200; trial++ {
-			rs := &roundState{}
+			var all []graph.Set
 			order := make([]int32, 1+rng.Intn(12))
 			for i := range order {
 				var s graph.Set
 				for k := 1 + rng.Intn(3); k > 0; k-- {
 					s = s.Add(rng.Intn(g.N()))
 				}
-				rs.sets = append(rs.sets, s)
+				all = append(all, s)
 				order[i] = int32(i)
 			}
 			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 			sets := make([]graph.Set, len(order))
 			for i, e := range order {
-				sets[i] = rs.sets[e]
+				sets[i] = all[e]
 			}
-			if got, want := m.coverablePrefix(rs, order), cond.CoverablePrefix(sets, f, allowed); got != want {
+			if got, want := m.coverablePrefix(all, order), cond.CoverablePrefix(sets, f, allowed); got != want {
 				t.Fatalf("f=%d sets=%v: coverable prefix %d, cond says %d", f, sets, got, want)
 			}
 		}

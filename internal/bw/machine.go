@@ -25,14 +25,6 @@ type Machine struct {
 	// unused.
 	rounds []*roundState
 
-	// ext is the reusable redundant-extension scratch for deliverVal, and
-	// storage the reusable buffer a received path is extended in before it
-	// is known to be worth an allocation; the machine is single-threaded
-	// per the Handler contract, so one instance of each serves every
-	// delivery (ext without reinitialization: epoch tagging).
-	ext     redundantExt
-	storage graph.Path
-
 	output float64
 	done   bool
 
@@ -49,6 +41,12 @@ type Metrics struct {
 	// SeqDropped counts COMPLETE messages discarded for a sequence number
 	// no honest origin reaches.
 	SeqDropped int
+	// PathDropped counts VAL and COMPLETE messages discarded for their
+	// path: not a path of the node's table (empty, not ending at the
+	// sender, not a walk of G, not redundant here), or, for a COMPLETE, not
+	// simple or not starting at the claimed origin. An honest in-neighbor
+	// sends none.
+	PathDropped int
 	// History records x_v[r] after each Filter-and-Average execution.
 	History []float64
 	// DecidedThreads records, per round, the suspect set F_v of the
@@ -65,16 +63,14 @@ func NewMachine(p *Proto, id int, input float64) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{
+	return &Machine{
 		proto:  p,
 		plan:   p.plan,
 		pre:    pre,
 		id:     id,
 		input:  input,
 		rounds: make([]*roundState, p.Rounds+1),
-	}
-	m.ext.mark = make([]uint64, p.G.N())
-	return m, nil
+	}, nil
 }
 
 // ID implements sim.Handler.
@@ -128,169 +124,50 @@ func (m *Machine) round(r int) *roundState {
 }
 
 // startRound floods x_v for round r and stores the node's own trivial-path
-// message.
+// message: entry 0 of the table.
 func (m *Machine) startRound(r int, out *sim.Outbox) {
 	rs := m.round(r)
 	rs.started = true
 	rs.x = m.x
-	self := graph.Path{m.id}
-	out.Broadcast(ValPayload{Round: r, Value: m.x, Path: self})
-	set := graph.SetOf(m.id)
-	rs.byPath[digestPath(self)] = struct{}{}
-	m.acceptVal(rs, m.x, self, &set, out)
+	out.Broadcast(ValPayload{Round: r, Value: m.x, Path: m.pre.paths.path[0]})
+	m.acceptVal(rs, m.x, 0, out)
 }
 
-// extend returns path with the local node appended, in the machine's
-// reusable buffer: valid until the next delivery.
-func (m *Machine) extend(path graph.Path) graph.Path {
-	m.storage = append(append(m.storage[:0], path...), m.id)
-	return m.storage
-}
-
-// deliverVal validates, relays and stores one RedundantFlood message
+// deliverVal admits, relays and stores one RedundantFlood message
 // (Algorithm 4 plus the receiver-side checks of Appendix E).
 func (m *Machine) deliverVal(p *ValPayload, from int, out *sim.Outbox) {
 	if p.Round < 1 || p.Round > m.proto.Rounds {
 		return
 	}
-	if len(p.Path) == 0 || p.Path.Ter() != from || !p.Path.ValidIn(m.proto.G) {
+	tbl := m.pre.paths
+	e := tbl.resolve(p.Path, from)
+	if e < 0 {
+		m.metrics.PathDropped++
 		return
 	}
-	storage := m.extend(p.Path)
-	if !m.ext.analyze(storage) {
-		return // storage itself is not a redundant path
-	}
-
 	rs := m.round(p.Round)
-	// One map operation both tests and records the path: the insert leaves
-	// the size unchanged exactly when the digest was already there.
-	stored := len(rs.byPath)
-	rs.byPath[digestPath(storage)] = struct{}{}
-	if len(rs.byPath) == stored {
+	if rs.has[e] {
 		return // first message per path wins (Algorithm 4 line 3)
 	}
-	// One copy of the extended path and one boxed payload serve every
-	// relay; a path no neighbor can extend costs neither.
-	var relay transport.Payload
-	for _, w := range m.proto.G.Out(m.id) {
-		if m.ext.extendable(w) {
-			if relay == nil {
-				relay = ValPayload{Round: p.Round, Value: p.Value, Path: storage.Clone()}
-			}
-			out.Send(w, relay)
+	// The table's spelling of the extended path and one boxed payload serve
+	// every relay; a path no neighbor can extend costs neither.
+	if ext := tbl.ext[tbl.extOff[e]:tbl.extOff[e+1]]; len(ext) > 0 {
+		var relay transport.Payload = ValPayload{Round: p.Round, Value: p.Value, Path: tbl.path[e]}
+		for _, w := range ext {
+			out.Send(int(w), relay)
 		}
 	}
-	set := storage.Set()
-	m.acceptVal(rs, p.Value, storage, &set, out)
+	m.acceptVal(rs, p.Value, e, out)
 }
 
-// redundantExt answers "is storage||w still a redundant path?" in O(1) per
-// neighbor. With a = length of the longest all-distinct prefix and b = start
-// of the longest all-distinct suffix, a walk is redundant iff b <= a-1
-// (graph.Path.IsRedundant). Appending w moves a only when the walk was fully
-// distinct, and moves b to just past w's last occurrence.
-//
-// The scratch array is epoch-tagged rather than cleared: analyze costs
-// O(len(storage)) regardless of MaxNodes, which matters when the simulator
-// pushes millions of deliveries through a single machine. Entries store
-// epoch<<markShift | position+1; a mismatched epoch reads as "absent".
-type redundantExt struct {
-	n     int
-	a, b  int
-	epoch uint64
-	// mark is sized to the graph order at machine construction (node IDs
-	// are dense in [0, n)) — a slice rather than a [graph.MaxNodes]array so
-	// machines on small graphs don't carry a 32 KB scratch block under the
-	// graph4096 build.
-	mark []uint64
-}
-
-// markShift leaves room for positions up to 2*MaxNodes+1 in the largest
-// build dimension (4096 nodes: 8193 < 1<<15; redundant paths are
-// concatenations of two simple paths and longer walks are rejected up
-// front). Epochs occupy the remaining 49 bits — no run gets near wrapping.
-const markShift = 15
-
-// analyze precomputes the extension test for storage; it reports false when
-// storage itself is not redundant (in which case no extension is either,
-// since prefixes of redundant walks are redundant).
-func (e *redundantExt) analyze(storage graph.Path) bool {
-	if len(storage) > 2*graph.MaxNodes {
-		// No redundant path is longer than two simple paths; rejecting here
-		// also keeps positions within the mark word's low bits.
-		return false
-	}
-	e.n = len(storage)
-
-	// Pass 1: a = length of the longest all-distinct prefix.
-	e.epoch++
-	tag := e.epoch << markShift
-	e.a = e.n
-	for i, v := range storage {
-		if e.mark[v]>>markShift == e.epoch {
-			e.a = i
-			break
-		}
-		e.mark[v] = tag
-	}
-	// Pass 2: b = start of the longest all-distinct suffix.
-	e.epoch++
-	tag = e.epoch << markShift
-	e.b = 0
-	for i := e.n - 1; i >= 0; i-- {
-		v := storage[i]
-		if e.mark[v]>>markShift == e.epoch {
-			e.b = i + 1
-			break
-		}
-		e.mark[v] = tag
-	}
-	if e.b > e.a-1 {
-		return false
-	}
-	// Pass 3: last occurrence index of every node on the walk.
-	e.epoch++
-	tag = e.epoch << markShift
-	for i, v := range storage {
-		e.mark[v] = tag | uint64(i+1)
-	}
-	return true
-}
-
-// lastIdx returns the last occurrence of w in the analyzed walk, or -1.
-func (e *redundantExt) lastIdx(w int) int {
-	if e.mark[w]>>markShift != e.epoch {
-		return -1
-	}
-	return int(e.mark[w]&(1<<markShift-1)) - 1
-}
-
-// extendable reports whether appending w keeps the walk redundant.
-func (e *redundantExt) extendable(w int) bool {
-	last := e.lastIdx(w)
-	a := e.a
-	if e.a == e.n && last < 0 { // fully distinct walk, new node
-		a = e.n + 1
-	}
-	b := e.b
-	if last+1 > b {
-		b = last + 1
-	}
-	return b <= a-1
-}
-
-// acceptVal appends the message to M_v and updates every parallel
-// execution: Maximal-Consistency progress for threads whose exclusion set
-// the path avoids, and outstanding Completeness clauses everywhere. The
-// caller has recorded the path's digest in byPath; set is the path's nodes.
-func (m *Machine) acceptVal(rs *roundState, value float64, path graph.Path, set *graph.Set, out *sim.Outbox) {
-	e := int32(len(rs.vals))
-	init := path.Init()
-	rs.vals = append(rs.vals, value)
-	rs.keys = append(rs.keys, path.Key())
-	rs.sets = append(rs.sets, *set)
+// acceptVal adds the message on table entry e to M_v and updates every
+// parallel execution: Maximal-Consistency progress for threads whose
+// exclusion set the path avoids, and outstanding Completeness clauses
+// everywhere.
+func (m *Machine) acceptVal(rs *roundState, value float64, e int32, out *sim.Outbox) {
+	init, set := int(m.pre.paths.head[e]), &m.pre.paths.set[e]
+	rs.vals[e], rs.has[e] = value, true
 	rs.byInit[init] = append(rs.byInit[init], e)
-	rs.order.insert(rs.keys, e)
 
 	words := m.plan.words
 	for i := range rs.threads {
@@ -329,53 +206,47 @@ func (m *Machine) acceptVal(rs *roundState, value float64, path graph.Path, set 
 // this thread for the first time, so the node FIFO-floods
 // (M_v excluding F_v, COMPLETE(F_v)). The entries go out sorted by path key
 // so that equal message sets serialize identically: a filtered walk of the
-// round's key order.
+// table in rank order. missing just reached zero, so every entry avoiding
+// F_v has a value.
 func (m *Machine) fireMC(rs *roundState, t *threadState, out *sim.Outbox) {
 	t.mcFired = true
 	m.metrics.MCFires++
 
-	// Exactly the fullness set: missing just reached zero.
+	tbl := m.pre.paths
 	entries := make([]ValEntry, 0, t.pre.expectedCount)
 	words := m.plan.words
-	for _, e := range rs.order.sorted(rs.keys) {
-		if !intersects(&rs.sets[e], &t.pre.fv, words) {
-			entries = append(entries, ValEntry{Value: rs.vals[e], PathKey: rs.keys[e]})
+	for _, e := range tbl.byRank {
+		if !intersects(&tbl.set[e], &t.pre.fv, words) {
+			entries = append(entries, ValEntry{Value: rs.vals[e], PathKey: tbl.key[e]})
 		}
 	}
 
 	rs.outSeq++
-	self := graph.Path{m.id}
 	payload := CompletePayload{
 		Round:   rs.round,
 		Origin:  m.id,
 		Seq:     rs.outSeq,
 		Tag:     t.pre.fv,
 		Entries: entries,
-		Path:    self,
+		Path:    tbl.path[0],
 	}
 	out.Broadcast(payload)
 	// The node FIFO-receives its own flood through the trivial path <v>.
-	set := graph.SetOf(m.id)
-	m.registerComplete(rs, m.floodInfo(&payload), m.stream(rs, digestPath(self), &set))
+	m.registerComplete(rs, m.floodInfo(&payload), tbl.stream[0])
 }
 
-// stream returns the round's FIFO stream for the storage path with the
-// given digest and node set, creating it on first use.
-func (m *Machine) stream(rs *roundState, dig pathDigest, set *graph.Set) *fifoStream {
-	st, ok := rs.streams[dig]
-	if !ok {
-		st = &fifoStream{digest: dig, set: *set, next: 1}
-		rs.streams[dig] = st
-	}
-	return st
-}
-
-// deliverComplete validates, relays and FIFO-buffers one COMPLETE message.
+// deliverComplete admits, relays and FIFO-buffers one COMPLETE message.
 func (m *Machine) deliverComplete(p *CompletePayload, from int, out *sim.Outbox) {
 	if p.Round < 1 || p.Round > m.proto.Rounds || p.Seq < 1 {
 		return
 	}
-	if len(p.Path) == 0 || p.Path.Ter() != from || p.Path.Init() != p.Origin || !p.Path.ValidIn(m.proto.G) {
+	// FIFO floods use simple paths only (Appendix F), and the stream is
+	// keyed by (origin, path): the path alone, once it is known to begin at
+	// the origin.
+	tbl := m.pre.paths
+	e := tbl.resolve(p.Path, from)
+	if e < 0 || tbl.stream[e] < 0 || int(tbl.head[e]) != p.Origin {
+		m.metrics.PathDropped++
 		return
 	}
 	if p.Tag.Count() > m.proto.F || p.Tag.Has(p.Origin) {
@@ -388,29 +259,21 @@ func (m *Machine) deliverComplete(p *CompletePayload, from int, out *sim.Outbox)
 		m.metrics.SeqDropped++
 		return
 	}
-	storage := m.extend(p.Path)
-	var set graph.Set
-	for _, v := range storage {
-		if !addNode(&set, v) {
-			return // FIFO floods use simple paths only (Appendix F)
-		}
-	}
 	rs := m.round(p.Round)
-	// The stream is keyed by (origin, path); the path digest alone suffices
-	// because the path begins at the origin (validated above).
-	st := m.stream(rs, digestPath(storage), &set)
-	if p.Seq < st.next || (p.Seq <= len(st.buf) && st.buf[p.Seq-1] != nil) {
+	stream := tbl.stream[e]
+	st := &rs.streams[stream]
+	if p.Seq <= st.done || (p.Seq <= len(st.buf) && st.buf[p.Seq-1] != nil) {
 		return // first message per (origin, path, seq) wins
 	}
 	// Relay before FIFO reordering: forwarding is immediate, ordering is
-	// enforced receiver-side. As for VAL, one path copy and one boxed
-	// payload serve every relay.
+	// enforced receiver-side. As for VAL, the table's spelling of the path
+	// and one boxed payload serve every relay.
 	var relay transport.Payload
 	for _, w := range m.proto.G.Out(m.id) {
-		if !hasNode(&set, w) {
+		if !hasNode(&tbl.set[e], w) {
 			if relay == nil {
 				fwd := *p
-				fwd.Path = storage.Clone()
+				fwd.Path = tbl.path[e]
 				relay = fwd
 			}
 			out.Send(w, relay)
@@ -420,10 +283,10 @@ func (m *Machine) deliverComplete(p *CompletePayload, from int, out *sim.Outbox)
 		st.buf = append(st.buf, nil)
 	}
 	st.buf[p.Seq-1] = m.floodInfo(p)
-	for st.next <= len(st.buf) && st.buf[st.next-1] != nil {
-		info := st.buf[st.next-1]
-		st.next++
-		m.registerComplete(rs, info, st)
+	for st.done < len(st.buf) && st.buf[st.done] != nil {
+		info := st.buf[st.done]
+		st.done++
+		m.registerComplete(rs, info, stream)
 	}
 }
 
@@ -466,12 +329,13 @@ func (m *Machine) floodInfo(p *CompletePayload) *floodInfo {
 	return info
 }
 
-// registerComplete processes one FIFO-delivered COMPLETE: it records the
-// content, advances the FIFO-Receive-All condition of the thread whose
-// suspect set matches the tag, and — when that condition fires — snapshots
-// the qualifying COMPLETE messages for verification (Algorithm 1 lines
-// 12-13 and the Section 4.3 snapshot semantics).
-func (m *Machine) registerComplete(rs *roundState, info *floodInfo, st *fifoStream) {
+// registerComplete processes one COMPLETE FIFO-delivered on the numbered
+// stream: it records the content, advances the FIFO-Receive-All condition
+// of the thread whose suspect set matches the tag, and — when that
+// condition fires — snapshots the qualifying COMPLETE messages for
+// verification (Algorithm 1 lines 12-13 and the Section 4.3 snapshot
+// semantics).
+func (m *Machine) registerComplete(rs *roundState, info *floodInfo, stream int32) {
 	ci, ok := rs.contentIdx[info.key]
 	if !ok {
 		ci = int32(len(rs.contents))
@@ -479,7 +343,7 @@ func (m *Machine) registerComplete(rs *roundState, info *floodInfo, st *fifoStre
 		rs.contents = append(rs.contents, contentRecord{info: info})
 	}
 	rec := &rs.contents[ci]
-	rec.via = append(rec.via, st)
+	rec.via = append(rec.via, stream)
 
 	if info.tagIdx < 0 {
 		return
@@ -496,8 +360,8 @@ func (m *Machine) registerComplete(rs *roundState, info *floodInfo, st *fifoStre
 	if r < 0 {
 		return // origin outside reach_v(F_v); not part of the condition
 	}
-	num, need := t.pre.required[st.digest]
-	if !need {
+	num := t.pre.required[stream]
+	if num < 0 {
 		return
 	}
 	o := &t.origins[r]
@@ -534,15 +398,15 @@ func (m *Machine) registerComplete(rs *roundState, info *floodInfo, st *fifoStre
 // (S, q, want) obligation.
 func (m *Machine) buildSnapshot(rs *roundState, t *threadState) {
 	t.clauseByInit = make([][]*clause, m.proto.G.N())
-	words := m.plan.words
+	tbl, words := m.pre.paths, m.plan.words
 	for ci := range rs.contents {
 		rec := &rs.contents[ci]
 		if !rec.info.consistent {
 			continue
 		}
 		qualifies := false
-		for _, st := range rec.via {
-			if within(&st.set, &t.pre.reach, words) {
+		for _, stream := range rec.via {
+			if within(&tbl.set[tbl.simples[stream]], &t.pre.reach, words) {
 				qualifies = true
 				break
 			}
@@ -591,7 +455,7 @@ func (m *Machine) sharedClause(rs *roundState, t *threadState, c planClause, wan
 	}
 	for _, e := range rs.byInit[c.q] {
 		if rs.vals[e] == want {
-			cl.addPath(&rs.sets[e])
+			cl.addPath(&m.pre.paths.set[e])
 			if cl.satisfied {
 				break
 			}
@@ -657,14 +521,18 @@ func (m *Machine) tryAdvance(out *sim.Outbox) {
 // extremes. The node's own trivial-path message admits no cover (a node
 // never suspects itself), so the trimmed vector is always nonempty.
 func (m *Machine) filterAndAverage(rs *roundState) float64 {
-	// Ties in value are broken by path key: an entry's position in the
-	// round's key order stands in for comparing the strings.
-	byKey := rs.order.sorted(rs.keys)
-	rank := make([]int32, len(byKey))
-	for pos, e := range byKey {
-		rank[e] = int32(pos)
+	// Ties in value are broken by path key: the entry's rank in the table
+	// stands in for comparing the strings. Starting from rank order leaves
+	// the sort little to do: it groups the entries by initial node, and an
+	// honest initial node sent one value.
+	tbl := m.pre.paths
+	order := make([]int32, 0, len(tbl.byRank))
+	for _, e := range tbl.byRank {
+		if rs.has[e] {
+			order = append(order, e)
+		}
 	}
-	order := slices.Clone(byKey)
+	rank := tbl.rank
 	slices.SortFunc(order, func(a, b int32) int {
 		if va, vb := rs.vals[a], rs.vals[b]; va != vb {
 			if va < vb {
@@ -674,9 +542,9 @@ func (m *Machine) filterAndAverage(rs *roundState) float64 {
 		}
 		return int(rank[a] - rank[b])
 	})
-	lo := m.coverablePrefix(rs, order)
+	lo := m.coverablePrefix(tbl.set, order)
 	slices.Reverse(order)
-	hi := m.coverablePrefix(rs, order)
+	hi := m.coverablePrefix(tbl.set, order)
 	if lo+hi >= len(order) {
 		// Unreachable when the node's own message is present; defensive.
 		m.metrics.TrimAnomalies++
@@ -688,15 +556,15 @@ func (m *Machine) filterAndAverage(rs *roundState) float64 {
 	return (low + high) / 2
 }
 
-// coverablePrefix returns the largest k such that the paths of the first k
-// entries of order admit an f-cover that excludes the local node (lines 2–3
-// of Algorithm 3). Covering only gets harder as paths are added, so k is
-// where the incremental cover filter of a clause over V \ {v} first runs
-// out of candidates.
-func (m *Machine) coverablePrefix(rs *roundState, order []int32) int {
+// coverablePrefix returns the largest k such that the node sets of the
+// first k entries of order admit an f-cover that excludes the local node
+// (lines 2–3 of Algorithm 3). Covering only gets harder as paths are added,
+// so k is where the incremental cover filter of a clause over V \ {v} first
+// runs out of candidates.
+func (m *Machine) coverablePrefix(sets []graph.Set, order []int32) int {
 	cl := clause{f: m.proto.F, allowed: m.proto.G.Nodes().Remove(m.id)}
 	for k, e := range order {
-		cl.addPath(&rs.sets[e])
+		cl.addPath(&sets[e])
 		if cl.satisfied {
 			return k
 		}

@@ -151,13 +151,13 @@ func (p *Proto) tagIndex(tag *graph.Set) int32 {
 
 // nodePre is the full static context of one node's machine.
 type nodePre struct {
+	// paths names every path a message can reach the node along; the
+	// threads' tables and the round state are laid out over its entries.
+	paths   *pathTable
 	threads []*threadPre
 	// threadOf maps a fault-set index to the position in threads of the
 	// thread suspecting it, -1 for sets containing the node itself.
 	threadOf []int32
-	// simplePaths counts the simple paths of G ending at the node, trivial
-	// path included: the FIFO streams a round can ever hold.
-	simplePaths int
 }
 
 // threadPre is the per-(node, suspect set) static context: the reach set,
@@ -167,20 +167,18 @@ type threadPre struct {
 	fv    graph.Set
 	reach graph.Set
 	// expectedCount is the size of the fullness set
-	// {p ∈ Pr_{V\Fv} : ter(p) = v} of Definition 9. Only the count is
-	// needed at run time: every accepted entry is a redundant path of G
-	// ending at v, so it belongs to the set exactly when it avoids F_v —
-	// membership never has to be tested, and the paths are counted without
-	// being materialized (graph.CountRedundantPathsTo), which is what keeps
-	// the precomputation feasible on the scale experiments' graphs.
+	// {p ∈ Pr_{V\Fv} : ter(p) = v} of Definition 9: the table entries that
+	// avoid F_v. Only the count is needed at run time: an accepted entry
+	// belongs to the set exactly when it avoids F_v.
 	expectedCount int
 	// required numbers, per origin c, the simple (c,v)-paths contained in
-	// reach_v(Fv) 0..k-1, keyed by path digest (Algorithm 1 line 12); a
-	// digest determines its origin, so one map serves the whole thread.
+	// reach_v(Fv) 0..k-1 (Algorithm 1 line 12), by the path's stream number
+	// in the table, -1 for a stream that leaves the reach set; a stream
+	// determines its origin, so one column serves the whole thread.
 	// need[i] is k for the i-th member of reach in ascending order — the
 	// rank every per-origin table of this thread's round state is indexed
 	// by — and origins counts the members with k > 0.
-	required map[pathDigest]uint32
+	required []int32
 	need     []uint32
 	origins  int
 }
@@ -194,37 +192,36 @@ func (p *Proto) nodePre(v int) (*nodePre, error) {
 }
 
 func (p *Proto) precompute(v int) (*nodePre, error) {
-	pre := &nodePre{threadOf: make([]int32, len(p.FaultSets))}
+	paths, err := buildPathTable(p.G, v, p.PathBudget)
+	if err != nil {
+		return nil, fmt.Errorf("bw: node %d: %w", v, err)
+	}
+	pre := &nodePre{paths: paths, threadOf: make([]int32, len(p.FaultSets))}
+	words := p.plan.words
 	for i, fv := range p.FaultSets {
 		if fv.Has(v) {
 			pre.threadOf[i] = -1
 			continue
 		}
-		t := &threadPre{fv: fv, reach: p.G.ReachSet(v, fv)}
-		count, err := p.G.CountRedundantPathsTo(v, fv, p.PathBudget)
-		if err != nil {
-			return nil, fmt.Errorf("bw: node %d, thread %s: %w", v, fv, err)
-		}
-		t.expectedCount = count
-		// All simple paths ending at v whose nodes lie inside the reach
-		// set; grouped by initial node they realize line 12's requirement.
-		outside := p.G.Nodes().Minus(t.reach)
-		simple, err := p.G.SimplePathsTo(v, outside, p.PathBudget)
-		if err != nil {
-			return nil, fmt.Errorf("bw: node %d, thread %s simple paths: %w", v, fv, err)
-		}
-		t.required = make(map[pathDigest]uint32, len(simple))
-		t.need = make([]uint32, t.reach.Count())
-		for _, sp := range simple {
-			r := rankIn(&t.reach, sp.Init())
-			if t.need[r] == 0 {
-				t.origins++
+		t := &threadPre{fv: fv, reach: p.G.ReachSet(v, fv), required: make([]int32, len(paths.simples))}
+		for e := range paths.set {
+			if !intersects(&paths.set[e], &t.fv, words) {
+				t.expectedCount++
 			}
-			t.required[digestPath(sp)] = t.need[r]
-			t.need[r]++
 		}
-		if fv.Empty() {
-			pre.simplePaths = len(simple)
+		// The simple paths ending at v whose nodes lie inside the reach
+		// set; grouped by initial node they realize line 12's requirement.
+		t.need = make([]uint32, t.reach.Count())
+		for s, e := range paths.simples {
+			t.required[s] = -1
+			if within(&paths.set[e], &t.reach, words) {
+				r := rankIn(&t.reach, int(paths.head[e]))
+				if t.need[r] == 0 {
+					t.origins++
+				}
+				t.required[s] = int32(t.need[r])
+				t.need[r]++
+			}
 		}
 		pre.threadOf[i] = int32(len(pre.threads))
 		pre.threads = append(pre.threads, t)

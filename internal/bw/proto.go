@@ -98,26 +98,3 @@ func NewProto(g *graph.Graph, f int, k, eps float64, pathBudget int) (*Proto, er
 	})
 	return p, nil
 }
-
-// pathDigest is a 128-bit FNV-1a pair over a path's node sequence. The
-// FIFO-requirement and stream tables are keyed by digest instead of the
-// materialized key string: at the scale experiments' graph orders the key
-// strings alone run to gigabytes, while a digest is 16 bytes per path. A
-// collision would require two distinct propagation paths hashing
-// identically under both variants — negligible at simulation scale (the
-// same argument contentKey already relies on).
-type pathDigest [2]uint64
-
-// digestPath hashes the path's Key byte encoding without building it.
-func digestPath(p graph.Path) pathDigest {
-	const prime64 = 1099511628211
-	h1 := uint64(14695981039346656037)
-	h2 := h1 ^ 0x9e3779b97f4a7c15
-	for _, v := range p {
-		for _, b := range [2]byte{byte(v >> 8), byte(v)} {
-			h1 = (h1 ^ uint64(b)) * prime64
-			h2 = (h2 ^ uint64(b^0xa5)) * prime64
-		}
-	}
-	return pathDigest{h1, h2}
-}

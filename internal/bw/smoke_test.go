@@ -18,12 +18,13 @@ func runHonest(t *testing.T, g *graph.Graph, f int, inputs []float64, k, eps flo
 		t.Fatalf("NewProto: %v", err)
 	}
 	handlers := make([]sim.Handler, g.N())
+	machines := make([]*bw.Machine, g.N())
 	for i := 0; i < g.N(); i++ {
 		m, err := bw.NewMachine(proto, i, inputs[i])
 		if err != nil {
 			t.Fatalf("NewMachine(%d): %v", i, err)
 		}
-		handlers[i] = m
+		handlers[i], machines[i] = m, m
 	}
 	r, err := sim.New(sim.Config{Graph: g, Policy: transport.NewRandomPolicy(seed)}, handlers)
 	if err != nil {
@@ -37,6 +38,11 @@ func runHonest(t *testing.T, g *graph.Graph, f int, inputs []float64, k, eps flo
 		t.Fatalf("not all nodes produced output; steps=%d sent=%d", r.Steps(), r.Stats().Sent)
 	}
 	t.Logf("graph=%s steps=%d sent=%d outputs=%v", g, r.Steps(), r.Stats().Sent, outs)
+	for i, m := range machines {
+		if snap := m.Snapshot(); snap.PathDropped != 0 || snap.SeqDropped != 0 {
+			t.Errorf("node %d: an honest run dropped %d paths and %d sequence numbers", i, snap.PathDropped, snap.SeqDropped)
+		}
+	}
 	return outs
 }
 

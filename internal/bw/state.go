@@ -134,83 +134,20 @@ func (t *threadState) verified() bool {
 // fifoStream reorders COMPLETE messages per (origin, propagation path) so
 // that a message with sequence number k is processed only after sequence
 // numbers 1..k-1 arrived through the same path (Appendix F's FIFO-Receive).
-// buf[k-1] parks message k until then; the receiver caps k at the plan's
-// seqCap, so buf never grows past it.
+// done counts the messages processed in order; buf[k-1] parks message k
+// until its turn. The receiver caps k at the plan's seqCap, so buf never
+// grows past it.
 type fifoStream struct {
-	digest pathDigest // of the storage path: wire path extended with the local node
-	set    graph.Set  // the storage path's nodes
-	next   int
-	buf    []*floodInfo
+	done int
+	buf  []*floodInfo
 }
 
 // contentRecord is the per-receiver state of one distinct COMPLETE content:
-// the shared flood summary plus the streams it has been FIFO-received
-// through so far at this node.
+// the shared flood summary plus the streams, by number, it has been
+// FIFO-received through so far at this node.
 type contentRecord struct {
 	info *floodInfo
-	via  []*fifoStream
-}
-
-// keyOrder keeps M_v's entry indices in path-key order without sorting:
-// an accepted entry is binary-inserted into a short tail, and the tail is
-// merged into the main run when it fills or when a reader wants the whole
-// order. Every COMPLETE a round floods and its Filter-and-Average tie-break
-// read this one index.
-type keyOrder struct {
-	run  []int32
-	tail []int32
-}
-
-// keyOrderTail bounds the tail: an insert moves at most this many indices,
-// and a merge moves the run once per this many inserts.
-const keyOrderTail = 64
-
-// searchKeys returns where key belongs among idx, entries in key order all
-// distinct from it.
-func searchKeys(idx []int32, keys []string, key string) int {
-	lo, hi := 0, len(idx)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if keys[idx[mid]] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-func (o *keyOrder) insert(keys []string, e int32) {
-	pos := searchKeys(o.tail, keys, keys[e])
-	o.tail = append(o.tail, 0)
-	copy(o.tail[pos+1:], o.tail[pos:])
-	o.tail[pos] = e
-	if len(o.tail) == keyOrderTail {
-		o.merge(keys)
-	}
-}
-
-// merge folds the tail into the run in place, back to front: each tail
-// element shifts the block of run elements above it by the number of tail
-// elements at or below it.
-func (o *keyOrder) merge(keys []string) {
-	end := len(o.run)
-	o.run = append(o.run, o.tail...)
-	for j := len(o.tail) - 1; j >= 0; j-- {
-		pos := searchKeys(o.run[:end], keys, keys[o.tail[j]])
-		copy(o.run[pos+j+1:], o.run[pos:end])
-		o.run[pos+j] = o.tail[j]
-		end = pos
-	}
-	o.tail = o.tail[:0]
-}
-
-// sorted returns every inserted index in key order.
-func (o *keyOrder) sorted(keys []string) []int32 {
-	if len(o.tail) > 0 {
-		o.merge(keys)
-	}
-	return o.run
+	via  []int32
 }
 
 // roundState holds everything node v tracks for one asynchronous round r:
@@ -221,25 +158,21 @@ type roundState struct {
 	started bool
 	x       float64 // x_v[r], the state value flooded this round
 
-	// M_v is an append-only arena, one column per attribute of an accepted
-	// (value, path) message; everything else refers to an entry by index.
-	// Append-only because the paper's shared M_v only grows, which is what
-	// makes the Maximal-Consistency "first time" latch and the monotone
-	// Completeness condition sound. The path survives as its key string
-	// alone: that is the form COMPLETE entries carry on the wire.
-	vals []float64
-	keys []string
-	sets []graph.Set
-	// byPath holds the digest of every stored path (first message per path
-	// wins); byInit lists entry indices per initial node; order is the
-	// path-key order.
-	byPath map[pathDigest]struct{}
+	// M_v is a partial map from the node's path table to values: has marks
+	// the entries a message was accepted on (first message per path wins,
+	// Algorithm 4 line 3) and vals holds what it carried. It only grows, as
+	// the paper's shared M_v does, which is what makes the
+	// Maximal-Consistency "first time" latch and the monotone Completeness
+	// condition sound. byInit lists the accepted entries per initial node.
+	vals   []float64
+	has    []bool
 	byInit [][]int32
-	order  keyOrder
 
 	threads []threadState
 
-	streams map[pathDigest]*fifoStream
+	// streams holds one FIFO stream per simple path ending here, by the
+	// table's stream number.
+	streams []fifoStream
 	// contents interns each distinct COMPLETE content FIFO-received this
 	// round, in arrival order; contentIdx finds one by content key.
 	contents   []contentRecord
@@ -249,24 +182,19 @@ type roundState struct {
 	advanced bool // the nextround latch (lines 16-18)
 }
 
-// newRoundState sizes the round's tables from the plan: M_v for the
-// ∅-thread's fullness set (every redundant path of G ending here — no
-// round can accept more), each thread's origin table for its reach set.
+// newRoundState sizes the round's tables from the plan: M_v and the streams
+// for the node's path table — no round can accept a path outside it — and
+// each thread's origin table for its reach set.
 func newRoundState(r, n int, pre *nodePre) *roundState {
-	full := pre.threads[0].expectedCount
 	rs := &roundState{
 		round:      r,
-		vals:       make([]float64, 0, full),
-		keys:       make([]string, 0, full),
-		sets:       make([]graph.Set, 0, full),
-		byPath:     make(map[pathDigest]struct{}, full),
+		vals:       make([]float64, len(pre.paths.head)),
+		has:        make([]bool, len(pre.paths.head)),
 		byInit:     make([][]int32, n),
-		streams:    make(map[pathDigest]*fifoStream),
+		streams:    make([]fifoStream, len(pre.paths.simples)),
 		contentIdx: make(map[contentKey]int32),
 		threads:    make([]threadState, len(pre.threads)),
 	}
-	rs.order.run = make([]int32, 0, full)
-	rs.order.tail = make([]int32, 0, keyOrderTail)
 	for i, tp := range pre.threads {
 		rs.threads[i] = threadState{
 			pre:     tp,

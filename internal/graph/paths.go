@@ -255,68 +255,105 @@ func (g *Graph) RedundantPathsTo(v int, excl Set, budget int) (map[string]struct
 	return out, nil
 }
 
-// CountRedundantPathsTo returns the number of distinct redundant paths
-// ending at v avoiding excl, or ErrPathBudget if it exceeds budget
-// (budget <= 0 means unlimited).
+// RedundantWalk is the visitor's view of one path of WalkRedundantPathsTo.
+type RedundantWalk struct {
+	// ID numbers the visits in order from 0, the trivial path <v>; Suffix
+	// is the ID of the path without its first vertex, -1 for <v>.
+	ID, Suffix int32
+	Head, Len  int  // the first vertex; how many the path has
+	Simple     bool // no vertex repeats
+
+	// The reversed walk r (from v, grown by appending in-neighbors):
+	// n = len(r); a = length of its longest all-distinct prefix (== n while
+	// the walk is fully distinct, frozen at the first repeat); b = start of
+	// its longest all-distinct suffix; first and last hold each vertex's
+	// first and last occurrence depth + 1 (0 = absent). r is redundant iff
+	// b <= a-1 (Path.IsRedundant).
+	n, a, b     int
+	first, last []int32
+}
+
+// ExtendsBy reports whether the visited path with x appended is still
+// redundant — the forward reading of the reversed-walk state: the path's
+// longest all-distinct prefix has n-b vertices, its longest all-distinct
+// suffix starts at n-a, and x last occurs at n-first[x].
+func (w *RedundantWalk) ExtendsBy(x int) bool {
+	a, b := w.n-w.b, w.n-w.a
+	if f := int(w.first[x]); f == 0 {
+		if a == w.n {
+			a++
+		}
+	} else if w.n-f+1 > b {
+		b = w.n - f + 1
+	}
+	return b <= a-1
+}
+
+// WalkRedundantPathsTo visits every distinct redundant path ending at v
+// that avoids excl — the set {p in Pr_{V\excl} : ter(p) = v} of Definition
+// 9 — once each, a path after its suffixes, and returns how many there are,
+// or ErrPathBudget if more than budget (budget <= 0 means unlimited). The
+// visitor's argument is valid during the call only.
 //
-// Unlike RedundantPathsTo it never materializes the paths: it walks the
-// reversed graph depth-first from v, extending one node at a time with the
-// O(1) redundancy test. This works because the reverse of a redundant path
-// is redundant (reversing a concatenation of two simple paths yields
-// another), and redundant walks are closed under taking suffixes, so a
-// failed extension prunes the whole subtree exactly. Each distinct walk is
-// visited once, making the count exact in O(degree) per path — the form the
-// BW fullness precomputation uses at scale, where building every key string
-// would cost gigabytes.
-func (g *Graph) CountRedundantPathsTo(v int, excl Set, budget int) (int, error) {
+// It never materializes a path: it walks the reversed graph depth-first
+// from v, extending one node at a time with the O(1) redundancy test. This
+// works because the reverse of a redundant path is redundant (reversing a
+// concatenation of two simple paths yields another), and redundant walks
+// are closed under taking suffixes, so a failed extension prunes the whole
+// subtree exactly. Each visit costs O(in-degree) — the form BW's path table
+// is built in at scale, where spelling every path out would cost gigabytes.
+func (g *Graph) WalkRedundantPathsTo(v int, excl Set, budget int, visit func(*RedundantWalk)) (int, error) {
 	if excl.Has(v) {
 		return 0, nil
 	}
-	// State of the reversed walk r (grown by appending in-neighbors):
-	// n = len(r); a = length of the longest all-distinct prefix (== n while
-	// the walk is fully distinct, frozen at the first repeat); b = start of
-	// the longest all-distinct suffix. r is redundant iff b <= a-1 — the
-	// same invariant analyzeRedundant maintains on the forward walk.
-	var lastIdx [MaxNodes]int32 // node -> last occurrence depth + 1 (0 = absent)
+	w := &RedundantWalk{n: 1, a: 1, first: make([]int32, g.n), last: make([]int32, g.n)}
+	w.first[v], w.last[v] = 1, 1
 	count := 0
-	n, a, b := 1, 1, 0
-	lastIdx[v] = 1
-	var rec func(front int) error
-	rec = func(front int) error {
-		count++
-		if budget > 0 && count > budget {
+	var rec func(front int, suffix int32) error
+	rec = func(front int, suffix int32) error {
+		if budget > 0 && count >= budget {
 			return ErrPathBudget
 		}
-		var err error
-		g.inMask[front].ForEach(func(w int) bool {
-			if excl.Has(w) {
-				return true
+		id := int32(count)
+		count++
+		w.ID, w.Suffix, w.Head, w.Len, w.Simple = id, suffix, front, w.n, w.a == w.n
+		visit(w)
+		for _, u := range g.in[front] {
+			if excl.Has(u) {
+				continue
 			}
-			na := a
-			if a == n && lastIdx[w] == 0 {
-				na = n + 1
+			na := w.a
+			if w.a == w.n && w.last[u] == 0 {
+				na = w.n + 1
 			}
-			nb := b
-			if int(lastIdx[w]) > nb {
-				nb = int(lastIdx[w])
-			}
+			nb := max(w.b, int(w.last[u]))
 			if nb > na-1 {
-				return true // not redundant; no extension can be either
+				continue // not redundant; no extension can be either
 			}
-			savedA, savedB, savedLast := a, b, lastIdx[w]
-			n++
-			a, b = na, nb
-			lastIdx[w] = int32(n)
-			err = rec(w)
-			lastIdx[w] = savedLast
-			a, b = savedA, savedB
-			n--
-			return err == nil
-		})
-		return err
+			a, b, first, last := w.a, w.b, w.first[u], w.last[u]
+			w.n++
+			w.a, w.b, w.last[u] = na, nb, int32(w.n)
+			if first == 0 {
+				w.first[u] = int32(w.n)
+			}
+			err := rec(u, id)
+			w.n--
+			w.a, w.b, w.first[u], w.last[u] = a, b, first, last
+			if err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	if err := rec(v); err != nil {
+	if err := rec(v, -1); err != nil {
 		return 0, err
 	}
 	return count, nil
+}
+
+// CountRedundantPathsTo returns the number of distinct redundant paths
+// ending at v avoiding excl, or ErrPathBudget if it exceeds budget
+// (budget <= 0 means unlimited).
+func (g *Graph) CountRedundantPathsTo(v int, excl Set, budget int) (int, error) {
+	return g.WalkRedundantPathsTo(v, excl, budget, func(*RedundantWalk) {})
 }

@@ -305,3 +305,57 @@ func TestCountRedundantMatchesEnumeration(t *testing.T) {
 		t.Errorf("want ErrPathBudget, got %v", err)
 	}
 }
+
+// TestWalkRedundantPathsTo holds the visitor's view to the definitions: the
+// paths spelled out from (Head, Suffix) are exactly the enumeration's, each
+// once and after its suffix, Simple is IsSimple, and ExtendsBy is
+// IsRedundant of the appended path for every vertex of the graph.
+func TestWalkRedundantPathsTo(t *testing.T) {
+	graphs := []*Graph{
+		DirectedCycle(5),
+		Clique(4),
+		Wheel(4),
+		Fig1a(),
+		Circulant(6, 1, 2),
+		RandomDigraph(6, 0.4, 11),
+		RandomDigraph(7, 0.3, 5),
+	}
+	for gi, g := range graphs {
+		for v := 0; v < g.N(); v++ {
+			for _, excl := range []Set{EmptySet, SetOf((v + 1) % g.N())} {
+				want, err := g.RedundantPathsTo(v, excl, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var paths []Path
+				got := make(map[string]struct{})
+				count, err := g.WalkRedundantPathsTo(v, excl, 0, func(w *RedundantWalk) {
+					if int(w.ID) != len(paths) || w.Suffix >= w.ID {
+						t.Fatalf("graph %d v=%d: visit %d numbered %d with suffix %d", gi, v, len(paths), w.ID, w.Suffix)
+					}
+					p := Path{w.Head}
+					if w.Suffix >= 0 {
+						p = append(p, paths[w.Suffix]...)
+					}
+					paths = append(paths, p)
+					got[p.Key()] = struct{}{}
+					if w.Simple != p.IsSimple() {
+						t.Errorf("graph %d: %v Simple = %v", gi, p, w.Simple)
+					}
+					for x := 0; x < g.N(); x++ {
+						if w.ExtendsBy(x) != p.Append(x).IsRedundant() {
+							t.Errorf("graph %d: %v ExtendsBy(%d) = %v", gi, p, x, w.ExtendsBy(x))
+						}
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if count != len(paths) || !reflect.DeepEqual(keysSorted(got), keysSorted(want)) {
+					t.Errorf("graph %d (%s), v=%d excl=%s: %d visits of %d distinct paths, enumeration has %d",
+						gi, g.Name(), v, excl, count, len(got), len(want))
+				}
+			}
+		}
+	}
+}
