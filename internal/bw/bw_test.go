@@ -1,6 +1,8 @@
 package bw
 
 import (
+	"encoding/binary"
+	"math"
 	"reflect"
 	"testing"
 
@@ -222,6 +224,17 @@ func TestContentKeyCanonical(t *testing.T) {
 	d.Tag = graph.SetOf(3)
 	if a.contentKey() == d.contentKey() {
 		t.Error("content key ignores tag")
+	}
+
+	// A key is any byte string at the door: one entry whose key spells a
+	// first entry's key, value and the second key must not stand for both.
+	k1, k2 := graph.Path{2, 0}.Key(), graph.Path{4, 0}.Key()
+	two := CompletePayload{Origin: 0, Entries: []ValEntry{{Value: 3.5, PathKey: k1}, {Value: 1.25, PathKey: k2}}}
+	spliced := []byte(k1 + "\xff")
+	spliced = binary.LittleEndian.AppendUint64(spliced, math.Float64bits(3.5))
+	one := CompletePayload{Origin: 0, Entries: []ValEntry{{Value: 1.25, PathKey: string(spliced) + k2}}}
+	if two.contentKey() == one.contentKey() {
+		t.Error("a spliced key gives one entry the content key of two")
 	}
 }
 

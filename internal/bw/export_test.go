@@ -1,6 +1,32 @@
 package bw
 
-import "hash/fnv"
+import (
+	"hash/fnv"
+	"math"
+)
+
+// RoundClauses counts the Completeness clauses m's rounds hold and, round
+// by round, the distinct (S, q, want) obligations among them.
+func RoundClauses(m *Machine) (clauses, obligations int) {
+	type obligation struct {
+		comp, q int32
+		want    uint64
+	}
+	for _, rs := range m.rounds {
+		if rs == nil {
+			continue
+		}
+		distinct := make(map[obligation]bool)
+		for q, list := range rs.clauseByInit {
+			for _, cl := range list {
+				clauses++
+				distinct[obligation{cl.comp, int32(q), math.Float64bits(cl.want)}] = true
+			}
+		}
+		obligations += len(distinct)
+	}
+	return clauses, obligations
+}
 
 // PathTableChecksum hashes every spelled-out path and key of the path
 // tables p has built so far, node by node and entry by entry.

@@ -146,6 +146,42 @@ func TestBWFig1bAnalog(t *testing.T) {
 	t.Logf("fig1b-analog: outputs=%v messages=%d", outs, r.Stats().Sent)
 }
 
+// TestClausesSharedPerRound: the parallel executions of a round read one
+// M_v, so a Completeness obligation (S, q, want) is one clause per round,
+// however many threads' snapshots impose it. After a run every round holds
+// exactly one clause per distinct obligation, and the run creates the
+// recorded number of clauses — the number of distinct obligations per
+// round, summed; with a clause per thread the same runs created 7 492,
+// 1 090 and 25 600.
+func TestClausesSharedPerRound(t *testing.T) {
+	cases := []struct {
+		g       *graph.Graph
+		inputs  []float64
+		k, eps  float64
+		seed    int64
+		clauses int
+	}{
+		{graph.Fig1a(), []float64{0.1, 3.9, 1.3, 2.7, 0.6}, 4, 0.1, 1, 1500},
+		{graph.Clique(4), []float64{0, 1, 2, 3}, 3, 0.5, 0, 288},
+		{graph.Fig1bAnalog(), []float64{0, 0.5, 1, 0.25, 0.75, 1, 0, 0.5}, 1, 0.5, 41, 3200},
+	}
+	for _, tc := range cases {
+		handlers, machines := buildMachines(t, tc.g, 1, tc.inputs, tc.k, tc.eps)
+		execute(t, tc.g, handlers, transport.NewRandomPolicy(tc.seed))
+		total := 0
+		for v, m := range machines {
+			clauses, obligations := bw.RoundClauses(m)
+			if clauses != obligations {
+				t.Errorf("%s vertex %d: %d clauses for %d distinct obligations", tc.g, v, clauses, obligations)
+			}
+			total += clauses
+		}
+		if total != tc.clauses {
+			t.Errorf("%s: the run created %d clauses, want %d", tc.g, total, tc.clauses)
+		}
+	}
+}
+
 // TestBWMetrics sanity-checks the observability counters.
 func TestBWMetrics(t *testing.T) {
 	g := graph.Clique(4)

@@ -3,6 +3,7 @@ package bw
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -14,7 +15,10 @@ import (
 // TestClauseAddPathMatchesCoverSearch cross-validates the incremental
 // viable-cover clause evaluation against the exact hitting-set search it
 // replaced: after any sequence of paths, the clause is satisfied iff the
-// path set has no f-cover inside allowed.
+// path set has no f-cover inside allowed. Fed the same paths again in any
+// order, with repeats, a clause ends in the same state — satisfied, and the
+// same viable candidates, those hitting every path — which is what lets
+// one clause per round serve every thread whatever its snapshot time.
 func TestClauseAddPathMatchesCoverSearch(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -24,7 +28,8 @@ func TestClauseAddPathMatchesCoverSearch(t *testing.T) {
 		for k := 0; k < rng.Intn(3); k++ {
 			allowed = allowed.Remove(rng.Intn(n))
 		}
-		cl := &clause{f: fBound, allowed: allowed}
+		covers := candidateCovers(allowed, fBound)
+		cl := &clause{}
 		var paths []graph.Set
 		for step := 0; step < 8; step++ {
 			var p graph.Set
@@ -32,11 +37,41 @@ func TestClauseAddPathMatchesCoverSearch(t *testing.T) {
 				p = p.Add(rng.Intn(n))
 			}
 			paths = append(paths, p)
-			cl.addPath(&p)
+			cl.addPath(covers, &p)
 			want := !cond.HasFCover(paths, fBound, allowed)
 			if cl.satisfied != want {
 				t.Logf("seed=%d step=%d paths=%v f=%d allowed=%s: incremental=%v exact=%v",
 					seed, step, paths, fBound, allowed, cl.satisfied, want)
+				return false
+			}
+		}
+		// The one-shot search: the candidates hitting every path.
+		var hitting []int32
+		for i := range covers {
+			hitsAll := true
+			for j := range paths {
+				hitsAll = hitsAll && intersects(&covers[i], &paths[j], len(paths[j]))
+			}
+			if hitsAll {
+				hitting = append(hitting, int32(i))
+			}
+		}
+		if !slices.Equal(cl.viable, hitting) {
+			t.Logf("seed=%d paths=%v f=%d allowed=%s: viable %v, hitting every path %v", seed, paths, fBound, allowed, cl.viable, hitting)
+			return false
+		}
+		for trial := 0; trial < 4; trial++ {
+			fed := slices.Clone(paths)
+			for k := rng.Intn(len(paths)); k > 0; k-- {
+				fed = append(fed, paths[rng.Intn(len(paths))])
+			}
+			rng.Shuffle(len(fed), func(i, j int) { fed[i], fed[j] = fed[j], fed[i] })
+			again := &clause{}
+			for i := range fed {
+				again.addPath(covers, &fed[i])
+			}
+			if again.satisfied != cl.satisfied || !slices.Equal(again.viable, hitting) {
+				t.Logf("seed=%d fed=%v: satisfied %v viable %v, in path order %v %v", seed, fed, again.satisfied, again.viable, cl.satisfied, hitting)
 				return false
 			}
 		}
@@ -50,13 +85,13 @@ func TestClauseAddPathMatchesCoverSearch(t *testing.T) {
 // TestClauseAddPathLatched: once satisfied, further paths cannot
 // unsatisfy a clause (monotonicity the algorithm relies on).
 func TestClauseAddPathLatched(t *testing.T) {
-	cl := &clause{f: 1, allowed: graph.SetOf(0, 1)}
+	cl, covers := &clause{}, candidateCovers(graph.SetOf(0, 1), 1)
 	two, zero := graph.SetOf(2), graph.SetOf(0)
-	cl.addPath(&two) // no candidate can hit {2}
+	cl.addPath(covers, &two) // no candidate can hit {2}
 	if !cl.satisfied {
 		t.Fatal("clause should be satisfied")
 	}
-	cl.addPath(&zero)
+	cl.addPath(covers, &zero)
 	if !cl.satisfied {
 		t.Fatal("satisfaction must latch")
 	}

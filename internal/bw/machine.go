@@ -24,6 +24,9 @@ type Machine struct {
 	// rounds[r] is round r's state, nil until its first message; slot 0 is
 	// unused.
 	rounds []*roundState
+	// coverLists[c+1] are the candidate covers of component c's clauses,
+	// coverLists[0] Filter-and-Average's; see covers.
+	coverLists [][]graph.Set
 
 	output float64
 	done   bool
@@ -64,12 +67,13 @@ func NewMachine(p *Proto, id int, input float64) (*Machine, error) {
 		return nil, err
 	}
 	return &Machine{
-		proto:  p,
-		plan:   p.plan,
-		pre:    pre,
-		id:     id,
-		input:  input,
-		rounds: make([]*roundState, p.Rounds+1),
+		proto:      p,
+		plan:       p.plan,
+		pre:        pre,
+		id:         id,
+		input:      input,
+		rounds:     make([]*roundState, p.Rounds+1),
+		coverLists: make([][]graph.Set, len(p.plan.comps)+1),
 	}, nil
 }
 
@@ -160,14 +164,28 @@ func (m *Machine) deliverVal(p *ValPayload, from int, out *sim.Outbox) {
 	m.acceptVal(rs, p.Value, e, out)
 }
 
-// acceptVal adds the message on table entry e to M_v and updates every
-// parallel execution: Maximal-Consistency progress for threads whose
-// exclusion set the path avoids, and outstanding Completeness clauses
-// everywhere.
+// acceptVal adds the message on table entry e to M_v and updates the
+// round's outstanding Completeness clauses and the Maximal-Consistency
+// progress of every thread whose exclusion set the path avoids.
 func (m *Machine) acceptVal(rs *roundState, value float64, e int32, out *sim.Outbox) {
 	init, set := int(m.pre.paths.head[e]), &m.pre.paths.set[e]
 	rs.vals[e], rs.has[e] = value, true
 	rs.byInit[init] = append(rs.byInit[init], e)
+
+	// The round's clauses are fed once, whichever threads subscribe. One a
+	// snapshot creates later is pre-fed from M_v into the same state: the
+	// filter is monotone and ignores order.
+	if rs.clauseByInit != nil {
+		for _, cl := range rs.clauseByInit[init] {
+			if cl.satisfied || cl.want != value {
+				continue
+			}
+			cl.addPath(m.covers(cl.comp), set)
+			if cl.satisfied {
+				clauseSatisfied(rs, cl)
+			}
+		}
+	}
 
 	words := m.plan.words
 	for i := range rs.threads {
@@ -186,17 +204,6 @@ func (m *Machine) acceptVal(rs *roundState, value float64, e int32, out *sim.Out
 			t.missing--
 			if t.missing == 0 && !t.inconsistent {
 				m.fireMC(rs, t, out)
-			}
-		}
-		if t.snapshotDone && t.pendingLeft > 0 {
-			for _, cl := range t.clauseByInit[init] {
-				if cl.satisfied || cl.want != value {
-					continue
-				}
-				cl.addPath(set)
-				if cl.satisfied {
-					clauseSatisfied(t, cl)
-				}
 			}
 		}
 	}
@@ -385,19 +392,19 @@ func (m *Machine) registerComplete(rs *roundState, info *floodInfo, stream int32
 		t.satCount++
 		if t.satCount == t.pre.origins {
 			t.fifoDone = true
-			m.buildSnapshot(rs, t)
+			m.buildSnapshot(rs, ti)
 		}
 	}
 }
 
-// buildSnapshot freezes the set of COMPLETE messages this thread must
-// verify: every consistent content FIFO-received so far through at least
-// one simple (c,v)-path inside reach_v(F_v) (Verify, lines 20-26). Each
-// snapshot member contributes the Algorithm 2 clauses its tag's plan list
-// names; clause state is shared across snapshot members imposing the same
-// (S, q, want) obligation.
-func (m *Machine) buildSnapshot(rs *roundState, t *threadState) {
-	t.clauseByInit = make([][]*clause, m.proto.G.N())
+// buildSnapshot freezes the set of COMPLETE messages thread ti must verify:
+// every consistent content FIFO-received so far through at least one simple
+// (c,v)-path inside reach_v(F_v) (Verify, lines 20-26). Each snapshot
+// member contributes the Algorithm 2 clauses its tag's plan list names;
+// clause state is shared by every snapshot member, of any thread of the
+// round, imposing the same (S, q, want) obligation.
+func (m *Machine) buildSnapshot(rs *roundState, ti int32) {
+	t := &rs.threads[ti]
 	tbl, words := m.pre.paths, m.plan.words
 	for ci := range rs.contents {
 		rec := &rs.contents[ci]
@@ -425,10 +432,10 @@ func (m *Machine) buildSnapshot(rs *roundState, t *threadState) {
 					pc.impossible = true
 					break
 				}
-				cl := m.sharedClause(rs, t, c, want)
+				cl := m.sharedClause(rs, c, want)
 				if !cl.satisfied {
 					pc.remaining++
-					cl.subscribers = append(cl.subscribers, pi)
+					cl.subscribers = append(cl.subscribers, subscriber{thread: ti, pending: pi})
 				}
 			}
 		}
@@ -440,35 +447,51 @@ func (m *Machine) buildSnapshot(rs *roundState, t *threadState) {
 	t.snapshotDone = true
 }
 
-// sharedClause returns the thread's clause for (S, q, want), creating and
+// sharedClause returns the round's clause for (S, q, want), creating and
 // pre-feeding it from the current M_v on first use.
-func (m *Machine) sharedClause(rs *roundState, t *threadState, c planClause, want float64) *clause {
+func (m *Machine) sharedClause(rs *roundState, c planClause, want float64) *clause {
+	if rs.clauseByInit == nil {
+		rs.clauseByInit = make([][]*clause, len(rs.byInit))
+	}
 	wantBits := math.Float64bits(want)
-	for _, cl := range t.clauseByInit[c.q] {
+	for _, cl := range rs.clauseByInit[c.q] {
 		if cl.comp == c.comp && math.Float64bits(cl.want) == wantBits {
 			return cl
 		}
 	}
-	cl := &clause{
-		comp: c.comp, want: want, f: m.proto.F,
-		allowed: m.plan.comps[c.comp].outside.Remove(m.id),
-	}
+	cl := &clause{comp: c.comp, want: want}
+	covers := m.covers(c.comp)
 	for _, e := range rs.byInit[c.q] {
 		if rs.vals[e] == want {
-			cl.addPath(&m.pre.paths.set[e])
+			cl.addPath(covers, &m.pre.paths.set[e])
 			if cl.satisfied {
 				break
 			}
 		}
 	}
-	t.clauseByInit[c.q] = append(t.clauseByInit[c.q], cl)
+	rs.clauseByInit[c.q] = append(rs.clauseByInit[c.q], cl)
 	return cl
 }
 
+// covers returns the candidate covers of component c's clauses, inside
+// V \ S \ {v}, or for c = -1 Filter-and-Average's, inside V \ {v}: each
+// list is enumerated on first use and shared by every clause of the run.
+func (m *Machine) covers(c int32) []graph.Set {
+	if m.coverLists[c+1] == nil {
+		allowed := m.proto.G.Nodes()
+		if c >= 0 {
+			allowed = m.plan.comps[c].outside
+		}
+		m.coverLists[c+1] = candidateCovers(allowed.Remove(m.id), m.proto.F)
+	}
+	return m.coverLists[c+1]
+}
+
 // clauseSatisfied fans a newly satisfied clause out to its subscribers.
-func clauseSatisfied(t *threadState, cl *clause) {
-	for _, pi := range cl.subscribers {
-		pc := &t.pending[pi]
+func clauseSatisfied(rs *roundState, cl *clause) {
+	for _, s := range cl.subscribers {
+		t := &rs.threads[s.thread]
+		pc := &t.pending[s.pending]
 		if pc.impossible {
 			continue
 		}
@@ -562,9 +585,10 @@ func (m *Machine) filterAndAverage(rs *roundState) float64 {
 // so k is where the incremental cover filter of a clause over V \ {v} first
 // runs out of candidates.
 func (m *Machine) coverablePrefix(sets []graph.Set, order []int32) int {
-	cl := clause{f: m.proto.F, allowed: m.proto.G.Nodes().Remove(m.id)}
+	var cl clause
+	covers := m.covers(-1)
 	for k, e := range order {
-		cl.addPath(&sets[e])
+		cl.addPath(covers, &sets[e])
 		if cl.satisfied {
 			return k
 		}

@@ -13,6 +13,7 @@
 package bw
 
 import (
+	"encoding/binary"
 	"math"
 	"slices"
 
@@ -89,11 +90,16 @@ func (c *CompletePayload) contentKey() contentKey {
 	for _, w := range c.Tag {
 		mix64(w)
 	}
+	// Keys are length-prefixed, not separated: a decoded key is any byte
+	// string, and one spelling a separator, value and key is not two entries.
+	var size [binary.MaxVarintLen64]byte
 	for _, e := range c.Entries {
+		for _, b := range binary.AppendUvarint(size[:0], uint64(len(e.PathKey))) {
+			mix(b)
+		}
 		for i := 0; i < len(e.PathKey); i++ {
 			mix(e.PathKey[i])
 		}
-		mix(0xff) // entry separator
 		mix64(math.Float64bits(e.Value))
 	}
 	return contentKey{origin: c.Origin, h1: h1, h2: h2}

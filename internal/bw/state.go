@@ -8,60 +8,66 @@ import (
 // q ∈ S, node v must receive value want (= value_q(M_c)) over a path set
 // with no f-cover inside allowed = V \ S \ {v}.
 //
-// Evaluation is incremental: viable holds the maximal candidate covers
-// (size min(f, |allowed|) subsets of allowed) that still intersect every
-// matching path seen so far. Adding a path filters the list; the clause is
-// satisfied exactly when at least one path arrived and no candidate
-// survives (no cover can exist, since any cover extends to a maximal
-// candidate). This turns the repeated hitting-set searches that dominated
-// profiles into O(|viable|) filtering per message.
+// Evaluation is incremental: viable indexes the maximal candidate covers
+// (Machine.covers, enumerated once per component) that still intersect
+// every matching path seen so far. Adding a path filters the list; the
+// clause is satisfied exactly when at least one path arrived and no
+// candidate survives (no cover can exist, since any cover extends to a
+// maximal candidate). This turns the repeated hitting-set searches that
+// dominated profiles into O(|viable|) filtering per message.
 //
 // Filter-and-Average's trimming asks the same question of a growing prefix
 // of the sorted M_v and runs on the same type (coverablePrefix).
 type clause struct {
 	comp      int32 // index of S in the plan's source components
 	want      float64
-	allowed   graph.Set
-	f         int
 	started   bool
-	viable    []graph.Set
 	satisfied bool
-	// subscribers are the pending COMPLETEs sharing this clause, by index
-	// in the thread's pending list: distinct message sets frequently impose
-	// identical (S, q, want) obligations (every honest COMPLETE for the
-	// same tag does), so clause state is deduplicated per thread and
-	// satisfaction fans out to subscribers.
-	subscribers []int32
+	viable    []int32
+	// subscribers are the pending COMPLETEs sharing this clause: snapshots
+	// of every thread of the round read one M_v and often impose the same
+	// (S, q, want) (every honest COMPLETE for one tag does), so clause state
+	// is deduplicated per round and satisfaction fans out to subscribers.
+	subscribers []subscriber
+}
+
+// subscriber is a snapshotted COMPLETE: its thread, its pending index.
+type subscriber struct {
+	thread, pending int32
+}
+
+// candidateCovers lists the maximal candidate f-covers inside allowed: its
+// subsets of size min(f, |allowed|). With f == 0 or an empty allowed set
+// the only candidate, the empty set, covers nothing: the list is empty.
+func candidateCovers(allowed graph.Set, f int) []graph.Set {
+	covers := []graph.Set{} // non-nil: Machine.covers caches it
+	if size := min(f, allowed.Count()); size > 0 {
+		graph.SubsetsOfSize(allowed, size, func(c graph.Set) bool {
+			covers = append(covers, c)
+			return true
+		})
+	}
+	return covers
 }
 
 // addPath feeds the node set of one matching propagation path into the
-// clause.
-func (cl *clause) addPath(p *graph.Set) {
+// clause; covers is the candidate list of the clause's component.
+func (cl *clause) addPath(covers []graph.Set, p *graph.Set) {
 	if cl.satisfied {
 		return
 	}
 	if !cl.started {
 		cl.started = true
-		size := cl.f
-		if c := cl.allowed.Count(); c < size {
-			size = c
-		}
-		// With f == 0 or an empty allowed set the only candidate is the
-		// empty set, which covers nothing: viable stays empty and the
-		// clause is satisfied by the first path.
-		if size > 0 {
-			graph.SubsetsOfSize(cl.allowed, size, func(c graph.Set) bool {
-				if intersects(&c, p, len(p)) {
-					cl.viable = append(cl.viable, c)
-				}
-				return true
-			})
+		for i := range covers {
+			if intersects(&covers[i], p, len(p)) {
+				cl.viable = append(cl.viable, int32(i))
+			}
 		}
 	} else {
 		kept := cl.viable[:0]
-		for i := range cl.viable {
-			if intersects(&cl.viable[i], p, len(p)) {
-				kept = append(kept, cl.viable[i])
+		for _, i := range cl.viable {
+			if intersects(&covers[i], p, len(p)) {
+				kept = append(kept, i)
 			}
 		}
 		cl.viable = kept
@@ -117,12 +123,11 @@ type threadState struct {
 	origins  []originState
 
 	// Verify (lines 14, 20–26): the COMPLETE messages snapshotted when
-	// FIFO-Receive-All fired, and their outstanding clauses (deduplicated
-	// by (S, q, want) across the snapshot), listed per q by node id.
+	// FIFO-Receive-All fired, each with its outstanding clauses counted;
+	// the clauses are the round's.
 	snapshotDone bool
 	pending      []pendingComplete
 	pendingLeft  int
-	clauseByInit [][]*clause
 }
 
 // verified reports whether this parallel execution may proceed to
@@ -169,6 +174,9 @@ type roundState struct {
 	byInit [][]int32
 
 	threads []threadState
+	// clauseByInit lists per q the Completeness clauses the threads'
+	// snapshots imposed, one per (S, q, want); nil before the first.
+	clauseByInit [][]*clause
 
 	// streams holds one FIFO stream per simple path ending here, by the
 	// table's stream number.
