@@ -156,9 +156,10 @@ func (b *Mutant) emit(msgs []transport.Message, out *sim.Outbox) {
 
 // EquivocateInput makes the node report a different initial value to every
 // out-neighbor. It is protocol-shaped, covering each family's notion of
-// "my initial value": BW's round-r origination (trivial path) carries
-// base + step·(to+1); an RBC INIT with numeric content (aad's value
-// rounds, acs's input broadcast) carries content + step·(to+1), handing
+// "my initial value": BW's round-r origination (the trivial path, entry 0
+// of the sender's path table) carries base + step·(to+1); an RBC INIT with
+// numeric content (aad's value rounds, acs's input broadcast) carries
+// content + step·(to+1), handing
 // each receiver a different slot content for the echo quorums to kill or
 // agree on; an ABA message flips its bit toward odd-id receivers — a
 // two-faced vote the binding-value rule must contain. Relayed/derived
@@ -168,7 +169,7 @@ func EquivocateInput(step float64) Mutator {
 	return func(_ *rand.Rand, m transport.Message) []transport.Payload {
 		switch v := m.Payload.(type) {
 		case bw.ValPayload:
-			if len(v.Path) != 1 {
+			if v.Entry != 0 {
 				return []transport.Payload{m.Payload}
 			}
 			v.Value += step * float64(m.To+1)
@@ -188,12 +189,12 @@ func EquivocateInput(step float64) Mutator {
 	}
 }
 
-// TamperRelays corrupts every relayed state value (paths longer than one)
-// by applying fn.
+// TamperRelays corrupts every relayed state value (paths longer than one:
+// any entry but the sender's trivial path, entry 0) by applying fn.
 func TamperRelays(fn func(float64) float64) Mutator {
 	return func(_ *rand.Rand, m transport.Message) []transport.Payload {
 		v, ok := m.Payload.(bw.ValPayload)
-		if !ok || len(v.Path) <= 1 {
+		if !ok || v.Entry == 0 {
 			return []transport.Payload{m.Payload}
 		}
 		v.Value = fn(v.Value)
@@ -206,7 +207,7 @@ func TamperRelays(fn func(float64) float64) Mutator {
 func ExtremeInput(x float64) Mutator {
 	return func(_ *rand.Rand, m transport.Message) []transport.Payload {
 		v, ok := m.Payload.(bw.ValPayload)
-		if !ok || len(v.Path) != 1 {
+		if !ok || v.Entry != 0 {
 			return []transport.Payload{m.Payload}
 		}
 		v.Value = x
@@ -223,7 +224,7 @@ func DelayedEquivocation(step float64, after int) Mutator {
 	sent := 0
 	return func(_ *rand.Rand, m transport.Message) []transport.Payload {
 		v, ok := m.Payload.(bw.ValPayload)
-		if !ok || len(v.Path) != 1 {
+		if !ok || v.Entry != 0 {
 			return []transport.Payload{m.Payload}
 		}
 		if sent++; sent <= after {
@@ -241,7 +242,7 @@ func DelayedEquivocation(step float64, after int) Mutator {
 func SplitInput(lo, hi float64, pivot int) Mutator {
 	return func(_ *rand.Rand, m transport.Message) []transport.Payload {
 		v, ok := m.Payload.(bw.ValPayload)
-		if !ok || len(v.Path) != 1 {
+		if !ok || v.Entry != 0 {
 			return []transport.Payload{m.Payload}
 		}
 		if m.To <= pivot {

@@ -1,6 +1,7 @@
 package adversary_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/bw"
@@ -26,7 +27,7 @@ type seqJammer struct {
 func (j *seqJammer) ID() int { return j.id }
 
 func (j *seqJammer) Start(out *sim.Outbox) {
-	out.Broadcast(bw.ValPayload{Round: 1, Value: 0.5, Path: graph.Path{j.id}})
+	out.Broadcast(bw.ValPayload{Round: 1, Value: 0.5, Entry: 0})
 	for _, w := range j.g.Out(j.id) {
 		out.Send(w, bw.CompletePayload{
 			Round:  1,
@@ -34,9 +35,9 @@ func (j *seqJammer) Start(out *sim.Outbox) {
 			Seq:    j.seq, // gap: seqs 1..seq-1 never sent
 			Tag:    graph.EmptySet,
 			Entries: []bw.ValEntry{
-				{Value: 123, PathKey: (graph.Path{j.id}).Key()},
+				{Value: 123, Entry: 0},
 			},
-			Path: graph.Path{j.id},
+			Entry: 0,
 		})
 	}
 }
@@ -70,7 +71,8 @@ func TestBWSeqJammer(t *testing.T) {
 					t.Errorf("node %d dropped %d out-of-range COMPLETEs, want %d", v, snap.SeqDropped, tc.dropped)
 				}
 				// The jammer lies about sequence numbers, not routes: its
-				// trivial path is in every out-neighbor's table.
+				// trivial path, its entry 0, maps into every out-neighbor's
+				// table.
 				if snap.PathDropped != 0 {
 					t.Errorf("node %d dropped %d paths, the jammer sent none outside its table", v, snap.PathDropped)
 				}
@@ -95,9 +97,9 @@ type tagForger struct {
 func (f *tagForger) ID() int { return f.id }
 
 func (f *tagForger) Start(out *sim.Outbox) {
-	out.Broadcast(bw.ValPayload{Round: 1, Value: 0.25, Path: graph.Path{f.id}})
+	out.Broadcast(bw.ValPayload{Round: 1, Value: 0.25, Entry: 0})
 	entries := []bw.ValEntry{
-		{Value: 42, PathKey: (graph.Path{f.id}).Key()},
+		{Value: 42, Entry: 0},
 	}
 	for _, w := range f.g.Out(f.id) {
 		out.Send(w, bw.CompletePayload{
@@ -106,7 +108,7 @@ func (f *tagForger) Start(out *sim.Outbox) {
 			Seq:     1,
 			Tag:     graph.SetOf(f.victim),
 			Entries: entries,
-			Path:    graph.Path{f.id},
+			Entry:   0,
 		})
 	}
 }
@@ -124,13 +126,15 @@ func TestBWTagForger(t *testing.T) {
 	assertAgreementValidity(t, outs, 0.25, 0, 2)
 }
 
-// pathForger attacks the door: besides its honest-looking origination it
-// sends every out-neighbor VAL and COMPLETE messages on routes no honest
-// relay produces — a walk over a missing edge, one that passes through a
-// vertex too often to be redundant, one that ends at someone else, one that
-// names a vertex outside the graph, an empty one — each carrying an extreme
-// value. None is in a receiver's path table, so each is dropped at the door
-// and counted; none reaches M_v, a FIFO stream or a relay.
+// pathForger attacks the door. A sender names a path by its entry in its
+// own path table, so a forged route that does not end at the sender — one
+// ending at someone else, or naming a vertex outside the graph — cannot be
+// named at all; what is left to forge is the name. Besides its
+// honest-looking origination it sends every out-neighbor VAL and COMPLETE
+// messages on ids no table holds — below zero, at the bottom of int32,
+// past any table of a four-vertex graph, at the top of int32 — each
+// carrying an extreme value. Each is dropped at the door and counted; none
+// reaches M_v, a FIFO stream or a relay.
 type pathForger struct {
 	id int
 	g  *graph.Graph
@@ -139,25 +143,13 @@ type pathForger struct {
 func (p *pathForger) ID() int { return p.id }
 
 func (p *pathForger) Start(out *sim.Outbox) {
-	out.Broadcast(bw.ValPayload{Round: 1, Value: 0.5, Path: graph.Path{p.id}})
-	other := (p.id + 1) % p.g.N()
-	for _, forged := range []graph.Path{
-		{p.id, p.id},                     // no self-loop in G
-		{p.id, other, p.id, other, p.id}, // a walk, but not redundant
-		{p.id, other},                    // ends at someone else
-		{p.g.N() + 3, p.id},              // a vertex outside the graph
-		{-1, p.id},                       // a negative vertex
-		{},                               // no path at all
-	} {
-		out.Broadcast(bw.ValPayload{Round: 1, Value: 1e9, Path: forged})
-		origin := p.id
-		if len(forged) > 0 {
-			origin = forged[0]
-		}
+	out.Broadcast(bw.ValPayload{Round: 1, Value: 0.5, Entry: 0})
+	for _, forged := range []int32{-1, math.MinInt32, 1 << 20, math.MaxInt32} {
+		out.Broadcast(bw.ValPayload{Round: 1, Value: 1e9, Entry: forged})
 		out.Broadcast(bw.CompletePayload{
-			Round: 1, Origin: origin, Seq: 1, Tag: graph.EmptySet,
-			Entries: []bw.ValEntry{{Value: 1e9, PathKey: (graph.Path{p.id}).Key()}},
-			Path:    forged,
+			Round: 1, Origin: p.id, Seq: 1, Tag: graph.EmptySet,
+			Entries: []bw.ValEntry{{Value: 1e9, Entry: 0}},
+			Entry:   forged,
 		})
 	}
 }
@@ -174,10 +166,10 @@ func TestBWPathForger(t *testing.T) {
 		}, 83)
 	assertAgreementValidity(t, outs, 0.25, 0, 2)
 	honest.ForEach(func(v int) bool {
-		// Six forged routes, each once as a VAL and once as a COMPLETE,
+		// Four forged ids, each once as a VAL and once as a COMPLETE,
 		// straight from the forger; nothing forged is relayed on.
-		if got := machines[v].Snapshot().PathDropped; got != 12 {
-			t.Errorf("node %d dropped %d forged paths, want 12", v, got)
+		if got := machines[v].Snapshot().PathDropped; got != 8 {
+			t.Errorf("node %d dropped %d forged paths, want 8", v, got)
 		}
 		return true
 	})

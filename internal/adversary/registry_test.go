@@ -174,7 +174,7 @@ func TestNewStrategiesTolerated(t *testing.T) {
 // with the splitmix derivation the actual RandomNoise offset sequences of
 // nodes 1 and 2 must differ, for every probed base seed.
 func TestNodeSeedDecorrelatesNoiseStreams(t *testing.T) {
-	probe := transport.Message{From: 0, To: 1, Payload: bw.ValPayload{Round: 1, Value: 0, Path: graph.Path{0}}}
+	probe := transport.Message{From: 0, To: 1, Payload: bw.ValPayload{Round: 1, Value: 0, Entry: 0}}
 	stream := func(seed int64) []float64 {
 		rng := rand.New(rand.NewSource(seed))
 		mut := adversary.RandomNoise(1)

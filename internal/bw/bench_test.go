@@ -107,24 +107,26 @@ func BenchmarkBWFig1a(b *testing.B) {
 
 // TestBWRunAllocBudget is the allocation fence for the round state: one
 // full fig1a run, setup included, divided by its deliveries. A delivery
-// allocates nothing for the path it arrived on — validating, extending,
-// keying and ordering it are lookups in the node's path table, whose build
-// (once per run; 45 bytes a delivery here) is in the figure. What is left:
-// one boxed payload when the message is relayed (the table's spelling of
-// the path rides in it), FIFO buffers and progress bitsets, a COMPLETE's
-// entry list, and the round's clauses — one per distinct (S, q, want),
-// each a list of indices into candidate covers enumerated once per
-// component. The budgets are the measured 1.20 allocations and 178 bytes
-// plus a tenth, against 2.1 and 257 with a clause per thread holding its
-// own copies of the covers, 4.5 and 450 when every accepted path cost a key
-// string and every relay a copy, and 9.3 and 1 660 when M_v, the FIFO
-// tables and the snapshot clauses were keyed by strings and node sets.
-// About three tenths of a node set per delivery are part of the bytes (a
-// relayed COMPLETE's tag, the table's set column, the covers), so that
-// budget moves with the build dimension: 289 bytes under graph4096.
+// allocates nothing for the path it arrived on — messages name paths by
+// path-table entry, and admitting, extending and ordering one are lookups
+// in the node's table and the in-edge's column, whose builds (once per run)
+// are in the figure. What is left: one boxed payload when the message is
+// relayed, FIFO buffers and progress bitsets, a COMPLETE's entry list, and
+// the round's clauses — one per distinct (S, q, want), each a list of
+// indices into candidate covers enumerated once per component. The budgets
+// are the measured 1.20 allocations and 143 bytes plus a tenth, against
+// 1.20 and 178 while the table also spelled every entry out as a path and a
+// key string for relays and COMPLETE entries, 2.1 and 257 with a clause per
+// thread holding its own copies of the covers, 4.5 and 450 when every
+// accepted path cost a key string and every relay a copy, and 9.3 and
+// 1 660 when M_v, the FIFO tables and the snapshot clauses were keyed by
+// strings and node sets. About three tenths of a node set per delivery
+// are part of the bytes (a relayed COMPLETE's tag, the table's set column,
+// the covers), so that budget moves with the build dimension: 249 bytes
+// measured under graph4096, budget 285.
 func TestBWRunAllocBudget(t *testing.T) {
 	const setBytes = graph.MaxNodes / 8
-	const maxAllocs, maxBytes = 1.32, 155 + setBytes/3 // 197 in the default build
+	const maxAllocs, maxBytes = 1.32, 115 + setBytes/3 // 157 in the default build
 	runFig1a(t, 1)                                     // warm the runtime's size classes and the test binary
 	var before, after runtime.MemStats
 	runtime.GC()

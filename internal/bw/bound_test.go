@@ -11,56 +11,66 @@ import (
 )
 
 // stateFlooder is a Byzantine vertex that pushes every shape of VAL and
-// COMPLETE a well-formed frame can take at its out-neighbors: walks of the
-// graph ending at itself (simple, redundant and neither) and a few that are
-// not walks at all, fresh values, tags that are and are not fault sets,
-// rounds inside and outside [1, Rounds], sequence numbers from 1 to 1<<20.
+// COMPLETE a well-formed frame can take at its out-neighbors: every path it
+// can name — any entry of its own table, simple, redundant, or no longer
+// redundant once a receiver extends it — and ids that name none; fresh
+// values, tags that are and are not fault sets, rounds
+// inside and outside [1, Rounds], sequence numbers from 1 to 1<<20.
 type stateFlooder struct {
 	id     int
-	g      *graph.Graph
-	rounds int
+	proto  *Proto
 	frames int
 }
 
 func (a *stateFlooder) ID() int { return a.id }
 
-// walk returns a random walk of g ending at the flooder — or, one time in
-// sixteen, a node sequence with a missing edge or a foreign terminal.
-func (a *stateFlooder) walk(rng *rand.Rand) graph.Path {
-	p := graph.Path{a.id}
-	for n := rng.Intn(2 * a.g.N()); n > 0; n-- {
-		in := a.g.In(p[0])
-		p = append(graph.Path{in[rng.Intn(len(in))]}, p...)
+// entry returns an entry of vertex v's table — a simple one (a FIFO
+// stream) two times in three — or, one time in four, an id below zero or
+// past the table.
+func (a *stateFlooder) entry(rng *rand.Rand, v int) int32 {
+	t, err := a.proto.table(v)
+	if err != nil {
+		panic(err)
 	}
-	if rng.Intn(16) == 0 {
-		p[rng.Intn(len(p))] = rng.Intn(a.g.N() + 2)
+	switch rng.Intn(8) {
+	case 0:
+		return -1 - rng.Int31n(4)
+	case 1:
+		return int32(len(t.head)) + rng.Int31n(1<<20)
+	case 2, 3, 4, 5:
+		return t.simples[rng.Intn(len(t.simples))]
 	}
-	return p
+	return rng.Int31n(int32(len(t.head)))
 }
 
 func (a *stateFlooder) Start(out *sim.Outbox) {
 	rng := rand.New(rand.NewSource(17))
 	seqs := []int{1, 2, 3, 4, 5, 6, 7, 1 << 10, 1 << 20}
+	own, err := a.proto.table(a.id)
+	if err != nil {
+		panic(err)
+	}
+	n := a.proto.G.N()
 	for i := 0; i < a.frames; i++ {
-		round := rng.Intn(a.rounds+4) - 1
-		p := a.walk(rng)
-		out.Broadcast(ValPayload{Round: round, Value: rng.Float64() * 1e6, Path: p})
+		round := rng.Intn(a.proto.Rounds+4) - 1
+		e := a.entry(rng, a.id)
+		out.Broadcast(ValPayload{Round: round, Value: rng.Float64() * 1e6, Entry: e})
 
 		var tag graph.Set
 		for k := rng.Intn(3); k > 0; k-- {
-			tag = tag.Add(rng.Intn(a.g.N() + 1))
+			tag = tag.Add(rng.Intn(n + 1))
 		}
-		origin := p.Init()
-		if rng.Intn(16) == 0 {
-			origin = rng.Intn(a.g.N())
+		origin := rng.Intn(n)
+		if e >= 0 && int(e) < len(own.head) && rng.Intn(16) != 0 {
+			origin = int(own.head[e])
 		}
 		entries := make([]ValEntry, 1+rng.Intn(3))
 		for j := range entries {
-			entries[j] = ValEntry{Value: rng.Float64(), PathKey: a.walk(rng).Key()}
+			entries[j] = ValEntry{Value: rng.Float64(), Entry: a.entry(rng, origin)}
 		}
 		out.Broadcast(CompletePayload{
 			Round: round, Origin: origin, Seq: seqs[rng.Intn(len(seqs))],
-			Tag: tag, Entries: entries, Path: p,
+			Tag: tag, Entries: entries, Entry: e,
 		})
 	}
 }
@@ -89,7 +99,7 @@ func TestBWBoundedState(t *testing.T) {
 	var honest []*Machine
 	for i := range handlers {
 		if i == byz {
-			handlers[i] = &stateFlooder{id: i, g: g, rounds: proto.Rounds, frames: frames}
+			handlers[i] = &stateFlooder{id: i, proto: proto, frames: frames}
 			continue
 		}
 		m, err := NewMachine(proto, i, inputs[i])
@@ -159,8 +169,9 @@ func TestBWBoundedState(t *testing.T) {
 	}
 	// Four of the nine sequence numbers the flooder draws from pass the cap;
 	// they count on the frames whose round, path and tag are admissible. One
-	// walk in sixteen is broken on purpose, and most of the rest repeat a
-	// vertex too often to be redundant, or simple for a COMPLETE.
+	// id in four names nothing on purpose, and many of the rest repeat a
+	// vertex too often once extended to be redundant, or simple for a
+	// COMPLETE.
 	if seqDropped < frames/16 {
 		t.Errorf("honest nodes counted %d out-of-range sequence numbers, want at least %d", seqDropped, frames/16)
 	}

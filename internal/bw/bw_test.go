@@ -1,8 +1,6 @@
 package bw
 
 import (
-	"encoding/binary"
-	"math"
 	"reflect"
 	"testing"
 
@@ -165,7 +163,7 @@ func TestThreadPrecompute(t *testing.T) {
 		required := make(map[string]int32)
 		for stream, num := range th.required {
 			if num >= 0 {
-				required[pre.paths.key[pre.paths.simples[stream]]] = num
+				required[pre.paths.spell(pre.paths.simples[stream]).Key()] = num
 			}
 		}
 		got := make(map[string]struct{})
@@ -207,16 +205,16 @@ func TestThreadPrecompute(t *testing.T) {
 
 func TestContentKeyCanonical(t *testing.T) {
 	a := CompletePayload{Origin: 1, Tag: graph.SetOf(2), Entries: []ValEntry{
-		{Value: 1.5, PathKey: "ab"}, {Value: 2.5, PathKey: "cd"},
+		{Value: 1.5, Entry: 3}, {Value: 2.5, Entry: 8},
 	}}
 	b := a
-	b.Path = graph.Path{9, 9} // path and seq are not content
+	b.Entry = 9 // path and seq are not content
 	b.Seq = 7
 	if a.contentKey() != b.contentKey() {
 		t.Error("content key depends on path/seq")
 	}
 	c := a
-	c.Entries = []ValEntry{{Value: 1.5, PathKey: "ab"}, {Value: 2.5000001, PathKey: "cd"}}
+	c.Entries = []ValEntry{{Value: 1.5, Entry: 3}, {Value: 2.5000001, Entry: 8}}
 	if a.contentKey() == c.contentKey() {
 		t.Error("content key ignores values")
 	}
@@ -225,29 +223,54 @@ func TestContentKeyCanonical(t *testing.T) {
 	if a.contentKey() == d.contentKey() {
 		t.Error("content key ignores tag")
 	}
+	e := a
+	e.Entries = []ValEntry{{Value: 1.5, Entry: 3}, {Value: 2.5, Entry: 9}}
+	if a.contentKey() == e.contentKey() {
+		t.Error("content key ignores entry ids")
+	}
+	o := a
+	o.Origin = 2
+	if a.contentKey() == o.contentKey() {
+		t.Error("content key ignores the origin")
+	}
 
-	// A key is any byte string at the door: one entry whose key spells a
-	// first entry's key, value and the second key must not stand for both.
-	k1, k2 := graph.Path{2, 0}.Key(), graph.Path{4, 0}.Key()
-	two := CompletePayload{Origin: 0, Entries: []ValEntry{{Value: 3.5, PathKey: k1}, {Value: 1.25, PathKey: k2}}}
-	spliced := []byte(k1 + "\xff")
-	spliced = binary.LittleEndian.AppendUint64(spliced, math.Float64bits(3.5))
-	one := CompletePayload{Origin: 0, Entries: []ValEntry{{Value: 1.25, PathKey: string(spliced) + k2}}}
-	if two.contentKey() == one.contentKey() {
-		t.Error("a spliced key gives one entry the content key of two")
+	// Every entry is two fixed-width words, so no set of entries reads as
+	// another: not a prefix of it, and not one whose values trade ids.
+	one := CompletePayload{Origin: 1, Tag: graph.SetOf(2), Entries: a.Entries[:1]}
+	moved := CompletePayload{Origin: 1, Tag: graph.SetOf(2), Entries: []ValEntry{
+		{Value: 2.5, Entry: 3}, {Value: 1.5, Entry: 8},
+	}}
+	for _, other := range []CompletePayload{one, moved} {
+		if other.contentKey() == a.contentKey() {
+			t.Errorf("entries %v share a content key with %v", other.Entries, a.Entries)
+		}
 	}
 }
 
+// TestFloodInfoConsistency: an entry's initial node is read from the
+// origin's table, so value_q and the Definition 8 consistency flag are the
+// same whether the entries are named by id or spelled out.
 func TestFloodInfoConsistency(t *testing.T) {
-	proto, err := NewProto(graph.Fig1a(), 1, 1, 0.5, 0)
+	g := graph.Fig1a()
+	proto, err := NewProto(g, 1, 1, 0.5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proto.getPlan()
+	tbl, err := proto.table(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := func(path ...int) int32 {
+		e := tbl.entryOf(g, path)
+		if e < 0 {
+			t.Fatalf("%v is no entry of vertex 0's table", path)
+		}
+		return e
+	}
 	p := &CompletePayload{Origin: 0, Entries: []ValEntry{
-		{Value: 1, PathKey: graph.Path{2, 0}.Key()},
-		{Value: 1, PathKey: graph.Path{2, 1, 0}.Key()},
-		{Value: 3, PathKey: graph.Path{4, 0}.Key()},
+		{Value: 1, Entry: id(2, 0)},
+		{Value: 1, Entry: id(2, 1, 0)},
+		{Value: 3, Entry: id(4, 0)},
 	}}
 	rec := proto.newFloodInfo(p)
 	if !rec.consistent {
@@ -263,22 +286,30 @@ func TestFloodInfoConsistency(t *testing.T) {
 		t.Errorf("values = %v, tag index %d", rec.values, rec.tagIdx)
 	}
 	p2 := &CompletePayload{Origin: 0, Entries: []ValEntry{
-		{Value: 1, PathKey: graph.Path{2, 0}.Key()},
-		{Value: 2, PathKey: graph.Path{2, 1, 0}.Key()}, // same init, different value
+		{Value: 1, Entry: id(2, 0)},
+		{Value: 2, Entry: id(2, 1, 0)}, // same init, different value
 	}}
 	if proto.newFloodInfo(p2).consistent {
 		t.Error("inconsistent set not flagged")
 	}
-	p3 := &CompletePayload{Origin: 0, Entries: []ValEntry{{Value: 1, PathKey: ""}}}
-	if proto.newFloodInfo(p3).consistent {
-		t.Error("empty path key accepted")
+	// An id that names no entry of the origin's table, and an origin
+	// outside the graph, leave the set inconsistent.
+	for _, bad := range []*CompletePayload{
+		{Origin: 0, Entries: []ValEntry{{Value: 1, Entry: -1}}},
+		{Origin: 0, Entries: []ValEntry{{Value: 1, Entry: int32(len(tbl.head))}}},
+		{Origin: g.N(), Entries: []ValEntry{{Value: 1, Entry: 0}}},
+		{Origin: -1, Entries: []ValEntry{{Value: 1, Entry: 0}}},
+	} {
+		if proto.newFloodInfo(bad).consistent {
+			t.Errorf("origin %d entries %v accepted", bad.Origin, bad.Entries)
+		}
 	}
 	// A Byzantine flood need not be sorted: same verdicts, same lookups.
 	p4 := &CompletePayload{Origin: 0, Tag: graph.SetOf(3), Entries: []ValEntry{
-		{Value: 3, PathKey: graph.Path{4, 0}.Key()},
-		{Value: 1, PathKey: graph.Path{2, 0}.Key()},
-		{Value: 3, PathKey: graph.Path{4, 1, 0}.Key()},
-		{Value: 1, PathKey: graph.Path{2, 1, 0}.Key()},
+		{Value: 3, Entry: id(4, 0)},
+		{Value: 1, Entry: id(2, 0)},
+		{Value: 3, Entry: id(4, 1, 0)},
+		{Value: 1, Entry: id(2, 1, 0)},
 	}}
 	rec = proto.newFloodInfo(p4)
 	v2, ok2 := rec.value(2)

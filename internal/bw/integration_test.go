@@ -208,7 +208,10 @@ func TestBWMetrics(t *testing.T) {
 }
 
 // TestBWIgnoresGarbage feeds malformed messages directly into a machine;
-// they must all be rejected without state corruption.
+// they must all be rejected without state corruption. Those rejected at
+// the door — for the (sender, entry) pair naming no admissible path — are
+// each counted in PathDropped; the rest fail on round, tag, sequence number
+// or type and are not.
 func TestBWIgnoresGarbage(t *testing.T) {
 	g := graph.Clique(4)
 	proto, err := bw.NewProto(g, 1, 1, 0.5, 0)
@@ -221,44 +224,62 @@ func TestBWIgnoresGarbage(t *testing.T) {
 	}
 	col := sim.NewCollector(0, g)
 	m.Start(col)
-	garbage := []transport.Message{
-		// Wrong terminal: path must end at the actual sender.
-		{From: 1, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1, Path: graph.Path{2}}},
-		// Invalid walk.
-		{From: 1, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1, Path: graph.Path{9, 1}}},
-		// Bad round.
-		{From: 1, To: 0, Payload: bw.ValPayload{Round: 99, Value: 1, Path: graph.Path{1}}},
-		{From: 1, To: 0, Payload: bw.ValPayload{Round: 0, Value: 1, Path: graph.Path{1}}},
-		// Empty path.
-		{From: 1, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1, Path: nil}},
-		// COMPLETE with origin not matching the path head.
-		{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 2, Seq: 1, Tag: graph.SetOf(3), Path: graph.Path{1}}},
-		// COMPLETE whose tag includes its own origin.
-		{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 1, Seq: 1, Tag: graph.SetOf(1), Path: graph.Path{1}}},
-		// COMPLETE with an oversized tag.
-		{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 1, Seq: 1, Tag: graph.SetOf(2, 3), Path: graph.Path{1}}},
-		// COMPLETE with zero sequence number.
-		{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 1, Seq: 0, Tag: graph.SetOf(3), Path: graph.Path{1}}},
-		// Unknown payload type.
-		{From: 1, To: 0, Payload: junkPayload{}},
+	// <1, 0, 1> is a redundant path ending at 1; extended by 0 it repeats
+	// both vertices and is not. <0, 1> extended by 0 is redundant but not
+	// simple.
+	bounce, loop := bw.EntryOf(proto, graph.Path{1, 0, 1}), bw.EntryOf(proto, graph.Path{0, 1})
+	if bounce < 0 || loop < 0 {
+		t.Fatalf("entries %d and %d: the paths are not in vertex 1's table", bounce, loop)
 	}
-	for _, msg := range garbage {
+	garbage := []struct {
+		msg  transport.Message
+		door bool // dropped for its path
+	}{
+		// An id past the sender's table, and one below zero.
+		{transport.Message{From: 1, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1, Entry: 1 << 30}}, true},
+		{transport.Message{From: 1, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1, Entry: -1}}, true},
+		// A sender that is no in-neighbor: the receiver itself, and a vertex
+		// outside the graph.
+		{transport.Message{From: 0, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1, Entry: 0}}, true},
+		{transport.Message{From: 9, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1, Entry: 0}}, true},
+		// A path of the sender's table whose extension is not redundant here.
+		{transport.Message{From: 1, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1, Entry: bounce}}, true},
+		// Bad round.
+		{transport.Message{From: 1, To: 0, Payload: bw.ValPayload{Round: 99, Value: 1, Entry: 0}}, false},
+		{transport.Message{From: 1, To: 0, Payload: bw.ValPayload{Round: 0, Value: 1, Entry: 0}}, false},
+		// COMPLETE with origin not matching the path's first vertex.
+		{transport.Message{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 2, Seq: 1, Tag: graph.SetOf(3), Entry: 0}}, true},
+		// COMPLETE on a path that is not simple once extended.
+		{transport.Message{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 0, Seq: 1, Tag: graph.SetOf(3), Entry: loop}}, true},
+		// COMPLETE on an id past the sender's table.
+		{transport.Message{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 1, Seq: 1, Tag: graph.SetOf(3), Entry: 1 << 30}}, true},
+		// COMPLETE whose tag includes its own origin.
+		{transport.Message{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 1, Seq: 1, Tag: graph.SetOf(1), Entry: 0}}, false},
+		// COMPLETE with an oversized tag.
+		{transport.Message{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 1, Seq: 1, Tag: graph.SetOf(2, 3), Entry: 0}}, false},
+		// COMPLETE with zero sequence number.
+		{transport.Message{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 1, Seq: 0, Tag: graph.SetOf(3), Entry: 0}}, false},
+		// Unknown payload type.
+		{transport.Message{From: 1, To: 0, Payload: junkPayload{}}, false},
+	}
+	for _, tc := range garbage {
 		before := m.Snapshot()
 		out := sim.NewCollector(0, g)
-		m.Deliver(msg, out)
+		m.Deliver(tc.msg, out)
 		after := m.Snapshot()
 		if before.FAExecutions != after.FAExecutions {
-			t.Errorf("garbage %v advanced the machine", msg)
+			t.Errorf("garbage %v advanced the machine", tc.msg)
+		}
+		want := before.PathDropped
+		if tc.door {
+			want++
+		}
+		if after.PathDropped != want {
+			t.Errorf("garbage %+v: PathDropped %d -> %d, want %d", tc.msg, before.PathDropped, after.PathDropped, want)
 		}
 	}
 	if _, done := m.Output(); done {
 		t.Error("garbage alone made the node decide")
-	}
-	// The wrong terminal, the invalid walk, the empty path and the COMPLETE
-	// whose path does not start at its origin are dropped for their path
-	// and counted; the rest fail on round, tag, sequence number or type.
-	if got := m.Snapshot().PathDropped; got != 4 {
-		t.Errorf("PathDropped = %d after the garbage, want 4", got)
 	}
 }
 
@@ -266,12 +287,12 @@ type junkPayload struct{}
 
 func (junkPayload) Kind() string { return "JUNK" }
 
-// TestPathTableImmutableUnderAdversaries: relays hand out the path table's
-// own slices, shared by every round of a run and by the entries whose tail
-// they are, so nothing downstream may write to a path it was handed — not a
-// receiving machine, not the simulator, not any registered Byzantine
-// behavior wrapped around a machine. Every spelled-out path and key is the
-// same after a run against each of them as before it.
+// TestPathTableImmutableUnderAdversaries: messages name paths by entry ids
+// of the path tables and in-edge columns every machine of a Proto shares,
+// so nothing may write to them — not a receiving machine, not the
+// simulator, not any registered Byzantine behavior wrapped around a
+// machine. Every table and column reads the same after a run against each
+// of them as before it.
 func TestPathTableImmutableUnderAdversaries(t *testing.T) {
 	const byz = 1
 	g := graph.Fig1a()
@@ -299,7 +320,7 @@ func TestPathTableImmutableUnderAdversaries(t *testing.T) {
 			t.Errorf("%s: an honest node did not decide", kind)
 		}
 		if after := bw.PathTableChecksum(proto); after != before {
-			t.Errorf("%s: the path tables' spelled-out paths changed during the run (%x -> %x)", kind, before, after)
+			t.Errorf("%s: the path tables changed during the run (%x -> %x)", kind, before, after)
 		}
 	}
 }

@@ -109,9 +109,9 @@ func TestDigestCacheDistinguishesContents(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := &CompletePayload{Origin: 1, Tag: graph.SetOf(2),
-		Entries: []ValEntry{{Value: 1, PathKey: "\x01\x00"}}}
+		Entries: []ValEntry{{Value: 1, Entry: 0}}}
 	b := &CompletePayload{Origin: 1, Tag: graph.SetOf(2),
-		Entries: []ValEntry{{Value: 2, PathKey: "\x01\x00"}}}
+		Entries: []ValEntry{{Value: 2, Entry: 0}}}
 	if m.floodInfo(a).key == m.floodInfo(b).key {
 		t.Error("different contents produced the same digest")
 	}
@@ -121,7 +121,7 @@ func TestDigestCacheDistinguishesContents(t *testing.T) {
 	}
 	// Equal content in a different backing array still digests equally.
 	c := &CompletePayload{Origin: 1, Tag: graph.SetOf(2),
-		Entries: []ValEntry{{Value: 1, PathKey: "\x01\x00"}}}
+		Entries: []ValEntry{{Value: 1, Entry: 0}}}
 	if m.floodInfo(a).key != m.floodInfo(c).key {
 		t.Error("equal contents digested differently")
 	}

@@ -45,10 +45,10 @@ type Metrics struct {
 	// no honest origin reaches.
 	SeqDropped int
 	// PathDropped counts VAL and COMPLETE messages discarded for their
-	// path: not a path of the node's table (empty, not ending at the
-	// sender, not a walk of G, not redundant here), or, for a COMPLETE, not
-	// simple or not starting at the claimed origin. An honest in-neighbor
-	// sends none.
+	// path: the sender is no in-neighbor, the entry it names is none of its
+	// table's, or the path extended by the node is not redundant (see door);
+	// or, for a COMPLETE, the path is not simple or does not start at the
+	// claimed origin. An honest in-neighbor sends none.
 	PathDropped int
 	// History records x_v[r] after each Filter-and-Average execution.
 	History []float64
@@ -133,7 +133,7 @@ func (m *Machine) startRound(r int, out *sim.Outbox) {
 	rs := m.round(r)
 	rs.started = true
 	rs.x = m.x
-	out.Broadcast(ValPayload{Round: r, Value: m.x, Path: m.pre.paths.path[0]})
+	out.Broadcast(ValPayload{Round: r, Value: m.x, Entry: 0})
 	m.acceptVal(rs, m.x, 0, out)
 }
 
@@ -143,8 +143,7 @@ func (m *Machine) deliverVal(p *ValPayload, from int, out *sim.Outbox) {
 	if p.Round < 1 || p.Round > m.proto.Rounds {
 		return
 	}
-	tbl := m.pre.paths
-	e := tbl.resolve(p.Path, from)
+	e := m.door(from, p.Entry)
 	if e < 0 {
 		m.metrics.PathDropped++
 		return
@@ -153,10 +152,11 @@ func (m *Machine) deliverVal(p *ValPayload, from int, out *sim.Outbox) {
 	if rs.has[e] {
 		return // first message per path wins (Algorithm 4 line 3)
 	}
-	// The table's spelling of the extended path and one boxed payload serve
-	// every relay; a path no neighbor can extend costs neither.
+	// Relays name the extended path by the node's own entry, and one boxed
+	// payload serves them all; a path no neighbor can extend costs nothing.
+	tbl := m.pre.paths
 	if ext := tbl.ext[tbl.extOff[e]:tbl.extOff[e+1]]; len(ext) > 0 {
-		var relay transport.Payload = ValPayload{Round: p.Round, Value: p.Value, Path: tbl.path[e]}
+		var relay transport.Payload = ValPayload{Round: p.Round, Value: p.Value, Entry: e}
 		for _, w := range ext {
 			out.Send(int(w), relay)
 		}
@@ -211,10 +211,10 @@ func (m *Machine) acceptVal(rs *roundState, value float64, e int32, out *sim.Out
 
 // fireMC executes lines 10-11: the Maximal-Consistency condition holds for
 // this thread for the first time, so the node FIFO-floods
-// (M_v excluding F_v, COMPLETE(F_v)). The entries go out sorted by path key
-// so that equal message sets serialize identically: a filtered walk of the
-// table in rank order. missing just reached zero, so every entry avoiding
-// F_v has a value.
+// (M_v excluding F_v, COMPLETE(F_v)), each path named by its entry here.
+// The entries go out sorted by path key so that equal message sets
+// serialize identically: a filtered walk of the table in rank order.
+// missing just reached zero, so every entry avoiding F_v has a value.
 func (m *Machine) fireMC(rs *roundState, t *threadState, out *sim.Outbox) {
 	t.mcFired = true
 	m.metrics.MCFires++
@@ -224,7 +224,7 @@ func (m *Machine) fireMC(rs *roundState, t *threadState, out *sim.Outbox) {
 	words := m.plan.words
 	for _, e := range tbl.byRank {
 		if !intersects(&tbl.set[e], &t.pre.fv, words) {
-			entries = append(entries, ValEntry{Value: rs.vals[e], PathKey: tbl.key[e]})
+			entries = append(entries, ValEntry{Value: rs.vals[e], Entry: e})
 		}
 	}
 
@@ -235,7 +235,7 @@ func (m *Machine) fireMC(rs *roundState, t *threadState, out *sim.Outbox) {
 		Seq:     rs.outSeq,
 		Tag:     t.pre.fv,
 		Entries: entries,
-		Path:    tbl.path[0],
+		Entry:   0,
 	}
 	out.Broadcast(payload)
 	// The node FIFO-receives its own flood through the trivial path <v>.
@@ -251,7 +251,7 @@ func (m *Machine) deliverComplete(p *CompletePayload, from int, out *sim.Outbox)
 	// keyed by (origin, path): the path alone, once it is known to begin at
 	// the origin.
 	tbl := m.pre.paths
-	e := tbl.resolve(p.Path, from)
+	e := m.door(from, p.Entry)
 	if e < 0 || tbl.stream[e] < 0 || int(tbl.head[e]) != p.Origin {
 		m.metrics.PathDropped++
 		return
@@ -273,14 +273,14 @@ func (m *Machine) deliverComplete(p *CompletePayload, from int, out *sim.Outbox)
 		return // first message per (origin, path, seq) wins
 	}
 	// Relay before FIFO reordering: forwarding is immediate, ordering is
-	// enforced receiver-side. As for VAL, the table's spelling of the path
-	// and one boxed payload serve every relay.
+	// enforced receiver-side. As for VAL, relays name the path by the node's
+	// own entry and one boxed payload serves them all.
 	var relay transport.Payload
 	for _, w := range m.proto.G.Out(m.id) {
 		if !hasNode(&tbl.set[e], w) {
 			if relay == nil {
 				fwd := *p
-				fwd.Path = tbl.path[e]
+				fwd.Entry = e
 				relay = fwd
 			}
 			out.Send(w, relay)
@@ -295,6 +295,25 @@ func (m *Machine) deliverComplete(p *CompletePayload, from int, out *sim.Outbox)
 		st.done++
 		m.registerComplete(rs, info, stream)
 	}
+}
+
+// door maps entry e of in-neighbor from's path table to the node's entry for
+// that path extended by the node: a bounds check and one lookup in the
+// in-edge's column. It returns -1 when from is no in-neighbor, e is none of
+// its entries, or the extended path is not redundant.
+func (m *Machine) door(from int, e int32) int32 {
+	if uint(from) >= uint(len(m.pre.inRank)) {
+		return -1
+	}
+	j := m.pre.inRank[from]
+	if j < 0 {
+		return -1
+	}
+	col := m.proto.column(m.pre, m.id, j)
+	if uint(e) >= uint(len(col)) {
+		return -1
+	}
+	return col[e]
 }
 
 // floodKey identifies a COMPLETE payload's content by the identity of its

@@ -13,7 +13,6 @@
 package bw
 
 import (
-	"encoding/binary"
 	"math"
 	"slices"
 
@@ -21,37 +20,42 @@ import (
 )
 
 // ValPayload is a RedundantFlood message (x, p): a round-r state value
-// propagated along a redundant path. Path ends at the sender; the receiver
-// appends itself before storing or relaying, and rejects messages whose
-// claimed path does not terminate at the actual sender (Appendix E's
-// ter(p) = u check).
+// propagated along a redundant path. The path ends at the sender, which
+// names it by its entry in its own path table; the receiver maps that to
+// its entry for the path extended by itself before storing or relaying, and
+// drops a message whose entry maps to none (Appendix E's ter(p) = u check
+// and redundancy at the receiver, in one lookup).
 type ValPayload struct {
 	Round int
 	Value float64
-	Path  graph.Path
+	Entry int32
 }
 
 // Kind implements transport.Payload.
 func (ValPayload) Kind() string { return "VAL" }
 
-// ValEntry is one (value, path) pair of a flooded message set M_c. Entries
-// are sorted by path key so that equal message sets serialize identically.
+// ValEntry is one (value, path) pair of a flooded message set M_c, the path
+// named by its entry in the origin's path table. Entries are sorted by path
+// key — the table's rank order — so that equal message sets serialize
+// identically.
 type ValEntry struct {
-	Value   float64
-	PathKey string
+	Value float64
+	Entry int32
 }
 
 // CompletePayload is a FIFO-flooded (M_c, COMPLETE(F)) message: the message
 // set M_c that satisfied the Maximal-Consistency condition at Origin for the
 // suspect set Tag, together with Origin's per-round FIFO sequence number.
-// Entries is immutable and shared between relayed copies.
+// Entry names the propagation path, ending at the sender, in the sender's
+// table, as ValPayload does. Entries is immutable and shared between
+// relayed copies.
 type CompletePayload struct {
 	Round   int
 	Origin  int
 	Seq     int
 	Tag     graph.Set
 	Entries []ValEntry
-	Path    graph.Path
+	Entry   int32
 }
 
 // Kind implements transport.Payload.
@@ -60,11 +64,13 @@ func (CompletePayload) Kind() string { return "COMPLETE" }
 // contentKey identifies the content of a COMPLETE message (origin, tag and
 // entry set — not the propagation path or sequence number), so that "the
 // same message received from all paths" (the FIFO-Receive-All condition,
-// Algorithm 1 line 12) is a key comparison. The digest is a 128-bit FNV-1a
-// pair: entry sets can hold thousands of path entries and arrive over many
-// paths, so full canonical serialization per receipt dominated profiles;
-// a collision would require two distinct Byzantine message sets hashing
-// identically under both variants, which is negligible at simulation scale.
+// Algorithm 1 line 12) is a key comparison. The digest is two 64-bit
+// multiply-xorshift lanes over fixed-width words — the tag's, then two per
+// entry (id, value bits) — so no entry's words can spell two entries: entry
+// sets can hold thousands of entries and arrive over many paths, so full
+// canonical comparison per receipt dominated profiles; a collision would
+// require two distinct Byzantine message sets hashing identically in both
+// lanes, which is negligible at simulation scale.
 type contentKey struct {
 	origin int
 	h1, h2 uint64
@@ -72,35 +78,23 @@ type contentKey struct {
 
 func (c *CompletePayload) contentKey() contentKey {
 	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
+		prime1 = 0x9e3779b97f4a7c15
+		prime2 = 0xc2b2ae3d27d4eb4f
 	)
-	h1 := uint64(offset64)
-	h2 := uint64(offset64 ^ 0x9e3779b97f4a7c15)
-	mix := func(b byte) {
-		h1 = (h1 ^ uint64(b)) * prime64
-		h2 = (h2 ^ uint64(b^0xa5)) * prime64
+	h1 := uint64(0x243f6a8885a308d3) ^ uint64(c.Origin)
+	h2 := uint64(0x13198a2e03707344) ^ uint64(c.Origin)
+	mix := func(w uint64) {
+		h1 = (h1 ^ w) * prime1
+		h1 ^= h1 >> 29
+		h2 = (h2 ^ w) * prime2
+		h2 ^= h2 >> 32
 	}
-	mix64 := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			mix(byte(v >> (8 * i)))
-		}
-	}
-	mix64(uint64(c.Origin))
 	for _, w := range c.Tag {
-		mix64(w)
+		mix(w)
 	}
-	// Keys are length-prefixed, not separated: a decoded key is any byte
-	// string, and one spelling a separator, value and key is not two entries.
-	var size [binary.MaxVarintLen64]byte
 	for _, e := range c.Entries {
-		for _, b := range binary.AppendUvarint(size[:0], uint64(len(e.PathKey))) {
-			mix(b)
-		}
-		for i := 0; i < len(e.PathKey); i++ {
-			mix(e.PathKey[i])
-		}
-		mix64(math.Float64bits(e.Value))
+		mix(uint64(uint32(e.Entry)))
+		mix(math.Float64bits(e.Value))
 	}
 	return contentKey{origin: c.Origin, h1: h1, h2: h2}
 }
@@ -131,16 +125,24 @@ func (p *Proto) newFloodInfo(c *CompletePayload) *floodInfo {
 		tagIdx:     p.tagIndex(&c.Tag),
 		consistent: true,
 	}
-	// Entries arrive sorted by path key, so an honest flood's origins are
+	// An entry's initial node is the head of the path it names in the
+	// origin's table; an id that names none makes the set inconsistent.
+	var head []int32
+	if uint(c.Origin) < uint(p.G.N()) {
+		if t, err := p.table(c.Origin); err == nil {
+			head = t.head
+		}
+	}
+	// Entries arrive in rank order, so an honest flood's origins are
 	// already ascending with each one's entries adjacent; only a Byzantine
 	// flood takes the sort and the second folding pass.
 	ordered := true
 	for _, e := range c.Entries {
-		init := graph.KeyInit(e.PathKey)
-		if init < 0 {
+		if uint(e.Entry) >= uint(len(head)) {
 			info.consistent = false
 			continue
 		}
+		init := int(head[e.Entry])
 		if n := len(info.values); n > 0 && info.values[n-1].node > init {
 			ordered = false
 		}

@@ -59,7 +59,15 @@ type planClause struct {
 	q    int32
 }
 
+// nodeSlot holds node v's path table and its static context, each built
+// once under its own Once: an in-edge's column needs the sender's table,
+// and a node's context, built while its Once is held, must not wait on
+// another's (on a cycle, two such waits deadlock).
 type nodeSlot struct {
+	tableOnce sync.Once
+	table     *pathTable
+	tableErr  error
+
 	once sync.Once
 	pre  *nodePre
 	err  error
@@ -153,7 +161,11 @@ func (p *Proto) tagIndex(tag *graph.Set) int32 {
 type nodePre struct {
 	// paths names every path a message can reach the node along; the
 	// threads' tables and the round state are laid out over its entries.
-	paths   *pathTable
+	paths *pathTable
+	// inRank maps a vertex to its position in G.In(v), -1 for the rest;
+	// in holds one column per in-edge, in that order.
+	inRank  []int32
+	in      []inColumn
 	threads []*threadPre
 	// threadOf maps a fault-set index to the position in threads of the
 	// thread suspecting it, -1 for sets containing the node itself.
@@ -183,20 +195,69 @@ type threadPre struct {
 	origins  int
 }
 
-// nodePre returns node v's static context, enumerating redundant paths
-// within the budget the first time v is asked for.
+// inColumn is the door of one in-edge (u, v): u's table mapped onto v's
+// (pathTable.column), built on the first message over the edge.
+type inColumn struct {
+	once sync.Once
+	col  []int32
+}
+
+// table returns node v's path table, enumerating redundant paths within the
+// budget the first time v is asked for.
+func (p *Proto) table(v int) (*pathTable, error) {
+	slot := &p.getPlan().nodes[v]
+	slot.tableOnce.Do(func() {
+		slot.table, slot.tableErr = buildPathTable(p.G, v, p.PathBudget)
+		if slot.tableErr != nil {
+			slot.tableErr = fmt.Errorf("bw: node %d: %w", v, slot.tableErr)
+		}
+	})
+	return slot.table, slot.tableErr
+}
+
+// nodePre returns node v's static context, building it the first time v is
+// asked for.
 func (p *Proto) nodePre(v int) (*nodePre, error) {
 	slot := &p.getPlan().nodes[v]
 	slot.once.Do(func() { slot.pre, slot.err = p.precompute(v) })
 	return slot.pre, slot.err
 }
 
+// column returns the door of v's j-th in-edge. A sender whose own table
+// exceeds the budget can run no honest machine; its column is empty, so
+// every entry it names is dropped.
+func (p *Proto) column(pre *nodePre, v int, j int32) []int32 {
+	ic := &pre.in[j]
+	ic.once.Do(func() {
+		u := p.G.In(v)[j]
+		src, err := p.table(u)
+		if err != nil {
+			ic.col = []int32{}
+			return
+		}
+		ic.col = pre.paths.column(p.G, v, src, u)
+	})
+	return ic.col
+}
+
 func (p *Proto) precompute(v int) (*nodePre, error) {
-	paths, err := buildPathTable(p.G, v, p.PathBudget)
+	paths, err := p.table(v)
 	if err != nil {
-		return nil, fmt.Errorf("bw: node %d: %w", v, err)
+		return nil, err
 	}
-	pre := &nodePre{paths: paths, threadOf: make([]int32, len(p.FaultSets))}
+	in := p.G.In(v)
+	pre := &nodePre{
+		paths:    paths,
+		inRank:   make([]int32, p.G.N()),
+		in:       make([]inColumn, len(in)),
+		threadOf: make([]int32, len(p.FaultSets)),
+	}
+	for u := range pre.inRank {
+		pre.inRank[u] = -1
+	}
+	for j, u := range in {
+		pre.inRank[u] = int32(j)
+	}
 	words := p.plan.words
 	for i, fv := range p.FaultSets {
 		if fv.Has(v) {

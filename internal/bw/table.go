@@ -9,14 +9,15 @@ import (
 )
 
 // pathTable names every redundant path of G that ends at one vertex v —
-// every path a VAL or COMPLETE can reach v along — by a small integer, so a
-// received path is looked at once, at the door, and everything behind it
-// indexes columns. An entry is its first vertex plus the entry of the rest
-// of the path: entry 0 is the trivial path <v>, and the paths ending at v
-// are closed under dropping the first vertex, so the entries form a tree
-// hanging from it. Whatever the machine used to derive from a path's hops
-// per delivery is a column, computed once from (G, v). Entry ids are local
-// to v; the wire still spells paths out. Read-only once built.
+// every path a VAL or COMPLETE can reach v along — by a small integer, and
+// messages carry that integer, never the path: a sender names a path by its
+// own entry and the receiver maps (sender, entry) to its own through the
+// in-edge's column (column). An entry is its first vertex plus the entry of
+// the rest of the path: entry 0 is the trivial path <v>, and the paths
+// ending at v are closed under dropping the first vertex, so the entries
+// form a tree hanging from it, each below the entries that extend it.
+// Whatever the machine used to derive from a path's hops per delivery is a
+// column, computed once from (G, v). Read-only once built.
 type pathTable struct {
 	head []int32 // the path's first vertex: its initial node
 	next []int32 // the entry of the path without it; -1 for entry 0
@@ -24,7 +25,6 @@ type pathTable struct {
 	// with the i-th in-neighbor of e's first vertex, -1 when that path is
 	// not redundant.
 	kidOff, kids []int32
-	g            *graph.Graph
 
 	set []graph.Set // the path's vertices
 	// rank is the entry's position among all entries in Path.Key order —
@@ -39,14 +39,6 @@ type pathTable struct {
 	// order, for which the path extended by w is still redundant: where a
 	// VAL accepted on the entry is relayed (Algorithm 4 line 5).
 	extOff, ext []int32
-
-	// path and key spell the entry out for relays and COMPLETE entries.
-	// An entry shares the backing array of one entry a vertex longer, so
-	// the table holds one spelling per entry no longer entry continues, and
-	// every round and relay of a run shares it: receivers must not write to
-	// a path they are handed.
-	path []graph.Path
-	key  []string
 }
 
 // buildPathTable enumerates the redundant paths ending at v with the
@@ -67,7 +59,6 @@ func buildPathTable(g *graph.Graph, v, budget int) (*pathTable, error) {
 		next:   make([]int32, 0, n),
 		kidOff: make([]int32, 0, n),
 		kids:   make([]int32, kids),
-		g:      g,
 		set:    make([]graph.Set, 0, n),
 		stream: make([]int32, 0, n),
 		extOff: make([]int32, 0, n+1),
@@ -85,8 +76,6 @@ func buildPathTable(g *graph.Graph, v, budget int) (*pathTable, error) {
 		e      int32
 	}
 	order := make([]ranked, 0, n)
-	length := make([]int32, 0, n)
-	child := make([]int32, n) // some entry one vertex longer, 0 for none
 	codeBits := bits.Len(uint(g.N()))
 	kids = 0
 	g.WalkRedundantPathsTo(v, graph.EmptySet, budget, func(w *graph.RedundantWalk) {
@@ -94,14 +83,12 @@ func buildPathTable(g *graph.Graph, v, budget int) (*pathTable, error) {
 		t.next = append(t.next, w.Suffix)
 		t.kidOff = append(t.kidOff, int32(kids))
 		kids += len(g.In(w.Head))
-		length = append(length, int32(w.Len))
 		code := uint64(w.Head+1) << (64 - codeBits)
 		if w.Suffix < 0 {
 			t.set = append(t.set, graph.SetOf(w.Head))
 			order = append(order, ranked{code, w.ID})
 		} else {
 			t.kids[t.kidOff[w.Suffix]+int32(slices.Index(g.In(int(t.head[w.Suffix])), w.Head))] = w.ID
-			child[w.Suffix] = w.ID
 			t.set = append(t.set, t.set[w.Suffix])
 			addNode(&t.set[w.ID], w.Head)
 			order = append(order, ranked{code | order[w.Suffix].prefix>>codeBits, w.ID})
@@ -133,34 +120,6 @@ func buildPathTable(g *graph.Graph, v, budget int) (*pathTable, error) {
 		t.byRank[pos], t.rank[r.e] = r.e, int32(pos)
 	}
 
-	// Spell out the entries no longer entry continues, back to back in one
-	// array; every other entry is the tail of a child's spelling.
-	// Longer entries have larger ids, so walking down meets a child first.
-	total := 0
-	for e, k := range child {
-		if k == 0 {
-			total += int(length[e])
-		}
-	}
-	all := make(graph.Path, 0, total)
-	off := make([]int32, n)
-	for e := int32(n) - 1; e >= 0; e-- {
-		if k := child[e]; k > 0 {
-			off[e] = off[k] + 1
-			continue
-		}
-		off[e] = int32(len(all))
-		for x := e; x >= 0; x = t.next[x] {
-			all = append(all, int(t.head[x]))
-		}
-	}
-	keys := all.Key()
-	t.path = make([]graph.Path, n)
-	t.key = make([]string, n)
-	for e, lo := range off {
-		hi := lo + length[e]
-		t.path[e], t.key[e] = all[lo:hi:hi], keys[2*lo:2*hi]
-	}
 	return t, nil
 }
 
@@ -180,22 +139,26 @@ func (t *pathTable) compare(a, b int32) int {
 	return 0
 }
 
-// resolve returns the entry of path extended by v, for a path received from
-// in-neighbor from, or -1 when there is none: path is empty, does not end at
-// from, leaves the graph, or would not be redundant at v. Exact — it walks
-// the hops back from v through the entries' children — so what it admits is
-// bounded by the topology, whatever the sender is.
-func (t *pathTable) resolve(path graph.Path, from int) int32 {
-	if len(path) == 0 || path[len(path)-1] != from {
-		return -1
-	}
-	e := int32(0)
-	for i := len(path) - 1; i >= 0 && e >= 0; i-- {
-		j := slices.Index(t.g.In(int(t.head[e])), path[i])
-		if j < 0 {
-			return -1 // no such vertex, or no edge from it
+// column maps the entries of in-neighbor u's table src onto t, the table
+// of v: col[e] is t's entry for src's path e extended by v, -1 when that
+// walk is not redundant. A suffix's entry is below its path's, so one pass
+// in entry order finds each as a child of its suffix's image: col[0] is
+// <u, v>, and path e is head_u[e] prepended to path next_u[e]. What a
+// sender can name is its own table, every redundant path ending at it, and
+// the column admits exactly those whose extension is redundant here — what
+// the receiver-side check of Appendix E admits from a spelled-out path.
+func (t *pathTable) column(g *graph.Graph, v int, src *pathTable, u int) []int32 {
+	col := make([]int32, len(src.head))
+	col[0] = t.kids[t.kidOff[0]+int32(slices.Index(g.In(v), u))]
+	for e := 1; e < len(col); e++ {
+		c := col[src.next[e]]
+		if c < 0 {
+			col[e] = -1
+			continue
 		}
-		e = t.kids[int(t.kidOff[e])+j]
+		// src.head[e] precedes path next[e] in a walk of G, so it is an
+		// in-neighbor of that path's first vertex, which is c's.
+		col[e] = t.kids[t.kidOff[c]+int32(slices.Index(g.In(int(t.head[c])), int(src.head[e])))]
 	}
-	return e
+	return col
 }

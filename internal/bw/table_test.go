@@ -2,6 +2,7 @@ package bw
 
 import (
 	"errors"
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -29,7 +30,7 @@ func tableGraphs() []*graph.Graph {
 // to the definition it stands in for: the entries are graph.RedundantPathsTo,
 // rank is the position in sorted Path.Key order, set/head/stream are
 // Path.Set/Init/IsSimple, the relay list is the reference redundantExt, the
-// door finds each entry from the path its in-neighbor would send, and each
+// reference door finds each entry from the path its in-neighbor names, and each
 // thread's fullness count and FIFO requirements are what
 // CountRedundantPathsTo and SimplePathsTo gave before the table.
 func TestPathTableMatchesReference(t *testing.T) {
@@ -62,14 +63,15 @@ func TestPathTableMatchesReference(t *testing.T) {
 			sort.Strings(sorted)
 			streams := 0
 			for e := range tbl.head {
-				path, key := tbl.path[e], tbl.key[e]
-				if _, ok := want[key]; !ok || path.Key() != key {
-					t.Fatalf("%s node %d entry %d: path %v under key %q is no redundant path ending here", g, v, e, path, key)
+				path := tbl.spell(int32(e))
+				key := path.Key()
+				if _, ok := want[key]; !ok {
+					t.Fatalf("%s node %d entry %d: path %v is no redundant path ending here", g, v, e, path)
 				}
 				if int(tbl.head[e]) != path.Init() || tbl.set[e] != path.Set() {
 					t.Errorf("%s node %d entry %v: head %d set %s", g, v, path, tbl.head[e], tbl.set[e])
 				}
-				if s := tbl.next[e]; s < 0 && len(path) != 1 || s >= 0 && !slices.Equal(tbl.path[s], path[1:]) {
+				if s := tbl.next[e]; s < 0 && len(path) != 1 || s >= 0 && !slices.Equal(tbl.spell(s), path[1:]) {
 					t.Errorf("%s node %d entry %v: suffix entry %d", g, v, path, s)
 				}
 				if sorted[tbl.rank[e]] != key || tbl.byRank[tbl.rank[e]] != int32(e) {
@@ -93,7 +95,7 @@ func TestPathTableMatchesReference(t *testing.T) {
 					t.Errorf("%s node %d entry %v: relayed to %v, the reference says %v", g, v, path, got, relays)
 				}
 				if len(path) > 1 {
-					if got := tbl.resolve(path[:len(path)-1], path[len(path)-2]); got != int32(e) {
+					if got := tbl.resolve(g, path[:len(path)-1], path[len(path)-2]); got != int32(e) {
 						t.Errorf("%s node %d entry %v: the door resolves it to %d, want %d", g, v, path, got, e)
 					}
 				}
@@ -123,14 +125,14 @@ func TestPathTableMatchesReference(t *testing.T) {
 				seen := make(map[[2]int32]bool) // (origin, number)
 				for s, num := range th.required {
 					e := tbl.simples[s]
-					if (num >= 0) != wantKeys[tbl.key[e]] {
-						t.Errorf("%s node %d thread %s: stream %v numbered %d", g, v, th.fv, tbl.path[e], num)
+					if (num >= 0) != wantKeys[tbl.spell(e).Key()] {
+						t.Errorf("%s node %d thread %s: stream %v numbered %d", g, v, th.fv, tbl.spell(e), num)
 					}
 					if num < 0 {
 						continue
 					}
 					if k := [2]int32{tbl.head[e], num}; seen[k] || int(num) >= perOrigin[int(tbl.head[e])] {
-						t.Errorf("%s node %d thread %s: stream %v reuses or overshoots number %d", g, v, th.fv, tbl.path[e], num)
+						t.Errorf("%s node %d thread %s: stream %v reuses or overshoots number %d", g, v, th.fv, tbl.spell(e), num)
 					} else {
 						seen[k] = true
 					}
@@ -141,6 +143,44 @@ func TestPathTableMatchesReference(t *testing.T) {
 				for r, c := range th.reach.Members() {
 					if int(th.need[r]) != perOrigin[c] {
 						t.Errorf("%s node %d thread %s origin %d: need %d, want %d", g, v, th.fv, c, th.need[r], perOrigin[c])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPathTableColumnsMatchResolve holds every in-edge's column to the
+// reference door: for every edge (u, v) and every entry e of u's table,
+// column[e] is what resolve makes of the path e spells, received from u.
+func TestPathTableColumnsMatchResolve(t *testing.T) {
+	gs := []*graph.Graph{graph.Fig1a(), graph.Clique(4), graph.DirectedCycle(5)}
+	if !testing.Short() {
+		gs = append(gs, graph.Fig1bAnalog())
+	}
+	for _, g := range gs {
+		p, err := NewProto(g, 1, 1, 0.5, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < g.N(); v++ {
+			pre, err := p.nodePre(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, u := range g.In(v) {
+				src, err := p.table(u)
+				if err != nil {
+					t.Fatal(err)
+				}
+				col := p.column(pre, v, int32(j))
+				if len(col) != len(src.head) {
+					t.Fatalf("%s edge (%d, %d): %d column entries, %d in the sender's table", g, u, v, len(col), len(src.head))
+				}
+				for e, got := range col {
+					path := src.spell(int32(e))
+					if want := pre.paths.resolve(g, path, u); got != want {
+						t.Fatalf("%s edge (%d, %d) entry %d %v: column %d, resolve %d", g, u, v, e, path, got, want)
 					}
 				}
 			}
@@ -161,34 +201,33 @@ var admissionProtos = func() []*Proto {
 	return ps
 }()
 
-// FuzzPathAdmission feeds the door arbitrary vertex sequences — empty,
-// over-long, ids below zero or past the graph, non-edges, non-redundant
-// walks, foreign terminals — as a VAL and as a COMPLETE from an arbitrary
-// sender. A VAL is admitted exactly when the path is non-empty, ends at the
-// sender, and extended by the receiver is a redundant walk of G; a COMPLETE
-// when that walk is also simple and starts at the claimed origin; every
-// other frame is counted in PathDropped, and nothing panics.
+// FuzzPathAdmission feeds the door arbitrary (sender, entry) pairs — senders
+// below zero, past the graph or not in-neighbors, ids below zero, past the
+// sender's table, or naming a path whose extension is not redundant here —
+// as a VAL and as a COMPLETE. A VAL is admitted exactly when the sender is a
+// vertex, the id one of its table's entries, and the reference resolve
+// admits the path that entry spells, and it lands on resolve's entry; a
+// COMPLETE when that path extended by the receiver is also simple and
+// starts at the claimed origin.
+// Every other frame is counted in PathDropped, and nothing panics.
 func FuzzPathAdmission(f *testing.F) {
-	f.Add(uint8(0), uint8(0), int8(1), int8(2), []byte{2, 1})          // fig1a: an honest relay
-	f.Add(uint8(0), uint8(0), int8(1), int8(1), []byte{})              // empty
-	f.Add(uint8(0), uint8(0), int8(1), int8(2), []byte{2, 3})          // foreign terminal
-	f.Add(uint8(0), uint8(0), int8(1), int8(9), []byte{9, 1})          // vertex past the graph
-	f.Add(uint8(0), uint8(0), int8(1), int8(-1), []byte{0xff, 1})      // vertex below zero
-	f.Add(uint8(1), uint8(0), int8(1), int8(1), []byte{1, 2, 1, 2, 1}) // clique:4: not redundant
-	f.Add(uint8(1), uint8(0), int8(1), int8(1), []byte{1, 0, 1})       // redundant, not simple
-	f.Add(uint8(1), uint8(2), int8(3), int8(0), []byte{0, 1, 3})       // wrong origin
-	f.Add(uint8(2), uint8(0), int8(4), int8(0), []byte{0, 1, 2, 3, 4}) // cycle:5: all the way round
-	f.Add(uint8(2), uint8(0), int8(4), int8(3), []byte{3, 2, 4})       // non-edges
-	f.Add(uint8(2), uint8(3), int8(2), int8(3), bytes40())             // over-long
-	f.Add(uint8(3), uint8(5), int8(0), int8(0), []byte{0})             // random digraph
-	f.Fuzz(func(t *testing.T, pick, node uint8, sender, origin int8, raw []byte) {
+	f.Add(uint8(0), uint8(0), int8(1), int32(0), int8(1))             // fig1a: a neighbor's own value
+	f.Add(uint8(0), uint8(0), int8(1), int32(3), int8(2))             // an honest relay's entry
+	f.Add(uint8(0), uint8(0), int8(1), int32(-1), int8(1))            // id below zero
+	f.Add(uint8(0), uint8(0), int8(1), int32(1<<30), int8(1))         // id past the table
+	f.Add(uint8(0), uint8(0), int8(9), int32(0), int8(9))             // sender past the graph
+	f.Add(uint8(0), uint8(0), int8(-1), int32(0), int8(0))            // sender below zero
+	f.Add(uint8(0), uint8(0), int8(0), int32(0), int8(0))             // the receiver itself
+	f.Add(uint8(1), uint8(0), int8(1), int32(7), int8(1))             // clique:4
+	f.Add(uint8(1), uint8(2), int8(3), int32(40), int8(0))            // clique:4, deeper
+	f.Add(uint8(2), uint8(0), int8(4), int32(4), int8(0))             // cycle:5: all the way round
+	f.Add(uint8(2), uint8(0), int8(3), int32(0), int8(3))             // cycle:5: no edge 3 -> 0
+	f.Add(uint8(3), uint8(5), int8(0), int32(2), int8(0))             // random digraph
+	f.Add(uint8(3), uint8(1), int8(2), int32(math.MaxInt32), int8(2)) // the largest id
+	f.Fuzz(func(t *testing.T, pick, node uint8, sender int8, id int32, origin int8) {
 		proto := admissionProtos[int(pick)%len(admissionProtos)]
 		g := proto.G
 		v, from := int(node)%g.N(), int(sender)
-		path := make(graph.Path, len(raw))
-		for i, b := range raw {
-			path[i] = int(int8(b))
-		}
 		m, err := NewMachine(proto, v, 0.5)
 		if err != nil {
 			t.Fatal(err)
@@ -196,29 +235,32 @@ func FuzzPathAdmission(f *testing.F) {
 		out := sim.NewCollector(v, g)
 		m.Start(out)
 
-		whole := path.Append(v)
-		wantVal := len(path) > 0 && path.Ter() == from && whole.ValidIn(g) && whole.IsRedundant()
-		wantComplete := wantVal && whole.IsSimple() && path.Init() == int(origin)
-
-		m.Deliver(transport.Message{From: from, To: v, Payload: ValPayload{Round: 1, Value: 1, Path: path}}, out)
-		if got := m.metrics.PathDropped == 0; got != wantVal {
-			t.Fatalf("%s node %d: VAL on %v from %d admitted=%v, want %v", g, v, path, from, got, wantVal)
+		tbl := m.pre.paths
+		want := int32(-1)
+		var path graph.Path
+		if from >= 0 && from < g.N() {
+			src, err := proto.table(from)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id >= 0 && int(id) < len(src.head) {
+				path = src.spell(id)
+				want = tbl.resolve(g, path, from)
+			}
 		}
-		if e := m.pre.paths.resolve(path, from); wantVal && !slices.Equal(m.pre.paths.path[e], whole) {
-			t.Fatalf("%s node %d: %v from %d resolved to %v", g, v, path, from, m.pre.paths.path[e])
+		wantComplete := want >= 0 && path.Append(v).IsSimple() && path.Init() == int(origin)
+
+		if got := m.door(from, id); got != want {
+			t.Fatalf("%s node %d: entry %d %v from %d maps to %d, resolve says %d", g, v, id, path, from, got, want)
+		}
+		m.Deliver(transport.Message{From: from, To: v, Payload: ValPayload{Round: 1, Value: 1, Entry: id}}, out)
+		if got := m.metrics.PathDropped == 0; got != (want >= 0) {
+			t.Fatalf("%s node %d: VAL on entry %d %v from %d admitted=%v, want %v", g, v, id, path, from, got, want >= 0)
 		}
 		m.metrics.PathDropped = 0
-		m.Deliver(transport.Message{From: from, To: v, Payload: CompletePayload{Round: 1, Origin: int(origin), Seq: 1, Path: path}}, out)
+		m.Deliver(transport.Message{From: from, To: v, Payload: CompletePayload{Round: 1, Origin: int(origin), Seq: 1, Entry: id}}, out)
 		if got := m.metrics.PathDropped == 0; got != wantComplete {
-			t.Fatalf("%s node %d: COMPLETE on %v from %d for origin %d admitted=%v, want %v", g, v, path, from, origin, got, wantComplete)
+			t.Fatalf("%s node %d: COMPLETE on entry %d %v from %d for origin %d admitted=%v, want %v", g, v, id, path, from, origin, got, wantComplete)
 		}
 	})
-}
-
-func bytes40() []byte {
-	b := make([]byte, 40)
-	for i := range b {
-		b[i] = byte((i + 3) % 5)
-	}
-	return b
 }

@@ -20,8 +20,7 @@ func (p Path) Ter() int { return p[len(p)-1] }
 // Key encodes the path as a compact string usable as a map key: two
 // big-endian bytes per node (IDs are below MaxNodes = 1024, so two bytes
 // suffice). Keys compare lexicographically in the same order as the node
-// sequences they encode, and the first two bytes of a key are the path's
-// initial node — both properties are relied on by the BW machine.
+// sequences they encode, the order BW's path table ranks its entries in.
 func (p Path) Key() string {
 	b := make([]byte, 2*len(p))
 	for i, v := range p {
@@ -29,14 +28,6 @@ func (p Path) Key() string {
 		b[2*i+1] = byte(v)
 	}
 	return string(b)
-}
-
-// KeyInit decodes the initial node of an encoded Key ("" yields -1).
-func KeyInit(k string) int {
-	if len(k) < 2 {
-		return -1
-	}
-	return int(k[0])<<8 | int(k[1])
 }
 
 // PathFromKey decodes a Key back into a Path. Odd-length inputs (which no

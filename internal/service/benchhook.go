@@ -25,8 +25,9 @@ import (
 //
 // Not comparable with values recorded before the mailbox (PR 22): that cell
 // stopped at the inbox channel and drained it undecoded, 0 allocs/frame; this
-// one's 2 allocs/frame are the decode of its bw.ValPayload frame
-// (TestDispatchAllocBudget pins dispatch at exactly node.Deliver's count).
+// one's 1 alloc/frame is the decode of its bw.ValPayload frame, 2 while BW
+// frames spelled their paths out (TestDispatchAllocBudget pins dispatch at
+// exactly node.Deliver's count).
 func DispatchBench(b *testing.B) {
 	g := graph.Clique(2)
 	d := newSkeleton(g)
@@ -37,7 +38,7 @@ func DispatchBench(b *testing.B) {
 
 	body, err := wire.EncodeInstanceMessage(inst, transport.Message{
 		From: 0, To: 1,
-		Payload: bw.ValPayload{Round: 2, Value: 0.625, Path: graph.Path{0, 1}},
+		Payload: bw.ValPayload{Round: 2, Value: 0.625, Entry: 1},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -265,7 +265,7 @@ func TestDispatchRouteOpenRace(t *testing.T) {
 					// retired. Either way it must not wedge the dispatcher.
 					frame, err := wire.EncodeInstanceMessage(inst, transport.Message{
 						From: from, To: d.ID(),
-						Payload: bw.ValPayload{Round: 1, Value: 0.25, Path: graph.Path{from, d.ID()}},
+						Payload: bw.ValPayload{Round: 1, Value: 0.25, Entry: 1},
 					})
 					if err != nil {
 						t.Error(err)

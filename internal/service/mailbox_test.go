@@ -102,7 +102,7 @@ func probeFrame(t testing.TB, inst uint64, from, to, seq int) ([]byte, wire.Fram
 	t.Helper()
 	frame, err := wire.AppendInstanceMessage(wire.GetBuf(), inst, transport.Message{
 		From: from, To: to,
-		Payload: bw.ValPayload{Round: seq, Value: 0.5, Path: graph.Path{from, to}},
+		Payload: bw.ValPayload{Round: seq, Value: 0.5, Entry: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

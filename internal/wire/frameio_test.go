@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/bw"
-	"repro/internal/graph"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -18,7 +17,7 @@ import (
 func frameioMessage() transport.Message {
 	return transport.Message{
 		From: 3, To: 5,
-		Payload: bw.ValPayload{Round: 2, Value: 0.625, Path: graph.Path{3, 1, 5}},
+		Payload: bw.ValPayload{Round: 2, Value: 0.625, Entry: 17},
 	}
 }
 

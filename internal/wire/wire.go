@@ -10,7 +10,7 @@
 // A frame on a stream is a 4-byte big-endian body length followed by the
 // body. A body is:
 //
-//	byte    version (currently 4)
+//	byte    version (currently 5)
 //	uvarint instance id (0 for single-shot runs)
 //	uvarint from
 //	uvarint to
@@ -25,7 +25,9 @@
 // PeekFrame without paying a full decode.
 //
 // Integers are unsigned varints, floats are IEEE-754 bits in big-endian
-// order, byte strings and paths are uvarint-length-prefixed. Map-valued
+// order, byte strings and paths are uvarint-length-prefixed. BW names every
+// path by its entry in a path table (see bw.ValPayload): an entry id is an
+// unsigned varint that fits an int32. Map-valued
 // contents (AAD reports) are serialized in sorted key order, so encoding is
 // a pure function of the message value: equal messages produce equal bytes
 // on every node, and re-encoding a decoded message reproduces the input
@@ -64,8 +66,10 @@ import (
 // consensus instance it belongs to — and added the service tier's OPEN
 // control payload; a version-3 peer would misread the instance varint as
 // its From field, so the bump again turns misdecoding into a handshake
-// failure.
-const Version = 4
+// failure. Version 5 replaced BW's spelled-out paths — the VAL path, the
+// COMPLETE propagation path and each COMPLETE entry's path key — by table
+// entry ids; a version-4 peer would read an id as a path length.
+const Version = 5
 
 // MaxFrame bounds a frame body: AppendRawFrame refuses to write a larger
 // one and FrameReader rejects larger length prefixes before allocating, so
@@ -78,10 +82,8 @@ const MaxFrame = 16 << 20
 // cap fails fast on corrupt headers instead of over-allocating.
 const (
 	maxPathLen = 2 * graph.MaxNodes
-	// Path keys encode two bytes per node (graph.Path.Key).
-	maxPathKeyBytes = 2 * maxPathLen
-	maxEntries      = 1 << 20
-	maxTagLen       = 1 << 12
+	maxEntries = 1 << 20
+	maxTagLen  = 1 << 12
 )
 
 // Payload type tags.
@@ -150,11 +152,17 @@ func AppendInstanceMessage(dst []byte, inst uint64, m transport.Message) ([]byte
 	dst = appendUint(dst, uint64(m.To))
 	switch p := m.Payload.(type) {
 	case bw.ValPayload:
+		if p.Entry < 0 {
+			return nil, fmt.Errorf("wire: bw val with negative entry %d", p.Entry)
+		}
 		dst = append(dst, typeBWVal)
 		dst = appendUint(dst, uint64(p.Round))
 		dst = appendFloat(dst, p.Value)
-		dst = appendPath(dst, p.Path)
+		dst = appendUint(dst, uint64(p.Entry))
 	case bw.CompletePayload:
+		if p.Entry < 0 {
+			return nil, fmt.Errorf("wire: bw complete with negative entry %d", p.Entry)
+		}
 		dst = append(dst, typeBWComplete)
 		dst = appendUint(dst, uint64(p.Round))
 		dst = appendUint(dst, uint64(p.Origin))
@@ -162,10 +170,13 @@ func AppendInstanceMessage(dst []byte, inst uint64, m transport.Message) ([]byte
 		dst = appendSet(dst, p.Tag)
 		dst = appendUint(dst, uint64(len(p.Entries)))
 		for _, e := range p.Entries {
-			dst = appendBytes(dst, []byte(e.PathKey))
+			if e.Entry < 0 {
+				return nil, fmt.Errorf("wire: bw complete entry with negative id %d", e.Entry)
+			}
+			dst = appendUint(dst, uint64(e.Entry))
 			dst = appendFloat(dst, e.Value)
 		}
-		dst = appendPath(dst, p.Path)
+		dst = appendUint(dst, uint64(p.Entry))
 	case crashapprox.ValPayload:
 		dst = append(dst, typeCrashVal)
 		dst = appendUint(dst, uint64(p.Round))
@@ -270,7 +281,7 @@ func DecodeInstanceMessage(data []byte) (uint64, transport.Message, error) {
 	kind := d.byte()
 	switch kind {
 	case typeBWVal:
-		m.Payload = bw.ValPayload{Round: d.intVal(), Value: d.float(), Path: d.path()}
+		m.Payload = bw.ValPayload{Round: d.intVal(), Value: d.float(), Entry: d.entry()}
 	case typeBWComplete:
 		p := bw.CompletePayload{
 			Round:  d.intVal(),
@@ -282,10 +293,10 @@ func DecodeInstanceMessage(data []byte) (uint64, transport.Message, error) {
 		if n > 0 {
 			p.Entries = make([]bw.ValEntry, 0, min(n, 4096))
 			for i := 0; i < n && d.err == nil; i++ {
-				p.Entries = append(p.Entries, bw.ValEntry{PathKey: string(d.bytes(maxPathKeyBytes)), Value: d.float()})
+				p.Entries = append(p.Entries, bw.ValEntry{Entry: d.entry(), Value: d.float()})
 			}
 		}
-		p.Path = d.path()
+		p.Entry = d.entry()
 		m.Payload = p
 	case typeCrashVal:
 		m.Payload = crashapprox.ValPayload{Round: d.intVal(), Value: d.float(), Path: d.path()}
@@ -452,6 +463,13 @@ func (d *decoder) intVal() int {
 		return 0
 	}
 	return int(v)
+}
+
+// entry decodes a path-table entry id: a uvarint that fits an int32, so
+// neither a negative id (whose two's complement is past the range) nor one
+// past int32 decodes.
+func (d *decoder) entry() int32 {
+	return int32(d.intVal())
 }
 
 // count decodes a collection length bounded by cap.
