@@ -1,9 +1,11 @@
-// Trace fence for Algorithm BW: the literals below were recorded at commit
-// ea816bc, before internal/bw's round state moved from path strings, set
-// keys and per-snapshot maps to plan indices. They pin the delivery
-// schedule and every honest output, so any change to when a node relays,
-// fires Maximal-Consistency, FIFO-receives or advances a round shows up
-// here as a diff against a known-good run.
+// Trace fences for the two path-flooding algorithms. The BW literals were
+// recorded at commit ea816bc, before internal/bw's round state moved from
+// path strings, set keys and per-snapshot maps to plan indices; the
+// crashapprox literals at dad1f2f, while its machine still spelled paths
+// out and keyed them by string. They pin the delivery schedule and every
+// honest output, so any change to when a node relays, fires a thread,
+// FIFO-receives or advances a round shows up here as a diff against a
+// known-good run.
 package repro_test
 
 import (
@@ -17,14 +19,14 @@ import (
 	"repro"
 )
 
-// bwTraceFingerprint runs BW (f=1, K=4, eps=0.1) on graph under the inline
-// engine and condenses everything the schedule determines into one line:
-// delivery and send counts, sends by kind, an FNV-64a hash of the full
+// traceFingerprint runs protocol (f=1, K=4, eps=0.1) on graph under the
+// inline engine and condenses everything the schedule determines into one
+// line: delivery and send counts, sends by kind, an FNV-64a hash of the full
 // delivery trace, and every honest output's exact bit pattern.
-func bwTraceFingerprint(t *testing.T, graph string, inputs []float64, seed int64, fault string) string {
+func traceFingerprint(t *testing.T, protocol, graph string, inputs []float64, seed int64, fault string) string {
 	t.Helper()
 	s := repro.Scenario{
-		Graph: graph, Protocol: "bw", Inputs: inputs,
+		Graph: graph, Protocol: protocol, Inputs: inputs,
 		F: 1, K: 4, Eps: 0.1, Seed: seed, Engine: "inline", RecordTrace: true,
 	}
 	if fault != "" {
@@ -35,7 +37,7 @@ func bwTraceFingerprint(t *testing.T, graph string, inputs []float64, seed int64
 		t.Fatal(err)
 	}
 	if !res.Decided {
-		t.Fatalf("%s seed %d fault %q: honest nodes did not all decide", graph, seed, fault)
+		t.Fatalf("%s on %s seed %d fault %q: honest nodes did not all decide", protocol, graph, seed, fault)
 	}
 	kinds := make([]string, 0, len(res.ByKind))
 	for k, c := range res.ByKind {
@@ -100,7 +102,78 @@ func TestBWTraceFence(t *testing.T) {
 			continue
 		}
 		inputs := bwTraceInputs[tc.graph]
-		if got := bwTraceFingerprint(t, tc.graph, inputs, tc.seed, tc.fault); got != tc.want {
+		if got := traceFingerprint(t, "bw", tc.graph, inputs, tc.seed, tc.fault); got != tc.want {
+			t.Errorf("%s seed %d fault %q:\n got %s\nwant %s", tc.graph, tc.seed, tc.fault, got, tc.want)
+		}
+	}
+}
+
+var crashTraceInputs = map[string][]float64{
+	"fig1a":           {0, 4, 1, 3, 2},
+	"circulant:5:1,2": {0, 4, 1, 3, 2},
+	"clique:3":        {0, 4, 1},
+}
+
+var crashTraces = []struct {
+	graph string
+	seed  int64
+	fault string // run by the highest-numbered vertex; "" is the honest cell
+	want  string
+}{
+	{"fig1a", 1, "", "steps=936 sent=936 kinds=CRASH-VAL:936 trace=e616bd5aca24648b outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000,4:4000000000000000"},
+	{"fig1a", 1, "crash", "steps=543 sent=543 kinds=CRASH-VAL:543 trace=22040433615c1845 outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000"},
+	{"fig1a", 1, "silent", "steps=420 sent=420 kinds=CRASH-VAL:420 trace=cbb6d7e2570ee739 outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000"},
+	{"fig1a", 2, "", "steps=936 sent=936 kinds=CRASH-VAL:936 trace=cc7fc8a05015b35f outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000,4:4000000000000000"},
+	{"fig1a", 2, "crash", "steps=516 sent=516 kinds=CRASH-VAL:516 trace=3b5d6eb09701b30c outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000"},
+	{"fig1a", 2, "silent", "steps=420 sent=420 kinds=CRASH-VAL:420 trace=84000970eb92aad3 outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000"},
+	{"fig1a", 3, "", "steps=936 sent=936 kinds=CRASH-VAL:936 trace=8e7c11f7c7c2bb11 outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000,4:4000000000000000"},
+	{"fig1a", 3, "crash", "steps=503 sent=503 kinds=CRASH-VAL:503 trace=bfdedd3fbdd4d832 outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000"},
+	{"fig1a", 3, "silent", "steps=420 sent=420 kinds=CRASH-VAL:420 trace=da007284e164e521 outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000"},
+	{"fig1a", 4, "", "steps=936 sent=936 kinds=CRASH-VAL:936 trace=82c1b640d174cf1f outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000,4:4000000000000000"},
+	{"fig1a", 4, "crash", "steps=508 sent=508 kinds=CRASH-VAL:508 trace=6c906c5e43b330de outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000"},
+	{"fig1a", 4, "silent", "steps=420 sent=420 kinds=CRASH-VAL:420 trace=28885420949409b9 outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000"},
+	{"fig1a", 5, "", "steps=936 sent=936 kinds=CRASH-VAL:936 trace=88959c24026a741b outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000,4:4000000000000000"},
+	{"fig1a", 5, "crash", "steps=493 sent=493 kinds=CRASH-VAL:493 trace=4c10052ff275da3b outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000"},
+	{"fig1a", 5, "silent", "steps=420 sent=420 kinds=CRASH-VAL:420 trace=7fc16a5c8a3365bd outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000"},
+	{"circulant:5:1,2", 1, "", "steps=420 sent=420 kinds=CRASH-VAL:420 trace=b1c827aeb5082525 outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000,4:4000000000000000"},
+	{"circulant:5:1,2", 1, "crash", "steps=270 sent=270 kinds=CRASH-VAL:270 trace=2e2cef7e93f40272 outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000"},
+	{"circulant:5:1,2", 1, "silent", "steps=198 sent=198 kinds=CRASH-VAL:198 trace=3511fdedadccb48c outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000"},
+	{"circulant:5:1,2", 2, "", "steps=420 sent=420 kinds=CRASH-VAL:420 trace=96c8c421e14bb9f9 outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000,4:4000000000000000"},
+	{"circulant:5:1,2", 2, "crash", "steps=267 sent=267 kinds=CRASH-VAL:267 trace=0d3dfd92227e3655 outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000"},
+	{"circulant:5:1,2", 2, "silent", "steps=198 sent=198 kinds=CRASH-VAL:198 trace=30c20f875cc68c04 outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000"},
+	{"circulant:5:1,2", 3, "", "steps=420 sent=420 kinds=CRASH-VAL:420 trace=218b45061de4a703 outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000,4:4000000000000000"},
+	{"circulant:5:1,2", 3, "crash", "steps=270 sent=270 kinds=CRASH-VAL:270 trace=954106a6406967d1 outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000"},
+	{"circulant:5:1,2", 3, "silent", "steps=198 sent=198 kinds=CRASH-VAL:198 trace=f7114ec44977548e outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000"},
+	{"circulant:5:1,2", 4, "", "steps=420 sent=420 kinds=CRASH-VAL:420 trace=35bd06597e6bf37b outs=0:3ffc000000000000,1:3ffc000000000000,2:3ffc000000000000,3:3ffc000000000000,4:3ffc000000000000"},
+	{"circulant:5:1,2", 4, "crash", "steps=263 sent=263 kinds=CRASH-VAL:263 trace=805c9ec5fb1bdac4 outs=0:3ffc000000000000,1:3ffc000000000000,2:3ffc000000000000,3:3ffc000000000000"},
+	{"circulant:5:1,2", 4, "silent", "steps=198 sent=198 kinds=CRASH-VAL:198 trace=f7fbb10bdaea101c outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000"},
+	{"circulant:5:1,2", 5, "", "steps=420 sent=420 kinds=CRASH-VAL:420 trace=4d120bc876434cfd outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000,4:4000000000000000"},
+	{"circulant:5:1,2", 5, "crash", "steps=259 sent=259 kinds=CRASH-VAL:259 trace=9b4fea83e9a259f8 outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000"},
+	{"circulant:5:1,2", 5, "silent", "steps=198 sent=198 kinds=CRASH-VAL:198 trace=df50758cf499b4fc outs=0:4000000000000000,1:4000000000000000,2:4000000000000000,3:4000000000000000"},
+	{"clique:3", 1, "", "steps=72 sent=72 kinds=CRASH-VAL:72 trace=3d66c495b770a121 outs=0:3ff8000000000000,1:3ff8000000000000,2:3ff8000000000000"},
+	{"clique:3", 1, "crash", "steps=72 sent=72 kinds=CRASH-VAL:72 trace=3d66c495b770a121 outs=0:3ff8000000000000,1:3ff8000000000000"},
+	{"clique:3", 1, "silent", "steps=36 sent=36 kinds=CRASH-VAL:36 trace=e97c10843c508059 outs=0:4000000000000000,1:4000000000000000"},
+	{"clique:3", 2, "", "steps=72 sent=72 kinds=CRASH-VAL:72 trace=5d0a7251fea78439 outs=0:3ffe000000000000,1:3ffe000000000000,2:3ffe000000000000"},
+	{"clique:3", 2, "crash", "steps=72 sent=72 kinds=CRASH-VAL:72 trace=5d0a7251fea78439 outs=0:3ffe000000000000,1:3ffe000000000000"},
+	{"clique:3", 2, "silent", "steps=36 sent=36 kinds=CRASH-VAL:36 trace=94077073ceb70a2f outs=0:4000000000000000,1:4000000000000000"},
+	{"clique:3", 3, "", "steps=72 sent=72 kinds=CRASH-VAL:72 trace=6d94532bbd0f99af outs=0:3ff1000000000000,1:3ff1000000000000,2:3ff1000000000000"},
+	{"clique:3", 3, "crash", "steps=72 sent=72 kinds=CRASH-VAL:72 trace=6d94532bbd0f99af outs=0:3ff1000000000000,1:3ff1000000000000"},
+	{"clique:3", 3, "silent", "steps=36 sent=36 kinds=CRASH-VAL:36 trace=7c46a99e84351327 outs=0:4000000000000000,1:4000000000000000"},
+	{"clique:3", 4, "", "steps=72 sent=72 kinds=CRASH-VAL:72 trace=20a9b29c147374ff outs=0:3ff1000000000000,1:3ff1000000000000,2:3ff1000000000000"},
+	{"clique:3", 4, "crash", "steps=71 sent=71 kinds=CRASH-VAL:71 trace=f7ff2afd163f2c90 outs=0:3ff1000000000000,1:3ff1000000000000"},
+	{"clique:3", 4, "silent", "steps=36 sent=36 kinds=CRASH-VAL:36 trace=22e2921dd6c9ba25 outs=0:4000000000000000,1:4000000000000000"},
+	{"clique:3", 5, "", "steps=72 sent=72 kinds=CRASH-VAL:72 trace=4322b654a116edbf outs=0:3ff4800000000000,1:3ff4800000000000,2:3ff4800000000000"},
+	{"clique:3", 5, "crash", "steps=71 sent=71 kinds=CRASH-VAL:71 trace=f2f232ae208ac9d3 outs=0:3ff4800000000000,1:3ff4800000000000"},
+	{"clique:3", 5, "silent", "steps=36 sent=36 kinds=CRASH-VAL:36 trace=0942f69bba5fe67f outs=0:4000000000000000,1:4000000000000000"},
+}
+
+// TestCrashTraceFence: crashapprox on fig1a, circulant:5:1,2 and clique:3,
+// seeds 1-5, honest, with the last vertex crashing after 20 deliveries and
+// with it silent from the start, replays the recorded runs exactly.
+func TestCrashTraceFence(t *testing.T) {
+	for _, tc := range crashTraces {
+		inputs := crashTraceInputs[tc.graph]
+		if got := traceFingerprint(t, "crashapprox", tc.graph, inputs, tc.seed, tc.fault); got != tc.want {
 			t.Errorf("%s seed %d fault %q:\n got %s\nwant %s", tc.graph, tc.seed, tc.fault, got, tc.want)
 		}
 	}

@@ -36,11 +36,11 @@ func (a *stateFlooder) entry(rng *rand.Rand, v int) int32 {
 	case 0:
 		return -1 - rng.Int31n(4)
 	case 1:
-		return int32(len(t.head)) + rng.Int31n(1<<20)
+		return int32(len(t.Head)) + rng.Int31n(1<<20)
 	case 2, 3, 4, 5:
-		return t.simples[rng.Intn(len(t.simples))]
+		return t.Simples[rng.Intn(len(t.Simples))]
 	}
-	return rng.Int31n(int32(len(t.head)))
+	return rng.Int31n(int32(len(t.Head)))
 }
 
 func (a *stateFlooder) Start(out *sim.Outbox) {
@@ -61,8 +61,8 @@ func (a *stateFlooder) Start(out *sim.Outbox) {
 			tag = tag.Add(rng.Intn(n + 1))
 		}
 		origin := rng.Intn(n)
-		if e >= 0 && int(e) < len(own.head) && rng.Intn(16) != 0 {
-			origin = int(own.head[e])
+		if e >= 0 && int(e) < len(own.Head) && rng.Intn(16) != 0 {
+			origin = int(own.Head[e])
 		}
 		entries := make([]ValEntry, 1+rng.Intn(3))
 		for j := range entries {
@@ -136,7 +136,7 @@ func TestBWBoundedState(t *testing.T) {
 		if len(m.rounds) != proto.Rounds+1 {
 			t.Errorf("node %d holds %d round slots, want Rounds+1 = %d", m.id, len(m.rounds), proto.Rounds+1)
 		}
-		full, streams := len(m.pre.paths.head), len(m.pre.paths.simples)
+		full, streams := len(m.pre.paths.Head), len(m.pre.paths.Simples)
 		if full != m.pre.threads[0].expectedCount {
 			t.Errorf("node %d: the table holds %d paths, the ∅-thread's fullness set %d", m.id, full, m.pre.threads[0].expectedCount)
 		}

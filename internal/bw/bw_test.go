@@ -1,6 +1,7 @@
 package bw
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -106,99 +107,93 @@ func TestMachinePathBudget(t *testing.T) {
 	}
 }
 
+// TestThreadPrecompute holds every node's thread contexts, on every table
+// graph, to the definitions: one thread per fault set not containing the
+// node; the fullness count is CountRedundantPathsTo avoiding F_v; the reach
+// set contains the node; and the FIFO requirements are exactly the simple
+// (c, v)-paths inside the reach set, named by the table's streams and
+// numbered 0..k-1 per origin c, with k recorded at c's rank in the reach
+// set — for the node itself, the trivial path alone.
 func TestThreadPrecompute(t *testing.T) {
-	g := graph.Fig1a()
-	p, err := NewProto(g, 1, 1, 0.5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre, err := p.nodePre(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One thread per F ⊆ V\{0} with |F| <= 1: empty + 4 singletons.
-	if len(pre.threads) != 5 {
-		t.Fatalf("threads = %d, want 5", len(pre.threads))
-	}
-	for _, th := range pre.threads {
-		if th.fv.Has(0) {
-			t.Error("thread suspects its own node")
-		}
-		// The fullness count must match the materialized enumeration —
-		// which contains the trivial path <0> and only redundant paths
-		// ending at 0 that avoid Fv (the enumeration's own tests pin that).
-		brute, err := g.RedundantPathsTo(0, th.fv, 0)
+	for _, g := range tableGraphs() {
+		p, err := NewProto(g, 1, 1, 0.5, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if th.expectedCount != len(brute) {
-			t.Errorf("thread %s: expectedCount = %d, enumeration has %d", th.fv, th.expectedCount, len(brute))
-		}
-		if _, ok := brute[(graph.Path{0}).Key()]; !ok {
-			t.Errorf("thread %s misses the trivial path", th.fv)
-		}
-		if !th.reach.Has(0) {
-			t.Errorf("thread %s: reach misses v", th.fv)
-		}
-		// FIFO requirements are exactly the simple (c,0)-paths inside the
-		// reach set, per origin, named by the table's streams.
-		outside := g.Nodes().Minus(th.reach)
-		simple, err := g.SimplePathsTo(0, outside, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantFIFO := make(map[int]map[string]struct{})
-		all := make(map[string]struct{})
-		for _, sp := range simple {
-			c := sp.Init()
-			if !th.reach.Has(c) {
-				t.Errorf("thread %s: simple path origin %d outside reach", th.fv, c)
+		for v := 0; v < g.N(); v++ {
+			pre, err := p.nodePre(v)
+			if errors.Is(err, graph.ErrPathBudget) {
+				continue // a random digraph too dense to flood
 			}
-			if wantFIFO[c] == nil {
-				wantFIFO[c] = make(map[string]struct{})
+			if err != nil {
+				t.Fatal(err)
 			}
-			wantFIFO[c][sp.Key()] = struct{}{}
-			all[sp.Key()] = struct{}{}
-		}
-		required := make(map[string]int32)
-		for stream, num := range th.required {
-			if num >= 0 {
-				required[pre.paths.spell(pre.paths.simples[stream]).Key()] = num
-			}
-		}
-		got := make(map[string]struct{})
-		for k := range required {
-			got[k] = struct{}{}
-		}
-		if !reflect.DeepEqual(got, all) {
-			t.Errorf("thread %s: requiredFIFO mismatch", th.fv)
-		}
-		// Each origin's paths are numbered 0..k-1, with k recorded at the
-		// origin's rank in the reach set.
-		for r, c := range th.reach.Members() {
-			nums := make(map[int32]bool)
-			for k := range wantFIFO[c] {
-				nums[required[k]] = true
-			}
-			if int(th.need[r]) != len(wantFIFO[c]) || len(nums) != len(wantFIFO[c]) {
-				t.Errorf("thread %s origin %d: need %d, %d distinct numbers for %d paths", th.fv, c, th.need[r], len(nums), len(wantFIFO[c]))
-			}
-			for num := range nums {
-				if uint32(num) >= th.need[r] {
-					t.Errorf("thread %s origin %d: path number %d out of range", th.fv, c, num)
+			threads := 0
+			for _, fv := range p.FaultSets {
+				if !fv.Has(v) {
+					threads++
 				}
 			}
-		}
-		if th.origins != len(wantFIFO) {
-			t.Errorf("thread %s: origins = %d, want %d", th.fv, th.origins, len(wantFIFO))
-		}
-		// reach_v(Fv) contains v (checked above), and the FIFO requirement
-		// for v itself is exactly the trivial path.
-		if self := wantFIFO[0]; len(self) != 1 {
-			t.Errorf("thread %s: self FIFO requirement = %v", th.fv, self)
-		}
-		if _, ok := required[graph.Path{0}.Key()]; !ok {
-			t.Errorf("thread %s: self FIFO requirement is not the trivial path", th.fv)
+			if len(pre.threads) != threads {
+				t.Fatalf("%s node %d: %d threads, want %d", g, v, len(pre.threads), threads)
+			}
+			for _, th := range pre.threads {
+				if th.fv.Has(v) || !th.reach.Has(v) {
+					t.Errorf("%s node %d thread %s: suspects its own node, or reach %s misses it", g, v, th.fv, th.reach)
+				}
+				count, err := g.CountRedundantPathsTo(v, th.fv, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if th.expectedCount != count {
+					t.Errorf("%s node %d thread %s: expectedCount %d, CountRedundantPathsTo %d", g, v, th.fv, th.expectedCount, count)
+				}
+				simple, err := g.SimplePathsTo(v, g.Nodes().Minus(th.reach), 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantFIFO := make(map[int]map[string]bool)
+				all := make(map[string]bool)
+				for _, sp := range simple {
+					c := sp.Init()
+					if wantFIFO[c] == nil {
+						wantFIFO[c] = make(map[string]bool)
+					}
+					wantFIFO[c][sp.Key()] = true
+					all[sp.Key()] = true
+				}
+				required := make(map[string]int32)
+				got := make(map[string]bool)
+				for stream, num := range th.required {
+					if num >= 0 {
+						k := spell(pre.paths, pre.paths.Simples[stream]).Key()
+						required[k], got[k] = num, true
+					}
+				}
+				if !reflect.DeepEqual(got, all) {
+					t.Errorf("%s node %d thread %s: requiredFIFO mismatch", g, v, th.fv)
+				}
+				for r, c := range th.reach.Members() {
+					nums := make(map[int32]bool)
+					for k := range wantFIFO[c] {
+						nums[required[k]] = true
+					}
+					if int(th.need[r]) != len(wantFIFO[c]) || len(nums) != len(wantFIFO[c]) {
+						t.Errorf("%s node %d thread %s origin %d: need %d, %d distinct numbers for %d paths", g, v, th.fv, c, th.need[r], len(nums), len(wantFIFO[c]))
+					}
+					for num := range nums {
+						if uint32(num) >= th.need[r] {
+							t.Errorf("%s node %d thread %s origin %d: path number %d out of range", g, v, th.fv, c, num)
+						}
+					}
+				}
+				if th.origins != len(wantFIFO) {
+					t.Errorf("%s node %d thread %s: origins = %d, want %d", g, v, th.fv, th.origins, len(wantFIFO))
+				}
+				if self := wantFIFO[v]; len(self) != 1 || !self[graph.Path{v}.Key()] {
+					t.Errorf("%s node %d thread %s: self FIFO requirement = %v", g, v, th.fv, self)
+				}
+			}
 		}
 	}
 }
@@ -261,7 +256,7 @@ func TestFloodInfoConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := func(path ...int) int32 {
-		e := tbl.entryOf(g, path)
+		e := entryOf(tbl, path)
 		if e < 0 {
 			t.Fatalf("%v is no entry of vertex 0's table", path)
 		}
@@ -296,7 +291,7 @@ func TestFloodInfoConsistency(t *testing.T) {
 	// outside the graph, leave the set inconsistent.
 	for _, bad := range []*CompletePayload{
 		{Origin: 0, Entries: []ValEntry{{Value: 1, Entry: -1}}},
-		{Origin: 0, Entries: []ValEntry{{Value: 1, Entry: int32(len(tbl.head))}}},
+		{Origin: 0, Entries: []ValEntry{{Value: 1, Entry: int32(len(tbl.Head))}}},
 		{Origin: g.N(), Entries: []ValEntry{{Value: 1, Entry: 0}}},
 		{Origin: -1, Entries: []ValEntry{{Value: 1, Entry: 0}}},
 	} {

@@ -30,10 +30,13 @@ func RoundClauses(m *Machine) (clauses, obligations int) {
 	return clauses, obligations
 }
 
-// PathTableChecksum hashes the columns that say which path an entry names
-// (head, next) and where it leads (kids, ext) in every path table p has
-// built so far, node by node, and of every in-edge column into those nodes,
-// building the columns not built yet.
+// table returns node v's path table.
+func (p *Proto) table(v int) (*graph.PathTable, error) { return p.getPlan().paths.Table(v) }
+
+// PathTableChecksum hashes, node by node, the columns of every path table p
+// has built so far that say which path an entry names (Head, Next) and
+// where it leads (Ext), and every in-edge door into those nodes, building
+// the doors not built yet.
 func PathTableChecksum(p *Proto) uint64 {
 	h := fnv.New64a()
 	word := func(xs []int32) {
@@ -47,12 +50,22 @@ func PathTableChecksum(p *Proto) uint64 {
 		if err != nil {
 			continue
 		}
-		word(pre.paths.head)
-		word(pre.paths.next)
-		word(pre.paths.kids)
-		word(pre.paths.ext)
-		for j := range pre.in {
-			word(p.column(pre, v, int32(j)))
+		tbl := pre.paths
+		word(tbl.Head)
+		word(tbl.Next)
+		for e := range tbl.Head {
+			word(tbl.Ext(int32(e)))
+		}
+		for _, u := range p.G.In(v) {
+			src, err := p.table(u)
+			if err != nil {
+				continue
+			}
+			door := make([]int32, len(src.Head))
+			for e := range door {
+				door[e] = tbl.Door(u, int32(e))
+			}
+			word(door)
 		}
 	}
 	return h.Sum64()
@@ -68,5 +81,5 @@ func EntryOf(p *Proto, path graph.Path) int32 {
 	if err != nil {
 		return -1
 	}
-	return t.entryOf(p.G, path)
+	return entryOf(t, path)
 }

@@ -143,7 +143,7 @@ func (m *Machine) deliverVal(p *ValPayload, from int, out *sim.Outbox) {
 	if p.Round < 1 || p.Round > m.proto.Rounds {
 		return
 	}
-	e := m.door(from, p.Entry)
+	e := m.pre.paths.Door(from, p.Entry)
 	if e < 0 {
 		m.metrics.PathDropped++
 		return
@@ -154,8 +154,7 @@ func (m *Machine) deliverVal(p *ValPayload, from int, out *sim.Outbox) {
 	}
 	// Relays name the extended path by the node's own entry, and one boxed
 	// payload serves them all; a path no neighbor can extend costs nothing.
-	tbl := m.pre.paths
-	if ext := tbl.ext[tbl.extOff[e]:tbl.extOff[e+1]]; len(ext) > 0 {
+	if ext := m.pre.paths.Ext(e); len(ext) > 0 {
 		var relay transport.Payload = ValPayload{Round: p.Round, Value: p.Value, Entry: e}
 		for _, w := range ext {
 			out.Send(int(w), relay)
@@ -168,7 +167,7 @@ func (m *Machine) deliverVal(p *ValPayload, from int, out *sim.Outbox) {
 // round's outstanding Completeness clauses and the Maximal-Consistency
 // progress of every thread whose exclusion set the path avoids.
 func (m *Machine) acceptVal(rs *roundState, value float64, e int32, out *sim.Outbox) {
-	init, set := int(m.pre.paths.head[e]), &m.pre.paths.set[e]
+	init, set := int(m.pre.paths.Head[e]), &m.pre.paths.Set[e]
 	rs.vals[e], rs.has[e] = value, true
 	rs.byInit[init] = append(rs.byInit[init], e)
 
@@ -222,8 +221,8 @@ func (m *Machine) fireMC(rs *roundState, t *threadState, out *sim.Outbox) {
 	tbl := m.pre.paths
 	entries := make([]ValEntry, 0, t.pre.expectedCount)
 	words := m.plan.words
-	for _, e := range tbl.byRank {
-		if !intersects(&tbl.set[e], &t.pre.fv, words) {
+	for _, e := range tbl.ByRank {
+		if !intersects(&tbl.Set[e], &t.pre.fv, words) {
 			entries = append(entries, ValEntry{Value: rs.vals[e], Entry: e})
 		}
 	}
@@ -239,7 +238,7 @@ func (m *Machine) fireMC(rs *roundState, t *threadState, out *sim.Outbox) {
 	}
 	out.Broadcast(payload)
 	// The node FIFO-receives its own flood through the trivial path <v>.
-	m.registerComplete(rs, m.floodInfo(&payload), tbl.stream[0])
+	m.registerComplete(rs, m.floodInfo(&payload), tbl.Stream[0])
 }
 
 // deliverComplete admits, relays and FIFO-buffers one COMPLETE message.
@@ -251,8 +250,8 @@ func (m *Machine) deliverComplete(p *CompletePayload, from int, out *sim.Outbox)
 	// keyed by (origin, path): the path alone, once it is known to begin at
 	// the origin.
 	tbl := m.pre.paths
-	e := m.door(from, p.Entry)
-	if e < 0 || tbl.stream[e] < 0 || int(tbl.head[e]) != p.Origin {
+	e := tbl.Door(from, p.Entry)
+	if e < 0 || tbl.Stream[e] < 0 || int(tbl.Head[e]) != p.Origin {
 		m.metrics.PathDropped++
 		return
 	}
@@ -267,7 +266,7 @@ func (m *Machine) deliverComplete(p *CompletePayload, from int, out *sim.Outbox)
 		return
 	}
 	rs := m.round(p.Round)
-	stream := tbl.stream[e]
+	stream := tbl.Stream[e]
 	st := &rs.streams[stream]
 	if p.Seq <= st.done || (p.Seq <= len(st.buf) && st.buf[p.Seq-1] != nil) {
 		return // first message per (origin, path, seq) wins
@@ -277,7 +276,7 @@ func (m *Machine) deliverComplete(p *CompletePayload, from int, out *sim.Outbox)
 	// own entry and one boxed payload serves them all.
 	var relay transport.Payload
 	for _, w := range m.proto.G.Out(m.id) {
-		if !hasNode(&tbl.set[e], w) {
+		if !hasNode(&tbl.Set[e], w) {
 			if relay == nil {
 				fwd := *p
 				fwd.Entry = e
@@ -295,25 +294,6 @@ func (m *Machine) deliverComplete(p *CompletePayload, from int, out *sim.Outbox)
 		st.done++
 		m.registerComplete(rs, info, stream)
 	}
-}
-
-// door maps entry e of in-neighbor from's path table to the node's entry for
-// that path extended by the node: a bounds check and one lookup in the
-// in-edge's column. It returns -1 when from is no in-neighbor, e is none of
-// its entries, or the extended path is not redundant.
-func (m *Machine) door(from int, e int32) int32 {
-	if uint(from) >= uint(len(m.pre.inRank)) {
-		return -1
-	}
-	j := m.pre.inRank[from]
-	if j < 0 {
-		return -1
-	}
-	col := m.proto.column(m.pre, m.id, j)
-	if uint(e) >= uint(len(col)) {
-		return -1
-	}
-	return col[e]
 }
 
 // floodKey identifies a COMPLETE payload's content by the identity of its
@@ -432,7 +412,7 @@ func (m *Machine) buildSnapshot(rs *roundState, ti int32) {
 		}
 		qualifies := false
 		for _, stream := range rec.via {
-			if within(&tbl.set[tbl.simples[stream]], &t.pre.reach, words) {
+			if within(&tbl.Set[tbl.Simples[stream]], &t.pre.reach, words) {
 				qualifies = true
 				break
 			}
@@ -482,7 +462,7 @@ func (m *Machine) sharedClause(rs *roundState, c planClause, want float64) *clau
 	covers := m.covers(c.comp)
 	for _, e := range rs.byInit[c.q] {
 		if rs.vals[e] == want {
-			cl.addPath(covers, &m.pre.paths.set[e])
+			cl.addPath(covers, &m.pre.paths.Set[e])
 			if cl.satisfied {
 				break
 			}
@@ -568,13 +548,13 @@ func (m *Machine) filterAndAverage(rs *roundState) float64 {
 	// the sort little to do: it groups the entries by initial node, and an
 	// honest initial node sent one value.
 	tbl := m.pre.paths
-	order := make([]int32, 0, len(tbl.byRank))
-	for _, e := range tbl.byRank {
+	order := make([]int32, 0, len(tbl.ByRank))
+	for _, e := range tbl.ByRank {
 		if rs.has[e] {
 			order = append(order, e)
 		}
 	}
-	rank := tbl.rank
+	rank := tbl.Rank
 	slices.SortFunc(order, func(a, b int32) int {
 		if va, vb := rs.vals[a], rs.vals[b]; va != vb {
 			if va < vb {
@@ -584,9 +564,9 @@ func (m *Machine) filterAndAverage(rs *roundState) float64 {
 		}
 		return int(rank[a] - rank[b])
 	})
-	lo := m.coverablePrefix(tbl.set, order)
+	lo := m.coverablePrefix(tbl.Set, order)
 	slices.Reverse(order)
-	hi := m.coverablePrefix(tbl.set, order)
+	hi := m.coverablePrefix(tbl.Set, order)
 	if lo+hi >= len(order) {
 		// Unreachable when the node's own message is present; defensive.
 		m.metrics.TrimAnomalies++

@@ -129,8 +129,8 @@ func (p *Proto) newFloodInfo(c *CompletePayload) *floodInfo {
 	// origin's table; an id that names none makes the set inconsistent.
 	var head []int32
 	if uint(c.Origin) < uint(p.G.N()) {
-		if t, err := p.table(c.Origin); err == nil {
-			head = t.head
+		if t, err := p.getPlan().paths.Table(c.Origin); err == nil {
+			head = t.Head
 		}
 	}
 	// Entries arrive in rank order, so an honest flood's origins are

@@ -39,6 +39,9 @@ type plan struct {
 	// once, in the order the Fw and q loops first reach it.
 	clauses [][]planClause
 
+	// paths names the paths VAL and COMPLETE floods travel to each node:
+	// the redundant ones.
+	paths *graph.PathTables
 	// nodes[v] is node v's static context, built on the first NewMachine
 	// for v.
 	nodes []nodeSlot
@@ -59,15 +62,8 @@ type planClause struct {
 	q    int32
 }
 
-// nodeSlot holds node v's path table and its static context, each built
-// once under its own Once: an in-edge's column needs the sender's table,
-// and a node's context, built while its Once is held, must not wait on
-// another's (on a cycle, two such waits deadlock).
+// nodeSlot holds node v's static context, built once under its Once.
 type nodeSlot struct {
-	tableOnce sync.Once
-	table     *pathTable
-	tableErr  error
-
 	once sync.Once
 	pre  *nodePre
 	err  error
@@ -87,6 +83,7 @@ func (p *Proto) buildPlan() *plan {
 		tagOrder: make([]int32, T),
 		srcComp:  make([]int32, T*T),
 		clauses:  make([][]planClause, T),
+		paths:    graph.NewPathTables(p.G, false, p.PathBudget),
 		nodes:    make([]nodeSlot, n),
 	}
 	for i := range pl.tagOrder {
@@ -159,13 +156,10 @@ func (p *Proto) tagIndex(tag *graph.Set) int32 {
 
 // nodePre is the full static context of one node's machine.
 type nodePre struct {
-	// paths names every path a message can reach the node along; the
-	// threads' tables and the round state are laid out over its entries.
-	paths *pathTable
-	// inRank maps a vertex to its position in G.In(v), -1 for the rest;
-	// in holds one column per in-edge, in that order.
-	inRank  []int32
-	in      []inColumn
+	// paths names every path a message can reach the node along, and its
+	// doors admit them; the threads' tables and the round state are laid
+	// out over its entries.
+	paths   *graph.PathTable
 	threads []*threadPre
 	// threadOf maps a fault-set index to the position in threads of the
 	// thread suspecting it, -1 for sets containing the node itself.
@@ -195,26 +189,6 @@ type threadPre struct {
 	origins  int
 }
 
-// inColumn is the door of one in-edge (u, v): u's table mapped onto v's
-// (pathTable.column), built on the first message over the edge.
-type inColumn struct {
-	once sync.Once
-	col  []int32
-}
-
-// table returns node v's path table, enumerating redundant paths within the
-// budget the first time v is asked for.
-func (p *Proto) table(v int) (*pathTable, error) {
-	slot := &p.getPlan().nodes[v]
-	slot.tableOnce.Do(func() {
-		slot.table, slot.tableErr = buildPathTable(p.G, v, p.PathBudget)
-		if slot.tableErr != nil {
-			slot.tableErr = fmt.Errorf("bw: node %d: %w", v, slot.tableErr)
-		}
-	})
-	return slot.table, slot.tableErr
-}
-
 // nodePre returns node v's static context, building it the first time v is
 // asked for.
 func (p *Proto) nodePre(v int) (*nodePre, error) {
@@ -223,60 +197,31 @@ func (p *Proto) nodePre(v int) (*nodePre, error) {
 	return slot.pre, slot.err
 }
 
-// column returns the door of v's j-th in-edge. A sender whose own table
-// exceeds the budget can run no honest machine; its column is empty, so
-// every entry it names is dropped.
-func (p *Proto) column(pre *nodePre, v int, j int32) []int32 {
-	ic := &pre.in[j]
-	ic.once.Do(func() {
-		u := p.G.In(v)[j]
-		src, err := p.table(u)
-		if err != nil {
-			ic.col = []int32{}
-			return
-		}
-		ic.col = pre.paths.column(p.G, v, src, u)
-	})
-	return ic.col
-}
-
 func (p *Proto) precompute(v int) (*nodePre, error) {
-	paths, err := p.table(v)
+	paths, err := p.plan.paths.Table(v)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("bw: node %d: %w", v, err)
 	}
-	in := p.G.In(v)
-	pre := &nodePre{
-		paths:    paths,
-		inRank:   make([]int32, p.G.N()),
-		in:       make([]inColumn, len(in)),
-		threadOf: make([]int32, len(p.FaultSets)),
-	}
-	for u := range pre.inRank {
-		pre.inRank[u] = -1
-	}
-	for j, u := range in {
-		pre.inRank[u] = int32(j)
-	}
+	pre := &nodePre{paths: paths, threadOf: make([]int32, len(p.FaultSets))}
 	words := p.plan.words
 	for i, fv := range p.FaultSets {
 		if fv.Has(v) {
 			pre.threadOf[i] = -1
 			continue
 		}
-		t := &threadPre{fv: fv, reach: p.G.ReachSet(v, fv), required: make([]int32, len(paths.simples))}
-		for e := range paths.set {
-			if !intersects(&paths.set[e], &t.fv, words) {
+		t := &threadPre{fv: fv, reach: p.G.ReachSet(v, fv), required: make([]int32, len(paths.Simples))}
+		for e := range paths.Set {
+			if !intersects(&paths.Set[e], &t.fv, words) {
 				t.expectedCount++
 			}
 		}
 		// The simple paths ending at v whose nodes lie inside the reach
 		// set; grouped by initial node they realize line 12's requirement.
 		t.need = make([]uint32, t.reach.Count())
-		for s, e := range paths.simples {
+		for s, e := range paths.Simples {
 			t.required[s] = -1
-			if within(&paths.set[e], &t.reach, words) {
-				r := rankIn(&t.reach, int(paths.head[e]))
+			if within(&paths.Set[e], &t.reach, words) {
+				r := rankIn(&t.reach, int(paths.Head[e]))
 				if t.need[r] == 0 {
 					t.origins++
 				}
@@ -311,16 +256,6 @@ func compareSets(a, b *graph.Set) int {
 // hasNode reports v ∈ s.
 func hasNode(s *graph.Set, v int) bool {
 	return s[uint(v)>>6]>>(uint(v)&63)&1 != 0
-}
-
-// addNode adds v to s and reports whether it was absent.
-func addNode(s *graph.Set, v int) bool {
-	w, bit := uint(v)>>6, uint64(1)<<(uint(v)&63)
-	if s[w]&bit != 0 {
-		return false
-	}
-	s[w] |= bit
-	return true
 }
 
 // intersects reports a ∩ b ≠ ∅ over the first words words.

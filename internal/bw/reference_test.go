@@ -8,52 +8,24 @@ import (
 	"repro/internal/graph"
 )
 
-// The door as it was while messages spelled paths out, kept as the
-// reference the in-edge columns are tested against (table_test.go): every
-// delivery walked the received path hop by hop through the receiver's
-// table.
-
-// resolve returns the entry of t, the table of v, for path extended by v,
-// for a path received from in-neighbor from, or -1 when there is none:
-// path is empty, does not end at from, leaves the graph, or would not be
-// redundant at v. Exact — it walks the hops back from v through the
-// entries' children — so what it admits is bounded by the topology,
-// whatever the sender is.
-func (t *pathTable) resolve(g *graph.Graph, path graph.Path, from int) int32 {
-	if len(path) == 0 || path[len(path)-1] != from {
-		return -1
-	}
-	e := int32(0)
-	for i := len(path) - 1; i >= 0 && e >= 0; i-- {
-		j := slices.Index(g.In(int(t.head[e])), path[i])
-		if j < 0 {
-			return -1 // no such vertex, or no edge from it
-		}
-		e = t.kids[int(t.kidOff[e])+j]
-	}
-	return e
-}
-
-// spell returns the path entry e names.
-func (t *pathTable) spell(e int32) graph.Path {
+// spell returns the path entry e of t names.
+func spell(t *graph.PathTable, e int32) graph.Path {
 	var p graph.Path
-	for ; e >= 0; e = t.next[e] {
-		p = append(p, int(t.head[e]))
+	for ; e >= 0; e = t.Next[e] {
+		p = append(p, int(t.Head[e]))
 	}
 	return p
 }
 
-// entryOf returns the entry of t, the table of path's last vertex, naming
-// path, or -1 when path is not in it.
-func (t *pathTable) entryOf(g *graph.Graph, path graph.Path) int32 {
-	switch n := len(path); {
-	case n == 0 || path[n-1] != int(t.head[0]):
-		return -1
-	case n == 1:
-		return 0
-	default:
-		return t.resolve(g, path[:n-1], path[n-2])
+// entryOf returns the entry of t naming path, or -1 when path is none of
+// its entries: a scan, independent of the doors it is a reference for.
+func entryOf(t *graph.PathTable, path graph.Path) int32 {
+	for e := range t.Head {
+		if slices.Equal(spell(t, int32(e)), path) {
+			return int32(e)
+		}
 	}
+	return -1
 }
 
 // The per-delivery path predicates the path table replaced: before it,

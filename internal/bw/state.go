@@ -196,10 +196,10 @@ type roundState struct {
 func newRoundState(r, n int, pre *nodePre) *roundState {
 	rs := &roundState{
 		round:      r,
-		vals:       make([]float64, len(pre.paths.head)),
-		has:        make([]bool, len(pre.paths.head)),
+		vals:       make([]float64, len(pre.paths.Head)),
+		has:        make([]bool, len(pre.paths.Head)),
 		byInit:     make([][]int32, n),
-		streams:    make([]fifoStream, len(pre.paths.simples)),
+		streams:    make([]fifoStream, len(pre.paths.Simples)),
 		contentIdx: make(map[contentKey]int32),
 		threads:    make([]threadState, len(pre.threads)),
 	}

@@ -14,22 +14,31 @@
 // Lemma 15: for any two nodes the fired threads' reach sets intersect in a
 // common influence node z whose (genuine, untampered) value both have
 // collected, so midpoints contract the range by half each round.
+//
+// Paths are named as BW names them: by entry in the per-vertex path table
+// of the simple walk (graph.PathTables), admitted through the in-edge's
+// door.
 package crashapprox
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
+	"repro/internal/bw"
 	"repro/internal/graph"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
 
-// ValPayload is a flooded (round, value, path) message; the path ends at
-// the sender, and relays extend it along simple paths only.
+// ValPayload is a flooded (round, value, path) message. The path ends at
+// the sender, which names it by its entry in its own path table; the
+// receiver maps that to its entry for the path extended by itself, and drops
+// a message whose entry maps to none (the extension would not be simple).
 type ValPayload struct {
 	Round int
 	Value float64
-	Path  graph.Path
+	Entry int32
 }
 
 // Kind implements transport.Payload.
@@ -43,17 +52,23 @@ type Proto struct {
 	Rounds     int
 	PathBudget int
 	faultSets  []graph.Set
+	paths      *graph.PathTables
 }
 
 // NewProto validates parameters and enumerates candidate crash sets.
 func NewProto(g *graph.Graph, f int, k, eps float64, pathBudget int) (*Proto, error) {
-	if f < 0 || k <= 0 || eps <= 0 {
+	if f < 0 || k <= 0 || eps <= 0 || math.IsNaN(k) || math.IsNaN(eps) {
 		return nil, fmt.Errorf("crashapprox: invalid parameters f=%d k=%v eps=%v", f, k, eps)
 	}
 	if pathBudget <= 0 {
-		pathBudget = 250_000
+		pathBudget = bw.DefaultPathBudget
 	}
-	p := &Proto{G: g, F: f, K: k, Eps: eps, Rounds: roundsFor(k, eps), PathBudget: pathBudget}
+	p := &Proto{
+		G: g, F: f, K: k, Eps: eps,
+		Rounds:     bw.RoundsFor(k, eps),
+		PathBudget: pathBudget,
+		paths:      graph.NewPathTables(g, true, pathBudget),
+	}
 	graph.Subsets(g.Nodes(), f, func(s graph.Set) bool {
 		p.faultSets = append(p.faultSets, s)
 		return true
@@ -61,45 +76,37 @@ func NewProto(g *graph.Graph, f int, k, eps float64, pathBudget int) (*Proto, er
 	return p, nil
 }
 
-func roundsFor(k, eps float64) int {
-	r := 0
-	for spread := k; spread >= eps; spread /= 2 {
-		r++
-		if r > 64 {
-			break
-		}
-	}
-	return r
-}
-
-type threadState struct {
-	fv      graph.Set
-	missing int
-	fired   bool
-}
-
+// roundState is what the node collects in one round. has marks the table
+// entries a value arrived on (first message per path wins); missing counts,
+// per thread, the entries of its fullness set still to come.
 type roundState struct {
 	started  bool
 	advanced bool
-	min, max float64
+	fired    bool // some thread's missing reached zero
 	haveAny  bool
-	byPath   map[string]struct{}
-	threads  []*threadState
+	min, max float64
+	has      []bool
+	missing  []int
 }
 
 // Machine is the protocol endpoint for one node; it implements sim.Handler.
 type Machine struct {
 	proto *Proto
-	id    int
-	input float64
+	paths *graph.PathTable
+	// crashSets are the candidate crash sets not containing the node, one
+	// thread each, and full[i] is the size of thread i's fullness set: the
+	// table entries — simple paths ending at the node — that avoid
+	// crashSets[i].
+	crashSets []graph.Set
+	full      []int
+	id        int
+	input     float64
 
-	// expected[i] is the fullness target of thread i: all simple paths
-	// ending at this node that avoid faultSets[i].
-	expected []map[string]struct{}
-
-	cur    int
-	x      float64
-	rounds map[int]*roundState
+	cur int
+	x   float64
+	// rounds[r] is round r's state, nil until its first message; slot 0 is
+	// unused.
+	rounds []*roundState
 
 	output  float64
 	done    bool
@@ -108,23 +115,24 @@ type Machine struct {
 
 var _ sim.Handler = (*Machine)(nil)
 
-// NewMachine precomputes the per-thread fullness sets for node id.
+// NewMachine counts each thread's fullness set over node id's path table.
 func NewMachine(p *Proto, id int, input float64) (*Machine, error) {
-	m := &Machine{proto: p, id: id, input: input, rounds: make(map[int]*roundState)}
+	paths, err := p.paths.Table(id)
+	if err != nil {
+		return nil, fmt.Errorf("crashapprox: node %d: %w", id, err)
+	}
+	m := &Machine{proto: p, paths: paths, id: id, input: input, rounds: make([]*roundState, p.Rounds+1)}
 	for _, fv := range p.faultSets {
 		if fv.Has(id) {
-			m.expected = append(m.expected, nil)
 			continue
 		}
-		paths, err := p.G.SimplePathsTo(id, fv, p.PathBudget)
-		if err != nil {
-			return nil, fmt.Errorf("crashapprox: node %d thread %s: %w", id, fv, err)
+		full := 0
+		for e := range paths.Set {
+			if !paths.Set[e].Intersects(fv) {
+				full++
+			}
 		}
-		set := make(map[string]struct{}, len(paths))
-		for _, sp := range paths {
-			set[sp.Key()] = struct{}{}
-		}
-		m.expected = append(m.expected, set)
+		m.crashSets, m.full = append(m.crashSets, fv), append(m.full, full)
 	}
 	return m, nil
 }
@@ -153,62 +161,53 @@ func (m *Machine) Start(out *sim.Outbox) {
 // Deliver implements sim.Handler.
 func (m *Machine) Deliver(msg transport.Message, out *sim.Outbox) {
 	p, ok := msg.Payload.(ValPayload)
-	if !ok {
+	if !ok || p.Round < 1 || p.Round > m.proto.Rounds {
 		return
 	}
-	if p.Round < 1 || p.Round > m.proto.Rounds {
-		return
-	}
-	if len(p.Path) == 0 || p.Path.Ter() != msg.From || !p.Path.ValidIn(m.proto.G) {
-		return
-	}
-	storage := p.Path.Append(m.id)
-	if !storage.IsSimple() {
+	e := m.paths.Door(msg.From, p.Entry)
+	if e < 0 {
 		return
 	}
 	rs := m.round(p.Round)
-	key := storage.Key()
-	if _, dup := rs.byPath[key]; dup {
+	if rs.has[e] {
 		return
 	}
-	for _, w := range m.proto.G.Out(m.id) {
-		if !storage.Set().Has(w) {
-			out.Send(w, ValPayload{Round: p.Round, Value: p.Value, Path: storage})
+	// Relays name the extended path by the node's own entry, and one boxed
+	// payload serves them all.
+	if ext := m.paths.Ext(e); len(ext) > 0 {
+		var relay transport.Payload = ValPayload{Round: p.Round, Value: p.Value, Entry: e}
+		for _, w := range ext {
+			out.Send(int(w), relay)
 		}
 	}
-	m.accept(rs, key, storage.Set(), p.Value)
+	m.accept(rs, e, p.Value)
 	m.tryAdvance(out)
 }
 
+// round returns round r's state, creating it on the round's first message;
+// callers have checked 1 <= r <= Rounds.
 func (m *Machine) round(r int) *roundState {
-	rs, ok := m.rounds[r]
-	if !ok {
-		rs = &roundState{byPath: make(map[string]struct{})}
-		for i, fv := range m.proto.faultSets {
-			t := &threadState{fv: fv}
-			if m.expected[i] == nil {
-				t.fired = false
-				t.missing = -1 // thread unusable: fv contains this node
-			} else {
-				t.missing = len(m.expected[i])
-			}
-			rs.threads = append(rs.threads, t)
-		}
+	rs := m.rounds[r]
+	if rs == nil {
+		rs = &roundState{has: make([]bool, len(m.paths.Head)), missing: slices.Clone(m.full)}
 		m.rounds[r] = rs
 	}
 	return rs
 }
 
+// startRound floods x for the current round and stores it on the trivial
+// path <v>: entry 0 of the table.
 func (m *Machine) startRound(out *sim.Outbox) {
 	rs := m.round(m.cur)
 	rs.started = true
-	self := graph.Path{m.id}
-	out.Broadcast(ValPayload{Round: m.cur, Value: m.x, Path: self})
-	m.accept(rs, self.Key(), graph.SetOf(m.id), m.x)
+	out.Broadcast(ValPayload{Round: m.cur, Value: m.x, Entry: 0})
+	m.accept(rs, 0, m.x)
 }
 
-func (m *Machine) accept(rs *roundState, key string, set graph.Set, value float64) {
-	rs.byPath[key] = struct{}{}
+// accept stores the value that arrived on entry e and counts it toward the
+// fullness set of every thread whose crash set the path avoids.
+func (m *Machine) accept(rs *roundState, e int32, value float64) {
+	rs.has[e] = true
 	if !rs.haveAny || value < rs.min {
 		rs.min = value
 	}
@@ -216,33 +215,18 @@ func (m *Machine) accept(rs *roundState, key string, set graph.Set, value float6
 		rs.max = value
 	}
 	rs.haveAny = true
-	for i, t := range rs.threads {
-		if t.fired || t.missing < 0 {
-			continue
-		}
-		if _, want := m.expected[i][key]; want {
-			t.missing--
-			if t.missing == 0 {
-				t.fired = true
-			}
+	for i := range m.crashSets {
+		if rs.missing[i] > 0 && !m.paths.Set[e].Intersects(m.crashSets[i]) {
+			rs.missing[i]--
+			rs.fired = rs.fired || rs.missing[i] == 0
 		}
 	}
 }
 
 func (m *Machine) tryAdvance(out *sim.Outbox) {
 	for !m.done {
-		rs, ok := m.rounds[m.cur]
-		if !ok || !rs.started || rs.advanced {
-			return
-		}
-		fired := false
-		for _, t := range rs.threads {
-			if t.fired {
-				fired = true
-				break
-			}
-		}
-		if !fired {
+		rs := m.rounds[m.cur]
+		if rs == nil || !rs.started || rs.advanced || !rs.fired {
 			return
 		}
 		rs.advanced = true

@@ -2,6 +2,7 @@ package crashapprox_test
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/adversary"
@@ -166,5 +167,67 @@ func TestCrashApproxRejectsBadParams(t *testing.T) {
 	}
 	if _, err := crashapprox.NewProto(g, 1, 1, 0, 0); err == nil {
 		t.Error("zero eps accepted")
+	}
+	if _, err := crashapprox.NewProto(g, 1, math.NaN(), 0.1, 0); err == nil {
+		t.Error("NaN range accepted")
+	}
+	if _, err := crashapprox.NewProto(g, 1, 1, math.NaN(), 0); err == nil {
+		t.Error("NaN eps accepted")
+	}
+}
+
+// TestCrashApproxDropsForgedEntries: a VAL names its path by an entry of the
+// sender's path table, and the door admits only an entry of a real
+// in-neighbour's table that the receiver extends to a simple path. An id of
+// -1, of MaxInt32 or just past the sender's table, and a sender that is no
+// in-neighbour, each cause no relay and leave the machine as it was — in the
+// round it is in and in one it has not reached.
+func TestCrashApproxDropsForgedEntries(t *testing.T) {
+	g := twoReachGraph(t)
+	proto, err := crashapprox.NewProto(g, 1, 4, 0.2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := func() *crashapprox.Machine {
+		m, err := crashapprox.NewMachine(proto, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Start(sim.NewCollector(0, g))
+		return m
+	}
+	const from, stranger = 4, 1
+	if !g.HasEdge(from, 0) || g.HasEdge(stranger, 0) {
+		t.Fatalf("%s: want %d an in-neighbour of 0 and %d not", g, from, stranger)
+	}
+	sender, err := graph.NewPathTables(g, true, 0).Table(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := []struct {
+		from  int
+		entry int32
+	}{
+		{from, -1}, {from, math.MaxInt32}, {from, int32(len(sender.Head))},
+		{stranger, 0}, {0, 0}, {g.N(), 0},
+	}
+	want := started()
+	for _, round := range []int{1, 2} {
+		for _, fg := range forged {
+			m, out := started(), sim.NewCollector(0, g)
+			m.Deliver(transport.Message{From: fg.from, To: 0, Payload: crashapprox.ValPayload{Round: round, Value: 3, Entry: fg.entry}}, out)
+			if len(out.Messages()) != 0 {
+				t.Errorf("round %d entry %d from %d: relayed %d messages", round, fg.entry, fg.from, len(out.Messages()))
+			}
+			if !reflect.DeepEqual(m, want) {
+				t.Errorf("round %d entry %d from %d: the machine's state changed", round, fg.entry, fg.from)
+			}
+		}
+	}
+	// The same door admits and relays the sender's own value.
+	m, out := started(), sim.NewCollector(0, g)
+	m.Deliver(transport.Message{From: from, To: 0, Payload: crashapprox.ValPayload{Round: 1, Value: 3, Entry: 0}}, out)
+	if len(out.Messages()) == 0 || reflect.DeepEqual(m, want) {
+		t.Errorf("an honest in-neighbour's own value was dropped")
 	}
 }

@@ -14,13 +14,10 @@ type Path []int
 // Init returns the initial node of the path.
 func (p Path) Init() int { return p[0] }
 
-// Ter returns the terminal node of the path.
-func (p Path) Ter() int { return p[len(p)-1] }
-
 // Key encodes the path as a compact string usable as a map key: two
 // big-endian bytes per node (IDs are below MaxNodes = 1024, so two bytes
 // suffice). Keys compare lexicographically in the same order as the node
-// sequences they encode, the order BW's path table ranks its entries in.
+// sequences they encode, the order a PathTable ranks its entries in.
 func (p Path) Key() string {
 	b := make([]byte, 2*len(p))
 	for i, v := range p {
@@ -30,21 +27,8 @@ func (p Path) Key() string {
 	return string(b)
 }
 
-// PathFromKey decodes a Key back into a Path. Odd-length inputs (which no
-// Key produces) drop the trailing byte.
-func PathFromKey(k string) Path {
-	p := make(Path, len(k)/2)
-	for i := range p {
-		p[i] = int(k[2*i])<<8 | int(k[2*i+1])
-	}
-	return p
-}
-
 // Set returns the set of nodes on the path.
 func (p Path) Set() Set { return PathSet(p) }
-
-// Clone returns a copy of the path.
-func (p Path) Clone() Path { return append(Path(nil), p...) }
 
 // Append returns p with v appended (a fresh slice; p is not modified).
 func (p Path) Append(v int) Path {
@@ -100,25 +84,6 @@ func (p Path) IsRedundant() bool {
 	return b <= a-1
 }
 
-// ValidIn reports whether p is a directed walk of g: nonempty, nodes in
-// range, and consecutive nodes joined by edges.
-func (p Path) ValidIn(g *Graph) bool {
-	if len(p) == 0 {
-		return false
-	}
-	for _, v := range p {
-		if v < 0 || v >= g.n {
-			return false
-		}
-	}
-	for i := 0; i+1 < len(p); i++ {
-		if !g.HasEdge(p[i], p[i+1]) {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders the path as "<a b c>".
 func (p Path) String() string {
 	s := "<"
@@ -169,43 +134,6 @@ func (g *Graph) SimplePathsTo(v int, excl Set, budget int) ([]Path, error) {
 	return out, nil
 }
 
-// SimplePathsFromTo enumerates the simple (from, to)-paths avoiding excl.
-// With from == to only the trivial path is returned.
-func (g *Graph) SimplePathsFromTo(from, to int, excl Set, budget int) ([]Path, error) {
-	if excl.Has(from) || excl.Has(to) {
-		return nil, nil
-	}
-	if from == to {
-		return []Path{{to}}, nil
-	}
-	var out []Path
-	cur := Path{from}
-	var rec func(at int, visited Set) error
-	rec = func(at int, visited Set) error {
-		if at == to {
-			p := make(Path, len(cur))
-			copy(p, cur)
-			out = append(out, p)
-			if budget > 0 && len(out) > budget {
-				return ErrPathBudget
-			}
-			return nil
-		}
-		var err error
-		g.outMask[at].Minus(visited).Minus(excl).ForEach(func(w int) bool {
-			cur = append(cur, w)
-			err = rec(w, visited.Add(w))
-			cur = cur[:len(cur)-1]
-			return err == nil
-		})
-		return err
-	}
-	if err := rec(from, SetOf(from)); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // RedundantPathsTo enumerates every redundant path ending at v that avoids
 // excl — the set {p in Pr_{V\excl} : ter(p) = v} of Definition 9. The result
 // is deduplicated (a sequence decomposable at several split points appears
@@ -251,7 +179,7 @@ type RedundantWalk struct {
 	// ID numbers the visits in order from 0, the trivial path <v>; Suffix
 	// is the ID of the path without its first vertex, -1 for <v>.
 	ID, Suffix int32
-	Head, Len  int  // the first vertex; how many the path has
+	Head       int  // the first vertex
 	Simple     bool // no vertex repeats
 
 	// The reversed walk r (from v, grown by appending in-neighbors):
@@ -262,13 +190,19 @@ type RedundantWalk struct {
 	// b <= a-1 (Path.IsRedundant).
 	n, a, b     int
 	first, last []int32
+	simple      bool // the walk visits simple paths only
 }
 
-// ExtendsBy reports whether the visited path with x appended is still
-// redundant — the forward reading of the reversed-walk state: the path's
-// longest all-distinct prefix has n-b vertices, its longest all-distinct
-// suffix starts at n-a, and x last occurs at n-first[x].
+// ExtendsBy reports whether the visited path with x appended is still a
+// path the walk visits: for the simple walk, whether x is not on it; else
+// whether it is still redundant — the forward reading of the reversed-walk
+// state: the path's longest all-distinct prefix has n-b vertices, its
+// longest all-distinct suffix starts at n-a, and x last occurs at
+// n-first[x].
 func (w *RedundantWalk) ExtendsBy(x int) bool {
+	if w.simple {
+		return w.first[x] == 0
+	}
 	a, b := w.n-w.b, w.n-w.a
 	if f := int(w.first[x]); f == 0 {
 		if a == w.n {
@@ -282,22 +216,25 @@ func (w *RedundantWalk) ExtendsBy(x int) bool {
 
 // WalkRedundantPathsTo visits every distinct redundant path ending at v
 // that avoids excl — the set {p in Pr_{V\excl} : ter(p) = v} of Definition
-// 9 — once each, a path after its suffixes, and returns how many there are,
-// or ErrPathBudget if more than budget (budget <= 0 means unlimited). The
-// visitor's argument is valid during the call only.
+// 9 — or, with simple, only the simple ones, once each, a path after its
+// suffixes, and returns how many there are, or ErrPathBudget if more than
+// budget (budget <= 0 means unlimited). The visitor's argument is valid
+// during the call only.
 //
 // It never materializes a path: it walks the reversed graph depth-first
 // from v, extending one node at a time with the O(1) redundancy test. This
 // works because the reverse of a redundant path is redundant (reversing a
 // concatenation of two simple paths yields another), and redundant walks
 // are closed under taking suffixes, so a failed extension prunes the whole
-// subtree exactly. Each visit costs O(in-degree) — the form BW's path table
-// is built in at scale, where spelling every path out would cost gigabytes.
-func (g *Graph) WalkRedundantPathsTo(v int, excl Set, budget int, visit func(*RedundantWalk)) (int, error) {
+// subtree exactly; simple paths are suffix-closed too, and the simple walk
+// also skips an extension that repeats a vertex. Each visit costs
+// O(in-degree) — the form the path tables (PathTables) are built in at
+// scale, where spelling every path out would cost gigabytes.
+func (g *Graph) WalkRedundantPathsTo(v int, excl Set, simple bool, budget int, visit func(*RedundantWalk)) (int, error) {
 	if excl.Has(v) {
 		return 0, nil
 	}
-	w := &RedundantWalk{n: 1, a: 1, first: make([]int32, g.n), last: make([]int32, g.n)}
+	w := &RedundantWalk{n: 1, a: 1, first: make([]int32, g.n), last: make([]int32, g.n), simple: simple}
 	w.first[v], w.last[v] = 1, 1
 	count := 0
 	var rec func(front int, suffix int32) error
@@ -307,10 +244,10 @@ func (g *Graph) WalkRedundantPathsTo(v int, excl Set, budget int, visit func(*Re
 		}
 		id := int32(count)
 		count++
-		w.ID, w.Suffix, w.Head, w.Len, w.Simple = id, suffix, front, w.n, w.a == w.n
+		w.ID, w.Suffix, w.Head, w.Simple = id, suffix, front, w.a == w.n
 		visit(w)
 		for _, u := range g.in[front] {
-			if excl.Has(u) {
+			if excl.Has(u) || simple && w.last[u] != 0 {
 				continue
 			}
 			na := w.a
@@ -346,5 +283,5 @@ func (g *Graph) WalkRedundantPathsTo(v int, excl Set, budget int, visit func(*Re
 // ending at v avoiding excl, or ErrPathBudget if it exceeds budget
 // (budget <= 0 means unlimited).
 func (g *Graph) CountRedundantPathsTo(v int, excl Set, budget int) (int, error) {
-	return g.WalkRedundantPathsTo(v, excl, budget, func(*RedundantWalk) {})
+	return g.WalkRedundantPathsTo(v, excl, false, budget, func(*RedundantWalk) {})
 }

@@ -9,6 +9,78 @@ import (
 	"testing/quick"
 )
 
+// Path helpers no production code needs any more, kept for the tests below
+// as references.
+
+// Ter returns the terminal node of the path.
+func (p Path) Ter() int { return p[len(p)-1] }
+
+// PathFromKey decodes a Key back into a Path. Odd-length inputs (which no
+// Key produces) drop the trailing byte.
+func PathFromKey(k string) Path {
+	p := make(Path, len(k)/2)
+	for i := range p {
+		p[i] = int(k[2*i])<<8 | int(k[2*i+1])
+	}
+	return p
+}
+
+// ValidIn reports whether p is a directed walk of g: nonempty, nodes in
+// range, and consecutive nodes joined by edges.
+func (p Path) ValidIn(g *Graph) bool {
+	if len(p) == 0 {
+		return false
+	}
+	for _, v := range p {
+		if v < 0 || v >= g.n {
+			return false
+		}
+	}
+	for i := 0; i+1 < len(p); i++ {
+		if !g.HasEdge(p[i], p[i+1]) {
+			return false
+		}
+	}
+	return true
+}
+
+// SimplePathsFromTo enumerates the simple (from, to)-paths avoiding excl.
+// With from == to only the trivial path is returned.
+func (g *Graph) SimplePathsFromTo(from, to int, excl Set, budget int) ([]Path, error) {
+	if excl.Has(from) || excl.Has(to) {
+		return nil, nil
+	}
+	if from == to {
+		return []Path{{to}}, nil
+	}
+	var out []Path
+	cur := Path{from}
+	var rec func(at int, visited Set) error
+	rec = func(at int, visited Set) error {
+		if at == to {
+			p := make(Path, len(cur))
+			copy(p, cur)
+			out = append(out, p)
+			if budget > 0 && len(out) > budget {
+				return ErrPathBudget
+			}
+			return nil
+		}
+		var err error
+		g.outMask[at].Minus(visited).Minus(excl).ForEach(func(w int) bool {
+			cur = append(cur, w)
+			err = rec(w, visited.Add(w))
+			cur = cur[:len(cur)-1]
+			return err == nil
+		})
+		return err
+	}
+	if err := rec(from, SetOf(from)); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func TestPathBasics(t *testing.T) {
 	p := Path{2, 0, 1}
 	if p.Init() != 2 || p.Ter() != 1 {
@@ -306,10 +378,11 @@ func TestCountRedundantMatchesEnumeration(t *testing.T) {
 	}
 }
 
-// TestWalkRedundantPathsTo holds the visitor's view to the definitions: the
-// paths spelled out from (Head, Suffix) are exactly the enumeration's, each
-// once and after its suffix, Simple is IsSimple, and ExtendsBy is
-// IsRedundant of the appended path for every vertex of the graph.
+// TestWalkRedundantPathsTo holds the visitor's view to the definitions, for
+// both walks: the paths spelled out from (Head, Suffix) are exactly the
+// enumeration's — RedundantPathsTo, or SimplePathsTo for the simple walk —
+// each once and after its suffix, Simple is IsSimple, and ExtendsBy is
+// IsRedundant (IsSimple) of the appended path for every vertex of the graph.
 func TestWalkRedundantPathsTo(t *testing.T) {
 	graphs := []*Graph{
 		DirectedCycle(5),
@@ -323,39 +396,56 @@ func TestWalkRedundantPathsTo(t *testing.T) {
 	for gi, g := range graphs {
 		for v := 0; v < g.N(); v++ {
 			for _, excl := range []Set{EmptySet, SetOf((v + 1) % g.N())} {
-				want, err := g.RedundantPathsTo(v, excl, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var paths []Path
-				got := make(map[string]struct{})
-				count, err := g.WalkRedundantPathsTo(v, excl, 0, func(w *RedundantWalk) {
-					if int(w.ID) != len(paths) || w.Suffix >= w.ID {
-						t.Fatalf("graph %d v=%d: visit %d numbered %d with suffix %d", gi, v, len(paths), w.ID, w.Suffix)
+				for _, simple := range []bool{false, true} {
+					want, err := g.RedundantPathsTo(v, excl, 0)
+					travels := Path.IsRedundant
+					if simple {
+						want, err = simplePathKeys(g, v, excl)
+						travels = Path.IsSimple
 					}
-					p := Path{w.Head}
-					if w.Suffix >= 0 {
-						p = append(p, paths[w.Suffix]...)
+					if err != nil {
+						t.Fatal(err)
 					}
-					paths = append(paths, p)
-					got[p.Key()] = struct{}{}
-					if w.Simple != p.IsSimple() {
-						t.Errorf("graph %d: %v Simple = %v", gi, p, w.Simple)
-					}
-					for x := 0; x < g.N(); x++ {
-						if w.ExtendsBy(x) != p.Append(x).IsRedundant() {
-							t.Errorf("graph %d: %v ExtendsBy(%d) = %v", gi, p, x, w.ExtendsBy(x))
+					var paths []Path
+					got := make(map[string]struct{})
+					count, err := g.WalkRedundantPathsTo(v, excl, simple, 0, func(w *RedundantWalk) {
+						if int(w.ID) != len(paths) || w.Suffix >= w.ID {
+							t.Fatalf("graph %d v=%d: visit %d numbered %d with suffix %d", gi, v, len(paths), w.ID, w.Suffix)
 						}
+						p := Path{w.Head}
+						if w.Suffix >= 0 {
+							p = append(p, paths[w.Suffix]...)
+						}
+						paths = append(paths, p)
+						got[p.Key()] = struct{}{}
+						if w.Simple != p.IsSimple() {
+							t.Errorf("graph %d: %v Simple = %v", gi, p, w.Simple)
+						}
+						for x := 0; x < g.N(); x++ {
+							if w.ExtendsBy(x) != travels(p.Append(x)) {
+								t.Errorf("graph %d simple=%v: %v ExtendsBy(%d) = %v", gi, simple, p, x, w.ExtendsBy(x))
+							}
+						}
+					})
+					if err != nil {
+						t.Fatal(err)
 					}
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if count != len(paths) || !reflect.DeepEqual(keysSorted(got), keysSorted(want)) {
-					t.Errorf("graph %d (%s), v=%d excl=%s: %d visits of %d distinct paths, enumeration has %d",
-						gi, g.Name(), v, excl, count, len(got), len(want))
+					if count != len(paths) || !reflect.DeepEqual(keysSorted(got), keysSorted(want)) {
+						t.Errorf("graph %d (%s), v=%d excl=%s simple=%v: %d visits of %d distinct paths, enumeration has %d",
+							gi, g.Name(), v, excl, simple, count, len(got), len(want))
+					}
 				}
 			}
 		}
 	}
+}
+
+// simplePathKeys is SimplePathsTo as a key set.
+func simplePathKeys(g *Graph, v int, excl Set) (map[string]struct{}, error) {
+	paths, err := g.SimplePathsTo(v, excl, 0)
+	keys := make(map[string]struct{}, len(paths))
+	for _, p := range paths {
+		keys[p.Key()] = struct{}{}
+	}
+	return keys, err
 }

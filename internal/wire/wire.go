@@ -10,7 +10,7 @@
 // A frame on a stream is a 4-byte big-endian body length followed by the
 // body. A body is:
 //
-//	byte    version (currently 5)
+//	byte    version (currently 6)
 //	uvarint instance id (0 for single-shot runs)
 //	uvarint from
 //	uvarint to
@@ -25,9 +25,10 @@
 // PeekFrame without paying a full decode.
 //
 // Integers are unsigned varints, floats are IEEE-754 bits in big-endian
-// order, byte strings and paths are uvarint-length-prefixed. BW names every
-// path by its entry in a path table (see bw.ValPayload): an entry id is an
-// unsigned varint that fits an int32. Map-valued
+// order, byte strings are uvarint-length-prefixed. No path is spelled out:
+// BW's and the crash-fault flood's messages name every path by its entry in
+// a path table (see bw.ValPayload, crashapprox.ValPayload), an unsigned
+// varint that fits an int32. Map-valued
 // contents (AAD reports) are serialized in sorted key order, so encoding is
 // a pure function of the message value: equal messages produce equal bytes
 // on every node, and re-encoding a decoded message reproduces the input
@@ -68,20 +69,21 @@ import (
 // its From field, so the bump again turns misdecoding into a handshake
 // failure. Version 5 replaced BW's spelled-out paths — the VAL path, the
 // COMPLETE propagation path and each COMPLETE entry's path key — by table
-// entry ids; a version-4 peer would read an id as a path length.
-const Version = 5
+// entry ids; a version-4 peer would read an id as a path length. Version 6
+// did the same for the crash-fault flood's CRASH-VAL path, the last path
+// the codec spelled out; a version-5 peer would read the id as a path
+// length.
+const Version = 6
 
 // MaxFrame bounds a frame body: AppendRawFrame refuses to write a larger
 // one and FrameReader rejects larger length prefixes before allocating, so
 // a corrupt or hostile peer cannot trigger huge allocations.
 const MaxFrame = 16 << 20
 
-// Sanity caps on decoded collection sizes. Propagation paths are redundant
-// paths (at most two simple paths, so < 2·MaxNodes nodes); entry sets and
-// report maps are bounded by what MaxFrame can carry, but an explicit count
-// cap fails fast on corrupt headers instead of over-allocating.
+// Sanity caps on decoded collection sizes. Entry sets and report maps are
+// bounded by what MaxFrame can carry, but an explicit count cap fails fast
+// on corrupt headers instead of over-allocating.
 const (
-	maxPathLen = 2 * graph.MaxNodes
 	maxEntries = 1 << 20
 	maxTagLen  = 1 << 12
 )
@@ -178,10 +180,13 @@ func AppendInstanceMessage(dst []byte, inst uint64, m transport.Message) ([]byte
 		}
 		dst = appendUint(dst, uint64(p.Entry))
 	case crashapprox.ValPayload:
+		if p.Entry < 0 {
+			return nil, fmt.Errorf("wire: crash val with negative entry %d", p.Entry)
+		}
 		dst = append(dst, typeCrashVal)
 		dst = appendUint(dst, uint64(p.Round))
 		dst = appendFloat(dst, p.Value)
-		dst = appendPath(dst, p.Path)
+		dst = appendUint(dst, uint64(p.Entry))
 	case iterative.ValPayload:
 		dst = append(dst, typeIterVal)
 		dst = appendUint(dst, uint64(p.Round))
@@ -299,7 +304,7 @@ func DecodeInstanceMessage(data []byte) (uint64, transport.Message, error) {
 		p.Entry = d.entry()
 		m.Payload = p
 	case typeCrashVal:
-		m.Payload = crashapprox.ValPayload{Round: d.intVal(), Value: d.float(), Path: d.path()}
+		m.Payload = crashapprox.ValPayload{Round: d.intVal(), Value: d.float(), Entry: d.entry()}
 	case typeIterVal:
 		m.Payload = iterative.ValPayload{Round: d.intVal(), Value: d.float()}
 	case typeRBC:
@@ -393,14 +398,6 @@ func appendFloat(dst []byte, v float64) []byte {
 func appendBytes(dst, b []byte) []byte {
 	dst = appendUint(dst, uint64(len(b)))
 	return append(dst, b...)
-}
-
-func appendPath(dst []byte, p graph.Path) []byte {
-	dst = appendUint(dst, uint64(len(p)))
-	for _, v := range p {
-		dst = appendUint(dst, uint64(v))
-	}
-	return dst
 }
 
 // appendSet encodes a node set as its strictly ascending member list — a
@@ -509,26 +506,6 @@ func (d *decoder) bytes(capacity int) []byte {
 	b := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
 	return b
-}
-
-func (d *decoder) path() graph.Path {
-	n := d.count(maxPathLen)
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	p := make(graph.Path, n)
-	for i := range p {
-		v := d.intVal()
-		if d.err == nil && v >= graph.MaxNodes {
-			d.fail("path node id %d out of range", v)
-			return nil
-		}
-		p[i] = v
-	}
-	if d.err != nil {
-		return nil
-	}
-	return p
 }
 
 // set decodes a node set written by appendSet, enforcing the canonical

@@ -22,7 +22,7 @@ import (
 
 // sampleMessages covers every payload type and the boundary shapes the
 // codec must preserve: path-table entry ids from 0 to the largest int32,
-// empty and long paths, NaN and infinite values, multi-entry COMPLETE sets,
+// NaN and infinite values, multi-entry COMPLETE sets,
 // all three RBC phases and both content types.
 func sampleMessages() []transport.Message {
 	return []transport.Message{
@@ -39,7 +39,8 @@ func sampleMessages() []transport.Message {
 			Entry: 4,
 		}},
 		{From: 5, To: 4, Payload: bw.CompletePayload{Round: 1, Origin: 5, Tag: graph.EmptySet}},
-		{From: 0, To: 63, Payload: crashapprox.ValPayload{Round: 2, Value: 0.125, Path: graph.Path{0, 63}}},
+		{From: 0, To: 63, Payload: crashapprox.ValPayload{Round: 2, Value: 0.125, Entry: 0}},
+		{From: 5, To: 6, Payload: crashapprox.ValPayload{Round: 3, Value: math.Inf(1), Entry: math.MaxInt32}},
 		{From: 9, To: 8, Payload: iterative.ValPayload{Round: 4, Value: -3}},
 		{From: 0, To: 1, Payload: rbc.Msg{Phase: rbc.PhaseInit, Origin: 0, Tag: "r1/value", Content: aad.Num(1.5)}},
 		{From: 1, To: 2, Payload: rbc.Msg{Phase: rbc.PhaseEcho, Origin: 0, Tag: "r2/report",
@@ -172,15 +173,18 @@ func TestDecodeRejects(t *testing.T) {
 	}
 }
 
-// badEntryFrames are BW frames naming a path by an id that fits no int32:
-// a VAL's id at 2^31, at uint32(-1) and at int64(-1) as uvarints, and a
-// COMPLETE's entry, then its propagation path, at 2^31.
+// badEntryFrames are frames naming a path by an id that fits no int32: a
+// BW VAL's and a CRASH-VAL's id at 2^31, at uint32(-1) and at int64(-1) as
+// uvarints, and a COMPLETE's entry, then its propagation path, at 2^31.
 var badEntryFrames = map[string]string{
-	"val entry 2^31":           "0500000101014004000000000000" + "8080808008",
-	"val entry uint32(-1)":     "0500000101014004000000000000" + "ffffffff0f",
-	"val entry int64(-1)":      "0500000101014004000000000000" + "ffffffffffffffffff01",
-	"complete entry 2^31":      "05000102020301090001" + "8080808008" + "bff4000000000000" + "00",
-	"complete path entry 2^31": "05000102020301090001" + "00" + "bff4000000000000" + "8080808008",
+	"val entry 2^31":             "0600000101014004000000000000" + "8080808008",
+	"val entry uint32(-1)":       "0600000101014004000000000000" + "ffffffff0f",
+	"val entry int64(-1)":        "0600000101014004000000000000" + "ffffffffffffffffff01",
+	"crash val entry 2^31":       "0600000103014004000000000000" + "8080808008",
+	"crash val entry uint32(-1)": "0600000103014004000000000000" + "ffffffff0f",
+	"crash val entry int64(-1)":  "0600000103014004000000000000" + "ffffffffffffffffff01",
+	"complete entry 2^31":        "06000102020301090001" + "8080808008" + "bff4000000000000" + "00",
+	"complete path entry 2^31":   "06000102020301090001" + "00" + "bff4000000000000" + "8080808008",
 }
 
 // mustHex decodes a hand-written frame.
@@ -198,6 +202,7 @@ func mustHex(tb testing.TB, h string) []byte {
 func TestEncodeRejectsNegativeEntry(t *testing.T) {
 	for name, p := range map[string]transport.Payload{
 		"val":            bw.ValPayload{Round: 1, Entry: -1},
+		"crash val":      crashapprox.ValPayload{Round: 1, Entry: -1},
 		"complete path":  bw.CompletePayload{Round: 1, Entry: math.MinInt32},
 		"complete entry": bw.CompletePayload{Round: 1, Entries: []bw.ValEntry{{Value: 1, Entry: 2}, {Value: 1, Entry: -3}}},
 	} {
@@ -242,9 +247,9 @@ type fakePayload struct{}
 func (fakePayload) Kind() string { return "FAKE" }
 
 // TestGoldenWireVectors pins the exact on-wire bytes of one representative
-// message per payload type at codec version 5, including instance-stamped
-// frames (the service tier's multiplexing header) and BW's path-table entry
-// ids at 0, at a two-byte varint and at the largest int32. These are a
+// message per payload type at codec version 6, including instance-stamped
+// frames (the service tier's multiplexing header) and path-table entry ids
+// at 0, at a one- and a two-byte varint and at the largest int32. These are a
 // compatibility contract: any codec change that alters them is a wire
 // break and must come with a Version bump and a regenerated table, not a
 // silent edit.
@@ -255,38 +260,38 @@ func TestGoldenWireVectors(t *testing.T) {
 		hex  string
 	}{
 		{0, transport.Message{From: 0, To: 1, Payload: bw.ValPayload{Round: 1, Value: 2.5, Entry: 0}},
-			"050000010101400400000000000000"},
+			"060000010101400400000000000000"},
 		{0, transport.Message{From: 3, To: 7, Payload: bw.ValPayload{Round: 12, Value: -1, Entry: math.MaxInt32}},
-			"05000307010c" + "bff0000000000000" + "ffffffff07"},
+			"06000307010c" + "bff0000000000000" + "ffffffff07"},
 		{0, transport.Message{From: 1, To: 2, Payload: bw.CompletePayload{
 			Round: 3, Origin: 1, Seq: 9, Tag: graph.SetOf(2, 5),
 			Entries: []bw.ValEntry{{Value: -1.25, Entry: 0}, {Value: 7, Entry: 300}},
 			Entry:   4,
-		}}, "050001020203010902020502" + "00bff4000000000000" + "ac02401c000000000000" + "04"},
+		}}, "060001020203010902020502" + "00bff4000000000000" + "ac02401c000000000000" + "04"},
 		{0, transport.Message{From: 2, To: 0, Payload: bw.CompletePayload{
 			Round: 1, Origin: 2, Seq: 1, Tag: graph.EmptySet,
 			Entries: []bw.ValEntry{{Value: 0.5, Entry: math.MaxInt32}},
 			Entry:   math.MaxInt32,
-		}}, "05000200020102010001" + "ffffffff073fe0000000000000" + "ffffffff07"},
-		{0, transport.Message{From: 0, To: 3, Payload: crashapprox.ValPayload{Round: 2, Value: 0.125, Path: graph.Path{0, 3}}},
-			"0500000303023fc0000000000000020003"},
+		}}, "06000200020102010001" + "ffffffff073fe0000000000000" + "ffffffff07"},
+		{0, transport.Message{From: 0, To: 3, Payload: crashapprox.ValPayload{Round: 2, Value: 0.125, Entry: 5}},
+			"0600000303023fc0000000000000" + "05"},
 		{0, transport.Message{From: 9, To: 8, Payload: iterative.ValPayload{Round: 4, Value: -3}},
-			"050009080404c008000000000000"},
+			"060009080404c008000000000000"},
 		{0, transport.Message{From: 0, To: 1, Payload: rbc.Msg{Phase: rbc.PhaseInit, Origin: 0, Tag: "acs/v", Content: rbc.Num(1.5)}},
-			"05000001050100056163732f76013ff8000000000000"},
+			"06000001050100056163732f76013ff8000000000000"},
 		{0, transport.Message{From: 1, To: 2, Payload: rbc.Msg{Phase: rbc.PhaseEcho, Origin: 0, Tag: "r2/report",
 			Content: aad.Report{{Origin: 0, Value: 1}, {Origin: 2, Value: -2.5}}}},
-			"050001020502000972322f7265706f72740202003ff000000000000002c004000000000000"},
+			"060001020502000972322f7265706f72740202003ff000000000000002c004000000000000"},
 		{0, transport.Message{From: 0, To: 1, Payload: aba.Msg{Inst: 0, Round: 1, Phase: aba.PhaseBval, Value: 1}},
-			"050000010601000101"},
+			"060000010601000101"},
 		{5, transport.Message{From: 2, To: 3, Payload: aba.Msg{Inst: 5, Round: 130, Phase: aba.PhaseAux, Value: 0}},
-			"05050203060205820100"},
+			"06050203060205820100"},
 		{0, transport.Message{From: 3, To: 0, Payload: aba.Msg{Inst: 2, Round: 0, Phase: aba.PhaseDone, Value: 1}},
-			"050003000603020001"},
+			"060003000603020001"},
 		{7, transport.Message{From: 0, To: 1, Payload: wire.Open{Protocol: "acs"}},
-			"050700010703616373"},
+			"060700010703616373"},
 		{300, transport.Message{From: 4, To: 6, Payload: iterative.ValPayload{Round: 2, Value: 0.5}},
-			"05ac02040604023fe0000000000000"},
+			"06ac02040604023fe0000000000000"},
 	}
 	for _, v := range vectors {
 		kind := v.msg.Payload.Kind()
@@ -407,8 +412,8 @@ func nonCanonicalReportFrames(tb testing.TB) [][]byte {
 	tb.Helper()
 	var frames [][]byte
 	for _, h := range []string{
-		"050001020502000972322f7265706f72740202023ff000000000000000c004000000000000",
-		"050001020502000972322f7265706f72740202003ff000000000000000c004000000000000",
+		"060001020502000972322f7265706f72740202023ff000000000000000c004000000000000",
+		"060001020502000972322f7265706f72740202003ff000000000000000c004000000000000",
 	} {
 		frame, err := hex.DecodeString(h)
 		if err != nil {

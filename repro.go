@@ -58,9 +58,6 @@ type Graph = graph.Graph
 // NodeSet is a bitmask set of node IDs.
 type NodeSet = graph.Set
 
-// Path is a node sequence forming a directed walk.
-type Path = graph.Path
-
 // ReachWitness describes a violated reach condition.
 type ReachWitness = cond.Witness
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -199,6 +200,9 @@ func (s Scenario) Materialize() (*Graph, []float64, error) {
 	}
 	if _, err := ProtocolByName(s.Protocol); err != nil {
 		return nil, nil, fmt.Errorf("scenario: %w", err)
+	}
+	if math.IsNaN(s.K) || math.IsInf(s.K, 0) || math.IsNaN(s.Eps) || math.IsInf(s.Eps, 0) {
+		return nil, nil, fmt.Errorf("repro: scenario: k=%v and eps=%v must be finite", s.K, s.Eps)
 	}
 	if s.F < FZero || s.K < 0 || s.Eps < 0 || s.Rounds < 0 || s.Seeds < 0 {
 		return nil, nil, fmt.Errorf("repro: scenario: k, eps, rounds and seeds must be non-negative and f >= %d (%d = explicit zero fault bound)", FZero, FZero)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -605,6 +606,25 @@ func TestDocumentedScenariosDecode(t *testing.T) {
 	for name, doc := range docs {
 		if _, err := repro.ParseScenario(doc); err != nil {
 			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
+// TestScenarioRejectsNonFiniteRange: a NaN k or eps compares false against
+// every bound, so it used to slip past validation and run zero rounds — no
+// message sent, every input returned as its output. Infinite ones are
+// refused with them.
+func TestScenarioRejectsNonFiniteRange(t *testing.T) {
+	for _, protocol := range []string{"crashapprox", "aad", "bw", "iterative"} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, s := range []repro.Scenario{
+				{Graph: "clique:4", Protocol: protocol, K: bad},
+				{Graph: "clique:4", Protocol: protocol, Eps: bad},
+			} {
+				if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "finite") {
+					t.Errorf("%s k=%v eps=%v: validation says %v", protocol, s.K, s.Eps, err)
+				}
+			}
 		}
 	}
 }
