@@ -2,6 +2,8 @@ package repro_test
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -149,6 +151,36 @@ func TestClusterAdversaryConformance(t *testing.T) {
 			}
 			assertGuarantees(t, "loopback/"+kind, clusterRes, s.Eps)
 		})
+	}
+}
+
+// TestBWNonFiniteSender: one vertex flooding NaN or an infinity — as its own
+// value, or in every value it relays and every COMPLETE entry — is a
+// Byzantine vertex inside the f budget. NaN ≠ NaN, so a machine that stored
+// it marked every thread that saw the value inconsistent and waited forever
+// on clauses wanting it: no honest vertex decided, on either runtime. BW
+// drops such messages at the door (DESIGN.md fidelity note 12) and decides
+// as it does when the vertex is silent about them.
+func TestBWNonFiniteSender(t *testing.T) {
+	for _, fault := range []repro.FaultSpec{
+		{Node: 1, Kind: "extreme", Params: map[string]float64{"value": math.NaN()}},
+		{Node: 3, Kind: "extreme", Params: map[string]float64{"value": math.Inf(-1)}},
+		{Node: 1, Kind: "tamper", Params: map[string]float64{"delta": math.NaN()}},
+	} {
+		s := repro.Scenario{
+			Graph: "fig1a", Protocol: "bw", Inputs: []float64{0, 4, 1, 3, 2},
+			F: 1, K: 4, Eps: 0.25, Seed: 5, Faults: []repro.FaultSpec{fault},
+		}
+		for _, runtime := range []string{repro.RuntimeSim, repro.RuntimeLoopback} {
+			t.Run(fmt.Sprintf("%s/%d:%s=%v", runtime, fault.Node, fault.Kind, fault.Params), func(t *testing.T) {
+				t.Parallel()
+				res, err := s.RunOn(context.Background(), runtime)
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertGuarantees(t, runtime, res, s.Eps)
+			})
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package adversary_test
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -61,6 +62,9 @@ func TestSpecValidateRejectsEagerly(t *testing.T) {
 		{"negative count", adversary.Spec{Kind: "crash", Params: adversary.Params{"finalSends": -3}}, "must be non-negative"},
 		{"negative amp in compose", adversary.Spec{Kind: "crash", Compose: []adversary.Layer{{Kind: "noise", Params: adversary.Params{"amp": -1}}}}, "must be non-negative"},
 		{"compose param", adversary.Spec{Kind: "crash", Compose: []adversary.Layer{{Kind: "noise", Params: adversary.Params{"vol": 1}}}}, `unknown param "vol"`},
+		{"NaN prob", adversary.Spec{Kind: "replay", Params: adversary.Params{"prob": math.NaN()}}, "outside [0, 1]"},
+		{"NaN amp", adversary.Spec{Kind: "noise", Params: adversary.Params{"amp": math.NaN()}}, "must be non-negative"},
+		{"NaN count", adversary.Spec{Kind: "crash", Params: adversary.Params{"finalSends": math.NaN()}}, "must be non-negative"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -76,6 +80,10 @@ func TestSpecValidateRejectsEagerly(t *testing.T) {
 	if err := (adversary.Spec{Kind: "crash", Params: adversary.Params{"after": 5, "finalSends": 2},
 		Compose: []adversary.Layer{{Kind: "noise", Params: adversary.Params{"amp": 2}}}}).Validate(); err != nil {
 		t.Errorf("valid composed spec rejected: %v", err)
+	}
+	// A NaN value is an attack the machines must survive, not a bad knob.
+	if err := (adversary.Spec{Kind: "extreme", Params: adversary.Params{"value": math.NaN()}}).Validate(); err != nil {
+		t.Errorf("extreme value NaN rejected: %v", err)
 	}
 }
 

@@ -70,21 +70,22 @@ func cloneParams(p Params) Params {
 }
 
 // probParam constrains a parameter to [0, 1] — the same eager rejection
-// the link-fault rules apply to their prob knobs.
+// the link-fault rules apply to their prob knobs. The comparisons are
+// written so that NaN, which compares false with everything, fails them.
 func probParam(name string) func(Params) error {
 	return func(p Params) error {
-		if x := p[name]; x < 0 || x > 1 {
+		if x := p[name]; !(0 <= x && x <= 1) {
 			return fmt.Errorf("param %q: %g outside [0, 1]", name, x)
 		}
 		return nil
 	}
 }
 
-// nonNegParam constrains a parameter to be non-negative.
+// nonNegParam constrains a parameter to be non-negative (and not NaN).
 func nonNegParam(names ...string) func(Params) error {
 	return func(p Params) error {
 		for _, name := range names {
-			if x := p[name]; x < 0 {
+			if x := p[name]; !(x >= 0) {
 				return fmt.Errorf("param %q: %g must be non-negative", name, x)
 			}
 		}

@@ -54,8 +54,8 @@ func TestNewProtoValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fault sets: empty + 4 singletons.
-	if len(p.FaultSets) != 5 {
-		t.Errorf("fault sets = %d, want 5", len(p.FaultSets))
+	if len(p.getPlan().faultSets) != 5 {
+		t.Errorf("fault sets = %d, want 5", len(p.getPlan().faultSets))
 	}
 	if p.PathBudget != DefaultPathBudget {
 		t.Errorf("budget default = %d", p.PathBudget)
@@ -69,11 +69,11 @@ func TestProtoSourceComponentTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := p.getPlan()
-	T := len(p.FaultSets)
+	T := len(pl.faultSets)
 	// Table entries must agree with direct computation for every pair of
 	// fault sets — which covers all unions of up to 2f nodes.
-	for i, fi := range p.FaultSets {
-		for j, fj := range p.FaultSets {
+	for i, fi := range pl.faultSets {
+		for j, fj := range pl.faultSets {
 			got, want := pl.comps[pl.srcComp[i*T+j]].s, g.SourceComponent(fi.Union(fj), graph.EmptySet)
 			if got != want {
 				t.Errorf("S_{%s,%s}: table %s, direct %s", fi, fj, got, want)
@@ -121,7 +121,7 @@ func TestThreadPrecompute(t *testing.T) {
 			t.Fatal(err)
 		}
 		for v := 0; v < g.N(); v++ {
-			pre, err := p.nodePre(v)
+			pre, err := p.getPlan().nodePre(v)
 			if errors.Is(err, graph.ErrPathBudget) {
 				continue // a random digraph too dense to flood
 			}
@@ -129,7 +129,7 @@ func TestThreadPrecompute(t *testing.T) {
 				t.Fatal(err)
 			}
 			threads := 0
-			for _, fv := range p.FaultSets {
+			for _, fv := range p.getPlan().faultSets {
 				if !fv.Has(v) {
 					threads++
 				}
@@ -267,7 +267,7 @@ func TestFloodInfoConsistency(t *testing.T) {
 		{Value: 1, Entry: id(2, 1, 0)},
 		{Value: 3, Entry: id(4, 0)},
 	}}
-	rec := proto.newFloodInfo(p)
+	rec := proto.getPlan().newFloodInfo(p)
 	if !rec.consistent {
 		t.Error("consistent set flagged inconsistent")
 	}
@@ -284,7 +284,7 @@ func TestFloodInfoConsistency(t *testing.T) {
 		{Value: 1, Entry: id(2, 0)},
 		{Value: 2, Entry: id(2, 1, 0)}, // same init, different value
 	}}
-	if proto.newFloodInfo(p2).consistent {
+	if proto.getPlan().newFloodInfo(p2).consistent {
 		t.Error("inconsistent set not flagged")
 	}
 	// An id that names no entry of the origin's table, and an origin
@@ -295,7 +295,7 @@ func TestFloodInfoConsistency(t *testing.T) {
 		{Origin: g.N(), Entries: []ValEntry{{Value: 1, Entry: 0}}},
 		{Origin: -1, Entries: []ValEntry{{Value: 1, Entry: 0}}},
 	} {
-		if proto.newFloodInfo(bad).consistent {
+		if proto.getPlan().newFloodInfo(bad).consistent {
 			t.Errorf("origin %d entries %v accepted", bad.Origin, bad.Entries)
 		}
 	}
@@ -306,21 +306,21 @@ func TestFloodInfoConsistency(t *testing.T) {
 		{Value: 3, Entry: id(4, 1, 0)},
 		{Value: 1, Entry: id(2, 1, 0)},
 	}}
-	rec = proto.newFloodInfo(p4)
+	rec = proto.getPlan().newFloodInfo(p4)
 	v2, ok2 := rec.value(2)
 	v4, ok4 := rec.value(4)
 	if !rec.consistent || !ok2 || !ok4 || v2 != 1 || v4 != 3 || len(rec.values) != 2 {
 		t.Errorf("unsorted consistent set: consistent=%v values=%v", rec.consistent, rec.values)
 	}
-	if got := proto.FaultSets[rec.tagIdx]; got != graph.SetOf(3) {
+	if got := proto.getPlan().faultSets[rec.tagIdx]; got != graph.SetOf(3) {
 		t.Errorf("tag index %d names %s", rec.tagIdx, got)
 	}
 	p4.Entries[2].Value = 5
-	if proto.newFloodInfo(p4).consistent {
+	if proto.getPlan().newFloodInfo(p4).consistent {
 		t.Error("unsorted inconsistent set not flagged")
 	}
 	p4.Tag = graph.SetOf(3, 900)
-	if idx := proto.newFloodInfo(p4).tagIdx; idx != -1 {
+	if idx := proto.getPlan().newFloodInfo(p4).tagIdx; idx != -1 {
 		t.Errorf("tag outside the graph got index %d", idx)
 	}
 }

@@ -30,6 +30,19 @@ func RoundClauses(m *Machine) (clauses, obligations int) {
 	return clauses, obligations
 }
 
+// NewMachineUncached is NewMachine on a fresh Proto whose plan and path
+// tables are built for it alone, bypassing the shared ones: what a node's
+// set-up costs the first time its (G, f) is seen.
+func NewMachineUncached(p *Proto, id int, input float64) (*Machine, error) {
+	p.planOnce.Do(func() { p.plan = buildPlan(graph.NewPathTables(p.G, false, p.PathBudget), p.F) })
+	return NewMachine(p, id, input)
+}
+
+// PlanOf and TableOf return the plan and the path table m runs on, for
+// identity checks.
+func PlanOf(m *Machine) any               { return m.plan }
+func TableOf(m *Machine) *graph.PathTable { return m.pre.paths }
+
 // table returns node v's path table.
 func (p *Proto) table(v int) (*graph.PathTable, error) { return p.getPlan().paths.Table(v) }
 
@@ -45,8 +58,9 @@ func PathTableChecksum(p *Proto) uint64 {
 		}
 		h.Write([]byte{0xff})
 	}
-	for v := range p.getPlan().nodes {
-		pre, err := p.nodePre(v)
+	pl := p.getPlan()
+	for v := range pl.nodes {
+		pre, err := pl.nodePre(v)
 		if err != nil {
 			continue
 		}

@@ -198,8 +198,8 @@ func TestBWMetrics(t *testing.T) {
 		if snap.TrimAnomalies != 0 {
 			t.Errorf("node %d: trim anomalies = %d", i, snap.TrimAnomalies)
 		}
-		if snap.PathDropped != 0 || snap.SeqDropped != 0 {
-			t.Errorf("node %d: an honest run dropped %d paths and %d sequence numbers", i, snap.PathDropped, snap.SeqDropped)
+		if snap.PathDropped != 0 || snap.SeqDropped != 0 || snap.NonFiniteDropped != 0 {
+			t.Errorf("node %d: an honest run dropped %d paths, %d sequence numbers and %d non-finite values", i, snap.PathDropped, snap.SeqDropped, snap.NonFiniteDropped)
 		}
 		if len(snap.DecidedThreads) != snap.FAExecutions {
 			t.Errorf("node %d: decided threads %d != FA %d", i, len(snap.DecidedThreads), snap.FAExecutions)
@@ -210,8 +210,9 @@ func TestBWMetrics(t *testing.T) {
 // TestBWIgnoresGarbage feeds malformed messages directly into a machine;
 // they must all be rejected without state corruption. Those rejected at
 // the door — for the (sender, entry) pair naming no admissible path — are
-// each counted in PathDropped; the rest fail on round, tag, sequence number
-// or type and are not.
+// each counted in PathDropped, those carrying a NaN or infinite value in
+// NonFiniteDropped; the rest fail on round, tag, sequence number or type
+// and are not.
 func TestBWIgnoresGarbage(t *testing.T) {
 	g := graph.Clique(4)
 	proto, err := bw.NewProto(g, 1, 1, 0.5, 0)
@@ -232,35 +233,41 @@ func TestBWIgnoresGarbage(t *testing.T) {
 		t.Fatalf("entries %d and %d: the paths are not in vertex 1's table", bounce, loop)
 	}
 	garbage := []struct {
-		msg  transport.Message
-		door bool // dropped for its path
+		msg       transport.Message
+		door      bool // dropped for its path
+		nonFinite bool // dropped for a value
 	}{
 		// An id past the sender's table, and one below zero.
-		{transport.Message{From: 1, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1, Entry: 1 << 30}}, true},
-		{transport.Message{From: 1, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1, Entry: -1}}, true},
+		{transport.Message{From: 1, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1, Entry: 1 << 30}}, true, false},
+		{transport.Message{From: 1, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1, Entry: -1}}, true, false},
 		// A sender that is no in-neighbor: the receiver itself, and a vertex
 		// outside the graph.
-		{transport.Message{From: 0, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1, Entry: 0}}, true},
-		{transport.Message{From: 9, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1, Entry: 0}}, true},
+		{transport.Message{From: 0, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1, Entry: 0}}, true, false},
+		{transport.Message{From: 9, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1, Entry: 0}}, true, false},
 		// A path of the sender's table whose extension is not redundant here.
-		{transport.Message{From: 1, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1, Entry: bounce}}, true},
+		{transport.Message{From: 1, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1, Entry: bounce}}, true, false},
 		// Bad round.
-		{transport.Message{From: 1, To: 0, Payload: bw.ValPayload{Round: 99, Value: 1, Entry: 0}}, false},
-		{transport.Message{From: 1, To: 0, Payload: bw.ValPayload{Round: 0, Value: 1, Entry: 0}}, false},
+		{transport.Message{From: 1, To: 0, Payload: bw.ValPayload{Round: 99, Value: 1, Entry: 0}}, false, false},
+		{transport.Message{From: 1, To: 0, Payload: bw.ValPayload{Round: 0, Value: 1, Entry: 0}}, false, false},
 		// COMPLETE with origin not matching the path's first vertex.
-		{transport.Message{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 2, Seq: 1, Tag: graph.SetOf(3), Entry: 0}}, true},
+		{transport.Message{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 2, Seq: 1, Tag: graph.SetOf(3), Entry: 0}}, true, false},
 		// COMPLETE on a path that is not simple once extended.
-		{transport.Message{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 0, Seq: 1, Tag: graph.SetOf(3), Entry: loop}}, true},
+		{transport.Message{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 0, Seq: 1, Tag: graph.SetOf(3), Entry: loop}}, true, false},
 		// COMPLETE on an id past the sender's table.
-		{transport.Message{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 1, Seq: 1, Tag: graph.SetOf(3), Entry: 1 << 30}}, true},
+		{transport.Message{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 1, Seq: 1, Tag: graph.SetOf(3), Entry: 1 << 30}}, true, false},
 		// COMPLETE whose tag includes its own origin.
-		{transport.Message{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 1, Seq: 1, Tag: graph.SetOf(1), Entry: 0}}, false},
+		{transport.Message{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 1, Seq: 1, Tag: graph.SetOf(1), Entry: 0}}, false, false},
 		// COMPLETE with an oversized tag.
-		{transport.Message{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 1, Seq: 1, Tag: graph.SetOf(2, 3), Entry: 0}}, false},
+		{transport.Message{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 1, Seq: 1, Tag: graph.SetOf(2, 3), Entry: 0}}, false, false},
 		// COMPLETE with zero sequence number.
-		{transport.Message{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 1, Seq: 0, Tag: graph.SetOf(3), Entry: 0}}, false},
+		{transport.Message{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 1, Seq: 0, Tag: graph.SetOf(3), Entry: 0}}, false, false},
 		// Unknown payload type.
-		{transport.Message{From: 1, To: 0, Payload: junkPayload{}}, false},
+		{transport.Message{From: 1, To: 0, Payload: junkPayload{}}, false, false},
+		// Values no honest origin floods, as a VAL and as a COMPLETE entry.
+		{transport.Message{From: 1, To: 0, Payload: bw.ValPayload{Round: 1, Value: math.NaN(), Entry: 0}}, false, true},
+		{transport.Message{From: 1, To: 0, Payload: bw.ValPayload{Round: 1, Value: math.Inf(1), Entry: 0}}, false, true},
+		{transport.Message{From: 1, To: 0, Payload: bw.CompletePayload{Round: 1, Origin: 1, Seq: 1, Tag: graph.SetOf(3), Entry: 0,
+			Entries: []bw.ValEntry{{Value: 1, Entry: 0}, {Value: math.Inf(-1), Entry: 1}}}}, false, true},
 	}
 	for _, tc := range garbage {
 		before := m.Snapshot()
@@ -277,6 +284,16 @@ func TestBWIgnoresGarbage(t *testing.T) {
 		if after.PathDropped != want {
 			t.Errorf("garbage %+v: PathDropped %d -> %d, want %d", tc.msg, before.PathDropped, after.PathDropped, want)
 		}
+		want = before.NonFiniteDropped
+		if tc.nonFinite {
+			want++
+		}
+		if after.NonFiniteDropped != want {
+			t.Errorf("garbage %+v: NonFiniteDropped %d -> %d, want %d", tc.msg, before.NonFiniteDropped, after.NonFiniteDropped, want)
+		}
+		if tc.nonFinite && len(out.Messages()) != 0 {
+			t.Errorf("garbage %+v was relayed", tc.msg)
+		}
 	}
 	if _, done := m.Output(); done {
 		t.Error("garbage alone made the node decide")
@@ -288,9 +305,9 @@ type junkPayload struct{}
 func (junkPayload) Kind() string { return "JUNK" }
 
 // TestPathTableImmutableUnderAdversaries: messages name paths by entry ids
-// of the path tables and in-edge columns every machine of a Proto shares,
-// so nothing may write to them — not a receiving machine, not the
-// simulator, not any registered Byzantine behavior wrapped around a
+// of the path tables and in-edge columns every machine of every run on the
+// graph shares, so nothing may write to them — not a receiving machine, not
+// the simulator, not any registered Byzantine behavior wrapped around a
 // machine. Every table and column reads the same after a run against each
 // of them as before it.
 func TestPathTableImmutableUnderAdversaries(t *testing.T) {

@@ -180,14 +180,14 @@ func TestPlanClauseLists(t *testing.T) {
 			t.Fatal(err)
 		}
 		pl := p.getPlan()
-		for i, tag := range p.FaultSets {
+		for i, tag := range pl.faultSets {
 			type sq struct {
 				s graph.Set
 				q int
 			}
 			var want []sq
 			seen := make(map[sq]bool)
-			for _, fw := range p.FaultSets {
+			for _, fw := range pl.faultSets {
 				if fw == tag {
 					continue
 				}
@@ -206,12 +206,12 @@ func TestPlanClauseLists(t *testing.T) {
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s tag %s: clause list %v, want %v", g, tag, got, want)
 			}
-			if idx := p.tagIndex(&tag); int(idx) != i {
+			if idx := pl.tagIndex(&tag); int(idx) != i {
 				t.Errorf("%s: tagIndex(%s) = %d, want %d", g, tag, idx, i)
 			}
 		}
 		for _, notTag := range []graph.Set{graph.SetOf(0, 1), graph.SetOf(g.N()), graph.SetOf(0, graph.MaxNodes-1)} {
-			if idx := p.tagIndex(&notTag); idx != -1 {
+			if idx := pl.tagIndex(&notTag); idx != -1 {
 				t.Errorf("%s: tagIndex(%s) = %d for a set that is no fault set", g, notTag, idx)
 			}
 		}

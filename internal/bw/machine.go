@@ -24,9 +24,6 @@ type Machine struct {
 	// rounds[r] is round r's state, nil until its first message; slot 0 is
 	// unused.
 	rounds []*roundState
-	// coverLists[c+1] are the candidate covers of component c's clauses,
-	// coverLists[0] Filter-and-Average's; see covers.
-	coverLists [][]graph.Set
 
 	output float64
 	done   bool
@@ -50,6 +47,10 @@ type Metrics struct {
 	// or, for a COMPLETE, the path is not simple or does not start at the
 	// claimed origin. An honest in-neighbor sends none.
 	PathDropped int
+	// NonFiniteDropped counts VAL messages carrying a NaN or infinite value
+	// and COMPLETE messages with such an entry, discarded before relaying
+	// (DESIGN.md fidelity note 12). No honest origin floods one.
+	NonFiniteDropped int
 	// History records x_v[r] after each Filter-and-Average execution.
 	History []float64
 	// DecidedThreads records, per round, the suspect set F_v of the
@@ -57,23 +58,23 @@ type Metrics struct {
 	DecidedThreads []graph.Set
 }
 
-// NewMachine builds the node's machine over the Proto's shared plan; the
-// first machine for a node computes that node's fullness and FIFO-path
+// NewMachine builds the node's machine over the shared plan; the first
+// machine for a node on a plan computes that node's fullness and FIFO-path
 // requirements. It fails if the graph's redundant-path count for some
 // candidate fault set exceeds the protocol's budget.
 func NewMachine(p *Proto, id int, input float64) (*Machine, error) {
-	pre, err := p.nodePre(id)
+	pl := p.getPlan()
+	pre, err := pl.nodePre(id)
 	if err != nil {
 		return nil, err
 	}
 	return &Machine{
-		proto:      p,
-		plan:       p.plan,
-		pre:        pre,
-		id:         id,
-		input:      input,
-		rounds:     make([]*roundState, p.Rounds+1),
-		coverLists: make([][]graph.Set, len(p.plan.comps)+1),
+		proto:  p,
+		plan:   pl,
+		pre:    pre,
+		id:     id,
+		input:  input,
+		rounds: make([]*roundState, p.Rounds+1),
 	}, nil
 }
 
@@ -121,7 +122,7 @@ func (m *Machine) Deliver(msg transport.Message, out *sim.Outbox) {
 func (m *Machine) round(r int) *roundState {
 	rs := m.rounds[r]
 	if rs == nil {
-		rs = newRoundState(r, m.proto.G.N(), m.pre)
+		rs = newRoundState(r, m.plan.g.N(), m.pre)
 		m.rounds[r] = rs
 	}
 	return rs
@@ -146,6 +147,10 @@ func (m *Machine) deliverVal(p *ValPayload, from int, out *sim.Outbox) {
 	e := m.pre.paths.Door(from, p.Entry)
 	if e < 0 {
 		m.metrics.PathDropped++
+		return
+	}
+	if !finite(p.Value) {
+		m.metrics.NonFiniteDropped++
 		return
 	}
 	rs := m.round(p.Round)
@@ -255,7 +260,7 @@ func (m *Machine) deliverComplete(p *CompletePayload, from int, out *sim.Outbox)
 		m.metrics.PathDropped++
 		return
 	}
-	if p.Tag.Count() > m.proto.F || p.Tag.Has(p.Origin) {
+	if p.Tag.Count() > m.plan.f || p.Tag.Has(p.Origin) {
 		return // no honest thread floods such a tag (line 5)
 	}
 	if p.Seq > m.plan.seqCap {
@@ -271,11 +276,16 @@ func (m *Machine) deliverComplete(p *CompletePayload, from int, out *sim.Outbox)
 	if p.Seq <= st.done || (p.Seq <= len(st.buf) && st.buf[p.Seq-1] != nil) {
 		return // first message per (origin, path, seq) wins
 	}
+	info := m.floodInfo(p)
+	if !info.finite {
+		m.metrics.NonFiniteDropped++
+		return
+	}
 	// Relay before FIFO reordering: forwarding is immediate, ordering is
 	// enforced receiver-side. As for VAL, relays name the path by the node's
 	// own entry and one boxed payload serves them all.
 	var relay transport.Payload
-	for _, w := range m.proto.G.Out(m.id) {
+	for _, w := range m.plan.g.Out(m.id) {
 		if !hasNode(&tbl.Set[e], w) {
 			if relay == nil {
 				fwd := *p
@@ -288,7 +298,7 @@ func (m *Machine) deliverComplete(p *CompletePayload, from int, out *sim.Outbox)
 	for len(st.buf) < p.Seq {
 		st.buf = append(st.buf, nil)
 	}
-	st.buf[p.Seq-1] = m.floodInfo(p)
+	st.buf[p.Seq-1] = info
 	for st.done < len(st.buf) && st.buf[st.done] != nil {
 		info := st.buf[st.done]
 		st.done++
@@ -322,13 +332,13 @@ func (m *Machine) floodInfo(p *CompletePayload) *floodInfo {
 		}
 		// The same entries under another tag (a Byzantine relay's doing):
 		// summarized per delivery, the cache slot stays with the first.
-		return m.proto.newFloodInfo(p)
+		return m.plan.newFloodInfo(p)
 	}
 	// LoadOrStore, not Store: machines on different cluster event loops
 	// may race to summarize the same flood. The summary is a pure function
 	// of the payload content, so whichever instance wins the race is
 	// equivalent — LoadOrStore just keeps one canonical pointer in the map.
-	info := m.proto.newFloodInfo(p)
+	info := m.plan.newFloodInfo(p)
 	if v, loaded := m.proto.floods.LoadOrStore(fk, info); loaded && v.(*floodInfo).tag == p.Tag {
 		return v.(*floodInfo)
 	}
@@ -474,16 +484,21 @@ func (m *Machine) sharedClause(rs *roundState, c planClause, want float64) *clau
 
 // covers returns the candidate covers of component c's clauses, inside
 // V \ S \ {v}, or for c = -1 Filter-and-Average's, inside V \ {v}: each
-// list is enumerated on first use and shared by every clause of the run.
+// list is enumerated on first use and shared by every clause of every run
+// on the plan. Machines of the node on concurrent loops may both enumerate
+// a list; the lists are equal and the first stored is the one kept.
 func (m *Machine) covers(c int32) []graph.Set {
-	if m.coverLists[c+1] == nil {
-		allowed := m.proto.G.Nodes()
-		if c >= 0 {
-			allowed = m.plan.comps[c].outside
-		}
-		m.coverLists[c+1] = candidateCovers(allowed.Remove(m.id), m.proto.F)
+	slot := &m.pre.covers[c+1]
+	if cs := slot.Load(); cs != nil {
+		return *cs
 	}
-	return m.coverLists[c+1]
+	allowed := m.plan.g.Nodes()
+	if c >= 0 {
+		allowed = m.plan.comps[c].outside
+	}
+	cs := candidateCovers(allowed.Remove(m.id), m.plan.f)
+	slot.CompareAndSwap(nil, &cs)
+	return *slot.Load()
 }
 
 // clauseSatisfied fans a newly satisfied clause out to its subscribers.

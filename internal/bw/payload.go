@@ -108,9 +108,12 @@ func (c *CompletePayload) contentKey() contentKey {
 type floodInfo struct {
 	key        contentKey
 	tag        graph.Set
-	tagIdx     int32 // index of tag in Proto.FaultSets; -1 when it is not a fault set
+	tagIdx     int32 // index of tag in the plan's faultSets; -1 when it is not a fault set
 	consistent bool
-	values     []originValue // init node -> unique value (Definition 8), ascending by node
+	// finite is false when some entry carries a NaN or infinite value,
+	// which no honest origin floods: receivers drop the message.
+	finite bool
+	values []originValue // init node -> unique value (Definition 8), ascending by node
 }
 
 type originValue struct {
@@ -118,18 +121,22 @@ type originValue struct {
 	value float64
 }
 
-func (p *Proto) newFloodInfo(c *CompletePayload) *floodInfo {
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
+func (pl *plan) newFloodInfo(c *CompletePayload) *floodInfo {
 	info := &floodInfo{
 		key:        c.contentKey(),
 		tag:        c.Tag,
-		tagIdx:     p.tagIndex(&c.Tag),
+		tagIdx:     pl.tagIndex(&c.Tag),
 		consistent: true,
+		finite:     true,
 	}
 	// An entry's initial node is the head of the path it names in the
 	// origin's table; an id that names none makes the set inconsistent.
 	var head []int32
-	if uint(c.Origin) < uint(p.G.N()) {
-		if t, err := p.getPlan().paths.Table(c.Origin); err == nil {
+	if uint(c.Origin) < uint(pl.g.N()) {
+		if t, err := pl.paths.Table(c.Origin); err == nil {
 			head = t.Head
 		}
 	}
@@ -138,6 +145,7 @@ func (p *Proto) newFloodInfo(c *CompletePayload) *floodInfo {
 	// flood takes the sort and the second folding pass.
 	ordered := true
 	for _, e := range c.Entries {
+		info.finite = info.finite && finite(e.Value)
 		if uint(e.Entry) >= uint(len(head)) {
 			info.consistent = false
 			continue

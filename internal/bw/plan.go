@@ -5,19 +5,32 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
+	"weak"
 
 	"repro/internal/graph"
+	"repro/internal/weakcache"
 )
 
 // plan is the graph-derived half of a Proto: every table the machines
 // consult that depends only on (G, F) and not on inputs, seeds or messages.
 // It numbers what the round state would otherwise key by value — fault sets
-// by their index in Proto.FaultSets, source components by their index in
-// comps, an origin's required FIFO paths 0..k-1 — so that per-delivery work
-// is integer indexing, and it holds no per-run state, so one plan can serve
-// any number of executions on the same (G, F). Built once per Proto on the
-// first NewMachine; read-only and safe for concurrent use afterwards.
+// by their index in faultSets, source components by their index in comps,
+// an origin's required FIFO paths 0..k-1 — so that per-delivery work is
+// integer indexing, and it holds no per-run state, so one plan serves every
+// execution on the same (G, F): every Proto whose graph has the same content
+// and whose F and budget match finds it in plans. Safe for concurrent use;
+// what it builds lazily (node contexts, covers) is built once.
 type plan struct {
+	// g is the path tables' graph, of the same content as every Proto's
+	// that shares the plan.
+	g *graph.Graph
+	f int
+	// faultSets enumerates every F ⊆ V with |F| <= f in a deterministic
+	// order; one parallel thread per member of this list runs at each node
+	// (restricted to sets not containing the node itself). A COMPLETE tag is
+	// referred to by its index in this list everywhere past validation.
+	faultSets []graph.Set
 	// words is how many 64-bit words of a graph.Set the graph's order
 	// occupies. Sets built from validated paths carry no bits beyond it, so
 	// the pointer-form set operations below stop there.
@@ -69,41 +82,63 @@ type nodeSlot struct {
 	err  error
 }
 
-// getPlan returns the Proto's plan, building it on first use.
+// planKey names a plan: the redundant walk's shared tables stand for the
+// graph's content and the budget. The key holds them weakly, so that a
+// cached entry does not outlive its plan's tables.
+type planKey struct {
+	paths weak.Pointer[graph.PathTables]
+	f     int
+}
+
+// plans shares each plan among every Proto with its key, while one holds it.
+var plans weakcache.Cache[planKey, plan]
+
+// getPlan returns the Proto's plan, finding or building it on first use.
 func (p *Proto) getPlan() *plan {
-	p.planOnce.Do(func() { p.plan = p.buildPlan() })
+	p.planOnce.Do(func() {
+		paths := graph.SharedPathTables(p.G, false, p.PathBudget)
+		p.plan = plans.Get(planKey{weak.Make(paths), p.F}, func() *plan { return buildPlan(paths, p.F) })
+	})
 	return p.plan
 }
 
-func (p *Proto) buildPlan() *plan {
-	n, T := p.G.N(), len(p.FaultSets)
+func buildPlan(paths *graph.PathTables, f int) *plan {
+	g := paths.Graph()
+	n := g.N()
 	pl := &plan{
-		words:    (n + 63) >> 6,
-		seqCap:   graph.CountSubsets(n-1, p.F),
-		tagOrder: make([]int32, T),
-		srcComp:  make([]int32, T*T),
-		clauses:  make([][]planClause, T),
-		paths:    graph.NewPathTables(p.G, false, p.PathBudget),
-		nodes:    make([]nodeSlot, n),
+		g:      g,
+		f:      f,
+		words:  (n + 63) >> 6,
+		seqCap: graph.CountSubsets(n-1, f),
+		paths:  paths,
+		nodes:  make([]nodeSlot, n),
 	}
+	graph.Subsets(g.Nodes(), f, func(s graph.Set) bool {
+		pl.faultSets = append(pl.faultSets, s)
+		return true
+	})
+	T := len(pl.faultSets)
+	pl.tagOrder = make([]int32, T)
+	pl.srcComp = make([]int32, T*T)
+	pl.clauses = make([][]planClause, T)
 	for i := range pl.tagOrder {
 		pl.tagOrder[i] = int32(i)
 	}
 	slices.SortFunc(pl.tagOrder, func(a, b int32) int {
-		return compareSets(&p.FaultSets[a], &p.FaultSets[b])
+		return compareSets(&pl.faultSets[a], &pl.faultSets[b])
 	})
 
 	// S_{Fi,Fj} depends on (Fi, Fj) only through the union, and many unions
 	// share one component: compute once per union, store once per value.
-	all := p.G.Nodes()
+	all := g.Nodes()
 	byUnion := make(map[graph.Set]int32)
 	byValue := make(map[graph.Set]int32)
 	for i := 0; i < T; i++ {
 		for j := i; j < T; j++ {
-			u := p.FaultSets[i].Union(p.FaultSets[j])
+			u := pl.faultSets[i].Union(pl.faultSets[j])
 			c, ok := byUnion[u]
 			if !ok {
-				s := p.G.SourceComponent(u, graph.EmptySet)
+				s := g.SourceComponent(u, graph.EmptySet)
 				if c, ok = byValue[s]; !ok {
 					c = int32(len(pl.comps))
 					byValue[s] = c
@@ -135,14 +170,14 @@ func (p *Proto) buildPlan() *plan {
 	return pl
 }
 
-// tagIndex returns the index of tag in Proto.FaultSets, or -1 when tag is
-// not a fault set (more than f members, or members outside the graph).
-func (p *Proto) tagIndex(tag *graph.Set) int32 {
-	order := p.plan.tagOrder
+// tagIndex returns the index of tag in faultSets, or -1 when tag is not a
+// fault set (more than f members, or members outside the graph).
+func (pl *plan) tagIndex(tag *graph.Set) int32 {
+	order := pl.tagOrder
 	lo, hi := 0, len(order)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		switch c := compareSets(&p.FaultSets[order[mid]], tag); {
+		switch c := compareSets(&pl.faultSets[order[mid]], tag); {
 		case c == 0:
 			return order[mid]
 		case c < 0:
@@ -164,6 +199,10 @@ type nodePre struct {
 	// threadOf maps a fault-set index to the position in threads of the
 	// thread suspecting it, -1 for sets containing the node itself.
 	threadOf []int32
+	// covers[c+1] holds the candidate covers of component c's clauses,
+	// covers[0] Filter-and-Average's, each enumerated on first use; see
+	// Machine.covers.
+	covers []atomic.Pointer[[]graph.Set]
 }
 
 // threadPre is the per-(node, suspect set) static context: the reach set,
@@ -191,25 +230,29 @@ type threadPre struct {
 
 // nodePre returns node v's static context, building it the first time v is
 // asked for.
-func (p *Proto) nodePre(v int) (*nodePre, error) {
-	slot := &p.getPlan().nodes[v]
-	slot.once.Do(func() { slot.pre, slot.err = p.precompute(v) })
+func (pl *plan) nodePre(v int) (*nodePre, error) {
+	slot := &pl.nodes[v]
+	slot.once.Do(func() { slot.pre, slot.err = pl.precompute(v) })
 	return slot.pre, slot.err
 }
 
-func (p *Proto) precompute(v int) (*nodePre, error) {
-	paths, err := p.plan.paths.Table(v)
+func (pl *plan) precompute(v int) (*nodePre, error) {
+	paths, err := pl.paths.Table(v)
 	if err != nil {
 		return nil, fmt.Errorf("bw: node %d: %w", v, err)
 	}
-	pre := &nodePre{paths: paths, threadOf: make([]int32, len(p.FaultSets))}
-	words := p.plan.words
-	for i, fv := range p.FaultSets {
+	pre := &nodePre{
+		paths:    paths,
+		threadOf: make([]int32, len(pl.faultSets)),
+		covers:   make([]atomic.Pointer[[]graph.Set], len(pl.comps)+1),
+	}
+	words := pl.words
+	for i, fv := range pl.faultSets {
 		if fv.Has(v) {
 			pre.threadOf[i] = -1
 			continue
 		}
-		t := &threadPre{fv: fv, reach: p.G.ReachSet(v, fv), required: make([]int32, len(paths.Simples))}
+		t := &threadPre{fv: fv, reach: pl.g.ReachSet(v, fv), required: make([]int32, len(paths.Simples))}
 		for e := range paths.Set {
 			if !intersects(&paths.Set[e], &t.fv, words) {
 				t.expectedCount++

@@ -8,10 +8,12 @@ import (
 	"repro/internal/graph"
 )
 
-// Proto holds the static, shared context of a BW execution: the topology,
-// the resilience parameter, the termination bound and the fault-set
-// enumeration. Its fields are immutable after construction and it is safely
-// shared by all node machines.
+// Proto is the context of one BW execution shared by its node machines:
+// the configuration and the state that belongs to the run. Everything that
+// depends on (G, F) alone — fault sets, source components, clauses, path
+// tables, each node's thread contexts — is the plan (plan.go), shared by
+// every Proto on a graph of the same content with the same F and budget.
+// Its exported fields are immutable after construction.
 type Proto struct {
 	G   *graph.Graph
 	F   int
@@ -25,14 +27,7 @@ type Proto struct {
 	// DESIGN.md fidelity note 7).
 	PathBudget int
 
-	// FaultSets enumerates every F ⊆ V with |F| <= f in a deterministic
-	// order; one parallel thread per member of this list runs at each node
-	// (restricted to sets not containing the node itself). A COMPLETE tag is
-	// referred to by its index in this list everywhere past validation.
-	FaultSets []graph.Set
-
-	// plan is everything else the machines consult that depends only on
-	// (G, F): built on the first NewMachine, read-only afterwards.
+	// plan is looked up, or built, on the first NewMachine.
 	planOnce sync.Once
 	plan     *plan
 
@@ -67,10 +62,9 @@ func RoundsFor(k, eps float64) int {
 	return r
 }
 
-// NewProto validates the configuration and enumerates the fault sets. The
-// graph-derived tables (plan.go) wait for the first NewMachine: a Proto
-// that is only validated, or only asked for its round bound, should not
-// pay for source components and clause lists. It does not verify 3-reach
+// NewProto validates the configuration. The plan waits for the first
+// NewMachine: a Proto that is only validated, or only asked for its round
+// bound, should not pay for finding it. It does not verify 3-reach
 // (checking is the condition package's job and some experiments
 // deliberately run BW on graphs that violate it); callers wanting the
 // guarantee should check first.
@@ -84,17 +78,12 @@ func NewProto(g *graph.Graph, f int, k, eps float64, pathBudget int) (*Proto, er
 	if pathBudget <= 0 {
 		pathBudget = DefaultPathBudget
 	}
-	p := &Proto{
+	return &Proto{
 		G:          g,
 		F:          f,
 		K:          k,
 		Eps:        eps,
 		Rounds:     RoundsFor(k, eps),
 		PathBudget: pathBudget,
-	}
-	graph.Subsets(g.Nodes(), f, func(s graph.Set) bool {
-		p.FaultSets = append(p.FaultSets, s)
-		return true
-	})
-	return p, nil
+	}, nil
 }

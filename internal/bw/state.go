@@ -9,9 +9,9 @@ import (
 // with no f-cover inside allowed = V \ S \ {v}.
 //
 // Evaluation is incremental: viable indexes the maximal candidate covers
-// (Machine.covers, enumerated once per component) that still intersect
-// every matching path seen so far. Adding a path filters the list; the
-// clause is satisfied exactly when at least one path arrived and no
+// (Machine.covers, enumerated once per node and component of the plan)
+// that still intersect every matching path seen so far. Adding a path
+// filters the list; the clause is satisfied exactly when at least one path arrived and no
 // candidate survives (no cover can exist, since any cover extends to a
 // maximal candidate). This turns the repeated hitting-set searches that
 // dominated profiles into O(|viable|) filtering per message.
@@ -40,7 +40,7 @@ type subscriber struct {
 // subsets of size min(f, |allowed|). With f == 0 or an empty allowed set
 // the only candidate, the empty set, covers nothing: the list is empty.
 func candidateCovers(allowed graph.Set, f int) []graph.Set {
-	covers := []graph.Set{} // non-nil: Machine.covers caches it
+	var covers []graph.Set
 	if size := min(f, allowed.Count()); size > 0 {
 		graph.SubsetsOfSize(allowed, size, func(c graph.Set) bool {
 			covers = append(covers, c)

@@ -10,7 +10,9 @@ import (
 )
 
 // BenchmarkCrashApprox measures one full honest execution per op, set-up
-// included, with abacsim's defaults: f=1, inputs i mod 4 (so K = 3),
+// included — after the first op, a hit on the path tables the runs before
+// left in the shared cache, as for every run after a graph's first — with
+// abacsim's defaults: f=1, inputs i mod 4 (so K = 3),
 // eps = 0.1, five rounds. clique:8 is the densest graph the algorithm
 // decides on (13 700 simple paths end at each vertex, 547 960 deliveries);
 // fig1b-analog is the graph BW's path tables are measured on.

@@ -16,8 +16,8 @@
 // collected, so midpoints contract the range by half each round.
 //
 // Paths are named as BW names them: by entry in the per-vertex path table
-// of the simple walk (graph.PathTables), admitted through the in-edge's
-// door.
+// of the simple walk (graph.PathTables, shared by every Proto on a graph of
+// the same content), admitted through the in-edge's door.
 package crashapprox
 
 import (
@@ -67,7 +67,7 @@ func NewProto(g *graph.Graph, f int, k, eps float64, pathBudget int) (*Proto, er
 		G: g, F: f, K: k, Eps: eps,
 		Rounds:     bw.RoundsFor(k, eps),
 		PathBudget: pathBudget,
-		paths:      graph.NewPathTables(g, true, pathBudget),
+		paths:      graph.SharedPathTables(g, true, pathBudget),
 	}
 	graph.Subsets(g.Nodes(), f, func(s graph.Set) bool {
 		p.faultSets = append(p.faultSets, s)

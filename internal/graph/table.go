@@ -2,9 +2,12 @@ package graph
 
 import (
 	"cmp"
+	"encoding/binary"
 	"math/bits"
 	"slices"
 	"sync"
+
+	"repro/internal/weakcache"
 )
 
 // PathTables names the paths one flood travels to each vertex of a graph:
@@ -34,6 +37,48 @@ type tableSlot struct {
 func NewPathTables(g *Graph, simple bool, budget int) *PathTables {
 	return &PathTables{g: g, simple: simple, budget: budget, slots: make([]tableSlot, g.n)}
 }
+
+// tableCaches holds the shared tables of each walk, the redundant one at
+// index 0, keyed by graph content and budget.
+var tableCaches [2]weakcache.Cache[tablesKey, PathTables]
+
+type tablesKey struct {
+	content string
+	budget  int
+}
+
+// SharedPathTables is NewPathTables shared by every caller whose graph has
+// g's order and out-lists, whatever its name or identity, for the same walk
+// and budget: the tables, and each table and door built in them, are built
+// once while any caller holds them (see weakcache; each walk also keeps its
+// most recently used tables). The tables are over a copy of g, so editing g
+// afterwards cannot change them.
+func SharedPathTables(g *Graph, simple bool, budget int) *PathTables {
+	walk := 0
+	if simple {
+		walk = 1
+	}
+	return tableCaches[walk].Get(tablesKey{g.contentKey(), budget}, func() *PathTables {
+		return NewPathTables(g.Clone(), simple, budget)
+	})
+}
+
+// contentKey spells g's order and out-lists: two graphs have the same key
+// exactly when they have the same edges on the same vertices.
+func (g *Graph) contentKey() string {
+	b := make([]byte, 0, 2*(1+g.n+g.edges))
+	b = binary.AppendUvarint(b, uint64(g.n))
+	for _, out := range g.out {
+		b = binary.AppendUvarint(b, uint64(len(out)))
+		for _, v := range out {
+			b = binary.AppendUvarint(b, uint64(v))
+		}
+	}
+	return string(b)
+}
+
+// Graph returns the graph the tables are over. It must not be modified.
+func (ts *PathTables) Graph() *Graph { return ts.g }
 
 // Table returns vertex v's table, building it the first time v is asked for.
 func (ts *PathTables) Table(v int) (*PathTable, error) {

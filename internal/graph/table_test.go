@@ -240,3 +240,40 @@ func doorDump(t *testing.T, ts *PathTables, g *Graph) [][]int32 {
 	}
 	return dump
 }
+
+// TestPathTablesSharedByContent: SharedPathTables keys by what a graph is,
+// not by which *Graph it is. Two graphs built apart, under other names, with
+// the same order and out-lists get the same tables; another walk, budget,
+// order or edge set gets its own. The tables are over a copy: editing a
+// graph afterwards changes its content, hence its tables, and leaves the
+// ones it shared untouched.
+func TestPathTablesSharedByContent(t *testing.T) {
+	a, b := Fig1a(), Wheel(4).SetName("rim")
+	ts := SharedPathTables(a, false, 0)
+	if SharedPathTables(b, false, 0) != ts {
+		t.Fatal("equal graphs got distinct tables")
+	}
+	cut := Fig1a()
+	cut.RemoveEdge(1, 2)
+	grown := New(6)
+	for _, e := range a.Edges() {
+		grown.MustAddEdge(e[0], e[1])
+	}
+	for name, other := range map[string]*PathTables{
+		"simple walk": SharedPathTables(a, true, 0),
+		"budget":      SharedPathTables(a, false, 1000),
+		"edge set":    SharedPathTables(cut, false, 0),
+		"order":       SharedPathTables(grown, false, 0),
+	} {
+		if other == ts {
+			t.Errorf("%s: shares fig1a's redundant tables", name)
+		}
+	}
+	a.RemoveEdge(1, 2)
+	if SharedPathTables(a, false, 0) != SharedPathTables(cut, false, 0) {
+		t.Error("an edited graph did not get its new content's tables")
+	}
+	if SharedPathTables(b, false, 0) != ts || !ts.Graph().HasEdge(1, 2) {
+		t.Error("editing a graph changed the tables it had shared")
+	}
+}

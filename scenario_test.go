@@ -319,6 +319,32 @@ func TestScenarioRunBatch(t *testing.T) {
 	}
 }
 
+// TestPlanSharedAcrossBatch: the runs of a batch build their own Protos,
+// and the ones running at once find BW's plan — path tables, node contexts,
+// doors and covers, all built lazily — through one cache, on a graph no
+// other test of the package runs, so the two workers race to build it. Run
+// under -race; the outputs equal a sequential batch's.
+func TestPlanSharedAcrossBatch(t *testing.T) {
+	s := repro.Scenario{
+		Graph: "wheel:5", Protocol: "bw",
+		InputGen: &repro.InputGenSpec{Kind: "mod", Mod: 3},
+		F:        1, K: 2, Eps: 0.6, Seed: 1, Seeds: 4,
+	}
+	parallel, err := s.RunBatch(context.Background(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sequential, err := s.RunBatch(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range parallel {
+		if !parallel[i].Converged || !reflect.DeepEqual(parallel[i].Outputs, sequential[i].Outputs) || parallel[i].Steps != sequential[i].Steps {
+			t.Errorf("seed %d: parallel run %+v, sequential %+v", s.Seed+int64(i), parallel[i].Outputs, sequential[i].Outputs)
+		}
+	}
+}
+
 func TestRunScenariosList(t *testing.T) {
 	list := []repro.Scenario{
 		{Graph: "clique:4", Protocol: "aad", Inputs: []float64{0, 1, 2, 3}, F: 1, K: 3, Eps: 0.2, Seed: 2},
