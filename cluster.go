@@ -37,8 +37,8 @@ func RuntimeNames() []string {
 // Scenario.Run on the deterministic simulator; "loopback" and "tcp"
 // materialize the scenario as live nodes — one event loop per vertex,
 // faulty vertices wrapped by their adversaries, protocol messages
-// round-tripping through the wire codec — over in-process channels or real
-// sockets respectively.
+// round-tripping through the wire codec — over an in-process memory network
+// or real sockets respectively.
 //
 // Cluster runs honor ctx cancellation and deadlines (a deadline-less ctx
 // gets a 60s default timeout); the simulator runtime checks ctx only at

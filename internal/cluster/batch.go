@@ -5,7 +5,6 @@ import (
 	"net"
 	"time"
 
-	"repro/internal/node"
 	"repro/internal/wire"
 )
 
@@ -64,24 +63,6 @@ func releaseFrames(frames [][]byte) {
 	for _, f := range frames {
 		wire.PutBuf(f)
 	}
-}
-
-// pushFrames hands nd one burst of frames received from peer `from` as one
-// inbox slab — one channel op per burst, arrival order kept. PushBatch
-// transfers ownership of the slab and every frame; on false (node shut
-// down, ctx cancelled) nothing was consumed, so everything is released
-// here and the caller's pump should stop.
-func pushFrames(ctx context.Context, nd *node.Node, from int, frames [][]byte) bool {
-	slab := node.GetSlab()
-	for _, frame := range frames {
-		slab = append(slab, node.Inbound{From: from, Frame: frame})
-	}
-	if nd.PushBatch(ctx, slab) {
-		return true
-	}
-	releaseFrames(frames)
-	node.PutSlab(slab)
-	return false
 }
 
 // drainLoop is the per-edge writer: batches from q, coalesced

@@ -1,12 +1,11 @@
 // Package cluster materializes a whole protocol run as live nodes over a
 // real transport: one node.Node per graph vertex (faulty vertices carry
-// their adversary-wrapped handlers), connected either by the in-process
-// loopback transport (reliable per-edge FIFO channels through the wire
-// codec — what the tests use) or by the Mux, the one socket transport the
-// one-shot TCP runtime and the service daemon share. It is the execution
-// tier next to internal/sim: the same machines, the same topology rules,
-// but actual concurrency and actual serialization instead of a centrally
-// scheduled message pool.
+// their adversary-wrapped handlers), each behind its own Mux — the one
+// transport the service daemon uses too — with the Muxes connected over an
+// in-process memory network (loopback, what the tests use) or localhost
+// TCP sockets. It is the execution tier next to internal/sim: the same
+// machines, the same topology rules, but actual concurrency and actual
+// serialization instead of a centrally scheduled message pool.
 //
 // The harness launches every node, waits until every honest vertex has
 // decided (or the context ends), then shuts the runtime down and collects
@@ -79,26 +78,12 @@ type Outcome struct {
 	Runtime string
 }
 
-// transportDriver wires a set of nodes together. The links passed to node
-// construction come from link; start is called with every node already
-// constructed (so inboxes exist) and launches whatever pumps or sockets
-// the medium needs.
-type transportDriver interface {
-	name() string
-	// link returns the Outbound for vertex id.
-	link(id int) node.Outbound
-	// start launches the medium's goroutines feeding the given inboxes.
-	start(ctx context.Context, nodes []*node.Node)
-	// stop tears the medium down — listeners included — and must unblock
-	// any pump still pushing. It is idempotent and legal before start.
-	stop()
-	// queueStats aggregates the medium's bounded-queue accounting.
-	queueStats() QueueStats
-}
-
-// RunLoopback executes the spec over the in-process loopback transport.
+// RunLoopback executes the spec in process: the same Mux fleet as RunTCP,
+// each directed edge one net.Pipe of a memory network instead of one TCP
+// connection.
 func RunLoopback(ctx context.Context, spec Spec) (*Outcome, error) {
-	return run(ctx, spec, newLoopback)
+	mem := newMemNetwork()
+	return run(ctx, spec, medium{name: "loopback", listen: mem.listen, dial: mem.dial})
 }
 
 // RunTCP executes the spec over localhost TCP sockets: every vertex gets
@@ -106,7 +91,7 @@ func RunLoopback(ctx context.Context, spec Spec) (*Outcome, error) {
 // and each directed edge becomes one TCP connection dialed by the sender
 // (a Mux fleet carrying instance 0, see tcp.go).
 func RunTCP(ctx context.Context, spec Spec) (*Outcome, error) {
-	return run(ctx, spec, newTCPNetwork)
+	return run(ctx, spec, medium{name: "tcp", listen: listenTCP})
 }
 
 // Runtimes lists the available cluster transports.
@@ -147,20 +132,21 @@ type decision struct {
 	value float64
 }
 
-// run is the shared harness: validate the spec, construct the medium,
-// build nodes over its links, start it, run every node loop, wait for the
-// honest set to decide (or the context to end), then tear everything down
-// and aggregate. The spec is validated before newDriver runs, so an
-// invalid spec binds nothing; from there every return stops the driver.
-func run(ctx context.Context, spec Spec, newDriver func(*graph.Graph) (transportDriver, error)) (*Outcome, error) {
+// run is the shared harness: validate the spec, build the fleet on the
+// medium, build nodes over its Muxes, start it, run every node loop, wait
+// for the honest set to decide (or the context to end), then tear
+// everything down and aggregate. The spec is validated before anything
+// binds, so an invalid spec binds nothing; from there every return stops
+// the fleet.
+func run(ctx context.Context, spec Spec, md medium) (*Outcome, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	driver, err := newDriver(spec.Graph)
+	fl, err := newFleet(spec.Graph, md)
 	if err != nil {
 		return nil, err
 	}
-	defer driver.stop()
+	defer fl.stop()
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
 		timeout := spec.Timeout
 		if timeout <= 0 {
@@ -181,7 +167,7 @@ func run(ctx context.Context, spec Spec, newDriver func(*graph.Graph) (transport
 			ID:       i,
 			Graph:    spec.Graph,
 			Handler:  spec.Handlers[i],
-			Out:      FaultyOutbound(driver.link(i), spec.LinkFaults, i),
+			Out:      FaultyOutbound(fl[i].mux, spec.LinkFaults, i),
 			Observer: spec.Observer,
 			OnDecide: func(id int, x float64) { decisions <- decision{id, x} },
 		})
@@ -190,7 +176,7 @@ func run(ctx context.Context, spec Spec, newDriver func(*graph.Graph) (transport
 		}
 		nodes[i] = nd
 	}
-	driver.start(runCtx, nodes)
+	fl.start(runCtx, nodes)
 
 	var wg sync.WaitGroup
 	runErrs := make([]error, n)
@@ -223,12 +209,12 @@ collect:
 		}
 	}
 
-	// Shut down: cancel the node loops and the medium, then join. The
-	// transports close their pumps with the same context, so no pump stays
-	// blocked into a dead inbox.
+	// Shut down: cancel the node loops and the fleet, then join. Every Mux
+	// ends with the same context, so no reader stays blocked into a dead
+	// inbox.
 	cancelRun()
 	wg.Wait()
-	driver.stop()
+	fl.stop()
 
 	// A deadline can win the select race against a decision that already
 	// landed in the buffered channel. Every node loop has returned, so all
@@ -254,8 +240,8 @@ collect:
 		ByKind:    make(map[string]int),
 		Histories: make(map[int][]float64),
 		Vectors:   make(map[int]map[int]float64),
-		Queue:     driver.queueStats(),
-		Runtime:   driver.name(),
+		Queue:     fl.queueStats(),
+		Runtime:   md.name,
 	}
 	for i, nd := range nodes {
 		st := nd.Stats()
@@ -277,7 +263,7 @@ collect:
 	}
 	for _, err := range runErrs {
 		if err != nil {
-			return out, fmt.Errorf("cluster (%s): %w", driver.name(), err)
+			return out, fmt.Errorf("cluster (%s): %w", md.name, err)
 		}
 	}
 	// Cancellation (as opposed to an elapsed deadline) means the caller

@@ -108,19 +108,30 @@ func TestLoopbackBWWithSilentFault(t *testing.T) {
 	}
 }
 
-func TestTCPTwoNodeIntegration(t *testing.T) {
-	out, err := cluster.RunTCP(context.Background(), iterativeSpec(t, 2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkAgreement(t, out, 2, 1e-9)
-	if out.Runtime != "tcp" {
-		t.Fatalf("runtime = %q", out.Runtime)
-	}
-	// Every frame a node sent was either accepted by a per-edge queue or
-	// shed by one at shutdown: the queue accounting is wired end to end.
-	if q := out.Queue; q.Enqueued <= 0 || q.Enqueued+q.Shed != int64(out.Sent) {
-		t.Fatalf("queue accounting %+v does not add up to %d sent frames", q, out.Sent)
+// TestTwoNodeIntegration runs on every runtime: both are a Mux fleet, so
+// both must account for every frame the same way.
+func TestTwoNodeIntegration(t *testing.T) {
+	for _, name := range cluster.Runtimes() {
+		t.Run(name, func(t *testing.T) {
+			runner, err := cluster.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := runner(context.Background(), iterativeSpec(t, 2, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgreement(t, out, 2, 1e-9)
+			if out.Runtime != name {
+				t.Fatalf("runtime = %q", out.Runtime)
+			}
+			// Every frame a node sent was either accepted by a per-edge queue
+			// or shed by one at shutdown: the queue accounting is wired end to
+			// end.
+			if q := out.Queue; q.Enqueued <= 0 || q.Enqueued+q.Shed != int64(out.Sent) {
+				t.Fatalf("queue accounting %+v does not add up to %d sent frames", q, out.Sent)
+			}
+		})
 	}
 }
 

@@ -13,13 +13,14 @@ import (
 	"repro/internal/wire"
 )
 
-// The Mux is the live tier's one socket transport: one TCP connection per
-// directed edge (u, v), dialed by the sender u, carrying frames for every
-// consensus instance the two vertices share (the instance id rides in the
-// wire frame — codec v4; a one-shot run is the special case where every
-// frame says instance 0, see tcp.go). TCP gives the per-edge FIFO
-// reliability the model assumes, and the hello gives the receiver the
-// sender's identity. Per-peer outbound queues are bounded (see queue): a
+// The Mux is the live tier's one transport: one connection per directed
+// edge (u, v), dialed by the sender u, carrying frames for every consensus
+// instance the two vertices share (the instance id rides in the wire frame
+// — codec v4; a one-shot run is the special case where every frame says
+// instance 0, see tcp.go). The connection is a TCP socket, or a memNetwork
+// pipe under the loopback runtime (MuxConfig.Dial); either gives the
+// per-edge FIFO reliability the model assumes, and the hello gives the
+// receiver the sender's identity. Per-peer outbound queues are bounded (see queue): a
 // vertex that outruns a slow peer blocks on Send — backpressure that
 // propagates to whoever runs the machine, accounted and surfaced through
 // QueueStats. Inbound, one reader per in-edge hands read bursts to the
@@ -71,6 +72,9 @@ type MuxConfig struct {
 	Listener net.Listener
 	// Peers maps every out-neighbor of ID to its dial address.
 	Peers map[int]string
+	// Dial opens a connection to a peer address (nil = TCP). An error is
+	// retried with backoff until the Mux stops.
+	Dial func(ctx context.Context, addr string) (net.Conn, error)
 	// QueueCap bounds each per-peer outbound queue (0 = DefaultQueueCap).
 	QueueCap int
 	// OnFrameBatch consumes every inbound read burst with the true sender
@@ -119,6 +123,10 @@ func NewMux(cfg MuxConfig) (*Mux, error) {
 	}
 	if cfg.OnFrameBatch == nil {
 		return nil, fmt.Errorf("cluster: mux needs a frame dispatcher")
+	}
+	if cfg.Dial == nil {
+		var d net.Dialer
+		cfg.Dial = func(ctx context.Context, addr string) (net.Conn, error) { return d.DialContext(ctx, "tcp", addr) }
 	}
 	m := &Mux{cfg: cfg, queues: make(map[int]*queue[[]byte])}
 	for _, v := range cfg.Graph.Out(cfg.ID) {
@@ -296,9 +304,8 @@ const (
 // process starts first keeps knocking until the peer's listener is up.
 func (m *Mux) dialMux(ctx context.Context, addr string) (net.Conn, error) {
 	backoff := dialRetryFloor
-	d := net.Dialer{}
 	for {
-		c, err := d.DialContext(ctx, "tcp", addr)
+		c, err := m.cfg.Dial(ctx, addr)
 		if err == nil {
 			if err := writeMuxHello(c, m.cfg.ID); err == nil {
 				return c, nil

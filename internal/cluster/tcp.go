@@ -9,39 +9,57 @@ import (
 	"repro/internal/wire"
 )
 
-// The one-shot TCP runtime is a Mux fleet whose every frame carries
+// Both one-shot runtimes are a Mux fleet whose every frame carries
 // instance id 0: each vertex owns one Mux (see mux.go for the hello, the
 // per-edge FIFO writers and the reconnect discipline), the Mux is the
 // node's Outbound, and its reader bursts land in the node's inbox one
-// slab per burst.
+// slab per burst. The runtimes differ only in the medium under the Mux:
+// localhost TCP sockets (RunTCP) or the in-process memNetwork
+// (RunLoopback).
+
+// medium is what a runtime lays under its fleet: how each vertex binds a
+// listener, and how a Mux dials a peer's address (nil = TCP).
+type medium struct {
+	name   string
+	listen func() (net.Listener, error)
+	dial   func(ctx context.Context, addr string) (net.Conn, error)
+}
+
+// listenTCP binds an ephemeral localhost port.
+func listenTCP() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
 
 // oneShot is one vertex of a one-shot run: its Mux and the node whose
 // inbox the Mux's readers feed.
 type oneShot struct {
 	mux *Mux
-	// ctx and nd are bound by tcpNetwork.start, before the Mux launches any
+	// ctx and nd are bound by fleet.start, before the Mux launches any
 	// reader (the Mux must exist first: it is the Outbound the node is
 	// built on).
 	ctx context.Context
 	nd  *node.Node
 }
 
-// push forwards one read burst to the node as one slab. The node decodes
-// every frame in full (and counts the malformed ones), so the peeked infos
-// go unused. A refused burst (the node has shut down) is released by
-// pushFrames; the reader stops when the Mux does.
+// push forwards one read burst to the node as one inbox slab — one channel
+// op per burst, arrival order kept. The node decodes every frame in full
+// (and counts the malformed ones), so the peeked infos go unused. PushBatch
+// takes the slab and every frame; a refused burst (the node has shut down)
+// is released here, and the reader stops when the Mux does.
 func (o *oneShot) push(from int, frames [][]byte, _ []wire.FrameInfo) {
-	pushFrames(o.ctx, o.nd, from, frames)
+	slab := node.GetSlab()
+	for _, frame := range frames {
+		slab = append(slab, node.Inbound{From: from, Frame: frame})
+	}
+	if !o.nd.PushBatch(o.ctx, slab) {
+		releaseFrames(frames)
+		node.PutSlab(slab)
+	}
 }
 
-// tcpNetwork is the runtime's transportDriver: one oneShot per vertex,
-// listeners bound up front on ephemeral ports so addresses are discovered
-// before anything dials.
-type tcpNetwork struct {
-	vertices []*oneShot
-}
+// fleet is a run's transport: one oneShot per vertex, listeners bound up
+// front so addresses are known before anything dials.
+type fleet []*oneShot
 
-func newTCPNetwork(g *graph.Graph) (transportDriver, error) {
+func newFleet(g *graph.Graph, md medium) (fleet, error) {
 	n := g.N()
 	listeners := make([]net.Listener, 0, n)
 	closeAll := func() {
@@ -51,7 +69,7 @@ func newTCPNetwork(g *graph.Graph) (transportDriver, error) {
 	}
 	addrs := make(map[int]string, n)
 	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		ln, err := md.listen()
 		if err != nil {
 			closeAll()
 			return nil, err
@@ -59,40 +77,38 @@ func newTCPNetwork(g *graph.Graph) (transportDriver, error) {
 		listeners = append(listeners, ln)
 		addrs[i] = ln.Addr().String()
 	}
-	tn := &tcpNetwork{vertices: make([]*oneShot, n)}
-	for i := range tn.vertices {
+	fl := make(fleet, n)
+	for i := range fl {
 		o := &oneShot{}
 		var err error
-		o.mux, err = NewMux(MuxConfig{ID: i, Graph: g, Listener: listeners[i], Peers: addrs, OnFrameBatch: o.push})
+		o.mux, err = NewMux(MuxConfig{ID: i, Graph: g, Listener: listeners[i], Peers: addrs, Dial: md.dial, OnFrameBatch: o.push})
 		if err != nil {
 			closeAll()
 			return nil, err
 		}
-		tn.vertices[i] = o
+		fl[i] = o
 	}
-	return tn, nil
+	return fl, nil
 }
 
-func (tn *tcpNetwork) name() string { return "tcp" }
-
-func (tn *tcpNetwork) link(id int) node.Outbound { return tn.vertices[id].mux }
-
-func (tn *tcpNetwork) start(ctx context.Context, nodes []*node.Node) {
-	for i, o := range tn.vertices {
+func (fl fleet) start(ctx context.Context, nodes []*node.Node) {
+	for i, o := range fl {
 		o.ctx, o.nd = ctx, nodes[i]
 		o.mux.Start(ctx)
 	}
 }
 
-func (tn *tcpNetwork) stop() {
-	for _, o := range tn.vertices {
+// stop tears every Mux down, listeners included; it is idempotent and
+// legal before start.
+func (fl fleet) stop() {
+	for _, o := range fl {
 		o.mux.Stop()
 	}
 }
 
-func (tn *tcpNetwork) queueStats() QueueStats {
+func (fl fleet) queueStats() QueueStats {
 	var s QueueStats
-	for _, o := range tn.vertices {
+	for _, o := range fl {
 		s.add(o.mux.QueueStats())
 	}
 	return s

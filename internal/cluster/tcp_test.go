@@ -2,75 +2,72 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"net"
 	"testing"
 	"time"
 
 	"repro/internal/adversary"
 	"repro/internal/graph"
-	"repro/internal/node"
 	"repro/internal/sim"
 )
 
-// nilLinkDriver is a tcpNetwork that hands vertex 1 no Outbound, so
-// node.New fails after the spec validated and every listener is bound.
-type nilLinkDriver struct{ *tcpNetwork }
-
-func (d nilLinkDriver) link(id int) node.Outbound {
-	if id == 1 {
-		return nil
-	}
-	return d.tcpNetwork.link(id)
-}
-
 // TestRunReleasesListenersOnEarlyReturn is the regression fence for the
-// one-shot listener leak: an invalid spec must not construct the driver at
-// all, and a failure after construction (here node.New) must close every
-// listener the driver bound.
+// one-shot listener leak, on both media: an invalid spec must bind
+// nothing, and a failure after binding (here the last vertex's listen)
+// must close every listener already bound.
 func TestRunReleasesListenersOnEarlyReturn(t *testing.T) {
 	const n = 4
-	g := graph.Clique(n)
-	spec := Spec{Graph: g, Honest: graph.FullSet(n)}
+	spec := Spec{Graph: graph.Clique(n), Honest: graph.FullSet(n)}
 	for i := 0; i < n; i++ {
 		spec.Handlers = append(spec.Handlers, sim.Handler(&adversary.Silent{NodeID: i}))
 	}
-
-	built := 0
 	truncated := spec
 	truncated.Handlers = spec.Handlers[:n-1]
-	_, err := run(context.Background(), truncated, func(g *graph.Graph) (transportDriver, error) {
-		built++
-		return newTCPNetwork(g)
-	})
-	if err == nil {
-		t.Fatal("truncated handler list was accepted")
-	}
-	if built != 0 {
-		t.Fatalf("invalid spec constructed the driver %d time(s)", built)
-	}
 
-	var addrs []string
-	_, err = run(context.Background(), spec, func(g *graph.Graph) (transportDriver, error) {
-		d, err := newTCPNetwork(g)
-		if err != nil {
-			return nil, err
+	var d net.Dialer
+	mem := newMemNetwork()
+	for _, md := range []medium{
+		{name: "tcp", listen: listenTCP, dial: func(ctx context.Context, addr string) (net.Conn, error) { return d.DialContext(ctx, "tcp", addr) }},
+		{name: "loopback", listen: mem.listen, dial: mem.dial},
+	} {
+		var addrs []string
+		failing := md
+		failing.listen = func() (net.Listener, error) {
+			if len(addrs) == n-1 {
+				return nil, errors.New("listen refused")
+			}
+			ln, err := md.listen()
+			if err == nil {
+				addrs = append(addrs, ln.Addr().String())
+			}
+			return ln, err
 		}
-		tn := d.(*tcpNetwork)
-		for _, o := range tn.vertices {
-			addrs = append(addrs, o.mux.cfg.Listener.Addr().String())
+		if _, err := run(context.Background(), truncated, failing); err == nil {
+			t.Fatalf("%s: truncated handler list was accepted", md.name)
 		}
-		return nilLinkDriver{tn}, nil
-	})
-	if err == nil {
-		t.Fatal("run succeeded with a vertex that has no outbound")
-	}
-	if len(addrs) != n {
-		t.Fatalf("driver bound %d listeners, want %d", len(addrs), n)
-	}
-	for _, addr := range addrs {
-		if c, err := net.DialTimeout("tcp", addr, 2*time.Second); err == nil {
-			c.Close()
-			t.Errorf("listener %s still accepts after the failed run", addr)
+		if len(addrs) != 0 {
+			t.Fatalf("%s: invalid spec bound %d listener(s)", md.name, len(addrs))
+		}
+		if _, err := run(context.Background(), spec, failing); err == nil {
+			t.Fatalf("%s: run succeeded though the last listen failed", md.name)
+		}
+		if len(addrs) != n-1 {
+			t.Fatalf("%s: bound %d listeners before the failure, want %d", md.name, len(addrs), n-1)
+		}
+		for _, addr := range addrs {
+			// A bound listener either accepts (tcp: the kernel completes the
+			// handshake) or leaves the dial waiting (memory: nobody accepts);
+			// a released one refuses at once.
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			c, err := md.dial(ctx, addr)
+			if err == nil {
+				c.Close()
+			}
+			if err == nil || ctx.Err() != nil {
+				t.Errorf("%s: listener %s still bound after the failed run", md.name, addr)
+			}
+			cancel()
 		}
 	}
 }
