@@ -1,5 +1,5 @@
 // Top-level benchmarks: one per reproduced table/figure/claim (experiment
-// IDs E1–E12, see DESIGN.md and EXPERIMENTS.md). They wrap the same drivers
+// IDs E1–E15, see DESIGN.md and EXPERIMENTS.md). They run the same suites
 // as cmd/benchtables, so `go test -bench=.` regenerates the reproduction's
 // numbers while timing them.
 package repro_test
@@ -15,34 +15,41 @@ import (
 	"repro/internal/graph"
 )
 
+// benchSuite runs the named catalog suite b.N times over workers and fails
+// on any missed claim.
+func benchSuite(b *testing.B, name string, workers int) {
+	for _, su := range experiments.Catalog(1, 32) {
+		if su.Name != name {
+			continue
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rep, err := su.Run(context.Background(), workers)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if f := rep.Failures(); len(f) > 0 {
+				b.Fatalf("%s: %v", name, f)
+			}
+		}
+		return
+	}
+	b.Fatalf("no suite %q", name)
+}
+
 // BenchmarkTable1Undirected is E1: Table 1's undirected equivalences.
 func BenchmarkTable1Undirected(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep := experiments.Table1(3, int64(i))
-		if rep.Mismatches() != 0 {
-			b.Fatal("Table 1 mismatch")
-		}
-	}
+	benchSuite(b, "table1", 1)
 }
 
 // BenchmarkTable2Equivalences is E2: Theorem 17's equivalences.
 func BenchmarkTable2Equivalences(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep := experiments.Table2(4, int64(i))
-		if rep.Mismatches() != 0 {
-			b.Fatal("Theorem 17 mismatch")
-		}
-	}
+	benchSuite(b, "table2", 1)
 }
 
 // BenchmarkFig1a is E3: the Figure 1(a) claims plus a BW run.
 func BenchmarkFig1a(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunFig1a(int64(i))
-		if err != nil || !rep.BWConverged {
-			b.Fatalf("fig1a failed: %v", err)
-		}
-	}
+	benchSuite(b, "fig1a", 1)
 }
 
 // BenchmarkFig1b3Reach is the heart of E4: the exhaustive bitmask check
@@ -88,56 +95,27 @@ func BenchmarkBWSufficiency(b *testing.B) {
 
 // BenchmarkConvergenceRate is E6: the Lemma 15 contraction series.
 func BenchmarkConvergenceRate(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunConvergence(int64(i))
-		if err != nil || rep.Violations != 0 {
-			b.Fatalf("convergence failed: %v", err)
-		}
-	}
+	benchSuite(b, "convergence", 1)
 }
 
 // BenchmarkNecessity is E7: the Theorem 18 construction on K3.
 func BenchmarkNecessity(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunNecessity(int64(i))
-		if err != nil || !rep.Violated {
-			b.Fatalf("necessity failed: %v", err)
-		}
-	}
+	benchSuite(b, "necessity", 1)
 }
 
 // BenchmarkAADvsBW is E8: baseline comparison on cliques.
 func BenchmarkAADvsBW(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunAADComparison(int64(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range rep.Rows {
-			if !row.BothOK {
-				b.Fatal("comparison failed")
-			}
-		}
-	}
+	benchSuite(b, "aad", 1)
 }
 
 // BenchmarkIterativeAblation is E9: local algorithms vs BW.
 func BenchmarkIterativeAblation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunIterativeAblation(int64(i))
-		if err != nil || !rep.TwoCliqueStalled || !rep.BWConverged {
-			b.Fatalf("ablation failed: %v", err)
-		}
-	}
+	benchSuite(b, "iterative", 1)
 }
 
 // BenchmarkKReach is E10: the generalized condition family.
 func BenchmarkKReach(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if rep := experiments.RunKReach(); !rep.AllMatch() {
-			b.Fatal("hierarchy mismatch")
-		}
-	}
+	benchSuite(b, "kreach", 1)
 }
 
 // BenchmarkStructureTheorems is E11 on the Figure 1(a) graph.
@@ -156,27 +134,15 @@ func BenchmarkStructureTheorems(b *testing.B) {
 
 // BenchmarkCrashCell covers Table 2's crash/asynchronous cell (Theorem 2).
 func BenchmarkCrashCell(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunCrashCell(int64(i))
-		if err != nil || !rep.Converged {
-			b.Fatalf("crash cell failed: %v", err)
-		}
-	}
+	benchSuite(b, "crashcell", 1)
 }
 
-// BenchmarkSweepWorkers compares the sequential and parallel sweep runners
-// on identical workloads (byte-identical reports; see the determinism
-// tests) — the scaling knob for multi-run experiments.
+// BenchmarkSweepWorkers compares the sequential and parallel suite runner
+// on the E5b sweep (identical rows; see the determinism test) — the scaling
+// knob for multi-run experiments.
 func BenchmarkSweepWorkers(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rep, err := experiments.RunSweepExec(context.Background(), 6, 1234, workers)
-				if err != nil || !rep.AllPassed() {
-					b.Fatalf("sweep failed: %v", err)
-				}
-			}
-		})
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) { benchSuite(b, "sweep", workers) })
 	}
 }
 
@@ -238,10 +204,5 @@ func BenchmarkRuntimes(b *testing.B) {
 
 // BenchmarkExactMatrix is E15: the exact tier's adversary matrix.
 func BenchmarkExactMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rep, err := experiments.RunExactExec(context.Background(), int64(i), 0)
-		if err != nil || !rep.AllPassed() {
-			b.Fatalf("exact matrix failed: %v", err)
-		}
-	}
+	benchSuite(b, "exact", 0)
 }

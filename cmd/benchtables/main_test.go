@@ -99,18 +99,60 @@ func TestMultiSelectionJSONTimings(t *testing.T) {
 func TestScaleStopsOnCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, e := range catalog(32) {
-		if e.name != "scale" {
+	if err := run(ctx, []string{"-maxn", "32", "scale"}, io.Discard); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	for _, su := range experiments.Catalog(1, 32) {
+		if su.Name != "scale" {
 			continue
 		}
-		_, cells, err := e.run(ctx, 1, 1)
+		rep, err := su.Run(ctx, 1)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("err = %v, want context.Canceled", err)
 		}
-		if len(cells.Runs) != 0 {
-			t.Fatalf("%d cells ran under a cancelled context", len(cells.Runs))
+		if len(rep.Rows) != 0 {
+			t.Fatalf("%d cells ran under a cancelled context", len(rep.Rows))
 		}
 		return
 	}
-	t.Fatal("no scale experiment in the catalog")
+	t.Fatal("no scale suite in the catalog")
+}
+
+// TestMissedClaimFailsTheRun: every selected suite gates the exit status.
+// The same selection returns nil while its claims hold and, once E9's
+// stalling cell is said to converge, an error naming exactly that cell —
+// after printing the report and writing the JSON rows.
+func TestMissedClaimFailsTheRun(t *testing.T) {
+	if err := run(context.Background(), []string{"iterative", "kreach"}, io.Discard); err != nil {
+		t.Fatalf("holding claims failed the run: %v", err)
+	}
+	defer func(c func(int64, int) []experiments.Suite) { catalog = c }(catalog)
+	label := ""
+	catalog = func(seed int64, maxN int) []experiments.Suite {
+		suites := experiments.Catalog(seed, maxN)
+		for i, su := range suites {
+			if su.Name == "iterative" {
+				su.Cells = append([]experiments.Cell(nil), su.Cells...)
+				for j, c := range su.Cells {
+					if c.Expect.Outcome == experiments.Stalls {
+						su.Cells[j].Expect.Outcome, label = experiments.Converges, c.Label
+					}
+				}
+				suites[i] = su
+			}
+		}
+		return suites
+	}
+	path := filepath.Join(t.TempDir(), "report.json")
+	var out bytes.Buffer
+	err := run(context.Background(), []string{"-json", path, "iterative"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "claims missed (1)") || !strings.Contains(err.Error(), label) {
+		t.Fatalf("err = %v, want the one missed claim of %q", err, label)
+	}
+	if !strings.Contains(out.String(), "verdict: 5 of 6") {
+		t.Errorf("report does not carry the miss:\n%s", out.String())
+	}
+	if _, err := os.Stat(path); err != nil {
+		t.Errorf("no JSON rows written: %v", err)
+	}
 }

@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"strings"
 
 	"repro"
-	"repro/internal/par"
 )
 
 // The attack matrix is the adversary-layer counterpart of the protocol
@@ -15,50 +12,7 @@ import (
 // Byzantine-tolerant protocols on their reference graphs. Each cell is a
 // declarative Scenario, so any row is individually replayable via
 // `abacsim -scenario`. Within each protocol's resilience envelope (one
-// Byzantine node, f = 1) every cell must converge with validity —
-// AllPassed is the summary assertion the tests pin.
-
-// AttackCell is one (protocol, graph, adversary) cell of the matrix.
-type AttackCell struct {
-	Protocol  string
-	Graph     string
-	Adversary string
-	Converged bool
-	Validity  bool
-	Spread    float64
-	Messages  int
-	// LinkStats is non-zero only for link-fault cells.
-	LinkStats repro.LinkFaultStats
-}
-
-// AttackMatrixReport aggregates the attack-matrix sweep.
-type AttackMatrixReport struct {
-	Rows []AttackCell
-}
-
-// AllPassed reports whether every cell converged with validity.
-func (r AttackMatrixReport) AllPassed() bool {
-	for _, row := range r.Rows {
-		if !row.Converged || !row.Validity {
-			return false
-		}
-	}
-	return true
-}
-
-// Render prints the matrix.
-func (r AttackMatrixReport) Render() string {
-	var b strings.Builder
-	b.WriteString("attack matrix — protocol x adversary x graph (f=1)\n")
-	fmt.Fprintf(&b, "  %-12s %-10s %-22s %-10s %-9s %-10s %-9s\n",
-		"protocol", "graph", "adversary", "converged", "validity", "spread", "messages")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-12s %-10s %-22s %-10v %-9v %-10.4g %-9d\n",
-			row.Protocol, row.Graph, row.Adversary, row.Converged, row.Validity, row.Spread, row.Messages)
-	}
-	fmt.Fprintf(&b, "  all passed: %v\n", r.AllPassed())
-	return b.String()
-}
+// Byzantine node, f = 1) every cell must converge with validity.
 
 // attackTarget is one protocol on its reference graph. Only protocols that
 // tolerate one arbitrary Byzantine node appear: crashapprox tolerates
@@ -74,22 +28,12 @@ var attackTargets = []struct {
 	{"iterative", "clique:5", []float64{0, 3, 1, 2, 2}, 3},
 }
 
-// attackScenarios builds the matrix's scenario cells: every registered
-// adversary with its default params, one composed adversary, and one
-// link-fault cell per target.
-func attackScenarios(seed int64) []struct {
-	s         repro.Scenario
-	adversary string
-} {
-	var cells []struct {
-		s         repro.Scenario
-		adversary string
-	}
+// attackMatrix is E13: every registered adversary with its default params,
+// one composed adversary and one link-fault cell, per target.
+func attackMatrix(seed int64) Suite {
+	su := Suite{Name: "attackmatrix", Title: "E13 / attack matrix — protocol x adversary x graph (f=1)"}
 	add := func(s repro.Scenario, adversary string) {
-		cells = append(cells, struct {
-			s         repro.Scenario
-			adversary string
-		}{s, adversary})
+		su.Cells = append(su.Cells, Cell{Label: fmt.Sprintf("%s %s %s", s.Protocol, s.Graph, adversary), Scenario: s})
 	}
 	for ti, tgt := range attackTargets {
 		base := repro.Scenario{
@@ -124,33 +68,17 @@ func attackScenarios(seed int64) []struct {
 		}
 		add(s, "silent+linkfaults")
 	}
-	return cells
-}
-
-// RunAttackMatrixExec runs the attack matrix over the given number of
-// workers (< 1 means one per CPU, 1 runs sequentially). Cells are independent seeded scenarios, so the report is
-// identical for every worker count. Cancelling
-// ctx stops the matrix between runs and surfaces ctx.Err().
-func RunAttackMatrixExec(ctx context.Context, seed int64, workers int) (AttackMatrixReport, error) {
-	cells := attackScenarios(seed)
-	rows, err := par.Map(ctx, workers, len(cells), func(i int) (AttackCell, error) {
-		out, err := cells[i].s.Run()
-		if err != nil {
-			return AttackCell{}, fmt.Errorf("%s: %w", cells[i].s.Name, err)
+	su.Checks = func(rows []Row) []Check {
+		var checks []Check
+		for _, row := range rows {
+			if st := row.Result.LinkStats; len(row.Cell.Scenario.LinkFaults) > 0 {
+				checks = append(checks, Check{
+					Name: fmt.Sprintf("%s: link faults intervened (%d duplicated, %d delayed)", row.Name, st.Duplicated, st.Delayed),
+					Got:  st.Duplicated > 0 || st.Delayed > 0, Want: true,
+				})
+			}
 		}
-		return AttackCell{
-			Protocol:  cells[i].s.Protocol,
-			Graph:     cells[i].s.Graph,
-			Adversary: cells[i].adversary,
-			Converged: out.Converged,
-			Validity:  out.ValidityOK,
-			Spread:    out.Spread,
-			Messages:  out.MessagesSent,
-			LinkStats: out.LinkStats,
-		}, nil
-	})
-	if err != nil {
-		return AttackMatrixReport{}, err
+		return checks
 	}
-	return AttackMatrixReport{Rows: rows}, nil
+	return su
 }

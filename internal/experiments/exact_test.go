@@ -1,79 +1,55 @@
-package experiments_test
+package experiments
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"repro"
-	"repro/internal/experiments"
 )
 
 func TestExactMatrixAllPass(t *testing.T) {
-	rep, err := experiments.RunExactExec(context.Background(), 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Both exact protocols cross every rung with the full adversary axis:
 	// the honest baseline, every registered fault kind, and the two
 	// composed cells.
 	perRung := len(repro.FaultKinds()) + 3
-	if want := 2 * 4 * perRung; len(rep.Rows) != want {
-		t.Fatalf("matrix has %d rows, want %d", len(rep.Rows), want)
-	}
-	if !rep.AllPassed() {
-		t.Fatalf("exact matrix failures:\n%s", rep.Render())
-	}
+	rep := mustPass(t, exact(1))
+	wantShape(t, rep, 2*4*perRung, 0)
+	exactSubsets := 0
 	for _, row := range rep.Rows {
+		e := row.Cell.Expect
 		if row.Protocol != "acs" {
+			if e.Subset != 0 {
+				t.Errorf("%s: scalar protocol with a subset claim", row.Name)
+			}
 			continue
 		}
-		switch row.Adversary {
-		case "silent", "silent+linkfaults", "equivocate":
-			// Silent origins never broadcast and equivocating origins
-			// never assemble an echo quorum, so the agreed subset is
-			// exactly the honest n−f — the acceptance bar the issue pins.
-			if row.Subset != row.N-row.F {
-				t.Errorf("%s: subset %d, want exactly n-f=%d", row.Name, row.Subset, row.N-row.F)
-			}
-		}
-	}
-	// The expander family cannot satisfy the exact tier's complete-graph
-	// requirement; it must be reported as skipped, not silently absent.
-	if len(rep.Skipped) != 2 {
-		t.Fatalf("skips: %v", rep.Skipped)
-	}
-}
-
-// TestExactMatrixDeterministicAcrossWorkers: the acceptance facts are
-// identical whatever the sweep fan-out — only wall times move.
-func TestExactMatrixDeterministicAcrossWorkers(t *testing.T) {
-	strip := func(rep experiments.ExactReport) []experiments.ExactRow {
-		rows := make([]experiments.ExactRow, len(rep.Rows))
-		copy(rows, rep.Rows)
-		for i := range rows {
-			rows[i].Ms = 0
-		}
-		return rows
-	}
-	base, err := experiments.RunExactExec(context.Background(), 5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{4, 2} {
-		got, err := experiments.RunExactExec(context.Background(), 5, workers)
+		// Silent origins never broadcast and equivocating origins never
+		// assemble an echo quorum, so the agreed subset is exactly the
+		// honest n−f; every other acs row agrees on at least n−f.
+		g, err := repro.NamedGraph(row.Graph)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(strip(got), strip(base)) {
-			t.Fatalf("report diverged at workers=%d", workers)
+		if e.Subset != g.N()-row.Cell.Scenario.F {
+			t.Errorf("%s: subset claim %d, want n-f=%d", row.Name, e.Subset, g.N()-row.Cell.Scenario.F)
 		}
+		if e.ExactSubset {
+			exactSubsets++
+		}
+	}
+	if exactSubsets != 3*4 {
+		t.Errorf("%d acs rows claim an exact subset, want silent, silent+linkfaults and equivocate on 4 rungs", exactSubsets)
+	}
+	// The expander family cannot satisfy the exact tier's complete-graph
+	// requirement; it must be reported as skipped, not silently absent.
+	if len(rep.Suite.Notes) != 2 {
+		t.Fatalf("skips: %v", rep.Suite.Notes)
 	}
 }
 
-// TestExactBenchRuns pins the E15 -json cell mapping.
+// TestExactBenchRuns pins the -json cell mapping.
 func TestExactBenchRuns(t *testing.T) {
-	rep, err := experiments.RunExactExec(context.Background(), 9, 0)
+	rep, err := exact(9).Run(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +59,18 @@ func TestExactBenchRuns(t *testing.T) {
 	}
 	for i, r := range runs {
 		row := rep.Rows[i]
-		if r.Name != row.Name || r.Runtime != "sim" || r.Adversary != row.Adversary ||
-			r.Protocol != row.Protocol || r.Family != row.Family ||
-			r.N != row.N || r.F != row.F || r.Subset != row.Subset ||
-			r.Decided != row.Decided || r.Converged != row.Converged || r.Valid != row.Validity {
-			t.Fatalf("cell %d diverges from row: %+v vs %+v", i, r, row)
+		s, out := row.Cell.Scenario, row.Result
+		subset := 0
+		for _, vec := range out.Vectors {
+			if subset == 0 || len(vec) < subset {
+				subset = len(vec)
+			}
+		}
+		if r.Name != s.Name || r.Label != row.Cell.Label || r.Runtime != "sim" ||
+			r.Protocol != s.Protocol || r.Graph != s.Graph || r.Subset != subset ||
+			r.Steps != out.Steps || r.Sends != out.MessagesSent ||
+			r.Decided != out.Decided || r.Converged != out.Converged || r.Valid != out.ValidityOK {
+			t.Fatalf("cell %d diverges from its run: %+v vs %+v", i, r, out)
 		}
 	}
 }

@@ -1,233 +1,112 @@
-// Package experiments implements the reproduction harness: one driver per
-// table/figure/claim of the paper (see EXPERIMENTS.md's experiment index).
-// Each driver returns a structured report with a text rendering;
-// cmd/benchtables prints them and the top-level benchmarks re-run them, so
-// EXPERIMENTS.md numbers are regenerable with one command. Sweep drivers
-// (Run*Exec) fan out over the worker count they are passed; reports are
-// deterministic for a fixed seed whatever the fan-out.
+// Package experiments is the reproduction harness: every table, figure and
+// claim of the paper (see EXPERIMENTS.md's experiment index) is one Suite —
+// cells, each a repro.Scenario on a runtime with the outcome the claim
+// states, plus checks for the facts that are not one run. One runner
+// executes a suite, one renderer prints it and one pass rule
+// (Report.Failures) judges it; cmd/benchtables loops over Catalog and the
+// top-level benchmarks re-run the same suites, so EXPERIMENTS.md numbers are
+// regenerable with one command. Rows are deterministic for a fixed seed
+// whatever the fan-out.
 package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/cond"
 	"repro/internal/graph"
 )
 
-// Table1Row is one parameter row of the Table 1 (undirected) verification:
-// on undirected graphs the reach conditions must coincide with the
-// connectivity/size thresholds the table states.
-type Table1Row struct {
-	N       int
-	P       float64
-	F       int
-	Samples int
-	// Mismatches between each reach condition and its Table 1 threshold:
-	// 1-reach vs (n > f ∧ κ > 0... the crash-sync column), 2-reach vs
-	// (n > 2f ∧ κ > f), 3-reach vs (n > 3f ∧ κ > 2f).
-	Mismatch2 int
-	Mismatch3 int
-	Holds3    int // samples satisfying 3-reach (coverage indicator)
-}
-
-// Table1Report aggregates experiment E1.
-type Table1Report struct {
-	Rows []Table1Row
-}
-
-// Table1 verifies the undirected equivalences of Table 1 on random
-// undirected graphs: 2-reach ⟺ (n > 2f ∧ κ(G) > f) — the asynchronous
-// crash column — and 3-reach ⟺ (n > 3f ∧ κ(G) > 2f) — the Byzantine
-// column.
-func Table1(samples int, seed int64) Table1Report {
-	var rep Table1Report
-	for _, n := range []int{4, 5, 6, 7} {
-		for _, p := range []float64{0.4, 0.6, 0.8} {
-			for _, f := range []int{1, 2} {
-				row := Table1Row{N: n, P: p, F: f, Samples: samples}
-				for s := 0; s < samples; s++ {
-					g := graph.RandomUndirected(n, p, seed+int64(1000*s)+int64(n*31+int(p*100)+f))
-					kappa := g.VertexConnectivity()
-					want2 := n > 2*f && kappa > f
-					want3 := n > 3*f && kappa > 2*f
-					got2, _ := cond.Check2Reach(g, f)
-					got3, _ := cond.Check3Reach(g, f)
-					if got2 != want2 {
-						row.Mismatch2++
-					}
-					if got3 != want3 {
-						row.Mismatch3++
-					}
-					if got3 {
-						row.Holds3++
+// table1 is E1: on random undirected graphs the reach conditions must
+// coincide with Table 1's thresholds — 2-reach ⟺ (n > 2f ∧ κ(G) > f), the
+// asynchronous crash column, and 3-reach ⟺ (n > 3f ∧ κ(G) > 2f), the
+// Byzantine column.
+func table1(samples int, seed int64) Suite {
+	return Suite{
+		Name:  "table1",
+		Title: "E1 / Table 1 — undirected graphs: 2-reach ⟺ n>2f ∧ κ>f (crash, async), 3-reach ⟺ n>3f ∧ κ>2f (Byzantine)",
+		Checks: func([]Row) []Check {
+			var checks []Check
+			for _, n := range []int{4, 5, 6, 7} {
+				for _, p := range []float64{0.4, 0.6, 0.8} {
+					for _, f := range []int{1, 2} {
+						mismatch2, mismatch3, holds3 := 0, 0, 0
+						for s := 0; s < samples; s++ {
+							g := graph.RandomUndirected(n, p, seed+int64(1000*s)+int64(n*31+int(p*100)+f))
+							kappa := g.VertexConnectivity()
+							got2, _ := cond.Check2Reach(g, f)
+							got3, _ := cond.Check3Reach(g, f)
+							if got2 != (n > 2*f && kappa > f) {
+								mismatch2++
+							}
+							if got3 != (n > 3*f && kappa > 2*f) {
+								mismatch3++
+							}
+							if got3 {
+								holds3++
+							}
+						}
+						checks = append(checks, Check{
+							Name: fmt.Sprintf("n=%d p=%.2f f=%d: 2-/3-reach mismatches over %d samples (%d hold 3-reach)", n, p, f, samples, holds3),
+							Got:  fmt.Sprintf("%d/%d", mismatch2, mismatch3), Want: "0/0",
+						})
 					}
 				}
-				rep.Rows = append(rep.Rows, row)
 			}
-		}
+			return checks
+		},
 	}
-	return rep
 }
 
-// Mismatches returns the total number of equivalence violations (expected 0).
-func (r Table1Report) Mismatches() int {
-	total := 0
-	for _, row := range r.Rows {
-		total += row.Mismatch2 + row.Mismatch3
-	}
-	return total
-}
-
-// Render prints the report as an aligned table.
-func (r Table1Report) Render() string {
-	var b strings.Builder
-	b.WriteString("E1 / Table 1 — undirected graphs: reach conditions vs connectivity thresholds\n")
-	b.WriteString("  2-reach ⟺ n>2f ∧ κ>f (crash, async) ; 3-reach ⟺ n>3f ∧ κ>2f (Byzantine)\n")
-	fmt.Fprintf(&b, "  %-4s %-5s %-3s %-8s %-10s %-10s %-8s\n", "n", "p", "f", "samples", "mismatch2", "mismatch3", "3-reach")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-4d %-5.2f %-3d %-8d %-10d %-10d %-8d\n",
-			row.N, row.P, row.F, row.Samples, row.Mismatch2, row.Mismatch3, row.Holds3)
-	}
-	fmt.Fprintf(&b, "  total mismatches: %d (expected 0)\n", r.Mismatches())
-	return b.String()
-}
-
-// Table2Row is one cell verification of Table 2: a reach condition versus
-// its Tseng–Vaidya partition form.
-type Table2Row struct {
-	Condition string
-	Checked   int
-	Mismatch  int
-	HoldCount int
-}
-
-// Table2Report aggregates experiment E2.
-type Table2Report struct {
-	Rows []Table2Row
-}
-
-// Table2 verifies Theorem 17's equivalences — CCS ⟺ 1-reach,
+// table2 is E2: Theorem 17's equivalences — CCS ⟺ 1-reach,
 // CCA ⟺ 2-reach, BCS ⟺ 3-reach — exhaustively over all digraphs on 3
 // nodes and on random digraphs of orders 4..6.
-func Table2(samples int, seed int64) Table2Report {
-	rows := map[string]*Table2Row{
-		"CCS=1reach": {Condition: "CCS ⟺ 1-reach (crash, synchronous)"},
-		"CCA=2reach": {Condition: "CCA ⟺ 2-reach (crash, asynchronous)"},
-		"BCS=3reach": {Condition: "BCS ⟺ 3-reach (Byzantine, both — this paper)"},
-	}
-	check := func(g *graph.Graph, f int) {
-		r1, _ := cond.Check1Reach(g, f)
-		c1, _ := cond.CheckCCS(g, f)
-		r2, _ := cond.Check2Reach(g, f)
-		c2, _ := cond.CheckCCA(g, f)
-		r3, _ := cond.Check3Reach(g, f)
-		c3, _ := cond.CheckBCS(g, f)
-		update := func(key string, a, b bool) {
-			row := rows[key]
-			row.Checked++
-			if a != b {
-				row.Mismatch++
+func table2(samples int, seed int64) Suite {
+	return Suite{
+		Name:  "table2",
+		Title: "E2 / Table 2 — directed graphs: Theorem 17 equivalences",
+		Checks: func([]Row) []Check {
+			names := []string{"CCS ⟺ 1-reach (crash, synchronous)", "CCA ⟺ 2-reach (crash, asynchronous)", "BCS ⟺ 3-reach (Byzantine, both — this paper)"}
+			var mismatch, holds [3]int
+			checked := 0
+			check := func(g *graph.Graph, f int) {
+				r1, _ := cond.Check1Reach(g, f)
+				c1, _ := cond.CheckCCS(g, f)
+				r2, _ := cond.Check2Reach(g, f)
+				c2, _ := cond.CheckCCA(g, f)
+				r3, _ := cond.Check3Reach(g, f)
+				c3, _ := cond.CheckBCS(g, f)
+				for i, pair := range [3][2]bool{{r1, c1}, {r2, c2}, {r3, c3}} {
+					if pair[0] != pair[1] {
+						mismatch[i]++
+					}
+					if pair[0] {
+						holds[i]++
+					}
+				}
+				checked++
 			}
-			if a {
-				row.HoldCount++
+			// Exhaustive n=3.
+			pairs := [][2]int{{0, 1}, {0, 2}, {1, 0}, {1, 2}, {2, 0}, {2, 1}}
+			for mask := 0; mask < 64; mask++ {
+				g := graph.New(3)
+				for i, e := range pairs {
+					if mask&(1<<i) != 0 {
+						g.MustAddEdge(e[0], e[1])
+					}
+				}
+				check(g, 1)
 			}
-		}
-		update("CCS=1reach", r1, c1)
-		update("CCA=2reach", r2, c2)
-		update("BCS=3reach", r3, c3)
-	}
-	// Exhaustive n=3.
-	pairs := [][2]int{{0, 1}, {0, 2}, {1, 0}, {1, 2}, {2, 0}, {2, 1}}
-	for mask := 0; mask < 64; mask++ {
-		g := graph.New(3)
-		for i, e := range pairs {
-			if mask&(1<<i) != 0 {
-				g.MustAddEdge(e[0], e[1])
+			// Randomized larger orders.
+			for s := 0; s < samples; s++ {
+				check(graph.RandomDigraph(4, 0.4, seed+int64(s)), 1)
+				check(graph.RandomDigraph(5, 0.5, seed+int64(s)+500), 1)
+				check(graph.RandomDigraph(6, 0.6, seed+int64(s)+900), 2)
 			}
-		}
-		check(g, 1)
+			checks := []Check{{Name: fmt.Sprintf("graphs checked per equivalence: %d (all 64 on 3 nodes plus random orders 4–6)", checked), Got: checked >= 64, Want: true}}
+			for i, name := range names {
+				checks = append(checks, Check{Name: fmt.Sprintf("%s: mismatches (%d hold)", name, holds[i]), Got: mismatch[i], Want: 0})
+			}
+			return checks
+		},
 	}
-	// Randomized larger orders.
-	for s := 0; s < samples; s++ {
-		check(graph.RandomDigraph(4, 0.4, seed+int64(s)), 1)
-		check(graph.RandomDigraph(5, 0.5, seed+int64(s)+500), 1)
-		check(graph.RandomDigraph(6, 0.6, seed+int64(s)+900), 2)
-	}
-	var rep Table2Report
-	for _, key := range []string{"CCS=1reach", "CCA=2reach", "BCS=3reach"} {
-		rep.Rows = append(rep.Rows, *rows[key])
-	}
-	return rep
-}
-
-// Mismatches returns the total equivalence violations (expected 0).
-func (r Table2Report) Mismatches() int {
-	total := 0
-	for _, row := range r.Rows {
-		total += row.Mismatch
-	}
-	return total
-}
-
-// Render prints the report.
-func (r Table2Report) Render() string {
-	var b strings.Builder
-	b.WriteString("E2 / Table 2 — directed graphs: Theorem 17 equivalences\n")
-	fmt.Fprintf(&b, "  %-48s %-8s %-9s %-6s\n", "equivalence", "checked", "mismatch", "holds")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-48s %-8d %-9d %-6d\n", row.Condition, row.Checked, row.Mismatch, row.HoldCount)
-	}
-	fmt.Fprintf(&b, "  total mismatches: %d (expected 0)\n", r.Mismatches())
-	return b.String()
-}
-
-// Fig1aReport verifies the Figure 1(a) claims.
-type Fig1aReport struct {
-	N, M        int
-	Kappa       int
-	ThreeReach  bool
-	MinimalEdge bool // removing any edge breaks κ > 2f
-	BWConverged bool
-	BWSpread    float64
-	BWMessages  int
-}
-
-// Render prints the report.
-func (r Fig1aReport) Render() string {
-	var b strings.Builder
-	b.WriteString("E3 / Figure 1(a) — W4 stand-in, f = 1\n")
-	fmt.Fprintf(&b, "  n=%d m=%d κ=%d (κ>2f: %v, n>3f: %v)\n", r.N, r.M, r.Kappa, r.Kappa > 2, r.N > 3)
-	fmt.Fprintf(&b, "  3-reach(f=1): %v\n", r.ThreeReach)
-	fmt.Fprintf(&b, "  removing any edge breaks κ>2f: %v\n", r.MinimalEdge)
-	fmt.Fprintf(&b, "  BW with 1 Byzantine: converged=%v spread=%.4g messages=%d\n",
-		r.BWConverged, r.BWSpread, r.BWMessages)
-	return b.String()
-}
-
-// Fig1bReport verifies the Figure 1(b) claims.
-type Fig1bReport struct {
-	N, M            int
-	ThreeReachF2    bool
-	DisjointVW      int // max disjoint v1->w1 paths (paper: 2f = 4)
-	DisjointWV      int
-	RMTImpossible   bool // some pair below the 2f+1 all-pair RMT threshold
-	BridgeBreak     bool // removing K2->K1 bridges kills 3-reach
-	AnalogConverged bool // BW end-to-end on the scaled analog
-	AnalogSpread    float64
-	AnalogMessages  int
-}
-
-// Render prints the report.
-func (r Fig1bReport) Render() string {
-	var b strings.Builder
-	b.WriteString("E4 / Figure 1(b) — two K7 cliques + 8 bridges, f = 2\n")
-	fmt.Fprintf(&b, "  n=%d m=%d\n", r.N, r.M)
-	fmt.Fprintf(&b, "  3-reach(f=2), exhaustive: %v\n", r.ThreeReachF2)
-	fmt.Fprintf(&b, "  disjoint paths v1→w1: %d, w1→v1: %d (2f = 4; 2f+1 needed for RMT)\n", r.DisjointVW, r.DisjointWV)
-	fmt.Fprintf(&b, "  all-pair RMT impossible: %v, consensus still possible (Theorem 4)\n", r.RMTImpossible)
-	fmt.Fprintf(&b, "  removing K2→K1 bridges breaks 3-reach: %v\n", r.BridgeBreak)
-	fmt.Fprintf(&b, "  BW on scaled analog (2×K4, f=1): converged=%v spread=%.4g messages=%d\n",
-		r.AnalogConverged, r.AnalogSpread, r.AnalogMessages)
-	return b.String()
 }

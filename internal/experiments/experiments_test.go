@@ -1,25 +1,44 @@
-package experiments_test
+package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
-	"repro/internal/experiments"
+	"repro/internal/bw"
 )
+
+// mustPass runs the suite over one worker per CPU and fails the test with
+// the rendered report when any cell or check misses its claim.
+func mustPass(t *testing.T, su Suite) Report {
+	t.Helper()
+	rep, err := su.Run(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f := rep.Failures(); len(f) > 0 {
+		t.Fatalf("%s misses %d claims:\n%s", su.Name, len(f), rep.Render())
+	}
+	return rep
+}
+
+// wantShape pins how many cells ran and how many facts were checked, so a
+// claim cannot drop out of a suite unnoticed.
+func wantShape(t *testing.T, rep Report, rows, checks int) {
+	t.Helper()
+	if len(rep.Rows) != rows || len(rep.Checks) != checks {
+		t.Fatalf("%s: %d rows and %d checks, want %d and %d:\n%s", rep.Suite.Name, len(rep.Rows), len(rep.Checks), rows, checks, rep.Render())
+	}
+}
 
 func TestTable1NoMismatches(t *testing.T) {
 	samples := 6
 	if testing.Short() {
 		samples = 2
 	}
-	rep := experiments.Table1(samples, 42)
-	if rep.Mismatches() != 0 {
-		t.Fatalf("Table 1 equivalences violated:\n%s", rep.Render())
-	}
-	if len(rep.Rows) == 0 {
-		t.Fatal("no rows")
-	}
-	if !strings.Contains(rep.Render(), "total mismatches: 0") {
+	rep := mustPass(t, table1(samples, 42))
+	wantShape(t, rep, 0, 24)
+	if !strings.Contains(rep.Render(), "verdict: 24 of 24 cells and checks meet their claims") {
 		t.Error("render missing summary")
 	}
 }
@@ -29,160 +48,71 @@ func TestTable2NoMismatches(t *testing.T) {
 	if testing.Short() {
 		samples = 3
 	}
-	rep := experiments.Table2(samples, 7)
-	if rep.Mismatches() != 0 {
-		t.Fatalf("Theorem 17 equivalences violated:\n%s", rep.Render())
-	}
-	for _, row := range rep.Rows {
-		if row.Checked < 64 {
-			t.Errorf("row %q checked only %d graphs", row.Condition, row.Checked)
-		}
-	}
+	// The first check is "every equivalence saw at least 64 graphs".
+	wantShape(t, mustPass(t, table2(samples, 7)), 0, 4)
 }
 
 func TestFig1a(t *testing.T) {
-	rep, err := experiments.RunFig1a(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.ThreeReach || rep.Kappa != 3 || !rep.MinimalEdge || !rep.BWConverged {
-		t.Fatalf("Figure 1(a) claims failed:\n%s", rep.Render())
-	}
+	wantShape(t, mustPass(t, fig1a(3)), 1, 3)
 }
 
 func TestFig1b(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive n=14 check")
 	}
-	rep, err := experiments.RunFig1b(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.ThreeReachF2 || rep.DisjointVW != 4 || rep.DisjointWV != 4 ||
-		!rep.RMTImpossible || !rep.BridgeBreak || !rep.AnalogConverged {
-		t.Fatalf("Figure 1(b) claims failed:\n%s", rep.Render())
-	}
+	wantShape(t, mustPass(t, fig1b(5)), 1, 5)
 }
 
 func TestSufficiencyMatrix(t *testing.T) {
-	rep, err := experiments.RunSufficiency(11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.AllPassed() {
-		t.Fatalf("sufficiency matrix failed:\n%s", rep.Render())
-	}
-	if len(rep.Cases) != 3*7 {
-		t.Errorf("cases = %d, want 21", len(rep.Cases))
-	}
+	wantShape(t, mustPass(t, sufficiency(11)), 3*7, 0)
 }
 
 func TestConvergenceBound(t *testing.T) {
-	rep, err := experiments.RunConvergence(13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Violations != 0 {
-		t.Fatalf("Lemma 15 bound violated:\n%s", rep.Render())
-	}
-	if len(rep.Spreads) != rep.Rounds {
-		t.Errorf("series length %d != rounds %d", len(rep.Spreads), rep.Rounds)
-	}
-	// Final spread below eps.
-	if rep.Spreads[len(rep.Spreads)-1] >= rep.Eps {
-		t.Errorf("final spread %g >= eps", rep.Spreads[len(rep.Spreads)-1])
-	}
+	// One bound per round plus the final spread below eps.
+	wantShape(t, mustPass(t, convergence(13)), 1, bw.RoundsFor(8, 0.2)+1)
 }
 
 func TestNecessity(t *testing.T) {
-	rep, err := experiments.RunNecessity(17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Violated {
-		t.Fatalf("necessity construction did not violate convergence:\n%s", rep.Render())
-	}
+	wantShape(t, mustPass(t, necessity(17)), 0, 2)
 }
 
 func TestAADComparison(t *testing.T) {
-	rep, err := experiments.RunAADComparison(19)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range rep.Rows {
-		if !row.BothOK {
-			t.Fatalf("comparison failed:\n%s", rep.Render())
-		}
-		if row.AADMessages > row.BWMessages {
-			t.Errorf("expected AAD to be no costlier on K%d: aad=%d bw=%d",
-				row.N, row.AADMessages, row.BWMessages)
-		}
-	}
-	// BW's path-flooding overhead must dominate as the clique grows.
-	last := rep.Rows[len(rep.Rows)-1]
-	if last.AADMessages >= last.BWMessages {
-		t.Errorf("on K%d BW should pay a strict flooding overhead: aad=%d bw=%d",
-			last.N, last.AADMessages, last.BWMessages)
-	}
+	// Both protocols converge on K4 and K5, AAD is no costlier on either,
+	// and BW pays a strict flooding overhead on K5.
+	wantShape(t, mustPass(t, aadComparison(19)), 4, 3)
 }
 
 func TestIterativeAblation(t *testing.T) {
-	rep, err := experiments.RunIterativeAblation(23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.CliqueConverged || !rep.TwoCliqueStalled || !rep.BWConverged {
-		t.Fatalf("ablation failed:\n%s", rep.Render())
+	rep := mustPass(t, iterativeAblation(23))
+	wantShape(t, rep, 3, 3)
+	if rep.Rows[1].Converged || !rep.Rows[0].Converged || !rep.Rows[2].Converged {
+		t.Fatalf("ablation rows:\n%s", rep.Render())
 	}
 }
 
 func TestKReachHierarchy(t *testing.T) {
-	rep := experiments.RunKReach()
-	if !rep.AllMatch() {
-		t.Fatalf("k-reach hierarchy mismatch:\n%s", rep.Render())
-	}
+	wantShape(t, mustPass(t, kreach()), 0, 25)
 }
 
 func TestStructureTheorems(t *testing.T) {
 	if testing.Short() {
 		t.Skip("K7 f=2 structure check is heavy")
 	}
-	rep := experiments.RunStructure()
-	if !rep.AllOK() {
-		t.Fatalf("structure theorems failed:\n%s", rep.Render())
-	}
+	wantShape(t, mustPass(t, structure()), 0, 10)
 }
 
 func TestCrashCell(t *testing.T) {
-	rep, err := experiments.RunCrashCell(29)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.TwoReach || !rep.Converged || !rep.Validity {
-		t.Fatalf("crash cell failed:\n%s", rep.Render())
-	}
+	wantShape(t, mustPass(t, crashCell(29)), 1, 1)
 }
 
 func TestScaling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-size BW runs")
 	}
-	rep, err := experiments.RunScaling(31)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) < 3 {
-		t.Fatalf("too few scaling rows:\n%s", rep.Render())
-	}
-	for _, row := range rep.Rows {
-		if !row.Converged {
-			t.Errorf("n=%d did not converge", row.N)
-		}
-	}
-	// Cost grows with n.
-	for i := 1; i < len(rep.Rows); i++ {
-		if rep.Rows[i].Messages <= rep.Rows[i-1].Messages {
-			t.Errorf("messages not growing: %d then %d", rep.Rows[i-1].Messages, rep.Rows[i].Messages)
-		}
+	// At least three rungs ran and messages grow strictly with n.
+	rep := mustPass(t, scaling(31))
+	wantShape(t, rep, 4, 2)
+	if len(rep.Suite.Notes) != 0 {
+		t.Fatalf("every circulant rung satisfies 3-reach, notes: %v", rep.Suite.Notes)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"repro"
 	"repro/internal/adversary"
@@ -10,246 +9,126 @@ import (
 	"repro/internal/graph"
 )
 
-// NecessityReport is experiment E7 (Theorem 18).
-type NecessityReport struct {
-	Graph    string
-	F        int
-	Result   *adversary.NecessityResult
-	Violated bool
-}
-
-// Render prints the report.
-func (r NecessityReport) Render() string {
-	var b strings.Builder
-	b.WriteString("E7 / Theorem 18 — necessity of 3-reach (indistinguishability construction)\n")
-	fmt.Fprintf(&b, "  graph=%s f=%d\n", r.Graph, r.F)
-	if r.Result != nil {
-		fmt.Fprintf(&b, "  witness: %s\n", r.Result.Witness.String())
-		fmt.Fprintf(&b, "  L=%s R=%s stitching-structure=%v\n", r.Result.L, r.Result.R, r.Result.StructureOK)
-		fmt.Fprintf(&b, "  e1: v=%d outputs %.4g; e2: u=%d outputs %.4g; spread=%.4g eps=%.4g\n",
-			r.Result.Witness.V, r.Result.VOutput, r.Result.Witness.U, r.Result.UOutput,
-			r.Result.Spread, r.Result.Eps)
+// necessity is E7 (Theorem 18): the indistinguishability construction on
+// K3 (n = 3f for f = 1) stitches two executions that no algorithm can tell
+// apart and that must decide more than ε apart.
+func necessity(seed int64) Suite {
+	return Suite{
+		Name:  "necessity",
+		Title: "E7 / Theorem 18 — necessity of 3-reach (indistinguishability construction on clique3, f=1)",
+		Checks: func([]Row) []Check {
+			r, err := adversary.RunNecessity(graph.Clique(3), 1, 1, 0.25, seed)
+			if err != nil {
+				return []Check{{Name: "the construction runs", Got: err, Want: nil}}
+			}
+			return []Check{
+				{Name: fmt.Sprintf("witness %s: L=%s R=%s stitching structure", r.Witness.String(), r.L, r.R), Got: r.StructureOK, Want: true},
+				{Name: fmt.Sprintf("e1: v=%d outputs %.4g; e2: u=%d outputs %.4g; spread %.4g >= eps %.4g — convergence violated",
+					r.Witness.V, r.VOutput, r.Witness.U, r.UOutput, r.Spread, r.Eps), Got: r.Violated(), Want: true},
+			}
+		},
 	}
-	fmt.Fprintf(&b, "  convergence violated: %v\n", r.Violated)
-	return b.String()
 }
 
-// RunNecessity produces the E7 report on K3 (n = 3f for f = 1).
-func RunNecessity(seed int64) (NecessityReport, error) {
-	g := graph.Clique(3)
-	rep := NecessityReport{Graph: g.Name(), F: 1}
-	res, err := adversary.RunNecessity(g, 1, 1, 0.25, seed)
-	if err != nil {
-		return rep, err
+// kreach is E10, the Appendix A k-reach family: on cliques k-reach ⟺
+// n > k·f, plus directed separations.
+func kreach() Suite {
+	return Suite{
+		Name:  "kreach",
+		Title: "E10 / Appendix A — k-reach hierarchy (cliques: k-reach ⟺ n > k·f)",
+		Checks: func([]Row) []Check {
+			var checks []Check
+			add := func(g *graph.Graph, k int, want bool) {
+				holds, _ := cond.CheckKReach(g, k, 1)
+				checks = append(checks, Check{Name: fmt.Sprintf("%s %d-reach (f=1)", g.Name(), k), Got: holds, Want: want})
+			}
+			for _, n := range []int{2, 3, 4, 5, 6} {
+				for k := 2; k <= 5; k++ {
+					add(graph.Clique(n), k, n > k)
+				}
+			}
+			// The directed cycle satisfies 1-reach but not 2-reach for f=1.
+			add(graph.DirectedCycle(5), 1, true)
+			add(graph.DirectedCycle(5), 2, false)
+			// The wheel satisfies 4-reach for f=1 (removing any two nodes
+			// leaves it connected, so reach sets are 3-of-5 subsets and
+			// always intersect) but fails 5-reach (three removals per side
+			// can isolate disjoint rim pairs).
+			add(graph.Fig1a(), 3, true)
+			add(graph.Fig1a(), 4, true)
+			add(graph.Fig1a(), 5, false)
+			return checks
+		},
 	}
-	rep.Result = res
-	rep.Violated = res.Violated()
-	return rep, nil
 }
 
-// KReachRow is one row of the E10 hierarchy table.
-type KReachRow struct {
-	Graph string
-	K     int
-	F     int
-	Holds bool
-	Want  bool
-}
-
-// KReachReport aggregates E10 (the Appendix A k-reach family).
-type KReachReport struct {
-	Rows []KReachRow
-}
-
-// AllMatch reports whether every row matched its expectation.
-func (r KReachReport) AllMatch() bool {
-	for _, row := range r.Rows {
-		if row.Holds != row.Want {
-			return false
-		}
+// structure is E11 (Theorems 5 and 12): source-component structure on
+// 3-reach graphs.
+func structure() Suite {
+	return Suite{
+		Name:  "structure",
+		Title: "E11 / Theorems 5 & 12 — source-component structure on 3-reach graphs",
+		Checks: func([]Row) []Check {
+			var checks []Check
+			for _, tc := range []struct {
+				g *graph.Graph
+				f int
+			}{
+				{graph.Fig1a(), 1},
+				{graph.Fig1bAnalog(), 1},
+				{graph.Clique(4), 1},
+				{graph.Clique(7), 2},
+				{graph.Circulant(7, 1, 2, 3), 1},
+			} {
+				name := fmt.Sprintf("%s f=%d", tc.g.Name(), tc.f)
+				if ok, _ := cond.Check3Reach(tc.g, tc.f); !ok {
+					checks = append(checks, Check{Name: name + ": 3-reach", Got: false, Want: true})
+					continue
+				}
+				t5, t12 := cond.CheckTheorem5(tc.g, tc.f), cond.CheckTheorem12(tc.g, tc.f)
+				checks = append(checks,
+					Check{Name: fmt.Sprintf("%s: Theorem 5 (%d pairs)", name, t5.PairsChecked), Got: verdict(t5), Want: "ok"},
+					Check{Name: name + ": Theorem 12", Got: verdict(t12), Want: "ok"})
+			}
+			return checks
+		},
 	}
-	return true
 }
 
-// Render prints the table.
-func (r KReachReport) Render() string {
-	var b strings.Builder
-	b.WriteString("E10 / Appendix A — k-reach hierarchy (cliques: k-reach ⟺ n > k·f)\n")
-	fmt.Fprintf(&b, "  %-10s %-3s %-3s %-7s %-7s\n", "graph", "k", "f", "holds", "want")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-10s %-3d %-3d %-7v %-7v\n", row.Graph, row.K, row.F, row.Holds, row.Want)
+func verdict(r cond.StructureReport) string {
+	if r.Ok() {
+		return "ok"
 	}
-	fmt.Fprintf(&b, "  all match: %v\n", r.AllMatch())
-	return b.String()
+	return r.Failure
 }
 
-// RunKReach produces the E10 report.
-func RunKReach() KReachReport {
-	var rep KReachReport
-	for _, n := range []int{2, 3, 4, 5, 6} {
-		g := graph.Clique(n)
-		for k := 2; k <= 5; k++ {
-			holds, _ := cond.CheckKReach(g, k, 1)
-			rep.Rows = append(rep.Rows, KReachRow{
-				Graph: g.Name(), K: k, F: 1, Holds: holds, Want: n > k,
-			})
-		}
-	}
-	// Directed separations: the cycle satisfies 1-reach but not 2-reach for
-	// f=1; the wheel satisfies 3-reach but not 4-reach.
-	cyc := graph.DirectedCycle(5)
-	h1, _ := cond.Check1Reach(cyc, 1)
-	h2, _ := cond.Check2Reach(cyc, 1)
-	rep.Rows = append(rep.Rows,
-		KReachRow{Graph: cyc.Name(), K: 1, F: 1, Holds: h1, Want: true},
-		KReachRow{Graph: cyc.Name(), K: 2, F: 1, Holds: h2, Want: false},
-	)
-	// The wheel satisfies 4-reach for f=1 (removing any two nodes leaves it
-	// connected, so reach sets are 3-of-5 subsets and always intersect) but
-	// fails 5-reach (three removals per side can isolate disjoint rim
-	// pairs).
-	wheel := graph.Fig1a()
-	h3, _ := cond.Check3Reach(wheel, 1)
-	h4, _ := cond.CheckKReach(wheel, 4, 1)
-	h5, _ := cond.CheckKReach(wheel, 5, 1)
-	rep.Rows = append(rep.Rows,
-		KReachRow{Graph: wheel.Name(), K: 3, F: 1, Holds: h3, Want: true},
-		KReachRow{Graph: wheel.Name(), K: 4, F: 1, Holds: h4, Want: true},
-		KReachRow{Graph: wheel.Name(), K: 5, F: 1, Holds: h5, Want: false},
-	)
-	return rep
-}
-
-// StructureReport aggregates E11 (Theorems 5 and 12).
-type StructureReport struct {
-	Rows []StructureRow
-}
-
-// StructureRow is one graph's structural verification.
-type StructureRow struct {
-	Graph   string
-	F       int
-	T5Pairs int
-	T5OK    bool
-	T12OK   bool
-	Failure string
-}
-
-// AllOK reports whether all graphs passed.
-func (r StructureReport) AllOK() bool {
-	for _, row := range r.Rows {
-		if !row.T5OK || !row.T12OK {
-			return false
-		}
-	}
-	return true
-}
-
-// Render prints the table.
-func (r StructureReport) Render() string {
-	var b strings.Builder
-	b.WriteString("E11 / Theorems 5 & 12 — source-component structure on 3-reach graphs\n")
-	fmt.Fprintf(&b, "  %-14s %-3s %-9s %-6s %-6s %s\n", "graph", "f", "T5 pairs", "T5", "T12", "failure")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-14s %-3d %-9d %-6v %-6v %s\n",
-			row.Graph, row.F, row.T5Pairs, row.T5OK, row.T12OK, row.Failure)
-	}
-	return b.String()
-}
-
-// RunStructure produces the E11 report.
-func RunStructure() StructureReport {
-	var rep StructureReport
-	cases := []struct {
-		g *graph.Graph
-		f int
-	}{
-		{graph.Fig1a(), 1},
-		{graph.Fig1bAnalog(), 1},
-		{graph.Clique(4), 1},
-		{graph.Clique(7), 2},
-		{graph.Circulant(7, 1, 2, 3), 1},
-	}
-	for _, tc := range cases {
-		if ok, _ := cond.Check3Reach(tc.g, tc.f); !ok {
-			rep.Rows = append(rep.Rows, StructureRow{
-				Graph: tc.g.Name(), F: tc.f, Failure: "graph does not satisfy 3-reach (skipped)",
-			})
-			continue
-		}
-		t5 := cond.CheckTheorem5(tc.g, tc.f)
-		t12 := cond.CheckTheorem12(tc.g, tc.f)
-		row := StructureRow{
-			Graph: tc.g.Name(), F: tc.f,
-			T5Pairs: t5.PairsChecked, T5OK: t5.Ok(), T12OK: t12.Ok(),
-		}
-		if !t5.Ok() {
-			row.Failure = t5.Failure
-		} else if !t12.Ok() {
-			row.Failure = t12.Failure
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-	return rep
-}
-
-// ScalingRow is one point of the E12 cost study.
-type ScalingRow struct {
-	Graph     string
-	N         int
-	F         int
-	Threads   int
-	Redundant int // redundant paths into node 0
-	Messages  int
-	Converged bool
-}
-
-// ScalingReport aggregates E12.
-type ScalingReport struct {
-	Rows []ScalingRow
-}
-
-// Render prints the table.
-func (r ScalingReport) Render() string {
-	var b strings.Builder
-	b.WriteString("E12 / cost growth — BW on sparse circulant 3-reach graphs (f=1)\n")
-	fmt.Fprintf(&b, "  %-14s %-4s %-3s %-8s %-10s %-10s %-9s\n", "graph", "n", "f", "threads", "redPaths", "messages", "converged")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "  %-14s %-4d %-3d %-8d %-10d %-10d %-9v\n",
-			row.Graph, row.N, row.F, row.Threads, row.Redundant, row.Messages, row.Converged)
-	}
-	b.WriteString("  threads grow with C(n-1,<=f); messages with the redundant path count.\n")
-	return b.String()
-}
-
-// RunScaling produces the E12 report.
-func RunScaling(seed int64) (ScalingReport, error) {
-	var rep ScalingReport
+// scaling is E12: BW's cost growth on sparse circulant 3-reach graphs —
+// threads grow with C(n-1, <=f), messages with the redundant path count.
+func scaling(seed int64) Suite {
+	su := Suite{Name: "scaling", Title: "E12 / cost growth — BW on sparse circulant 3-reach graphs (f=1)"}
 	for _, n := range []int{5, 6, 7, 8} {
 		g := graph.Circulant(n, 1, 2, 3)
 		if ok, _ := cond.Check3Reach(g, 1); !ok {
+			su.Notes = append(su.Notes, fmt.Sprintf("%s: fails 3-reach (f=1), so BW has no claim there", g.Name()))
 			continue
 		}
-		red, err := g.CountRedundantPathsTo(0, graph.EmptySet, 0)
-		if err != nil {
-			return rep, err
-		}
-		out, err := repro.Scenario{
+		red, _ := g.CountRedundantPathsTo(0, graph.EmptySet, 0) // no budget, no error
+		su.Cells = append(su.Cells, Cell{Label: fmt.Sprintf("%s threads=%d redPaths=%d", g.Name(), graph.CountSubsets(n-1, 1), red), Scenario: repro.Scenario{
 			Name:  fmt.Sprintf("scaling-n%d", n),
 			Graph: fmt.Sprintf("circulant:%d:1,2,3", n), Protocol: "bw",
 			InputGen: &repro.InputGenSpec{Kind: "mod", Mod: 3},
 			F:        1, K: 2, Eps: 0.25, Seed: seed,
-		}.Run()
-		if err != nil {
-			return rep, err
-		}
-		rep.Rows = append(rep.Rows, ScalingRow{
-			Graph: g.Name(), N: n, F: 1,
-			Threads:   graph.CountSubsets(n-1, 1),
-			Redundant: red,
-			Messages:  out.MessagesSent,
-			Converged: out.Converged && out.ValidityOK,
-		})
+		}})
 	}
-	return rep, nil
+	su.Checks = func(rows []Row) []Check {
+		growing := true
+		for i := 1; i < len(rows); i++ {
+			growing = growing && rows[i].Sends > rows[i-1].Sends
+		}
+		return []Check{
+			{Name: fmt.Sprintf("rungs run (%d): at least 3", len(rows)), Got: len(rows) >= 3, Want: true},
+			{Name: "messages grow strictly with n", Got: growing, Want: true},
+		}
+	}
+	return su
 }

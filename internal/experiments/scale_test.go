@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"context"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -9,91 +9,85 @@ import (
 	"repro/internal/graph"
 )
 
-// TestScaleLadderShape pins the E14 case matrix: every ladder size carries
-// the three family cells, BW rows use the explicit zero fault bound, and
-// the large BW cells are simulator-only.
+// TestScaleLadderShape pins the E14 cell matrix of the full ladder, built
+// without certifying or running anything: every rung within the build
+// dimension carries the three family scenarios, BW rows use the explicit
+// zero fault bound, the large BW cells are simulator-only, and every
+// absent runtime or rung is a note.
 func TestScaleLadderShape(t *testing.T) {
-	cases := ScaleCases(1, 0)
-	// Sizes within the build dimension yield three family cells; n=2048 and
-	// n=4096 collapse to one note-only case under the default build, and to
-	// two runnable iterative cells plus a note-only BW case under graph4096
-	// (BW is capped at scaleBWMaxN either way).
-	want := 0
-	for _, n := range ScaleSizes {
+	su := scale(1, 0)
+	if !su.Sequential || su.Annotate == nil {
+		t.Fatal("the ladder runs one cell at a time and certifies its graphs")
+	}
+	wantCells, wantNotes := 0, 0
+	for _, n := range scaleSizes {
 		switch {
 		case n > graph.MaxNodes:
-			want++
+			wantNotes++
+		case n > scaleBWMaxN: // graph4096 only: iterative sim rows, BW past its budget
+			wantCells += 2
+			wantNotes += 3
+		case n > scaleLoopbackMaxBW:
+			wantCells += 1 + 4
+			wantNotes++
 		default:
-			want += 3
+			wantCells += 2 + 4
 		}
 	}
-	if len(cases) != want {
-		t.Fatalf("ladder has %d cells, want %d", len(cases), want)
+	if len(su.Cells) != wantCells || len(su.Notes) != wantNotes {
+		t.Fatalf("ladder has %d cells and %d notes, want %d and %d", len(su.Cells), len(su.Notes), wantCells, wantNotes)
 	}
-	for _, c := range cases {
-		if len(c.Runtimes) == 0 {
-			// Note-only case: must explain itself and carry no scenario.
-			if c.SkipNote == "" {
-				t.Errorf("n=%d %s: runtime-less case without a skip note", c.N, c.Family)
-			}
-			if c.Scenario.Name != "" {
-				t.Errorf("n=%d %s: note-only case carries a scenario", c.N, c.Family)
-			}
-			continue
+	for _, c := range su.Cells {
+		s := c.Scenario
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: %v", s.Name, err)
 		}
-		if err := c.Scenario.Validate(); err != nil {
-			t.Errorf("%s: %v", c.Scenario.Name, err)
+		n, err := strconv.Atoi(s.Name[strings.LastIndexByte(s.Name, '-')+1:])
+		if err != nil {
+			t.Fatalf("%s: no order in the name", s.Name)
 		}
-		if c.N > 1024 && len(c.Runtimes) != 1 {
-			t.Errorf("%s: rungs above n=1024 must be simulator-only", c.Scenario.Name)
+		if n > 1024 && c.Runtime != repro.RuntimeSim {
+			t.Errorf("%s: rungs above n=1024 must be simulator-only", s.Name)
 		}
-		if c.Scenario.Protocol == "bw" {
-			if c.N > scaleBWMaxN {
-				t.Errorf("%s: BW rows past n=%d must be note-only", c.Scenario.Name, scaleBWMaxN)
+		if s.Protocol == "bw" {
+			if n > scaleBWMaxN || (n > scaleLoopbackMaxBW && c.Runtime != repro.RuntimeSim) {
+				t.Errorf("%s on %s: past the BW caps", s.Name, c.Runtime)
 			}
-			if c.Scenario.F != repro.FZero {
-				t.Errorf("%s: BW ladder rows must use the explicit zero fault bound", c.Scenario.Name)
+			if s.F != repro.FZero || c.Expect.Outcome != Converges {
+				t.Errorf("%s: BW ladder rows use the explicit zero fault bound and converge", s.Name)
 			}
-			wantLoopback := c.N <= scaleLoopbackMaxBW
-			hasLoopback := len(c.Runtimes) == 2
-			if wantLoopback != hasLoopback {
-				t.Errorf("%s: loopback presence = %v, want %v", c.Scenario.Name, hasLoopback, wantLoopback)
-			}
-			if hasSkip := c.SkipNote != ""; hasSkip == wantLoopback {
-				t.Errorf("%s: skip note presence = %v, want %v (every absent runtime needs a reason)",
-					c.Scenario.Name, hasSkip, !wantLoopback)
-			}
+		} else if c.Expect.Outcome != DecidesOnly {
+			t.Errorf("%s: iterative rows claim a decision only", s.Name)
 		}
 	}
-	if got := len(ScaleCases(1, 32)); got != 6 {
-		t.Fatalf("maxN=32 ladder has %d cells, want 6", got)
+	if got := len(scale(1, 32).Cells); got != 12 {
+		t.Fatalf("maxN=32 ladder has %d cells, want 12", got)
 	}
 }
 
 // TestScaleSmallRuns executes the bottom of the ladder end to end on both
-// runtimes: BW must decide and converge on the cycle rows, the report must
-// carry certification notes, and nothing may be silently skipped.
+// runtimes: BW must decide and converge on the cycle rows, every row must
+// decide and carry its certification verdict, and nothing may be silently
+// skipped.
 func TestScaleSmallRuns(t *testing.T) {
-	rep, err := RunScaleExec(context.Background(), 1, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Rows) != 12 { // 6 cells x {sim, loopback}
-		t.Fatalf("rows = %d, want 12", len(rep.Rows))
-	}
+	rep := mustPass(t, scale(1, 32))
+	wantShape(t, rep, 12, 0) // 6 scenarios x {sim, loopback}
 	for _, row := range rep.Rows {
 		if row.Protocol == "bw" && (!row.Decided || !row.Converged) {
 			t.Errorf("%s on %s: BW cycle row did not converge", row.Name, row.Runtime)
 		}
-		if row.CertNote == "" {
-			t.Errorf("%s: missing certification note", row.Name)
+		if row.Note != "3-reach=true" {
+			t.Errorf("%s: certification note %q", row.Name, row.Note)
 		}
 		if !row.Decided {
 			t.Errorf("%s on %s: run did not decide", row.Name, row.Runtime)
 		}
 	}
-	if !strings.Contains(rep.Render(), "3-reach") {
-		t.Error("render misses the certification column")
+	if len(rep.Suite.Notes) != 0 {
+		t.Errorf("skips at maxN=32: %v", rep.Suite.Notes)
+	}
+	if got := strings.Count(rep.Render(), "3-reach="); got != 12 {
+		t.Errorf("render carries %d certification verdicts, want one per row", got)
 	}
 }
 
