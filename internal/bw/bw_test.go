@@ -267,7 +267,7 @@ func TestFloodInfoConsistency(t *testing.T) {
 		{Value: 1, Entry: id(2, 1, 0)},
 		{Value: 3, Entry: id(4, 0)},
 	}}
-	rec := proto.getPlan().newFloodInfo(p)
+	rec := proto.getPlan().newFloodInfo(p, p.contentKey())
 	if !rec.consistent {
 		t.Error("consistent set flagged inconsistent")
 	}
@@ -284,7 +284,7 @@ func TestFloodInfoConsistency(t *testing.T) {
 		{Value: 1, Entry: id(2, 0)},
 		{Value: 2, Entry: id(2, 1, 0)}, // same init, different value
 	}}
-	if proto.getPlan().newFloodInfo(p2).consistent {
+	if proto.getPlan().newFloodInfo(p2, p2.contentKey()).consistent {
 		t.Error("inconsistent set not flagged")
 	}
 	// An id that names no entry of the origin's table, and an origin
@@ -295,7 +295,7 @@ func TestFloodInfoConsistency(t *testing.T) {
 		{Origin: g.N(), Entries: []ValEntry{{Value: 1, Entry: 0}}},
 		{Origin: -1, Entries: []ValEntry{{Value: 1, Entry: 0}}},
 	} {
-		if proto.getPlan().newFloodInfo(bad).consistent {
+		if proto.getPlan().newFloodInfo(bad, bad.contentKey()).consistent {
 			t.Errorf("origin %d entries %v accepted", bad.Origin, bad.Entries)
 		}
 	}
@@ -306,7 +306,7 @@ func TestFloodInfoConsistency(t *testing.T) {
 		{Value: 3, Entry: id(4, 1, 0)},
 		{Value: 1, Entry: id(2, 1, 0)},
 	}}
-	rec = proto.getPlan().newFloodInfo(p4)
+	rec = proto.getPlan().newFloodInfo(p4, p4.contentKey())
 	v2, ok2 := rec.value(2)
 	v4, ok4 := rec.value(4)
 	if !rec.consistent || !ok2 || !ok4 || v2 != 1 || v4 != 3 || len(rec.values) != 2 {
@@ -316,11 +316,59 @@ func TestFloodInfoConsistency(t *testing.T) {
 		t.Errorf("tag index %d names %s", rec.tagIdx, got)
 	}
 	p4.Entries[2].Value = 5
-	if proto.getPlan().newFloodInfo(p4).consistent {
+	if proto.getPlan().newFloodInfo(p4, p4.contentKey()).consistent {
 		t.Error("unsorted inconsistent set not flagged")
 	}
 	p4.Tag = graph.SetOf(3, 900)
-	if idx := proto.getPlan().newFloodInfo(p4).tagIdx; idx != -1 {
+	if idx := proto.getPlan().newFloodInfo(p4, p4.contentKey()).tagIdx; idx != -1 {
 		t.Errorf("tag outside the graph got index %d", idx)
+	}
+}
+
+// TestFloodInfoChecksContentHit: a decoded copy (an entry slice of its
+// own) reuses the cached summary of its flood, but a copy whose content
+// digest collides with a cached flood of other entries is summarized from
+// its own entries, and the cache slot stays with the first.
+func TestFloodInfoChecksContentHit(t *testing.T) {
+	g := graph.Fig1a()
+	proto, err := NewProto(g, 1, 1, 0.5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := proto.table(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMachine(proto, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := func(v2, v4 float64) []ValEntry {
+		return []ValEntry{{Value: v2, Entry: entryOf(tbl, graph.Path{2, 0})}, {Value: v4, Entry: entryOf(tbl, graph.Path{4, 0})}}
+	}
+	honest := &CompletePayload{Origin: 0, Entries: entries(1, 3)}
+	first := m.floodInfo(honest)
+	if again := m.floodInfo(&CompletePayload{Origin: 0, Entries: entries(1, 3)}); again != first {
+		t.Error("a decoded copy of a cached flood was summarized again")
+	}
+
+	// Plant a forged flood under an honest flood's digest, as a sender that
+	// found a collision and got there first would.
+	proto, _ = NewProto(g, 1, 1, 0.5, 0)
+	if m, err = NewMachine(proto, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	key := honest.contentKey()
+	forged := proto.getPlan().newFloodInfo(&CompletePayload{Origin: 0, Entries: entries(9, 9)}, key)
+	proto.floods.Store(key, forged)
+	got := m.floodInfo(&CompletePayload{Origin: 0, Entries: entries(1, 3)})
+	if got == forged {
+		t.Fatal("a colliding copy took the cached flood's summary")
+	}
+	if v2, _ := got.value(2); v2 != 1 || !got.consistent {
+		t.Errorf("colliding copy summarized as %v (consistent %v), want its own values", got.values, got.consistent)
+	}
+	if v, _ := proto.floods.Load(key); v != forged {
+		t.Error("the colliding copy replaced the cached flood")
 	}
 }

@@ -97,3 +97,11 @@ func EntryOf(p *Proto, path graph.Path) int32 {
 	}
 	return entryOf(t, path)
 }
+
+// FloodCache counts the entries of p's flood cache: one per distinct
+// flood, keyed by content, and the identity aliases that point at them.
+func FloodCache(p *Proto) (entries, aliases int) {
+	p.floods.Range(func(any, any) bool { entries++; return true })
+	p.aliases.Range(func(any, any) bool { aliases++; return true })
+	return entries, aliases
+}

@@ -307,11 +307,12 @@ func (m *Machine) deliverComplete(p *CompletePayload, from int, out *sim.Outbox)
 }
 
 // floodKey identifies a COMPLETE payload's content by the identity of its
-// (immutable, relay-shared) entry slice, so the flood summary is computed
-// once per distinct flood rather than once per delivered copy — and, via
-// the Proto's shared cache, once per run rather than once per receiver.
-// Two payloads sharing the same backing array and origin differ at most in
-// their tag, which the cached summary records and floodInfo compares.
+// (immutable, relay-shared) entry slice: in one process every relayed copy
+// of a flood shares its origin's slice, so an identity hit finds the
+// flood's summary without hashing its entries. Two payloads sharing the
+// same backing array and origin differ at most in their tag, which the
+// cached summary records and floodInfo compares. A copy decoded off the
+// wire has a slice of its own and always misses.
 type floodKey struct {
 	origin int
 	first  *ValEntry
@@ -319,29 +320,47 @@ type floodKey struct {
 }
 
 // floodInfo returns the shared summary of p's content, computing it on
-// first sight of the flood in this run.
+// first sight of the flood in this run. The cache holds one entry per
+// distinct flood, keyed by content — origin, tag and entries, the
+// contentKey registerComplete already compares — and one identity alias
+// per flood, made at that first sight. A miss on the alias (a decoded
+// copy, or the same entries under another tag) looks the flood up by
+// content and adds nothing, so the cache grows with floods, not with
+// deliveries. A content hit is reused only once its tag and entries
+// compare equal to p's — O(entries), the order of the hash itself — so a
+// copy whose digest collides with a cached flood's, which a Byzantine
+// sender may craft, never takes that flood's values: it is summarized per
+// delivery, and the slot stays with the first.
 func (m *Machine) floodInfo(p *CompletePayload) *floodInfo {
 	var first *ValEntry
 	if len(p.Entries) > 0 {
 		first = &p.Entries[0]
 	}
 	fk := floodKey{origin: p.Origin, first: first, n: len(p.Entries)}
-	if v, ok := m.proto.floods.Load(fk); ok {
+	if v, ok := m.proto.aliases.Load(fk); ok {
 		if info := v.(*floodInfo); info.tag == p.Tag {
 			return info
 		}
-		// The same entries under another tag (a Byzantine relay's doing):
-		// summarized per delivery, the cache slot stays with the first.
-		return m.plan.newFloodInfo(p)
+	}
+	key := p.contentKey()
+	if v, ok := m.proto.floods.Load(key); ok {
+		if info := v.(*floodInfo); info.holds(p) {
+			return info
+		}
+		return m.plan.newFloodInfo(p, key)
 	}
 	// LoadOrStore, not Store: machines on different cluster event loops
 	// may race to summarize the same flood. The summary is a pure function
 	// of the payload content, so whichever instance wins the race is
 	// equivalent — LoadOrStore just keeps one canonical pointer in the map.
-	info := m.plan.newFloodInfo(p)
-	if v, loaded := m.proto.floods.LoadOrStore(fk, info); loaded && v.(*floodInfo).tag == p.Tag {
-		return v.(*floodInfo)
+	info := m.plan.newFloodInfo(p, key)
+	if v, loaded := m.proto.floods.LoadOrStore(key, info); loaded {
+		if prior := v.(*floodInfo); prior.holds(p) {
+			return prior
+		}
+		return info
 	}
+	m.proto.aliases.LoadOrStore(fk, info)
 	return info
 }
 

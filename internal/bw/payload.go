@@ -70,7 +70,9 @@ func (CompletePayload) Kind() string { return "COMPLETE" }
 // sets can hold thousands of entries and arrive over many paths, so full
 // canonical comparison per receipt dominated profiles; a collision would
 // require two distinct Byzantine message sets hashing identically in both
-// lanes, which is negligible at simulation scale.
+// lanes, which is negligible at simulation scale. The digest is unkeyed,
+// so the shared flood cache does not trust it alone: a cache hit is
+// reused only once its entries compare equal (Machine.floodInfo).
 type contentKey struct {
 	origin int
 	h1, h2 uint64
@@ -114,6 +116,18 @@ type floodInfo struct {
 	// which no honest origin floods: receivers drop the message.
 	finite bool
 	values []originValue // init node -> unique value (Definition 8), ascending by node
+	// entries is the summarized flood's (immutable) entry slice, which
+	// holds compares a cache hit against.
+	entries []ValEntry
+}
+
+// holds reports whether c carries exactly the summarized flood's tag and
+// entries, values compared bit for bit as contentKey hashes them. The
+// origin is part of the cache key.
+func (info *floodInfo) holds(c *CompletePayload) bool {
+	return info.tag == c.Tag && slices.EqualFunc(info.entries, c.Entries, func(a, b ValEntry) bool {
+		return a.Entry == b.Entry && math.Float64bits(a.Value) == math.Float64bits(b.Value)
+	})
 }
 
 type originValue struct {
@@ -124,13 +138,15 @@ type originValue struct {
 // finite reports whether x is neither NaN nor infinite.
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
-func (pl *plan) newFloodInfo(c *CompletePayload) *floodInfo {
+// newFloodInfo summarizes c, whose contentKey is key.
+func (pl *plan) newFloodInfo(c *CompletePayload, key contentKey) *floodInfo {
 	info := &floodInfo{
-		key:        c.contentKey(),
+		key:        key,
 		tag:        c.Tag,
 		tagIdx:     pl.tagIndex(&c.Tag),
 		consistent: true,
 		finite:     true,
+		entries:    c.Entries,
 	}
 	// An entry's initial node is the head of the path it names in the
 	// origin's table; an id that names none makes the set inconsistent.

@@ -32,15 +32,18 @@ type Proto struct {
 	plan     *plan
 
 	// floods caches the content digest and per-origin values of each
-	// distinct COMPLETE flood of the current run, keyed by the identity of
-	// its immutable, relay-shared entry slice (floodKey). The cache lives on
-	// the shared Proto rather than per machine: hashing a flood's content
-	// costs O(total key bytes), and with per-machine caches every receiver
-	// paid it again — an O(n^4)-byte bill that dominated large-graph
-	// profiles. sync.Map because cluster runtimes invoke machines from
-	// concurrent node loops; the deterministic simulator is single-threaded
-	// and pays only the map overhead.
-	floods sync.Map // floodKey -> *floodInfo
+	// distinct COMPLETE flood of the current run, keyed by its content;
+	// aliases maps the identity of a flood's immutable, relay-shared entry
+	// slice (floodKey) to the same summary, so a copy sharing the slice
+	// skips the hash (see Machine.floodInfo). The cache lives on the shared
+	// Proto rather than per machine: hashing a flood's content costs
+	// O(total key bytes), and with per-machine caches every receiver paid
+	// it again — an O(n^4)-byte bill that dominated large-graph profiles.
+	// sync.Map because cluster runtimes invoke machines from concurrent
+	// node loops; the deterministic simulator is single-threaded and pays
+	// only the map overhead.
+	floods  sync.Map // contentKey -> *floodInfo
+	aliases sync.Map // floodKey -> *floodInfo
 }
 
 // DefaultPathBudget bounds per-node redundant path enumeration.

@@ -27,7 +27,6 @@ import (
 	"repro/internal/linkfault"
 	"repro/internal/node"
 	"repro/internal/sim"
-	"repro/internal/wire"
 )
 
 // Spec describes one materialized cluster run.
@@ -39,9 +38,9 @@ type Spec struct {
 	// Honest is the set of vertices whose outputs the run waits for.
 	Honest graph.Set
 	// LinkFaults, when non-nil, applies per-edge Byzantine link failures on
-	// every node's send path: frames may be dropped, duplicated, or delayed
-	// by Fate.Delay milliseconds before entering the transport — the same
-	// rule set the simulator enforces at its pool boundary.
+	// every node's send path: each message may be dropped, duplicated, or
+	// delayed by Fate.Delay milliseconds before it joins a frame — the same
+	// per-message rule set the simulator enforces at its pool boundary.
 	LinkFaults *linkfault.Set
 	// Observer, when non-nil, receives every node's runtime events. It is
 	// shared across concurrent node loops and must be goroutine-safe.
@@ -60,10 +59,13 @@ type Outcome struct {
 	// Decided reports whether all of them did before shutdown.
 	Outputs map[int]float64
 	Decided bool
-	// Deliveries and Sent aggregate the per-node counters; ByKind breaks
-	// sends down per payload kind.
+	// Deliveries, Sent and Frames aggregate the per-node counters: messages
+	// delivered, messages sent and frames written (one frame carries a
+	// burst's messages to one destination). ByKind breaks sends down per
+	// payload kind.
 	Deliveries int
 	Sent       int
+	Frames     int
 	ByKind     map[string]int
 	// Histories holds per-round values of honest nodes whose machines
 	// record them.
@@ -91,7 +93,7 @@ func RunLoopback(ctx context.Context, spec Spec) (*Outcome, error) {
 // and each directed edge becomes one TCP connection dialed by the sender
 // (a Mux fleet carrying instance 0, see tcp.go).
 func RunTCP(ctx context.Context, spec Spec) (*Outcome, error) {
-	return run(ctx, spec, medium{name: "tcp", listen: listenTCP})
+	return run(ctx, spec, medium{name: "tcp", listen: listenTCP, dial: dialTCP})
 }
 
 // Runtimes lists the available cluster transports.
@@ -164,12 +166,13 @@ func run(ctx context.Context, spec Spec, md medium) (*Outcome, error) {
 	nodes := make([]*node.Node, n)
 	for i := 0; i < n; i++ {
 		nd, err := node.New(node.Config{
-			ID:       i,
-			Graph:    spec.Graph,
-			Handler:  spec.Handlers[i],
-			Out:      FaultyOutbound(fl[i].mux, spec.LinkFaults, i),
-			Observer: spec.Observer,
-			OnDecide: func(id int, x float64) { decisions <- decision{id, x} },
+			ID:         i,
+			Graph:      spec.Graph,
+			Handler:    spec.Handlers[i],
+			Out:        fl[i].mux,
+			LinkFaults: spec.LinkFaults,
+			Observer:   spec.Observer,
+			OnDecide:   func(id int, x float64) { decisions <- decision{id, x} },
 		})
 		if err != nil {
 			return nil, err
@@ -247,6 +250,7 @@ collect:
 		st := nd.Stats()
 		out.Deliveries += st.Delivered
 		out.Sent += st.Sent
+		out.Frames += st.Frames
 		for k, c := range st.ByKind {
 			out.ByKind[k] += c
 		}
@@ -281,56 +285,6 @@ type historyProvider interface{ History() []float64 }
 
 // vectorProvider mirrors the simulator's decision-vector hook.
 type vectorProvider interface{ Vector() map[int]float64 }
-
-// FaultyOutbound wraps vertex from's outbound with the link-fault rule
-// set: each frame's fate (drop, duplicate, delay in milliseconds) is drawn
-// from the set's seeded per-edge streams before the frame reaches the
-// transport. A nil set returns out unchanged. Exported so the service
-// daemon enforces the same rules, per instance, as the in-process harness.
-func FaultyOutbound(out node.Outbound, set *linkfault.Set, from int) node.Outbound {
-	if set == nil {
-		return out
-	}
-	return &faultyOutbound{inner: out, set: set, from: from}
-}
-
-type faultyOutbound struct {
-	inner node.Outbound
-	set   *linkfault.Set
-	from  int
-}
-
-func (o *faultyOutbound) Send(to int, frame []byte) error {
-	fate := o.set.Next(o.from, to)
-	// Each Send transfers ownership of its slice (the transport releases
-	// frames to the pool after transmission), so every copy but the last
-	// immediate one — and every delayed copy, whose timer outlives this
-	// call — must be a clone, never the shared original. An original that
-	// no copy consumed (dropped, or all copies delayed) is released here.
-	consumed := false
-	for i := 0; i < fate.Copies; i++ {
-		f := frame
-		if fate.Delay > 0 || i < fate.Copies-1 {
-			f = append([]byte(nil), frame...)
-		} else {
-			consumed = true
-		}
-		if fate.Delay > 0 {
-			// Fire-and-forget: a delayed frame that lands after shutdown is
-			// dropped by the closed transport queues, exactly like a message
-			// still in flight when a run ends.
-			time.AfterFunc(time.Duration(fate.Delay)*time.Millisecond, func() { _ = o.inner.Send(to, f) })
-			continue
-		}
-		if err := o.inner.Send(to, f); err != nil {
-			return err
-		}
-	}
-	if !consumed {
-		wire.PutBuf(frame)
-	}
-	return nil
-}
 
 // SortedIDs returns the outcome's decided vertex ids in order (a rendering
 // helper for CLIs).

@@ -125,11 +125,11 @@ func TestTwoNodeIntegration(t *testing.T) {
 			if out.Runtime != name {
 				t.Fatalf("runtime = %q", out.Runtime)
 			}
-			// Every frame a node sent was either accepted by a per-edge queue
-			// or shed by one at shutdown: the queue accounting is wired end to
-			// end.
-			if q := out.Queue; q.Enqueued <= 0 || q.Enqueued+q.Shed != int64(out.Sent) {
-				t.Fatalf("queue accounting %+v does not add up to %d sent frames", q, out.Sent)
+			// Every frame a node wrote was either accepted by a per-edge
+			// queue or shed by one at shutdown: the queue accounting is wired
+			// end to end.
+			if q := out.Queue; q.Enqueued <= 0 || q.Enqueued+q.Shed != int64(out.Frames) {
+				t.Fatalf("queue accounting %+v does not add up to %d written frames", q, out.Frames)
 			}
 		})
 	}

@@ -25,8 +25,48 @@ type medium struct {
 	dial   func(ctx context.Context, addr string) (net.Conn, error)
 }
 
-// listenTCP binds an ephemeral localhost port.
-func listenTCP() (net.Listener, error) { return net.Listen("tcp", "127.0.0.1:0") }
+// listenTCP binds an ephemeral localhost port whose connections close
+// abortively (see abortOnClose).
+func listenTCP() (net.Listener, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	return abortListener{ln}, nil
+}
+
+// dialTCP dials a peer's listener; the connection closes abortively.
+func dialTCP(ctx context.Context, addr string) (net.Conn, error) {
+	var d net.Dialer
+	c, err := d.DialContext(ctx, "tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	abortOnClose(c)
+	return c, nil
+}
+
+// abortOnClose makes closing c reset the connection rather than shut it
+// down gracefully. A one-shot fleet is torn down only once its run is
+// over, so nothing still in flight is needed, and a graceful close leaves
+// a TIME_WAIT socket behind for every edge: at tens of runs per second the
+// kernel's table of them fills, and every later connect on the host slows.
+func abortOnClose(c net.Conn) {
+	if tc, ok := c.(*net.TCPConn); ok {
+		_ = tc.SetLinger(0) // best effort: a graceful close is still correct
+	}
+}
+
+// abortListener is a listener whose accepted connections close abortively.
+type abortListener struct{ net.Listener }
+
+func (l abortListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		abortOnClose(c)
+	}
+	return c, err
+}
 
 // oneShot is one vertex of a one-shot run: its Mux and the node whose
 // inbox the Mux's readers feed.

@@ -14,10 +14,12 @@ import (
 var scaleSizes = []int{8, 32, 128, 512, 1024, 2048, 4096}
 
 // scaleLoopbackMaxBW bounds the BW loopback rows. Paths travel as entry
-// ids, but on the cycle the COMPLETE flood is ~n² frames of O(n) entries
-// each (261 632 at n = 512), and a live fleet holds much of it in flight
-// at once: scale-bw-cycle-512 on loopback took 12.8 s and a 7.6 GB peak
-// RSS on a 2-CPU, 8 GB host, against 1.4 s on the simulator. Larger BW
+// ids, but on the cycle the COMPLETE flood is ~n² messages of O(n)
+// entries each (261 632 at n = 512), and a live fleet holds much of it in
+// flight at once: scale-bw-cycle-512 on loopback took 12.8 s and a 7.6 GB
+// peak RSS on a 2-CPU, 8 GB host, against 1.4 s on the simulator, and
+// bundling a burst's messages into one frame per destination left it
+// above 4.5 GB (the bytes are the entries, not the frames). Larger BW
 // cells run on the simulator only and the report says so — no silent
 // truncation.
 const scaleLoopbackMaxBW = 128
@@ -88,7 +90,7 @@ func scale(seed int64, maxN int) Suite {
 			label := fmt.Sprintf("bw cycle n=%d f=0", n)
 			if n > scaleLoopbackMaxBW {
 				add(bw, 0, label, Converges, repro.RuntimeSim)
-				su.Notes = append(su.Notes, fmt.Sprintf("scale-bw-cycle-%d on loopback: a live fleet holds ~n² COMPLETE frames of O(n) entries in flight (n=512: 7.6 GB peak RSS); n > %d is simulator-only", n, scaleLoopbackMaxBW))
+				su.Notes = append(su.Notes, fmt.Sprintf("scale-bw-cycle-%d on loopback: a live fleet holds ~n² COMPLETE messages of O(n) entries in flight (n=512: over 4.5 GB peak RSS); n > %d is simulator-only", n, scaleLoopbackMaxBW))
 			} else {
 				add(bw, 0, label, Converges, repro.RuntimeSim, repro.RuntimeLoopback)
 			}

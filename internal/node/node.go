@@ -8,21 +8,33 @@
 // preserves per-peer order — the FIFO links the protocols assume); the loop
 // decodes each frame with the wire codec, enforces the reliable-link model
 // (the claimed sender must match the link the frame arrived on, and the
-// edge must exist), invokes the handler, and transmits everything the
-// handler sent through the Outbound. Handlers therefore keep the exact
-// concurrency contract they have in the simulator: one invocation at a
-// time, with sends collected per invocation. The one-shot runtimes run one
-// such loop per vertex (Run); the service tier keeps the contract without the
-// goroutine by calling the loop's two halves, Start and Deliver, from
-// whichever goroutine holds an instance's mailbox (internal/service).
+// edge must exist), invokes the handler once per message the frame
+// carries, and transmits everything the handler sent through the Outbound.
+// Handlers therefore keep the exact concurrency contract they have in the
+// simulator: one invocation at a time, with sends collected per
+// invocation. The one-shot runtimes run one such loop per vertex (Run);
+// the service tier keeps the contract without the goroutine by calling the
+// loop's two halves, Start and Deliver, from whichever goroutine holds an
+// instance's mailbox (internal/service).
+//
+// Sends leave in bundles: the node holds every handler invocation's sends
+// per destination and flushes one frame per destination (wire.AppendFrame)
+// at the end of each burst — Start, one inbox slab in Run, one frame in
+// Deliver. Link faults are drawn per message before a message is held, as
+// the simulator draws them per message at its pool boundary: a dropped
+// message is never held, a duplicated one is held twice, and a delayed copy
+// leaves later in a frame of its own.
 package node
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/graph"
+	"repro/internal/linkfault"
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -110,12 +122,15 @@ type Config struct {
 	Handler sim.Handler
 	// Out transmits this node's traffic.
 	Out Outbound
-	// Encode appends an outbound message's wire frame body to dst (a pooled
-	// buffer the node hands in) and returns the extended slice. Nil means
-	// wire.AppendMessage (instance 0 — the single-shot runtimes). The
-	// service tier supplies a per-instance encoder that stamps the
-	// instance id into every frame the machine emits.
-	Encode func(dst []byte, m transport.Message) ([]byte, error)
+	// Inst is the consensus instance stamped into every frame the node
+	// sends: 0 in the single-shot runtimes, the instance id in the service
+	// tier.
+	Inst uint64
+	// LinkFaults, when non-nil, applies the per-edge Byzantine link-failure
+	// rules to every message the node sends: each message's fate (drop,
+	// duplicate, delay by Fate.Delay milliseconds) is drawn from the set's
+	// seeded per-edge streams before the message joins a frame.
+	LinkFaults *linkfault.Set
 	// Observer, when non-nil, receives this node's runtime events
 	// (deliveries and per-round value snapshots). In a cluster one observer
 	// is typically shared by every node and is then invoked from concurrent
@@ -133,13 +148,18 @@ type Config struct {
 
 // Stats counts a node's runtime traffic.
 type Stats struct {
-	// Delivered is the number of frames decoded and handed to the handler.
+	// Delivered is the number of messages decoded and handed to the
+	// handler; Sent is the number of messages the handler sent, counted
+	// before link faults; Frames is the number of frames handed to the
+	// Outbound (a delayed copy counts when it is scheduled). A frame
+	// carries one or more messages of one link, so Frames <= Sent on a
+	// link without duplication.
 	Delivered int
-	// Sent is the number of frames transmitted.
-	Sent int
+	Sent      int
+	Frames    int
 	// Malformed counts inbound frames the codec rejected; Spoofed counts
-	// well-formed frames whose claimed sender or edge did not match the
-	// link they arrived on. Both are dropped.
+	// the messages of well-formed frames whose claimed sender or edge did
+	// not match the link they arrived on. Both are dropped.
 	Malformed int
 	Spoofed   int
 	// ByKind counts sent messages per payload kind, like the simulator's
@@ -160,9 +180,19 @@ type Node struct {
 	decided   bool
 	seen      int // rounds already streamed to the observer
 	// out collects one handler invocation's sends; the event loop owns it,
-	// resets it before each delivery and has transmitted everything in it
-	// before the next.
-	out  *sim.Outbox
+	// resets it before each delivery and has held everything in it before
+	// the next.
+	out *sim.Outbox
+	// outs are the node's out-neighbours, ascending; held[i] are the sends
+	// to outs[i] not yet flushed, in send order, and dirty lists the
+	// positions holding any, in first-hold order. Indexing by out-neighbour
+	// position, not by vertex, keeps the state at the node's degree on
+	// thousand-vertex fleets.
+	outs  []int
+	held  [][]transport.Message
+	dirty []int
+	// in is the decode buffer of the frame being delivered.
+	in   []transport.Message
 	done chan struct{}
 }
 
@@ -186,13 +216,13 @@ func New(cfg Config) (*Node, error) {
 	if cfg.InboxCap == 0 {
 		cfg.InboxCap = 256
 	}
-	if cfg.Encode == nil {
-		cfg.Encode = wire.AppendMessage
-	}
+	outs := cfg.Graph.Out(cfg.ID)
 	return &Node{
 		cfg:   cfg,
 		stats: Stats{ByKind: make(map[string]int)},
 		out:   sim.NewCollector(cfg.ID, cfg.Graph),
+		outs:  outs,
+		held:  make([][]transport.Message, len(outs)),
 		done:  make(chan struct{}),
 	}, nil
 }
@@ -232,22 +262,28 @@ func (n *Node) PushBatch(ctx context.Context, slab []Inbound) bool {
 func (n *Node) Done() <-chan struct{} { return n.done }
 
 // Start is the first half of Run: it starts the handler and transmits its
-// opening sends. A caller that drives the machine itself instead of running
-// the loop (the service tier's runners) calls Start once, then Deliver one
-// frame at a time, never concurrently and never alongside Run.
+// opening sends, one frame per destination. A caller that drives the
+// machine itself instead of running the loop (the service tier's runners)
+// calls Start once, then Deliver one frame at a time, never concurrently
+// and never alongside Run.
 func (n *Node) Start() error {
 	n.cfg.Handler.Start(n.out)
 	if err := n.transmit(n.out.Messages()); err != nil {
+		return err
+	}
+	if err := n.flush(); err != nil {
 		return err
 	}
 	n.observeProgress()
 	return nil
 }
 
-// Run executes the node's event loop: Start the handler, then Deliver
-// inbound frames until ctx is cancelled. Cancellation is the normal
-// shutdown path and returns nil; Run only errors when the outbound
-// transport fails, which on reliable links means the run is unsalvageable.
+// Run executes the node's event loop: Start the handler, then deliver
+// inbound slabs until ctx is cancelled, holding the sends of a slab's
+// deliveries and flushing them, one frame per destination, once the slab
+// is done. Cancellation is the normal shutdown path and returns nil; Run
+// only errors when the outbound transport fails, which on reliable links
+// means the run is unsalvageable.
 //
 // Run must be called exactly once. After it returns, Output and Stats are
 // safe to read from any goroutine.
@@ -269,13 +305,14 @@ func (n *Node) Run(ctx context.Context) error {
 	}
 }
 
-// deliverSlab drains one inbox slab through Deliver and recycles the slab.
-// On a delivery error (outbound transport failure) the remaining frames
-// are released — Deliver already released the failing frame's buffer — so
-// pool accounting stays balanced on the unsalvageable-run path too.
+// deliverSlab delivers one inbox slab, flushes the sends it produced — one
+// frame per destination for the whole slab — and recycles the slab. On an
+// error (outbound transport failure) the remaining frames are released —
+// deliver already released the failing frame's buffer — so pool
+// accounting stays balanced on the unsalvageable-run path too.
 func (n *Node) deliverSlab(slab []Inbound) error {
 	for i := range slab {
-		if err := n.Deliver(slab[i]); err != nil {
+		if err := n.deliver(slab[i]); err != nil {
 			for _, rest := range slab[i+1:] {
 				wire.PutBuf(rest.Frame)
 			}
@@ -284,15 +321,27 @@ func (n *Node) deliverSlab(slab []Inbound) error {
 		}
 	}
 	PutSlab(slab)
-	return nil
+	return n.flush()
 }
 
-// Deliver decodes, validates and hands one frame to the handler, then
-// transmits the handler's response traffic. Ownership of in.Frame transfers
-// with the call, error or not; the only error is an outbound transport
-// failure (see Run) — a malformed or forged frame is counted and dropped.
+// Deliver decodes, validates and hands one frame's messages to the
+// handler, then flushes the sends they produced, one frame per
+// destination, before it returns: the service tier's per-frame entry.
+// Ownership of in.Frame transfers with the call, error or not; the only
+// error is an outbound transport failure (see Run) — a malformed or forged
+// frame is counted and dropped.
 func (n *Node) Deliver(in Inbound) error {
-	m, err := wire.DecodeMessage(in.Frame)
+	if err := n.deliver(in); err != nil {
+		return err
+	}
+	return n.flush()
+}
+
+// deliver hands one frame's messages to the handler, one invocation each,
+// and holds each invocation's sends for the caller's flush.
+func (n *Node) deliver(in Inbound) error {
+	var err error
+	_, n.in, err = wire.DecodeFrame(in.Frame, n.in[:0])
 	// The decode copies every payload field out of the frame, so the node —
 	// the frame's final owner — releases the buffer to the pool right here,
 	// malformed or not.
@@ -304,45 +353,106 @@ func (n *Node) Deliver(in Inbound) error {
 	// Reliable-link model: the receiver learns the true sender. A frame
 	// claiming a different From than the connection it arrived on, a wrong
 	// destination, or a non-edge is forged and dropped — the same guarantee
-	// the simulator enforces by stamping From in the Outbox.
-	if m.From != in.From || m.To != n.cfg.ID || !n.cfg.Graph.HasEdge(m.From, m.To) {
-		n.stats.Spoofed++
+	// the simulator enforces by stamping From in the Outbox. Every message
+	// of a frame shares its header, so the check is once per frame.
+	if m := n.in[0]; m.From != in.From || m.To != n.cfg.ID || !n.cfg.Graph.HasEdge(m.From, m.To) {
+		n.stats.Spoofed += len(n.in)
 		return nil
 	}
-	n.steps++
-	n.stats.Delivered++
-	m.Seq = uint64(n.steps) // node-local delivery order, for observability
-	if n.cfg.Observer != nil {
-		n.cfg.Observer.Observe(sim.Event{Type: sim.EventDeliver, Step: n.steps, Message: m})
+	for _, m := range n.in {
+		n.steps++
+		n.stats.Delivered++
+		m.Seq = uint64(n.steps) // node-local delivery order, for observability
+		if n.cfg.Observer != nil {
+			n.cfg.Observer.Observe(sim.Event{Type: sim.EventDeliver, Step: n.steps, Message: m})
+		}
+		n.out.Reset()
+		n.cfg.Handler.Deliver(m, n.out)
+		if err := n.transmit(n.out.Messages()); err != nil {
+			return err
+		}
+		n.observeProgress()
 	}
-	n.out.Reset()
-	n.cfg.Handler.Deliver(m, n.out)
-	if err := n.transmit(n.out.Messages()); err != nil {
-		return err
-	}
-	n.observeProgress()
 	return nil
 }
 
-// transmit encodes and sends a handler invocation's collected messages.
-// Each frame is encoded into a pooled buffer whose ownership travels with
-// the Send; the transport releases it after transmission.
+// transmit draws the link fate of each of a handler invocation's sends and
+// holds its copies for the next flush: a dropped message is never held, a
+// duplicated one is held once per copy, and a delayed copy is encoded now
+// into a frame of its own that leaves when the delay ends.
 func (n *Node) transmit(msgs []transport.Message) error {
-	for _, m := range msgs {
-		frame, err := n.cfg.Encode(wire.GetBuf(), m)
-		if err != nil {
-			wire.PutBuf(frame)
-			// A payload the codec cannot carry is a programming error in the
-			// protocol/codec pairing, not a runtime condition.
-			return fmt.Errorf("node %d: %w", n.cfg.ID, err)
-		}
-		if err := n.cfg.Out.Send(m.To, frame); err != nil {
-			return fmt.Errorf("node %d: send to %d: %w", n.cfg.ID, m.To, err)
-		}
+	for k := range msgs {
+		m := &msgs[k]
 		n.stats.Sent++
 		n.stats.ByKind[m.Payload.Kind()]++
+		fate := linkfault.Fate{Copies: 1}
+		if n.cfg.LinkFaults != nil {
+			fate = n.cfg.LinkFaults.Next(n.cfg.ID, m.To)
+		}
+		for range fate.Copies {
+			if fate.Delay <= 0 {
+				n.hold(m)
+			} else if err := n.sendLater(*m, time.Duration(fate.Delay)*time.Millisecond); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
+}
+
+// hold queues m for the next flush, behind the sends already held for its
+// destination.
+func (n *Node) hold(m *transport.Message) {
+	// The Outbox admits sends over out-edges only, so m.To is found.
+	i, _ := slices.BinarySearch(n.outs, m.To)
+	if len(n.held[i]) == 0 {
+		n.dirty = append(n.dirty, i)
+	}
+	n.held[i] = append(n.held[i], *m)
+}
+
+// sendLater encodes m into a frame of its own, in a pooled buffer whose
+// ownership travels with the Send, and hands it to the Outbound once delay
+// has passed. A delayed frame is fire-and-forget: one that lands after
+// shutdown is dropped by the closed transport, exactly like a message
+// still in flight when a run ends.
+func (n *Node) sendLater(m transport.Message, delay time.Duration) error {
+	frame, err := wire.AppendInstanceMessage(wire.GetBuf(), n.cfg.Inst, m)
+	if err != nil {
+		// A payload the codec cannot carry is a programming error in the
+		// protocol/codec pairing, not a runtime condition.
+		return fmt.Errorf("node %d: %w", n.cfg.ID, err)
+	}
+	n.stats.Frames++
+	out, to := n.cfg.Out, m.To
+	time.AfterFunc(delay, func() { _ = out.Send(to, frame) })
+	return nil
+}
+
+// flush transmits the held sends: one frame per destination, split only
+// where a bundle would pass wire.MaxFrame. Everything held is gone
+// afterwards, sent or not (the lists keep their backing arrays, and with
+// them at most one burst's payloads per destination, for the next burst).
+func (n *Node) flush() error {
+	var err error
+	for _, i := range n.dirty {
+		for rest := n.held[i]; len(rest) > 0 && err == nil; {
+			var frame []byte
+			var k int
+			if frame, k, err = wire.AppendFrame(wire.GetBuf(), n.cfg.Inst, rest); err != nil {
+				err = fmt.Errorf("node %d: %w", n.cfg.ID, err)
+				break
+			}
+			rest = rest[k:]
+			n.stats.Frames++
+			if err = n.cfg.Out.Send(n.outs[i], frame); err != nil {
+				err = fmt.Errorf("node %d: send to %d: %w", n.cfg.ID, n.outs[i], err)
+			}
+		}
+		n.held[i] = n.held[i][:0]
+	}
+	n.dirty = n.dirty[:0]
+	return err
 }
 
 // historyProvider is implemented by machines that record per-round values.

@@ -329,28 +329,18 @@ func TestNodeOutboundFailureStopsRun(t *testing.T) {
 	}
 }
 
-// TestNodeInstanceEncode pins the service tier's encode hook: a node
-// configured with a per-instance encoder stamps the instance id into every
-// frame it transmits, while the default remains instance 0.
+// TestNodeInstanceEncode pins the instance stamp: a node configured with
+// an instance id stamps it into every frame it transmits, while the
+// default remains instance 0.
 func TestNodeInstanceEncode(t *testing.T) {
 	g := graph.Clique(2)
-	const inst = uint64(4242)
-	for _, tc := range []struct {
-		name   string
-		encode func([]byte, transport.Message) ([]byte, error)
-		want   uint64
-	}{
-		{"default", nil, 0},
-		{"stamped", func(dst []byte, m transport.Message) ([]byte, error) {
-			return wire.AppendInstanceMessage(dst, inst, m)
-		}, inst},
-	} {
+	for _, inst := range []uint64{0, 4242} {
 		h, err := iterative.NewMachine(g, 0, 0, 2, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out := &memOut{}
-		n, err := node.New(node.Config{ID: 0, Graph: g, Handler: h, Out: out, Encode: tc.encode})
+		n, err := node.New(node.Config{ID: 0, Graph: g, Handler: h, Out: out, Inst: inst})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -358,15 +348,15 @@ func TestNodeInstanceEncode(t *testing.T) {
 		stop()
 		sent := out.sent()
 		if len(sent) == 0 {
-			t.Fatalf("%s: no start traffic", tc.name)
+			t.Fatalf("inst %d: no start traffic", inst)
 		}
 		for _, f := range sent {
-			got, _, err := wire.DecodeInstanceMessage(f.frame)
+			got, _, err := wire.DecodeFrame(f.frame, nil)
 			if err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
+				t.Fatalf("inst %d: %v", inst, err)
 			}
-			if got != tc.want {
-				t.Fatalf("%s: frame stamped with instance %d, want %d", tc.name, got, tc.want)
+			if got != inst {
+				t.Fatalf("frame stamped with instance %d, want %d", got, inst)
 			}
 		}
 	}

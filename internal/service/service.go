@@ -503,11 +503,10 @@ func (d *Daemon) open(inst uint64, protocol string, local bool) error {
 		Handler: h,
 		// The Mux is the outbound: blocking bounded sends, so an instance's
 		// runner feels peer backpressure directly.
-		Out: cluster.FaultyOutbound(d.mux, links, d.cfg.ID),
-		Encode: func(dst []byte, m transport.Message) ([]byte, error) {
-			return wire.AppendInstanceMessage(dst, inst, m)
-		},
-		OnDecide: func(int, float64) { d.onDecide(ins) },
+		Out:        d.mux,
+		Inst:       inst,
+		LinkFaults: links,
+		OnDecide:   func(int, float64) { d.onDecide(ins) },
 	})
 	if err != nil {
 		return refuse(err)

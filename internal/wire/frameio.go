@@ -5,7 +5,7 @@ package wire
 // a Mux dispatcher — is a []byte whose ownership travels with it: the
 // sender allocates from GetBuf, each hand-off transfers ownership, and the
 // final consumer releases with PutBuf once the bytes are dead (for inbound
-// frames that is immediately after DecodeMessage, which copies every
+// frames that is immediately after DecodeFrame, which copies every
 // payload field out of the buffer). Nobody may retain a frame after
 // releasing it, and nobody may release a frame twice; see DESIGN.md
 // ("live-tier hot path") for the full ownership rules.
@@ -42,7 +42,7 @@ const (
 // the buffer this processor released last — still in its cache — and takes
 // no lock; another P's stack is raided only when the local one is empty.
 // Both properties are load-bearing. Every frame crosses the pool four times
-// (transmit, peer writer, FrameReader, deliver) from every goroutine of
+// (flush, peer writer, FrameReader, deliver) from every goroutine of
 // every in-process daemon, so one shared structure — a buffered channel was
 // measured — costs a fifth of the live tier's CPU in its lock; and a FIFO,
 // or a lock-free structure without locality, hands an 18-byte frame the
@@ -133,7 +133,7 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // Next reads one frame body — the primitive NextBatch is built on; live
 // readers call NextBatch. The returned slice is pooled: ownership
 // transfers to the caller, who must release it with PutBuf once done with
-// the bytes (DecodeMessage copies every payload field out, so releasing
+// the bytes (DecodeFrame copies every payload field out, so releasing
 // immediately after a decode is safe) — or hand it on to a consumer that
 // will. io.EOF at a frame boundary is io.EOF; a stream cut mid-frame is
 // io.ErrUnexpectedEOF.

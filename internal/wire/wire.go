@@ -10,19 +10,30 @@
 // A frame on a stream is a 4-byte big-endian body length followed by the
 // body. A body is:
 //
-//	byte    version (currently 6)
+//	byte    version (currently 7)
 //	uvarint instance id (0 for single-shot runs)
 //	uvarint from
 //	uvarint to
-//	byte    payload type (one of the type* constants)
-//	...     payload-specific fields
+//	uvarint count (at least 1)
+//	count times, in send order:
+//	  byte  payload type (one of the type* constants)
+//	  ...   payload-specific fields
+//
+// A frame carries one or more consecutive messages of one link (from, to)
+// of one instance: a live node sends one frame per destination per
+// delivery burst, so a link's run of messages shares one header and one
+// trip through the transport. The paper's links are reliable, FIFO and
+// sender-authenticated, so bundling a link's consecutive messages changes
+// nothing a protocol can observe. An Open never shares a frame: a
+// multi-message frame holding one is malformed.
 //
 // The instance id multiplexes many concurrent consensus instances over one
 // persistent connection — the service tier's pipelining unit. One-shot
-// runs (cluster.RunTCP) encode and accept instance 0 via
-// AppendMessage/DecodeMessage; the service daemon stamps
-// per-instance ids with EncodeInstanceMessage and routes inbound frames by
-// PeekFrame without paying a full decode.
+// runs (cluster.RunTCP) encode and accept instance 0; the service daemon
+// stamps per-instance ids and routes inbound frames by PeekFrame without
+// paying a full decode. AppendInstanceMessage writes a one-message frame
+// and DecodeInstanceMessage reads one; AppendFrame writes a link's run of
+// messages and DecodeFrame reads every message of a frame.
 //
 // Integers are unsigned varints, floats are IEEE-754 bits in big-endian
 // order, byte strings are uvarint-length-prefixed. No path is spelled out:
@@ -72,8 +83,10 @@ import (
 // entry ids; a version-4 peer would read an id as a path length. Version 6
 // did the same for the crash-fault flood's CRASH-VAL path, the last path
 // the codec spelled out; a version-5 peer would read the id as a path
-// length.
-const Version = 6
+// length. Version 7 put a message count after the header, so one frame
+// carries a run of one link's messages; a version-6 peer would read the
+// count as a payload type.
+const Version = 7
 
 // MaxFrame bounds a frame body: AppendRawFrame refuses to write a larger
 // one and FrameReader rejects larger length prefixes before allocating, so
@@ -136,23 +149,89 @@ func EncodeInstanceMessage(inst uint64, m transport.Message) ([]byte, error) {
 	return AppendInstanceMessage(nil, inst, m)
 }
 
-// AppendMessage appends m's instance-0 frame body to dst and returns the
-// extended slice.
-func AppendMessage(dst []byte, m transport.Message) ([]byte, error) {
-	return AppendInstanceMessage(dst, 0, m)
-}
-
-// AppendInstanceMessage appends m's frame body under the given instance id
-// to dst and returns the extended slice.
+// AppendInstanceMessage appends a frame body carrying m alone, under the
+// given instance id, to dst and returns the extended slice.
 func AppendInstanceMessage(dst []byte, inst uint64, m transport.Message) ([]byte, error) {
 	if m.From < 0 || m.To < 0 {
 		return nil, fmt.Errorf("wire: negative node id in %d->%d", m.From, m.To)
 	}
+	dst = appendHeader(dst, inst, m.From, m.To)
+	dst = append(dst, 1)
+	return appendPayload(dst, m.Payload, m.From, m.To)
+}
+
+// AppendFrame appends one frame body under the given instance id carrying
+// the longest prefix of msgs that fits MaxFrame — always at least one
+// message — in order, and returns the extended slice and the number of
+// messages it carries; a caller sends the rest in further frames. Every
+// message must travel the link of msgs[0], and an Open travels alone.
+func AppendFrame(dst []byte, inst uint64, msgs []transport.Message) ([]byte, int, error) {
+	if len(msgs) == 0 {
+		return nil, 0, fmt.Errorf("wire: a frame carries at least one message")
+	}
+	from, to := msgs[0].From, msgs[0].To
+	if from < 0 || to < 0 {
+		return nil, 0, fmt.Errorf("wire: negative node id in %d->%d", from, to)
+	}
+	start := len(dst)
+	dst = appendHeader(dst, inst, from, to)
+	// The count is written as one byte and widened once it is known: runs
+	// of 128 messages or more are rare enough to pay one copy. A body that
+	// passes MaxFrame less the widening's few bytes ends the frame.
+	countAt := len(dst)
+	dst = append(dst, 0)
+	n := 0
+	for i := range msgs {
+		m := &msgs[i]
+		if m.From != from || m.To != to {
+			return nil, 0, fmt.Errorf("wire: message %d->%d in a frame of link %d->%d", m.From, m.To, from, to)
+		}
+		if len(msgs) > 1 {
+			if _, open := m.Payload.(Open); open {
+				return nil, 0, fmt.Errorf("wire: an open announcement cannot share a frame")
+			}
+		}
+		end := len(dst)
+		var err error
+		if dst, err = appendPayload(dst, m.Payload, from, to); err != nil {
+			return nil, 0, err
+		}
+		if n > 0 && len(dst)-start > MaxFrame-binary.MaxVarintLen32 {
+			dst = dst[:end]
+			break
+		}
+		n++
+	}
+	if w := uvarintLen(uint64(n)); w > 1 {
+		end := len(dst)
+		dst = append(dst, make([]byte, w-1)...)
+		copy(dst[countAt+w:], dst[countAt+1:end])
+	}
+	binary.PutUvarint(dst[countAt:], uint64(n))
+	return dst, n, nil
+}
+
+// uvarintLen is the encoded width of v.
+func uvarintLen(v uint64) int {
+	w := 1
+	for ; v >= 0x80; v >>= 7 {
+		w++
+	}
+	return w
+}
+
+// appendHeader appends a frame's version and link header.
+func appendHeader(dst []byte, inst uint64, from, to int) []byte {
 	dst = append(dst, Version)
 	dst = appendUint(dst, inst)
-	dst = appendUint(dst, uint64(m.From))
-	dst = appendUint(dst, uint64(m.To))
-	switch p := m.Payload.(type) {
+	dst = appendUint(dst, uint64(from))
+	return appendUint(dst, uint64(to))
+}
+
+// appendPayload appends one payload: its type tag and its fields. from and
+// to only name the message in errors.
+func appendPayload(dst []byte, payload transport.Payload, from, to int) ([]byte, error) {
+	switch p := payload.(type) {
 	case bw.ValPayload:
 		if p.Entry < 0 {
 			return nil, fmt.Errorf("wire: bw val with negative entry %d", p.Entry)
@@ -228,9 +307,9 @@ func AppendInstanceMessage(dst []byte, inst uint64, m transport.Message) ([]byte
 		dst = append(dst, typeOpen)
 		dst = appendBytes(dst, []byte(p.Protocol))
 	case nil:
-		return nil, fmt.Errorf("wire: message %d->%d has no payload", m.From, m.To)
+		return nil, fmt.Errorf("wire: message %d->%d has no payload", from, to)
 	default:
-		return nil, fmt.Errorf("wire: unencodable payload type %T (kind %q)", m.Payload, m.Payload.Kind())
+		return nil, fmt.Errorf("wire: unencodable payload type %T (kind %q)", payload, payload.Kind())
 	}
 	return dst, nil
 }
@@ -260,33 +339,91 @@ func appendContent(dst []byte, c rbc.Content) ([]byte, error) {
 	}
 }
 
-// DecodeMessage parses one frame body produced by EncodeMessage,
+// DecodeMessage parses a one-message frame body produced by EncodeMessage,
 // discarding the instance id (single-shot consumers run exactly one
 // instance, so every frame that reaches them is theirs by construction —
-// the service daemon routes by instance before any node decodes). Trailing
-// bytes after the payload are an error: a frame carries exactly one
-// message.
+// the service daemon routes by instance before any node decodes).
 func DecodeMessage(data []byte) (transport.Message, error) {
 	_, m, err := DecodeInstanceMessage(data)
 	return m, err
 }
 
-// DecodeInstanceMessage parses one frame body and returns the consensus
-// instance it belongs to alongside the message.
+// DecodeInstanceMessage parses a frame body that carries exactly one
+// message and returns the consensus instance it belongs to alongside the
+// message. A frame of several messages is an error here; DecodeFrame reads
+// those.
 func DecodeInstanceMessage(data []byte) (uint64, transport.Message, error) {
 	d := decoder{buf: data}
-	var m transport.Message
+	inst, from, to, n := d.header()
+	if d.err == nil && n != 1 {
+		d.fail("frame carries %d messages, want 1", n)
+	}
+	m := transport.Message{From: from, To: to, Payload: d.payload()}
+	if err := d.finish(); err != nil {
+		return 0, transport.Message{}, err
+	}
+	return inst, m, nil
+}
+
+// DecodeFrame parses one frame body and appends every message it carries,
+// in order, to dst; it returns the instance id and the extended slice. On
+// error dst comes back at its original length. Every payload field is
+// copied out of data, so the caller may release the frame right after.
+func DecodeFrame(data []byte, dst []transport.Message) (uint64, []transport.Message, error) {
+	d := decoder{buf: data}
+	inst, from, to, n := d.header()
+	keep := len(dst)
+	for i := 0; i < n && d.err == nil; i++ {
+		p := d.payload()
+		if n > 1 {
+			if _, open := p.(Open); open {
+				d.fail("open announcement in a frame of %d messages", n)
+			}
+		}
+		dst = append(dst, transport.Message{From: from, To: to, Payload: p})
+	}
+	if err := d.finish(); err != nil {
+		clear(dst[keep:])
+		return 0, dst[:keep], err
+	}
+	return inst, dst, nil
+}
+
+// header decodes a frame's version and link header and its message count.
+// Every payload takes at least its type byte, so a count past the bytes
+// left fails here rather than in a long loop.
+func (d *decoder) header() (inst uint64, from, to, count int) {
 	version := d.byte()
 	if d.err == nil && version != Version {
-		return 0, m, fmt.Errorf("wire: unsupported version %d (this build speaks %d)", version, Version)
+		d.err = fmt.Errorf("wire: unsupported version %d (this build speaks %d)", version, Version)
 	}
-	inst := d.uint()
-	m.From = d.intVal()
-	m.To = d.intVal()
-	kind := d.byte()
-	switch kind {
+	inst = d.uint()
+	from = d.intVal()
+	to = d.intVal()
+	count = d.count(len(d.buf) - d.off)
+	if d.err == nil && count == 0 {
+		d.fail("frame carries no message")
+	}
+	return inst, from, to, count
+}
+
+// finish reports the first decode failure, or trailing bytes after the
+// last payload: a frame carries exactly its counted messages.
+func (d *decoder) finish() error {
+	if d.err != nil {
+		return d.err
+	}
+	if len(d.buf) != d.off {
+		return fmt.Errorf("wire: %d trailing bytes after payload", len(d.buf)-d.off)
+	}
+	return nil
+}
+
+// payload decodes one payload: its type tag and its fields.
+func (d *decoder) payload() transport.Payload {
+	switch kind := d.byte(); kind {
 	case typeBWVal:
-		m.Payload = bw.ValPayload{Round: d.intVal(), Value: d.float(), Entry: d.entry()}
+		return bw.ValPayload{Round: d.intVal(), Value: d.float(), Entry: d.entry()}
 	case typeBWComplete:
 		p := bw.CompletePayload{
 			Round:  d.intVal(),
@@ -302,51 +439,43 @@ func DecodeInstanceMessage(data []byte) (uint64, transport.Message, error) {
 			}
 		}
 		p.Entry = d.entry()
-		m.Payload = p
+		return p
 	case typeCrashVal:
-		m.Payload = crashapprox.ValPayload{Round: d.intVal(), Value: d.float(), Entry: d.entry()}
+		return crashapprox.ValPayload{Round: d.intVal(), Value: d.float(), Entry: d.entry()}
 	case typeIterVal:
-		m.Payload = iterative.ValPayload{Round: d.intVal(), Value: d.float()}
+		return iterative.ValPayload{Round: d.intVal(), Value: d.float()}
 	case typeRBC:
 		p := rbc.Msg{Phase: rbc.Phase(d.byte())}
 		if d.err == nil && (p.Phase < rbc.PhaseInit || p.Phase > rbc.PhaseReady) {
-			return 0, m, fmt.Errorf("wire: rbc frame with phase %d", int(p.Phase))
+			d.fail("rbc frame with phase %d", int(p.Phase))
 		}
 		p.Origin = d.intVal()
 		p.Tag = string(d.bytes(maxTagLen))
 		p.Content = d.content()
-		m.Payload = p
+		return p
 	case typeABA:
 		p := aba.Msg{Phase: aba.Phase(d.byte())}
 		if d.err == nil && (p.Phase < aba.PhaseBval || p.Phase > aba.PhaseDone) {
-			return 0, m, fmt.Errorf("wire: aba frame with phase %d", int(p.Phase))
+			d.fail("aba frame with phase %d", int(p.Phase))
 		}
 		p.Inst = d.intVal()
 		p.Round = d.intVal()
 		v := d.byte()
 		if d.err == nil && v > 1 {
-			return 0, m, fmt.Errorf("wire: aba frame with value %d", v)
+			d.fail("aba frame with value %d", v)
 		}
 		p.Value = int(v)
-		m.Payload = p
+		return p
 	case typeOpen:
 		p := Open{Protocol: string(d.bytes(maxTagLen))}
 		if d.err == nil && p.Protocol == "" {
-			return 0, m, fmt.Errorf("wire: open frame with empty protocol")
+			d.fail("open frame with empty protocol")
 		}
-		m.Payload = p
+		return p
 	default:
-		if d.err == nil {
-			return 0, m, fmt.Errorf("wire: unknown payload type %d", kind)
-		}
+		d.fail("unknown payload type %d", kind)
+		return nil
 	}
-	if d.err != nil {
-		return 0, transport.Message{}, d.err
-	}
-	if len(d.buf) != d.off {
-		return 0, transport.Message{}, fmt.Errorf("wire: %d trailing bytes after payload", len(d.buf)-d.off)
-	}
-	return inst, m, nil
 }
 
 // FrameInfo is the routing header of one frame — everything a multiplexing
@@ -368,21 +497,22 @@ type FrameInfo struct {
 }
 
 // PeekFrame decodes only a frame body's routing header: version check,
-// instance id, endpoints and whether it is an Open announcement. The
-// service daemon's per-connection readers route every inbound frame
-// through this — a handful of varints — and leave the full payload decode
-// to the one instance event loop that consumes the frame.
+// instance id, endpoints, the message count and whether the frame is an
+// Open announcement — the first payload's type byte. The service daemon's
+// per-connection readers route every inbound frame through this — a
+// handful of varints — and leave the full payload decode to the one
+// instance event loop that consumes the frame. A multi-message frame that
+// opens with an Open fails here; one that hides an Open further in fails
+// the full decode.
 func PeekFrame(data []byte) (FrameInfo, error) {
 	d := decoder{buf: data}
 	var info FrameInfo
-	version := d.byte()
-	if d.err == nil && version != Version {
-		return info, fmt.Errorf("wire: unsupported version %d (this build speaks %d)", version, Version)
-	}
-	info.Inst = d.uint()
-	info.From = d.intVal()
-	info.To = d.intVal()
+	var n int
+	info.Inst, info.From, info.To, n = d.header()
 	info.Open = d.byte() == typeOpen
+	if d.err == nil && info.Open && n > 1 {
+		d.fail("open announcement in a frame of %d messages", n)
+	}
 	if d.err != nil {
 		return FrameInfo{}, d.err
 	}

@@ -148,6 +148,22 @@ func TestDecodeRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// frame builds a body on valid's link header (version, instance 0, from
+	// 0, to 1: one byte each) with the given count byte and payload bytes.
+	const countAt = 4
+	frame := func(count byte, payloads ...[]byte) []byte {
+		f := append(append([]byte(nil), valid[:countAt]...), count)
+		for _, p := range payloads {
+			f = append(f, p...)
+		}
+		return f
+	}
+	val := valid[countAt+1:]
+	openFrame, err := wire.EncodeMessage(transport.Message{From: 0, To: 1, Payload: wire.Open{Protocol: "acs"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := openFrame[countAt+1:]
 	cases := []struct {
 		name string
 		data []byte
@@ -155,9 +171,19 @@ func TestDecodeRejects(t *testing.T) {
 	}{
 		{"empty", nil, "truncated"},
 		{"bad version", append([]byte{99}, valid[1:]...), "unsupported version"},
-		{"unknown payload type", []byte{wire.Version, 0, 0, 1, 200}, "unknown payload type"},
+		{"unknown payload type", []byte{wire.Version, 0, 0, 1, 1, 200}, "unknown payload type"},
 		{"trailing bytes", append(append([]byte(nil), valid...), 0xAA), "trailing"},
 		{"truncated payload", valid[:len(valid)-3], "truncated"},
+		// The frame shape's own rejections: a count of zero, a count that
+		// runs past the body, an Open sharing a frame (first or later), and
+		// bytes after the last counted payload.
+		{"count 0", frame(0), "no message"},
+		{"count 0 with a payload", frame(0, val), "no message"},
+		{"count past the body", frame(3, val, val), "truncated"},
+		{"count past the bytes left", frame(0x7f, val), "exceeds cap"},
+		{"open after a message", frame(2, val, open), "open announcement"},
+		{"open before a message", frame(2, open, val), "open announcement"},
+		{"multi-message trailing bytes", frame(2, val, val, []byte{0xAA}), "trailing"},
 	}
 	for name, h := range badEntryFrames {
 		cases = append(cases, struct {
@@ -167,9 +193,25 @@ func TestDecodeRejects(t *testing.T) {
 		}{name, mustHex(t, h), "out of range"})
 	}
 	for _, tc := range cases {
-		if _, err := wire.DecodeMessage(tc.data); err == nil || !strings.Contains(err.Error(), tc.want) {
+		keep := []transport.Message{sampleMessages()[7]}
+		_, got, err := wire.DecodeFrame(tc.data, keep)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: want error containing %q, got %v", tc.name, tc.want, err)
 		}
+		if len(got) != 1 {
+			t.Errorf("%s: a failed decode left %d messages in dst, want the 1 it held", tc.name, len(got))
+		}
+		if _, err := wire.DecodeMessage(tc.data); err == nil {
+			t.Errorf("%s: DecodeMessage accepted the frame", tc.name)
+		}
+	}
+	// A well-formed frame of two messages is DecodeFrame's, not
+	// DecodeMessage's: the one-message decode reads exactly one.
+	if _, err := wire.DecodeMessage(frame(2, val, val)); err == nil || !strings.Contains(err.Error(), "want 1") {
+		t.Errorf("two-message frame: want DecodeMessage to refuse it, got %v", err)
+	}
+	if _, err := wire.PeekFrame(frame(2, open, val)); err == nil {
+		t.Error("PeekFrame routed a multi-message frame led by an Open")
 	}
 }
 
@@ -177,14 +219,14 @@ func TestDecodeRejects(t *testing.T) {
 // BW VAL's and a CRASH-VAL's id at 2^31, at uint32(-1) and at int64(-1) as
 // uvarints, and a COMPLETE's entry, then its propagation path, at 2^31.
 var badEntryFrames = map[string]string{
-	"val entry 2^31":             "0600000101014004000000000000" + "8080808008",
-	"val entry uint32(-1)":       "0600000101014004000000000000" + "ffffffff0f",
-	"val entry int64(-1)":        "0600000101014004000000000000" + "ffffffffffffffffff01",
-	"crash val entry 2^31":       "0600000103014004000000000000" + "8080808008",
-	"crash val entry uint32(-1)": "0600000103014004000000000000" + "ffffffff0f",
-	"crash val entry int64(-1)":  "0600000103014004000000000000" + "ffffffffffffffffff01",
-	"complete entry 2^31":        "06000102020301090001" + "8080808008" + "bff4000000000000" + "00",
-	"complete path entry 2^31":   "06000102020301090001" + "00" + "bff4000000000000" + "8080808008",
+	"val entry 2^31":             "070000010101014004000000000000" + "8080808008",
+	"val entry uint32(-1)":       "070000010101014004000000000000" + "ffffffff0f",
+	"val entry int64(-1)":        "070000010101014004000000000000" + "ffffffffffffffffff01",
+	"crash val entry 2^31":       "070000010103014004000000000000" + "8080808008",
+	"crash val entry uint32(-1)": "070000010103014004000000000000" + "ffffffff0f",
+	"crash val entry int64(-1)":  "070000010103014004000000000000" + "ffffffffffffffffff01",
+	"complete entry 2^31":        "0700010201020301090001" + "8080808008" + "bff4000000000000" + "00",
+	"complete path entry 2^31":   "0700010201020301090001" + "00" + "bff4000000000000" + "8080808008",
 }
 
 // mustHex decodes a hand-written frame.
@@ -247,7 +289,7 @@ type fakePayload struct{}
 func (fakePayload) Kind() string { return "FAKE" }
 
 // TestGoldenWireVectors pins the exact on-wire bytes of one representative
-// message per payload type at codec version 6, including instance-stamped
+// message per payload type at codec version 7, including instance-stamped
 // frames (the service tier's multiplexing header) and path-table entry ids
 // at 0, at a one- and a two-byte varint and at the largest int32. These are a
 // compatibility contract: any codec change that alters them is a wire
@@ -260,38 +302,38 @@ func TestGoldenWireVectors(t *testing.T) {
 		hex  string
 	}{
 		{0, transport.Message{From: 0, To: 1, Payload: bw.ValPayload{Round: 1, Value: 2.5, Entry: 0}},
-			"060000010101400400000000000000"},
+			"07000001010101400400000000000000"},
 		{0, transport.Message{From: 3, To: 7, Payload: bw.ValPayload{Round: 12, Value: -1, Entry: math.MaxInt32}},
-			"06000307010c" + "bff0000000000000" + "ffffffff07"},
+			"0700030701010c" + "bff0000000000000" + "ffffffff07"},
 		{0, transport.Message{From: 1, To: 2, Payload: bw.CompletePayload{
 			Round: 3, Origin: 1, Seq: 9, Tag: graph.SetOf(2, 5),
 			Entries: []bw.ValEntry{{Value: -1.25, Entry: 0}, {Value: 7, Entry: 300}},
 			Entry:   4,
-		}}, "060001020203010902020502" + "00bff4000000000000" + "ac02401c000000000000" + "04"},
+		}}, "07000102010203010902020502" + "00bff4000000000000" + "ac02401c000000000000" + "04"},
 		{0, transport.Message{From: 2, To: 0, Payload: bw.CompletePayload{
 			Round: 1, Origin: 2, Seq: 1, Tag: graph.EmptySet,
 			Entries: []bw.ValEntry{{Value: 0.5, Entry: math.MaxInt32}},
 			Entry:   math.MaxInt32,
-		}}, "06000200020102010001" + "ffffffff073fe0000000000000" + "ffffffff07"},
+		}}, "0700020001020102010001" + "ffffffff073fe0000000000000" + "ffffffff07"},
 		{0, transport.Message{From: 0, To: 3, Payload: crashapprox.ValPayload{Round: 2, Value: 0.125, Entry: 5}},
-			"0600000303023fc0000000000000" + "05"},
+			"070000030103023fc0000000000000" + "05"},
 		{0, transport.Message{From: 9, To: 8, Payload: iterative.ValPayload{Round: 4, Value: -3}},
-			"060009080404c008000000000000"},
+			"07000908010404c008000000000000"},
 		{0, transport.Message{From: 0, To: 1, Payload: rbc.Msg{Phase: rbc.PhaseInit, Origin: 0, Tag: "acs/v", Content: rbc.Num(1.5)}},
-			"06000001050100056163732f76013ff8000000000000"},
+			"0700000101050100056163732f76013ff8000000000000"},
 		{0, transport.Message{From: 1, To: 2, Payload: rbc.Msg{Phase: rbc.PhaseEcho, Origin: 0, Tag: "r2/report",
 			Content: aad.Report{{Origin: 0, Value: 1}, {Origin: 2, Value: -2.5}}}},
-			"060001020502000972322f7265706f72740202003ff000000000000002c004000000000000"},
+			"07000102010502000972322f7265706f72740202003ff000000000000002c004000000000000"},
 		{0, transport.Message{From: 0, To: 1, Payload: aba.Msg{Inst: 0, Round: 1, Phase: aba.PhaseBval, Value: 1}},
-			"060000010601000101"},
+			"07000001010601000101"},
 		{5, transport.Message{From: 2, To: 3, Payload: aba.Msg{Inst: 5, Round: 130, Phase: aba.PhaseAux, Value: 0}},
-			"06050203060205820100"},
+			"0705020301060205820100"},
 		{0, transport.Message{From: 3, To: 0, Payload: aba.Msg{Inst: 2, Round: 0, Phase: aba.PhaseDone, Value: 1}},
-			"060003000603020001"},
+			"07000300010603020001"},
 		{7, transport.Message{From: 0, To: 1, Payload: wire.Open{Protocol: "acs"}},
-			"060700010703616373"},
+			"07070001010703616373"},
 		{300, transport.Message{From: 4, To: 6, Payload: iterative.ValPayload{Round: 2, Value: 0.5}},
-			"06ac02040604023fe0000000000000"},
+			"07ac0204060104023fe0000000000000"},
 	}
 	for _, v := range vectors {
 		kind := v.msg.Payload.Kind()
@@ -327,6 +369,134 @@ func TestGoldenWireVectors(t *testing.T) {
 		if info.Inst != v.inst || info.From != v.msg.From || info.To != v.msg.To || info.Open != isOpen {
 			t.Errorf("%s: peek = %+v, want inst %d from %d to %d open %v",
 				kind, info, v.inst, v.msg.From, v.msg.To, isOpen)
+		}
+	}
+}
+
+// TestGoldenFrameVector pins a frame of several messages: one header, the
+// count, then each payload exactly as its one-message frame carries it.
+func TestGoldenFrameVector(t *testing.T) {
+	msgs := []transport.Message{
+		{From: 3, To: 7, Payload: bw.ValPayload{Round: 12, Value: -1, Entry: math.MaxInt32}},
+		{From: 3, To: 7, Payload: iterative.ValPayload{Round: 2, Value: 0.5}},
+		{From: 3, To: 7, Payload: aba.Msg{Inst: 5, Round: 130, Phase: aba.PhaseAux, Value: 0}},
+	}
+	const want = "07" + "ac02" + "0307" + "03" +
+		"010c" + "bff0000000000000" + "ffffffff07" +
+		"04023fe0000000000000" +
+		"0602058201" + "00"
+	got, n, err := wire.AppendFrame(nil, 300, msgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(msgs) || hex.EncodeToString(got) != want {
+		t.Fatalf("frame of %d messages = %x, want %d messages in %s", n, got, len(msgs), want)
+	}
+	inst, back, err := wire.DecodeFrame(got, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inst != 300 || len(back) != len(msgs) {
+		t.Fatalf("decoded instance %d and %d messages", inst, len(back))
+	}
+	for i := range msgs {
+		if !equalMessage(msgs[i], back[i]) {
+			t.Errorf("message %d decoded as %#v", i, back[i])
+		}
+	}
+	info, err := wire.PeekFrame(got)
+	if err != nil || info != (wire.FrameInfo{Inst: 300, From: 3, To: 7}) {
+		t.Errorf("peek = %+v, %v", info, err)
+	}
+}
+
+// TestAppendFrame pins the bundling encoder: a run of one link's messages
+// round-trips in order at every count, including counts whose varint takes
+// two bytes; a one-message frame is byte-identical to
+// AppendInstanceMessage's; and it refuses a mixed link or a shared Open.
+func TestAppendFrame(t *testing.T) {
+	base := sampleMessages()
+	for _, count := range []int{1, 2, 127, 128, 300} {
+		msgs := make([]transport.Message, count)
+		for i := range msgs {
+			msgs[i] = base[i%13] // every non-Open sample
+			msgs[i].From, msgs[i].To = 4, 9
+		}
+		prefix := []byte("keep")
+		body, n, err := wire.AppendFrame(append([]byte(nil), prefix...), 77, msgs)
+		if err != nil {
+			t.Fatalf("count %d: %v", count, err)
+		}
+		if n != count || !bytes.HasPrefix(body, prefix) {
+			t.Fatalf("count %d: wrote %d messages, prefix kept %v", count, n, bytes.HasPrefix(body, prefix))
+		}
+		body = body[len(prefix):]
+		inst, back, err := wire.DecodeFrame(body, nil)
+		if err != nil {
+			t.Fatalf("count %d: decode: %v", count, err)
+		}
+		if inst != 77 || len(back) != count {
+			t.Fatalf("count %d: decoded instance %d and %d messages", count, inst, len(back))
+		}
+		for i := range msgs {
+			if !equalMessage(msgs[i], back[i]) {
+				t.Fatalf("count %d: message %d decoded as %#v", count, i, back[i])
+			}
+		}
+		if count == 1 {
+			single, err := wire.EncodeInstanceMessage(77, msgs[0])
+			if err != nil || !bytes.Equal(single, body) {
+				t.Fatalf("one-message frame %x, AppendInstanceMessage %x (%v)", body, single, err)
+			}
+		}
+	}
+	mixed := []transport.Message{base[0], base[1]}
+	if _, _, err := wire.AppendFrame(nil, 0, mixed); err == nil {
+		t.Error("encoded messages of two links into one frame")
+	}
+	open := transport.Message{From: 0, To: 1, Payload: wire.Open{Protocol: "acs"}}
+	if _, _, err := wire.AppendFrame(nil, 0, []transport.Message{base[0], open}); err == nil {
+		t.Error("encoded an Open into a shared frame")
+	}
+	if _, _, err := wire.AppendFrame(nil, 0, nil); err == nil {
+		t.Error("encoded a frame of no message")
+	}
+}
+
+// TestAppendFrameSplitsAtMaxFrame: a run of messages larger than MaxFrame
+// leaves in several frames, each within the bound and together carrying
+// the run in order.
+func TestAppendFrameSplitsAtMaxFrame(t *testing.T) {
+	entries := make([]bw.ValEntry, 1<<15)
+	for i := range entries {
+		entries[i] = bw.ValEntry{Entry: int32(i), Value: float64(i)}
+	}
+	var msgs []transport.Message
+	for seq := 1; seq <= 50; seq++ {
+		msgs = append(msgs, transport.Message{From: 1, To: 2, Payload: bw.CompletePayload{
+			Round: 1, Origin: 1, Seq: seq, Entries: entries}})
+	}
+	var got []transport.Message
+	frames := 0
+	for rest := msgs; len(rest) > 0; frames++ {
+		body, n, err := wire.AppendFrame(nil, 0, rest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(body) > wire.MaxFrame || n < 1 {
+			t.Fatalf("frame %d: %d bytes carrying %d messages", frames, len(body), n)
+		}
+		if _, got, err = wire.DecodeFrame(body, got); err != nil {
+			t.Fatal(err)
+		}
+		rest = rest[n:]
+	}
+	if frames < 2 || len(got) != len(msgs) {
+		t.Fatalf("%d messages left in %d frames", len(got), frames)
+	}
+	for i := range msgs {
+		if got[i].Payload.(bw.CompletePayload).Seq != i+1 {
+			t.Fatalf("message %d out of order", i)
 		}
 	}
 }
@@ -400,11 +570,6 @@ func TestPeekFrameRejects(t *testing.T) {
 	}
 }
 
-// FuzzWireRoundTrip feeds arbitrary bytes to the decoder. Whatever decodes
-// must re-encode, and the re-encoded form must be canonical: decoding and
-// encoding it again reproduces the same bytes (idempotence). The seed
-// corpus is every sample message's real encoding, so the fuzzer starts on
-// the valid-format manifold instead of random headers.
 // nonCanonicalReportFrames returns the golden r2/report frame (origins 0,
 // 2) rewritten with its origins out of order (2, 0) and repeated (0, 0):
 // one byte each, with the count, the values and every other field intact.
@@ -412,8 +577,8 @@ func nonCanonicalReportFrames(tb testing.TB) [][]byte {
 	tb.Helper()
 	var frames [][]byte
 	for _, h := range []string{
-		"060001020502000972322f7265706f72740202023ff000000000000000c004000000000000",
-		"060001020502000972322f7265706f72740202003ff000000000000000c004000000000000",
+		"07000102010502000972322f7265706f72740202023ff000000000000000c004000000000000",
+		"07000102010502000972322f7265706f72740202003ff000000000000000c004000000000000",
 	} {
 		frame, err := hex.DecodeString(h)
 		if err != nil {
@@ -464,6 +629,13 @@ func TestWireDecodeReportAllocBudget(t *testing.T) {
 	}
 }
 
+// FuzzWireRoundTrip feeds arbitrary bytes to the decoders. Whatever
+// decodes must re-encode, and the re-encoded form must be canonical:
+// decoding and encoding it again reproduces the same bytes (idempotence).
+// The one-message decode accepts exactly the frames of one message, and
+// the routing peek agrees with the full decode. The seed corpus is every
+// sample message's real encoding and a few multi-message frames, so the
+// fuzzer starts on the valid-format manifold instead of random headers.
 func FuzzWireRoundTrip(f *testing.F) {
 	for i, m := range sampleMessages() {
 		// Seed across the instance-id widths so the fuzzer starts with
@@ -480,23 +652,44 @@ func FuzzWireRoundTrip(f *testing.F) {
 	for _, h := range badEntryFrames {
 		f.Add(mustHex(f, h))
 	}
+	// Multi-message frames: a run of every non-Open payload on one link, a
+	// pair, and a run long enough for a two-byte count.
+	for i, count := range []int{13, 2, 130} {
+		msgs := make([]transport.Message, count)
+		for j := range msgs {
+			msgs[j] = sampleMessages()[j%13]
+			msgs[j].From, msgs[j].To = 2, 3
+		}
+		body, _, err := wire.AppendFrame(nil, uint64(i)*1000, msgs)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		inst, m, err := wire.DecodeInstanceMessage(data)
+		inst, msgs, err := wire.DecodeFrame(data, nil)
+		_, single, singleErr := wire.DecodeInstanceMessage(data)
+		if (singleErr == nil) != (err == nil && len(msgs) == 1) {
+			t.Fatalf("one-message decode (%v) disagrees with the frame decode (%d messages, %v)", singleErr, len(msgs), err)
+		}
 		if err != nil {
 			return // malformed input rejected: fine
 		}
-		canon, err := wire.EncodeInstanceMessage(inst, m)
-		if err != nil {
-			t.Fatalf("decoded message fails to encode: %v\nmessage: %#v", err, m)
+		if len(msgs) == 1 && !equalMessage(single, msgs[0]) {
+			t.Fatalf("one-message decode %#v, frame decode %#v", single, msgs[0])
 		}
-		inst2, m2, err := wire.DecodeInstanceMessage(canon)
+		canon, n, err := wire.AppendFrame(nil, inst, msgs)
+		if err != nil || n != len(msgs) {
+			t.Fatalf("decoded frame fails to encode (%d of %d messages): %v\nmessages: %#v", n, len(msgs), err, msgs)
+		}
+		inst2, msgs2, err := wire.DecodeFrame(canon, nil)
 		if err != nil {
 			t.Fatalf("canonical form fails to decode: %v\nbytes: %x", err, canon)
 		}
 		if inst2 != inst {
 			t.Fatalf("instance id changed across round trip: %d -> %d", inst, inst2)
 		}
-		canon2, err := wire.EncodeInstanceMessage(inst2, m2)
+		canon2, _, err := wire.AppendFrame(nil, inst2, msgs2)
 		if err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
@@ -509,7 +702,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decodable frame fails to peek: %v\nbytes: %x", err, data)
 		}
-		_, isOpen := m.Payload.(wire.Open)
+		_, isOpen := msgs[0].Payload.(wire.Open)
+		m := msgs[0]
 		if info.Inst != inst || info.From != m.From || info.To != m.To || info.Open != isOpen {
 			t.Fatalf("peek disagrees with decode: %+v vs inst %d %#v", info, inst, m)
 		}
