@@ -67,60 +67,47 @@ func (s Scenario) RunOnObserved(ctx context.Context, runtime string, obs Observe
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
 	}
-	inputs, opts, spec, err := s.clusterSpec()
+	a, err := s.arm()
 	if err != nil {
 		return nil, err
 	}
-	spec.Observer = obs
-	outcome, err := run(ctx, spec)
+	handlers, err := a.machines(a.opts.Seed)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{
+	links, err := a.links(a.opts.Seed)
+	if err != nil {
+		return nil, err
+	}
+	outcome, err := run(ctx, cluster.Spec{Graph: a.g, Handlers: handlers, Honest: a.honest, LinkFaults: links, Observer: obs})
+	if err != nil {
+		return nil, err
+	}
+	return a.result(&Result{
 		Outputs:      outcome.Outputs,
-		Honest:       spec.Honest,
 		Decided:      outcome.Decided,
 		Steps:        outcome.Deliveries,
 		MessagesSent: outcome.Sent,
 		ByKind:       outcome.ByKind,
-		Histories:    outcome.Histories,
-		Vectors:      outcome.Vectors,
-		LinkStats:    linkStats(spec.LinkFaults),
-	}
-	res.finish(inputs, opts.Eps)
-	return res, nil
+	}, handlers, links), nil
 }
 
-// clusterSpec validates the scenario for live execution and materializes
-// its inputs, normalized options and handler set.
-func (s Scenario) clusterSpec() ([]float64, Options, cluster.Spec, error) {
-	var zero cluster.Spec
+// arm resolves the scenario for a live runtime, refusing the knobs that
+// only mean something on the simulator: what RunOn and InstanceFactory
+// arm their machines from.
+func (s Scenario) arm() (*armed, error) {
 	if err := s.validateForCluster(); err != nil {
-		return nil, Options{}, zero, err
+		return nil, err
 	}
 	g, inputs, err := s.Materialize()
 	if err != nil {
-		return nil, Options{}, zero, err
+		return nil, err
 	}
 	build, err := ProtocolBuilder(s.Protocol)
 	if err != nil {
-		return nil, Options{}, zero, err
+		return nil, err
 	}
-	opts := s.options()
-	opts.normalize(inputs)
-	factory, err := build(g, inputs, opts)
-	if err != nil {
-		return nil, Options{}, zero, err
-	}
-	handlers, honest, err := buildHandlers(g, inputs, opts, factory)
-	if err != nil {
-		return nil, Options{}, zero, err
-	}
-	links, err := buildLinkFaults(g, opts)
-	if err != nil {
-		return nil, Options{}, zero, err
-	}
-	return inputs, opts, cluster.Spec{Graph: g, Handlers: handlers, Honest: honest, LinkFaults: links}, nil
+	return arm(g, inputs, s.options(), build)
 }
 
 // validateForCluster rejects, eagerly and by name, the scenario knobs that

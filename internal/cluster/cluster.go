@@ -45,12 +45,10 @@ type Spec struct {
 	// Observer, when non-nil, receives every node's runtime events. It is
 	// shared across concurrent node loops and must be goroutine-safe.
 	Observer sim.Observer
-	// Timeout bounds the run when ctx carries no deadline (default 60s). A
-	// run that times out returns the partial outcome with Decided false.
-	Timeout time.Duration
 }
 
-// DefaultTimeout caps a run whose context has no deadline.
+// DefaultTimeout caps a run whose context has no deadline. A run that
+// times out returns the partial outcome with Decided false.
 const DefaultTimeout = 60 * time.Second
 
 // Outcome reports a cluster run.
@@ -67,12 +65,6 @@ type Outcome struct {
 	Sent       int
 	Frames     int
 	ByKind     map[string]int
-	// Histories holds per-round values of honest nodes whose machines
-	// record them.
-	Histories map[int][]float64
-	// Vectors holds the decision vectors of honest nodes whose machines
-	// decide vectors (the exact tier's ACS).
-	Vectors map[int]map[int]float64
 	// Queue aggregates the transport's bounded per-edge queue accounting:
 	// backpressure waits, shed frames and the depth high-water mark.
 	Queue QueueStats
@@ -150,12 +142,8 @@ func run(ctx context.Context, spec Spec, md medium) (*Outcome, error) {
 	}
 	defer fl.stop()
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		timeout := spec.Timeout
-		if timeout <= 0 {
-			timeout = DefaultTimeout
-		}
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
+		ctx, cancel = context.WithTimeout(ctx, DefaultTimeout)
 		defer cancel()
 	}
 	runCtx, cancelRun := context.WithCancel(ctx)
@@ -238,31 +226,19 @@ collect:
 	}
 
 	out := &Outcome{
-		Outputs:   outputs,
-		Decided:   decided == want,
-		ByKind:    make(map[string]int),
-		Histories: make(map[int][]float64),
-		Vectors:   make(map[int]map[int]float64),
-		Queue:     fl.queueStats(),
-		Runtime:   md.name,
+		Outputs: outputs,
+		Decided: decided == want,
+		ByKind:  make(map[string]int),
+		Queue:   fl.queueStats(),
+		Runtime: md.name,
 	}
-	for i, nd := range nodes {
+	for _, nd := range nodes {
 		st := nd.Stats()
 		out.Deliveries += st.Delivered
 		out.Sent += st.Sent
 		out.Frames += st.Frames
 		for k, c := range st.ByKind {
 			out.ByKind[k] += c
-		}
-		if spec.Honest.Has(i) {
-			if hp, ok := nd.Handler().(historyProvider); ok {
-				out.Histories[i] = hp.History()
-			}
-			if vp, ok := nd.Handler().(vectorProvider); ok {
-				if vec := vp.Vector(); vec != nil {
-					out.Vectors[i] = vec
-				}
-			}
 		}
 	}
 	for _, err := range runErrs {
@@ -279,12 +255,6 @@ collect:
 	}
 	return out, nil
 }
-
-// historyProvider mirrors the simulator's per-round history hook.
-type historyProvider interface{ History() []float64 }
-
-// vectorProvider mirrors the simulator's decision-vector hook.
-type vectorProvider interface{ Vector() map[int]float64 }
 
 // SortedIDs returns the outcome's decided vertex ids in order (a rendering
 // helper for CLIs).

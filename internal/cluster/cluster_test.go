@@ -51,7 +51,8 @@ func checkAgreement(t *testing.T, out *cluster.Outcome, want int, eps float64) {
 }
 
 func TestLoopbackIterativeClique(t *testing.T) {
-	out, err := cluster.RunLoopback(context.Background(), iterativeSpec(t, 4, 3))
+	spec := iterativeSpec(t, 4, 3)
+	out, err := cluster.RunLoopback(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +63,8 @@ func TestLoopbackIterativeClique(t *testing.T) {
 	if out.Sent == 0 || out.Deliveries == 0 || out.ByKind["ITER-VAL"] == 0 {
 		t.Fatalf("stats not collected: %+v", out)
 	}
-	for id, hist := range out.Histories {
-		if len(hist) != 3 {
+	for id, h := range spec.Handlers {
+		if hist := h.(*iterative.Machine).History(); len(hist) != 3 {
 			t.Fatalf("node %d history %v, want 3 rounds", id, hist)
 		}
 	}
@@ -136,18 +137,19 @@ func TestTwoNodeIntegration(t *testing.T) {
 }
 
 // TestLoopbackTimeoutUndecided checks the non-terminating path: all-silent
-// handlers never decide, so the run must come back within its timeout with
-// Decided false and no error.
+// handlers never decide, so the run must come back at its context's
+// deadline with Decided false and no error.
 func TestLoopbackTimeoutUndecided(t *testing.T) {
 	g := graph.Clique(2)
 	spec := cluster.Spec{
 		Graph:    g,
 		Handlers: []sim.Handler{&adversary.Silent{NodeID: 0}, &adversary.Silent{NodeID: 1}},
 		Honest:   graph.FullSet(2),
-		Timeout:  200 * time.Millisecond,
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
 	start := time.Now()
-	out, err := cluster.RunLoopback(context.Background(), spec)
+	out, err := cluster.RunLoopback(ctx, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,11 +140,12 @@ type Config struct {
 	// OnDecide, when non-nil, is invoked exactly once, from the node's
 	// loop, when the handler first reports an output.
 	OnDecide func(id int, output float64)
-	// InboxCap is the inbox channel's buffer in slabs (default 256; each
-	// slab carries up to a transport read batch of frames). Transport
-	// pumps block when it fills, their upstream queues absorb the backlog.
-	InboxCap int
 }
+
+// inboxCap is the inbox channel's buffer in slabs (each slab carries up to
+// a transport read batch of frames). Transport pumps block when it fills,
+// their upstream queues absorb the backlog.
+const inboxCap = 256
 
 // Stats counts a node's runtime traffic.
 type Stats struct {
@@ -213,9 +214,6 @@ func New(cfg Config) (*Node, error) {
 	if cfg.Out == nil {
 		return nil, fmt.Errorf("node: config needs an outbound")
 	}
-	if cfg.InboxCap == 0 {
-		cfg.InboxCap = 256
-	}
 	outs := cfg.Graph.Out(cfg.ID)
 	return &Node{
 		cfg:   cfg,
@@ -228,7 +226,7 @@ func New(cfg Config) (*Node, error) {
 }
 
 func (n *Node) queue() chan []Inbound {
-	n.inboxOnce.Do(func() { n.inbox = make(chan []Inbound, n.cfg.InboxCap) })
+	n.inboxOnce.Do(func() { n.inbox = make(chan []Inbound, inboxCap) })
 	return n.inbox
 }
 
@@ -236,7 +234,7 @@ func (n *Node) queue() chan []Inbound {
 func (n *Node) ID() int { return n.cfg.ID }
 
 // PushBatch delivers one slab of inbound frames in a single channel
-// operation — the only way into the inbox, whose InboxCap is therefore
+// operation — the only way into the inbox, whose inboxCap is therefore
 // measured in slabs, not frames. On true, ownership of slab and every
 // frame in it has transferred to the node (the event loop releases frames
 // after decoding and recycles the slab). On false the node is shutting

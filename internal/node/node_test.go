@@ -274,7 +274,7 @@ func TestNodeShutdownWithPendingInbox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := node.New(node.Config{ID: 0, Graph: g, Handler: h, Out: &memOut{}, InboxCap: 64})
+	n, err := node.New(node.Config{ID: 0, Graph: g, Handler: h, Out: &memOut{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,7 +68,7 @@ func DispatchBench(b *testing.B) {
 // nothing else (no fabric, no planes, never started): what DispatchBench and
 // the dispatch tests drive dispatchBatch against.
 func newSkeleton(g *graph.Graph) *Daemon {
-	d := &Daemon{cfg: Config{ID: 1, PendingCap: DefaultPendingCap}}
+	d := &Daemon{cfg: Config{ID: 1}}
 	d.initShards()
 	d.memo = make([]atomic.Pointer[instance], g.N())
 	return d

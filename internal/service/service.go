@@ -38,9 +38,12 @@ import (
 	"repro/internal/wire"
 )
 
+// DefaultPendingCap bounds the frames buffered per not-yet-opened
+// instance; overflow is shed and counted.
+const DefaultPendingCap = 4096
+
 // Defaults for Config knobs left zero.
 const (
-	DefaultPendingCap   = 4096
 	DefaultLinger       = 1500 * time.Millisecond
 	DefaultDrainTimeout = 30 * time.Second
 )
@@ -95,9 +98,6 @@ type Config struct {
 	HTTPListener net.Listener
 	// QueueCap bounds each per-peer outbound queue (0 = cluster default).
 	QueueCap int
-	// PendingCap bounds frames buffered per not-yet-opened instance;
-	// overflow is shed and counted (0 = DefaultPendingCap).
-	PendingCap int
 	// Linger keeps a decided instance's machine serving peers before
 	// retirement — other vertices may still need its frames to decide
 	// (0 = DefaultLinger).
@@ -187,9 +187,6 @@ type Daemon struct {
 func New(cfg Config) (*Daemon, error) {
 	if cfg.ID < 0 || cfg.ID > maxDaemonID {
 		return nil, fmt.Errorf("service: daemon id %d outside [0,%d]", cfg.ID, maxDaemonID)
-	}
-	if cfg.PendingCap == 0 {
-		cfg.PendingCap = DefaultPendingCap
 	}
 	if cfg.Linger == 0 {
 		cfg.Linger = DefaultLinger
@@ -402,7 +399,7 @@ func (d *Daemon) lookup(from int, inst uint64) *instance {
 // bufferPendingGroup is dispatch's slow path: under the shard write
 // lock, recheck (the instance may have opened or retired between the
 // lookup and here), then buffer the run for the not-yet-opened instance,
-// bounded by PendingCap with per-frame shed accounting.
+// bounded by DefaultPendingCap with per-frame shed accounting.
 func (d *Daemon) bufferPendingGroup(from int, inst uint64, frames [][]byte) {
 	sh := d.shard(inst)
 	sh.mu.Lock()
@@ -418,7 +415,7 @@ func (d *Daemon) bufferPendingGroup(from int, inst uint64, frames [][]byte) {
 	}
 	pend := sh.pending[inst]
 	for _, frame := range frames {
-		if len(pend) >= d.cfg.PendingCap {
+		if len(pend) >= DefaultPendingCap {
 			d.pendingShed.Add(1)
 			wire.PutBuf(frame)
 			continue

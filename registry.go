@@ -169,16 +169,47 @@ func ProtocolBuilder(name string) (BuilderFunc, error) {
 	return e.build, nil
 }
 
-// simRun is a built-in's simulator face: normalize the options, build the
-// run's machines, execute them on the simulator.
+// simRun is a built-in's simulator face: arm the run, execute its machines
+// on the simulator.
 func simRun(build BuilderFunc) RunFunc {
 	return func(g *Graph, inputs []float64, opts Options) (*Result, error) {
-		opts.normalize(inputs)
-		factory, err := build(g, inputs, opts)
+		a, err := arm(g, inputs, opts, build)
 		if err != nil {
 			return nil, err
 		}
-		return runProtocol(g, inputs, opts, factory)
+		handlers, err := a.machines(opts.Seed)
+		if err != nil {
+			return nil, err
+		}
+		policy, err := transport.NewPolicy(opts.Policy, opts.PolicyParams, opts.Seed)
+		if err != nil {
+			return nil, err
+		}
+		links, err := a.links(opts.Seed)
+		if err != nil {
+			return nil, err
+		}
+		runner, err := sim.New(sim.Config{
+			Graph:       g,
+			Policy:      policy,
+			LinkFaults:  links,
+			RecordTrace: opts.RecordTrace,
+			Observer:    opts.Observer,
+		}, handlers)
+		if err != nil {
+			return nil, err
+		}
+		if err := runner.Run(); err != nil {
+			return nil, err
+		}
+		res := &Result{
+			Steps:        runner.Steps(),
+			MessagesSent: runner.Stats().Sent,
+			ByKind:       runner.Stats().ByKind(),
+			Trace:        runner.TraceString(),
+		}
+		res.Outputs, res.Decided = runner.Outputs(a.honest)
+		return a.result(res, handlers, links), nil
 	}
 }
 

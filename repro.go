@@ -49,7 +49,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/seedmix"
 	"repro/internal/sim"
-	"repro/internal/transport"
 )
 
 // Graph is a simple directed graph on nodes 0..n-1 (see internal/graph).
@@ -203,40 +202,10 @@ func CheckRobustness(g *Graph, r, s int) bool {
 	return ok
 }
 
-// Fault configures one faulty node: a registered adversary strategy by
-// name, its named parameters, and optional composed mutator layers. It is
-// the imperative (Options) twin of the scenario-level FaultSpec. Strategy
-// names, parameter names and composition rules are validated when handlers
-// are built — an unknown kind or param is a hard error, never a silent
-// fall-back to honest behavior.
-type Fault struct {
-	// Kind names a registered adversary strategy; see FaultKinds.
-	Kind string
-	// Params carries the strategy's named knobs (e.g. {"after": 12,
-	// "finalSends": 2} for "crash"). Omitted params take the registered
-	// defaults; unknown names are rejected.
-	Params map[string]float64
-	// Compose layers additional mutator strategies onto the base: when the
-	// base is itself a mutator strategy they share one traffic rewriter
-	// (base first); when the base is a wrapper such as "crash", the
-	// composed mutators corrupt the node's traffic until the wrapper kills
-	// it.
-	Compose []Mutation
-}
-
-// Mutation is one composed mutator layer of a Fault or FaultSpec.
+// Mutation is one composed mutator layer of a FaultSpec.
 type Mutation struct {
 	Kind   string             `json:"kind"`
 	Params map[string]float64 `json:"params,omitempty"`
-}
-
-// spec converts to the adversary package's resolved form.
-func (f Fault) spec() adversary.Spec {
-	s := adversary.Spec{Kind: f.Kind, Params: adversary.Params(f.Params)}
-	for _, m := range f.Compose {
-		s.Compose = append(s.Compose, adversary.Layer{Kind: m.Kind, Params: adversary.Params(m.Params)})
-	}
-	return s
 }
 
 // FaultKinds lists the registered adversary strategy names, sorted —
@@ -268,9 +237,13 @@ type LinkFault struct {
 	Params map[string]float64 `json:"params,omitempty"`
 }
 
-// rule converts to the linkfault package's form.
-func (l LinkFault) rule() linkfault.Rule {
-	return linkfault.Rule{Kind: l.Kind, Edges: l.Edges, Nodes: l.Nodes, Params: l.Params}
+// linkRules converts link-fault rules to the linkfault package's form.
+func linkRules(ls []LinkFault) []linkfault.Rule {
+	rules := make([]linkfault.Rule, len(ls))
+	for i, l := range ls {
+		rules[i] = linkfault.Rule{Kind: l.Kind, Edges: l.Edges, Nodes: l.Nodes, Params: l.Params}
+	}
+	return rules
 }
 
 // LinkFaultKinds lists the link-fault rule kinds, sorted.
@@ -289,23 +262,6 @@ func LinkFaultDefaults(kind string) (params map[string]float64, doc string, err 
 // linkFaultSeedSalt decouples the link-fault streams from the schedule and
 // adversary streams derived from the same run seed.
 const linkFaultSeedSalt = 0x11f4
-
-// buildLinkFaults compiles the options' link-fault rules for g, seeded
-// from the run seed.
-func buildLinkFaults(g *Graph, opts Options) (*linkfault.Set, error) {
-	if len(opts.LinkFaults) == 0 {
-		return nil, nil
-	}
-	rules := make([]linkfault.Rule, len(opts.LinkFaults))
-	for i, l := range opts.LinkFaults {
-		rules[i] = l.rule()
-	}
-	set, err := linkfault.New(g, rules, seedmix.Mix(opts.Seed, linkFaultSeedSalt))
-	if err != nil {
-		return nil, fmt.Errorf("repro: %w", err)
-	}
-	return set, nil
-}
 
 // FZero is the sentinel for Options.F and Scenario.F requesting an explicit
 // zero fault bound. A literal 0 means "default" (= 1) everywhere for
@@ -339,10 +295,10 @@ type Options struct {
 	Observer Observer
 	// RecordTrace captures the full delivery schedule into Result.Trace.
 	RecordTrace bool
-	// PathBudget caps per-node path enumeration (default 250000).
-	PathBudget int
-	// Faults maps node IDs to fault behaviors.
-	Faults map[int]Fault
+	// Faults lists the faulty nodes and their behaviors, at most one entry
+	// per node of the graph; see FaultSpec. An unknown kind or param, a node
+	// outside the graph or a node listed twice is a hard error.
+	Faults []FaultSpec
 	// LinkFaults lists Byzantine link-failure rules applied per directed
 	// edge, in order; see LinkFault. Enforced by every runtime: at the
 	// simulator's injection boundary and on cluster nodes' send paths.
@@ -421,18 +377,6 @@ type LinkFaultStats struct {
 	Dropped, Duplicated, Delayed int
 }
 
-func linkStats(set *linkfault.Set) LinkFaultStats {
-	d, du, de := set.Counts()
-	return LinkFaultStats{Dropped: d, Duplicated: du, Delayed: de}
-}
-
-// historyProvider is implemented by machines that record per-round values.
-type historyProvider interface{ History() []float64 }
-
-// vectorProvider is implemented by machines whose decision is a vector
-// (acs.Machine); nil until the node has decided.
-type vectorProvider interface{ Vector() map[int]float64 }
-
 // Handler is one node's protocol endpoint — the machine interface both the
 // simulator and the live cluster runtimes execute (an alias of
 // sim.Handler, like Observer).
@@ -448,114 +392,140 @@ type HandlerFactory = func(id int) (Handler, error)
 // RegisterBuilder.
 type BuilderFunc func(g *Graph, inputs []float64, opts Options) (HandlerFactory, error)
 
-// buildHandlers instantiates every vertex's machine, wrapping the vertices
-// named in opts.Faults with their adversaries; it is shared by the
-// simulator path (runProtocol) and the cluster runtimes. An unregistered
-// fault kind or unknown param is a hard error on every path — there is no
-// silent fall-back to the honest handler. Per-node adversary streams are
-// decorrelated with a splitmix-derived seed (adversary.NodeSeed), not
-// opts.Seed+i.
-func buildHandlers(g *Graph, inputs []float64, opts Options, factory HandlerFactory) ([]sim.Handler, NodeSet, error) {
+// armed is one run resolved once — graph, inputs, normalized options,
+// builder and fault plan — from which every runtime arms its machines: the
+// simulator (simRun), the one-shot cluster runtimes (Scenario.RunOn) and the
+// service tier (InstanceFactory, once per instance). A seed picks the run:
+// the builder sees it as Options.Seed, vertex v's adversary draws from
+// adversary.NodeSeed(seed, v) and the link faults from seedmix.Mix(seed,
+// linkFaultSeedSalt), so one seed arms the same machines and the same link
+// fates on every runtime.
+type armed struct {
+	g      *Graph
+	inputs []float64
+	opts   Options
+	build  BuilderFunc
+	// faults holds each faulty vertex's adversary; honest is the rest.
+	faults map[int]adversary.Spec
+	honest NodeSet
+}
+
+// arm resolves a run: it normalizes opts and refuses, before any machine
+// is built, inputs of the wrong arity and a fault list the graph cannot
+// carry (see faultPlan).
+func arm(g *Graph, inputs []float64, opts Options, build BuilderFunc) (*armed, error) {
 	if len(inputs) != g.N() {
-		return nil, graph.EmptySet, fmt.Errorf("repro: %d inputs for %d nodes", len(inputs), g.N())
+		return nil, fmt.Errorf("repro: %d inputs for %d nodes", len(inputs), g.N())
 	}
-	honest := graph.EmptySet
-	handlers := make([]sim.Handler, g.N())
-	for i := 0; i < g.N(); i++ {
-		inner, err := factory(i)
-		if err != nil {
-			return nil, graph.EmptySet, err
-		}
-		if fl, bad := opts.Faults[i]; bad {
-			h, err := adversary.BuildHandler(i, fl.spec(), inner, adversary.NodeSeed(opts.Seed, i))
-			if err != nil {
-				return nil, graph.EmptySet, fmt.Errorf("repro: fault at node %d: %w", i, err)
-			}
-			handlers[i] = h
-		} else {
-			handlers[i] = inner
-			honest = honest.Add(i)
-		}
+	faults, err := faultPlan(opts.Faults, g.N())
+	if err != nil {
+		return nil, fmt.Errorf("repro: %w", err)
 	}
-	return handlers, honest, nil
+	opts.normalize(inputs)
+	honest := graph.FullSet(g.N())
+	for v := range faults {
+		honest = honest.Remove(v)
+	}
+	return &armed{g: g, inputs: inputs, opts: opts, build: build, faults: faults, honest: honest}, nil
 }
 
-// finish derives the agreement metrics — Spread, ValidityOK, Converged —
-// from the already-populated Outputs/Honest/Decided fields. Shared by the
-// simulator and cluster result paths so both runtimes are judged by
-// exactly the same criteria.
-func (r *Result) finish(inputs []float64, eps float64) {
+// factory runs the builder at seed: the machine factory of one run, or of
+// one service instance.
+func (a *armed) factory(seed int64) (HandlerFactory, error) {
+	opts := a.opts
+	opts.Seed = seed
+	return a.build(a.g, a.inputs, opts)
+}
+
+// machines arms every vertex at seed, from one build.
+func (a *armed) machines(seed int64) ([]Handler, error) {
+	factory, err := a.factory(seed)
+	if err != nil {
+		return nil, err
+	}
+	handlers := make([]Handler, a.g.N())
+	for v := range handlers {
+		if handlers[v], err = a.machine(factory, seed, v); err != nil {
+			return nil, err
+		}
+	}
+	return handlers, nil
+}
+
+// machine arms vertex v from factory: its protocol machine, wrapped by its
+// adversary when the run marks v faulty — never a silent fall-back to the
+// honest machine.
+func (a *armed) machine(factory HandlerFactory, seed int64, v int) (Handler, error) {
+	inner, err := factory(v)
+	if err != nil {
+		return nil, err
+	}
+	spec, bad := a.faults[v]
+	if !bad {
+		return inner, nil
+	}
+	h, err := adversary.BuildHandler(v, spec, inner, adversary.NodeSeed(seed, v))
+	if err != nil {
+		return nil, fmt.Errorf("repro: fault at node %d: %w", v, err)
+	}
+	return h, nil
+}
+
+// links compiles the run's link-fault rules at seed; nil when it has none.
+func (a *armed) links(seed int64) (*linkfault.Set, error) {
+	set, err := linkfault.New(a.g, linkRules(a.opts.LinkFaults), seedmix.Mix(seed, linkFaultSeedSalt))
+	if err != nil {
+		return nil, fmt.Errorf("repro: %w", err)
+	}
+	return set, nil
+}
+
+// historyProvider is implemented by machines that record per-round values.
+type historyProvider interface{ History() []float64 }
+
+// vectorProvider is implemented by machines whose decision is a vector
+// (acs.Machine); nil until the node has decided.
+type vectorProvider interface{ Vector() map[int]float64 }
+
+// result completes res, which the runtime filled with its outputs, decision
+// and traffic, from the machines it ran and their link faults: the honest
+// set, the honest machines' histories and decision vectors, the link-fault
+// counts, and the agreement metrics (Spread, ValidityOK, Converged) every
+// runtime is judged by.
+func (a *armed) result(res *Result, handlers []Handler, links *linkfault.Set) *Result {
+	res.Honest = a.honest
+	res.Histories = make(map[int][]float64)
+	res.Vectors = make(map[int]map[int]float64)
 	lo, hi := math.Inf(1), math.Inf(-1)
-	r.Honest.ForEach(func(v int) bool {
-		lo, hi = math.Min(lo, inputs[v]), math.Max(hi, inputs[v])
-		return true
-	})
-	omin, omax := math.Inf(1), math.Inf(-1)
-	for _, x := range r.Outputs {
-		omin, omax = math.Min(omin, x), math.Max(omax, x)
-	}
-	if len(r.Outputs) > 0 {
-		r.Spread = omax - omin
-		r.ValidityOK = omin >= lo && omax <= hi
-	}
-	r.Converged = r.Decided && r.Spread < eps
-}
-
-func runProtocol(g *Graph, inputs []float64, opts Options, factory HandlerFactory) (*Result, error) {
-	handlers, honest, err := buildHandlers(g, inputs, opts, factory)
-	if err != nil {
-		return nil, err
-	}
-	policy, err := transport.NewPolicy(opts.Policy, opts.PolicyParams, opts.Seed)
-	if err != nil {
-		return nil, err
-	}
-	links, err := buildLinkFaults(g, opts)
-	if err != nil {
-		return nil, err
-	}
-	runner, err := sim.New(sim.Config{
-		Graph:       g,
-		Policy:      policy,
-		LinkFaults:  links,
-		RecordTrace: opts.RecordTrace,
-		Observer:    opts.Observer,
-	}, handlers)
-	if err != nil {
-		return nil, err
-	}
-	if err := runner.Run(); err != nil {
-		return nil, err
-	}
-	res := &Result{
-		Honest:       honest,
-		Steps:        runner.Steps(),
-		MessagesSent: runner.Stats().Sent,
-		ByKind:       runner.Stats().ByKind(),
-		Histories:    make(map[int][]float64),
-		Vectors:      make(map[int]map[int]float64),
-		Trace:        runner.TraceString(),
-		LinkStats:    linkStats(links),
-	}
-	res.Outputs, res.Decided = runner.Outputs(honest)
-	honest.ForEach(func(v int) bool {
-		if hp, ok := runner.Handler(v).(historyProvider); ok {
+	a.honest.ForEach(func(v int) bool {
+		lo, hi = math.Min(lo, a.inputs[v]), math.Max(hi, a.inputs[v])
+		if hp, ok := handlers[v].(historyProvider); ok {
 			res.Histories[v] = hp.History()
 		}
-		if vp, ok := runner.Handler(v).(vectorProvider); ok {
+		if vp, ok := handlers[v].(vectorProvider); ok {
 			if vec := vp.Vector(); vec != nil {
 				res.Vectors[v] = vec
 			}
 		}
 		return true
 	})
-	res.finish(inputs, opts.Eps)
-	return res, nil
+	d, du, de := links.Counts()
+	res.LinkStats = LinkFaultStats{Dropped: d, Duplicated: du, Delayed: de}
+	omin, omax := math.Inf(1), math.Inf(-1)
+	for _, x := range res.Outputs {
+		omin, omax = math.Min(omin, x), math.Max(omax, x)
+	}
+	if len(res.Outputs) > 0 {
+		res.Spread = omax - omin
+		res.ValidityOK = omin >= lo && omax <= hi
+	}
+	res.Converged = res.Decided && res.Spread < a.opts.Eps
+	return res
 }
 
 // buildBW is Algorithm BW's BuilderFunc.
 func buildBW(g *Graph, inputs []float64, opts Options) (HandlerFactory, error) {
-	proto, err := bw.NewProto(g, opts.F, opts.K, opts.Eps, opts.PathBudget)
+	proto, err := bw.NewProto(g, opts.F, opts.K, opts.Eps, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -577,7 +547,7 @@ func buildAAD(g *Graph, inputs []float64, opts Options) (HandlerFactory, error) 
 
 // buildCrashApprox is the 2-reach crash-fault algorithm's BuilderFunc.
 func buildCrashApprox(g *Graph, inputs []float64, opts Options) (HandlerFactory, error) {
-	proto, err := crashapprox.NewProto(g, opts.F, opts.K, opts.Eps, opts.PathBudget)
+	proto, err := crashapprox.NewProto(g, opts.F, opts.K, opts.Eps, 0)
 	if err != nil {
 		return nil, err
 	}

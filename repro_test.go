@@ -54,7 +54,7 @@ func TestRunBWFacade(t *testing.T) {
 	g := repro.Fig1a()
 	res, err := protocol(t, "bw")(g, []float64{0, 4, 1, 3, 2}, repro.Options{
 		F: 1, K: 4, Eps: 0.25, Seed: 5,
-		Faults: map[int]repro.Fault{2: {Kind: "silent"}},
+		Faults: []repro.FaultSpec{{Node: 2, Kind: "silent"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestRunCrashApproxFacade(t *testing.T) {
 	g := repro.Circulant(5, 1, 2)
 	res, err := protocol(t, "crashapprox")(g, []float64{0, 1, 2, 3, 4}, repro.Options{
 		F: 1, K: 4, Eps: 0.2, Seed: 3,
-		Faults: map[int]repro.Fault{4: {Kind: "crash", Params: map[string]float64{"after": 10}}},
+		Faults: []repro.FaultSpec{{Node: 4, Kind: "crash", Params: map[string]float64{"after": 10}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -158,7 +158,7 @@ func TestFaultKindsAllRun(t *testing.T) {
 	for i, kind := range repro.FaultKinds() {
 		res, err := protocol(t, "bw")(g, []float64{1, 0, 1.5, 2}, repro.Options{
 			F: 1, K: 2, Eps: 0.25, Seed: int64(i + 1),
-			Faults: map[int]repro.Fault{1: {Kind: kind}},
+			Faults: []repro.FaultSpec{{Node: 1, Kind: kind}},
 		})
 		if err != nil {
 			t.Fatalf("fault %q: %v", kind, err)
@@ -176,17 +176,17 @@ func TestUnknownFaultHardError(t *testing.T) {
 	g := repro.Clique(4)
 	inputs := []float64{0, 1, 2, 3}
 	if _, err := protocol(t, "bw")(g, inputs, repro.Options{
-		Faults: map[int]repro.Fault{1: {Kind: "gremlin"}},
+		Faults: []repro.FaultSpec{{Node: 1, Kind: "gremlin"}},
 	}); err == nil || !strings.Contains(err.Error(), "unknown fault kind") {
 		t.Errorf("unknown kind: got %v", err)
 	}
 	if _, err := protocol(t, "bw")(g, inputs, repro.Options{
-		Faults: map[int]repro.Fault{1: {Kind: "crash", Params: map[string]float64{"fuel": 1}}},
+		Faults: []repro.FaultSpec{{Node: 1, Kind: "crash", Params: map[string]float64{"fuel": 1}}},
 	}); err == nil || !strings.Contains(err.Error(), `unknown param "fuel"`) {
 		t.Errorf("unknown param: got %v", err)
 	}
 	if _, err := protocol(t, "bw")(g, inputs, repro.Options{
-		Faults: map[int]repro.Fault{1: {Kind: ""}},
+		Faults: []repro.FaultSpec{{Node: 1, Kind: ""}},
 	}); err == nil {
 		t.Error("empty kind accepted")
 	}

@@ -11,6 +11,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/adversary"
 	"repro/internal/graph"
 	"repro/internal/linkfault"
 	"repro/internal/par"
@@ -94,14 +95,34 @@ type FaultSpec struct {
 	Compose []Mutation         `json:"compose,omitempty"`
 }
 
-// fault resolves the spec into the imperative Fault form and validates
-// every name and param against the registry.
-func (fl FaultSpec) fault() (Fault, error) {
-	f := Fault{Kind: fl.Kind, Params: fl.Params, Compose: fl.Compose}
-	if err := f.spec().Validate(); err != nil {
-		return Fault{}, err
+// spec converts to the adversary package's resolved form.
+func (fl FaultSpec) spec() adversary.Spec {
+	s := adversary.Spec{Kind: fl.Kind, Params: adversary.Params(fl.Params)}
+	for _, m := range fl.Compose {
+		s.Compose = append(s.Compose, adversary.Layer{Kind: m.Kind, Params: adversary.Params(m.Params)})
 	}
-	return f, nil
+	return s
+}
+
+// faultPlan resolves a fault list for a graph of order n into each faulty
+// vertex's adversary. An unknown kind or param, a node outside the graph and
+// a node listed twice are refused, in the same words on every path.
+func faultPlan(faults []FaultSpec, n int) (map[int]adversary.Spec, error) {
+	plan := make(map[int]adversary.Spec, len(faults))
+	for _, fl := range faults {
+		spec := fl.spec()
+		if err := spec.Validate(); err != nil {
+			return nil, fmt.Errorf("fault at node %d: %w", fl.Node, err)
+		}
+		if fl.Node < 0 || fl.Node >= n {
+			return nil, fmt.Errorf("fault node %d outside graph order %d", fl.Node, n)
+		}
+		if _, dup := plan[fl.Node]; dup {
+			return nil, fmt.Errorf("node %d has two fault entries", fl.Node)
+		}
+		plan[fl.Node] = spec
+	}
+	return plan, nil
 }
 
 // InputGenSpec derives per-node inputs from the graph order:
@@ -215,27 +236,11 @@ func (s Scenario) Materialize() (*Graph, []float64, error) {
 			return nil, nil, fmt.Errorf("repro: scenario: %w", err)
 		}
 	}
-	seen := make(map[int]bool, len(s.Faults))
-	for _, fl := range s.Faults {
-		if _, err := fl.fault(); err != nil {
-			return nil, nil, fmt.Errorf("scenario: %w", err)
-		}
-		if fl.Node < 0 || fl.Node >= g.N() {
-			return nil, nil, fmt.Errorf("repro: scenario: fault node %d outside graph order %d", fl.Node, g.N())
-		}
-		if seen[fl.Node] {
-			return nil, nil, fmt.Errorf("repro: scenario: node %d has two fault entries", fl.Node)
-		}
-		seen[fl.Node] = true
+	if _, err := faultPlan(s.Faults, g.N()); err != nil {
+		return nil, nil, fmt.Errorf("repro: scenario: %w", err)
 	}
-	if len(s.LinkFaults) > 0 {
-		rules := make([]linkfault.Rule, len(s.LinkFaults))
-		for i, l := range s.LinkFaults {
-			rules[i] = l.rule()
-		}
-		if err := linkfault.Validate(g, rules); err != nil {
-			return nil, nil, fmt.Errorf("repro: scenario: %w", err)
-		}
+	if err := linkfault.Validate(g, linkRules(s.LinkFaults)); err != nil {
+		return nil, nil, fmt.Errorf("repro: scenario: %w", err)
 	}
 
 	var inputs []float64
@@ -267,20 +272,11 @@ func (s Scenario) options() Options {
 	opts := Options{
 		F: s.F, K: s.K, Eps: s.Eps, Seed: s.Seed,
 		Rounds: s.Rounds, RecordTrace: s.RecordTrace,
+		Faults: s.Faults, LinkFaults: s.LinkFaults,
 	}
 	if s.Policy != nil {
 		opts.Policy = s.Policy.Name
 		opts.PolicyParams = s.Policy.Params
-	}
-	if len(s.Faults) > 0 {
-		opts.Faults = make(map[int]Fault, len(s.Faults))
-		for _, fl := range s.Faults {
-			f, _ := fl.fault() // validated in Materialize
-			opts.Faults[fl.Node] = f
-		}
-	}
-	if len(s.LinkFaults) > 0 {
-		opts.LinkFaults = append([]LinkFault(nil), s.LinkFaults...)
 	}
 	return opts
 }

@@ -3,34 +3,26 @@ package repro
 import (
 	"fmt"
 
-	"repro/internal/adversary"
-	"repro/internal/graph"
 	"repro/internal/linkfault"
 	"repro/internal/seedmix"
 )
 
 // InstanceFactory is the service tier's bridge into the protocol registry:
-// a Scenario materialized once — graph, inputs, normalized options,
-// resolved builder — from which per-instance machines are minted on
-// demand. Each consensus instance gets its own decorrelated seed
-// (seedmix.Mix of the base seed and the instance id), so pipelined
-// instances with randomized adversaries or seeded coins do not replay each
-// other's streams, while two daemons minting machines for the same
-// instance id derive identical per-instance options — the agreement
-// protocols' shared-parameter requirement.
+// a Scenario armed once — graph, inputs, normalized options, resolved
+// builder, fault plan — from which per-instance machines are minted on
+// demand, exactly as the one-shot runtimes arm theirs. Each consensus
+// instance gets its own decorrelated seed (seedmix.Mix of the base seed and
+// the instance id), so pipelined instances with randomized adversaries or
+// seeded coins do not replay each other's streams, while two daemons
+// minting machines for the same instance id derive identical per-instance
+// options — the agreement protocols' shared-parameter requirement.
 type InstanceFactory struct {
-	protocol string
-	g        *Graph
-	inputs   []float64
-	opts     Options
-	build    BuilderFunc
-	honest   NodeSet
+	run *armed
 }
 
-// NewInstanceFactory materializes the scenario's graph and inputs, resolves
-// the protocol's live-runtime builder, and normalizes options — everything
-// shared across instances, done once. The scenario's own Protocol is the
-// default; NewInstanceFactoryFor overrides it.
+// NewInstanceFactory arms the scenario — everything shared across
+// instances, done once. The scenario's own Protocol is the default;
+// NewInstanceFactoryFor overrides it.
 func NewInstanceFactory(s Scenario) (*InstanceFactory, error) {
 	return NewInstanceFactoryFor(s, s.Protocol)
 }
@@ -43,83 +35,44 @@ func NewInstanceFactoryFor(s Scenario, protocol string) (*InstanceFactory, error
 	if protocol == "" {
 		return nil, fmt.Errorf("repro: instance factory needs a protocol (valid values are: %v)", Protocols())
 	}
-	if err := s.validateForCluster(); err != nil {
-		return nil, err
-	}
 	s.Protocol = protocol
-	g, inputs, err := s.Materialize()
+	a, err := s.arm()
 	if err != nil {
 		return nil, err
 	}
-	build, err := ProtocolBuilder(protocol)
-	if err != nil {
-		return nil, err
-	}
-	opts := s.options()
-	opts.normalize(inputs)
-	honest := graph.EmptySet
-	for i := 0; i < g.N(); i++ {
-		if _, bad := opts.Faults[i]; !bad {
-			honest = honest.Add(i)
-		}
-	}
-	f := &InstanceFactory{protocol: protocol, g: g, inputs: inputs, opts: opts, build: build, honest: honest}
+	f := &InstanceFactory{run: a}
 	// Fail at construction, not at the first submit: run the builder once
 	// so structural rejections (incomplete graph for the exact tier,
 	// n <= 3f, reach violations) surface immediately.
-	if _, err := build(g, inputs, f.instOpts(0)); err != nil {
+	if _, err := a.factory(f.seed(0)); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// Protocol names the factory's protocol.
-func (f *InstanceFactory) Protocol() string { return f.protocol }
-
 // Graph returns the materialized topology (shared; do not mutate).
-func (f *InstanceFactory) Graph() *Graph { return f.g }
+func (f *InstanceFactory) Graph() *Graph { return f.run.g }
 
 // Inputs returns the materialized input vector (shared; do not mutate).
-func (f *InstanceFactory) Inputs() []float64 { return f.inputs }
+func (f *InstanceFactory) Inputs() []float64 { return f.run.inputs }
 
-// Honest is the set of vertices the scenario leaves fault-free.
-func (f *InstanceFactory) Honest() NodeSet { return f.honest }
+// seed is instance inst's seed: the base seed decorrelated per instance.
+func (f *InstanceFactory) seed(inst uint64) int64 { return seedmix.Mix(f.run.opts.Seed, int64(inst)) }
 
-// Eps is the normalized agreement parameter.
-func (f *InstanceFactory) Eps() float64 { return f.opts.Eps }
-
-// instOpts derives instance inst's options: the shared normalized options
-// with the seed decorrelated per instance.
-func (f *InstanceFactory) instOpts(inst uint64) Options {
-	opts := f.opts
-	opts.Seed = seedmix.Mix(f.opts.Seed, int64(inst))
-	return opts
-}
-
-// HandlerFor mints vertex id's machine for instance inst, adversary-wrapped
-// when the scenario marks the vertex faulty — exactly the machine the
-// single-shot cluster path would give that vertex, at the instance's seed.
+// HandlerFor mints vertex id's machine for instance inst — exactly the
+// machine the one-shot runtimes arm for that vertex at the instance's seed,
+// adversary-wrapped when the scenario marks the vertex faulty. It builds
+// that one vertex only: a daemon opens one machine per instance.
 func (f *InstanceFactory) HandlerFor(inst uint64, id int) (Handler, error) {
-	if id < 0 || id >= f.g.N() {
-		return nil, fmt.Errorf("repro: instance factory: vertex %d outside graph order %d", id, f.g.N())
+	if id < 0 || id >= f.run.g.N() {
+		return nil, fmt.Errorf("repro: instance factory: vertex %d outside graph order %d", id, f.run.g.N())
 	}
-	opts := f.instOpts(inst)
-	factory, err := f.build(f.g, f.inputs, opts)
+	seed := f.seed(inst)
+	factory, err := f.run.factory(seed)
 	if err != nil {
 		return nil, err
 	}
-	inner, err := factory(id)
-	if err != nil {
-		return nil, err
-	}
-	if fl, bad := opts.Faults[id]; bad {
-		h, err := adversary.BuildHandler(id, fl.spec(), inner, adversary.NodeSeed(opts.Seed, id))
-		if err != nil {
-			return nil, fmt.Errorf("repro: fault at node %d: %w", id, err)
-		}
-		return h, nil
-	}
-	return inner, nil
+	return f.run.machine(factory, seed, id)
 }
 
 // LinkFaultsFor compiles the scenario's link-fault rules for instance inst,
@@ -128,17 +81,5 @@ func (f *InstanceFactory) HandlerFor(inst uint64, id int) (Handler, error) {
 // goroutine per edge, and a daemon runs many instances over one edge (each
 // with one runner at a time).
 func (f *InstanceFactory) LinkFaultsFor(inst uint64) (*linkfault.Set, error) {
-	return buildLinkFaults(f.g, f.instOpts(inst))
-}
-
-// HandlersFor mints the full per-vertex machine set for instance inst —
-// what an in-process harness (or a conformance test) uses to run a whole
-// pipelined instance the way buildHandlers arms a single-shot run.
-func (f *InstanceFactory) HandlersFor(inst uint64) ([]Handler, NodeSet, error) {
-	opts := f.instOpts(inst)
-	factory, err := f.build(f.g, f.inputs, opts)
-	if err != nil {
-		return nil, graph.EmptySet, err
-	}
-	return buildHandlers(f.g, f.inputs, opts, factory)
+	return f.run.links(f.seed(inst))
 }
