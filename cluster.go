@@ -10,12 +10,12 @@ import (
 
 // This file is the public face of the live node runtime: the same
 // Scenario that drives the deterministic simulator can execute as a
-// cluster of real nodes — per-vertex event loops exchanging wire-encoded
-// frames over an in-process loopback medium or TCP sockets — and come back
-// as the same Result type, judged by the same validity and ε-agreement
-// criteria. The cross-runtime conformance tests pin exactly that: for
-// every registered protocol, a Scenario that passes the checks on the
-// simulator passes them on the loopback cluster too.
+// cluster of real nodes — one per vertex, fed through its mailbox,
+// exchanging wire-encoded frames over an in-process loopback medium or TCP
+// sockets — and come back as the same Result type, judged by the same
+// validity and ε-agreement criteria. The cross-runtime conformance tests
+// pin exactly that: for every registered protocol, a Scenario that passes
+// the checks on the simulator passes them on the loopback cluster too.
 
 // RuntimeSim names the in-process deterministic simulator runtime (the
 // default); RuntimeLoopback and RuntimeTCP name the live cluster runtimes.
@@ -35,7 +35,7 @@ func RuntimeNames() []string {
 
 // RunOn executes the scenario once on the named runtime: "sim" (or "") is
 // Scenario.Run on the deterministic simulator; "loopback" and "tcp"
-// materialize the scenario as live nodes — one event loop per vertex,
+// materialize the scenario as live nodes — one per vertex,
 // faulty vertices wrapped by their adversaries, protocol messages
 // round-tripping through the wire codec — over an in-process memory network
 // or real sockets respectively.
@@ -49,8 +49,8 @@ func (s Scenario) RunOn(ctx context.Context, runtime string) (*Result, error) {
 }
 
 // RunOnObserved is RunOn with a streaming observer attached. On cluster
-// runtimes the observer is invoked concurrently from every node's event
-// loop and must be goroutine-safe (JSONLObserver is); Event.Step is then
+// runtimes the observer is invoked concurrently from every node's runner
+// and must be goroutine-safe (JSONLObserver is); Event.Step is then
 // the node-local delivery count.
 func (s Scenario) RunOnObserved(ctx context.Context, runtime string, obs Observer) (*Result, error) {
 	if ctx == nil {

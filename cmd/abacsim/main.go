@@ -174,6 +174,9 @@ func buildScenario(spec, algo string, f int, k, eps float64, seed int64, seeds i
 	if algo == "crash" {
 		algo = "crashapprox" // legacy alias from earlier releases
 	}
+	if f == 0 {
+		f = repro.FZero // the flag's default is 1, so this zero was asked for
+	}
 	s := &repro.Scenario{
 		Graph: spec, Protocol: algo,
 		F: f, K: k, Eps: eps, Seed: seed, Seeds: seeds, Rounds: rounds,
@@ -370,6 +373,15 @@ func runSingle(ctx context.Context, s repro.Scenario, runtime string, jsonl, his
 	}
 	fmt.Printf("decided: %v, spread: %.6g, converged(<%g): %v, validity: %v\n",
 		res.Decided, res.Spread, orDefaultF(s.Eps, 0.1), res.Converged, res.ValidityOK)
+	// The paper guarantees convergence only under 3-reach: say which side of
+	// it this (G, f) is on, wherever CheckConditions certifies it.
+	if rep := repro.CheckConditions(g, orDefault(s.F, 1)); rep.Certified {
+		fmt.Printf("3-reach(f=%d): %v", rep.F, rep.ThreeReach)
+		if !rep.ThreeReach {
+			fmt.Print(" (outside the paper's condition: no convergence guarantee)")
+		}
+		fmt.Println()
+	}
 	fmt.Printf("deliveries: %d, sends: %d, by kind: %v\n", res.Steps, res.MessagesSent, res.ByKind)
 	if ls := res.LinkStats; ls != (repro.LinkFaultStats{}) {
 		fmt.Printf("link faults: dropped %d, duplicated %d, delayed %d\n", ls.Dropped, ls.Duplicated, ls.Delayed)

@@ -268,3 +268,54 @@ func TestNecessityRejectsNegativeF(t *testing.T) {
 		t.Fatalf("repro.RunNecessity(f=-1) = %v, want a negative-fault-bound error", err)
 	}
 }
+
+// abacsim runs this test binary as abacsim with args, from the test named
+// name (which must start by calling asAbacsim), and returns its output.
+func abacsim(t *testing.T, name string, args ...string) string {
+	t.Helper()
+	out, err := exec.Command(os.Args[0], append([]string{"-test.run=^" + name + "$", "--"}, args...)...).CombinedOutput()
+	if err != nil {
+		t.Fatalf("abacsim %v: %v, output:\n%s", args, err, out)
+	}
+	return string(out)
+}
+
+// asAbacsim turns a re-run of this test binary into abacsim (the arguments
+// after "--") and exits.
+func asAbacsim() {
+	if args := flag.Args(); len(args) > 0 {
+		os.Args = append([]string{"abacsim"}, args...)
+		flag.CommandLine = flag.NewFlagSet("abacsim", flag.ExitOnError)
+		main()
+		os.Exit(0)
+	}
+}
+
+// TestFlagFZeroIsZero: -f 0 asks for a fault bound of zero, not for the
+// default of 1. The scenario carries FZero, its JSON sentinel, and the
+// banner says f=0.
+func TestFlagFZeroIsZero(t *testing.T) {
+	asAbacsim()
+	s, err := buildScenario("clique:4", "iterative", 0, 0, 0.1, 1, 0, "", "", 0, "")
+	if err != nil || s.F != repro.FZero {
+		t.Fatalf("buildScenario(f=0): F = %d, %v; want FZero", s.F, err)
+	}
+	if out := abacsim(t, "TestFlagFZeroIsZero", "-graph", "clique:4", "-algo", "iterative", "-f", "0"); !strings.Contains(out, "f=0,") {
+		t.Fatalf("abacsim -f 0 banner:\n%s", out)
+	}
+}
+
+// TestSummaryReportsThreeReach: a run outside the paper's condition says so
+// instead of looking like a success that did not converge, and a run
+// inside it says that too.
+func TestSummaryReportsThreeReach(t *testing.T) {
+	asAbacsim()
+	for _, tc := range []struct{ graph, want string }{
+		{"cycle:8", "3-reach(f=1): false (outside the paper's condition"},
+		{"fig1a", "3-reach(f=1): true\n"},
+	} {
+		if out := abacsim(t, "TestSummaryReportsThreeReach", "-graph", tc.graph, "-algo", "iterative"); !strings.Contains(out, tc.want) {
+			t.Errorf("abacsim -graph %s: want %q in the summary:\n%s", tc.graph, tc.want, out)
+		}
+	}
+}

@@ -7,9 +7,12 @@
 // machines, the same topology rules, but actual concurrency and actual
 // serialization instead of a centrally scheduled message pool.
 //
-// The harness launches every node, waits until every honest vertex has
+// The harness starts every node and waits until every honest vertex has
 // decided (or the context ends), then shuts the runtime down and collects
-// outputs and traffic statistics. Any schedule the transports produce is a
+// outputs and traffic statistics. A node here is fed exactly as a service
+// instance is: each Mux reader posts its read bursts to the node's mailbox
+// and runs it inline when it is idle (node.Post), so the one-shot tier has
+// no goroutine of its own per vertex. Any schedule the transports produce is a
 // legal asynchronous execution, so the protocol guarantees checked by the
 // simulator — validity and ε-agreement — must hold here too; the
 // cross-runtime conformance tests in the root package assert exactly that.
@@ -19,8 +22,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/graph"
@@ -43,7 +44,7 @@ type Spec struct {
 	// per-message rule set the simulator enforces at its pool boundary.
 	LinkFaults *linkfault.Set
 	// Observer, when non-nil, receives every node's runtime events. It is
-	// shared across concurrent node loops and must be goroutine-safe.
+	// shared across concurrent node runners and must be goroutine-safe.
 	Observer sim.Observer
 }
 
@@ -127,7 +128,7 @@ type decision struct {
 }
 
 // run is the shared harness: validate the spec, build the fleet on the
-// medium, build nodes over its Muxes, start it, run every node loop, wait
+// medium, build nodes over its Muxes, start it, start every node, wait
 // for the honest set to decide (or the context to end), then tear
 // everything down and aggregate. The spec is validated before anything
 // binds, so an invalid spec binds nothing; from there every return stops
@@ -168,15 +169,8 @@ func run(ctx context.Context, spec Spec, md medium) (*Outcome, error) {
 		nodes[i] = nd
 	}
 	fl.start(runCtx, nodes)
-
-	var wg sync.WaitGroup
-	runErrs := make([]error, n)
-	wg.Add(n)
-	for i, nd := range nodes {
-		go func(i int, nd *node.Node) {
-			defer wg.Done()
-			runErrs[i] = nd.Run(runCtx)
-		}(i, nd)
+	for _, nd := range nodes {
+		nd.Start(nil)
 	}
 
 	// Wait for every honest vertex to decide. Faulty vertices may never
@@ -200,16 +194,18 @@ collect:
 		}
 	}
 
-	// Shut down: cancel the node loops and the fleet, then join. Every Mux
-	// ends with the same context, so no reader stays blocked into a dead
-	// inbox.
+	// Shut down: cancel the fleet, whose queues then refuse instead of
+	// blocking, close every mailbox — a runner stops at its next take, a
+	// poster parked at a full box leaves — then join the readers.
 	cancelRun()
-	wg.Wait()
+	for _, nd := range nodes {
+		nd.Close()
+	}
 	fl.stop()
 
 	// A deadline can win the select race against a decision that already
-	// landed in the buffered channel. Every node loop has returned, so all
-	// OnDecide sends are complete (the channel's capacity is n): drain it
+	// landed in the buffered channel. No runner is left, so all OnDecide
+	// sends are complete (the channel's capacity is n): drain it
 	// and credit decisions that beat the deadline.
 	for drained := false; !drained; {
 		select {
@@ -241,8 +237,8 @@ collect:
 			out.ByKind[k] += c
 		}
 	}
-	for _, err := range runErrs {
-		if err != nil {
+	for _, nd := range nodes {
+		if err := nd.Err(); err != nil {
 			return out, fmt.Errorf("cluster (%s): %w", md.name, err)
 		}
 	}
@@ -254,15 +250,4 @@ collect:
 		return out, ctxErr
 	}
 	return out, nil
-}
-
-// SortedIDs returns the outcome's decided vertex ids in order (a rendering
-// helper for CLIs).
-func (o *Outcome) SortedIDs() []int {
-	ids := make([]int, 0, len(o.Outputs))
-	for id := range o.Outputs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -188,5 +189,38 @@ func TestSpecValidation(t *testing.T) {
 		if _, err := cluster.RunLoopback(context.Background(), spec); err == nil {
 			t.Errorf("spec %d: want error", i)
 		}
+	}
+}
+
+// TestOneShotLeavesNoGoroutine: a one-shot run owns no goroutine per
+// vertex and leaves none behind. Readers run the nodes inline, a hand-off
+// goroutine is joined by its node's Close, and the fleet joins its readers
+// and writers, so once RunLoopback and RunTCP return the process has no
+// more goroutines than before — whether the run decided or timed out
+// undecided with frames still in its mailboxes.
+func TestOneShotLeavesNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for _, run := range []func(context.Context, cluster.Spec) (*cluster.Outcome, error){cluster.RunLoopback, cluster.RunTCP} {
+		out, err := run(context.Background(), iterativeSpec(t, 6, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgreement(t, out, 6, 1e-9)
+		spec := iterativeSpec(t, 4, 1<<20) // never decides in time
+		ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+		out, err = run(ctx, spec)
+		cancel()
+		if err != nil || out.Decided {
+			t.Fatalf("timed-out run: decided %v, err %v; want undecided, no error", out.Decided, err)
+		}
+	}
+	// A joined goroutine can still be on its way out of WaitGroup.Done
+	// when Wait returns: give those a moment, not a leak.
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if now := runtime.NumGoroutine(); now > before {
+		buf := make([]byte, 1<<16)
+		t.Fatalf("%d goroutines after the runs, %d before\n%s", now, before, buf[:runtime.Stack(buf, true)])
 	}
 }

@@ -24,9 +24,8 @@ import (
 // vertex that outruns a slow peer blocks on Send — backpressure that
 // propagates to whoever runs the machine, accounted and surfaced through
 // QueueStats. Inbound, one reader per in-edge hands read bursts to the
-// dispatcher; a dispatcher that blocks (an inbox or mailbox at capacity, or
-// the reader itself running an instance whose Send waits on a full peer
-// queue) stalls exactly that one peer connection, which is TCP's own flow
+// dispatcher; a dispatcher that blocks (a node mailbox at capacity, or the
+// reader itself running a node whose Send waits on a full peer queue) stalls exactly that one peer connection, which is TCP's own flow
 // control doing the rest.
 
 // muxMagic opens every connection; the bytes after it are the wire codec

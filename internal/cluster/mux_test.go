@@ -275,7 +275,7 @@ func TestMuxRejectsBadHello(t *testing.T) {
 		h := append([]byte(nil), muxMagic[:]...)
 		return append(h, version, byte(id>>8), byte(id))
 	}
-	frame, err := wire.EncodeMessage(transport.Message{
+	frame, err := wire.EncodeInstanceMessage(0, transport.Message{
 		From: 1, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1},
 	})
 	if err != nil {

@@ -12,8 +12,8 @@ import (
 // Both one-shot runtimes are a Mux fleet whose every frame carries
 // instance id 0: each vertex owns one Mux (see mux.go for the hello, the
 // per-edge FIFO writers and the reconnect discipline), the Mux is the
-// node's Outbound, and its reader bursts land in the node's inbox one
-// slab per burst. The runtimes differ only in the medium under the Mux:
+// node's Outbound, and its readers post their bursts to the node's
+// mailbox. The runtimes differ only in the medium under the Mux:
 // localhost TCP sockets (RunTCP) or the in-process memNetwork
 // (RunLoopback).
 
@@ -69,29 +69,21 @@ func (l abortListener) Accept() (net.Conn, error) {
 }
 
 // oneShot is one vertex of a one-shot run: its Mux and the node whose
-// inbox the Mux's readers feed.
+// mailbox the Mux's readers post to.
 type oneShot struct {
 	mux *Mux
-	// ctx and nd are bound by fleet.start, before the Mux launches any
-	// reader (the Mux must exist first: it is the Outbound the node is
-	// built on).
-	ctx context.Context
-	nd  *node.Node
+	// nd is bound by fleet.start, before the Mux launches any reader (the
+	// Mux must exist first: it is the Outbound the node is built on).
+	nd *node.Node
 }
 
-// push forwards one read burst to the node as one inbox slab — one channel
-// op per burst, arrival order kept. The node decodes every frame in full
-// (and counts the malformed ones), so the peeked infos go unused. PushBatch
-// takes the slab and every frame; a refused burst (the node has shut down)
-// is released here, and the reader stops when the Mux does.
+// push posts one read burst to the node, arrival order kept. The node
+// decodes every frame in full (and counts the malformed ones), so the
+// peeked infos go unused. A refused burst (the node is closed) is
+// released here, and the reader stops when the Mux does.
 func (o *oneShot) push(from int, frames [][]byte, _ []wire.FrameInfo) {
-	slab := node.GetSlab()
-	for _, frame := range frames {
-		slab = append(slab, node.Inbound{From: from, Frame: frame})
-	}
-	if !o.nd.PushBatch(o.ctx, slab) {
+	if !o.nd.Post(from, frames) {
 		releaseFrames(frames)
-		node.PutSlab(slab)
 	}
 }
 
@@ -133,7 +125,7 @@ func newFleet(g *graph.Graph, md medium) (fleet, error) {
 
 func (fl fleet) start(ctx context.Context, nodes []*node.Node) {
 	for i, o := range fl {
-		o.ctx, o.nd = ctx, nodes[i]
+		o.nd = nodes[i]
 		o.mux.Start(ctx)
 	}
 }

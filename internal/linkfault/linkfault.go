@@ -171,7 +171,7 @@ type Fate struct {
 // edgeRule is one rule's compiled per-edge state: its own seeded stream
 // plus the partition heal counter. Each edgeRule is only ever touched by
 // the goroutine that owns the edge's sender (the simulator loop, or one
-// node's event loop), so no locking is needed.
+// node's runner), so no locking is needed.
 type edgeRule struct {
 	kind    string
 	prob    float64
@@ -183,7 +183,7 @@ type edgeRule struct {
 
 // stats counts a Set's interventions, aggregated across edges. Counters
 // are atomic.Int64 (self-aligning, so 32-bit platforms are safe) because
-// cluster runtimes consult the Set from concurrent node loops.
+// cluster runtimes consult the Set from concurrent node runners.
 type stats struct {
 	dropped, duplicated, delayed atomic.Int64
 }

@@ -82,28 +82,23 @@ func ascendingRounds(ms []transport.Message) bool {
 	return true
 }
 
-// runAndPush runs n, pushes one slab of frames from peer 1 (each a
-// one-message frame) and waits until out has recorded want frames.
-func runAndPush(t *testing.T, n *node.Node, out *memOut, frames, want int) (stop func()) {
+// startAndPost starts n, then posts one burst of frames from peer 1 (each
+// a one-message frame), which the poster delivers inline as one batch.
+func startAndPost(t *testing.T, n *node.Node, frames int) {
 	t.Helper()
-	stop = runNode(t, n)
-	slab := make([]node.Inbound, frames)
-	for i := range slab {
-		slab[i] = node.Inbound{From: 1, Frame: encode(t, transport.Message{
-			From: 1, To: 0, Payload: iterative.ValPayload{Round: 1, Value: float64(i)}})}
+	n.Start(nil)
+	burst := make([][]byte, frames)
+	for i := range burst {
+		burst[i] = encode(t, transport.Message{
+			From: 1, To: 0, Payload: iterative.ValPayload{Round: 1, Value: float64(i)}})
 	}
-	push(t, n, slab)
-	deadline := time.Now().Add(5 * time.Second)
-	for len(out.sent()) < want && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	return stop
+	post(t, n, 1, burst...)
 }
 
-// TestNodeBundlesPerSlab pins the flush rule of the event loop: Start's
-// sends leave as one frame per destination, and so do all the sends of one
-// inbox slab's deliveries, in send order.
-func TestNodeBundlesPerSlab(t *testing.T) {
+// TestNodeBundlesPerBatch pins the runner's flush rule: Start's sends leave
+// as one frame per destination, and so do all the sends of one batch's
+// deliveries, in send order.
+func TestNodeBundlesPerBatch(t *testing.T) {
 	g := graph.Clique(3)
 	h := &echoHandler{id: 0, perDest: 2}
 	out := &memOut{}
@@ -111,27 +106,28 @@ func TestNodeBundlesPerSlab(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const slabFrames = 5
-	runAndPush(t, n, out, slabFrames, 4)()
+	const batchFrames = 5
+	startAndPost(t, n, batchFrames)
+	n.Close()
 
 	frames, msgs := decodeFrames(t, out)
 	for _, v := range []int{1, 2} {
 		// Start's 2 messages in one frame, then 5 deliveries × 2 in one.
-		if frames[v] != 2 || len(msgs[v]) != 2+slabFrames*2 || !ascendingRounds(msgs[v]) {
+		if frames[v] != 2 || len(msgs[v]) != 2+batchFrames*2 || !ascendingRounds(msgs[v]) {
 			t.Errorf("to %d: %d frames, %d messages (ascending %v), want 2 frames of 12 in send order",
 				v, frames[v], len(msgs[v]), ascendingRounds(msgs[v]))
 		}
 	}
-	if st := n.Stats(); st.Frames != 4 || st.Sent != 24 || st.Delivered != slabFrames {
-		t.Errorf("stats = %+v, want 4 frames, 24 sent, %d delivered", st, slabFrames)
+	if st := n.Stats(); st.Frames != 4 || st.Sent != 24 || st.Delivered != batchFrames {
+		t.Errorf("stats = %+v, want 4 frames, 24 sent, %d delivered", st, batchFrames)
 	}
 }
 
-// TestNodeDeliverFlushesPerFrame pins the service tier's entry: Start and
-// each Deliver transmit their sends before they return, one frame per
-// destination, and a multi-message frame's messages reach the handler one
-// invocation each, in order.
-func TestNodeDeliverFlushesPerFrame(t *testing.T) {
+// TestNodeMultiMessageFrame: a multi-message frame's messages reach the
+// handler one invocation each, in order, and their sends leave with the
+// batch's flush, one frame per destination; a forged multi-message frame
+// counts one spoof per message.
+func TestNodeMultiMessageFrame(t *testing.T) {
 	g := graph.Clique(3)
 	h := &echoHandler{id: 0, perDest: 3}
 	out := &memOut{}
@@ -139,9 +135,7 @@ func TestNodeDeliverFlushesPerFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Start(); err != nil {
-		t.Fatal(err)
-	}
+	n.Start(nil)
 	if got := len(out.sent()); got != 2 {
 		t.Fatalf("Start wrote %d frames, want one per destination", got)
 	}
@@ -153,9 +147,7 @@ func TestNodeDeliverFlushesPerFrame(t *testing.T) {
 	if err != nil || k != len(in) {
 		t.Fatalf("encode: %d of %d, %v", k, len(in), err)
 	}
-	if err := n.Deliver(node.Inbound{From: 2, Frame: frame}); err != nil {
-		t.Fatal(err)
-	}
+	post(t, n, 2, frame)
 	got := h.delivered()
 	if len(got) != len(in) || !ascendingRounds(got) {
 		t.Fatalf("handler saw %d messages (ascending %v), want the frame's %d in order", len(got), ascendingRounds(got), len(in))
@@ -172,9 +164,7 @@ func TestNodeDeliverFlushesPerFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Deliver(node.Inbound{From: 1, Frame: forged}); err != nil {
-		t.Fatal(err)
-	}
+	post(t, n, 1, forged)
 	if st := n.Stats(); st.Spoofed != len(in) || st.Delivered != len(in) {
 		t.Errorf("stats = %+v, want %d spoofed and %d delivered", st, len(in), len(in))
 	}
@@ -183,7 +173,7 @@ func TestNodeDeliverFlushesPerFrame(t *testing.T) {
 // TestNodeLinkFaults pins the node-side enforcement of the link-fault
 // rules, one fate per message before it is sent or held: drops never reach
 // the transport, a duplicated message leaves twice as two copies — twice
-// within Start's frame and twice within the slab's — and delayed copies
+// within Start's frame and twice within the batch's — and delayed copies
 // arrive after (not before) their delay, each in a frame of its own with a
 // buffer of its own; a message no copy of which was held leaves nothing
 // behind for the next flush.
@@ -203,10 +193,10 @@ func TestNodeLinkFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Start sends rounds 1-2 to every out-neighbour and the slab's one
+	// Start sends rounds 1-2 to every out-neighbour and the batch's one
 	// delivery rounds 3-4. The immediate frames: Start's one bundle to
-	// vertex 2, then the slab's one.
-	stop := runAndPush(t, n, out, 1, 2)
+	// vertex 2, then the batch's one.
+	startAndPost(t, n, 1)
 	frames, msgs := decodeFrames(t, out)
 	if frames[3] != 0 || frames[4] != 0 {
 		t.Errorf("delayed frames arrived immediately (%d, %d)", frames[3], frames[4])
@@ -215,7 +205,7 @@ func TestNodeLinkFaults(t *testing.T) {
 	for len(out.sent()) < 2+4+8 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	stop()
+	n.Close()
 	frames, msgs = decodeFrames(t, out)
 	if frames[1] != 0 {
 		t.Errorf("dropped edge delivered %d frames", frames[1])
@@ -267,8 +257,9 @@ func TestNodeNoLinkFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Start: one frame of 3 per destination; the slab's 2 deliveries: one of 6.
-	runAndPush(t, n, out, 2, 6)()
+	// Start: one frame of 3 per destination; the batch's 2 deliveries: one of 6.
+	startAndPost(t, n, 2)
+	n.Close()
 	frames, msgs := decodeFrames(t, out)
 	for _, v := range g.Out(0) {
 		if frames[v] != 2 || len(msgs[v]) != 9 || !ascendingRounds(msgs[v]) {

@@ -1,29 +1,26 @@
 // Package node is the live per-process runtime of the system: it wraps one
 // protocol machine (a sim.Handler — honest or adversary-wrapped) behind a
-// real inbox/outbox loop so the same state machines that run inside the
-// deterministic simulator run unchanged over network transports.
+// mailbox, so the same state machines that run inside the deterministic
+// simulator run unchanged over network transports.
 //
-// A Node owns a single event-loop goroutine. Inbound frames arrive on the
-// inbox channel (pushed there by a transport's per-peer readers, which
-// preserves per-peer order — the FIFO links the protocols assume); the loop
-// decodes each frame with the wire codec, enforces the reliable-link model
-// (the claimed sender must match the link the frame arrived on, and the
-// edge must exist), invokes the handler once per message the frame
-// carries, and transmits everything the handler sent through the Outbound.
-// Handlers therefore keep the exact concurrency contract they have in the
-// simulator: one invocation at a time, with sends collected per
-// invocation. The one-shot runtimes run one such loop per vertex (Run);
-// the service tier keeps the contract without the goroutine by calling the
-// loop's two halves, Start and Deliver, from whichever goroutine holds an
-// instance's mailbox (internal/service).
+// A Node is a mailbox, not a goroutine. Whoever has frames for it — a
+// connection's reader, one-shot or in the service tier — posts them (Post);
+// if nobody is running the node, the poster becomes its runner and delivers
+// inline, otherwise it goes back to its socket and the runner picks the
+// frames up. Posters append in arrival order, so per-link FIFO (the
+// reliable links the protocols assume) holds by construction, and one
+// runner at a time keeps the simulator's Handler contract. The runner
+// decodes each frame, enforces the reliable-link model (the claimed sender
+// must match the link the frame arrived on, and the edge must exist),
+// invokes the handler once per message, and transmits what it sent.
 //
-// Sends leave in bundles: the node holds every handler invocation's sends
+// Sends leave in bundles: the runner holds every handler invocation's sends
 // per destination and flushes one frame per destination (wire.AppendFrame)
-// at the end of each burst — Start, one inbox slab in Run, one frame in
-// Deliver. Link faults are drawn per message before a message is held, as
-// the simulator draws them per message at its pool boundary: a dropped
-// message is never held, a duplicated one is held twice, and a delayed copy
-// leaves later in a frame of its own.
+// at the end of each batch it takes from the box, and after Start's opening
+// sends. Link faults are drawn per message before a message is held, as the
+// simulator draws them per message at its pool boundary: a dropped message
+// is never held, a duplicated one is held twice, and a delayed copy leaves
+// later in a frame of its own.
 package node
 
 import (
@@ -42,21 +39,19 @@ import (
 
 // Inbound is one raw frame received from peer From. The From tag comes
 // from the transport layer (the connection the frame arrived on), not from
-// the frame contents; the node cross-checks the two. Pushing an Inbound
-// into a node's inbox transfers ownership of Frame: the event loop
-// releases the buffer to the wire pool after decoding it, so the pusher
-// must not retain or reuse the slice (non-pooled buffers are released into
-// a no-op, so hand-crafted frames are safe).
+// the frame contents; the node cross-checks the two. Handing an Inbound to
+// a node transfers ownership of Frame: the runner releases the buffer to
+// the wire pool after decoding it, so the poster must not retain or reuse
+// the slice (non-pooled buffers are released into a no-op, so hand-crafted
+// frames are safe).
 type Inbound struct {
 	From  int
 	Frame []byte
 }
 
-// Slabs are the unit the inbox channel carries: one []Inbound per channel
-// operation, so a transport that read a burst of frames pays one send (and
-// the event loop one receive) for the whole burst instead of one per frame.
-// Like frame buffers, slabs are pooled in a capacity band — inert for
-// foreign slices — in a processor-local LIFO pool of recycled headers; see
+// A node's box and the batch its runner took from it are slabs: []Inbound
+// pooled in a capacity band — inert for foreign slices — in a
+// processor-local LIFO pool of recycled headers, like frame buffers; see
 // wire's framePool for the design and what it does to the alloc fences.
 const (
 	// defaultSlabCap matches the transports' read-batch ceiling, so one
@@ -104,8 +99,8 @@ func PutSlab(s []Inbound) {
 
 // Outbound transmits encoded frames toward a peer. The cluster transports
 // enqueue onto bounded per-peer queues: Send blocks when a peer falls
-// cluster.DefaultQueueCap frames behind — backpressure on this node's
-// event loop — and returns once the peer's writer drains or the run shuts
+// cluster.DefaultQueueCap frames behind — backpressure on whoever runs
+// this node — and returns once the peer's writer drains or the run shuts
 // down. Ownership of frame transfers with the call.
 type Outbound interface {
 	Send(to int, frame []byte) error
@@ -134,18 +129,13 @@ type Config struct {
 	// Observer, when non-nil, receives this node's runtime events
 	// (deliveries and per-round value snapshots). In a cluster one observer
 	// is typically shared by every node and is then invoked from concurrent
-	// node loops: it must be goroutine-safe (JSONLObserver is). Event.Step
-	// is the node-local delivery count.
+	// runners: it must be goroutine-safe (JSONLObserver is). Event.Step is
+	// the node-local delivery count.
 	Observer sim.Observer
 	// OnDecide, when non-nil, is invoked exactly once, from the node's
-	// loop, when the handler first reports an output.
+	// runner, when the handler first reports an output.
 	OnDecide func(id int, output float64)
 }
-
-// inboxCap is the inbox channel's buffer in slabs (each slab carries up to
-// a transport read batch of frames). Transport pumps block when it fills,
-// their upstream queues absorb the backlog.
-const inboxCap = 256
 
 // Stats counts a node's runtime traffic.
 type Stats struct {
@@ -168,21 +158,45 @@ type Stats struct {
 	ByKind map[string]int
 }
 
-// Node runs one protocol endpoint over a live transport. Create with New;
-// feed via PushBatch and drive with Run, or call Start and Deliver directly.
+const (
+	// boxCap bounds the frames posted and not yet taken, one peer queue's
+	// worth (cluster.DefaultQueueCap). A poster that finds the box full
+	// waits for the runner (an idle node's box is empty): inbound flow
+	// control on that peer's connection.
+	boxCap = 1 << 14
+	// runBudget is how many frames a poster delivers before it hands the
+	// rest to a goroutine of the node's, so a peer flooding one node cannot
+	// hold another link's reader captive.
+	runBudget = 256
+	handedOff = -1 // a hand-off goroutine's budget: it has nothing to go back to
+	standing  = -2 // Run's: it keeps the runner role until the node closes
+)
+
+// Node runs one protocol endpoint over a live transport. Create with New,
+// feed with Post, open with Start, stop with Close.
 type Node struct {
 	cfg Config
-	// inbox is made on first use (inboxOnce): a node driven through Start
-	// and Deliver never needs one.
-	inboxOnce sync.Once
-	inbox     chan []Inbound
-	stats     Stats
-	steps     int
-	decided   bool
-	seen      int // rounds already streamed to the observer
-	// out collects one handler invocation's sends; the event loop owns it,
-	// resets it before each delivery and has held everything in it before
-	// the next.
+
+	boxMu sync.Mutex
+	space sync.Cond // parks posters at boxCap and Run's runner on an empty box
+	box   []Inbound // posted frames, arrival order
+	// running: someone holds the runner role. New gives it to Start, so the
+	// box does not run before Start; finish never gives it back.
+	running bool
+	closed  bool           // closed or closing: posts are refused
+	handoff sync.WaitGroup // the goroutine a runner out of budget handed the role to
+
+	// Runner-owned from here on; these change hands with the role.
+	batch   []Inbound // taken from box; batch[next:] is undelivered
+	next    int
+	err     error                     // the outbound failure that stopped the node
+	onEnd   func(err error, late int) // Start's closing callback
+	stats   Stats
+	steps   int
+	decided bool
+	seen    int // rounds already streamed to the observer
+	// out collects one handler invocation's sends; the runner resets it
+	// before each delivery and has held everything in it before the next.
 	out *sim.Outbox
 	// outs are the node's out-neighbours, ascending; held[i] are the sends
 	// to outs[i] not yet flushed, in send order, and dirty lists the
@@ -193,8 +207,7 @@ type Node struct {
 	held  [][]transport.Message
 	dirty []int
 	// in is the decode buffer of the frame being delivered.
-	in   []transport.Message
-	done chan struct{}
+	in []transport.Message
 }
 
 // New validates the config and builds a node.
@@ -215,125 +228,216 @@ func New(cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("node: config needs an outbound")
 	}
 	outs := cfg.Graph.Out(cfg.ID)
-	return &Node{
-		cfg:   cfg,
-		stats: Stats{ByKind: make(map[string]int)},
-		out:   sim.NewCollector(cfg.ID, cfg.Graph),
-		outs:  outs,
-		held:  make([][]transport.Message, len(outs)),
-		done:  make(chan struct{}),
-	}, nil
-}
-
-func (n *Node) queue() chan []Inbound {
-	n.inboxOnce.Do(func() { n.inbox = make(chan []Inbound, inboxCap) })
-	return n.inbox
-}
-
-// ID returns the node's vertex id.
-func (n *Node) ID() int { return n.cfg.ID }
-
-// PushBatch delivers one slab of inbound frames in a single channel
-// operation — the only way into the inbox, whose inboxCap is therefore
-// measured in slabs, not frames. On true, ownership of slab and every
-// frame in it has transferred to the node (the event loop releases frames
-// after decoding and recycles the slab). On false the node is shutting
-// down (or ctx was cancelled) and nothing was consumed: the caller still
-// owns the slab and its frames and must release them.
-func (n *Node) PushBatch(ctx context.Context, slab []Inbound) bool {
-	if len(slab) == 0 {
-		PutSlab(slab)
-		return true
+	n := &Node{
+		cfg:     cfg,
+		running: true,
+		stats:   Stats{ByKind: make(map[string]int)},
+		out:     sim.NewCollector(cfg.ID, cfg.Graph),
+		outs:    outs,
+		held:    make([][]transport.Message, len(outs)),
 	}
-	select {
-	case n.queue() <- slab:
-		return true
-	case <-n.done:
-		return false
-	case <-ctx.Done():
+	n.space.L = &n.boxMu
+	return n, nil
+}
+
+// Post appends one connection's frames, all from peer from, to the box in
+// arrival order and, when the node is started and idle, runs it: the caller
+// delivers up to runBudget frames inline, then hands the rest to a
+// goroutine of the node's. A full box parks the caller until the runner
+// takes it. On true every frame's ownership has transferred (the slice is
+// not retained); on false the node is closed and the caller keeps them.
+func (n *Node) Post(from int, frames [][]byte) bool {
+	n.boxMu.Lock()
+	if !n.admit() {
+		n.boxMu.Unlock()
 		return false
 	}
+	for _, frame := range frames {
+		n.box = append(n.box, Inbound{From: from, Frame: frame})
+	}
+	idle := !n.running
+	n.running = true
+	n.boxMu.Unlock()
+	if idle {
+		n.run(runBudget)
+	}
+	return true
 }
 
-// Done is closed when Run returns; transports use it to unblock pumps that
-// are mid-push into a full inbox.
-func (n *Node) Done() <-chan struct{} { return n.done }
+// admit waits for room in the box and reports whether the node is open.
+// The caller holds boxMu.
+func (n *Node) admit() bool {
+	for len(n.box) >= boxCap && !n.closed {
+		n.space.Wait()
+	}
+	if n.box == nil && !n.closed {
+		n.box = GetSlab()
+	}
+	return !n.closed
+}
 
-// Start is the first half of Run: it starts the handler and transmits its
-// opening sends, one frame per destination. A caller that drives the
-// machine itself instead of running the loop (the service tier's runners)
-// calls Start once, then Deliver one frame at a time, never concurrently
-// and never alongside Run.
-func (n *Node) Start() error {
+// Start starts the machine as the node's first runner: it transmits the
+// handler's opening sends, one frame per destination, then delivers what
+// was posted meanwhile, ahead of anything posted after (per-link FIFO
+// across the start boundary). Call it once. closing, when non-nil, is
+// called once when the mailbox closes, on whichever goroutine then holds
+// the runner role, with the outbound failure that closed it (nil when
+// Close did) and the number of posted frames it released undelivered. On
+// reliable links a dead transport is unsalvageable, so an outbound failure
+// closes the mailbox at once; a malformed or forged frame is counted and
+// dropped.
+func (n *Node) Start(closing func(err error, late int)) {
+	n.onEnd = closing
+	n.begin()
+	n.run(runBudget)
+}
+
+// begin starts the handler, holding its sends for the first flush.
+func (n *Node) begin() {
 	n.cfg.Handler.Start(n.out)
-	if err := n.transmit(n.out.Messages()); err != nil {
-		return err
-	}
-	if err := n.flush(); err != nil {
-		return err
-	}
+	n.err = n.transmit(n.out.Messages())
 	n.observeProgress()
-	return nil
 }
 
-// Run executes the node's event loop: Start the handler, then deliver
-// inbound slabs until ctx is cancelled, holding the sends of a slab's
-// deliveries and flushing them, one frame per destination, once the slab
-// is done. Cancellation is the normal shutdown path and returns nil; Run
-// only errors when the outbound transport fails, which on reliable links
-// means the run is unsalvageable.
-//
-// Run must be called exactly once. After it returns, Output and Stats are
-// safe to read from any goroutine.
+// run delivers until the box is empty or the node stops, flushing the sends
+// of each batch it takes once the batch is done. The caller holds the
+// runner role; budget is how many frames it may deliver before it hands
+// the role on (handedOff and standing never do).
+func (n *Node) run(budget int) {
+	for n.err == nil {
+		if n.next == len(n.batch) {
+			if n.err = n.flush(); n.err != nil {
+				break
+			}
+			if !n.take(budget == standing) {
+				return
+			}
+		}
+		if budget == 0 {
+			n.boxMu.Lock()
+			closed := n.closed
+			if !closed {
+				n.handoff.Add(1) // before Close can Wait: it sets closed first
+			}
+			n.boxMu.Unlock()
+			if closed {
+				break // what is left of the batch is late
+			}
+			go func() {
+				defer n.handoff.Done()
+				n.run(handedOff)
+			}()
+			return
+		}
+		if budget > 0 {
+			budget--
+		}
+		in := n.batch[n.next]
+		n.next++
+		n.err = n.deliver(in)
+	}
+	n.finish()
+}
+
+// take swaps the delivered batch for the box's contents, waiting for some
+// when wait is set. False means the runner is done: the box was empty and
+// the role is released, or the node was closed — the role is kept, for
+// good — and is now finished.
+func (n *Node) take(wait bool) bool {
+	n.boxMu.Lock()
+	for wait && len(n.box) == 0 && !n.closed {
+		n.space.Wait()
+	}
+	if closed := n.closed; closed || len(n.box) == 0 {
+		n.running = closed
+		n.boxMu.Unlock()
+		if closed {
+			n.finish()
+		}
+		return false
+	}
+	clear(n.batch) // delivered and released: drop the references
+	n.batch, n.box, n.next = n.box, n.batch[:0], 0
+	n.space.Broadcast()
+	n.boxMu.Unlock()
+	return true
+}
+
+// Close closes the mailbox: later posts are refused, and frames not yet
+// delivered are released as late. An idle node finishes here, a running
+// one at its runner's next take. Close joins a hand-off goroutine, not a
+// poster running the node inline; once none is, Output, Stats and Err are
+// safe to read.
+func (n *Node) Close() {
+	n.boxMu.Lock()
+	idle := !n.running
+	n.running, n.closed = true, true
+	n.space.Broadcast()
+	n.boxMu.Unlock()
+	if idle {
+		n.finish()
+	}
+	n.handoff.Wait()
+}
+
+// finish closes the mailbox for good and releases everything it holds.
+// Only the holder of the runner role calls it, and the role is never given
+// back afterwards, so it runs exactly once.
+func (n *Node) finish() {
+	n.boxMu.Lock()
+	n.closed = true
+	rest := n.box
+	n.box = nil
+	n.space.Broadcast()
+	n.boxMu.Unlock()
+	late := 0
+	for _, undelivered := range [2][]Inbound{n.batch[n.next:], rest} {
+		late += len(undelivered)
+		for _, in := range undelivered {
+			wire.PutBuf(in.Frame)
+		}
+	}
+	PutSlab(n.batch)
+	PutSlab(rest)
+	n.batch, n.next = nil, 0
+	if n.onEnd != nil {
+		n.onEnd(n.err, late)
+	}
+}
+
+// Run and PushBatch feed the node through a standing runner: Run holds the
+// role until ctx ends, and PushBatch only appends, never delivering inline.
+// They are kept for the repo benchmark's node.loop cell (bench/micro.go),
+// whose handler signals a channel the pusher itself reads, until the next
+// benchmark change moves that cell onto Post.
+
+// Run starts the node and delivers pushed slabs until ctx is cancelled,
+// the normal shutdown, which returns nil; the error is an outbound failure.
 func (n *Node) Run(ctx context.Context) error {
-	defer close(n.done)
-	if err := n.Start(); err != nil {
-		return err
-	}
-	inbox := n.queue()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil
-		case slab := <-inbox:
-			if err := n.deliverSlab(slab); err != nil {
-				return err
-			}
-		}
-	}
+	defer context.AfterFunc(ctx, n.Close)()
+	n.begin()
+	n.run(standing)
+	return n.err
 }
 
-// deliverSlab delivers one inbox slab, flushes the sends it produced — one
-// frame per destination for the whole slab — and recycles the slab. On an
-// error (outbound transport failure) the remaining frames are released —
-// deliver already released the failing frame's buffer — so pool
-// accounting stays balanced on the unsalvageable-run path too.
-func (n *Node) deliverSlab(slab []Inbound) error {
-	for i := range slab {
-		if err := n.deliver(slab[i]); err != nil {
-			for _, rest := range slab[i+1:] {
-				wire.PutBuf(rest.Frame)
-			}
-			PutSlab(slab)
-			return err
-		}
+// PushBatch appends one slab for Run's runner. On true the slab and its
+// frames have transferred to the node; on false the node is shutting down
+// (or ctx was cancelled) and the caller keeps them.
+func (n *Node) PushBatch(ctx context.Context, slab []Inbound) bool {
+	n.boxMu.Lock()
+	defer n.boxMu.Unlock()
+	if ctx.Err() != nil || !n.admit() {
+		return false
 	}
+	n.box = append(n.box, slab...)
+	n.space.Broadcast()
 	PutSlab(slab)
-	return n.flush()
+	return true
 }
 
-// Deliver decodes, validates and hands one frame's messages to the
-// handler, then flushes the sends they produced, one frame per
-// destination, before it returns: the service tier's per-frame entry.
-// Ownership of in.Frame transfers with the call, error or not; the only
-// error is an outbound transport failure (see Run) — a malformed or forged
-// frame is counted and dropped.
-func (n *Node) Deliver(in Inbound) error {
-	if err := n.deliver(in); err != nil {
-		return err
-	}
-	return n.flush()
-}
+// Err reports the outbound failure that stopped the node, nil if none;
+// same safety rule as Output.
+func (n *Node) Err() error { return n.err }
 
 // deliver hands one frame's messages to the handler, one invocation each,
 // and holds each invocation's sends for the caller's flush.
@@ -430,7 +534,7 @@ func (n *Node) sendLater(m transport.Message, delay time.Duration) error {
 // flush transmits the held sends: one frame per destination, split only
 // where a bundle would pass wire.MaxFrame. Everything held is gone
 // afterwards, sent or not (the lists keep their backing arrays, and with
-// them at most one burst's payloads per destination, for the next burst).
+// them at most one batch's payloads per destination, for the next batch).
 func (n *Node) flush() error {
 	var err error
 	for _, i := range n.dirty {
@@ -480,8 +584,9 @@ func (n *Node) observeProgress() {
 	}
 }
 
-// Output reports the handler's decision. Only call after Run has returned
-// (handlers are not goroutine-safe while the loop is live).
+// Output reports the handler's decision. Handlers are not goroutine-safe:
+// only call it from the runner (OnDecide, Start's closing callback) or
+// once the node is closed and no runner is left (see Close).
 func (n *Node) Output() (float64, bool) { return n.cfg.Handler.Output() }
 
 // Handler exposes the wrapped protocol machine; same safety rule as Output.

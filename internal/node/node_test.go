@@ -44,14 +44,15 @@ func (o *memOut) sent() []struct {
 
 func encode(t *testing.T, m transport.Message) []byte {
 	t.Helper()
-	b, err := wire.EncodeMessage(m)
+	b, err := wire.EncodeInstanceMessage(0, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
 
-// runNode drives a node until check passes or the deadline hits.
+// runNode drives a node from Run's standing runner until the returned
+// cancel is called.
 func runNode(t *testing.T, n *node.Node) (cancel func()) {
 	t.Helper()
 	ctx, stop := context.WithCancel(context.Background())
@@ -70,7 +71,16 @@ func runNode(t *testing.T, n *node.Node) (cancel func()) {
 	}
 }
 
-// push hands the node one inbox slab the way a transport does.
+// post hands the node one read burst from peer from, the way a transport
+// reader does.
+func post(t *testing.T, n *node.Node, from int, frames ...[]byte) {
+	t.Helper()
+	if !n.Post(from, frames) {
+		t.Fatal("node refused a post")
+	}
+}
+
+// push hands Run's runner one slab.
 func push(t *testing.T, n *node.Node, slab []node.Inbound) {
 	t.Helper()
 	if !n.PushBatch(context.Background(), slab) {
@@ -96,22 +106,22 @@ func TestNodeRunsIterativeMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := runNode(t, n)
+	n.Start(nil)
 
 	// Peer 1 reports value 1 for round 1; with inputs {0, 1} the trimmed
-	// mean (f=0) is 0.5.
-	push(t, n, []node.Inbound{{From: 1, Frame: encode(t, transport.Message{
+	// mean (f=0) is 0.5. The poster finds the node idle and runs it.
+	post(t, n, 1, encode(t, transport.Message{
 		From: 1, To: 0, Payload: iterative.ValPayload{Round: 1, Value: 1},
-	})}})
+	}))
 	select {
 	case x := <-decided:
 		if x != 0.5 {
 			t.Fatalf("decided %v, want 0.5", x)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("node never decided")
+	default:
+		t.Fatal("node had not decided when the post returned")
 	}
-	stop()
+	n.Close()
 
 	if x, ok := n.Output(); !ok || x != 0.5 {
 		t.Fatalf("Output() = %v, %v", x, ok)
@@ -124,7 +134,7 @@ func TestNodeRunsIterativeMachine(t *testing.T) {
 	if len(sent) != 1 || sent[0].to != 1 {
 		t.Fatalf("sent = %+v, want one frame to node 1", sent)
 	}
-	m, err := wire.DecodeMessage(sent[0].frame)
+	_, m, err := wire.DecodeInstanceMessage(sent[0].frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,40 +153,25 @@ func TestNodeDropsForgedFrames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delivered := make(chan struct{}, 1)
-	obs := sim.ObserverFunc(func(e sim.Event) {
-		if e.Type == sim.EventDeliver {
-			delivered <- struct{}{}
-		}
-	})
-	n, err := node.New(node.Config{ID: 0, Graph: g, Handler: h, Out: &memOut{}, Observer: obs})
+	n, err := node.New(node.Config{ID: 0, Graph: g, Handler: h, Out: &memOut{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := runNode(t, n)
+	n.Start(nil)
 
 	payload := iterative.ValPayload{Round: 1, Value: 9}
-	// One slab carrying every case, in order — the loop drains slabs FIFO,
-	// so the genuine frame's delivery event (pushed last) means every
-	// forged frame before it has been processed.
-	push(t, n, []node.Inbound{
-		{From: 1, Frame: []byte("garbage")},
+	post(t, n, 1,
+		[]byte("garbage"),
 		// Claimed sender 2 on a frame arriving over the link from 1.
-		{From: 1, Frame: encode(t, transport.Message{From: 2, To: 0, Payload: payload})},
+		encode(t, transport.Message{From: 2, To: 0, Payload: payload}),
 		// Wrong destination.
-		{From: 1, Frame: encode(t, transport.Message{From: 1, To: 2, Payload: payload})},
-		// Edge 2->0 does not exist.
-		{From: 2, Frame: encode(t, transport.Message{From: 2, To: 0, Payload: payload})},
-		// The genuine frame.
-		{From: 1, Frame: encode(t, transport.Message{From: 1, To: 0, Payload: payload})},
-	})
-
-	select {
-	case <-delivered:
-	case <-time.After(5 * time.Second):
-		t.Fatal("genuine frame never delivered")
-	}
-	stop()
+		encode(t, transport.Message{From: 1, To: 2, Payload: payload}),
+	)
+	// Edge 2->0 does not exist.
+	post(t, n, 2, encode(t, transport.Message{From: 2, To: 0, Payload: payload}))
+	// The genuine frame.
+	post(t, n, 1, encode(t, transport.Message{From: 1, To: 0, Payload: payload}))
+	n.Close()
 
 	st := n.Stats()
 	if st.Malformed != 1 || st.Spoofed != 3 || st.Delivered != 1 {
@@ -206,12 +201,12 @@ func TestNodeObserverSeesDeliveriesAndRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := runNode(t, n)
-	push(t, n, []node.Inbound{{From: 1, Frame: encode(t, transport.Message{
+	n.Start(nil)
+	post(t, n, 1, encode(t, transport.Message{
 		From: 1, To: 0, Payload: iterative.ValPayload{Round: 1, Value: 1},
-	})}})
+	}))
 	<-decided
-	stop()
+	n.Close()
 
 	mu.Lock()
 	defer mu.Unlock()
@@ -263,11 +258,40 @@ type errSentinel struct{}
 
 func (errSentinel) Error() string { return "transport collapsed" }
 
-// TestNodeShutdownWithPendingInbox pins the cancellation half of the
-// shutdown contract: a node cancelled while frames still sit in its inbox
+// TestNodeRunDeliversPushedSlabs: Run's standing runner delivers what
+// PushBatch appends — the pusher never runs the node itself — and flushes
+// each batch's sends.
+func TestNodeRunDeliversPushedSlabs(t *testing.T) {
+	g := graph.Clique(2)
+	h, err := iterative.NewMachine(g, 0, 0, 1, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decided := make(chan float64) // unbuffered: a pusher that ran the node would block here
+	out := &memOut{}
+	n, err := node.New(node.Config{ID: 0, Graph: g, Handler: h, Out: out,
+		OnDecide: func(_ int, x float64) { decided <- x }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := runNode(t, n)
+	push(t, n, []node.Inbound{{From: 1, Frame: encode(t, transport.Message{
+		From: 1, To: 0, Payload: iterative.ValPayload{Round: 1, Value: 1},
+	})}})
+	if x := <-decided; x != 0.5 {
+		t.Fatalf("decided %v, want 0.5", x)
+	}
+	stop()
+	if st := n.Stats(); st.Delivered != 1 || len(out.sent()) != 1 {
+		t.Fatalf("stats %+v, %d frames sent; want 1 delivered and Start's frame", st, len(out.sent()))
+	}
+}
+
+// TestNodeShutdownWithPendingInbox pins the cancellation half of Run's
+// shutdown contract: a node cancelled while frames still sit in its box
 // returns promptly and cleanly — pending deliveries are abandoned like
-// messages still in flight when a simulator run stops — and Done() closes
-// so transport pumps blocked mid-push can unwind.
+// messages still in flight when a simulator run stops — and a push after
+// it is refused, so a pusher can unwind.
 func TestNodeShutdownWithPendingInbox(t *testing.T) {
 	g := graph.Clique(2)
 	h, err := iterative.NewMachine(g, 0, 0, 50, 0, nil)
@@ -297,15 +321,13 @@ func TestNodeShutdownWithPendingInbox(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("node did not shut down with a pending inbox")
 	}
-	select {
-	case <-n.Done():
-	default:
-		t.Fatal("Done() not closed after Run returned")
+	if n.PushBatch(context.Background(), []node.Inbound{{From: 1, Frame: frame}}) {
+		t.Fatal("a stopped node took a push")
 	}
 }
 
 // TestNodeOutboundFailureStopsRun pins the other half: a send that fails
-// mid-delivery surfaces as Run's error — on reliable links a dead
+// surfaces as Run's error — on reliable links a dead
 // transport is unsalvageable, not retryable — and the loop stops instead
 // of delivering on top of a partial broadcast.
 func TestNodeOutboundFailureStopsRun(t *testing.T) {
@@ -344,8 +366,8 @@ func TestNodeInstanceEncode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stop := runNode(t, n)
-		stop()
+		n.Start(nil)
+		n.Close()
 		sent := out.sent()
 		if len(sent) == 0 {
 			t.Fatalf("inst %d: no start traffic", inst)

@@ -3,6 +3,7 @@ package service
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/bw"
 	"repro/internal/graph"
@@ -15,8 +16,8 @@ import (
 // DispatchBench measures what a frame pays on the way into its machine: a
 // pre-peeked burst of same-instance frames through dispatchBatch — run
 // grouping, memo/shard lookup, mailbox post — and, because the posting
-// goroutine is the instance's runner, on through node.Deliver: full decode,
-// sender/edge check and an inert Handler.Deliver. It is an exported
+// goroutine is the instance's runner, on through the node's delivery: full
+// decode, sender/edge check and an inert Handler.Deliver. It is an exported
 // testing.B function (like cluster.QueueDrainBench) so the repo benchmark
 // (bench/, service.dispatch_ns_per_frame) can run it from a normal binary
 // while the dispatch internals stay unexported. b.N counts frames; each is
@@ -27,7 +28,7 @@ import (
 // stopped at the inbox channel and drained it undecoded, 0 allocs/frame; this
 // one's 1 alloc/frame is the decode of its bw.ValPayload frame, 2 while BW
 // frames spelled their paths out (TestDispatchAllocBudget pins dispatch at
-// exactly node.Deliver's count).
+// exactly node.Post's count).
 func DispatchBench(b *testing.B) {
 	g := graph.Clique(2)
 	d := newSkeleton(g)
@@ -71,19 +72,20 @@ func newSkeleton(g *graph.Graph) *Daemon {
 	d := &Daemon{cfg: Config{ID: 1}}
 	d.initShards()
 	d.memo = make([]atomic.Pointer[instance], g.N())
+	d.pendingBy = make([]atomic.Int64, g.N())
 	return d
 }
 
-// addIdle publishes an idle instance (empty mailbox, machine not started)
-// whose node wraps h and sends through out.
+// addIdle publishes an idle instance (machine started, empty mailbox)
+// whose node wraps h and sends through out: the first poster runs it.
 func (d *Daemon) addIdle(g *graph.Graph, inst uint64, h sim.Handler, out node.Outbound) (*instance, error) {
-	nd, err := node.New(node.Config{ID: d.cfg.ID, Graph: g, Handler: h, Out: out})
-	if err != nil {
+	ins := &instance{inst: inst, protocol: "bench", started: time.Now()}
+	var err error
+	if ins.nd, err = node.New(node.Config{ID: d.cfg.ID, Graph: g, Handler: h, Out: out}); err != nil {
 		return nil, err
 	}
-	ins := newInstance(inst, "bench")
-	ins.nd = nd
 	d.shard(inst).instances[inst] = ins
+	ins.nd.Start(func(err error, late int) { d.finish(ins, err, late) })
 	return ins, nil
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -149,7 +150,7 @@ func TestDispatchBatchPendingAndRetired(t *testing.T) {
 
 // TestDispatchAllocBudget pins what dispatch adds to a frame's allocation
 // bill at nothing: a burst through dispatchBatch — grouping, routing, the
-// mailbox and the runner's loop — allocates exactly what node.Deliver alone
+// mailbox and the runner's loop — allocates exactly what node.Post alone
 // allocates on the same frames (the decode). Box slabs and frame buffers are
 // all recycled, so dispatch cost cannot creep back in as GC pressure. The
 // count is asserted in normal builds only: under -race sync.Pool drops a
@@ -157,30 +158,34 @@ func TestDispatchBatchPendingAndRetired(t *testing.T) {
 // benchmark bodies run for the detector's sake and the counts are logged.
 func TestDispatchAllocBudget(t *testing.T) {
 	dispatch := testing.Benchmark(DispatchBench).AllocsPerOp()
-	alone := testing.Benchmark(deliverAloneBench).AllocsPerOp()
+	alone := testing.Benchmark(postAloneBench).AllocsPerOp()
 	if wire.RaceEnabled {
-		t.Logf("dispatch %d, node.Deliver alone %d allocs/frame under -race, not asserted", dispatch, alone)
+		t.Logf("dispatch %d, node.Post alone %d allocs/frame under -race, not asserted", dispatch, alone)
 		return
 	}
 	if dispatch != alone {
-		t.Fatalf("dispatch allocates %d allocs/frame steady state, node.Deliver alone %d: want equal", dispatch, alone)
+		t.Fatalf("dispatch allocates %d allocs/frame steady state, node.Post alone %d: want equal", dispatch, alone)
 	}
 }
 
-// deliverAloneBench is DispatchBench's frame through node.Deliver and
-// nothing else: the allocation floor the dispatch path is held to.
-func deliverAloneBench(b *testing.B) {
+// postAloneBench is DispatchBench's frame posted straight to a started
+// node, which the poster then runs: the allocation floor the dispatch path
+// is held to.
+func postAloneBench(b *testing.B) {
 	g := graph.Clique(2)
 	nd, err := node.New(node.Config{ID: 1, Graph: g, Handler: benchHandler{id: 1}, Out: nullOut{}})
 	if err != nil {
 		b.Fatal(err)
 	}
+	nd.Start(nil)
 	body, _ := probeFrame(b, 42<<10|1, 0, 1, 2)
+	frame := make([][]byte, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := nd.Deliver(node.Inbound{From: 0, Frame: append(wire.GetBuf(), body...)}); err != nil {
-			b.Fatal(err)
+		frame[0] = append(wire.GetBuf(), body...)
+		if !nd.Post(0, frame) {
+			b.Fatal("node refused a post")
 		}
 	}
 }
@@ -296,5 +301,70 @@ func TestDispatchRouteOpenRace(t *testing.T) {
 	}
 	if got := badInjected.Load(); bad < got {
 		t.Fatalf("fleet counted %d bad frames, injected at least %d", bad, got)
+	}
+}
+
+// pendingFrames counts the frames buffered for not-yet-opened instances
+// across the routing table.
+func pendingFrames(d *Daemon) (n int) {
+	for i := range d.shards {
+		sh := &d.shards[i]
+		sh.mu.Lock()
+		for _, pend := range sh.pending {
+			n += len(pend)
+		}
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// TestPendingBoundedPerPeer: one peer sending frames for many instance ids
+// that never open here buffers at most pendingPeerCap frames across all of
+// them — the rest is shed and counted — while another peer keeps its own
+// budget.
+func TestPendingBoundedPerPeer(t *testing.T) {
+	d := newSkeleton(graph.Clique(3))
+	const ids = pendingPeerCap/64 + 8
+	for k := 0; k < ids; k++ {
+		postSeqs(t, d, uint64(k+1)<<10|2, 0, 0, 64)
+	}
+	if got := pendingFrames(d); got != pendingPeerCap {
+		t.Fatalf("one peer buffered %d pending frames, want its budget of %d", got, pendingPeerCap)
+	}
+	if got, want := d.pendingShed.Load(), int64(ids*64-pendingPeerCap); got != want {
+		t.Fatalf("pendingShed = %d, want %d", got, want)
+	}
+	postSeqs(t, d, uint64(1)<<10|2, 2, 0, 1)
+	if got := pendingFrames(d); got != pendingPeerCap+1 {
+		t.Fatalf("another peer's frame was not buffered: %d pending", got)
+	}
+}
+
+// TestPendingReleasedOnRefusal: an OPEN this daemon refuses releases the
+// frames buffered for that id, counted as shed, and settles the id: frames
+// that arrive for it later are late, not pending, and a waiter learns why.
+func TestPendingReleasedOnRefusal(t *testing.T) {
+	d := newProbeDaemon(t, nil)
+	const inst = uint64(4<<10 | 0)
+	postSeqs(t, d, inst, 0, 0, 3)
+	open, err := wire.EncodeInstanceMessage(inst, transport.Message{From: 0, To: 1, Payload: wire.Open{Protocol: "unserved"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dispatchOne(d, 0, open)
+	if got, shed := pendingFrames(d), d.pendingShed.Load(); got != 0 || shed != 3 {
+		t.Fatalf("after the refusal: %d frames pending, %d shed; want 0 and 3", got, shed)
+	}
+	postSeqs(t, d, inst, 0, 3, 5)
+	if got, late := pendingFrames(d), d.lateFrames.Load(); got != 0 || late != 2 {
+		t.Fatalf("after the refusal: %d frames pending, %d late; want 0 and 2", got, late)
+	}
+	if snap := d.Snapshot(); snap.Refused != 1 {
+		t.Fatalf("refused = %d, want 1", snap.Refused)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := d.Wait(ctx, inst); err == nil || !strings.Contains(err.Error(), "not served") {
+		t.Fatalf("Wait on a refused id returned %v, want the refusal", err)
 	}
 }

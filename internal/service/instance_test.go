@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -15,27 +16,21 @@ import (
 	"repro"
 	"repro/internal/bw"
 	"repro/internal/graph"
+	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
 
-// probe is a recording protocol machine for the mailbox and dispatch tests:
-// it notes every delivery in order, trips reentered if two invocations ever
-// overlap (the Handler contract a mailbox's single runner keeps), and can be
-// made to block in Start or in each Deliver so a test can hold the runner
-// where it wants it.
+// probe is a recording protocol machine for the instance and dispatch
+// tests: it notes every delivery in order, trips reentered if two
+// invocations ever overlap (the Handler contract a mailbox's single runner
+// keeps), and can be made to block in Start so a test can hold the opener
+// there.
 type probe struct {
 	id int
 	// startGate, when non-nil, blocks Start until it is closed.
 	startGate chan struct{}
-	// gate, when non-nil, is received from before each delivery is recorded:
-	// one token per delivery, closed = free-running.
-	gate chan struct{}
-	// entered, when non-nil, is signalled (never blocking) as a Deliver call
-	// arrives, before the gate: buffer it by one to learn that the runner is
-	// inside the machine.
-	entered chan struct{}
 	// reply makes every delivery send one frame back to its sender.
 	reply bool
 
@@ -60,15 +55,6 @@ func (p *probe) Deliver(m transport.Message, out *sim.Outbox) {
 		p.reentered.Store(true)
 	}
 	defer p.inflight.Add(-1)
-	if p.entered != nil {
-		select {
-		case p.entered <- struct{}{}:
-		default:
-		}
-	}
-	if p.gate != nil {
-		<-p.gate
-	}
 	p.mu.Lock()
 	p.got = append(p.got, probeRec{from: m.From, seq: m.Payload.(bw.ValPayload).Round})
 	p.mu.Unlock()
@@ -152,17 +138,6 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// stillBlocked reports that done has not fired a little later: the negative
-// half of a blocking assertion, which only time can show.
-func stillBlocked(done <-chan struct{}) bool {
-	select {
-	case <-done:
-		return false
-	case <-time.After(50 * time.Millisecond):
-		return true
-	}
-}
-
 // The probe protocol puts a probe behind a real daemon: the registered
 // builder hands each new instance the machine the running test parked in
 // nextProbe (an inert one otherwise).
@@ -221,61 +196,6 @@ func instanceOf(d *Daemon, inst uint64) *instance {
 	return sh.instances[inst]
 }
 
-// TestMailboxSingleRunner: eight connections post interleaved runs to one
-// instance on four Ps. Whoever finds the instance idle runs it; the machine
-// must never see two invocations at once, every sender's frames must arrive
-// in the order they were posted, and each exactly once.
-func TestMailboxSingleRunner(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	const (
-		inst      = uint64(5<<10 | 1)
-		senders   = 8
-		perSender = 2000
-	)
-	g := graph.Clique(senders + 1)
-	d := newSkeleton(g)
-	p := &probe{id: 1}
-	if _, err := d.addIdle(g, inst, p, nullOut{}); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < senders; k++ {
-		from := k
-		if from >= 1 {
-			from++ // vertex 1 is the daemon itself
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for seq := 0; seq < perSender; {
-				run := 1 + (seq+from)%5
-				if seq+run > perSender {
-					run = perSender - seq
-				}
-				postSeqs(t, d, inst, from, seq, seq+run)
-				seq += run
-			}
-		}()
-	}
-	wg.Wait()
-	d.wg.Wait() // hand-off goroutines, if any budget ran out
-
-	if p.reentered.Load() {
-		t.Fatal("two runners were inside the machine at once")
-	}
-	if got := len(p.records()); got != senders*perSender {
-		t.Fatalf("%d frames delivered, want %d", got, senders*perSender)
-	}
-	for from := 0; from <= senders; from++ {
-		if from != 1 {
-			wantSeqs(t, fmt.Sprintf("sender %d", from), p.seqsFrom(from), 0, perSender)
-		}
-	}
-	if ins := instanceOf(d, inst); ins.running || len(ins.box) != 0 {
-		t.Fatalf("quiescent instance: running=%v, %d frames in the box", ins.running, len(ins.box))
-	}
-}
-
 // TestMailboxFIFOAcrossOpen pins per-link FIFO across the open boundary, the
 // property the ready gate used to hold: frames that arrived before the OPEN
 // and waited in pending are delivered ahead of frames the same link posts
@@ -311,137 +231,11 @@ func TestMailboxFIFOAcrossOpen(t *testing.T) {
 	}
 }
 
-// TestMailboxBackpressure: a mailbox at its bound parks the next poster —
-// inbound flow control on that connection — until the runner takes the box,
-// and retiring the instance or closing the daemon releases a parked poster
-// with every undelivered frame counted late.
-func TestMailboxBackpressure(t *testing.T) {
-	// fill opens an instance whose runner (a goroutine playing link 2's
-	// reader) is held inside its first delivery, fills the box to the bound
-	// from link 0, and parks one more poster. parked closes when that poster
-	// returns, ran when the held runner does.
-	fill := func(t *testing.T) (d *Daemon, p *probe, inst uint64, parked, ran chan struct{}) {
-		d = newProbeDaemon(t, nil)
-		p = &probe{gate: make(chan struct{}), entered: make(chan struct{}, 1)}
-		nextProbe.Store(p)
-		inst, err := d.Submit("probe")
-		if err != nil {
-			t.Fatal(err)
-		}
-		ran = make(chan struct{})
-		go func() {
-			defer close(ran)
-			postSeqs(t, d, inst, 2, 0, 1)
-		}()
-		<-p.entered
-		for seq := 0; seq < boxCap; seq += 64 {
-			postSeqs(t, d, inst, 0, seq, seq+64) // the runner is busy: returns at once
-		}
-		parked = make(chan struct{})
-		go func() {
-			defer close(parked)
-			postSeqs(t, d, inst, 0, boxCap, boxCap+1)
-		}()
-		if !stillBlocked(parked) {
-			t.Fatal("a poster got past a mailbox at its bound")
-		}
-		return d, p, inst, parked, ran
-	}
-	// posted is every frame fill handed the daemon.
-	const posted = 1 + boxCap + 1
-
-	t.Run("drain", func(t *testing.T) {
-		d, p, _, parked, ran := fill(t)
-		close(p.gate)
-		<-parked
-		<-ran // its budget spent, the rest handed off
-		eventually(t, "the hand-off to drain the box", func() bool { return len(p.records()) == posted })
-		wantSeqs(t, "link 0", p.seqsFrom(0), 0, boxCap+1)
-		if late := d.lateFrames.Load(); late != 0 {
-			t.Fatalf("%d late frames on a drained mailbox", late)
-		}
-	})
-	t.Run("retire", func(t *testing.T) {
-		d, p, inst, parked, ran := fill(t)
-		d.retire(instanceOf(d, inst))
-		<-parked // released by the closed box, its frame late
-		close(p.gate)
-		<-ran // the held runner finishes the instance
-		if got, late := int64(len(p.records())), d.lateFrames.Load(); got+late != posted || late < boxCap {
-			t.Fatalf("%d delivered + %d late, want %d in all with the box late", got, late, posted)
-		}
-		if snap := d.Snapshot(); snap.Active != 0 || snap.Retired != 1 {
-			t.Fatalf("after retire: active %d, retired %d; want 0 and 1", snap.Active, snap.Retired)
-		}
-	})
-	t.Run("close", func(t *testing.T) {
-		d, p, _, parked, ran := fill(t)
-		closed := make(chan struct{})
-		go func() {
-			defer close(closed)
-			d.Close()
-		}()
-		<-parked
-		<-closed // Close does not wait for a runner that is not its own
-		close(p.gate)
-		<-ran
-		if got, late := int64(len(p.records())), d.lateFrames.Load(); got+late != posted || late < boxCap {
-			t.Fatalf("%d delivered + %d late, want %d in all with the box late", got, late, posted)
-		}
-	})
-}
-
-// TestMailboxBoundedPass: a reader that became an instance's runner is not
-// held captive by another peer's flood. After runBudget frames it hands the
-// rest to a fresh goroutine and returns to its socket; the flood is still
-// delivered, in order.
-func TestMailboxBoundedPass(t *testing.T) {
-	const (
-		inst  = uint64(9<<10 | 1)
-		flood = 4 * runBudget
-	)
-	g := graph.Clique(3)
-	d := newSkeleton(g)
-	p := &probe{id: 1, gate: make(chan struct{}), entered: make(chan struct{}, 1)}
-	if _, err := d.addIdle(g, inst, p, nullOut{}); err != nil {
-		t.Fatal(err)
-	}
-	returned := make(chan struct{})
-	go func() { // link 2's reader: one frame of its own, and the runner role
-		defer close(returned)
-		postSeqs(t, d, inst, 2, 0, 1)
-	}()
-	<-p.entered
-	for seq := 0; seq < flood; seq += 64 {
-		postSeqs(t, d, inst, 0, seq, seq+64) // link 0 floods behind it
-	}
-	for i := 0; i < runBudget; i++ {
-		p.gate <- struct{}{} // exactly the budget: the flood is far from done
-	}
-	select {
-	case <-returned:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the reader was still running the flooded instance past its budget")
-	}
-	if got := len(p.records()); got != runBudget {
-		t.Fatalf("the reader delivered %d frames before it returned, want its budget of %d", got, runBudget)
-	}
-	close(p.gate)
-	d.wg.Wait()
-	wantSeqs(t, "the flood", p.seqsFrom(0), 0, flood)
-	if got := len(p.records()); got != flood+1 {
-		t.Fatalf("%d frames delivered, want %d", got, flood+1)
-	}
-	if p.reentered.Load() {
-		t.Fatal("the hand-off let two runners into the machine")
-	}
-}
-
 // TestServiceFailedInstanceReportsCause: an instance whose outbound refuses
 // a frame (Mux.Send does, over wire.MaxFrame) retires undecided — and says
 // why: the cause is logged with the instance id and carried by the error
-// every waiter gets. Frames behind the failure and after it are late, and
-// every frame is accounted for.
+// every waiter gets. Frames after the failure are late, and every frame is
+// accounted for.
 func TestServiceFailedInstanceReportsCause(t *testing.T) {
 	const inst = uint64(21<<10 | 0)
 	g := graph.Clique(2)
@@ -469,8 +263,8 @@ func TestServiceFailedInstanceReportsCause(t *testing.T) {
 		return len(ins.waiters) == 1
 	})
 
-	postSeqs(t, d, inst, 0, 0, 3) // the first delivery's reply is refused
-	postSeqs(t, d, inst, 0, 3, 5) // the instance is gone
+	postSeqs(t, d, inst, 0, 0, 1) // the delivery's reply is refused
+	postSeqs(t, d, inst, 0, 1, 5) // the instance is gone
 
 	for _, err := range []error{<-waitErr, func() error { _, err := d.Wait(context.Background(), inst); return err }()} {
 		if err == nil || !strings.Contains(err.Error(), "retired without deciding") || !strings.Contains(err.Error(), errRefused.Error()) {
@@ -588,4 +382,84 @@ func TestServiceCloseLeavesNothing(t *testing.T) {
 		}
 	}
 	eventually(t, "the fleet's goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
+}
+
+// recOut records every frame handed to it, in order.
+type recOut struct {
+	mu     sync.Mutex
+	frames [][]byte
+	to     []int
+}
+
+func (o *recOut) Send(to int, frame []byte) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.frames = append(o.frames, append([]byte(nil), frame...))
+	o.to = append(o.to, to)
+	wire.PutBuf(frame)
+	return nil
+}
+
+// TestInstanceDeliversLikeOneShot: a service instance and a one-shot node
+// are one delivery path. The same bursts — dispatched to an instance, and
+// posted to a node the way a one-shot run's readers post them — give the
+// machines the same deliveries, the nodes equal Stats and the outbounds
+// byte-identical frames, bundled the same way.
+func TestInstanceDeliversLikeOneShot(t *testing.T) {
+	g := graph.Clique(3)
+	const inst = 0 // a one-shot run's instance id, so the frames compare byte for byte
+	type burst struct{ from, lo, hi int }
+	bursts := []burst{{0, 0, 3}, {2, 0, 1}, {0, 3, 4}, {2, 1, 6}, {0, 4, 9}}
+	frames := func(b burst) [][]byte {
+		var fs [][]byte
+		for seq := b.lo; seq < b.hi; seq++ {
+			f, _ := probeFrame(t, inst, b.from, 1, seq)
+			fs = append(fs, f)
+		}
+		return fs
+	}
+
+	oneShot := &probe{id: 1, reply: true}
+	oneShotOut := &recOut{}
+	nd, err := node.New(node.Config{ID: 1, Graph: g, Handler: oneShot, Out: oneShotOut})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.Start(nil)
+	for _, b := range bursts {
+		if !nd.Post(b.from, frames(b)) {
+			t.Fatal("the one-shot node refused a burst")
+		}
+	}
+
+	d := newSkeleton(g)
+	served := &probe{id: 1, reply: true}
+	servedOut := &recOut{}
+	ins, err := d.addIdle(g, inst, served, servedOut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range bursts {
+		fs := frames(b)
+		infos := make([]wire.FrameInfo, len(fs))
+		for i, f := range fs {
+			if infos[i], err = wire.PeekFrame(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.dispatchBatch(b.from, fs, infos)
+	}
+
+	if got, want := served.records(), oneShot.records(); fmt.Sprint(got) != fmt.Sprint(want) || len(want) != 15 {
+		t.Fatalf("the instance delivered %v, the one-shot node %v; want the same 15", got, want)
+	}
+	if got, want := ins.nd.Stats(), nd.Stats(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("instance stats %+v, one-shot stats %+v: want equal", got, want)
+	}
+	if len(oneShotOut.frames) != len(bursts) {
+		t.Fatalf("the one-shot node wrote %d frames for %d single-sender bursts, want one each", len(oneShotOut.frames), len(bursts))
+	}
+	if !reflect.DeepEqual(servedOut.to, oneShotOut.to) || !reflect.DeepEqual(servedOut.frames, oneShotOut.frames) {
+		t.Fatalf("outbound frames differ: instance sent to %v, one-shot to %v", servedOut.to, oneShotOut.to)
+	}
 }

@@ -2,13 +2,14 @@
 // (one per graph vertex) that multiplexes many concurrent consensus
 // instances over persistent peer connections, instead of the single-shot
 // lifecycle of the cluster harness. Every wire frame carries an instance
-// id (codec v4); the daemon routes frames to per-instance mailboxes (see
-// mailbox.go for who runs an instance), spawning machines on demand from a
-// repro.InstanceFactory and retiring them after decision. New instances are
-// announced with a flooded OPEN control frame; per-connection FIFO ordering
-// guarantees a sender's OPEN precedes its protocol traffic, and frames that
-// race ahead of the announcement through third parties wait in a bounded
-// pending buffer.
+// id (codec v4); the daemon routes frames to each instance's node, posting
+// them to its mailbox the way a one-shot run's readers do (node.Post), and
+// keeps the lifecycle around it: machines spawned on demand from a
+// repro.InstanceFactory, retired after decision (instance.go). New
+// instances are announced with a flooded OPEN control frame;
+// per-connection FIFO ordering guarantees a sender's OPEN precedes its
+// protocol traffic, and frames that race ahead of the announcement through
+// third parties wait in a bounded pending buffer.
 //
 // The daemon exposes three planes: the peer plane (the cluster.Mux fabric,
 // bounded per-peer queues with backpressure and shed accounting), a client
@@ -39,8 +40,15 @@ import (
 )
 
 // DefaultPendingCap bounds the frames buffered per not-yet-opened
-// instance; overflow is shed and counted.
-const DefaultPendingCap = 4096
+// instance, and pendingPeerCap those one peer has buffered across every
+// such instance; overflow is shed and counted. Honest traffic leaves
+// almost nothing pending — every daemon floods its OPEN ahead of its own
+// frames on each link — so the bounds are there for peers that send frames
+// for instances that never open here.
+const (
+	DefaultPendingCap = 4096
+	pendingPeerCap    = 4 * DefaultPendingCap
+)
 
 // Defaults for Config knobs left zero.
 const (
@@ -175,9 +183,12 @@ type Daemon struct {
 	// are never reused, so a memoized retired instance refuses the post (its
 	// mailbox is closed) and the frames land in lateFrames, exactly like the
 	// retired-ledger path.
-	memo     []atomic.Pointer[instance]
-	seq      uint64
-	draining atomic.Bool
+	memo []atomic.Pointer[instance]
+	// pendingBy counts, per sending peer, the frames it has in pending
+	// across every instance id (bounded by pendingPeerCap).
+	pendingBy []atomic.Int64
+	seq       uint64
+	draining  atomic.Bool
 
 	submitted, opened, decided, retiredN    atomic.Int64
 	lateFrames, pendingShed, refused, badFr atomic.Int64
@@ -220,6 +231,7 @@ func New(cfg Config) (*Daemon, error) {
 	sort.Strings(d.names)
 	fac := d.facs[d.names[0]]
 	d.memo = make([]atomic.Pointer[instance], fac.Graph().N())
+	d.pendingBy = make([]atomic.Int64, fac.Graph().N())
 	mux, err := cluster.NewMux(cluster.MuxConfig{
 		ID:           cfg.ID,
 		Graph:        fac.Graph(),
@@ -303,7 +315,7 @@ func (d *Daemon) retireAll() {
 		live := slices.Collect(maps.Values(sh.instances))
 		sh.mu.RUnlock()
 		for _, ins := range live {
-			d.retire(ins)
+			ins.nd.Close()
 		}
 	}
 }
@@ -349,10 +361,12 @@ func (d *Daemon) dispatchBatch(from int, frames [][]byte, infos []wire.FrameInfo
 		}
 		// One run: memo hit or one shard read-lock lookup, then one mailbox
 		// post; an instance not running here takes the pending slow path.
-		if ins := d.lookup(from, fi.Inst); ins != nil {
-			d.post(ins, from, frames[i:j])
-		} else {
-			d.bufferPendingGroup(from, fi.Inst, frames[i:j])
+		ins := d.lookup(from, fi.Inst)
+		if ins == nil {
+			ins = d.bufferPendingGroup(from, fi.Inst, frames[i:j])
+		}
+		if ins != nil && !ins.nd.Post(from, frames[i:j]) {
+			d.dropLate(frames[i:j]) // retired since the lookup
 		}
 		i = j
 	}
@@ -372,7 +386,7 @@ func (d *Daemon) handleOpen(inst uint64, frame []byte) {
 		d.badFr.Add(1)
 		return
 	}
-	if err := d.open(inst, op.Protocol, false); err != nil {
+	if err := d.open(inst, op.Protocol); err != nil {
 		d.logf("service[%d]: refused open inst=%d: %v", d.cfg.ID, inst, err)
 	}
 }
@@ -399,31 +413,45 @@ func (d *Daemon) lookup(from int, inst uint64) *instance {
 // bufferPendingGroup is dispatch's slow path: under the shard write
 // lock, recheck (the instance may have opened or retired between the
 // lookup and here), then buffer the run for the not-yet-opened instance,
-// bounded by DefaultPendingCap with per-frame shed accounting.
-func (d *Daemon) bufferPendingGroup(from int, inst uint64, frames [][]byte) {
+// bounded by DefaultPendingCap per instance and pendingPeerCap per sending
+// peer, with per-frame shed accounting. It returns the instance when it
+// turns out to be running, for the caller to post to.
+func (d *Daemon) bufferPendingGroup(from int, inst uint64, frames [][]byte) *instance {
 	sh := d.shard(inst)
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if ins, running := sh.instances[inst]; running {
-		sh.mu.Unlock()
-		d.post(ins, from, frames)
-		return
+		return ins
 	}
 	if _, gone := sh.retired[inst]; gone {
-		sh.mu.Unlock()
 		d.dropLate(frames)
-		return
+		return nil
 	}
 	pend := sh.pending[inst]
 	for _, frame := range frames {
-		if len(pend) >= DefaultPendingCap {
+		// The peer's count is shared by every shard: two of its
+		// connections racing here can overshoot it by a frame each.
+		if len(pend) >= DefaultPendingCap || d.pendingBy[from].Load() >= pendingPeerCap {
 			d.pendingShed.Add(1)
 			wire.PutBuf(frame)
 			continue
 		}
+		d.pendingBy[from].Add(1)
 		pend = append(pend, node.Inbound{From: from, Frame: frame})
 	}
 	sh.pending[inst] = pend
-	sh.mu.Unlock()
+	return nil
+}
+
+// takePending removes inst's buffered frames from the table and from their
+// senders' budgets. The caller holds sh.mu and owns the frames.
+func (d *Daemon) takePending(sh *routeShard, inst uint64) []node.Inbound {
+	pend := sh.pending[inst]
+	delete(sh.pending, inst)
+	for _, in := range pend {
+		d.pendingBy[in.From].Add(-1)
+	}
+	return pend
 }
 
 // dropLate releases a run of frames that arrived after their instance
@@ -443,7 +471,7 @@ func (d *Daemon) Submit(protocol string) (uint64, error) {
 	}
 	seq := atomic.AddUint64(&d.seq, 1)
 	inst := seq<<10 | uint64(d.cfg.ID)
-	if err := d.open(inst, protocol, true); err != nil {
+	if err := d.open(inst, protocol); err != nil {
 		return 0, err
 	}
 	d.submitted.Add(1)
@@ -451,19 +479,16 @@ func (d *Daemon) Submit(protocol string) (uint64, error) {
 }
 
 // open spawns instance inst running protocol, floods the OPEN announcement
-// and runs the machine's start and any buffered frames as the instance's
-// first runner. Duplicate opens (every daemon re-floods the first sighting)
-// are no-ops.
-func (d *Daemon) open(inst uint64, protocol string, local bool) error {
+// and starts the machine, which then runs any buffered frames as the
+// instance's first runner. Duplicate opens (every daemon re-floods the
+// first sighting) are no-ops. A refusal settles the id for good: its
+// buffered frames are shed, and the ledger records it as retired with the
+// refusal as cause, so frames that arrive for it later are late, not
+// pending.
+func (d *Daemon) open(inst uint64, protocol string) error {
 	if d.ctx == nil {
 		return errors.New("service: daemon not started")
 	}
-	fac, ok := d.facs[protocol]
-	if !ok {
-		d.refused.Add(1)
-		return fmt.Errorf("service: protocol %q not served (valid values are: %v)", protocol, d.names)
-	}
-
 	sh := d.shard(inst)
 	sh.mu.Lock()
 	if _, running := sh.instances[inst]; running {
@@ -474,27 +499,67 @@ func (d *Daemon) open(inst uint64, protocol string, local bool) error {
 		sh.mu.Unlock()
 		return nil
 	}
-	refuse := func(err error) error {
-		sh.mu.Unlock()
-		d.refused.Add(1)
-		return err
-	}
-	if d.draining.Load() || d.ctx.Err() != nil {
-		return refuse(errors.New("service: draining or stopped"))
-	}
 	// Spawn under the shard lock so a concurrent duplicate OPEN cannot
 	// double-start; machine construction is cheap (the factory
 	// pre-materialized the shared context).
+	ins, err := d.spawn(inst, protocol)
+	pend := d.takePending(sh, inst)
+	if err != nil {
+		sh.retired[inst] = err
+		sh.mu.Unlock()
+		d.refused.Add(1)
+		d.pendingShed.Add(int64(len(pend)))
+		for _, in := range pend {
+			wire.PutBuf(in.Frame)
+		}
+		return err
+	}
+	// The buffered pre-open frames become the head of the mailbox before the
+	// instance is published, and the box does not run before Start: whatever
+	// a reader posts once it can find the instance queues behind them and
+	// behind the machine's start (per-link FIFO across the open boundary).
+	// They fit: pending holds at most DefaultPendingCap frames, so the posts
+	// never wait.
+	run := make([][]byte, 0, len(pend))
+	for i, in := range pend {
+		run = append(run, in.Frame)
+		if i+1 == len(pend) || pend[i+1].From != in.From {
+			ins.nd.Post(in.From, run)
+			run = run[:0]
+		}
+	}
+	sh.instances[inst] = ins
+	sh.mu.Unlock()
+	d.opened.Add(1)
+
+	// Announce before the machine's first sends enter the per-peer queues:
+	// FIFO order then guarantees every peer sees our OPEN before any of
+	// our protocol frames for this instance.
+	d.flood(inst, protocol)
+	ins.nd.Start(func(err error, late int) { d.finish(ins, err, late) })
+	return nil
+}
+
+// spawn builds instance inst's machine and node, or says why it may not
+// run here.
+func (d *Daemon) spawn(inst uint64, protocol string) (*instance, error) {
+	fac, ok := d.facs[protocol]
+	if !ok {
+		return nil, fmt.Errorf("service: protocol %q not served (valid values are: %v)", protocol, d.names)
+	}
+	if d.draining.Load() || d.ctx.Err() != nil {
+		return nil, errors.New("service: draining or stopped")
+	}
 	h, err := fac.HandlerFor(inst, d.cfg.ID)
 	if err != nil {
-		return refuse(err)
+		return nil, err
 	}
 	links, err := fac.LinkFaultsFor(inst)
 	if err != nil {
-		return refuse(err)
+		return nil, err
 	}
-	ins := newInstance(inst, protocol)
-	nd, err := node.New(node.Config{
+	ins := &instance{inst: inst, protocol: protocol, started: time.Now()}
+	ins.nd, err = node.New(node.Config{
 		ID:      d.cfg.ID,
 		Graph:   fac.Graph(),
 		Handler: h,
@@ -505,33 +570,7 @@ func (d *Daemon) open(inst uint64, protocol string, local bool) error {
 		LinkFaults: links,
 		OnDecide:   func(int, float64) { d.onDecide(ins) },
 	})
-	if err != nil {
-		return refuse(err)
-	}
-	ins.nd = nd
-	// The buffered pre-open frames become the head of the mailbox before the
-	// instance is published, and the opener holds the runner role from the
-	// start: whatever a reader posts once it can find the instance queues
-	// behind them and behind the machine's start (per-link FIFO across the
-	// open boundary).
-	ins.box = sh.pending[inst]
-	delete(sh.pending, inst)
-	ins.running = true
-	sh.instances[inst] = ins
-	sh.mu.Unlock()
-	d.opened.Add(1)
-
-	// Announce before the machine's first sends enter the per-peer queues:
-	// FIFO order then guarantees every peer sees our OPEN before any of
-	// our protocol frames for this instance.
-	d.flood(inst, protocol)
-
-	if ins.err = ins.nd.Start(); ins.err != nil {
-		d.finish(ins)
-		return nil
-	}
-	d.run(ins, runBudget)
-	return nil
+	return ins, err
 }
 
 // flood announces inst on every out-edge. Send blocks under backpressure —
@@ -590,7 +629,7 @@ func (d *Daemon) onDecide(ins *instance) {
 	d.wg.Add(1)
 	ins.linger = time.AfterFunc(d.cfg.Linger, func() {
 		defer d.wg.Done()
-		d.retire(ins)
+		ins.nd.Close()
 	})
 }
 

@@ -1,7 +1,7 @@
 package wire
 
 // The live tier's frame-buffer pool and batched I/O primitives. Every
-// frame that crosses a hot-path boundary — an Outbound.Send, a node inbox,
+// frame that crosses a hot-path boundary — an Outbound.Send, a node mailbox,
 // a Mux dispatcher — is a []byte whose ownership travels with it: the
 // sender allocates from GetBuf, each hand-off transfers ownership, and the
 // final consumer releases with PutBuf once the bytes are dead (for inbound

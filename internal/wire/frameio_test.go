@@ -22,7 +22,7 @@ func frameioMessage() transport.Message {
 }
 
 func TestAppendRawFrameLayout(t *testing.T) {
-	body, err := wire.EncodeMessage(frameioMessage())
+	body, err := wire.EncodeInstanceMessage(0, frameioMessage())
 	if err != nil {
 		t.Fatal(err)
 	}

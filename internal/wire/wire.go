@@ -135,16 +135,11 @@ const (
 	contentReport = 2 // aad.Report
 )
 
-// EncodeMessage renders m as one frame body (without the stream length
-// prefix) under instance 0 — the form one-shot cluster runs speak. It fails
-// on payload types the codec does not know and on messages with negative
+// EncodeInstanceMessage renders m as one frame body (without the stream
+// length prefix) belonging to the given consensus instance: 0 in a
+// one-shot run, the service tier's pipelining unit otherwise. It fails on
+// payload types the codec does not know and on messages with negative
 // coordinates.
-func EncodeMessage(m transport.Message) ([]byte, error) {
-	return AppendInstanceMessage(nil, 0, m)
-}
-
-// EncodeInstanceMessage renders m as one frame body belonging to the given
-// consensus instance (the service tier's pipelining unit).
 func EncodeInstanceMessage(inst uint64, m transport.Message) ([]byte, error) {
 	return AppendInstanceMessage(nil, inst, m)
 }
@@ -339,15 +334,6 @@ func appendContent(dst []byte, c rbc.Content) ([]byte, error) {
 	}
 }
 
-// DecodeMessage parses a one-message frame body produced by EncodeMessage,
-// discarding the instance id (single-shot consumers run exactly one
-// instance, so every frame that reaches them is theirs by construction —
-// the service daemon routes by instance before any node decodes).
-func DecodeMessage(data []byte) (transport.Message, error) {
-	_, m, err := DecodeInstanceMessage(data)
-	return m, err
-}
-
 // DecodeInstanceMessage parses a frame body that carries exactly one
 // message and returns the consensus instance it belongs to alongside the
 // message. A frame of several messages is an error here; DecodeFrame reads
@@ -501,7 +487,7 @@ type FrameInfo struct {
 // Open announcement — the first payload's type byte. The service daemon's
 // per-connection readers route every inbound frame through this — a
 // handful of varints — and leave the full payload decode to the one
-// instance event loop that consumes the frame. A multi-message frame that
+// node that consumes the frame. A multi-message frame that
 // opens with an Open fails here; one that hides an Open further in fails
 // the full decode.
 func PeekFrame(data []byte) (FrameInfo, error) {

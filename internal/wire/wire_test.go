@@ -58,19 +58,19 @@ func sampleMessages() []transport.Message {
 // must preserve NaN payloads (it round-trips bits), which reflect.DeepEqual
 // would reject.
 func equalMessage(a, b transport.Message) bool {
-	ab, errA := wire.EncodeMessage(a)
-	bb, errB := wire.EncodeMessage(b)
+	ab, errA := wire.EncodeInstanceMessage(0, a)
+	bb, errB := wire.EncodeInstanceMessage(0, b)
 	return errA == nil && errB == nil && bytes.Equal(ab, bb) &&
 		a.From == b.From && a.To == b.To && a.Seq == b.Seq
 }
 
 func TestRoundTrip(t *testing.T) {
 	for _, m := range sampleMessages() {
-		body, err := wire.EncodeMessage(m)
+		body, err := wire.EncodeInstanceMessage(0, m)
 		if err != nil {
 			t.Fatalf("encode %v: %v", m, err)
 		}
-		got, err := wire.DecodeMessage(body)
+		_, got, err := wire.DecodeInstanceMessage(body)
 		if err != nil {
 			t.Fatalf("decode %v: %v", m, err)
 		}
@@ -106,7 +106,7 @@ func TestFrameStream(t *testing.T) {
 	msgs := sampleMessages()
 	var stream []byte
 	for _, m := range msgs {
-		body, err := wire.EncodeMessage(m)
+		body, err := wire.EncodeInstanceMessage(0, m)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
@@ -125,7 +125,7 @@ func TestFrameStream(t *testing.T) {
 			if infos[i].Bad {
 				t.Fatalf("frame %d: routing header did not parse", len(got))
 			}
-			m, err := wire.DecodeMessage(f)
+			_, m, err := wire.DecodeInstanceMessage(f)
 			wire.PutBuf(f)
 			if err != nil {
 				t.Fatalf("frame %d: %v", len(got), err)
@@ -144,7 +144,7 @@ func TestFrameStream(t *testing.T) {
 }
 
 func TestDecodeRejects(t *testing.T) {
-	valid, err := wire.EncodeMessage(sampleMessages()[0])
+	valid, err := wire.EncodeInstanceMessage(0, sampleMessages()[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestDecodeRejects(t *testing.T) {
 		return f
 	}
 	val := valid[countAt+1:]
-	openFrame, err := wire.EncodeMessage(transport.Message{From: 0, To: 1, Payload: wire.Open{Protocol: "acs"}})
+	openFrame, err := wire.EncodeInstanceMessage(0, transport.Message{From: 0, To: 1, Payload: wire.Open{Protocol: "acs"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,14 +201,14 @@ func TestDecodeRejects(t *testing.T) {
 		if len(got) != 1 {
 			t.Errorf("%s: a failed decode left %d messages in dst, want the 1 it held", tc.name, len(got))
 		}
-		if _, err := wire.DecodeMessage(tc.data); err == nil {
-			t.Errorf("%s: DecodeMessage accepted the frame", tc.name)
+		if _, _, err := wire.DecodeInstanceMessage(tc.data); err == nil {
+			t.Errorf("%s: DecodeInstanceMessage accepted the frame", tc.name)
 		}
 	}
 	// A well-formed frame of two messages is DecodeFrame's, not
-	// DecodeMessage's: the one-message decode reads exactly one.
-	if _, err := wire.DecodeMessage(frame(2, val, val)); err == nil || !strings.Contains(err.Error(), "want 1") {
-		t.Errorf("two-message frame: want DecodeMessage to refuse it, got %v", err)
+	// DecodeInstanceMessage's: the one-message decode reads exactly one.
+	if _, _, err := wire.DecodeInstanceMessage(frame(2, val, val)); err == nil || !strings.Contains(err.Error(), "want 1") {
+		t.Errorf("two-message frame: want DecodeInstanceMessage to refuse it, got %v", err)
 	}
 	if _, err := wire.PeekFrame(frame(2, open, val)); err == nil {
 		t.Error("PeekFrame routed a multi-message frame led by an Open")
@@ -248,20 +248,20 @@ func TestEncodeRejectsNegativeEntry(t *testing.T) {
 		"complete path":  bw.CompletePayload{Round: 1, Entry: math.MinInt32},
 		"complete entry": bw.CompletePayload{Round: 1, Entries: []bw.ValEntry{{Value: 1, Entry: 2}, {Value: 1, Entry: -3}}},
 	} {
-		if _, err := wire.EncodeMessage(transport.Message{From: 0, To: 1, Payload: p}); err == nil {
+		if _, err := wire.EncodeInstanceMessage(0, transport.Message{From: 0, To: 1, Payload: p}); err == nil {
 			t.Errorf("%s: encode accepted %+v", name, p)
 		}
 	}
 }
 
 func TestEncodeRejectsUnknownPayload(t *testing.T) {
-	if _, err := wire.EncodeMessage(transport.Message{Payload: fakePayload{}}); err == nil {
+	if _, err := wire.EncodeInstanceMessage(0, transport.Message{Payload: fakePayload{}}); err == nil {
 		t.Fatal("want error for unknown payload type")
 	}
-	if _, err := wire.EncodeMessage(transport.Message{From: 0, To: 1}); err == nil {
+	if _, err := wire.EncodeInstanceMessage(0, transport.Message{From: 0, To: 1}); err == nil {
 		t.Fatal("want error for nil payload")
 	}
-	if _, err := wire.EncodeMessage(transport.Message{From: -1, To: 1,
+	if _, err := wire.EncodeInstanceMessage(0, transport.Message{From: -1, To: 1,
 		Payload: iterative.ValPayload{}}); err == nil {
 		t.Fatal("want error for negative node id")
 	}
@@ -278,7 +278,7 @@ func TestEncodeRejectsBadABA(t *testing.T) {
 		"negative inst":  {Inst: -1, Round: 1, Phase: aba.PhaseAux, Value: 1},
 		"negative round": {Inst: 0, Round: -1, Phase: aba.PhaseAux, Value: 1},
 	} {
-		if _, err := wire.EncodeMessage(transport.Message{From: 0, To: 1, Payload: p}); err == nil {
+		if _, err := wire.EncodeInstanceMessage(0, transport.Message{From: 0, To: 1, Payload: p}); err == nil {
 			t.Errorf("%s: encode accepted %+v", name, p)
 		}
 	}
@@ -502,8 +502,7 @@ func TestAppendFrameSplitsAtMaxFrame(t *testing.T) {
 }
 
 // TestInstanceRoundTrip pins the multiplexing header across the instance-id
-// domain: the id survives encode/decode at every varint width and the
-// instance-0 legacy helpers agree with the instance-aware ones.
+// domain: the id survives encode/decode at every varint width.
 func TestInstanceRoundTrip(t *testing.T) {
 	for _, inst := range []uint64{0, 1, 127, 128, 16384, 1 << 32, math.MaxUint64} {
 		for _, m := range sampleMessages() {
@@ -518,18 +517,7 @@ func TestInstanceRoundTrip(t *testing.T) {
 			if gotInst != inst || !equalMessage(m, got) {
 				t.Fatalf("inst %d: round trip changed frame: inst %d msg %#v", inst, gotInst, got)
 			}
-			// DecodeMessage accepts any instance and discards it.
-			if _, err := wire.DecodeMessage(body); err != nil {
-				t.Fatalf("inst %d: instance-blind decode: %v", inst, err)
-			}
 		}
-	}
-	// EncodeMessage is exactly EncodeInstanceMessage(0, ·).
-	m := sampleMessages()[0]
-	a, _ := wire.EncodeMessage(m)
-	b, _ := wire.EncodeInstanceMessage(0, m)
-	if !bytes.Equal(a, b) {
-		t.Fatalf("EncodeMessage disagrees with instance 0: %x vs %x", a, b)
 	}
 }
 
@@ -549,10 +537,10 @@ func TestOpenPayload(t *testing.T) {
 	if !ok || open.Protocol != "iterative" {
 		t.Fatalf("payload = %#v", m.Payload)
 	}
-	if _, err := wire.EncodeMessage(transport.Message{From: 0, To: 1, Payload: wire.Open{}}); err == nil {
+	if _, err := wire.EncodeInstanceMessage(0, transport.Message{From: 0, To: 1, Payload: wire.Open{}}); err == nil {
 		t.Fatal("want error for empty protocol name")
 	}
-	if _, err := wire.EncodeMessage(transport.Message{From: 0, To: 1,
+	if _, err := wire.EncodeInstanceMessage(0, transport.Message{From: 0, To: 1,
 		Payload: wire.Open{Protocol: strings.Repeat("x", 1<<13)}}); err == nil {
 		t.Fatal("want error for oversized protocol name")
 	}
@@ -594,13 +582,13 @@ func nonCanonicalReportFrames(tb testing.TB) [][]byte {
 // origin is a decode error, never a report with a shadowed entry.
 func TestDecodeRejectsNonCanonicalReport(t *testing.T) {
 	for _, frame := range nonCanonicalReportFrames(t) {
-		if _, err := wire.DecodeMessage(frame); err == nil {
+		if _, _, err := wire.DecodeInstanceMessage(frame); err == nil {
 			t.Errorf("frame %x decoded", frame)
 		}
 	}
 	unsorted := transport.Message{From: 1, To: 2, Payload: rbc.Msg{Phase: rbc.PhaseEcho, Origin: 0, Tag: "r2/report",
 		Content: aad.Report{{Origin: 2, Value: 1}, {Origin: 0, Value: -2.5}}}}
-	if _, err := wire.EncodeMessage(unsorted); err == nil {
+	if _, err := wire.EncodeInstanceMessage(0, unsorted); err == nil {
 		t.Error("unsorted report encoded")
 	}
 }
@@ -614,18 +602,18 @@ func TestWireDecodeReportAllocBudget(t *testing.T) {
 	for i := range rep {
 		rep[i] = aad.Entry{Origin: i, Value: float64(i) / 4}
 	}
-	frame, err := wire.EncodeMessage(transport.Message{From: 1, To: 2, Payload: rbc.Msg{
+	frame, err := wire.EncodeInstanceMessage(0, transport.Message{From: 1, To: 2, Payload: rbc.Msg{
 		Phase: rbc.PhaseReady, Origin: 3, Tag: "r2/report", Content: rep}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := testing.AllocsPerRun(1000, func() {
-		if _, err := wire.DecodeMessage(frame); err != nil {
+		if _, _, err := wire.DecodeInstanceMessage(frame); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if got != 4 {
-		t.Errorf("DecodeMessage of a report frame allocates %.2f per op, want 4", got)
+		t.Errorf("DecodeInstanceMessage of a report frame allocates %.2f per op, want 4", got)
 	}
 }
 
