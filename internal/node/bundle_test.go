@@ -123,6 +123,45 @@ func TestNodeBundlesPerBatch(t *testing.T) {
 	}
 }
 
+// TestNodeBundlesPerSlab pins the same flush rule on Run's standing
+// runner, the adapter the benchmark's node.loop cell drives: Start's sends
+// leave as one frame per destination, and so do all the sends of one
+// pushed slab's deliveries, in send order.
+func TestNodeBundlesPerSlab(t *testing.T) {
+	g := graph.Clique(3)
+	h := &echoHandler{id: 0, perDest: 2}
+	out := &memOut{}
+	n, err := node.New(node.Config{ID: 0, Graph: g, Handler: h, Out: out})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const slabFrames = 5
+	stop := runNode(t, n)
+	slab := node.GetSlab()
+	for i := range slabFrames {
+		slab = append(slab, node.Inbound{From: 1, Frame: encode(t, transport.Message{
+			From: 1, To: 0, Payload: iterative.ValPayload{Round: 1, Value: float64(i)}})})
+	}
+	push(t, n, slab)
+	deadline := time.Now().Add(5 * time.Second)
+	for len(out.sent()) < 4 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	stop()
+
+	frames, msgs := decodeFrames(t, out)
+	for _, v := range []int{1, 2} {
+		// Start's 2 messages in one frame, then 5 deliveries × 2 in one.
+		if frames[v] != 2 || len(msgs[v]) != 2+slabFrames*2 || !ascendingRounds(msgs[v]) {
+			t.Errorf("to %d: %d frames, %d messages (ascending %v), want 2 frames of 12 in send order",
+				v, frames[v], len(msgs[v]), ascendingRounds(msgs[v]))
+		}
+	}
+	if st := n.Stats(); st.Frames != 4 || st.Sent != 24 || st.Delivered != slabFrames {
+		t.Errorf("stats = %+v, want 4 frames, 24 sent, %d delivered", st, slabFrames)
+	}
+}
+
 // TestNodeMultiMessageFrame: a multi-message frame's messages reach the
 // handler one invocation each, in order, and their sends leave with the
 // batch's flush, one frame per destination; a forged multi-message frame

@@ -159,15 +159,18 @@ type Stats struct {
 }
 
 const (
-	// boxCap bounds the frames posted and not yet taken, one peer queue's
+	// BoxCap bounds the frames posted and not yet taken, one peer queue's
 	// worth (cluster.DefaultQueueCap). A poster that finds the box full
 	// waits for the runner (an idle node's box is empty): inbound flow
 	// control on that peer's connection.
-	boxCap = 1 << 14
-	// runBudget is how many frames a poster delivers before it hands the
+	BoxCap = 1 << 14
+	// RunBudget is how many frames a poster delivers before it hands the
 	// rest to a goroutine of the node's, so a peer flooding one node cannot
 	// hold another link's reader captive.
-	runBudget = 256
+	RunBudget = 256
+)
+
+const (
 	handedOff = -1 // a hand-off goroutine's budget: it has nothing to go back to
 	standing  = -2 // Run's: it keeps the runner role until the node closes
 )
@@ -178,7 +181,7 @@ type Node struct {
 	cfg Config
 
 	boxMu sync.Mutex
-	space sync.Cond // parks posters at boxCap and Run's runner on an empty box
+	space sync.Cond // parks posters at BoxCap and Run's runner on an empty box
 	box   []Inbound // posted frames, arrival order
 	// running: someone holds the runner role. New gives it to Start, so the
 	// box does not run before Start; finish never gives it back.
@@ -242,7 +245,7 @@ func New(cfg Config) (*Node, error) {
 
 // Post appends one connection's frames, all from peer from, to the box in
 // arrival order and, when the node is started and idle, runs it: the caller
-// delivers up to runBudget frames inline, then hands the rest to a
+// delivers up to RunBudget frames inline, then hands the rest to a
 // goroutine of the node's. A full box parks the caller until the runner
 // takes it. On true every frame's ownership has transferred (the slice is
 // not retained); on false the node is closed and the caller keeps them.
@@ -259,7 +262,7 @@ func (n *Node) Post(from int, frames [][]byte) bool {
 	n.running = true
 	n.boxMu.Unlock()
 	if idle {
-		n.run(runBudget)
+		n.run(RunBudget)
 	}
 	return true
 }
@@ -267,7 +270,7 @@ func (n *Node) Post(from int, frames [][]byte) bool {
 // admit waits for room in the box and reports whether the node is open.
 // The caller holds boxMu.
 func (n *Node) admit() bool {
-	for len(n.box) >= boxCap && !n.closed {
+	for len(n.box) >= BoxCap && !n.closed {
 		n.space.Wait()
 	}
 	if n.box == nil && !n.closed {
@@ -289,7 +292,7 @@ func (n *Node) admit() bool {
 func (n *Node) Start(closing func(err error, late int)) {
 	n.onEnd = closing
 	n.begin()
-	n.run(runBudget)
+	n.run(RunBudget)
 }
 
 // begin starts the handler, holding its sends for the first flush.

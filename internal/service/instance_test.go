@@ -25,12 +25,19 @@ import (
 // probe is a recording protocol machine for the instance and dispatch
 // tests: it notes every delivery in order, trips reentered if two
 // invocations ever overlap (the Handler contract a mailbox's single runner
-// keeps), and can be made to block in Start so a test can hold the opener
-// there.
+// keeps), and can be made to block in Start or in each Deliver so a test
+// can hold the opener or the runner where it wants it.
 type probe struct {
 	id int
 	// startGate, when non-nil, blocks Start until it is closed.
 	startGate chan struct{}
+	// gate, when non-nil, is received from before each delivery is recorded:
+	// one token per delivery, closed = free-running.
+	gate chan struct{}
+	// entered, when non-nil, is signalled (never blocking) as a Deliver call
+	// arrives, before the gate: buffer it by one to learn that the runner is
+	// inside the machine.
+	entered chan struct{}
 	// reply makes every delivery send one frame back to its sender.
 	reply bool
 
@@ -55,6 +62,15 @@ func (p *probe) Deliver(m transport.Message, out *sim.Outbox) {
 		p.reentered.Store(true)
 	}
 	defer p.inflight.Add(-1)
+	if p.entered != nil {
+		select {
+		case p.entered <- struct{}{}:
+		default:
+		}
+	}
+	if p.gate != nil {
+		<-p.gate
+	}
 	p.mu.Lock()
 	p.got = append(p.got, probeRec{from: m.From, seq: m.Payload.(bw.ValPayload).Round})
 	p.mu.Unlock()
@@ -135,6 +151,17 @@ func eventually(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// stillBlocked reports that done has not fired a little later: the negative
+// half of a blocking assertion, which only time can show.
+func stillBlocked(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return false
+	case <-time.After(50 * time.Millisecond):
+		return true
 	}
 }
 
@@ -228,6 +255,195 @@ func TestMailboxFIFOAcrossOpen(t *testing.T) {
 	wantSeqs(t, "link 0", p.seqsFrom(0), 0, 6)
 	if p.reentered.Load() {
 		t.Fatal("two runners were inside the machine at once")
+	}
+}
+
+// TestMailboxSingleRunner: eight connections dispatch interleaved runs to
+// one instance on four Ps. Whoever finds the instance's node idle runs it;
+// the machine must never see two invocations at once, every sender's
+// frames must arrive in the order they were dispatched, and each exactly
+// once — none late, none left in the box when the instance retires.
+func TestMailboxSingleRunner(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const (
+		inst      = uint64(5<<10 | 1)
+		senders   = 8
+		perSender = 2000
+	)
+	g := graph.Clique(senders + 1)
+	d := newSkeleton(g)
+	p := &probe{id: 1}
+	ins, err := d.addIdle(g, inst, p, nullOut{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for k := 0; k < senders; k++ {
+		from := k
+		if from >= 1 {
+			from++ // vertex 1 is the daemon itself
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for seq := 0; seq < perSender; {
+				run := 1 + (seq+from)%5
+				if seq+run > perSender {
+					run = perSender - seq
+				}
+				postSeqs(t, d, inst, from, seq, seq+run)
+				seq += run
+			}
+		}()
+	}
+	wg.Wait()
+	eventually(t, "hand-off goroutines, if any budget ran out", func() bool {
+		return len(p.records()) == senders*perSender
+	})
+
+	if p.reentered.Load() {
+		t.Fatal("two runners were inside the machine at once")
+	}
+	for from := 0; from <= senders; from++ {
+		if from != 1 {
+			wantSeqs(t, fmt.Sprintf("sender %d", from), p.seqsFrom(from), 0, perSender)
+		}
+	}
+	ins.nd.Close() // retire the quiescent instance
+	if late := d.lateFrames.Load(); late != 0 {
+		t.Fatalf("%d late frames on a quiescent instance", late)
+	}
+	if active, retired := d.active(), d.retiredN.Load(); active != 0 || retired != 1 {
+		t.Fatalf("after retire: active %d, retired %d; want 0 and 1", active, retired)
+	}
+}
+
+// TestMailboxBackpressure: an instance whose mailbox is at its bound parks
+// the next dispatch — inbound flow control on that connection — until the
+// runner takes the box, and retiring the instance or closing the daemon
+// releases a parked dispatch with every undelivered frame counted late in
+// the daemon's ledger.
+func TestMailboxBackpressure(t *testing.T) {
+	// fill opens an instance whose runner (a goroutine playing link 2's
+	// reader) is held inside its first delivery, fills the box to the bound
+	// from link 0, and parks one more dispatch. parked closes when that
+	// dispatch returns, ran when the held runner does.
+	fill := func(t *testing.T) (d *Daemon, p *probe, inst uint64, parked, ran chan struct{}) {
+		d = newProbeDaemon(t, nil)
+		p = &probe{gate: make(chan struct{}), entered: make(chan struct{}, 1)}
+		nextProbe.Store(p)
+		inst, err := d.Submit("probe")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ran = make(chan struct{})
+		go func() {
+			defer close(ran)
+			postSeqs(t, d, inst, 2, 0, 1)
+		}()
+		<-p.entered
+		for seq := 0; seq < node.BoxCap; seq += 64 {
+			postSeqs(t, d, inst, 0, seq, seq+64) // the runner is busy: returns at once
+		}
+		parked = make(chan struct{})
+		go func() {
+			defer close(parked)
+			postSeqs(t, d, inst, 0, node.BoxCap, node.BoxCap+1)
+		}()
+		if !stillBlocked(parked) {
+			t.Fatal("a dispatch got past a mailbox at its bound")
+		}
+		return d, p, inst, parked, ran
+	}
+	// posted is every frame fill handed the daemon.
+	const posted = 1 + node.BoxCap + 1
+
+	t.Run("drain", func(t *testing.T) {
+		d, p, _, parked, ran := fill(t)
+		close(p.gate)
+		<-parked
+		<-ran // its budget spent, the rest handed off
+		eventually(t, "the hand-off to drain the box", func() bool { return len(p.records()) == posted })
+		wantSeqs(t, "link 0", p.seqsFrom(0), 0, node.BoxCap+1)
+		if late := d.lateFrames.Load(); late != 0 {
+			t.Fatalf("%d late frames on a drained mailbox", late)
+		}
+	})
+	t.Run("retire", func(t *testing.T) {
+		d, p, inst, parked, ran := fill(t)
+		instanceOf(d, inst).nd.Close() // what the linger timer does
+		<-parked                       // released by the closed box, its frame late
+		close(p.gate)
+		<-ran // the held runner finishes the instance
+		if got, late := int64(len(p.records())), d.lateFrames.Load(); got+late != posted || late < node.BoxCap {
+			t.Fatalf("%d delivered + %d late, want %d in all with the box late", got, late, posted)
+		}
+		if snap := d.Snapshot(); snap.Active != 0 || snap.Retired != 1 {
+			t.Fatalf("after retire: active %d, retired %d; want 0 and 1", snap.Active, snap.Retired)
+		}
+	})
+	t.Run("close", func(t *testing.T) {
+		d, p, _, parked, ran := fill(t)
+		closed := make(chan struct{})
+		go func() {
+			defer close(closed)
+			d.Close()
+		}()
+		<-parked
+		<-closed // Close does not wait for a runner that is not its own
+		close(p.gate)
+		<-ran
+		if got, late := int64(len(p.records())), d.lateFrames.Load(); got+late != posted || late < node.BoxCap {
+			t.Fatalf("%d delivered + %d late, want %d in all with the box late", got, late, posted)
+		}
+	})
+}
+
+// TestMailboxBoundedPass: a reader whose dispatch made it an instance's
+// runner is not held captive by another peer's flood. After
+// node.RunBudget frames it hands the rest to a goroutine of the node's and
+// returns to its socket; the flood is still delivered, in order.
+func TestMailboxBoundedPass(t *testing.T) {
+	const (
+		inst  = uint64(9<<10 | 1)
+		flood = 4 * node.RunBudget
+	)
+	g := graph.Clique(3)
+	d := newSkeleton(g)
+	p := &probe{id: 1, gate: make(chan struct{}), entered: make(chan struct{}, 1)}
+	ins, err := d.addIdle(g, inst, p, nullOut{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	returned := make(chan struct{})
+	go func() { // link 2's reader: one frame of its own, and the runner role
+		defer close(returned)
+		postSeqs(t, d, inst, 2, 0, 1)
+	}()
+	<-p.entered
+	for seq := 0; seq < flood; seq += 64 {
+		postSeqs(t, d, inst, 0, seq, seq+64) // link 0 floods behind it
+	}
+	for i := 0; i < node.RunBudget; i++ {
+		p.gate <- struct{}{} // exactly the budget: the flood is far from done
+	}
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the reader was still running the flooded instance past its budget")
+	}
+	if got := len(p.records()); got != node.RunBudget {
+		t.Fatalf("the reader delivered %d frames before it returned, want its budget of %d", got, node.RunBudget)
+	}
+	close(p.gate)
+	eventually(t, "the hand-off to deliver the flood", func() bool { return len(p.records()) == flood+1 })
+	ins.nd.Close() // joins the hand-off
+	wantSeqs(t, "the flood", p.seqsFrom(0), 0, flood)
+	if late := d.lateFrames.Load(); late != 0 {
+		t.Fatalf("%d late frames after the flood was delivered", late)
+	}
+	if p.reentered.Load() {
+		t.Fatal("the hand-off let two runners into the machine")
 	}
 }
 
