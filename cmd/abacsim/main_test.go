@@ -307,12 +307,14 @@ func TestFlagFZeroIsZero(t *testing.T) {
 
 // TestSummaryReportsThreeReach: a run outside the paper's condition says so
 // instead of looking like a success that did not converge, and a run
-// inside it says that too.
+// inside it says that too; a graph too large to check cheaply says the
+// verdict was not computed.
 func TestSummaryReportsThreeReach(t *testing.T) {
 	asAbacsim()
 	for _, tc := range []struct{ graph, want string }{
 		{"cycle:8", "3-reach(f=1): false (outside the paper's condition"},
 		{"fig1a", "3-reach(f=1): true\n"},
+		{"torus:20:20", "3-reach(f=1): not computed (order 400"},
 	} {
 		if out := abacsim(t, "TestSummaryReportsThreeReach", "-graph", tc.graph, "-algo", "iterative"); !strings.Contains(out, tc.want) {
 			t.Errorf("abacsim -graph %s: want %q in the summary:\n%s", tc.graph, tc.want, out)

@@ -257,6 +257,19 @@ func CountSubsets(c, k int) int {
 	return total
 }
 
+// SubsetsWithin reports whether a set of n elements has at most budget
+// subsets of at most m members, without overflowing on the way to "no".
+func SubsetsWithin(n, m, budget int) bool {
+	total, term := 0, 1
+	for i := 0; i <= m && i <= n; i++ {
+		if total += term; total > budget {
+			return false
+		}
+		term = term * (n - i) / (i + 1)
+	}
+	return true
+}
+
 func binomial(n, k int) int {
 	if k < 0 || k > n {
 		return 0

@@ -3,11 +3,9 @@ package node_test
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/iterative"
@@ -18,23 +16,11 @@ import (
 )
 
 // probe is a recording protocol machine for the mailbox tests: it notes
-// every delivery in order, trips reentered if two invocations ever overlap
-// (the Handler contract a mailbox's single runner keeps), and can be made
-// to block in each Deliver so a test can hold the runner where it wants it.
+// every delivery in order and whether any came before the machine started.
 type probe struct {
 	id int
-	// gate, when non-nil, is received from before each delivery is recorded:
-	// one token per delivery, closed = free-running.
-	gate chan struct{}
-	// entered, when non-nil, is signalled (never blocking) as a Deliver call
-	// arrives, before the gate: buffer it by one to learn that the runner is
-	// inside the machine.
-	entered chan struct{}
 	// started records that Start ran, for deliveries to check against.
-	started atomic.Bool
-
-	inflight    atomic.Int32
-	reentered   atomic.Bool
+	started     atomic.Bool
 	beforeStart atomic.Bool
 	mu          sync.Mutex
 	got         []probeRec
@@ -47,21 +33,8 @@ func (p *probe) Output() (float64, bool) { return 0, false }
 func (p *probe) Start(*sim.Outbox)       { p.started.Store(true) }
 
 func (p *probe) Deliver(m transport.Message, _ *sim.Outbox) {
-	if p.inflight.Add(1) != 1 {
-		p.reentered.Store(true)
-	}
-	defer p.inflight.Add(-1)
 	if !p.started.Load() {
 		p.beforeStart.Store(true)
-	}
-	if p.entered != nil {
-		select {
-		case p.entered <- struct{}{}:
-		default:
-		}
-	}
-	if p.gate != nil {
-		<-p.gate
 	}
 	p.mu.Lock()
 	p.got = append(p.got, probeRec{from: m.From, seq: m.Payload.(iterative.ValPayload).Round})
@@ -97,9 +70,8 @@ func newProbeNode(t testing.TB, g *graph.Graph, p *probe) *node.Node {
 }
 
 // postSeqs posts frames seq lo..hi-1 from one sender to vertex 1 as a
-// single read burst; false means the node refused them (and released them
-// here).
-func postSeqs(t testing.TB, n *node.Node, from, lo, hi int) bool {
+// single read burst.
+func postSeqs(t testing.TB, n *node.Node, from, lo, hi int) {
 	t.Helper()
 	var frames [][]byte
 	for seq := lo; seq < hi; seq++ {
@@ -111,13 +83,9 @@ func postSeqs(t testing.TB, n *node.Node, from, lo, hi int) bool {
 		}
 		frames = append(frames, frame)
 	}
-	if n.Post(from, frames) {
-		return true
+	if !n.Post(from, frames) {
+		t.Fatal("the node refused a post")
 	}
-	for _, f := range frames {
-		wire.PutBuf(f)
-	}
-	return false
 }
 
 func wantSeqs(t *testing.T, what string, got []int, lo, hi int) {
@@ -129,29 +97,6 @@ func wantSeqs(t *testing.T, what string, got []int, lo, hi int) {
 		if seq != lo+i {
 			t.Fatalf("%s: delivery %d carries seq %d, want %d", what, i, seq, lo+i)
 		}
-	}
-}
-
-// eventually polls cond until it holds or five seconds pass.
-func eventually(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// stillBlocked reports that done has not fired a little later: the negative
-// half of a blocking assertion, which only time can show.
-func stillBlocked(done <-chan struct{}) bool {
-	select {
-	case <-done:
-		return false
-	case <-time.After(50 * time.Millisecond):
-		return true
 	}
 }
 
@@ -174,59 +119,6 @@ func (e *ended) get() (calls int, err error, late int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.calls, e.err, e.late
-}
-
-// TestMailboxSingleRunner: eight connections post interleaved runs to one
-// node on four Ps. Whoever finds the node idle runs it; the machine must
-// never see two invocations at once, every sender's frames must arrive in
-// the order they were posted, and each exactly once.
-func TestMailboxSingleRunner(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	const (
-		senders   = 8
-		perSender = 2000
-	)
-	g := graph.Clique(senders + 1)
-	p := &probe{}
-	n := newProbeNode(t, g, p)
-	var end ended
-	n.Start(end.closing)
-	var wg sync.WaitGroup
-	for k := 0; k < senders; k++ {
-		from := k
-		if from >= 1 {
-			from++ // vertex 1 is the node itself
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for seq := 0; seq < perSender; {
-				run := 1 + (seq+from)%5
-				if seq+run > perSender {
-					run = perSender - seq
-				}
-				postSeqs(t, n, from, seq, seq+run)
-				seq += run
-			}
-		}()
-	}
-	wg.Wait()
-	eventually(t, "hand-off goroutines, if any budget ran out", func() bool {
-		return len(p.records()) == senders*perSender
-	})
-
-	if p.reentered.Load() {
-		t.Fatal("two runners were inside the machine at once")
-	}
-	for from := 0; from <= senders; from++ {
-		if from != 1 {
-			wantSeqs(t, fmt.Sprintf("sender %d", from), p.seqsFrom(from), 0, perSender)
-		}
-	}
-	n.Close()
-	if calls, err, late := end.get(); calls != 1 || err != nil || late != 0 {
-		t.Fatalf("quiescent node closed: %d closing calls, err %v, %d late; want 1, nil, 0", calls, err, late)
-	}
 }
 
 // TestMailboxFIFOAcrossStart pins per-link FIFO across the start boundary
@@ -253,113 +145,6 @@ func TestMailboxFIFOAcrossStart(t *testing.T) {
 	want := []probeRec{{0, 0}, {0, 1}, {0, 2}, {2, 0}, {2, 1}, {0, 3}, {0, 4}, {0, 5}}
 	if got := p.records(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("delivery order %v, want arrival order %v", got, want)
-	}
-}
-
-// TestMailboxBackpressure: a mailbox at its bound parks the next poster —
-// inbound flow control on that connection — until the runner takes the box,
-// and closing the node releases a parked poster with every undelivered
-// frame counted late, without waiting for a runner that is not its own.
-func TestMailboxBackpressure(t *testing.T) {
-	// fill starts a node whose runner (a goroutine playing link 2's reader)
-	// is held inside its first delivery, fills the box to the bound from
-	// link 0, and parks one more poster. parked closes when that poster
-	// returns, ran when the held runner does.
-	fill := func(t *testing.T) (n *node.Node, p *probe, end *ended, parked, ran chan struct{}) {
-		p = &probe{gate: make(chan struct{}), entered: make(chan struct{}, 1)}
-		n = newProbeNode(t, graph.Clique(3), p)
-		end = &ended{}
-		n.Start(end.closing)
-		ran = make(chan struct{})
-		go func() {
-			defer close(ran)
-			postSeqs(t, n, 2, 0, 1)
-		}()
-		<-p.entered
-		for seq := 0; seq < node.BoxCap; seq += 64 {
-			postSeqs(t, n, 0, seq, seq+64) // the runner is busy: returns at once
-		}
-		parked = make(chan struct{})
-		go func() {
-			defer close(parked)
-			postSeqs(t, n, 0, node.BoxCap, node.BoxCap+1)
-		}()
-		if !stillBlocked(parked) {
-			t.Fatal("a poster got past a mailbox at its bound")
-		}
-		return n, p, end, parked, ran
-	}
-	// posted is every frame fill handed the node.
-	const posted = 1 + node.BoxCap + 1
-
-	t.Run("drain", func(t *testing.T) {
-		n, p, end, parked, ran := fill(t)
-		close(p.gate)
-		<-parked
-		<-ran // its budget spent, the rest handed off
-		eventually(t, "the hand-off to drain the box", func() bool { return len(p.records()) == posted })
-		wantSeqs(t, "link 0", p.seqsFrom(0), 0, node.BoxCap+1)
-		n.Close()
-		if _, _, late := end.get(); late != 0 {
-			t.Fatalf("%d late frames on a drained mailbox", late)
-		}
-	})
-	t.Run("close", func(t *testing.T) {
-		n, p, end, parked, ran := fill(t)
-		closed := make(chan struct{})
-		go func() {
-			defer close(closed)
-			n.Close()
-		}()
-		<-parked // released by the closed box, its frame refused
-		<-closed // Close does not wait for a runner that is not its own
-		close(p.gate)
-		<-ran // the held runner finishes the node
-		calls, _, late := end.get()
-		if got := len(p.records()); calls != 1 || got+late != posted-1 || late < node.BoxCap {
-			t.Fatalf("%d closing calls, %d delivered + %d late; want 1 call and %d in all with the box late", calls, got, late, posted-1)
-		}
-		if postSeqs(t, n, 0, 0, 1) {
-			t.Fatal("a closed node took a post")
-		}
-	})
-}
-
-// TestMailboxBoundedPass: a reader that became a node's runner is not held
-// captive by another peer's flood. After runBudget frames it hands the rest
-// to a fresh goroutine and returns to its socket; the flood is still
-// delivered, in order.
-func TestMailboxBoundedPass(t *testing.T) {
-	const flood = 4 * node.RunBudget
-	p := &probe{gate: make(chan struct{}), entered: make(chan struct{}, 1)}
-	n := newProbeNode(t, graph.Clique(3), p)
-	n.Start(nil)
-	returned := make(chan struct{})
-	go func() { // link 2's reader: one frame of its own, and the runner role
-		defer close(returned)
-		postSeqs(t, n, 2, 0, 1)
-	}()
-	<-p.entered
-	for seq := 0; seq < flood; seq += 64 {
-		postSeqs(t, n, 0, seq, seq+64) // link 0 floods behind it
-	}
-	for i := 0; i < node.RunBudget; i++ {
-		p.gate <- struct{}{} // exactly the budget: the flood is far from done
-	}
-	select {
-	case <-returned:
-	case <-time.After(5 * time.Second):
-		t.Fatal("the reader was still running the flooded node past its budget")
-	}
-	if got := len(p.records()); got != node.RunBudget {
-		t.Fatalf("the reader delivered %d frames before it returned, want its budget of %d", got, node.RunBudget)
-	}
-	close(p.gate)
-	eventually(t, "the hand-off to deliver the flood", func() bool { return len(p.records()) == flood+1 })
-	n.Close() // joins the hand-off
-	wantSeqs(t, "the flood", p.seqsFrom(0), 0, flood)
-	if p.reentered.Load() {
-		t.Fatal("the hand-off let two runners into the machine")
 	}
 }
 

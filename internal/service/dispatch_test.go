@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -341,30 +340,41 @@ func TestPendingBoundedPerPeer(t *testing.T) {
 }
 
 // TestPendingReleasedOnRefusal: an OPEN this daemon refuses releases the
-// frames buffered for that id, counted as shed, and settles the id: frames
-// that arrive for it later are late, not pending, and a waiter learns why.
+// frames buffered for that id, counted as shed, and settles nothing: frames
+// that arrive later buffer again, and the genuine OPEN that follows a
+// faulty peer's bogus one still opens the instance and delivers them.
 func TestPendingReleasedOnRefusal(t *testing.T) {
 	d := newProbeDaemon(t, nil)
 	const inst = uint64(4<<10 | 0)
-	postSeqs(t, d, inst, 0, 0, 3)
-	open, err := wire.EncodeInstanceMessage(inst, transport.Message{From: 0, To: 1, Payload: wire.Open{Protocol: "unserved"}})
-	if err != nil {
-		t.Fatal(err)
+	openFrame := func(protocol string) []byte {
+		t.Helper()
+		frame, err := wire.EncodeInstanceMessage(inst, transport.Message{From: 2, To: 1, Payload: wire.Open{Protocol: protocol}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
 	}
-	dispatchOne(d, 0, open)
+	postSeqs(t, d, inst, 0, 0, 3)
+	dispatchOne(d, 2, openFrame("unserved")) // a faulty peer's OPEN for vertex 0's id
 	if got, shed := pendingFrames(d), d.pendingShed.Load(); got != 0 || shed != 3 {
 		t.Fatalf("after the refusal: %d frames pending, %d shed; want 0 and 3", got, shed)
-	}
-	postSeqs(t, d, inst, 0, 3, 5)
-	if got, late := pendingFrames(d), d.lateFrames.Load(); got != 0 || late != 2 {
-		t.Fatalf("after the refusal: %d frames pending, %d late; want 0 and 2", got, late)
 	}
 	if snap := d.Snapshot(); snap.Refused != 1 {
 		t.Fatalf("refused = %d, want 1", snap.Refused)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if _, err := d.Wait(ctx, inst); err == nil || !strings.Contains(err.Error(), "not served") {
-		t.Fatalf("Wait on a refused id returned %v, want the refusal", err)
+	postSeqs(t, d, inst, 0, 3, 5)
+	if got, late := pendingFrames(d), d.lateFrames.Load(); got != 2 || late != 0 {
+		t.Fatalf("after the refusal: %d frames pending, %d late; want 2 and 0", got, late)
+	}
+
+	p := &probe{}
+	nextProbe.Store(p)
+	dispatchOne(d, 0, openFrame("probe"))
+	if instanceOf(d, inst) == nil {
+		t.Fatal("the genuine OPEN did not open the instance")
+	}
+	wantSeqs(t, "link 0", p.seqsFrom(0), 3, 5)
+	if got := pendingFrames(d); got != 0 {
+		t.Fatalf("%d frames still pending after the open", got)
 	}
 }

@@ -41,19 +41,22 @@ func (d *Daemon) finish(ins *instance, err error, late int) {
 		d.wg.Done() // the callback will not run to do it
 	}
 
+	// The rest runs under the shard lock: retireAll's sweep either finds the
+	// instance still routed (and its node's Close joins a hand-off goroutine
+	// running this) or comes after all of it, so none of it outlives Close.
+	sh := d.shard(ins.inst)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	ins.mu.Lock()
 	dec := ins.decision
 	waiters := ins.waiters
 	ins.waiters = nil
 	ins.mu.Unlock()
-	sh := d.shard(ins.inst)
-	sh.mu.Lock()
 	delete(sh.instances, ins.inst)
 	sh.retired[ins.inst] = err
 	if dec != nil {
 		sh.decisions[ins.inst] = *dec
 	}
-	sh.mu.Unlock()
 	// Evict the retired instance from the connection memos. A lookup racing
 	// this sweep can re-install it, but that is benign: ids are never
 	// reused, posts against it find it closed and land in lateFrames, and

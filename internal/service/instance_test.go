@@ -450,8 +450,9 @@ func TestMailboxBoundedPass(t *testing.T) {
 // TestServiceFailedInstanceReportsCause: an instance whose outbound refuses
 // a frame (Mux.Send does, over wire.MaxFrame) retires undecided — and says
 // why: the cause is logged with the instance id and carried by the error
-// every waiter gets. Frames after the failure are late, and every frame is
-// accounted for.
+// every waiter gets. The failing reply surfaces at its batch's flush, so
+// the whole burst is delivered first; frames after it are late, and every
+// frame is accounted for.
 func TestServiceFailedInstanceReportsCause(t *testing.T) {
 	const inst = uint64(21<<10 | 0)
 	g := graph.Clique(2)
@@ -479,16 +480,16 @@ func TestServiceFailedInstanceReportsCause(t *testing.T) {
 		return len(ins.waiters) == 1
 	})
 
-	postSeqs(t, d, inst, 0, 0, 1) // the delivery's reply is refused
-	postSeqs(t, d, inst, 0, 1, 5) // the instance is gone
+	postSeqs(t, d, inst, 0, 0, 3) // the burst's replies are refused at its flush
+	postSeqs(t, d, inst, 0, 3, 5) // the instance is gone
 
 	for _, err := range []error{<-waitErr, func() error { _, err := d.Wait(context.Background(), inst); return err }()} {
 		if err == nil || !strings.Contains(err.Error(), "retired without deciding") || !strings.Contains(err.Error(), errRefused.Error()) {
 			t.Fatalf("Wait returned %v, want a retired-undecided error carrying %q", err, errRefused)
 		}
 	}
-	if got, late := len(p.records()), d.lateFrames.Load(); got != 1 || late != 4 {
-		t.Fatalf("%d delivered, %d late; want 1 and 4", got, late)
+	if got, late := len(p.records()), d.lateFrames.Load(); got != 3 || late != 2 {
+		t.Fatalf("%d delivered, %d late; want 3 and 2", got, late)
 	}
 	if instanceOf(d, inst) != nil {
 		t.Fatal("failed instance still routed")

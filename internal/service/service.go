@@ -481,10 +481,9 @@ func (d *Daemon) Submit(protocol string) (uint64, error) {
 // open spawns instance inst running protocol, floods the OPEN announcement
 // and starts the machine, which then runs any buffered frames as the
 // instance's first runner. Duplicate opens (every daemon re-floods the
-// first sighting) are no-ops. A refusal settles the id for good: its
-// buffered frames are shed, and the ledger records it as retired with the
-// refusal as cause, so frames that arrive for it later are late, not
-// pending.
+// first sighting) are no-ops. A refusal sheds the id's buffered frames and
+// records nothing, so a faulty peer's bogus OPEN (no OPEN is checked against
+// its id's originator) cannot keep the genuine one out.
 func (d *Daemon) open(inst uint64, protocol string) error {
 	if d.ctx == nil {
 		return errors.New("service: daemon not started")
@@ -505,7 +504,6 @@ func (d *Daemon) open(inst uint64, protocol string) error {
 	ins, err := d.spawn(inst, protocol)
 	pend := d.takePending(sh, inst)
 	if err != nil {
-		sh.retired[inst] = err
 		sh.mu.Unlock()
 		d.refused.Add(1)
 		d.pendingShed.Add(int64(len(pend)))
@@ -652,8 +650,8 @@ func (d *Daemon) Wait(ctx context.Context, inst uint64) (Decision, error) {
 			return Decision{}, fmt.Errorf("service: instance %d retired without deciding", inst)
 		}
 		ins, running := sh.instances[inst]
-		sh.mu.RUnlock()
 		if !running {
+			sh.mu.RUnlock()
 			// Not yet opened here: poll cheaply until the OPEN lands. The
 			// interval only delays the rare submit-elsewhere/wait-here race.
 			select {
@@ -663,15 +661,18 @@ func (d *Daemon) Wait(ctx context.Context, inst uint64) (Decision, error) {
 				return Decision{}, ctx.Err()
 			}
 		}
+		// Park under the shard lock, which finish collects the waiters under.
 		ch := make(chan Decision, 1)
 		ins.mu.Lock()
-		if ins.decision != nil {
-			dec := *ins.decision
-			ins.mu.Unlock()
-			return dec, nil
+		dec := ins.decision
+		if dec == nil {
+			ins.waiters = append(ins.waiters, ch)
 		}
-		ins.waiters = append(ins.waiters, ch)
 		ins.mu.Unlock()
+		sh.mu.RUnlock()
+		if dec != nil {
+			return *dec, nil
+		}
 		select {
 		case dec, ok := <-ch:
 			if !ok {

@@ -119,7 +119,7 @@ type ConditionReport struct {
 // certification is skipped with an explicit Note.
 func CheckConditions(g *Graph, f int) ConditionReport {
 	rep := ConditionReport{N: g.N(), M: g.M(), F: f, Kappa: -1}
-	if budget := graph.CountSubsets(CertLimit, 2); !subsetsWithin(g.N(), 2*f, budget) {
+	if budget := graph.CountSubsets(CertLimit, 2); !graph.SubsetsWithin(g.N(), 2*f, budget) {
 		rep.Note = fmt.Sprintf("condition certification skipped: order %d with f=%d means more than %d removal sets "+
 			"of at most 2f vertices to tabulate (what f=1 costs at CertLimit %d)", g.N(), f, budget, CertLimit)
 		return rep
@@ -156,19 +156,6 @@ func CheckConditions(g *Graph, f int) ConditionReport {
 	}
 	rep.Note = strings.Join(notes, "; ")
 	return rep
-}
-
-// subsetsWithin reports whether a set of n elements has at most budget
-// subsets of at most m members, without overflowing on the way to "no".
-func subsetsWithin(n, m, budget int) bool {
-	total, term := 0, 1
-	for i := 0; i <= m && i <= n; i++ {
-		if total += term; total > budget {
-			return false
-		}
-		term = term * (n - i) / (i + 1)
-	}
-	return true
 }
 
 // PartitionLimit is the largest order for which CheckConditions runs the
