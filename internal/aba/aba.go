@@ -97,10 +97,11 @@ func Coin(seed int64, inst, round int) int {
 type roundState struct {
 	bvalSent  [2]bool
 	bvalFrom  [2]graph.Set // value -> senders
+	bvalN     [2]int       // value -> bvalFrom[value].Count()
 	bin       [2]bool      // binding values: admitted at 2f+1 senders
 	auxSent   bool
-	auxFrom   graph.Set    // all AUX senders this round (first value wins)
-	auxVal    [2]graph.Set // value -> AUX senders
+	auxFrom   graph.Set // all AUX senders this round (first value wins)
+	auxN      [2]int    // value -> AUX senders of that value
 	completed bool
 }
 
@@ -125,6 +126,7 @@ type Core struct {
 	haltRound int // participate through this round once decided, then stop
 	doneSent  bool
 	doneFrom  [2]graph.Set
+	doneN     [2]int // value -> doneFrom[value].Count()
 	halted    bool
 
 	outQ []Msg // broadcasts staged during a transition, drained re-entrantly
@@ -155,9 +157,6 @@ func (c *Core) state(r int) *roundState {
 
 // Decided reports the decision once reached.
 func (c *Core) Decided() (int, bool) { return c.decision, c.decided }
-
-// Halted reports whether the instance has gone quiescent.
-func (c *Core) Halted() bool { return c.halted }
 
 // Propose binds the node's own estimate and starts round 1. It is a no-op
 // if an estimate is already bound (a passive instance that completed round
@@ -205,11 +204,11 @@ func (c *Core) ingest(from int, m Msg, out *sim.Outbox) {
 			return
 		}
 		rs := c.state(m.Round)
-		if rs.bvalFrom[m.Value].Has(from) {
+		if !rs.bvalFrom[m.Value].Insert(from) {
 			return
 		}
-		rs.bvalFrom[m.Value] = rs.bvalFrom[m.Value].Add(from)
-		n := rs.bvalFrom[m.Value].Count()
+		rs.bvalN[m.Value]++
+		n := rs.bvalN[m.Value]
 		// Relay at f+1 distinct senders: at least one is honest, so the
 		// value traces back to an honest proposal (the binding rule's
 		// grounding induction). Relays run for any round — laggards' 2f+1
@@ -234,21 +233,20 @@ func (c *Core) ingest(from int, m Msg, out *sim.Outbox) {
 			return
 		}
 		rs := c.state(m.Round)
-		if rs.auxFrom.Has(from) {
+		if !rs.auxFrom.Insert(from) {
 			return
 		}
-		rs.auxFrom = rs.auxFrom.Add(from)
-		rs.auxVal[m.Value] = rs.auxVal[m.Value].Add(from)
+		rs.auxN[m.Value]++
 		c.tryComplete(m.Round, out)
 	case PhaseDone:
 		if m.Round != 0 {
 			return
 		}
-		if c.doneFrom[m.Value].Has(from) {
+		if !c.doneFrom[m.Value].Insert(from) {
 			return
 		}
-		c.doneFrom[m.Value] = c.doneFrom[m.Value].Add(from)
-		n := c.doneFrom[m.Value].Count()
+		c.doneN[m.Value]++
+		n := c.doneN[m.Value]
 		if n >= c.f+1 && !c.decided {
 			// f+1 DONE(v) contains an honest decider; adopt and relay.
 			c.decide(m.Value, out)
@@ -275,7 +273,7 @@ func (c *Core) tryComplete(r int, out *sim.Outbox) {
 	var cnt [2]int
 	for v := 0; v <= 1; v++ {
 		if rs.bin[v] {
-			cnt[v] = rs.auxVal[v].Count()
+			cnt[v] = rs.auxN[v]
 		}
 	}
 	coin := Coin(c.seed, c.inst, r)

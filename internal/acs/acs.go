@@ -18,8 +18,6 @@
 package acs
 
 import (
-	"sort"
-
 	"repro/internal/aba"
 	"repro/internal/rbc"
 	"repro/internal/sim"
@@ -192,20 +190,4 @@ func (m *Machine) Vector() map[int]float64 {
 		}
 	}
 	return vec
-}
-
-// Subset returns the agreed origins in ascending order, or nil before
-// decision.
-func (m *Machine) Subset() []int {
-	if !m.done {
-		return nil
-	}
-	var s []int
-	for j := 0; j < m.n; j++ {
-		if m.decision[j] == 1 {
-			s = append(s, j)
-		}
-	}
-	sort.Ints(s)
-	return s
 }

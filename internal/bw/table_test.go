@@ -97,7 +97,7 @@ func FuzzPathAdmission(f *testing.F) {
 				ext := redundantExt{mark: make([]uint64, g.N())}
 				travels := ext.analyze(path) && ext.extendable(v)
 				if simple {
-					travels = !path.Set().Has(v)
+					travels = !graph.SetOf(path...).Has(v)
 				}
 				if g.HasEdge(from, v) && travels {
 					if want = entryOf(tbl, path.Append(v)); want < 0 {

@@ -107,3 +107,14 @@ func TestCommonInfluenceAbsent(t *testing.T) {
 		t.Errorf("witness should have no common influence, got %d", z)
 	}
 }
+
+// CommonInfluence returns a node in reach_v(F ∪ Fv) ∩ reach_u(F ∪ Fu) — the
+// "source of common influence" whose existence 3-reach guarantees — or -1
+// if none exists. The BW proof (Theorem 10) uses this node as the common
+// witness; the tests use it to cross-check the checker against the
+// algorithm's behavior.
+func CommonInfluence(g *graph.Graph, u, v int, f, fu, fv graph.Set) int {
+	ru := g.ReachSet(u, f.Union(fu))
+	rv := g.ReachSet(v, f.Union(fv))
+	return ru.Intersect(rv).Min()
+}

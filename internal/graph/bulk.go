@@ -25,14 +25,10 @@ func (b *bulk) add(u, v int) {
 	if err := g.checkEdge(u, v); err != nil {
 		panic(err)
 	}
-	// The bits are set in place: Set.Add would copy the whole mask out and
-	// back for each of them.
-	w, bit := uint(v)>>6, uint64(1)<<(uint(v)&63)
-	if g.outMask[u][w]&bit != 0 {
+	if !g.outMask[u].Insert(v) {
 		return
 	}
-	g.outMask[u][w] |= bit
-	g.inMask[v][uint(u)>>6] |= 1 << (uint(u) & 63)
+	g.inMask[v].Insert(u)
 	b.edges = append(b.edges, [2]int32{int32(u), int32(v)})
 }
 

@@ -228,22 +228,3 @@ func Expander(n, d int, seed int64) *Graph {
 	}
 	return b.finish(fmt.Sprintf("expander%d", n))
 }
-
-// TwoCliquesBridged is the generic two-clique family behind Figure 1(b):
-// cliques of size k on nodes 0..k-1 and k..2k-1, plus the given cross edges
-// (pairs are (u, v) node IDs in the combined numbering).
-func TwoCliquesBridged(k int, cross [][2]int) *Graph {
-	b := newBulk(2*k, 2*k*(k-1)+len(cross))
-	for u := 0; u < k; u++ {
-		for v := 0; v < k; v++ {
-			if u != v {
-				b.add(u, v)
-				b.add(u+k, v+k)
-			}
-		}
-	}
-	for _, e := range cross {
-		b.add(e[0], e[1])
-	}
-	return b.finish(fmt.Sprintf("twocliques%d", k))
-}

@@ -172,3 +172,22 @@ func refTwoCliquesBridged(k int, cross [][2]int) *Graph {
 	}
 	return g.SetName(fmt.Sprintf("twocliques%d", k))
 }
+
+// TwoCliquesBridged is the generic two-clique family behind Figure 1(b):
+// cliques of size k on nodes 0..k-1 and k..2k-1, plus the given cross edges
+// (pairs are (u, v) node IDs in the combined numbering).
+func TwoCliquesBridged(k int, cross [][2]int) *Graph {
+	b := newBulk(2*k, 2*k*(k-1)+len(cross))
+	for u := 0; u < k; u++ {
+		for v := 0; v < k; v++ {
+			if u != v {
+				b.add(u, v)
+				b.add(u+k, v+k)
+			}
+		}
+	}
+	for _, e := range cross {
+		b.add(e[0], e[1])
+	}
+	return b.finish(fmt.Sprintf("twocliques%d", k))
+}

@@ -78,14 +78,6 @@ func (g *Graph) MustAddEdge(u, v int) {
 	}
 }
 
-// AddBoth inserts both (u, v) and (v, u); used to embed undirected graphs.
-func (g *Graph) AddBoth(u, v int) error {
-	if err := g.AddEdge(u, v); err != nil {
-		return err
-	}
-	return g.AddEdge(v, u)
-}
-
 // RemoveEdge deletes the directed edge (u, v) if present.
 func (g *Graph) RemoveEdge(u, v int) {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n || !g.outMask[u].Has(v) {
@@ -142,9 +134,6 @@ func (g *Graph) Out(u int) []int { return g.out[u] }
 // the returned slice.
 func (g *Graph) In(u int) []int { return g.in[u] }
 
-// OutSet returns u's out-neighborhood as a set.
-func (g *Graph) OutSet(u int) Set { return g.outMask[u] }
-
 // InSet returns u's in-neighborhood as a set.
 func (g *Graph) InSet(u int) Set { return g.inMask[u] }
 
@@ -185,25 +174,6 @@ func (g *Graph) IsUndirected() bool {
 		}
 	}
 	return true
-}
-
-// InducedExclude returns a new graph on the same node IDs with every edge
-// incident to a node of excl removed (the subgraph induced by V \ excl,
-// keeping the original numbering; excluded nodes become isolated).
-func (g *Graph) InducedExclude(excl Set) *Graph {
-	c := New(g.n)
-	c.name = g.name
-	for u := 0; u < g.n; u++ {
-		if excl.Has(u) {
-			continue
-		}
-		for _, v := range g.out[u] {
-			if !excl.Has(v) {
-				c.MustAddEdge(u, v)
-			}
-		}
-	}
-	return c
 }
 
 // Reduced returns the paper's reduced graph G_{F1,F2} (Definition 5): same

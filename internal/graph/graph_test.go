@@ -141,3 +141,33 @@ func TestGraphString(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
+
+// AddBoth inserts both (u, v) and (v, u); used to embed undirected graphs.
+func (g *Graph) AddBoth(u, v int) error {
+	if err := g.AddEdge(u, v); err != nil {
+		return err
+	}
+	return g.AddEdge(v, u)
+}
+
+// OutSet returns u's out-neighborhood as a set.
+func (g *Graph) OutSet(u int) Set { return g.outMask[u] }
+
+// InducedExclude returns a new graph on the same node IDs with every edge
+// incident to a node of excl removed (the subgraph induced by V \ excl,
+// keeping the original numbering; excluded nodes become isolated).
+func (g *Graph) InducedExclude(excl Set) *Graph {
+	c := New(g.n)
+	c.name = g.name
+	for u := 0; u < g.n; u++ {
+		if excl.Has(u) {
+			continue
+		}
+		for _, v := range g.out[u] {
+			if !excl.Has(v) {
+				c.MustAddEdge(u, v)
+			}
+		}
+	}
+	return c
+}

@@ -4,29 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
-
-// Marshal writes the graph in a small line-oriented text format:
-//
-//	# optional comment lines
-//	n <order>
-//	e <from> <to>
-//
-// The format round-trips through Unmarshal.
-func (g *Graph) Marshal(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if g.name != "" {
-		fmt.Fprintf(bw, "# %s\n", g.name)
-	}
-	fmt.Fprintf(bw, "n %d\n", g.n)
-	for _, e := range g.Edges() {
-		fmt.Fprintf(bw, "e %d %d\n", e[0], e[1])
-	}
-	return bw.Flush()
-}
 
 // Unmarshal parses the format written by Marshal.
 func Unmarshal(r io.Reader) (*Graph, error) {
@@ -303,16 +283,4 @@ func Named(spec string) (*Graph, error) {
 	default:
 		return nil, fmt.Errorf("graph: unknown spec %q (known forms: clique:<n>, cycle:<n>, wheel:<k>, fig1a, fig1b, fig1b-analog, circulant:<n>:<offsets>, random:<n>:<p>:<seed>, torus:<rows>:<cols>, kregular:<n>:<k>:<seed>, expander:<n>:<d>:<seed>)", spec)
 	}
-}
-
-// SortedEdges returns the edges formatted "u->v", sorted, for stable test
-// comparisons.
-func (g *Graph) SortedEdges() []string {
-	es := g.Edges()
-	out := make([]string, len(es))
-	for i, e := range es {
-		out[i] = fmt.Sprintf("%d->%d", e[0], e[1])
-	}
-	sort.Strings(out)
-	return out
 }

@@ -1,9 +1,12 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
+	"io"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -131,4 +134,35 @@ func TestNamedSpecsCatalog(t *testing.T) {
 			t.Errorf("catalog form %q does not parse (as %q): %v", line, head, err)
 		}
 	}
+}
+
+// Marshal writes the graph in a small line-oriented text format:
+//
+//	# optional comment lines
+//	n <order>
+//	e <from> <to>
+//
+// The format round-trips through Unmarshal.
+func (g *Graph) Marshal(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	if g.name != "" {
+		fmt.Fprintf(bw, "# %s\n", g.name)
+	}
+	fmt.Fprintf(bw, "n %d\n", g.n)
+	for _, e := range g.Edges() {
+		fmt.Fprintf(bw, "e %d %d\n", e[0], e[1])
+	}
+	return bw.Flush()
+}
+
+// SortedEdges returns the edges formatted "u->v", sorted, for stable test
+// comparisons.
+func (g *Graph) SortedEdges() []string {
+	es := g.Edges()
+	out := make([]string, len(es))
+	for i, e := range es {
+		out[i] = fmt.Sprintf("%d->%d", e[0], e[1])
+	}
+	sort.Strings(out)
+	return out
 }

@@ -27,9 +27,6 @@ func (p Path) Key() string {
 	return string(b)
 }
 
-// Set returns the set of nodes on the path.
-func (p Path) Set() Set { return PathSet(p) }
-
 // Append returns p with v appended (a fresh slice; p is not modified).
 func (p Path) Append(v int) Path {
 	out := make(Path, len(p)+1)
@@ -130,46 +127,6 @@ func (g *Graph) SimplePathsTo(v int, excl Set, budget int) ([]Path, error) {
 	}
 	if err := rec(v, SetOf(v)); err != nil {
 		return nil, err
-	}
-	return out, nil
-}
-
-// RedundantPathsTo enumerates every redundant path ending at v that avoids
-// excl — the set {p in Pr_{V\excl} : ter(p) = v} of Definition 9. The result
-// is deduplicated (a sequence decomposable at several split points appears
-// once) and returned as a key set. It returns ErrPathBudget if more than
-// budget distinct paths exist (budget <= 0 means unlimited).
-func (g *Graph) RedundantPathsTo(v int, excl Set, budget int) (map[string]struct{}, error) {
-	if excl.Has(v) {
-		return map[string]struct{}{}, nil
-	}
-	// All simple paths ending at v.
-	s2, err := g.SimplePathsTo(v, excl, budget)
-	if err != nil {
-		return nil, err
-	}
-	// Group second halves by their initial node.
-	byInit := make(map[int][]Path)
-	for _, p := range s2 {
-		byInit[p.Init()] = append(byInit[p.Init()], p)
-	}
-	out := make(map[string]struct{}, len(s2))
-	for m, seconds := range byInit {
-		firsts, err := g.SimplePathsTo(m, excl, budget)
-		if err != nil {
-			return nil, err
-		}
-		for _, s1 := range firsts {
-			for _, sp := range seconds {
-				whole := make(Path, 0, len(s1)+len(sp)-1)
-				whole = append(whole, s1...)
-				whole = append(whole, sp[1:]...)
-				out[whole.Key()] = struct{}{}
-				if budget > 0 && len(out) > budget {
-					return nil, ErrPathBudget
-				}
-			}
-		}
 	}
 	return out, nil
 }

@@ -165,8 +165,3 @@ func (g *Graph) StronglyConnectedWithin(s Set) bool {
 	}
 	return g.Ancestors(root, excl) == s
 }
-
-// IsStronglyConnected reports whether the whole graph is strongly connected.
-func (g *Graph) IsStronglyConnected() bool {
-	return g.StronglyConnectedWithin(g.Nodes())
-}

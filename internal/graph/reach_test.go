@@ -162,3 +162,8 @@ func TestStronglyConnected(t *testing.T) {
 		t.Error("paths must stay inside the set")
 	}
 }
+
+// IsStronglyConnected reports whether the whole graph is strongly connected.
+func (g *Graph) IsStronglyConnected() bool {
+	return g.StronglyConnectedWithin(g.Nodes())
+}

@@ -67,6 +67,18 @@ func (s Set) Add(v int) Set {
 	return s
 }
 
+// Insert adds node v to s in place and reports whether it was new. Add
+// copies the whole mask out and back; a hot path that updates a set it
+// keeps inserts instead.
+func (s *Set) Insert(v int) bool {
+	w, bit := uint(v)>>6, uint64(1)<<(uint(v)&63)
+	if s[w]&bit != 0 {
+		return false
+	}
+	s[w] |= bit
+	return true
+}
+
 // Remove returns s with node v excluded.
 func (s Set) Remove(v int) Set {
 	s[uint(v)>>6] &^= 1 << (uint(v) & 63)
@@ -186,15 +198,6 @@ func (s Set) String() string {
 	})
 	b.WriteByte('}')
 	return b.String()
-}
-
-// PathSet returns the set of nodes appearing on the path.
-func PathSet(path []int) Set {
-	var s Set
-	for _, v := range path {
-		s[uint(v)>>6] |= 1 << (uint(v) & 63)
-	}
-	return s
 }
 
 // Subsets enumerates every subset of universe with at most k members, in a

@@ -217,8 +217,8 @@ func TestPathSetAndMembersRoundTrip(t *testing.T) {
 			nodes = append(nodes, v)
 			want = want.Add(v)
 		}
-		if got := PathSet(nodes); got != want {
-			t.Fatalf("PathSet(%v) = %s, want %s", nodes, got, want)
+		if got := SetOf(nodes...); got != want {
+			t.Fatalf("SetOf(%v) = %s, want %s", nodes, got, want)
 		}
 	}
 }

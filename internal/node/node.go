@@ -154,7 +154,7 @@ type Stats struct {
 	Malformed int
 	Spoofed   int
 	// ByKind counts sent messages per payload kind, like the simulator's
-	// transport stats.
+	// transport stats; Stats builds it from the node's running counts.
 	ByKind map[string]int
 }
 
@@ -195,6 +195,7 @@ type Node struct {
 	err     error                     // the outbound failure that stopped the node
 	onEnd   func(err error, late int) // Start's closing callback
 	stats   Stats
+	kinds   transport.KindCounts // sends per kind; Stats turns it into ByKind
 	steps   int
 	decided bool
 	seen    int // rounds already streamed to the observer
@@ -234,7 +235,6 @@ func New(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:     cfg,
 		running: true,
-		stats:   Stats{ByKind: make(map[string]int)},
 		out:     sim.NewCollector(cfg.ID, cfg.Graph),
 		outs:    outs,
 		held:    make([][]transport.Message, len(outs)),
@@ -489,7 +489,7 @@ func (n *Node) transmit(msgs []transport.Message) error {
 	for k := range msgs {
 		m := &msgs[k]
 		n.stats.Sent++
-		n.stats.ByKind[m.Payload.Kind()]++
+		n.kinds.Add(m.Payload.Kind())
 		fate := linkfault.Fate{Copies: 1}
 		if n.cfg.LinkFaults != nil {
 			fate = n.cfg.LinkFaults.Next(n.cfg.ID, m.To)
@@ -596,4 +596,8 @@ func (n *Node) Output() (float64, bool) { return n.cfg.Handler.Output() }
 func (n *Node) Handler() sim.Handler { return n.cfg.Handler }
 
 // Stats returns the node's traffic counters; same safety rule as Output.
-func (n *Node) Stats() Stats { return n.stats }
+func (n *Node) Stats() Stats {
+	s := n.stats
+	s.ByKind = n.kinds.Map()
+	return s
+}

@@ -219,20 +219,18 @@ func (b *Broadcaster) handle(s *slotState, from int, msg Msg, out *sim.Outbox) [
 		out.Broadcast(msg)
 		return b.handle(s, b.id, msg, out)
 	case PhaseEcho:
-		if s.echoed.Has(from) {
+		if !s.echoed.Insert(from) {
 			b.dropped++
 			return nil
 		}
-		s.echoed = s.echoed.Add(from)
 		ci := s.intern(msg.Content)
 		s.contents[ci].echoes++
 		return b.maybeAdvance(s, ci, msg, out)
 	case PhaseReady:
-		if s.readied.Has(from) {
+		if !s.readied.Insert(from) {
 			b.dropped++
 			return nil
 		}
-		s.readied = s.readied.Add(from)
 		ci := s.intern(msg.Content)
 		s.contents[ci].readies++
 		return b.maybeAdvance(s, ci, msg, out)

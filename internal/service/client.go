@@ -156,24 +156,6 @@ func (c *Client) roundTrip(req clientRequest) (clientResponse, error) {
 	return resp, nil
 }
 
-// Submit starts an instance of protocol ("" = daemon default).
-func (c *Client) Submit(protocol string) (uint64, error) {
-	resp, err := c.roundTrip(clientRequest{Op: "submit", Protocol: protocol})
-	return resp.Inst, err
-}
-
-// Wait blocks until the instance decides at the daemon's vertex.
-func (c *Client) Wait(inst uint64) (Decision, error) {
-	resp, err := c.roundTrip(clientRequest{Op: "wait", Inst: inst})
-	if err != nil {
-		return Decision{}, err
-	}
-	if resp.Decision == nil {
-		return Decision{}, errors.New("service: wait response without a decision")
-	}
-	return *resp.Decision, nil
-}
-
 // SubmitWait submits and blocks for the decision.
 func (c *Client) SubmitWait(protocol string) (Decision, error) {
 	resp, err := c.roundTrip(clientRequest{Op: "submitwait", Protocol: protocol})

@@ -17,7 +17,6 @@ import (
 type DeployConfig struct {
 	Scenario  repro.Scenario
 	Protocols []string
-	QueueCap  int
 	Linger    time.Duration
 	// WithClients/WithHTTP attach the client and observability planes to
 	// every daemon (addresses in Deployment.ClientAddrs/HTTPAddrs).
@@ -26,7 +25,6 @@ type DeployConfig struct {
 	// Pprof mounts /debug/pprof on every daemon's observability plane
 	// (needs WithHTTP) and enables mutex/block profiling.
 	Pprof bool
-	Logf  func(format string, args ...any)
 }
 
 // Deployment is a running in-process daemon fleet.
@@ -71,10 +69,8 @@ func Deploy(ctx context.Context, cfg DeployConfig) (*Deployment, error) {
 			Protocols:    cfg.Protocols,
 			PeerListener: peerLs[i],
 			Peers:        peers,
-			QueueCap:     cfg.QueueCap,
 			Linger:       cfg.Linger,
 			Pprof:        cfg.Pprof,
-			Logf:         cfg.Logf,
 		}
 		if cfg.WithClients {
 			cl, err := net.Listen("tcp", "127.0.0.1:0")
@@ -109,30 +105,6 @@ func Deploy(ctx context.Context, cfg DeployConfig) (*Deployment, error) {
 		d.Start(ctx)
 	}
 	return dep, nil
-}
-
-// Shutdown drains every daemon concurrently; the first drain failure is
-// returned (all daemons are torn down regardless).
-func (dep *Deployment) Shutdown(ctx context.Context) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(dep.Daemons))
-	for i, d := range dep.Daemons {
-		if d == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, d *Daemon) {
-			defer wg.Done()
-			errs[i] = d.Shutdown(ctx)
-		}(i, d)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Close tears every daemon down immediately.

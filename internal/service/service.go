@@ -263,9 +263,6 @@ func (d *Daemon) logf(format string, args ...any) {
 	}
 }
 
-// ID returns the hosted vertex.
-func (d *Daemon) ID() int { return d.cfg.ID }
-
 // Protocols lists the served protocols, sorted.
 func (d *Daemon) Protocols() []string { return append([]string(nil), d.names...) }
 

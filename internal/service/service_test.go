@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -483,4 +484,49 @@ func TestServiceNewRejects(t *testing.T) {
 			t.Errorf("%s: New returned %v, want an error containing %q", tc.name, err, tc.errHas)
 		}
 	}
+}
+
+// Submit starts an instance of protocol ("" = daemon default).
+func (c *Client) Submit(protocol string) (uint64, error) {
+	resp, err := c.roundTrip(clientRequest{Op: "submit", Protocol: protocol})
+	return resp.Inst, err
+}
+
+// Wait blocks until the instance decides at the daemon's vertex.
+func (c *Client) Wait(inst uint64) (Decision, error) {
+	resp, err := c.roundTrip(clientRequest{Op: "wait", Inst: inst})
+	if err != nil {
+		return Decision{}, err
+	}
+	if resp.Decision == nil {
+		return Decision{}, errors.New("service: wait response without a decision")
+	}
+	return *resp.Decision, nil
+}
+
+// ID returns the hosted vertex.
+func (d *Daemon) ID() int { return d.cfg.ID }
+
+// Shutdown drains every daemon concurrently; the first drain failure is
+// returned (all daemons are torn down regardless).
+func (dep *Deployment) Shutdown(ctx context.Context) error {
+	var wg sync.WaitGroup
+	errs := make([]error, len(dep.Daemons))
+	for i, d := range dep.Daemons {
+		if d == nil {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, d *Daemon) {
+			defer wg.Done()
+			errs[i] = d.Shutdown(ctx)
+		}(i, d)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -63,7 +63,7 @@ func TestPoolChurnAllocFree(t *testing.T) {
 	}
 	random := mk()
 	got := testing.AllocsPerRun(1000, func() {
-		m := random.Take(int(random.View().At(0).Seq) % random.PendingLen())
+		m := random.Take(int(random.View().At(0).Seq) % random.View().Len())
 		random.Add(m)
 	})
 	if got != 0 {

@@ -69,16 +69,6 @@ type ObserverFunc func(Event)
 // Observe implements Observer.
 func (f ObserverFunc) Observe(e Event) { f(e) }
 
-// MultiObserver fans each event out to every member, in order.
-type MultiObserver []Observer
-
-// Observe implements Observer.
-func (m MultiObserver) Observe(e Event) {
-	for _, o := range m {
-		o.Observe(e)
-	}
-}
-
 // historyProvider is implemented by protocol machines that record per-round
 // state values; the runner streams growth of that history as EventRound.
 type historyProvider interface{ History() []float64 }

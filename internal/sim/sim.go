@@ -106,13 +106,9 @@ type Config struct {
 	// Memory: every recorded delivery retains a 40-byte Message value plus
 	// whatever its payload pins (for BW, a path proportional to the graph
 	// order). Tracing a run at the full 20M-step delivery cap therefore
-	// costs at least ~800 MB before payloads — bound long runs with
-	// TraceCap, or leave tracing off outside the determinism tests.
+	// costs at least ~800 MB before payloads — leave tracing off outside
+	// the determinism tests.
 	RecordTrace bool
-	// TraceCap bounds how many deliveries RecordTrace keeps: recording
-	// stops (the run continues) once this many are held. 0 means
-	// unbounded. The buffer is preallocated up to the cap.
-	TraceCap int
 	// Observer, when non-nil, receives streaming events (deliveries, holds,
 	// releases, per-round value snapshots) as the run progresses. Observers
 	// only watch: the delivery schedule is identical with or without one.
@@ -184,16 +180,8 @@ func New(cfg Config, handlers []Handler) (*Runner, error) {
 		out:      Outbox{g: cfg.Graph, stats: stats},
 	}
 	if cfg.RecordTrace {
-		// Preallocate the trace buffer: up to the cap when one is set,
-		// otherwise a modest starting size (growth takes over beyond it).
-		pre := cfg.TraceCap
-		if pre <= 0 || pre > cfg.MaxSteps {
-			pre = cfg.MaxSteps
-		}
-		if pre > 4096 {
-			pre = 4096
-		}
-		r.trace = make([]transport.Message, 0, pre)
+		// Preallocate a modest starting size; growth takes over beyond it.
+		r.trace = make([]transport.Message, 0, min(cfg.MaxSteps, 4096))
 	}
 	return r, nil
 }
@@ -244,7 +232,7 @@ func (r *Runner) Run() error {
 		r.steps++
 		idx := r.cfg.Policy.Pick(r.pool.View())
 		m := r.pool.Take(idx)
-		if r.cfg.RecordTrace && (r.cfg.TraceCap == 0 || len(r.trace) < r.cfg.TraceCap) {
+		if r.cfg.RecordTrace {
 			r.trace = append(r.trace, m)
 		}
 		if r.cfg.Observer != nil {
@@ -347,10 +335,6 @@ func (r *Runner) Steps() int { return r.steps }
 // Stats returns the execution's message statistics.
 func (r *Runner) Stats() *transport.Stats { return r.stats }
 
-// Trace returns the recorded delivery trace (empty unless
-// Config.RecordTrace was set).
-func (r *Runner) Trace() []transport.Message { return r.trace }
-
 // TraceString renders the recorded trace one delivery per line — the byte
 // format the determinism and reference-equivalence tests compare.
 func (r *Runner) TraceString() string {
@@ -364,19 +348,6 @@ func (r *Runner) TraceString() string {
 
 // Handler returns the handler for node id.
 func (r *Runner) Handler(id int) Handler { return r.handlers[id] }
-
-// AllOutput reports whether every handler in the set has produced output.
-func (r *Runner) AllOutput(set graph.Set) bool {
-	ok := true
-	set.ForEach(func(v int) bool {
-		if _, done := r.handlers[v].Output(); !done {
-			ok = false
-			return false
-		}
-		return true
-	})
-	return ok
-}
 
 // Outputs collects the outputs of the given nodes; the bool result is false
 // if any of them has not decided.

@@ -300,41 +300,19 @@ func TestOutboxReuseAcrossInvocations(t *testing.T) {
 	}
 }
 
-// TestTraceCap bounds the recorded trace without perturbing the run.
-func TestTraceCap(t *testing.T) {
-	run := func(traceCap int) (*Runner, error) {
-		r, err := New(Config{
-			Graph:       graph.Clique(4),
-			Policy:      transport.NewRandomPolicy(9),
-			RecordTrace: true,
-			TraceCap:    traceCap,
-		}, newEchoHandlers(4, 4))
-		if err != nil {
-			return nil, err
+// AllOutput reports whether every handler in the set has produced output.
+func (r *Runner) AllOutput(set graph.Set) bool {
+	ok := true
+	set.ForEach(func(v int) bool {
+		if _, done := r.handlers[v].Output(); !done {
+			ok = false
+			return false
 		}
-		return r, r.Run()
-	}
-	full, err := run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Trace()) != full.Steps() {
-		t.Fatalf("unbounded trace kept %d of %d deliveries", len(full.Trace()), full.Steps())
-	}
-	capped, err := run(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(capped.Trace()) != 5 {
-		t.Fatalf("capped trace kept %d deliveries, want 5", len(capped.Trace()))
-	}
-	if capped.Steps() != full.Steps() {
-		t.Fatalf("trace cap changed the schedule: %d vs %d steps", capped.Steps(), full.Steps())
-	}
-	// The kept prefix is the schedule prefix.
-	for i, m := range capped.Trace() {
-		if m.String() != full.Trace()[i].String() {
-			t.Fatalf("capped trace diverged at %d", i)
-		}
-	}
+		return true
+	})
+	return ok
 }
+
+// Trace returns the recorded delivery trace (empty unless
+// Config.RecordTrace was set).
+func (r *Runner) Trace() []transport.Message { return r.trace }

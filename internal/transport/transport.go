@@ -175,16 +175,39 @@ type Stats struct {
 	Sent      int
 	Delivered int
 	Dropped   int // sends over non-edges (faulty behavior), discarded
-	// kinds counts sends per payload kind. A short linear array instead of
-	// a map: protocols use a handful of kind strings (all constants, so the
-	// == fast path is a pointer compare), and the per-send map assignment
-	// was half the pool's hot-path profile.
-	kinds []kindCount
+	kinds     KindCounts
 }
+
+// KindCounts counts messages per payload kind, for the simulator's Stats
+// and the live node's alike. A short linear array instead of a map:
+// protocols use a handful of kind strings (all constants, so the == fast
+// path is a pointer compare), and the per-send map assignment was half the
+// pool's hot-path profile.
+type KindCounts []kindCount
 
 type kindCount struct {
 	name string
 	n    int
+}
+
+// Add counts one message of the kind.
+func (c *KindCounts) Add(kind string) {
+	for i := range *c {
+		if (*c)[i].name == kind {
+			(*c)[i].n++
+			return
+		}
+	}
+	*c = append(*c, kindCount{name: kind, n: 1})
+}
+
+// Map returns the counts keyed by kind, built on demand.
+func (c KindCounts) Map() map[string]int {
+	out := make(map[string]int, len(c))
+	for _, kc := range c {
+		out[kc.name] = kc.n
+	}
+	return out
 }
 
 // NewStats returns empty statistics.
@@ -192,26 +215,12 @@ func NewStats() *Stats {
 	return &Stats{}
 }
 
-// ByKind returns the per-kind send counts as a map (built on demand; the
-// hot path maintains a flat array).
-func (s *Stats) ByKind() map[string]int {
-	out := make(map[string]int, len(s.kinds))
-	for _, kc := range s.kinds {
-		out[kc.name] = kc.n
-	}
-	return out
-}
+// ByKind returns the per-kind send counts as a map.
+func (s *Stats) ByKind() map[string]int { return s.kinds.Map() }
 
 func (s *Stats) recordSend(m Message) {
 	s.Sent++
-	k := m.Payload.Kind()
-	for i := range s.kinds {
-		if s.kinds[i].name == k {
-			s.kinds[i].n++
-			return
-		}
-	}
-	s.kinds = append(s.kinds, kindCount{name: k, n: 1})
+	s.kinds.Add(m.Payload.Kind())
 }
 
 // RecordDrop counts a message that was discarded before entering the pool.
@@ -426,17 +435,6 @@ func (p *Pool) append(ai int32) {
 // which policies observe the pool.
 func (p *Pool) View() PendingView { return PendingView{p: p} }
 
-// Pending returns a copy of the deliverable messages, in pool order. It is
-// a diagnostic accessor: the copy protects the pool's determinism-bearing
-// internal order from callers. The hot path uses View instead.
-func (p *Pool) Pending() []Message {
-	out := make([]Message, len(p.pending))
-	for i, ai := range p.pending {
-		out[i] = p.arena[ai].msg
-	}
-	return out
-}
-
 // HeldCount returns the number of withheld messages.
 func (p *Pool) HeldCount() int { return len(p.held) }
 
@@ -497,11 +495,5 @@ func (p *Pool) ReleaseHeld() {
 	p.held = p.held[:0]
 }
 
-// Empty reports whether no message is deliverable or held.
-func (p *Pool) Empty() bool { return len(p.pending) == 0 && len(p.held) == 0 }
-
 // PendingEmpty reports whether no message is deliverable right now.
 func (p *Pool) PendingEmpty() bool { return len(p.pending) == 0 }
-
-// PendingLen returns the number of deliverable messages.
-func (p *Pool) PendingLen() int { return len(p.pending) }

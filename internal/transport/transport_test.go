@@ -358,3 +358,20 @@ func TestArenaReuse(t *testing.T) {
 		}
 	}
 }
+
+// Pending returns a copy of the deliverable messages, in pool order. It is
+// a diagnostic accessor: the copy protects the pool's determinism-bearing
+// internal order from callers. The hot path uses View instead.
+func (p *Pool) Pending() []Message {
+	out := make([]Message, len(p.pending))
+	for i, ai := range p.pending {
+		out[i] = p.arena[ai].msg
+	}
+	return out
+}
+
+// Empty reports whether no message is deliverable or held.
+func (p *Pool) Empty() bool { return len(p.pending) == 0 && len(p.held) == 0 }
+
+// PendingLen returns the number of deliverable messages.
+func (p *Pool) PendingLen() int { return len(p.pending) }

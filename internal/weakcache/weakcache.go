@@ -57,11 +57,3 @@ func (c *Cache[K, V]) drop(e entry[K, V]) {
 		delete(c.byKey, e.key)
 	}
 }
-
-// size returns the number of keys whose values are still referenced, or
-// were until the last collection.
-func (c *Cache[K, V]) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.byKey)
-}

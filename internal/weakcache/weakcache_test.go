@@ -50,3 +50,11 @@ func TestCacheKeepsHeldAndRecent(t *testing.T) {
 	}
 	runtime.KeepAlive(held)
 }
+
+// size returns the number of keys whose values are still referenced, or
+// were until the last collection.
+func (c *Cache[K, V]) size() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.byKey)
+}

@@ -249,9 +249,6 @@ type Observer = sim.Observer
 // per-round value snapshot.
 type Event = sim.Event
 
-// EventType discriminates streamed events.
-type EventType = sim.EventType
-
 // Event types.
 const (
 	EventDeliver = sim.EventDeliver
@@ -262,9 +259,6 @@ const (
 
 // ObserverFunc adapts a function to the Observer interface.
 type ObserverFunc = sim.ObserverFunc
-
-// MultiObserver fans events out to several observers.
-type MultiObserver = sim.MultiObserver
 
 // JSONLObserver returns an Observer that streams one compact JSON object
 // per event to w (JSON Lines). Records carry a "type" discriminator:

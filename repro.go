@@ -74,14 +74,9 @@ func NamedGraphSpecs() []string { return graph.NamedSpecs() }
 
 // Builders for the graphs used throughout the paper and the experiments.
 var (
-	Clique        = graph.Clique
-	DirectedCycle = graph.DirectedCycle
-	Wheel         = graph.Wheel
-	Fig1a         = graph.Fig1a
-	Fig1b         = graph.Fig1b
-	Fig1bAnalog   = graph.Fig1bAnalog
-	Circulant     = graph.Circulant
-	RandomDigraph = graph.RandomDigraph
+	Clique    = graph.Clique
+	Fig1a     = graph.Fig1a
+	Circulant = graph.Circulant
 )
 
 // ConditionReport collects every condition of the paper's Tables 1 and 2
@@ -180,14 +175,6 @@ func Check3Reach(g *Graph, f int) (bool, *ReachWitness) { return cond.Check3Reac
 
 // CheckKReach verifies the generalized k-reach condition (Definition 20).
 func CheckKReach(g *Graph, k, f int) (bool, *ReachWitness) { return cond.CheckKReach(g, k, f) }
-
-// CheckRobustness verifies (r, s)-robustness, the tight condition for the
-// *local iterative* algorithms of the paper's related work [13]. Strictly
-// stronger than 3-reach: see experiment E9 for the separation.
-func CheckRobustness(g *Graph, r, s int) bool {
-	ok, _ := cond.CheckRobustness(g, r, s)
-	return ok
-}
 
 // Mutation is one composed mutator layer of a FaultSpec.
 type Mutation struct {

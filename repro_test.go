@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/graph"
 )
 
 func TestCheckConditionsFig1a(t *testing.T) {
@@ -25,7 +26,7 @@ func TestCheckConditionsFig1a(t *testing.T) {
 }
 
 func TestCheckConditionsDirectedSkipsKappa(t *testing.T) {
-	rep := repro.CheckConditions(repro.DirectedCycle(4), 1)
+	rep := repro.CheckConditions(graph.DirectedCycle(4), 1)
 	if rep.Kappa != -1 {
 		t.Errorf("directed graph kappa = %d, want -1", rep.Kappa)
 	}
@@ -33,7 +34,7 @@ func TestCheckConditionsDirectedSkipsKappa(t *testing.T) {
 
 func TestCheckConditionsLargeUsesReachForPartitions(t *testing.T) {
 	// n = 14 exceeds PartitionLimit; partition fields mirror reach results.
-	rep := repro.CheckConditions(repro.Fig1b(), 2)
+	rep := repro.CheckConditions(graph.Fig1b(), 2)
 	if !rep.ThreeReach || rep.BCS != rep.ThreeReach {
 		t.Errorf("fig1b f=2: %+v", rep)
 	}
@@ -93,7 +94,7 @@ func TestRunAADFacade(t *testing.T) {
 	if !res.Converged || !res.ValidityOK {
 		t.Errorf("AAD result: %+v", res)
 	}
-	if _, err := protocol(t, "aad")(repro.DirectedCycle(4), []float64{0, 1, 2, 3}, repro.Options{}); err == nil {
+	if _, err := protocol(t, "aad")(graph.DirectedCycle(4), []float64{0, 1, 2, 3}, repro.Options{}); err == nil {
 		t.Error("AAD on non-clique accepted")
 	}
 }
@@ -123,7 +124,7 @@ func TestRunIterativeFacade(t *testing.T) {
 		t.Errorf("iterative on clique should converge: %+v", res)
 	}
 	// The E9 separation via the facade.
-	sep, err := protocol(t, "iterative")(repro.Fig1bAnalog(),
+	sep, err := protocol(t, "iterative")(graph.Fig1bAnalog(),
 		[]float64{0, 0, 0, 0, 1, 1, 1, 1}, repro.Options{F: 1, K: 1, Eps: 0.1, Seed: 4, Rounds: 25})
 	if err != nil {
 		t.Fatal(err)
@@ -269,20 +270,6 @@ func TestNamedGraphFacade(t *testing.T) {
 	}
 }
 
-func TestCheckRobustnessFacade(t *testing.T) {
-	if !repro.CheckRobustness(repro.Clique(5), 2, 2) {
-		t.Error("K5 should be (2,2)-robust")
-	}
-	// The E9 separation via the facade: 3-reach without robustness.
-	g := repro.Fig1bAnalog()
-	if ok, _ := repro.Check3Reach(g, 1); !ok {
-		t.Error("analog should satisfy 3-reach")
-	}
-	if repro.CheckRobustness(g, 2, 2) {
-		t.Error("analog should not be (2,2)-robust")
-	}
-}
-
 func TestCheckKReachFacade(t *testing.T) {
 	if ok, _ := repro.CheckKReach(repro.Clique(5), 4, 1); !ok {
 		t.Error("K5 should satisfy 4-reach for f=1")
@@ -320,7 +307,7 @@ func TestCheckConditionsSkipsAboveCertLimit(t *testing.T) {
 	// Inside the budget certification runs: Figure 1(b) at f = 2, f = 0 at
 	// CertLimit itself, and the 512-vertex torus that was past the limit
 	// while the limit was 64 (Table 1: n > 3f and κ = 4 > 2f).
-	if small := repro.CheckConditions(repro.Fig1b(), 2); !small.Certified || !small.ThreeReach {
+	if small := repro.CheckConditions(graph.Fig1b(), 2); !small.Certified || !small.ThreeReach {
 		t.Fatalf("fig1b should certify: %+v", small)
 	}
 	if rep := check("cycle:1024", 0); !rep.Certified || !rep.ThreeReach {

@@ -14,7 +14,6 @@ import (
 	"repro/internal/adversary"
 	"repro/internal/graph"
 	"repro/internal/linkfault"
-	"repro/internal/par"
 	"repro/internal/transport"
 )
 
@@ -326,22 +325,6 @@ func (s Scenario) RunBatch(ctx context.Context, workers int) ([]*Result, error) 
 		n = 1
 	}
 	return RunSeeds(ctx, run, g, inputs, s.options(), n, workers)
-}
-
-// RunScenarios executes an arbitrary scenario list over a worker pool,
-// returning results in list order — the building block for experiment
-// matrices where each cell is its own (graph, adversary, schedule) triple.
-// Cancelling ctx stops the matrix between runs and returns ctx.Err(); a
-// nil ctx means context.Background().
-func RunScenarios(ctx context.Context, scenarios []Scenario, workers int) ([]*Result, error) {
-	for i := range scenarios {
-		if err := scenarios[i].Validate(); err != nil {
-			return nil, fmt.Errorf("scenario %d: %w", i, err)
-		}
-	}
-	return par.Map(ctx, workers, len(scenarios), func(i int) (*Result, error) {
-		return scenarios[i].Run()
-	})
 }
 
 // ParseScenario decodes and validates a JSON scenario. Unknown fields are

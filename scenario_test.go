@@ -345,32 +345,6 @@ func TestPlanSharedAcrossBatch(t *testing.T) {
 	}
 }
 
-func TestRunScenariosList(t *testing.T) {
-	list := []repro.Scenario{
-		{Graph: "clique:4", Protocol: "aad", Inputs: []float64{0, 1, 2, 3}, F: 1, K: 3, Eps: 0.2, Seed: 2},
-		{Graph: "circulant:5:1,2", Protocol: "crashapprox", Inputs: []float64{0, 1, 2, 3, 4},
-			F: 1, K: 4, Eps: 0.2, Seed: 3, Faults: []repro.FaultSpec{{Node: 4, Kind: "crash", Params: map[string]float64{"after": 10}}}},
-		{Graph: "clique:5", Protocol: "iterative", Inputs: []float64{0, 1, 2, 3, 4}, F: 1, K: 4, Eps: 0.1, Seed: 4, Rounds: 25},
-	}
-	results, err := repro.RunScenarios(context.Background(), list, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(list) {
-		t.Fatalf("results = %d", len(results))
-	}
-	for i, res := range results {
-		if !res.Converged {
-			t.Errorf("scenario %d (%s) did not converge: %+v", i, list[i].Protocol, res)
-		}
-	}
-	// A bad entry fails the whole list eagerly, naming the index.
-	list[1].Protocol = "paxos"
-	if _, err := repro.RunScenarios(context.Background(), list, 0); err == nil || !strings.Contains(err.Error(), "scenario 1") {
-		t.Errorf("bad list entry: %v", err)
-	}
-}
-
 func TestScenarioObserver(t *testing.T) {
 	s := repro.Scenario{
 		Graph: "fig1a", Protocol: "bw",
