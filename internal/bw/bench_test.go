@@ -116,8 +116,12 @@ func BenchmarkBWFig1a(b *testing.B) {
 // payload when the message is relayed, FIFO buffers and progress bitsets,
 // a COMPLETE's entry list, and the round's clauses — one per distinct
 // (S, q, want), each a list of indices into the shared candidate covers.
-// The budgets are the measured 1.17 allocations and 111 bytes plus a
-// tenth, against 1.20 and 143 while every run built its own plan, tables,
+// The budgets are the measured 0.97 allocations and 93 bytes plus a
+// tenth, against 1.19 and 112 (1.17 and 111 when first fenced) while a
+// FIFO stream buffered COMPLETEs that arrived in order, each content
+// listed the streams it came through, and each round grew its
+// per-initial-node lists, progress bitsets and Filter-and-Average's order
+// by appending; 1.20 and 143 while every run built its own plan, tables,
 // doors and covers, 1.20 and 178 while the table also spelled every entry
 // out as a path and a key string for relays and COMPLETE entries, 2.1 and
 // 257 with a clause per thread holding its own copies of the covers, 4.5
@@ -125,12 +129,12 @@ func BenchmarkBWFig1a(b *testing.B) {
 // copy, and 9.3 and 1 660 when M_v, the FIFO tables and the snapshot
 // clauses were keyed by strings and node sets. About an eighth of a node
 // set per delivery is part of the bytes (a relayed COMPLETE's tag), so
-// that budget moves with the build dimension: 160 bytes measured under
-// graph4096, budget 177.
+// that budget moves with the build dimension: 141 bytes measured under
+// graph4096, budget 157.
 func TestBWRunAllocBudget(t *testing.T) {
 	const setBytes = graph.MaxNodes / 8
-	const maxAllocs, maxBytes = 1.29, 104 + setBytes/7 // 122 in the default build
-	runFig1a(t, 1)                                     // warm the runtime's size classes, the test binary and the plan
+	const maxAllocs, maxBytes = 1.07, 84 + setBytes/7 // 102 in the default build
+	runFig1a(t, 1)                                    // warm the runtime's size classes, the test binary and the plan
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

@@ -3,6 +3,7 @@ package bw
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -113,7 +114,12 @@ func TestMachinePathBudget(t *testing.T) {
 // set contains the node; and the FIFO requirements are exactly the simple
 // (c, v)-paths inside the reach set, named by the table's streams and
 // numbered 0..k-1 per origin c, with k recorded at c's rank in the reach
-// set — for the node itself, the trivial path alone.
+// set — for the node itself, the trivial path alone. The static columns
+// the deliveries read in their place hold the same predicates: an entry's
+// thread bit is set exactly when its path avoids F_v, a stream's exactly
+// when the thread requires it, which is exactly when the simple path lies
+// inside the reach set; and initOff spans each initial node's entries.
+// tableGraphs is the graph set of graph.TestPathTableMatchesReference.
 func TestThreadPrecompute(t *testing.T) {
 	for _, g := range tableGraphs() {
 		p, err := NewProto(g, 1, 1, 0.5, 0)
@@ -137,7 +143,32 @@ func TestThreadPrecompute(t *testing.T) {
 			if len(pre.threads) != threads {
 				t.Fatalf("%s node %d: %d threads, want %d", g, v, len(pre.threads), threads)
 			}
-			for _, th := range pre.threads {
+			words := p.getPlan().words
+			heads := make([]int32, g.N()+1)
+			for _, c := range pre.paths.Head {
+				heads[c+1]++
+			}
+			for c := range g.N() {
+				heads[c+1] += heads[c]
+			}
+			if !slices.Equal(pre.initOff, heads) {
+				t.Errorf("%s node %d: initOff %v, the table's entries per initial node end at %v", g, v, pre.initOff, heads)
+			}
+			for ti, th := range pre.threads {
+				word, bit := ti>>6, uint64(1)<<(ti&63)
+				for e := range pre.paths.Set {
+					avoids := pre.avoiders(int32(e))[word]&bit != 0
+					if avoids != !intersects(&pre.paths.Set[e], &th.fv, words) {
+						t.Errorf("%s node %d thread %s entry %d: avoids bit %v, path %s", g, v, th.fv, e, avoids, spell(pre.paths, int32(e)))
+					}
+				}
+				for s, e := range pre.paths.Simples {
+					required := pre.requirers(int32(s))[word]&bit != 0
+					inside := within(&pre.paths.Set[e], &th.reach, words)
+					if required != inside || (th.required[s] >= 0) != inside {
+						t.Errorf("%s node %d thread %s stream %d: requiredBy bit %v, required %d, inside reach %v", g, v, th.fv, s, required, th.required[s], inside)
+					}
+				}
 				if th.fv.Has(v) || !th.reach.Has(v) {
 					t.Errorf("%s node %d thread %s: suspects its own node, or reach %s misses it", g, v, th.fv, th.reach)
 				}

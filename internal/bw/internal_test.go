@@ -1,6 +1,7 @@
 package bw
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -252,6 +253,75 @@ func TestCoverablePrefixMatchesCond(t *testing.T) {
 			}
 			if got, want := m.coverablePrefix(all, order), cond.CoverablePrefix(sets, f, allowed); got != want {
 				t.Fatalf("f=%d sets=%v: coverable prefix %d, cond says %d", f, sets, got, want)
+			}
+		}
+	}
+}
+
+// TestFilterAndAverageMatchesComparatorSort holds Filter-and-Average's
+// counting sort to the comparator sort it replaced, on the path tables of
+// fig1a, clique:4 and fig1b-analog: for random M_v — a random subset of the
+// table, always with the node's own entry, accepted in random order — the
+// (value, rank) order and the trimmed midpoint are the same, bit for bit.
+// The values are one per initial node; a few shared by every entry (ties
+// across initial nodes); -0, +0 and ±1 (equal zeros of either sign); or one
+// per initial node but a distinct value per entry from one Byzantine origin.
+func TestFilterAndAverageMatchesComparatorSort(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	kinds := []struct {
+		name  string
+		value func(rng *rand.Rand, perInit []float64, byz, init int) float64
+	}{
+		{"one per initial node", func(_ *rand.Rand, perInit []float64, _, init int) float64 { return perInit[init] }},
+		{"ties", func(rng *rand.Rand, _ []float64, _, _ int) float64 { return float64(rng.Intn(3)) / 2 }},
+		{"signed zeros", func(rng *rand.Rand, _ []float64, _, _ int) float64 {
+			return []float64{negZero, 0, -1, 1}[rng.Intn(4)]
+		}},
+		{"byzantine distinct", func(rng *rand.Rand, perInit []float64, byz, init int) float64 {
+			if init == byz {
+				return rng.NormFloat64()
+			}
+			return perInit[init]
+		}},
+	}
+	rng := rand.New(rand.NewSource(45))
+	for _, g := range []*graph.Graph{graph.Fig1a(), graph.Clique(4), graph.Fig1bAnalog()} {
+		p, err := NewProto(g, 1, 1, 0.5, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < g.N(); v++ {
+			m, err := NewMachine(p, v, 0.5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl := m.pre.paths
+			for _, kind := range kinds {
+				for trial := 0; trial < 4; trial++ {
+					perInit := make([]float64, g.N())
+					for c := range perInit {
+						perInit[c] = float64(rng.Intn(4)) / 4
+					}
+					byz := (v + 1 + rng.Intn(g.N()-1)) % g.N()
+					rs := newRoundState(1, g.N(), m.pre)
+					keep := rng.Float64()
+					for _, e := range rng.Perm(len(tbl.Head)) {
+						if e != 0 && rng.Float64() > keep {
+							continue
+						}
+						init := int(tbl.Head[e])
+						rs.vals[e], rs.has[e] = kind.value(rng, perInit, byz, init), true
+						rs.byInit[init] = append(rs.byInit[init], int32(e))
+					}
+					rs.x = rs.vals[0]
+					wantOrder, wantMid := comparatorFilterAndAverage(m, rs)
+					if got := m.valueOrder(rs); !slices.Equal(got, wantOrder) {
+						t.Fatalf("%s node %d %s: counting sort and comparator sort disagree on %d entries", g, v, kind.name, len(wantOrder))
+					}
+					if got := m.filterAndAverage(rs); math.Float64bits(got) != math.Float64bits(wantMid) {
+						t.Fatalf("%s node %d %s: trimmed midpoint %v, comparator sort's %v", g, v, kind.name, got, wantMid)
+					}
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package bw
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/graph"
@@ -27,6 +28,14 @@ type Machine struct {
 
 	output float64
 	done   bool
+
+	// fa is Filter-and-Average's scratch, reused round after round: the
+	// round's distinct values, each table entry's bucket among them, each
+	// bucket's next slot in order, and M_v's entries in (value, rank) order.
+	fa struct {
+		distinct            []float64
+		bucket, next, order []int32
+	}
 
 	metrics Metrics
 }
@@ -53,9 +62,6 @@ type Metrics struct {
 	NonFiniteDropped int
 	// History records x_v[r] after each Filter-and-Average execution.
 	History []float64
-	// DecidedThreads records, per round, the suspect set F_v of the
-	// parallel execution that reached Filter-and-Average first.
-	DecidedThreads []graph.Set
 }
 
 // NewMachine builds the node's machine over the shared plan; the first
@@ -174,7 +180,7 @@ func (m *Machine) deliverVal(p *ValPayload, from int, out *sim.Outbox) {
 func (m *Machine) acceptVal(rs *roundState, value float64, e int32, out *sim.Outbox) {
 	init, set := int(m.pre.paths.Head[e]), &m.pre.paths.Set[e]
 	rs.vals[e], rs.has[e] = value, true
-	rs.byInit[init] = append(rs.byInit[init], e)
+	rs.byInit[init] = append(rs.byInit[init], e) // within the span the plan sized
 
 	// The round's clauses are fed once, whichever threads subscribe. One a
 	// snapshot creates later is pre-fed from M_v into the same state: the
@@ -191,14 +197,17 @@ func (m *Machine) acceptVal(rs *roundState, value float64, e int32, out *sim.Out
 		}
 	}
 
-	words := m.plan.words
-	for i := range rs.threads {
-		t := &rs.threads[i]
-		// Membership in the fullness set is a bitmask test: every accepted
-		// entry is a redundant path of G ending here, so it belongs to
-		// thread t's expected set exactly when it avoids F_v — and then its
-		// initial node reaches v outside F_v, so it has a rank in reach.
-		if !t.mcFired && !t.inconsistent && !intersects(set, &t.pre.fv, words) {
+	// Every accepted entry is a redundant path of G ending here, so it
+	// belongs to thread t's fullness set exactly when it avoids F_v — the
+	// plan's bit for (e, t) — and then its initial node reaches v outside
+	// F_v, so it has a rank in reach.
+	for w, word := range m.pre.avoiders(e) {
+		for ; word != 0; word &= word - 1 {
+			ti := w<<6 | bits.TrailingZeros64(word)
+			t := &rs.threads[ti]
+			if t.mcFired || t.inconsistent {
+				continue
+			}
 			o := &t.origins[rankIn(&t.pre.reach, init)]
 			if o.seen && o.val != value {
 				t.inconsistent = true
@@ -207,7 +216,7 @@ func (m *Machine) acceptVal(rs *roundState, value float64, e int32, out *sim.Out
 			}
 			t.missing--
 			if t.missing == 0 && !t.inconsistent {
-				m.fireMC(rs, t, out)
+				m.fireMC(rs, ti, out)
 			}
 		}
 	}
@@ -219,15 +228,16 @@ func (m *Machine) acceptVal(rs *roundState, value float64, e int32, out *sim.Out
 // The entries go out sorted by path key so that equal message sets
 // serialize identically: a filtered walk of the table in rank order.
 // missing just reached zero, so every entry avoiding F_v has a value.
-func (m *Machine) fireMC(rs *roundState, t *threadState, out *sim.Outbox) {
+func (m *Machine) fireMC(rs *roundState, ti int, out *sim.Outbox) {
+	t := &rs.threads[ti]
 	t.mcFired = true
 	m.metrics.MCFires++
 
 	tbl := m.pre.paths
 	entries := make([]ValEntry, 0, t.pre.expectedCount)
-	words := m.plan.words
+	avoids, tw, word, bit := m.pre.avoids, m.pre.threadWords, ti>>6, uint64(1)<<(ti&63)
 	for _, e := range tbl.ByRank {
-		if !intersects(&tbl.Set[e], &t.pre.fv, words) {
+		if avoids[int(e)*tw+word]&bit != 0 {
 			entries = append(entries, ValEntry{Value: rs.vals[e], Entry: e})
 		}
 	}
@@ -294,6 +304,13 @@ func (m *Machine) deliverComplete(p *CompletePayload, from int, out *sim.Outbox)
 			}
 			out.Send(w, relay)
 		}
+	}
+	if p.Seq == st.done+1 && len(st.buf) <= st.done {
+		// The next in order with none parked after it: an honest stream's
+		// usual case, which parks nothing.
+		st.done++
+		m.registerComplete(rs, info, stream)
+		return
 	}
 	for len(st.buf) < p.Seq {
 		st.buf = append(st.buf, nil)
@@ -371,14 +388,20 @@ func (m *Machine) floodInfo(p *CompletePayload) *floodInfo {
 // verification (Algorithm 1 lines 12-13 and the Section 4.3 snapshot
 // semantics).
 func (m *Machine) registerComplete(rs *roundState, info *floodInfo, stream int32) {
+	tw := m.pre.threadWords
 	ci, ok := rs.contentIdx[info.key]
 	if !ok {
 		ci = int32(len(rs.contents))
 		rs.contentIdx[info.key] = ci
-		rs.contents = append(rs.contents, contentRecord{info: info})
+		rs.contents = append(rs.contents, info)
+		for range tw {
+			rs.qualified = append(rs.qualified, 0)
+		}
 	}
-	rec := &rs.contents[ci]
-	rec.via = append(rec.via, stream)
+	qualified := rs.qualified[int(ci)*tw : (int(ci)+1)*tw]
+	for i, w := range m.pre.requirers(stream) {
+		qualified[i] |= w
+	}
 
 	if info.tagIdx < 0 {
 		return
@@ -408,11 +431,14 @@ func (m *Machine) registerComplete(rs *roundState, info *floodInfo, stream int32
 		}
 	}
 	if fp == nil {
-		o.progress = append(o.progress, fifoProgress{content: ci, got: make([]uint64, (t.pre.need[r]+63)>>6)})
+		o.progress = append(o.progress, fifoProgress{content: ci, at: int32(len(rs.fifoBits))})
 		fp = &o.progress[len(o.progress)-1]
+		for range (t.pre.need[r] + 63) >> 6 {
+			rs.fifoBits = append(rs.fifoBits, 0)
+		}
 	}
-	if bit := uint64(1) << (num & 63); fp.got[num>>6]&bit == 0 {
-		fp.got[num>>6] |= bit
+	if w, bit := &rs.fifoBits[fp.at+num>>6], uint64(1)<<(num&63); *w&bit == 0 {
+		*w |= bit
 		fp.count++
 	}
 	if fp.count == t.pre.need[r] && !o.satisfied {
@@ -433,29 +459,28 @@ func (m *Machine) registerComplete(rs *roundState, info *floodInfo, stream int32
 // round, imposing the same (S, q, want) obligation.
 func (m *Machine) buildSnapshot(rs *roundState, ti int32) {
 	t := &rs.threads[ti]
-	tbl, words := m.pre.paths, m.plan.words
+	tw, word, bit := m.pre.threadWords, int(ti>>6), uint64(1)<<(ti&63)
+	member := func(ci int) bool {
+		return rs.contents[ci].consistent && rs.qualified[ci*tw+word]&bit != 0
+	}
+	members := 0
 	for ci := range rs.contents {
-		rec := &rs.contents[ci]
-		if !rec.info.consistent {
-			continue
+		if member(ci) {
+			members++
 		}
-		qualifies := false
-		for _, stream := range rec.via {
-			if within(&tbl.Set[tbl.Simples[stream]], &t.pre.reach, words) {
-				qualifies = true
-				break
-			}
-		}
-		if !qualifies {
+	}
+	t.pending = make([]pendingComplete, 0, members)
+	for ci, info := range rs.contents {
+		if !member(ci) {
 			continue
 		}
 		pi := int32(len(t.pending))
 		var pc pendingComplete
 		// A tag that is no fault set has no source components, hence no
 		// clauses.
-		if rec.info.tagIdx >= 0 {
-			for _, c := range m.plan.clauses[rec.info.tagIdx] {
-				want, ok := rec.info.value(int(c.q))
+		if info.tagIdx >= 0 {
+			for _, c := range m.plan.clauses[info.tagIdx] {
+				want, ok := info.value(int(c.q))
 				if !ok {
 					pc.impossible = true
 					break
@@ -546,21 +571,20 @@ func (m *Machine) tryAdvance(out *sim.Outbox) {
 		if rs == nil || !rs.started || rs.advanced {
 			return
 		}
-		var winner *threadState
+		verified := false
 		for i := range rs.threads {
 			if rs.threads[i].verified() {
-				winner = &rs.threads[i]
+				verified = true
 				break
 			}
 		}
-		if winner == nil {
+		if !verified {
 			return
 		}
 		rs.advanced = true
 		m.x = m.filterAndAverage(rs)
 		m.metrics.FAExecutions++
 		m.metrics.History = append(m.metrics.History, m.x)
-		m.metrics.DecidedThreads = append(m.metrics.DecidedThreads, winner.pre.fv)
 		if m.cur == m.proto.Rounds {
 			m.output = m.x
 			m.done = true
@@ -577,30 +601,10 @@ func (m *Machine) tryAdvance(out *sim.Outbox) {
 // extremes. The node's own trivial-path message admits no cover (a node
 // never suspects itself), so the trimmed vector is always nonempty.
 func (m *Machine) filterAndAverage(rs *roundState) float64 {
-	// Ties in value are broken by path key: the entry's rank in the table
-	// stands in for comparing the strings. Starting from rank order leaves
-	// the sort little to do: it groups the entries by initial node, and an
-	// honest initial node sent one value.
-	tbl := m.pre.paths
-	order := make([]int32, 0, len(tbl.ByRank))
-	for _, e := range tbl.ByRank {
-		if rs.has[e] {
-			order = append(order, e)
-		}
-	}
-	rank := tbl.Rank
-	slices.SortFunc(order, func(a, b int32) int {
-		if va, vb := rs.vals[a], rs.vals[b]; va != vb {
-			if va < vb {
-				return -1
-			}
-			return 1
-		}
-		return int(rank[a] - rank[b])
-	})
-	lo := m.coverablePrefix(tbl.Set, order)
+	order, sets := m.valueOrder(rs), m.pre.paths.Set
+	lo := m.coverablePrefix(sets, order)
 	slices.Reverse(order)
-	hi := m.coverablePrefix(tbl.Set, order)
+	hi := m.coverablePrefix(sets, order)
 	if lo+hi >= len(order) {
 		// Unreachable when the node's own message is present; defensive.
 		m.metrics.TrimAnomalies++
@@ -610,6 +614,64 @@ func (m *Machine) filterAndAverage(rs *roundState) float64 {
 	low := rs.vals[order[len(order)-1-lo]]
 	high := rs.vals[order[hi]]
 	return (low + high) / 2
+}
+
+// valueOrder returns M_v's entries sorted by value, ties broken by path key:
+// the entry's rank in the table stands in for comparing the strings. It is
+// a stable counting sort. The round's distinct values are gathered per
+// initial node — an honest one sent one — and sorted, each entry is
+// bucketed by its value's rank among them, and one pass over the table in
+// rank order places the accepted entries. The slice is the machine's
+// scratch, good until the next call.
+func (m *Machine) valueOrder(rs *roundState) []int32 {
+	fa, tbl := &m.fa, m.pre.paths
+	distinct := fa.distinct[:0]
+	for _, es := range rs.byInit {
+		for i, e := range es {
+			if i == 0 || rs.vals[e] != rs.vals[es[i-1]] {
+				distinct = append(distinct, rs.vals[e])
+			}
+		}
+	}
+	slices.Sort(distinct)
+	distinct = slices.Compact(distinct) // == merges ±0, as the comparison does
+	fa.distinct = distinct
+
+	if fa.bucket == nil {
+		fa.bucket = make([]int32, len(tbl.Head))
+	}
+	next := scratch(&fa.next, len(distinct)+1)
+	clear(next)
+	for _, es := range rs.byInit {
+		b := 0
+		for i, e := range es {
+			if i == 0 || rs.vals[e] != rs.vals[es[i-1]] {
+				b, _ = slices.BinarySearch(distinct, rs.vals[e])
+			}
+			fa.bucket[e] = int32(b)
+			next[b+1]++
+		}
+	}
+	for b := range distinct {
+		next[b+1] += next[b]
+	}
+	order := scratch(&fa.order, int(next[len(distinct)]))
+	for _, e := range tbl.ByRank {
+		if rs.has[e] {
+			b := fa.bucket[e]
+			order[next[b]] = e
+			next[b]++
+		}
+	}
+	return order
+}
+
+// scratch returns (*buf)[:n], replacing *buf when it is shorter.
+func scratch(buf *[]int32, n int) []int32 {
+	if cap(*buf) < n {
+		*buf = make([]int32, n)
+	}
+	return (*buf)[:n]
 }
 
 // coverablePrefix returns the largest k such that the node sets of the

@@ -199,10 +199,34 @@ type nodePre struct {
 	// threadOf maps a fault-set index to the position in threads of the
 	// thread suspecting it, -1 for sets containing the node itself.
 	threadOf []int32
+	// avoids[e*threadWords:(e+1)*threadWords] is a bitset over threads:
+	// bit i is set when entry e's path avoids threads[i]'s F_v, so that the
+	// entry belongs to that thread's fullness set (acceptVal) and to its
+	// COMPLETE (fireMC).
+	avoids      []uint64
+	threadWords int
+	// requiredBy[s*threadWords:(s+1)*threadWords] is a bitset over threads:
+	// bit i is set when threads[i] requires stream s, that is, when the
+	// simple path lies inside its reach set (threadPre.required).
+	requiredBy []uint64
+	// initOff[c]..initOff[c+1] is the span of the round state's byInit
+	// column that c's entries fill: each round carves its per-initial-node
+	// lists from one array.
+	initOff []int32
 	// covers[c+1] holds the candidate covers of component c's clauses,
 	// covers[0] Filter-and-Average's, each enumerated on first use; see
 	// Machine.covers.
 	covers []atomic.Pointer[[]graph.Set]
+}
+
+// avoiders returns entry e's row of avoids.
+func (pre *nodePre) avoiders(e int32) []uint64 {
+	return pre.avoids[int(e)*pre.threadWords : (int(e)+1)*pre.threadWords]
+}
+
+// requirers returns stream s's row of requiredBy.
+func (pre *nodePre) requirers(s int32) []uint64 {
+	return pre.requiredBy[int(s)*pre.threadWords : (int(s)+1)*pre.threadWords]
 }
 
 // threadPre is the per-(node, suspect set) static context: the reach set,
@@ -241,10 +265,21 @@ func (pl *plan) precompute(v int) (*nodePre, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bw: node %d: %w", v, err)
 	}
+	tw := (pl.seqCap + 63) >> 6
 	pre := &nodePre{
-		paths:    paths,
-		threadOf: make([]int32, len(pl.faultSets)),
-		covers:   make([]atomic.Pointer[[]graph.Set], len(pl.comps)+1),
+		paths:       paths,
+		threadOf:    make([]int32, len(pl.faultSets)),
+		avoids:      make([]uint64, len(paths.Set)*tw),
+		requiredBy:  make([]uint64, len(paths.Simples)*tw),
+		threadWords: tw,
+		initOff:     make([]int32, pl.g.N()+1),
+		covers:      make([]atomic.Pointer[[]graph.Set], len(pl.comps)+1),
+	}
+	for _, c := range paths.Head {
+		pre.initOff[c+1]++
+	}
+	for c := range pl.g.N() {
+		pre.initOff[c+1] += pre.initOff[c]
 	}
 	words := pl.words
 	for i, fv := range pl.faultSets {
@@ -252,10 +287,12 @@ func (pl *plan) precompute(v int) (*nodePre, error) {
 			pre.threadOf[i] = -1
 			continue
 		}
+		ti := len(pre.threads)
 		t := &threadPre{fv: fv, reach: pl.g.ReachSet(v, fv), required: make([]int32, len(paths.Simples))}
 		for e := range paths.Set {
 			if !intersects(&paths.Set[e], &t.fv, words) {
 				t.expectedCount++
+				pre.avoids[e*tw+ti>>6] |= 1 << (ti & 63)
 			}
 		}
 		// The simple paths ending at v whose nodes lie inside the reach
@@ -270,9 +307,10 @@ func (pl *plan) precompute(v int) (*nodePre, error) {
 				}
 				t.required[s] = int32(t.need[r])
 				t.need[r]++
+				pre.requiredBy[s*tw+ti>>6] |= 1 << (ti & 63)
 			}
 		}
-		pre.threadOf[i] = int32(len(pre.threads))
+		pre.threadOf[i] = int32(ti)
 		pre.threads = append(pre.threads, t)
 	}
 	return pre, nil

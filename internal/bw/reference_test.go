@@ -160,3 +160,36 @@ func TestAnalyzeRedundantMatchesDefinition(t *testing.T) {
 		}
 	}
 }
+
+// comparatorFilterAndAverage is Filter-and-Average as it was written before
+// the counting sort: M_v's entries in rank order, sorted by a comparator on
+// (value, rank), then the longest f-coverable prefix and suffix trimmed and
+// the midpoint of the remaining extremes returned. It returns the sorted
+// order and the midpoint.
+func comparatorFilterAndAverage(m *Machine, rs *roundState) ([]int32, float64) {
+	tbl := m.pre.paths
+	order := make([]int32, 0, len(tbl.ByRank))
+	for _, e := range tbl.ByRank {
+		if rs.has[e] {
+			order = append(order, e)
+		}
+	}
+	rank := tbl.Rank
+	slices.SortFunc(order, func(a, b int32) int {
+		if va, vb := rs.vals[a], rs.vals[b]; va != vb {
+			if va < vb {
+				return -1
+			}
+			return 1
+		}
+		return int(rank[a] - rank[b])
+	})
+	sorted := slices.Clone(order)
+	lo := m.coverablePrefix(tbl.Set, order)
+	slices.Reverse(order)
+	hi := m.coverablePrefix(tbl.Set, order)
+	if lo+hi >= len(order) {
+		return sorted, rs.x
+	}
+	return sorted, (rs.vals[order[len(order)-1-lo]] + rs.vals[order[hi]]) / 2
+}

@@ -99,11 +99,12 @@ type originState struct {
 
 // fifoProgress is one content's coverage of an origin's required paths: a
 // bitset over the plan's path numbers, so a content re-sent under another
-// sequence number on the same path counts once.
+// sequence number on the same path counts once. The bitset's words start
+// at the round's fifoBits[at].
 type fifoProgress struct {
 	content int32
 	count   uint32
-	got     []uint64
+	at      int32
 }
 
 // threadState is the dynamic state of the parallel execution for one
@@ -147,14 +148,6 @@ type fifoStream struct {
 	buf  []*floodInfo
 }
 
-// contentRecord is the per-receiver state of one distinct COMPLETE content:
-// the shared flood summary plus the streams, by number, it has been
-// FIFO-received through so far at this node.
-type contentRecord struct {
-	info *floodInfo
-	via  []int32
-}
-
 // roundState holds everything node v tracks for one asynchronous round r:
 // the shared message history M_v, the per-candidate-fault-set thread states,
 // the FIFO streams and the COMPLETE content registry.
@@ -183,8 +176,15 @@ type roundState struct {
 	streams []fifoStream
 	// contents interns each distinct COMPLETE content FIFO-received this
 	// round, in arrival order; contentIdx finds one by content key.
-	contents   []contentRecord
+	// qualified[ci*threadWords:(ci+1)*threadWords] is a bitset over threads:
+	// bit i is set once content ci was FIFO-received through a stream
+	// threads[i] requires, which makes it a member of that thread's
+	// snapshot (Verify).
+	contents   []*floodInfo
 	contentIdx map[contentKey]int32
+	qualified  []uint64
+	// fifoBits holds every fifoProgress bitset of the round's threads.
+	fifoBits []uint64
 
 	outSeq   int  // FIFO counter for this node's own floods in this round
 	advanced bool // the nextround latch (lines 16-18)
@@ -202,6 +202,11 @@ func newRoundState(r, n int, pre *nodePre) *roundState {
 		streams:    make([]fifoStream, len(pre.paths.Simples)),
 		contentIdx: make(map[contentKey]int32),
 		threads:    make([]threadState, len(pre.threads)),
+	}
+	entries := make([]int32, len(pre.paths.Head))
+	for c := range rs.byInit {
+		lo, hi := pre.initOff[c], pre.initOff[c+1]
+		rs.byInit[c] = entries[lo:lo:hi]
 	}
 	for i, tp := range pre.threads {
 		rs.threads[i] = threadState{
