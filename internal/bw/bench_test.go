@@ -113,11 +113,14 @@ func BenchmarkBWFig1a(b *testing.B) {
 // allocates nothing for the path it arrived on — messages name paths by
 // path-table entry, and admitting, extending and ordering one are lookups
 // in the node's table and the in-edge's column. What is left: one boxed
-// payload when the message is relayed, FIFO buffers and progress bitsets,
-// a COMPLETE's entry list, and the round's clauses — one per distinct
-// (S, q, want), each a list of indices into the shared candidate covers.
-// The budgets are the measured 0.97 allocations and 93 bytes plus a
-// tenth, against 1.19 and 112 (1.17 and 111 when first fenced) while a
+// payload when the message is relayed, a round's park slab and progress
+// bitsets, a COMPLETE's entry list and summary, and the round's clauses —
+// one per distinct (S, q, want), each a list of indices into the shared
+// candidate covers. The budgets are the measured 0.88 allocations and 91
+// bytes plus a tenth, against 0.97 and 93 while every snapshot member held
+// its own Verify record and clause subscriptions, each stream grew its own
+// park buffer and the node's own floods were summarized entry by entry;
+// 1.19 and 112 (1.17 and 111 when first fenced) while a
 // FIFO stream buffered COMPLETEs that arrived in order, each content
 // listed the streams it came through, and each round grew its
 // per-initial-node lists, progress bitsets and Filter-and-Average's order
@@ -129,11 +132,11 @@ func BenchmarkBWFig1a(b *testing.B) {
 // copy, and 9.3 and 1 660 when M_v, the FIFO tables and the snapshot
 // clauses were keyed by strings and node sets. About an eighth of a node
 // set per delivery is part of the bytes (a relayed COMPLETE's tag), so
-// that budget moves with the build dimension: 141 bytes measured under
-// graph4096, budget 157.
+// that budget moves with the build dimension: 139 bytes measured under
+// graph4096, budget 155 (141 and 157 before).
 func TestBWRunAllocBudget(t *testing.T) {
 	const setBytes = graph.MaxNodes / 8
-	const maxAllocs, maxBytes = 1.07, 84 + setBytes/7 // 102 in the default build
+	const maxAllocs, maxBytes = 0.97, 82 + setBytes/7 // 100 in the default build
 	runFig1a(t, 1)                                    // warm the runtime's size classes, the test binary and the plan
 	var before, after runtime.MemStats
 	runtime.GC()

@@ -84,8 +84,9 @@ func (a *stateFlooder) Output() (float64, bool)                { return 0, false
 // stays inside bounds the plan gives: M_v and the FIFO streams are laid out
 // over the node's path table (every redundant path, every simple path ending
 // here) and a path outside it is dropped at the door and counted, every
-// stream's buffer stays within seqCap, interned contents within streams ×
-// seqCap, and one round slot per round of the protocol. The honest vertices
+// stream parks within its seqCap slots of the round's park slab, interned
+// contents, each with its Verify bookkeeping and two thread bitsets, stay
+// within streams × seqCap, and one round slot per round of the protocol. The honest vertices
 // still decide inside the hull of their inputs.
 func TestBWBoundedState(t *testing.T) {
 	const byz, frames = 4, 4000
@@ -157,13 +158,19 @@ func TestBWBoundedState(t *testing.T) {
 			if len(rs.streams) != streams {
 				t.Errorf("node %d round %d: %d FIFO streams, %d simple paths end here", m.id, round, len(rs.streams), streams)
 			}
-			for _, st := range rs.streams {
-				if len(st.buf) > seqCap {
-					t.Errorf("node %d round %d: a stream buffers %d COMPLETEs, cap %d", m.id, round, len(st.buf), seqCap)
+			if rs.parked != nil && len(rs.parked) != streams*seqCap {
+				t.Errorf("node %d round %d: a park slab of %d slots, want streams × seqCap = %d", m.id, round, len(rs.parked), streams*seqCap)
+			}
+			for s, st := range rs.streams {
+				if st.high > seqCap || (st.high > 0 && rs.parked == nil) {
+					t.Errorf("node %d round %d: stream %d parked up to sequence number %d (slab %v), cap %d", m.id, round, s, st.high, rs.parked != nil, seqCap)
 				}
 			}
-			if len(rs.contents) > streams*seqCap || len(rs.contentIdx) != len(rs.contents) {
-				t.Errorf("node %d round %d: %d contents interned (%d indexed), bound %d", m.id, round, len(rs.contents), len(rs.contentIdx), streams*seqCap)
+			tw := m.pre.threadWords
+			if len(rs.contents) > streams*seqCap || len(rs.contentIdx) != len(rs.contents) ||
+				len(rs.checks) != len(rs.contents) || len(rs.threadBits) != 2*tw*len(rs.contents) {
+				t.Errorf("node %d round %d: %d contents interned (%d indexed, %d checks, %d thread-bit words), bound %d",
+					m.id, round, len(rs.contents), len(rs.contentIdx), len(rs.checks), len(rs.threadBits), streams*seqCap)
 			}
 		}
 	}

@@ -118,7 +118,9 @@ func TestMachinePathBudget(t *testing.T) {
 // the deliveries read in their place hold the same predicates: an entry's
 // thread bit is set exactly when its path avoids F_v, a stream's exactly
 // when the thread requires it, which is exactly when the simple path lies
-// inside the reach set; and initOff spans each initial node's entries.
+// inside the reach set; each thread's rank-ordered entry list is the
+// avoids-bit filter of ByRank, and its tag index names its fault set; and
+// initOff spans each initial node's entries.
 // tableGraphs is the graph set of graph.TestPathTableMatchesReference.
 func TestThreadPrecompute(t *testing.T) {
 	for _, g := range tableGraphs() {
@@ -161,6 +163,24 @@ func TestThreadPrecompute(t *testing.T) {
 					if avoids != !intersects(&pre.paths.Set[e], &th.fv, words) {
 						t.Errorf("%s node %d thread %s entry %d: avoids bit %v, path %s", g, v, th.fv, e, avoids, spell(pre.paths, int32(e)))
 					}
+				}
+				var filtered, listed []int32
+				for _, e := range pre.paths.ByRank {
+					if pre.avoiders(e)[word]&bit != 0 {
+						filtered = append(filtered, e)
+					}
+				}
+				for r, e := range pre.paths.ByRank {
+					if th.byRank[r>>6]>>(r&63)&1 != 0 {
+						listed = append(listed, e)
+					}
+				}
+				if !slices.Equal(listed, filtered) || len(th.byRank) != (len(pre.paths.ByRank)+63)>>6 || len(listed) != th.expectedCount {
+					t.Errorf("%s node %d thread %s: the rank-ordered entry list has %d entries, the avoids filter of ByRank %d, the fullness count %d",
+						g, v, th.fv, len(listed), len(filtered), th.expectedCount)
+				}
+				if p.getPlan().faultSets[th.tagIdx] != th.fv || pre.threadOf[th.tagIdx] != int32(ti) {
+					t.Errorf("%s node %d thread %d: tagIdx %d names %s, the thread suspects %s", g, v, ti, th.tagIdx, p.getPlan().faultSets[th.tagIdx], th.fv)
 				}
 				for s, e := range pre.paths.Simples {
 					required := pre.requirers(int32(s))[word]&bit != 0

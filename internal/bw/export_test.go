@@ -105,3 +105,36 @@ func FloodCache(p *Proto) (entries, aliases int) {
 	p.aliases.Range(func(any, any) bool { aliases++; return true })
 	return entries, aliases
 }
+
+// VerifyCheck runs the subscriber oracle of reference_test.go beside a
+// machine; Check is called after the machine's Start and every delivery.
+type VerifyCheck struct{ o verifyOracle }
+
+func NewVerifyCheck(m *Machine) *VerifyCheck { return &VerifyCheck{verifyOracle{m: m}} }
+
+func (c *VerifyCheck) Check() error         { return c.o.check() }
+func (c *VerifyCheck) Counts() VerifyCounts { return c.o.counts }
+
+// ClauseLookups returns how many clause resolutions m's rounds made, and
+// how many resolving each round's resolved contents once takes: the length
+// of each one's clause list, up to its first missing value.
+func ClauseLookups(m *Machine) (made, once int) {
+	for _, rs := range m.rounds {
+		if rs == nil {
+			continue
+		}
+		made += rs.lookups
+		for ci, c := range rs.checks {
+			if !c.resolved || rs.contents[ci].tagIdx < 0 {
+				continue
+			}
+			for _, pc := range m.plan.clauses[rs.contents[ci].tagIdx] {
+				if _, ok := rs.contents[ci].value(int(pc.q)); !ok {
+					break
+				}
+				once++
+			}
+		}
+	}
+	return made, once
+}

@@ -146,6 +146,22 @@ func TestBWFig1bAnalog(t *testing.T) {
 	t.Logf("fig1b-analog: outputs=%v messages=%d", outs, r.Stats().Sent)
 }
 
+// clauseCases are the runs of TestClausesSharedPerRound and
+// TestClauseResolutionsPerContent.
+var clauseCases = []struct {
+	g      *graph.Graph
+	inputs []float64
+	k, eps float64
+	seed   int64
+	// clauses is the number of clauses the run creates, lookups the number
+	// of clause resolutions it makes.
+	clauses, lookups int
+}{
+	{graph.Fig1a(), []float64{0.1, 3.9, 1.3, 2.7, 0.6}, 4, 0.1, 1, 1500, 12600},
+	{graph.Clique(4), []float64{0, 1, 2, 3}, 3, 0.5, 0, 288, 1872},
+	{graph.Fig1bAnalog(), []float64{0, 0.5, 1, 0.25, 0.75, 1, 0, 0.5}, 1, 0.5, 41, 3200, 45696},
+}
+
 // TestClausesSharedPerRound: the parallel executions of a round read one
 // M_v, so a Completeness obligation (S, q, want) is one clause per round,
 // however many threads' snapshots impose it. After a run every round holds
@@ -154,18 +170,7 @@ func TestBWFig1bAnalog(t *testing.T) {
 // round, summed; with a clause per thread the same runs created 7 492,
 // 1 090 and 25 600.
 func TestClausesSharedPerRound(t *testing.T) {
-	cases := []struct {
-		g       *graph.Graph
-		inputs  []float64
-		k, eps  float64
-		seed    int64
-		clauses int
-	}{
-		{graph.Fig1a(), []float64{0.1, 3.9, 1.3, 2.7, 0.6}, 4, 0.1, 1, 1500},
-		{graph.Clique(4), []float64{0, 1, 2, 3}, 3, 0.5, 0, 288},
-		{graph.Fig1bAnalog(), []float64{0, 0.5, 1, 0.25, 0.75, 1, 0, 0.5}, 1, 0.5, 41, 3200},
-	}
-	for _, tc := range cases {
+	for _, tc := range clauseCases {
 		handlers, machines := buildMachines(t, tc.g, 1, tc.inputs, tc.k, tc.eps)
 		execute(t, tc.g, handlers, transport.NewRandomPolicy(tc.seed))
 		total := 0
@@ -178,6 +183,31 @@ func TestClausesSharedPerRound(t *testing.T) {
 		}
 		if total != tc.clauses {
 			t.Errorf("%s: the run created %d clauses, want %d", tc.g, total, tc.clauses)
+		}
+	}
+}
+
+// TestClauseResolutionsPerContent: whether a COMPLETE content is verified
+// does not depend on which thread's snapshot holds it, so a round resolves
+// each content's clause list once, at its first snapshot membership, and
+// every later snapshot reuses the result. Each round's resolutions equal
+// the lengths of its resolved contents' clause lists, up to a first
+// missing value, and the runs make the recorded number; resolving every
+// member of every snapshot, the same runs made 46 516, 4 509 and 319 992.
+func TestClauseResolutionsPerContent(t *testing.T) {
+	for _, tc := range clauseCases {
+		handlers, machines := buildMachines(t, tc.g, 1, tc.inputs, tc.k, tc.eps)
+		execute(t, tc.g, handlers, transport.NewRandomPolicy(tc.seed))
+		total := 0
+		for v, m := range machines {
+			made, once := bw.ClauseLookups(m)
+			if made != once {
+				t.Errorf("%s vertex %d: %d clause resolutions, resolving each content once takes %d", tc.g, v, made, once)
+			}
+			total += made
+		}
+		if total != tc.lookups {
+			t.Errorf("%s: the run made %d clause resolutions, want %d", tc.g, total, tc.lookups)
 		}
 	}
 }

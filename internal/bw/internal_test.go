@@ -128,6 +128,36 @@ func TestDigestCacheDistinguishesContents(t *testing.T) {
 	}
 }
 
+// TestFloodSummaryCanonicalZero: a flood whose entries from one origin
+// carry -0 and +0 is consistent, and its summary holds +0 for that origin
+// in either entry order — what the node's own flood summary reads off its
+// origin table, whichever of the equal values it accepted last.
+func TestFloodSummaryCanonicalZero(t *testing.T) {
+	p, err := NewProto(graph.Clique(4), 1, 1, 0.5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := p.getPlan()
+	tbl, err := pl.paths.Table(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var same []int32 // two entries from initial node 1
+	for e, c := range tbl.Head {
+		if c == 1 && len(same) < 2 {
+			same = append(same, int32(e))
+		}
+	}
+	negZero := math.Copysign(0, -1)
+	for _, vals := range [][2]float64{{negZero, 0}, {0, negZero}, {negZero, negZero}} {
+		c := &CompletePayload{Origin: 0, Tag: graph.SetOf(2), Entries: []ValEntry{{Value: vals[0], Entry: same[0]}, {Value: vals[1], Entry: same[1]}}}
+		info := pl.newFloodInfo(c, c.contentKey())
+		if v, ok := info.value(1); !info.consistent || !ok || math.Float64bits(v) != 0 {
+			t.Errorf("entries %v: consistent %v, value %v (bits %x), want +0", c.Entries, info.consistent, v, math.Float64bits(v))
+		}
+	}
+}
+
 // TestNodePreOncePerProto: however many machines a Proto builds for a node,
 // from however many goroutines (cluster runtimes construct and run machines
 // concurrently), the plan and each node's static context are computed once

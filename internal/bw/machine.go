@@ -192,7 +192,7 @@ func (m *Machine) acceptVal(rs *roundState, value float64, e int32, out *sim.Out
 			}
 			cl.addPath(m.covers(cl.comp), set)
 			if cl.satisfied {
-				clauseSatisfied(rs, cl)
+				m.clauseSatisfied(rs, cl)
 			}
 		}
 	}
@@ -226,8 +226,8 @@ func (m *Machine) acceptVal(rs *roundState, value float64, e int32, out *sim.Out
 // this thread for the first time, so the node FIFO-floods
 // (M_v excluding F_v, COMPLETE(F_v)), each path named by its entry here.
 // The entries go out sorted by path key so that equal message sets
-// serialize identically: a filtered walk of the table in rank order.
-// missing just reached zero, so every entry avoiding F_v has a value.
+// serialize identically: the thread's entries in rank order, which the plan
+// lists. missing just reached zero, so every entry avoiding F_v has a value.
 func (m *Machine) fireMC(rs *roundState, ti int, out *sim.Outbox) {
 	t := &rs.threads[ti]
 	t.mcFired = true
@@ -235,9 +235,9 @@ func (m *Machine) fireMC(rs *roundState, ti int, out *sim.Outbox) {
 
 	tbl := m.pre.paths
 	entries := make([]ValEntry, 0, t.pre.expectedCount)
-	avoids, tw, word, bit := m.pre.avoids, m.pre.threadWords, ti>>6, uint64(1)<<(ti&63)
-	for _, e := range tbl.ByRank {
-		if avoids[int(e)*tw+word]&bit != 0 {
+	for w, word := range t.pre.byRank {
+		for ; word != 0; word &= word - 1 {
+			e := tbl.ByRank[w<<6|bits.TrailingZeros64(word)]
 			entries = append(entries, ValEntry{Value: rs.vals[e], Entry: e})
 		}
 	}
@@ -253,7 +253,35 @@ func (m *Machine) fireMC(rs *roundState, ti int, out *sim.Outbox) {
 	}
 	out.Broadcast(payload)
 	// The node FIFO-receives its own flood through the trivial path <v>.
-	m.registerComplete(rs, m.floodInfo(&payload), tbl.Stream[0])
+	m.registerComplete(rs, m.ownFloodInfo(t, &payload), tbl.Stream[0])
+}
+
+// ownFloodInfo summarizes the node's own flood p of thread t and caches the
+// summary for the receivers of its relayed copies. The thread's origin
+// table already holds what newFloodInfo would derive from the entries: the
+// flood's initial nodes are the members of reach_v(F_v), each with the
+// value every entry from it carries, and the set is consistent, since the
+// Maximal-Consistency condition just held.
+func (m *Machine) ownFloodInfo(t *threadState, p *CompletePayload) *floodInfo {
+	info := &floodInfo{
+		key:        p.contentKey(),
+		tag:        p.Tag,
+		tagIdx:     t.pre.tagIdx,
+		consistent: true,
+		finite:     true,
+		values:     make([]originValue, 0, len(t.origins)),
+		entries:    p.Entries,
+	}
+	r := 0
+	for w, word := range t.pre.reach[:m.plan.words] {
+		for ; word != 0; word &= word - 1 {
+			o := &t.origins[r]
+			r++
+			info.finite = info.finite && finite(o.val)
+			info.values = append(info.values, originValue{node: w<<6 | bits.TrailingZeros64(word), value: canonical(o.val)})
+		}
+	}
+	return m.cacheFlood(p, info)
 }
 
 // deliverComplete admits, relays and FIFO-buffers one COMPLETE message.
@@ -283,7 +311,7 @@ func (m *Machine) deliverComplete(p *CompletePayload, from int, out *sim.Outbox)
 	rs := m.round(p.Round)
 	stream := tbl.Stream[e]
 	st := &rs.streams[stream]
-	if p.Seq <= st.done || (p.Seq <= len(st.buf) && st.buf[p.Seq-1] != nil) {
+	if p.Seq <= st.done || (p.Seq <= st.high && rs.parked[int(stream)*m.plan.seqCap+p.Seq-1] != nil) {
 		return // first message per (origin, path, seq) wins
 	}
 	info := m.floodInfo(p)
@@ -305,19 +333,18 @@ func (m *Machine) deliverComplete(p *CompletePayload, from int, out *sim.Outbox)
 			out.Send(w, relay)
 		}
 	}
-	if p.Seq == st.done+1 && len(st.buf) <= st.done {
+	if p.Seq == st.done+1 && st.high <= st.done {
 		// The next in order with none parked after it: an honest stream's
 		// usual case, which parks nothing.
 		st.done++
 		m.registerComplete(rs, info, stream)
 		return
 	}
-	for len(st.buf) < p.Seq {
-		st.buf = append(st.buf, nil)
-	}
-	st.buf[p.Seq-1] = info
-	for st.done < len(st.buf) && st.buf[st.done] != nil {
-		info := st.buf[st.done]
+	slots := rs.parkSlots(stream, m.plan.seqCap)
+	slots[p.Seq-1] = info
+	st.high = max(st.high, p.Seq)
+	for st.done < st.high && slots[st.done] != nil {
+		info := slots[st.done]
 		st.done++
 		m.registerComplete(rs, info, stream)
 	}
@@ -336,6 +363,15 @@ type floodKey struct {
 	n      int
 }
 
+// floodKeyOf returns the identity of p's entry slice.
+func floodKeyOf(p *CompletePayload) floodKey {
+	var first *ValEntry
+	if len(p.Entries) > 0 {
+		first = &p.Entries[0]
+	}
+	return floodKey{origin: p.Origin, first: first, n: len(p.Entries)}
+}
+
 // floodInfo returns the shared summary of p's content, computing it on
 // first sight of the flood in this run. The cache holds one entry per
 // distinct flood, keyed by content — origin, tag and entries, the
@@ -349,12 +385,7 @@ type floodKey struct {
 // sender may craft, never takes that flood's values: it is summarized per
 // delivery, and the slot stays with the first.
 func (m *Machine) floodInfo(p *CompletePayload) *floodInfo {
-	var first *ValEntry
-	if len(p.Entries) > 0 {
-		first = &p.Entries[0]
-	}
-	fk := floodKey{origin: p.Origin, first: first, n: len(p.Entries)}
-	if v, ok := m.proto.aliases.Load(fk); ok {
+	if v, ok := m.proto.aliases.Load(floodKeyOf(p)); ok {
 		if info := v.(*floodInfo); info.tag == p.Tag {
 			return info
 		}
@@ -366,18 +397,23 @@ func (m *Machine) floodInfo(p *CompletePayload) *floodInfo {
 		}
 		return m.plan.newFloodInfo(p, key)
 	}
-	// LoadOrStore, not Store: machines on different cluster event loops
-	// may race to summarize the same flood. The summary is a pure function
-	// of the payload content, so whichever instance wins the race is
-	// equivalent — LoadOrStore just keeps one canonical pointer in the map.
-	info := m.plan.newFloodInfo(p, key)
-	if v, loaded := m.proto.floods.LoadOrStore(key, info); loaded {
+	return m.cacheFlood(p, m.plan.newFloodInfo(p, key))
+}
+
+// cacheFlood stores info, the summary of p's content, as the flood's cache
+// entry and identity alias, and returns the entry the cache keeps.
+// LoadOrStore, not Store: machines on different cluster event loops may
+// race to summarize the same flood. The summary is a pure function of the
+// payload content, so whichever instance wins the race is equivalent —
+// LoadOrStore just keeps one canonical pointer in the map.
+func (m *Machine) cacheFlood(p *CompletePayload, info *floodInfo) *floodInfo {
+	if v, loaded := m.proto.floods.LoadOrStore(info.key, info); loaded {
 		if prior := v.(*floodInfo); prior.holds(p) {
 			return prior
 		}
 		return info
 	}
-	m.proto.aliases.LoadOrStore(fk, info)
+	m.proto.aliases.LoadOrStore(floodKeyOf(p), info)
 	return info
 }
 
@@ -394,11 +430,12 @@ func (m *Machine) registerComplete(rs *roundState, info *floodInfo, stream int32
 		ci = int32(len(rs.contents))
 		rs.contentIdx[info.key] = ci
 		rs.contents = append(rs.contents, info)
-		for range tw {
-			rs.qualified = append(rs.qualified, 0)
+		rs.checks = append(rs.checks, contentCheck{})
+		for range 2 * tw {
+			rs.threadBits = append(rs.threadBits, 0)
 		}
 	}
-	qualified := rs.qualified[int(ci)*tw : (int(ci)+1)*tw]
+	qualified := rs.qualified(ci, tw)
 	for i, w := range m.pre.requirers(stream) {
 		qualified[i] |= w
 	}
@@ -453,56 +490,58 @@ func (m *Machine) registerComplete(rs *roundState, info *floodInfo, stream int32
 
 // buildSnapshot freezes the set of COMPLETE messages thread ti must verify:
 // every consistent content FIFO-received so far through at least one simple
-// (c,v)-path inside reach_v(F_v) (Verify, lines 20-26). Each snapshot
-// member contributes the Algorithm 2 clauses its tag's plan list names;
-// clause state is shared by every snapshot member, of any thread of the
-// round, imposing the same (S, q, want) obligation.
+// (c,v)-path inside reach_v(F_v) (Verify, lines 20-26). It marks each
+// member's bit for the thread and counts the members not verified yet.
+// A content's Algorithm 2 clauses are resolved at its first membership in
+// any snapshot of the round, and their state is shared by every content
+// imposing the same (S, q, want) obligation.
 func (m *Machine) buildSnapshot(rs *roundState, ti int32) {
 	t := &rs.threads[ti]
 	tw, word, bit := m.pre.threadWords, int(ti>>6), uint64(1)<<(ti&63)
-	member := func(ci int) bool {
-		return rs.contents[ci].consistent && rs.qualified[ci*tw+word]&bit != 0
-	}
-	members := 0
-	for ci := range rs.contents {
-		if member(ci) {
-			members++
-		}
-	}
-	t.pending = make([]pendingComplete, 0, members)
 	for ci, info := range rs.contents {
-		if !member(ci) {
+		ci := int32(ci)
+		if !info.consistent || rs.qualified(ci, tw)[word]&bit == 0 {
 			continue
 		}
-		pi := int32(len(t.pending))
-		var pc pendingComplete
-		// A tag that is no fault set has no source components, hence no
-		// clauses.
-		if info.tagIdx >= 0 {
-			for _, c := range m.plan.clauses[info.tagIdx] {
-				want, ok := info.value(int(c.q))
-				if !ok {
-					pc.impossible = true
-					break
-				}
-				cl := m.sharedClause(rs, c, want)
-				if !cl.satisfied {
-					pc.remaining++
-					cl.subscribers = append(cl.subscribers, subscriber{thread: ti, pending: pi})
-				}
-			}
+		rs.members(ci, tw)[word] |= bit
+		c := &rs.checks[ci]
+		if !c.resolved {
+			m.resolveClauses(rs, ci)
 		}
-		t.pending = append(t.pending, pc)
-		if pc.impossible || pc.remaining > 0 {
+		if c.impossible || c.open > 0 {
 			t.pendingLeft++
 		}
 	}
 	t.snapshotDone = true
 }
 
+// resolveClauses resolves content ci's clause list, the one its tag's plan
+// list names, against the round's clauses: it counts those not satisfied
+// yet and subscribes the content to them. A tag that is no fault set has no
+// source components, hence no clauses.
+func (m *Machine) resolveClauses(rs *roundState, ci int32) {
+	info, c := rs.contents[ci], &rs.checks[ci]
+	c.resolved = true
+	if info.tagIdx < 0 {
+		return
+	}
+	for _, pc := range m.plan.clauses[info.tagIdx] {
+		want, ok := info.value(int(pc.q))
+		if !ok {
+			c.impossible = true
+			return
+		}
+		if cl := m.sharedClause(rs, pc, want); !cl.satisfied {
+			c.open++
+			cl.subscribers = append(cl.subscribers, ci)
+		}
+	}
+}
+
 // sharedClause returns the round's clause for (S, q, want), creating and
 // pre-feeding it from the current M_v on first use.
 func (m *Machine) sharedClause(rs *roundState, c planClause, want float64) *clause {
+	rs.lookups++
 	if rs.clauseByInit == nil {
 		rs.clauseByInit = make([][]*clause, len(rs.byInit))
 	}
@@ -545,17 +584,21 @@ func (m *Machine) covers(c int32) []graph.Set {
 	return *slot.Load()
 }
 
-// clauseSatisfied fans a newly satisfied clause out to its subscribers.
-func clauseSatisfied(rs *roundState, cl *clause) {
-	for _, s := range cl.subscribers {
-		t := &rs.threads[s.thread]
-		pc := &t.pending[s.pending]
-		if pc.impossible {
+// clauseSatisfied fans a newly satisfied clause out to its subscribers: a
+// content whose last open clause it was is verified, in every snapshot
+// that holds it.
+func (m *Machine) clauseSatisfied(rs *roundState, cl *clause) {
+	tw := m.pre.threadWords
+	for _, ci := range cl.subscribers {
+		c := &rs.checks[ci]
+		c.open--
+		if c.open > 0 || c.impossible {
 			continue
 		}
-		pc.remaining--
-		if pc.remaining == 0 {
-			t.pendingLeft--
+		for w, word := range rs.members(ci, tw) {
+			for ; word != 0; word &= word - 1 {
+				rs.threads[w<<6|bits.TrailingZeros64(word)].pendingLeft--
+			}
 		}
 	}
 	cl.subscribers = nil

@@ -135,6 +135,17 @@ type originValue struct {
 	value float64
 }
 
+// canonical returns x with a zero made +0. Every reader of a summary's
+// values compares them with ==, which does not tell -0 from +0, so a
+// summary holds one of them: the same whichever of an origin's equal
+// values, in whatever order, it was built from.
+func canonical(x float64) float64 {
+	if x == 0 {
+		return 0
+	}
+	return x
+}
+
 // finite reports whether x is neither NaN nor infinite.
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
@@ -184,9 +195,10 @@ func (pl *plan) newFloodInfo(c *CompletePayload, key contentKey) *floodInfo {
 }
 
 // add folds the next entry into values: one slot per origin holding its
-// latest value, the set inconsistent as soon as two consecutive values of
-// one origin differ (Definition 8).
+// value, the set inconsistent as soon as two consecutive values of one
+// origin differ (Definition 8).
 func (info *floodInfo) add(ov originValue) {
+	ov.value = canonical(ov.value)
 	if n := len(info.values); n > 0 && info.values[n-1].node == ov.node {
 		if info.values[n-1].value != ov.value {
 			info.consistent = false

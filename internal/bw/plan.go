@@ -201,8 +201,8 @@ type nodePre struct {
 	threadOf []int32
 	// avoids[e*threadWords:(e+1)*threadWords] is a bitset over threads:
 	// bit i is set when entry e's path avoids threads[i]'s F_v, so that the
-	// entry belongs to that thread's fullness set (acceptVal) and to its
-	// COMPLETE (fireMC).
+	// entry belongs to that thread's fullness set (acceptVal); each
+	// thread's byRank holds the same bits by rank, for its COMPLETE.
 	avoids      []uint64
 	threadWords int
 	// requiredBy[s*threadWords:(s+1)*threadWords] is a bitset over threads:
@@ -233,13 +233,19 @@ func (pre *nodePre) requirers(s int32) []uint64 {
 // the fullness target of the Maximal-Consistency condition and the
 // per-origin simple-path requirements of the FIFO-Receive-All condition.
 type threadPre struct {
-	fv    graph.Set
-	reach graph.Set
+	fv     graph.Set
+	tagIdx int32 // index of fv in the plan's faultSets
+	reach  graph.Set
 	// expectedCount is the size of the fullness set
 	// {p ∈ Pr_{V\Fv} : ter(p) = v} of Definition 9: the table entries that
-	// avoid F_v. Only the count is needed at run time: an accepted entry
-	// belongs to the set exactly when it avoids F_v.
+	// avoid F_v. Only the count is needed to detect fullness: an accepted
+	// entry belongs to the set exactly when it avoids F_v. byRank lists the
+	// set in rank order, for the thread's COMPLETE: bit p is set when the
+	// table's ByRank[p] avoids F_v. A bitset over ranks is as large as the
+	// thread's share of the avoids column; a list of entry ids would be 32
+	// times larger wherever most entries avoid most fault sets.
 	expectedCount int
+	byRank        []uint64
 	// required numbers, per origin c, the simple (c,v)-paths contained in
 	// reach_v(Fv) 0..k-1 (Algorithm 1 line 12), by the path's stream number
 	// in the table, -1 for a stream that leaves the reach set; a stream
@@ -288,11 +294,18 @@ func (pl *plan) precompute(v int) (*nodePre, error) {
 			continue
 		}
 		ti := len(pre.threads)
-		t := &threadPre{fv: fv, reach: pl.g.ReachSet(v, fv), required: make([]int32, len(paths.Simples))}
-		for e := range paths.Set {
+		t := &threadPre{
+			fv:       fv,
+			tagIdx:   int32(i),
+			reach:    pl.g.ReachSet(v, fv),
+			required: make([]int32, len(paths.Simples)),
+			byRank:   make([]uint64, (len(paths.ByRank)+63)>>6),
+		}
+		for r, e := range paths.ByRank {
 			if !intersects(&paths.Set[e], &t.fv, words) {
 				t.expectedCount++
-				pre.avoids[e*tw+ti>>6] |= 1 << (ti & 63)
+				pre.avoids[int(e)*tw+ti>>6] |= 1 << (ti & 63)
+				t.byRank[r>>6] |= 1 << (r & 63)
 			}
 		}
 		// The simple paths ending at v whose nodes lie inside the reach

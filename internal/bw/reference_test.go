@@ -1,6 +1,8 @@
 package bw
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -192,4 +194,246 @@ func comparatorFilterAndAverage(m *Machine, rs *roundState) ([]int32, float64) {
 		return sorted, rs.x
 	}
 	return sorted, (rs.vals[order[len(order)-1-lo]] + rs.vals[order[hi]]) / 2
+}
+
+// Verify as it was kept before each content carried its own bookkeeping:
+// a thread's snapshot was a list of pendingComplete records, one per
+// member, each counting its open clauses, and a clause's subscribers were
+// (thread, pending index) pairs, so a content shared by k snapshots was
+// resolved k times and counted down k times. verifyOracle runs that logic
+// beside a machine, on clauses of its own, and is checked after every
+// delivery.
+
+// pendingComplete tracks the Completeness(M_v, M_c, Fu) verification of one
+// snapshotted COMPLETE message: the number of its clauses still open.
+type pendingComplete struct {
+	remaining  int
+	impossible bool
+}
+
+// subscriber is a snapshotted COMPLETE: its thread, its pending index.
+type subscriber struct {
+	thread, pending int32
+}
+
+// oracleClause is a clause of the oracle's own with per-thread subscribers.
+type oracleClause struct {
+	cl   clause
+	subs []subscriber
+}
+
+// oracleRound is the oracle's state for one round of the machine.
+type oracleRound struct {
+	byQ     [][]*oracleClause // the round's clauses per q
+	fed     []int             // per initial node, the accepted entries fed to them
+	pending [][]pendingComplete
+	left    []int
+	snapped []int // per thread, the check its snapshot was seen at; 0 before
+	// qualified holds each content's qualified row at the last check.
+	qualified []uint64
+	own       int // contents of the round checked for the node's own floods
+}
+
+// VerifyCounts tallies what the oracle saw: snapshot members with a clause
+// still open when the snapshot froze, members verified after their
+// snapshot froze, impossible members, memberships
+// frozen at a later delivery than another thread's snapshot of the round,
+// and the node's own floods, each compared with newFloodInfo's summary.
+type VerifyCounts struct {
+	OpenAtSnapshot, Closed, Impossible, LateJoins, OwnFloods int
+}
+
+type verifyOracle struct {
+	m      *Machine
+	rounds []*oracleRound
+	checks int
+	counts VerifyCounts
+}
+
+// check advances the oracle over what the machine did since the last
+// check and compares every thread's Verify state with it.
+func (o *verifyOracle) check() error {
+	o.checks++
+	m := o.m
+	tw := m.pre.threadWords
+	own := 0
+	for r, rs := range m.rounds {
+		if rs == nil {
+			continue
+		}
+		for len(o.rounds) <= r {
+			o.rounds = append(o.rounds, nil)
+		}
+		or := o.rounds[r]
+		if or == nil {
+			or = &oracleRound{
+				byQ:     make([][]*oracleClause, len(rs.byInit)),
+				fed:     make([]int, len(rs.byInit)),
+				pending: make([][]pendingComplete, len(rs.threads)),
+				left:    make([]int, len(rs.threads)),
+				snapped: make([]int, len(rs.threads)),
+			}
+			o.rounds[r] = or
+		}
+		// The entries accepted since the last check feed the clauses; the
+		// filter ignores order, so feeding them before or after this
+		// delivery's snapshots ends in the same state.
+		for q, es := range rs.byInit {
+			for _, e := range es[or.fed[q]:] {
+				for _, oc := range or.byQ[q] {
+					if oc.cl.satisfied || oc.cl.want != rs.vals[e] {
+						continue
+					}
+					oc.cl.addPath(m.covers(oc.cl.comp), &m.pre.paths.Set[e])
+					if oc.cl.satisfied {
+						o.satisfied(or, oc)
+					}
+				}
+			}
+			or.fed[q] = len(es)
+		}
+		for ti := range rs.threads {
+			if rs.threads[ti].snapshotDone && or.snapped[ti] == 0 {
+				if err := o.snapshot(rs, or, int32(ti)); err != nil {
+					return fmt.Errorf("round %d: %w", r, err)
+				}
+			}
+		}
+		for ti := range rs.threads {
+			t := &rs.threads[ti]
+			want := t.fifoDone && or.snapped[ti] != 0 && or.left[ti] == 0
+			if t.verified() != want || t.pendingLeft != or.left[ti] {
+				return fmt.Errorf("round %d thread %s: verified %v with %d members pending, the oracle says %v with %d",
+					r, t.pre.fv, t.verified(), t.pendingLeft, want, or.left[ti])
+			}
+		}
+		for ; or.own < len(rs.contents); or.own++ {
+			info := rs.contents[or.own]
+			if info.key.origin != m.id {
+				continue
+			}
+			p := CompletePayload{Round: r, Origin: m.id, Tag: info.tag, Entries: info.entries}
+			if err := sameSummary(info, m.plan.newFloodInfo(&p, p.contentKey())); err != nil {
+				return fmt.Errorf("round %d: own flood tagged %s: %w", r, info.tag, err)
+			}
+			o.counts.OwnFloods++
+		}
+		for _, info := range rs.contents {
+			if info.key.origin == m.id {
+				own++
+			}
+		}
+		or.qualified = or.qualified[:0]
+		for ci := range rs.contents {
+			or.qualified = append(or.qualified, rs.qualified(int32(ci), tw)...)
+		}
+	}
+	if own != m.metrics.MCFires {
+		return fmt.Errorf("%d own floods interned, %d Maximal-Consistency fires", own, m.metrics.MCFires)
+	}
+	return nil
+}
+
+// snapshot builds thread ti's pending list from the members the machine
+// froze, which must lie between the consistent contents qualified for the
+// thread at the last check and those qualified now.
+func (o *verifyOracle) snapshot(rs *roundState, or *oracleRound, ti int32) error {
+	m := o.m
+	tw, word, bit := m.pre.threadWords, int(ti>>6), uint64(1)<<(ti&63)
+	late := false
+	for tj, at := range or.snapped {
+		late = late || (int32(tj) != ti && at != 0 && at < o.checks)
+	}
+	or.snapped[ti] = o.checks
+	for ci, info := range rs.contents {
+		member := rs.members(int32(ci), tw)[word]&bit != 0
+		now := info.consistent && rs.qualified(int32(ci), tw)[word]&bit != 0
+		before := info.consistent && (ci+1)*tw <= len(or.qualified) && or.qualified[ci*tw+word]&bit != 0
+		if member && !now || before && !member {
+			return fmt.Errorf("thread %s: content %d member %v, qualified before %v and now %v", rs.threads[ti].pre.fv, ci, member, before, now)
+		}
+		if !member {
+			continue
+		}
+		pi := int32(len(or.pending[ti]))
+		var pc pendingComplete
+		if info.tagIdx >= 0 {
+			for _, c := range m.plan.clauses[info.tagIdx] {
+				want, ok := info.value(int(c.q))
+				if !ok {
+					pc.impossible = true
+					break
+				}
+				oc := or.clause(m, rs, c, want)
+				if !oc.cl.satisfied {
+					pc.remaining++
+					oc.subs = append(oc.subs, subscriber{thread: ti, pending: pi})
+				}
+			}
+		}
+		or.pending[ti] = append(or.pending[ti], pc)
+		if pc.impossible || pc.remaining > 0 {
+			or.left[ti]++
+		}
+		if pc.remaining > 0 {
+			o.counts.OpenAtSnapshot++
+		}
+		if pc.impossible {
+			o.counts.Impossible++
+		}
+		if late {
+			o.counts.LateJoins++
+		}
+	}
+	return nil
+}
+
+// clause returns the oracle's clause for (S, q, want), creating and
+// pre-feeding it from the current M_v on first use.
+func (or *oracleRound) clause(m *Machine, rs *roundState, c planClause, want float64) *oracleClause {
+	for _, oc := range or.byQ[c.q] {
+		if oc.cl.comp == c.comp && math.Float64bits(oc.cl.want) == math.Float64bits(want) {
+			return oc
+		}
+	}
+	oc := &oracleClause{cl: clause{comp: c.comp, want: want}}
+	for _, e := range rs.byInit[c.q] {
+		if rs.vals[e] == want {
+			oc.cl.addPath(m.covers(c.comp), &m.pre.paths.Set[e])
+		}
+	}
+	or.byQ[c.q] = append(or.byQ[c.q], oc)
+	return oc
+}
+
+// satisfied fans a newly satisfied clause out to its subscribers.
+func (o *verifyOracle) satisfied(or *oracleRound, oc *oracleClause) {
+	for _, s := range oc.subs {
+		pc := &or.pending[s.thread][s.pending]
+		if pc.impossible {
+			continue
+		}
+		pc.remaining--
+		if pc.remaining == 0 {
+			or.left[s.thread]--
+			o.counts.Closed++
+		}
+	}
+	oc.subs = nil
+}
+
+// sameSummary compares two summaries of one flood field by field, values
+// bit for bit.
+func sameSummary(got, want *floodInfo) error {
+	if got.key != want.key || got.tag != want.tag || got.tagIdx != want.tagIdx ||
+		got.consistent != want.consistent || got.finite != want.finite {
+		return fmt.Errorf("summary key %v tag %s tagIdx %d consistent %v finite %v, newFloodInfo's %v %s %d %v %v",
+			got.key, got.tag, got.tagIdx, got.consistent, got.finite, want.key, want.tag, want.tagIdx, want.consistent, want.finite)
+	}
+	if !slices.EqualFunc(got.values, want.values, func(a, b originValue) bool {
+		return a.node == b.node && math.Float64bits(a.value) == math.Float64bits(b.value)
+	}) {
+		return fmt.Errorf("values %v, newFloodInfo's %v", got.values, want.values)
+	}
+	return nil
 }

@@ -24,16 +24,13 @@ type clause struct {
 	started   bool
 	satisfied bool
 	viable    []int32
-	// subscribers are the pending COMPLETEs sharing this clause: snapshots
-	// of every thread of the round read one M_v and often impose the same
-	// (S, q, want) (every honest COMPLETE for one tag does), so clause state
-	// is deduplicated per round and satisfaction fans out to subscribers.
-	subscribers []subscriber
-}
-
-// subscriber is a snapshotted COMPLETE: its thread, its pending index.
-type subscriber struct {
-	thread, pending int32
+	// subscribers are the round's contents (indices into
+	// roundState.contents) that impose this clause and were waiting on it
+	// when their clause list was resolved: every snapshot of the round reads
+	// one M_v, and every honest COMPLETE for one tag imposes the same
+	// (S, q, want), so clause state is kept once per round and satisfaction
+	// fans out to the contents, and through them to their threads.
+	subscribers []int32
 }
 
 // candidateCovers lists the maximal candidate f-covers inside allowed: its
@@ -75,12 +72,15 @@ func (cl *clause) addPath(covers []graph.Set, p *graph.Set) {
 	cl.satisfied = len(cl.viable) == 0
 }
 
-// pendingComplete tracks the Completeness(M_v, M_c, Fu) verification of one
-// snapshotted COMPLETE message (Definition 11's "informed" requirement):
-// the number of its clauses still open.
-type pendingComplete struct {
-	remaining  int
-	impossible bool // M_c lacks a value for some q ∈ S_{Fu,Fw}; never satisfiable
+// contentCheck is Verify's bookkeeping for one content of the round
+// (Definition 11's "informed" requirement, Completeness(M_v, M_c, Fu)):
+// whether and how its COMPLETE is verified does not depend on which thread's
+// snapshot holds it, so the clause list is resolved once, at the content's
+// first snapshot membership, and shared by every snapshot it joins.
+type contentCheck struct {
+	resolved   bool
+	impossible bool  // M_c lacks a value for some q ∈ S_{Fu,Fw}; never satisfiable
+	open       int32 // the content's clauses not satisfied yet
 }
 
 // originState is what one thread tracks about one member c of its reach
@@ -123,11 +123,11 @@ type threadState struct {
 	satCount int
 	origins  []originState
 
-	// Verify (lines 14, 20–26): the COMPLETE messages snapshotted when
-	// FIFO-Receive-All fired, each with its outstanding clauses counted;
-	// the clauses are the round's.
+	// Verify (lines 14, 20–26): the snapshot frozen when FIFO-Receive-All
+	// fired is the round's member bitsets' bit for this thread, and
+	// pendingLeft counts its members that are impossible or still have an
+	// open clause.
 	snapshotDone bool
-	pending      []pendingComplete
 	pendingLeft  int
 }
 
@@ -140,12 +140,12 @@ func (t *threadState) verified() bool {
 // fifoStream reorders COMPLETE messages per (origin, propagation path) so
 // that a message with sequence number k is processed only after sequence
 // numbers 1..k-1 arrived through the same path (Appendix F's FIFO-Receive).
-// done counts the messages processed in order; buf[k-1] parks message k
-// until its turn. The receiver caps k at the plan's seqCap, so buf never
-// grows past it.
+// done counts the messages processed in order and high is the largest
+// sequence number parked; the stream's slots of the round's park slab hold
+// message k at k-1 until its turn. The receiver caps k at the plan's
+// seqCap, which is the slab's width per stream.
 type fifoStream struct {
-	done int
-	buf  []*floodInfo
+	done, high int
 }
 
 // roundState holds everything node v tracks for one asynchronous round r:
@@ -172,17 +172,25 @@ type roundState struct {
 	clauseByInit [][]*clause
 
 	// streams holds one FIFO stream per simple path ending here, by the
-	// table's stream number.
+	// table's stream number; parked holds their park slots, streams ×
+	// seqCap of them, allocated on the round's first park.
 	streams []fifoStream
+	parked  []*floodInfo
 	// contents interns each distinct COMPLETE content FIFO-received this
-	// round, in arrival order; contentIdx finds one by content key.
-	// qualified[ci*threadWords:(ci+1)*threadWords] is a bitset over threads:
-	// bit i is set once content ci was FIFO-received through a stream
-	// threads[i] requires, which makes it a member of that thread's
-	// snapshot (Verify).
+	// round, in arrival order; contentIdx finds one by content key, and
+	// checks[ci] is content ci's Verify bookkeeping. threadBits holds two
+	// bitsets over threads per content, each threadWords words: in
+	// qualified(ci), bit i is set once content ci was FIFO-received through
+	// a stream threads[i] requires, which makes it a member of a snapshot
+	// that thread freezes later (Verify); in members(ci), bit i is set once
+	// threads[i] froze its snapshot with ci in it.
 	contents   []*floodInfo
 	contentIdx map[contentKey]int32
-	qualified  []uint64
+	checks     []contentCheck
+	threadBits []uint64
+	// lookups counts the round's clause resolutions (sharedClause calls),
+	// one per clause of a content's list when it is first resolved.
+	lookups int
 	// fifoBits holds every fifoProgress bitset of the round's threads.
 	fifoBits []uint64
 
@@ -216,4 +224,22 @@ func newRoundState(r, n int, pre *nodePre) *roundState {
 		}
 	}
 	return rs
+}
+
+// qualified and members return content ci's two rows of threadBits.
+func (rs *roundState) qualified(ci int32, tw int) []uint64 {
+	return rs.threadBits[2*int(ci)*tw : (2*int(ci)+1)*tw]
+}
+
+func (rs *roundState) members(ci int32, tw int) []uint64 {
+	return rs.threadBits[(2*int(ci)+1)*tw : (2*int(ci)+2)*tw]
+}
+
+// parkSlots returns stream s's seqCap park slots, allocating the round's
+// slab on its first park.
+func (rs *roundState) parkSlots(s int32, seqCap int) []*floodInfo {
+	if rs.parked == nil {
+		rs.parked = make([]*floodInfo, len(rs.streams)*seqCap)
+	}
+	return rs.parked[int(s)*seqCap : (int(s)+1)*seqCap]
 }
