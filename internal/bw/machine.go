@@ -311,7 +311,7 @@ func (m *Machine) deliverComplete(p *CompletePayload, from int, out *sim.Outbox)
 	rs := m.round(p.Round)
 	stream := tbl.Stream[e]
 	st := &rs.streams[stream]
-	if p.Seq <= st.done || (p.Seq <= st.high && rs.parked[int(stream)*m.plan.seqCap+p.Seq-1] != nil) {
+	if p.Seq <= st.done || (p.Seq <= st.high && rs.parkSlots(stream, m.plan.seqCap)[p.Seq-1] != nil) {
 		return // first message per (origin, path, seq) wins
 	}
 	info := m.floodInfo(p)
