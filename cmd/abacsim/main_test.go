@@ -321,3 +321,19 @@ func TestSummaryReportsThreeReach(t *testing.T) {
 		}
 	}
 }
+
+// TestListGolden pins `abacsim -list` byte for byte: every protocol's
+// tier, shape and doc, every policy and runtime name, every fault and
+// link-fault kind's doc and defaults, and the graph forms. Regenerate
+// with `go run ./cmd/abacsim -list > cmd/abacsim/testdata/list.golden`
+// when a catalog entry changes on purpose.
+func TestListGolden(t *testing.T) {
+	asAbacsim()
+	want, err := os.ReadFile("testdata/list.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := abacsim(t, "TestListGolden", "-list"); got != string(want) {
+		t.Errorf("abacsim -list differs from testdata/list.golden:\n%s", got)
+	}
+}
