@@ -24,8 +24,9 @@ import (
 // module with go/types, once per build-tag set, and lists each
 // declaration of the root module that no non-test code references —
 // functions, methods, types, constants, package-level variables, struct
-// fields and interface methods — and each referenced field that no
-// non-test code writes. A name is reported only if it is dead under every
+// fields and interface methods — each referenced field that no non-test
+// code writes, and each written field that no non-test code reads (every
+// use is a ++, -- or op-assign target: a counter nobody looks at). A name is reported only if it is dead under every
 // tag set it is declared in. Every finding must carry a reason in the
 // allow list, and every allow-list line must still match a finding.
 
@@ -54,9 +55,10 @@ func TestDeadCodeFence(t *testing.T) {
 }
 
 // TestDeadCodeFenceSelfTest runs the checker on testdata/deadfix, which
-// holds one dead function and one dead field beside a generic method
-// reached only through an instantiation, a method reached only through
-// an interface, and a json-tagged field nothing else touches.
+// holds one dead function, one dead field and one counter nothing reads
+// beside a generic method reached only through an instantiation, a method
+// reached only through an interface, a json-tagged field nothing else
+// touches and a counter that is read.
 func TestDeadCodeFenceSelfTest(t *testing.T) {
 	mods := []fenceModule{{dir: "testdata/deadfix", path: "deadfix", report: true}}
 	findings, err := findDead(mods, [][]string{nil})
@@ -67,12 +69,12 @@ func TestDeadCodeFenceSelfTest(t *testing.T) {
 	for _, f := range findings {
 		got = append(got, f.key())
 	}
-	want := []string{"unused deadfix.Ledger.memo", "unused deadfix.orphan"}
+	want := []string{"unread deadfix.Ledger.bumps", "unused deadfix.Ledger.memo", "unused deadfix.orphan"}
 	if !slices.Equal(got, want) {
 		t.Fatalf("findings = %q, want %q", got, want)
 	}
 
-	allow := map[string]string{"unused deadfix.orphan": "kept for the self-test"}
+	allow := map[string]string{"unused deadfix.orphan": "kept for the self-test", "unread deadfix.Ledger.bumps": "kept for the self-test"}
 	if p := fenceProblems(findings, allow); len(p) != 1 || !strings.Contains(p[0], "deadfix.Ledger.memo") {
 		t.Errorf("an unlisted finding: problems = %q, want one naming Ledger.memo", p)
 	}
@@ -94,10 +96,7 @@ func fenceProblems(findings []deadFinding, allow map[string]string) []string {
 	for _, f := range findings {
 		seen[f.key()] = true
 		if _, ok := allow[f.key()]; !ok {
-			verb := "references"
-			if f.kind == "unwritten" {
-				verb = "writes"
-			}
+			verb := map[string]string{"unused": "references", "unwritten": "writes", "unread": "reads"}[f.kind]
 			out = append(out, fmt.Sprintf("%s: %s: no non-test code %s it; delete it or add a line with a reason to %s",
 				f.pos, f.name, verb, deadAllowFile))
 		}
@@ -126,8 +125,8 @@ func readAllowList(path string) (map[string]string, error) {
 			continue
 		}
 		fields := strings.Fields(line)
-		if len(fields) < 3 || (fields[0] != "unused" && fields[0] != "unwritten") {
-			return nil, fmt.Errorf("%s:%d: want \"unused|unwritten NAME REASON\", got %q", path, n, line)
+		if len(fields) < 3 || (fields[0] != "unused" && fields[0] != "unwritten" && fields[0] != "unread") {
+			return nil, fmt.Errorf("%s:%d: want \"unused|unwritten|unread NAME REASON\", got %q", path, n, line)
 		}
 		key := fields[0] + " " + fields[1]
 		if _, dup := allow[key]; dup {
@@ -148,7 +147,7 @@ type fenceModule struct {
 }
 
 type deadFinding struct {
-	kind string // "unused" or "unwritten"
+	kind string // "unused", "unwritten" or "unread"
 	name string // import path, then type, field or method names
 	pos  token.Position
 }
@@ -296,7 +295,7 @@ type fenceDecl struct {
 
 func (l *fenceLoader) analyse() (declared []string, found []deadFinding) {
 	decls, recvIdents := l.declarations()
-	used, written := l.references(decls, recvIdents)
+	used, written, read := l.references(decls, recvIdents)
 	for _, d := range decls {
 		declared = append(declared, d.name)
 		if d.jsonTagged {
@@ -309,6 +308,8 @@ func (l *fenceLoader) analyse() (declared []string, found []deadFinding) {
 			found = append(found, deadFinding{kind: "unused", name: d.name, pos: pos})
 		case isVar && v.IsField() && !written[d.obj]:
 			found = append(found, deadFinding{kind: "unwritten", name: d.name, pos: pos})
+		case isVar && v.IsField() && !read[d.obj]:
+			found = append(found, deadFinding{kind: "unread", name: d.name, pos: pos})
 		}
 	}
 	return declared, found
@@ -368,19 +369,27 @@ func (l *fenceLoader) declarations() ([]fenceDecl, map[*ast.Ident]bool) {
 	return decls, recvIdents
 }
 
-// references marks what the non-test code of every loaded module uses and
-// which fields it writes. A use is an identifier resolving to the object —
-// outside the object's own declaration and other than a method receiver's
-// type — or an embedded field a selector passes through, or a method some
-// interface of a loaded package asks of its type.
-func (l *fenceLoader) references(decls []fenceDecl, recvIdents map[*ast.Ident]bool) (used, written map[types.Object]bool) {
+// references marks what the non-test code of every loaded module uses,
+// which fields it writes and which it reads. A use is an identifier
+// resolving to the object — outside the object's own declaration and
+// other than a method receiver's type — or an embedded field a selector
+// passes through, or a method some interface of a loaded package asks of
+// its type. A read is a use other than as the target of ++, -- or an
+// op-assign, which only bump what is already there.
+func (l *fenceLoader) references(decls []fenceDecl, recvIdents map[*ast.Ident]bool) (used, written, read map[types.Object]bool) {
 	own := map[types.Object]fenceDecl{}
 	for _, d := range decls {
 		own[d.obj] = d
 	}
 	used = map[types.Object]bool{}
 	written = map[types.Object]bool{}
+	read = map[types.Object]bool{}
 	for _, p := range l.order {
+		bumps := map[*ast.Ident]bool{}
+		for _, f := range p.files {
+			markWrites(f, p.info, written)
+			markBumps(f, bumps)
+		}
 		for id, obj := range p.info.Uses {
 			if obj.Pkg() == nil || recvIdents[id] {
 				continue
@@ -390,16 +399,40 @@ func (l *fenceLoader) references(decls []fenceDecl, recvIdents map[*ast.Ident]bo
 				continue
 			}
 			used[o] = true
+			if !bumps[id] {
+				read[o] = true
+			}
 		}
 		for _, sel := range p.info.Selections {
 			markEmbedded(sel.Recv(), sel.Index(), used)
-		}
-		for _, f := range p.files {
-			markWrites(f, p.info, written)
+			markEmbedded(sel.Recv(), sel.Index(), read)
 		}
 	}
 	l.markInterfaceMethods(used)
-	return used, written
+	return used, written, read
+}
+
+// markBumps marks the field identifiers the file only bumps: the selected
+// field of a ++, -- or op-assign target.
+func markBumps(f *ast.File, bumps map[*ast.Ident]bool) {
+	mark := func(e ast.Expr) {
+		if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+			bumps[sel.Sel] = true
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.IncDecStmt:
+			mark(n.X)
+		case *ast.AssignStmt:
+			if n.Tok != token.ASSIGN && n.Tok != token.DEFINE {
+				for _, e := range n.Lhs {
+					mark(e)
+				}
+			}
+		}
+		return true
+	})
 }
 
 // markInterfaceMethods marks, for every named type of the modules and

@@ -3,6 +3,9 @@ package repro_test
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -70,6 +73,77 @@ func FuzzFaultSpec(f *testing.F) {
 		}
 		if len(back.Faults) != 1 || back.Faults[0].Kind != fs.Kind {
 			t.Fatalf("canonical round-trip changed the fault: %+v vs %+v", back.Faults, fs)
+		}
+	})
+}
+
+// FuzzFaultParam sets one float64 on one param of one fault kind or
+// link-fault kind, the kind and param picked by index over FaultKinds then
+// LinkFaultKinds and over each kind's sorted param names. It reaches the
+// values no JSON document spells — NaN, ±Inf — which FuzzFaultSpec cannot.
+// Pinned: validation never panics; a scenario that validates canonicalizes
+// (Scenario.JSON); and the canonical form re-parses to the same value, so
+// no validating param is one a scenario file cannot record.
+func FuzzFaultParam(f *testing.F) {
+	faultKinds, linkKinds := repro.FaultKinds(), repro.LinkFaultKinds()
+	for k := range len(faultKinds) + len(linkKinds) {
+		for p, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 2.5, -3, 1e300} {
+			f.Add(uint(k), uint(p), v)
+		}
+	}
+	f.Fuzz(func(t *testing.T, kindIdx, paramIdx uint, v float64) {
+		s := repro.Scenario{Graph: "clique:4", Protocol: "bw"}
+		k := int(kindIdx % uint(len(faultKinds)+len(linkKinds)))
+		var (
+			defs   map[string]float64
+			params map[string]float64
+			err    error
+		)
+		if k < len(faultKinds) {
+			fs := repro.FaultSpec{Node: 1, Kind: faultKinds[k], Params: repro.FaultParams{}}
+			defs, _, err = repro.FaultDefaults(fs.Kind)
+			s.Faults, params = []repro.FaultSpec{fs}, fs.Params
+		} else {
+			lf := repro.LinkFault{Kind: linkKinds[k-len(faultKinds)], Params: map[string]float64{}}
+			if lf.Kind == "partition" {
+				lf.Nodes = []int{1}
+			} else {
+				lf.Edges = [][2]int{{0, 1}}
+			}
+			defs, _, err = repro.LinkFaultDefaults(lf.Kind)
+			s.LinkFaults, params = []repro.LinkFault{lf}, lf.Params
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := slices.Sorted(maps.Keys(defs))
+		var name string
+		if len(names) > 0 {
+			name = names[int(paramIdx%uint(len(names)))]
+			params[name] = v
+		}
+		if s.Validate() != nil {
+			return // invalid values must be rejected, not crash — done
+		}
+		canonical, err := s.JSON()
+		if err != nil {
+			t.Fatalf("valid scenario failed to canonicalize: %s=%v: %v", name, v, err)
+		}
+		back, err := repro.ParseScenario(canonical)
+		if err != nil {
+			t.Fatalf("canonical form does not re-parse: %s: %v", canonical, err)
+		}
+		if name == "" {
+			return
+		}
+		var got float64
+		if len(back.Faults) == 1 {
+			got = back.Faults[0].Params[name]
+		} else {
+			got = back.LinkFaults[0].Params[name]
+		}
+		if got != v && !(math.IsNaN(got) && math.IsNaN(v)) {
+			t.Fatalf("%s=%v came back as %v from %s", name, v, got, canonical)
 		}
 	})
 }

@@ -2,233 +2,265 @@ package adversary
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"math/rand"
-	"sort"
-	"sync"
+	"slices"
 
 	"repro/internal/seedmix"
 	"repro/internal/sim"
 )
 
-// This file is the adversary registry: named, multi-parameter, composable
-// fault strategies, mirroring the protocol and policy registries. A fault
-// is selected declaratively as a Spec — strategy name, params map, plus an
-// optional list of composed mutator layers — and materialized into a
-// sim.Handler wrapper by BuildHandler. Unknown names and unknown params are
-// rejected eagerly, never defaulted silently.
+// This file is the catalog of fault kinds: a closed table of named,
+// multi-parameter, composable behaviors, shaped like the link-fault kinds.
+// A fault is selected declaratively as a Spec — kind name, params map,
+// plus an optional list of composed mutator layers — and materialized into
+// a sim.Handler wrapper by BuildHandler. Unknown names and unknown params
+// are rejected eagerly, never defaulted silently.
 
-// Params carries a strategy's named numeric knobs.
+// Params carries a fault kind's named numeric knobs.
 type Params map[string]float64
 
-// Strategy is one registered adversary behavior. Implementations are
-// stateless descriptors: all per-run state lives in the handlers Build
-// returns.
-type Strategy interface {
-	// Name is the serialized strategy name ("silent", "crash", ...).
-	Name() string
-	// Doc is a one-line description for catalogs.
-	Doc() string
-	// Defaults lists the accepted parameter names with their default
-	// values; params outside this set are rejected.
-	Defaults() Params
-	// Build wraps the vertex's machine with the behavior. b.Params is
-	// complete (defaults filled) and validated.
-	Build(b Build) (sim.Handler, error)
+// kind is one fault kind: a doc line, its params' defaults, an optional
+// range check on the filled params, and exactly one of wrap — which
+// replaces or encloses the vertex's machine (silent, crash) — and
+// mutators, which rewrite its outgoing traffic and therefore compose onto
+// one another and onto a wrapper. discardsInner marks a wrapper that never
+// invokes the machine (silent): mutators composed under it would be dead
+// configuration, so resolve rejects them.
+type kind struct {
+	doc           string
+	defaults      Params
+	check         func(Params) error
+	wrap          func(id int, inner sim.Handler, p Params) sim.Handler
+	discardsInner bool
+	mutators      func(p Params) []Mutator
 }
 
-// MutatorStrategy is a Strategy whose behavior is expressed as outgoing
-// message mutators. Only mutator strategies compose: their mutators can be
-// layered onto one another (and onto wrapper strategies such as crash).
-type MutatorStrategy interface {
-	Strategy
-	// Mutators returns the strategy's mutator chain for one faulty vertex.
-	Mutators(id int, p Params, rng *rand.Rand) []Mutator
+// kinds is the catalog.
+var kinds = map[string]kind{
+	"silent": {
+		doc:           "never sends a message (crashed from the start)",
+		discardsInner: true,
+		wrap:          func(id int, _ sim.Handler, _ Params) sim.Handler { return &Silent{NodeID: id} },
+	},
+	"crash": {
+		doc:      "behaves honestly, then crashes after `after` deliveries with at most `finalSends` escaping sends",
+		defaults: Params{"after": 20, "finalSends": 1},
+		check:    nonNegParam("finalSends"),
+		wrap: func(_ int, inner sim.Handler, p Params) sim.Handler {
+			return &Crash{Inner: inner, AfterDeliveries: int(p["after"]), FinalSends: int(p["finalSends"])}
+		},
+	},
+	"extreme": {
+		doc:      "floods the extreme value `value` instead of its input",
+		defaults: Params{"value": 1e9},
+		mutators: func(p Params) []Mutator { return []Mutator{ExtremeInput(p["value"])} },
+	},
+	"equivocate": {
+		doc:      "reports input + step*(neighbor+1) per out-neighbor",
+		defaults: Params{"step": 0.5},
+		mutators: func(p Params) []Mutator { return []Mutator{EquivocateInput(p["step"])} },
+	},
+	"tamper": {
+		doc:      "negates and shifts every relayed value and corrupts relayed COMPLETE sets by `delta`",
+		defaults: Params{"delta": 100},
+		mutators: func(p Params) []Mutator {
+			delta := p["delta"]
+			return []Mutator{
+				TamperRelays(func(x float64) float64 { return -x - delta }),
+				ForgeCompletes(delta),
+			}
+		},
+	},
+	"noise": {
+		doc:      "perturbs every outgoing value by uniform noise in [-amp, amp]",
+		defaults: Params{"amp": 10},
+		check:    nonNegParam("amp"),
+		mutators: func(p Params) []Mutator { return []Mutator{RandomNoise(p["amp"])} },
+	},
+	"delayedequiv": {
+		doc:      "honest for the first `after` originations, then equivocates by `step` per neighbor — defeats detectors that only audit early rounds",
+		defaults: Params{"step": 0.5, "after": 6},
+		check:    nonNegParam("after"),
+		mutators: func(p Params) []Mutator { return []Mutator{DelayedEquivocation(p["step"], int(p["after"]))} },
+	},
+	"split": {
+		doc:      "targeted two-faced originations: out-neighbors with id <= `pivot` receive `lo`, the rest `hi`",
+		defaults: Params{"lo": -1e6, "hi": 1e6, "pivot": 0},
+		mutators: func(p Params) []Mutator { return []Mutator{SplitInput(p["lo"], p["hi"], int(p["pivot"]))} },
+	},
+	"replay": {
+		doc:      "with probability `prob`, re-sends a previously sent payload alongside each outgoing message",
+		defaults: Params{"prob": 0.3},
+		check:    probParam("prob"),
+		mutators: func(p Params) []Mutator { return []Mutator{Replay(p["prob"])} },
+	},
 }
 
-// Build is the context a Strategy materializes a handler from.
-type Build struct {
-	// ID is the faulty vertex.
-	ID int
-	// Inner is the vertex's honest machine (already wrapped in a Mutant
-	// when the spec composes mutator layers under a wrapper strategy).
-	Inner sim.Handler
-	// Params is the complete, validated parameter set.
-	Params Params
-	// Rng is the vertex's decorrelated random stream (see NodeSeed).
-	Rng *rand.Rand
-}
+// forgedParams are the values a faulty vertex puts on the wire in place of
+// honest ones (an input, an offset, a step): NaN and ±Inf there are
+// attacks the machines must survive (DESIGN fidelity note 12), not bad
+// knobs, so fill lets them through. Every other param must be finite.
+var forgedParams = map[string]bool{"value": true, "delta": true, "step": true, "lo": true, "hi": true}
 
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]Strategy{}
-)
+// wholeParams are read as counts or a vertex id: a fraction would be saved
+// as written and run truncated, so fill refuses it.
+var wholeParams = map[string]bool{"after": true, "finalSends": true, "pivot": true}
 
-// Register adds a strategy under its unique, non-empty name.
-// Re-registration panics: two packages claiming one name is a programming
-// error, not a runtime condition. The built-ins ("silent", "crash",
-// "extreme", "equivocate", "tamper", "noise", "delayedequiv", "split",
-// "replay") are pre-registered.
-func Register(s Strategy) {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if s == nil || s.Name() == "" {
-		panic("adversary: Register with nil strategy or empty name")
+// Adversaries lists the fault kind names, sorted.
+func Adversaries() []string { return slices.Sorted(maps.Keys(kinds)) }
+
+// MutatorKinds lists the fault kinds that can appear in a compose list,
+// sorted.
+func MutatorKinds() []string {
+	var names []string
+	for _, name := range Adversaries() {
+		if kinds[name].mutators != nil {
+			names = append(names, name)
+		}
 	}
-	if _, dup := registry[s.Name()]; dup {
-		panic(fmt.Sprintf("adversary: strategy %q registered twice", s.Name()))
-	}
-	registry[s.Name()] = s
-}
-
-// Adversaries lists the registered strategy names, sorted.
-func Adversaries() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	return names
 }
 
-// ByName resolves a registered strategy.
-func ByName(name string) (Strategy, error) {
-	registryMu.RLock()
-	s := registry[name]
-	registryMu.RUnlock()
-	if s == nil {
-		return nil, fmt.Errorf("adversary: unknown fault kind %q (valid values are: %v)", name, Adversaries())
+// Defaults returns the kind's accepted params with their default values;
+// params outside this set are rejected.
+func Defaults(name string) (Params, error) {
+	k, err := lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	return s, nil
+	return maps.Clone(k.defaults), nil
 }
 
-// Layer is one composed mutator strategy: a name plus its params.
+// Doc returns a one-line description of the kind for catalogs ("" for an
+// unknown kind).
+func Doc(name string) string { return kinds[name].doc }
+
+func lookup(name string) (kind, error) {
+	k, ok := kinds[name]
+	if !ok {
+		return kind{}, fmt.Errorf("adversary: unknown fault kind %q (valid values are: %v)", name, Adversaries())
+	}
+	return k, nil
+}
+
+// probParam constrains a parameter to [0, 1] — the same eager rejection
+// the link-fault rules apply to their prob knobs. The comparisons are
+// written so that NaN, which compares false with everything, fails them.
+func probParam(name string) func(Params) error {
+	return func(p Params) error {
+		if x := p[name]; !(0 <= x && x <= 1) {
+			return fmt.Errorf("param %q: %g outside [0, 1]", name, x)
+		}
+		return nil
+	}
+}
+
+// nonNegParam constrains a parameter to be non-negative (and not NaN).
+func nonNegParam(name string) func(Params) error {
+	return func(p Params) error {
+		if x := p[name]; !(x >= 0) {
+			return fmt.Errorf("param %q: %g must be non-negative", name, x)
+		}
+		return nil
+	}
+}
+
+// Layer is one composed mutator kind: a name plus its params.
 type Layer struct {
 	Kind   string
 	Params Params
 }
 
-// Spec is a resolved fault configuration: the base strategy, its params,
-// and the mutator layers composed on top of it. When the base is itself a
-// mutator strategy, base and composed mutators share one Mutant wrapper
-// (base mutators run first); when the base is a wrapper strategy (crash),
-// the composed Mutant sits inside the wrapper — a crash-after-N node that
-// misbehaves until it dies.
+// Spec is a resolved fault configuration: the base kind, its params, and
+// the mutator layers composed on top of it. When the base is itself a
+// mutator kind, base and composed mutators share one Mutant wrapper (base
+// mutators run first); when the base is a wrapper (crash), the composed
+// Mutant sits inside the wrapper — a crash-after-N node that misbehaves
+// until it dies.
 type Spec struct {
 	Kind    string
 	Params  Params
 	Compose []Layer
 }
 
-// InnerDiscarder is implemented by wrapper strategies that never invoke
-// the wrapped machine (silent): composing mutators under them would be
-// silently dead configuration, so resolve rejects it eagerly.
-type InnerDiscarder interface {
-	DiscardsInner() bool
-}
-
-// resolvedLayer is one composed layer with its strategy resolved and its
-// params completed.
-type resolvedLayer struct {
-	strategy MutatorStrategy
-	params   Params
-}
-
 // resolve is the single source of truth for spec validation: it resolves
-// the base strategy and every composed layer, fills and checks params, and
-// rejects compositions the base cannot carry. Both Validate (decode time)
-// and BuildHandler (construction time) go through it, so the two paths
-// cannot diverge.
-func resolve(s Spec) (base Strategy, baseParams Params, layers []resolvedLayer, err error) {
-	if base, err = ByName(s.Kind); err != nil {
-		return nil, nil, nil, err
+// the base kind and every composed layer, fills and checks params, and
+// rejects compositions the base cannot carry. It returns the base kind,
+// its params, and the mutators to apply: the base's own (a mutator kind's)
+// first, then each layer's. Both Validate (decode time) and BuildHandler
+// (construction time) go through it, so the two paths cannot diverge.
+func resolve(s Spec) (base kind, params Params, muts []Mutator, err error) {
+	if base, err = lookup(s.Kind); err != nil {
+		return kind{}, nil, nil, err
 	}
-	if baseParams, err = fillParams(base, s.Params); err != nil {
-		return nil, nil, nil, err
+	if params, err = fill(s.Kind, base, s.Params); err != nil {
+		return kind{}, nil, nil, err
 	}
-	if d, ok := base.(InnerDiscarder); ok && d.DiscardsInner() && len(s.Compose) > 0 {
-		return nil, nil, nil, fmt.Errorf("adversary: strategy %q never invokes the wrapped machine and cannot carry composed mutators", s.Kind)
+	if base.discardsInner && len(s.Compose) > 0 {
+		return kind{}, nil, nil, fmt.Errorf("adversary: strategy %q never invokes the wrapped machine and cannot carry composed mutators", s.Kind)
+	}
+	if base.mutators != nil {
+		muts = base.mutators(params)
 	}
 	for i, l := range s.Compose {
-		ls, err := ByName(l.Kind)
+		lk, err := lookup(l.Kind)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("compose[%d]: %w", i, err)
+			return kind{}, nil, nil, fmt.Errorf("compose[%d]: %w", i, err)
 		}
-		ms, ok := ls.(MutatorStrategy)
-		if !ok {
-			return nil, nil, nil, fmt.Errorf("adversary: compose[%d]: strategy %q is not a mutator strategy and cannot compose (composable: %v)", i, l.Kind, MutatorKinds())
+		if lk.mutators == nil {
+			return kind{}, nil, nil, fmt.Errorf("adversary: compose[%d]: strategy %q is not a mutator strategy and cannot compose (composable: %v)", i, l.Kind, MutatorKinds())
 		}
-		lp, err := fillParams(ms, l.Params)
+		lp, err := fill(l.Kind, lk, l.Params)
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("compose[%d]: %w", i, err)
+			return kind{}, nil, nil, fmt.Errorf("compose[%d]: %w", i, err)
 		}
-		layers = append(layers, resolvedLayer{strategy: ms, params: lp})
+		muts = append(muts, lk.mutators(lp)...)
 	}
-	return base, baseParams, layers, nil
+	return base, params, muts, nil
 }
 
-// Validate checks the spec eagerly: the strategy and every composed layer
-// must be registered, every param name accepted, composed layers must be
-// mutator strategies, and the base must actually carry them.
+// Validate checks the spec eagerly: the kind and every composed layer must
+// be in the catalog, every param name accepted and every value in range,
+// composed layers must be mutator kinds, and the base must actually carry
+// them.
 func (s Spec) Validate() error {
 	_, _, _, err := resolve(s)
 	return err
 }
 
-// MutatorKinds lists the registered strategies that can appear in a
-// compose list, sorted.
-func MutatorKinds() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name, s := range registry {
-		if _, ok := s.(MutatorStrategy); ok {
-			names = append(names, name)
+// fill merges p over the kind's defaults, rejecting unknown names and
+// out-of-range values: the kind's own check first, then a non-finite value
+// outside forgedParams and a fraction (or a magnitude past 2^53, where
+// float64 stops counting in ones) in wholeParams. Every value that
+// validates is one a scenario file spells and runs as written.
+func fill(name string, k kind, p Params) (Params, error) {
+	full := maps.Clone(k.defaults)
+	if full == nil {
+		full = Params{}
+	}
+	for key, v := range p {
+		if _, ok := k.defaults[key]; !ok {
+			return nil, fmt.Errorf("adversary: strategy %q: unknown param %q (valid params are: %v)", name, key, slices.Sorted(maps.Keys(k.defaults)))
+		}
+		full[key] = v
+	}
+	if k.check != nil {
+		if err := k.check(full); err != nil {
+			return nil, fmt.Errorf("adversary: strategy %q: %w", name, err)
 		}
 	}
-	sort.Strings(names)
-	return names
-}
-
-// ParamChecker is optionally implemented by strategies that constrain
-// their parameter ranges (probabilities in [0, 1], non-negative counts);
-// CheckParams receives the complete, defaults-filled set. Violations are
-// rejected eagerly at decode/construction time, like unknown names —
-// never silently reinterpreted at run time.
-type ParamChecker interface {
-	CheckParams(p Params) error
-}
-
-// fillParams merges p over the strategy's defaults, rejecting unknown
-// names and out-of-range values.
-func fillParams(s Strategy, p Params) (Params, error) {
-	defs := s.Defaults()
-	full := make(Params, len(defs))
-	for k, v := range defs {
-		full[k] = v
-	}
-	for k, v := range p {
-		if _, ok := defs[k]; !ok {
-			return nil, fmt.Errorf("adversary: strategy %q: unknown param %q (valid params are: %v)", s.Name(), k, paramNames(defs))
+	for _, key := range slices.Sorted(maps.Keys(full)) {
+		x := full[key]
+		if !forgedParams[key] && (math.IsNaN(x) || math.IsInf(x, 0)) {
+			return nil, fmt.Errorf("adversary: strategy %q: param %q: %g is not finite", name, key, x)
 		}
-		full[k] = v
-	}
-	if c, ok := s.(ParamChecker); ok {
-		if err := c.CheckParams(full); err != nil {
-			return nil, fmt.Errorf("adversary: strategy %q: %w", s.Name(), err)
+		if wholeParams[key] && (x != math.Trunc(x) || math.Abs(x) > 1<<53) {
+			return nil, fmt.Errorf("adversary: strategy %q: param %q: %g is not a whole number of magnitude at most 2^53", name, key, x)
 		}
 	}
 	return full, nil
-}
-
-func paramNames(defs Params) []string {
-	names := make([]string, 0, len(defs))
-	for k := range defs {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // NodeSeed derives vertex id's fault-stream seed from the run seed. The
@@ -241,26 +273,21 @@ func NodeSeed(seed int64, id int) int64 {
 
 // BuildHandler materializes the spec into vertex id's handler, wrapping
 // inner. It validates exactly like Spec.Validate (both run through
-// resolve), so an unregistered kind, unknown param or uncarryable
-// composition is a hard error on every construction path — no silent
-// fallback to the honest handler. seed should already be the vertex's
-// decorrelated stream seed (NodeSeed).
+// resolve), so an unknown kind, unknown param or uncarryable composition
+// is a hard error on every construction path — no silent fallback to the
+// honest handler. seed should already be the vertex's decorrelated stream
+// seed (NodeSeed).
 func BuildHandler(id int, s Spec, inner sim.Handler, seed int64) (sim.Handler, error) {
-	base, baseParams, layers, err := resolve(s)
+	base, params, muts, err := resolve(s)
 	if err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(seed))
-	var composed []Mutator
-	for _, l := range layers {
-		composed = append(composed, l.strategy.Mutators(id, l.params, rng)...)
-	}
-	if ms, ok := base.(MutatorStrategy); ok {
-		muts := append(ms.Mutators(id, baseParams, rng), composed...)
+	if base.wrap == nil {
 		return &Mutant{Inner: inner, Mutators: muts, Rng: rng}, nil
 	}
-	if len(composed) > 0 {
-		inner = &Mutant{Inner: inner, Mutators: composed, Rng: rng}
+	if len(muts) > 0 {
+		inner = &Mutant{Inner: inner, Mutators: muts, Rng: rng}
 	}
-	return base.Build(Build{ID: id, Inner: inner, Params: baseParams, Rng: rng})
+	return base.wrap(id, inner, params), nil
 }

@@ -30,20 +30,22 @@ func TestRegistryListsBuiltins(t *testing.T) {
 		}
 	}
 	for _, name := range names {
-		s, err := adversary.ByName(name)
-		if err != nil {
+		if _, err := adversary.Defaults(name); err != nil {
 			t.Fatal(err)
 		}
-		if s.Name() != name || s.Doc() == "" {
-			t.Errorf("strategy %q: name=%q doc=%q", name, s.Name(), s.Doc())
+		if adversary.Doc(name) == "" {
+			t.Errorf("kind %q has no doc", name)
 		}
 	}
 }
 
 func TestByNameUnknownIsError(t *testing.T) {
-	if _, err := adversary.ByName("gremlin"); err == nil ||
+	if _, err := adversary.Defaults("gremlin"); err == nil ||
 		!strings.Contains(err.Error(), "valid values are") {
-		t.Errorf("unknown strategy error unhelpful: %v", err)
+		t.Errorf("unknown kind error unhelpful: %v", err)
+	}
+	if doc := adversary.Doc("gremlin"); doc != "" {
+		t.Errorf("unknown kind has doc %q", doc)
 	}
 }
 
@@ -65,6 +67,15 @@ func TestSpecValidateRejectsEagerly(t *testing.T) {
 		{"NaN prob", adversary.Spec{Kind: "replay", Params: adversary.Params{"prob": math.NaN()}}, "outside [0, 1]"},
 		{"NaN amp", adversary.Spec{Kind: "noise", Params: adversary.Params{"amp": math.NaN()}}, "must be non-negative"},
 		{"NaN count", adversary.Spec{Kind: "crash", Params: adversary.Params{"finalSends": math.NaN()}}, "must be non-negative"},
+		{"NaN after", adversary.Spec{Kind: "crash", Params: adversary.Params{"after": math.NaN()}}, "not finite"},
+		{"Inf after", adversary.Spec{Kind: "crash", Params: adversary.Params{"after": math.Inf(1)}}, "not finite"},
+		{"Inf amp", adversary.Spec{Kind: "noise", Params: adversary.Params{"amp": math.Inf(1)}}, "not finite"},
+		{"Inf amp in compose", adversary.Spec{Kind: "crash", Compose: []adversary.Layer{{Kind: "noise", Params: adversary.Params{"amp": math.Inf(1)}}}}, "not finite"},
+		{"fractional after", adversary.Spec{Kind: "crash", Params: adversary.Params{"after": 2.5}}, "not a whole number"},
+		{"fractional finalSends", adversary.Spec{Kind: "crash", Params: adversary.Params{"finalSends": 0.5}}, "not a whole number"},
+		{"fractional delayedequiv after", adversary.Spec{Kind: "delayedequiv", Params: adversary.Params{"after": 1.25}}, "not a whole number"},
+		{"fractional pivot", adversary.Spec{Kind: "split", Params: adversary.Params{"pivot": 1.5}}, "not a whole number"},
+		{"huge pivot", adversary.Spec{Kind: "split", Params: adversary.Params{"pivot": 1e300}}, "not a whole number"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -84,6 +95,18 @@ func TestSpecValidateRejectsEagerly(t *testing.T) {
 	// A NaN value is an attack the machines must survive, not a bad knob.
 	if err := (adversary.Spec{Kind: "extreme", Params: adversary.Params{"value": math.NaN()}}).Validate(); err != nil {
 		t.Errorf("extreme value NaN rejected: %v", err)
+	}
+	// So is every other forged value, and a negative whole crash count
+	// crashes at Start, as it always has.
+	for _, spec := range []adversary.Spec{
+		{Kind: "tamper", Params: adversary.Params{"delta": math.Inf(-1)}},
+		{Kind: "split", Params: adversary.Params{"lo": math.NaN(), "hi": math.Inf(1), "pivot": -2}},
+		{Kind: "equivocate", Params: adversary.Params{"step": math.NaN()}},
+		{Kind: "crash", Params: adversary.Params{"after": -1}},
+	} {
+		if err := spec.Validate(); err != nil {
+			t.Errorf("%+v rejected: %v", spec, err)
+		}
 	}
 }
 

@@ -18,6 +18,7 @@ package linkfault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync/atomic"
@@ -91,6 +92,10 @@ func Doc(kind string) string {
 	}
 }
 
+// maxCount bounds amount and heal: below 2^53 every whole float64 is exact
+// and converts to int unchanged.
+const maxCount = 1 << 53
+
 // validate checks the rule against a graph of order n with edge predicate
 // hasEdge, rejecting unknown kinds, unknown params, and edge/node lists
 // that do not fit the rule shape or the topology.
@@ -109,14 +114,16 @@ func (r Rule) validate(n int, hasEdge func(u, v int) bool) error {
 			return fmt.Errorf("linkfault: %s: unknown param %q (valid params are: %v)", r.Kind, k, valid)
 		}
 	}
-	if p, ok := r.Params["prob"]; ok && (p < 0 || p > 1) {
+	// Written so that NaN, which compares false with everything, fails.
+	if p, ok := r.Params["prob"]; ok && !(0 <= p && p <= 1) {
 		return fmt.Errorf("linkfault: %s: prob %g outside [0, 1]", r.Kind, p)
 	}
-	if a, ok := r.Params["amount"]; ok && a < 0 {
-		return fmt.Errorf("linkfault: %s: amount %g must be non-negative", r.Kind, a)
-	}
-	if h, ok := r.Params["heal"]; ok && h < 0 {
-		return fmt.Errorf("linkfault: %s: heal %g must be non-negative", r.Kind, h)
+	// amount and heal are counts (New converts them with int): a fraction
+	// would be saved as written and run truncated.
+	for _, name := range []string{"amount", "heal"} {
+		if x, ok := r.Params[name]; ok && !(0 <= x && x <= maxCount && x == math.Trunc(x)) {
+			return fmt.Errorf("linkfault: %s: %s %g must be a non-negative whole number of at most 2^53", r.Kind, name, x)
+		}
 	}
 	if r.Kind == KindPartition {
 		if len(r.Edges) > 0 {

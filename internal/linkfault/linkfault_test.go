@@ -1,6 +1,7 @@
 package linkfault
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -26,6 +27,14 @@ func TestValidateRejects(t *testing.T) {
 		{"partition empty", Rule{Kind: KindPartition}, "non-empty node set"},
 		{"partition node range", Rule{Kind: KindPartition, Nodes: []int{7}}, "outside graph order"},
 		{"negative heal", Rule{Kind: KindPartition, Nodes: []int{0}, Params: map[string]float64{"heal": -2}}, "non-negative"},
+		{"NaN prob", Rule{Kind: KindDrop, Edges: [][2]int{{0, 1}}, Params: map[string]float64{"prob": math.NaN()}}, "outside [0, 1]"},
+		{"NaN amount", Rule{Kind: KindDelay, Edges: [][2]int{{0, 1}}, Params: map[string]float64{"amount": math.NaN()}}, "whole number"},
+		{"Inf amount", Rule{Kind: KindDelay, Edges: [][2]int{{0, 1}}, Params: map[string]float64{"amount": math.Inf(1)}}, "whole number"},
+		{"fractional amount", Rule{Kind: KindDelay, Edges: [][2]int{{0, 1}}, Params: map[string]float64{"amount": 2.5}}, "whole number"},
+		{"huge amount", Rule{Kind: KindDelay, Edges: [][2]int{{0, 1}}, Params: map[string]float64{"amount": 1e300}}, "whole number"},
+		{"NaN heal", Rule{Kind: KindPartition, Nodes: []int{0}, Params: map[string]float64{"heal": math.NaN()}}, "whole number"},
+		{"Inf heal", Rule{Kind: KindPartition, Nodes: []int{0}, Params: map[string]float64{"heal": math.Inf(1)}}, "whole number"},
+		{"fractional heal", Rule{Kind: KindPartition, Nodes: []int{0}, Params: map[string]float64{"heal": 0.5}}, "whole number"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

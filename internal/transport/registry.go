@@ -2,68 +2,55 @@ package transport
 
 import (
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 )
 
-// PolicyBuilder constructs a Policy instance from serializable parameters.
-// params carries the policy's named numeric knobs; seed drives any internal
-// randomness (ignored by deterministic policies). Builders must reject
-// parameter names they do not understand, so a misspelled knob in a scenario
-// file fails loudly at decode time rather than silently running the default.
-type PolicyBuilder func(params map[string]float64, seed int64) (Policy, error)
+// policyNames is the closed catalog of delivery policies, sorted.
+var policyNames = []string{"bounded", "fifo", "lifo", "random"}
 
-var (
-	policyMu       sync.RWMutex
-	policyBuilders = map[string]PolicyBuilder{}
-)
+// PolicyNames lists the delivery policies, sorted.
+func PolicyNames() []string { return slices.Clone(policyNames) }
 
-// RegisterPolicy adds a named policy constructor to the registry. Names must
-// be unique and non-empty; re-registration panics, since it indicates two
-// packages fighting over a name rather than a runtime condition.
-func RegisterPolicy(name string, build PolicyBuilder) {
-	policyMu.Lock()
-	defer policyMu.Unlock()
-	if name == "" || build == nil {
-		panic("transport: RegisterPolicy with empty name or nil builder")
-	}
-	if _, dup := policyBuilders[name]; dup {
-		panic(fmt.Sprintf("transport: policy %q registered twice", name))
-	}
-	policyBuilders[name] = build
-}
-
-// PolicyNames lists the registered delivery policies, sorted.
-func PolicyNames() []string {
-	policyMu.RLock()
-	defer policyMu.RUnlock()
-	names := make([]string, 0, len(policyBuilders))
-	for name := range policyBuilders {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// NewPolicy instantiates a registered policy by name. The empty name selects
-// "random", the default model of asynchrony. Each call returns a fresh
-// instance: policies may be stateful (rng streams, overtaking counters), so
-// instances must never be shared between runs.
+// NewPolicy instantiates a policy by name from its named numeric knobs.
+// The empty name selects "random", the default model of asynchrony; seed
+// drives any internal randomness (ignored by deterministic policies).
+// Unknown param names are rejected, so a misspelled knob in a scenario
+// file fails loudly at decode time rather than silently running the
+// default. Each call returns a fresh instance: policies may be stateful
+// (rng streams, overtaking counters), so instances must never be shared
+// between runs.
 func NewPolicy(name string, params map[string]float64, seed int64) (Policy, error) {
 	if name == "" {
 		name = "random"
 	}
-	policyMu.RLock()
-	build := policyBuilders[name]
-	policyMu.RUnlock()
-	if build == nil {
-		return nil, fmt.Errorf("transport: unknown policy %q (valid values are: %v)", name, PolicyNames())
+	if !slices.Contains(policyNames, name) {
+		return nil, fmt.Errorf("transport: unknown policy %q (valid values are: %v)", name, policyNames)
 	}
-	p, err := build(params, seed)
-	if err != nil {
-		return nil, fmt.Errorf("transport: policy %q: %w", name, err)
+	allowed := []string{}
+	if name == "bounded" {
+		allowed = []string{"bound"}
 	}
-	return p, nil
+	for param := range params {
+		if !slices.Contains(allowed, param) {
+			return nil, fmt.Errorf("transport: policy %q: unknown param %q (valid params are: %v)", name, param, allowed)
+		}
+	}
+	switch name {
+	case "fifo":
+		return FIFOPolicy{}, nil
+	case "lifo":
+		return LIFOPolicy{}, nil
+	case "bounded":
+		bound, ok := params["bound"]
+		if !ok {
+			return nil, fmt.Errorf(`transport: policy "bounded": missing param "bound" (the overtaking bound)`)
+		}
+		if bound < 0 || bound != float64(uint64(bound)) {
+			return nil, fmt.Errorf(`transport: policy "bounded": param "bound" = %g must be a non-negative integer`, bound)
+		}
+		return NewBoundedDelayPolicy(uint64(bound), seed), nil
+	}
+	return NewRandomPolicy(seed), nil
 }
 
 // ValidatePolicy reports whether the (name, params) pair would build,
@@ -71,55 +58,4 @@ func NewPolicy(name string, params map[string]float64, seed int64) (Policy, erro
 func ValidatePolicy(name string, params map[string]float64) error {
 	_, err := NewPolicy(name, params, 0)
 	return err
-}
-
-// rejectUnknown errors on any parameter name outside allowed.
-func rejectUnknown(params map[string]float64, allowed ...string) error {
-	for name := range params {
-		ok := false
-		for _, a := range allowed {
-			if name == a {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("unknown param %q (valid params are: %v)", name, allowed)
-		}
-	}
-	return nil
-}
-
-func init() {
-	RegisterPolicy("random", func(params map[string]float64, seed int64) (Policy, error) {
-		if err := rejectUnknown(params); err != nil {
-			return nil, err
-		}
-		return NewRandomPolicy(seed), nil
-	})
-	RegisterPolicy("fifo", func(params map[string]float64, seed int64) (Policy, error) {
-		if err := rejectUnknown(params); err != nil {
-			return nil, err
-		}
-		return FIFOPolicy{}, nil
-	})
-	RegisterPolicy("lifo", func(params map[string]float64, seed int64) (Policy, error) {
-		if err := rejectUnknown(params); err != nil {
-			return nil, err
-		}
-		return LIFOPolicy{}, nil
-	})
-	RegisterPolicy("bounded", func(params map[string]float64, seed int64) (Policy, error) {
-		if err := rejectUnknown(params, "bound"); err != nil {
-			return nil, err
-		}
-		bound, ok := params["bound"]
-		if !ok {
-			return nil, fmt.Errorf(`missing param "bound" (the overtaking bound)`)
-		}
-		if bound < 0 || bound != float64(uint64(bound)) {
-			return nil, fmt.Errorf("param \"bound\" = %g must be a non-negative integer", bound)
-		}
-		return NewBoundedDelayPolicy(uint64(bound), seed), nil
-	})
 }

@@ -101,17 +101,3 @@ func TestNewPolicyReturnsFreshInstances(t *testing.T) {
 		t.Error("NewPolicy returned a shared instance")
 	}
 }
-
-func TestRegisterPolicyPanics(t *testing.T) {
-	mustPanic := func(name string, b PolicyBuilder) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("RegisterPolicy(%q) did not panic", name)
-			}
-		}()
-		RegisterPolicy(name, b)
-	}
-	mustPanic("", func(map[string]float64, int64) (Policy, error) { return FIFOPolicy{}, nil })
-	mustPanic("fifo", func(map[string]float64, int64) (Policy, error) { return FIFOPolicy{}, nil })
-}

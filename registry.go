@@ -22,7 +22,6 @@ import (
 type protocolEntry struct {
 	run   RunFunc
 	build BuilderFunc
-	info  *ProtocolInfo
 }
 
 // Protocol tiers and decision shapes for ProtocolInfo.
@@ -33,10 +32,10 @@ const (
 	ShapeVector     = "vector"      // decision is a vector (Result.Vectors)
 )
 
-// ProtocolInfo is a registered protocol's catalog metadata: its consensus
-// tier (approximate vs exact), decision shape (scalar vs vector) and a
-// one-line doc. Catalog consumers (abacsim -list) render from this rather
-// than hardcoding strings per protocol.
+// ProtocolInfo is a protocol's catalog metadata: its consensus tier
+// (approximate vs exact), decision shape (scalar vs vector) and a one-line
+// doc. Catalog consumers (abacsim -list) render from this rather than
+// hardcoding strings per protocol.
 type ProtocolInfo struct {
 	Name  string
 	Tier  string
@@ -87,46 +86,19 @@ func RegisterBuilder(name string, build BuilderFunc) {
 	e.build = build
 }
 
-// RegisterInfo attaches catalog metadata to an already registered
-// protocol. Unknown names and double registration panic, like
-// RegisterBuilder. Metadata is optional: protocols without it are listed
-// with the defaults (approximate tier, scalar shape, no doc).
-func RegisterInfo(name string, info ProtocolInfo) {
-	protocolMu.Lock()
-	defer protocolMu.Unlock()
-	e, ok := protocols[name]
-	if !ok {
-		panic(fmt.Sprintf("repro: RegisterInfo for unregistered protocol %q", name))
-	}
-	if e.info != nil {
-		panic(fmt.Sprintf("repro: info for protocol %q registered twice", name))
-	}
-	if info.Tier != TierApproximate && info.Tier != TierExact {
-		panic(fmt.Sprintf("repro: RegisterInfo(%q) with unknown tier %q", name, info.Tier))
-	}
-	if info.Shape != ShapeScalar && info.Shape != ShapeVector {
-		panic(fmt.Sprintf("repro: RegisterInfo(%q) with unknown shape %q", name, info.Shape))
-	}
-	info.Name = name
-	e.info = &info
-}
-
 // ProtocolCatalog returns every registered protocol's metadata, sorted by
-// name. Protocols registered without RegisterInfo appear with the default
-// tier/shape (approximate, scalar), so third-party registrations list
-// cleanly without extra calls.
+// name: the built-ins' from their table, and the default tier and shape
+// (approximate, scalar) with no doc for a protocol registered by Register.
 func ProtocolCatalog() []ProtocolInfo {
-	protocolMu.RLock()
-	defer protocolMu.RUnlock()
-	infos := make([]ProtocolInfo, 0, len(protocols))
-	for name, e := range protocols {
-		if e.info != nil {
-			infos = append(infos, *e.info)
-		} else {
-			infos = append(infos, ProtocolInfo{Name: name, Tier: TierApproximate, Shape: ShapeScalar})
+	var infos []ProtocolInfo
+	for _, name := range Protocols() {
+		info, ok := builtins[name]
+		if !ok {
+			info.Tier, info.Shape = TierApproximate, ShapeScalar
 		}
+		info.ProtocolInfo.Name = name
+		infos = append(infos, info.ProtocolInfo)
 	}
-	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	return infos
 }
 
@@ -213,31 +185,35 @@ func simRun(build BuilderFunc) RunFunc {
 	}
 }
 
-func init() {
-	for name, build := range map[string]BuilderFunc{
-		"bw": buildBW, "aad": buildAAD, "crashapprox": buildCrashApprox,
-		"iterative": buildIterative, "aba": buildABA, "acs": buildACS,
-	} {
-		Register(name, simRun(build))
-		RegisterBuilder(name, build)
-	}
-	RegisterInfo("bw", ProtocolInfo{Tier: TierApproximate, Shape: ShapeScalar,
-		Doc: "the paper's Algorithm BW: Byzantine approximate consensus on directed graphs"})
-	RegisterInfo("aad", ProtocolInfo{Tier: TierApproximate, Shape: ShapeScalar,
-		Doc: "Abraham-Amit-Dolev clique baseline on reliable broadcast"})
-	RegisterInfo("crashapprox", ProtocolInfo{Tier: TierApproximate, Shape: ShapeScalar,
-		Doc: "crash-fault 2-reach approximate consensus (Theorem 2)"})
-	RegisterInfo("iterative", ProtocolInfo{Tier: TierApproximate, Shape: ShapeScalar,
-		Doc: "local iterative trimmed-mean ablation"})
-	RegisterInfo("aba", ProtocolInfo{Tier: TierExact, Shape: ShapeScalar,
-		Doc: "MMR asynchronous binary agreement with a seeded deterministic coin"})
-	RegisterInfo("acs", ProtocolInfo{Tier: TierExact, Shape: ShapeVector,
-		Doc: "BKR agreement on a common subset: n reliable broadcasts + n ABA instances"})
+// builtins are the protocols every build registers: each one's machine
+// factory (its simulator face is simRun over it) and catalog metadata.
+var builtins = map[string]struct {
+	build BuilderFunc
+	ProtocolInfo
+}{
+	"bw": {buildBW, ProtocolInfo{Tier: TierApproximate, Shape: ShapeScalar,
+		Doc: "the paper's Algorithm BW: Byzantine approximate consensus on directed graphs"}},
+	"aad": {buildAAD, ProtocolInfo{Tier: TierApproximate, Shape: ShapeScalar,
+		Doc: "Abraham-Amit-Dolev clique baseline on reliable broadcast"}},
+	"crashapprox": {buildCrashApprox, ProtocolInfo{Tier: TierApproximate, Shape: ShapeScalar,
+		Doc: "crash-fault 2-reach approximate consensus (Theorem 2)"}},
+	"iterative": {buildIterative, ProtocolInfo{Tier: TierApproximate, Shape: ShapeScalar,
+		Doc: "local iterative trimmed-mean ablation"}},
+	"aba": {buildABA, ProtocolInfo{Tier: TierExact, Shape: ShapeScalar,
+		Doc: "MMR asynchronous binary agreement with a seeded deterministic coin"}},
+	"acs": {buildACS, ProtocolInfo{Tier: TierExact, Shape: ShapeVector,
+		Doc: "BKR agreement on a common subset: n reliable broadcasts + n ABA instances"}},
 }
 
-// Policies lists the registered asynchrony schedule policies for
-// Options.Policy / PolicySpec.Name ("random", "fifo", "lifo", "bounded",
-// plus anything registered via transport.RegisterPolicy).
+func init() {
+	for name, b := range builtins {
+		Register(name, simRun(b.build))
+		RegisterBuilder(name, b.build)
+	}
+}
+
+// Policies lists the asynchrony schedule policies for Options.Policy /
+// PolicySpec.Name: "bounded", "fifo", "lifo", "random".
 func Policies() []string { return transport.PolicyNames() }
 
 // Observer receives streaming events from a running execution; see

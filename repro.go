@@ -178,24 +178,23 @@ func CheckKReach(g *Graph, k, f int) (bool, *ReachWitness) { return cond.CheckKR
 
 // Mutation is one composed mutator layer of a FaultSpec.
 type Mutation struct {
-	Kind   string             `json:"kind"`
-	Params map[string]float64 `json:"params,omitempty"`
+	Kind   string      `json:"kind"`
+	Params FaultParams `json:"params,omitempty"`
 }
 
-// FaultKinds lists the registered adversary strategy names, sorted —
-// "silent", "crash", "extreme", "equivocate", "tamper", "noise",
-// "delayedequiv", "split", "replay", plus anything registered via
-// adversary.Register.
+// FaultKinds lists the adversary fault kinds, sorted — "crash",
+// "delayedequiv", "equivocate", "extreme", "noise", "replay", "silent",
+// "split", "tamper".
 func FaultKinds() []string { return adversary.Adversaries() }
 
-// FaultDefaults returns the named strategy's parameters with their default
+// FaultDefaults returns the fault kind's parameters with their default
 // values, plus a one-line description (for catalogs and CLIs).
 func FaultDefaults(kind string) (params map[string]float64, doc string, err error) {
-	s, err := adversary.ByName(kind)
+	defs, err := adversary.Defaults(kind)
 	if err != nil {
 		return nil, "", fmt.Errorf("repro: %w", err)
 	}
-	return s.Defaults(), s.Doc(), nil
+	return defs, adversary.Doc(kind), nil
 }
 
 // LinkFault is one Byzantine link-failure rule, applied per directed edge

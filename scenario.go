@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/adversary"
@@ -89,9 +90,56 @@ type FaultSpec struct {
 	// Kind is a registered strategy name: "silent", "crash", "extreme",
 	// "equivocate", "tamper", "noise", "delayedequiv", "split", "replay",
 	// ... (see FaultKinds).
-	Kind    string             `json:"kind"`
-	Params  map[string]float64 `json:"params,omitempty"`
-	Compose []Mutation         `json:"compose,omitempty"`
+	Kind    string      `json:"kind"`
+	Params  FaultParams `json:"params,omitempty"`
+	Compose []Mutation  `json:"compose,omitempty"`
+}
+
+// FaultParams carries a fault's named numeric knobs. A forged value
+// (extreme's value, tamper's delta, ...) may be NaN or ±Inf — an attack the
+// machines must survive — and JSON numbers cannot carry those three, so
+// the JSON form spells them as the strings "NaN", "+Inf" and "-Inf"; every
+// fault that validates is one a scenario file can record.
+type FaultParams map[string]float64
+
+// MarshalJSON implements json.Marshaler.
+func (p FaultParams) MarshalJSON() ([]byte, error) {
+	m := make(map[string]any, len(p))
+	for k, v := range p {
+		switch {
+		case math.IsNaN(v):
+			m[k] = "NaN"
+		case math.IsInf(v, 0):
+			m[k] = fmt.Sprintf("%+v", v)
+		default:
+			m[k] = v
+		}
+	}
+	return json.Marshal(m)
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (p *FaultParams) UnmarshalJSON(data []byte) error {
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil || m == nil {
+		return err
+	}
+	out := make(FaultParams, len(m))
+	for k, v := range m {
+		switch v := v.(type) {
+		case float64:
+			out[k] = v
+		case string:
+			if v != "NaN" && v != "+Inf" && v != "-Inf" {
+				return fmt.Errorf("param %q: %q is not a number (the non-finite values are spelled \"NaN\", \"+Inf\" and \"-Inf\")", k, v)
+			}
+			out[k], _ = strconv.ParseFloat(v, 64)
+		default:
+			return fmt.Errorf("param %q: %v is not a number", k, v)
+		}
+	}
+	*p = out
+	return nil
 }
 
 // spec converts to the adversary package's resolved form.
