@@ -83,13 +83,13 @@ type PolicySpec struct {
 	Params map[string]float64 `json:"params,omitempty"`
 }
 
-// FaultSpec assigns one node a registered adversary strategy (see
-// FaultKinds) with named parameters and optional composed mutator layers.
+// FaultSpec assigns one node an adversary fault kind (see FaultKinds)
+// with named parameters and optional composed mutator layers.
 type FaultSpec struct {
 	Node int `json:"node"`
-	// Kind is a registered strategy name: "silent", "crash", "extreme",
-	// "equivocate", "tamper", "noise", "delayedequiv", "split", "replay",
-	// ... (see FaultKinds).
+	// Kind is a fault kind: "silent", "crash", "extreme", "equivocate",
+	// "tamper", "noise", "delayedequiv", "split" or "replay" (see
+	// FaultKinds).
 	Kind    string      `json:"kind"`
 	Params  FaultParams `json:"params,omitempty"`
 	Compose []Mutation  `json:"compose,omitempty"`
@@ -106,12 +106,9 @@ type FaultParams map[string]float64
 func (p FaultParams) MarshalJSON() ([]byte, error) {
 	m := make(map[string]any, len(p))
 	for k, v := range p {
-		switch {
-		case math.IsNaN(v):
-			m[k] = "NaN"
-		case math.IsInf(v, 0):
-			m[k] = fmt.Sprintf("%+v", v)
-		default:
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			m[k] = strconv.FormatFloat(v, 'g', -1, 64)
+		} else {
 			m[k] = v
 		}
 	}

@@ -628,3 +628,35 @@ func TestScenarioRejectsNonFiniteRange(t *testing.T) {
 		}
 	}
 }
+
+// TestFaultParamsSpellNonFinite: a forged value may be NaN or ±Inf, which
+// JSON numbers cannot carry, so a scenario file spells those three as
+// strings; any other string is refused at decode.
+func TestFaultParamsSpellNonFinite(t *testing.T) {
+	s := repro.Scenario{Graph: "fig1a", Protocol: "bw", Faults: []repro.FaultSpec{
+		{Node: 1, Kind: "extreme", Params: repro.FaultParams{"value": math.NaN()}},
+		{Node: 2, Kind: "split", Params: repro.FaultParams{"lo": math.Inf(-1), "hi": math.Inf(1)}},
+	}}
+	data, err := s.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"value": "NaN"`, `"lo": "-Inf"`, `"hi": "+Inf"`} {
+		if !strings.Contains(string(data), want) {
+			t.Errorf("canonical form lacks %s:\n%s", want, data)
+		}
+	}
+	back, err := repro.ParseScenario(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := back.Faults[1].Params; !math.IsNaN(back.Faults[0].Params["value"]) || !math.IsInf(p["lo"], -1) || !math.IsInf(p["hi"], 1) {
+		t.Errorf("decoded %+v", back.Faults)
+	}
+	for _, bad := range []string{`"nan"`, `"Inf"`, `"1"`, `true`} {
+		doc := `{"graph":"fig1a","protocol":"bw","faults":[{"node":1,"kind":"extreme","params":{"value":` + bad + `}}]}`
+		if _, err := repro.ParseScenario([]byte(doc)); err == nil || !strings.Contains(err.Error(), "not a number") {
+			t.Errorf("value %s: %v", bad, err)
+		}
+	}
+}
