@@ -26,8 +26,8 @@ import (
 // functions, methods, types, constants, package-level variables, struct
 // fields and interface methods — each referenced field that no non-test
 // code writes, and each written field that no non-test code reads (every
-// use is a ++, -- or op-assign target: a counter nobody looks at). A name is reported only if it is dead under every
-// tag set it is declared in. Every finding must carry a reason in the
+// use is a ++, -- or op-assign target: a counter nobody looks at). A name
+// is reported only if it is dead under every tag set it is declared in. Every finding must carry a reason in the
 // allow list, and every allow-list line must still match a finding.
 
 const deadAllowFile = "testdata/deadcode.allow"
@@ -303,12 +303,13 @@ func (l *fenceLoader) analyse() (declared []string, found []deadFinding) {
 		}
 		pos := l.fset.Position(d.obj.Pos())
 		v, isVar := d.obj.(*types.Var)
+		r, identUse := read[d.obj]
 		switch {
 		case !used[d.obj]:
 			found = append(found, deadFinding{kind: "unused", name: d.name, pos: pos})
 		case isVar && v.IsField() && !written[d.obj]:
 			found = append(found, deadFinding{kind: "unwritten", name: d.name, pos: pos})
-		case isVar && v.IsField() && !read[d.obj]:
+		case isVar && v.IsField() && identUse && !r:
 			found = append(found, deadFinding{kind: "unread", name: d.name, pos: pos})
 		}
 	}
@@ -374,8 +375,10 @@ func (l *fenceLoader) declarations() ([]fenceDecl, map[*ast.Ident]bool) {
 // resolving to the object — outside the object's own declaration and
 // other than a method receiver's type — or an embedded field a selector
 // passes through, or a method some interface of a loaded package asks of
-// its type. A read is a use other than as the target of ++, -- or an
-// op-assign, which only bump what is already there.
+// its type. read holds, for each object an identifier uses, whether some
+// use reads it: any use but as the target of ++, -- or an op-assign,
+// which only bump what is already there, or an embedded field a selector
+// passes through.
 func (l *fenceLoader) references(decls []fenceDecl, recvIdents map[*ast.Ident]bool) (used, written, read map[types.Object]bool) {
 	own := map[types.Object]fenceDecl{}
 	for _, d := range decls {
@@ -399,9 +402,7 @@ func (l *fenceLoader) references(decls []fenceDecl, recvIdents map[*ast.Ident]bo
 				continue
 			}
 			used[o] = true
-			if !bumps[id] {
-				read[o] = true
-			}
+			read[o] = read[o] || !bumps[id]
 		}
 		for _, sel := range p.info.Selections {
 			markEmbedded(sel.Recv(), sel.Index(), used)
