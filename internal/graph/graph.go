@@ -121,9 +121,14 @@ func (g *Graph) SetName(name string) *Graph {
 	return g
 }
 
-// HasEdge reports whether (u, v) is an edge.
+// HasEdge reports whether (u, v) is an edge; ids outside [0, n) are not
+// endpoints of any. It reads the one word of u's out-set in place: Set.Has
+// would copy the whole set per call.
 func (g *Graph) HasEdge(u, v int) bool {
-	return u >= 0 && u < g.n && g.outMask[u].Has(v)
+	if u < 0 || u >= g.n || v < 0 || v >= g.n {
+		return false
+	}
+	return g.outMask[u][uint(v)>>6]&(1<<(uint(v)&63)) != 0
 }
 
 // Out returns u's out-neighbors in ascending order. The caller must not

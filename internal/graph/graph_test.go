@@ -25,6 +25,24 @@ func TestAddEdgeBasics(t *testing.T) {
 	}
 }
 
+// TestHasEdgeOutOfRange: an id outside [0, n) is no edge's endpoint — at
+// either end, below zero, between n and MaxNodes, and beyond MaxNodes,
+// where the out-set has no word to read.
+func TestHasEdgeOutOfRange(t *testing.T) {
+	g := Fig1a()
+	n := g.N()
+	for _, e := range [][2]int{{0, -1}, {0, n}, {0, MaxNodes}, {0, 2000}, {-1, 0}, {n, 0}, {MaxNodes, 0}} {
+		if g.HasEdge(e[0], e[1]) {
+			t.Errorf("HasEdge(%d, %d) = true on %d vertices", e[0], e[1], n)
+		}
+	}
+	for _, e := range g.Edges() {
+		if !g.HasEdge(e[0], e[1]) {
+			t.Errorf("HasEdge(%d, %d) = false on an edge", e[0], e[1])
+		}
+	}
+}
+
 func TestAddEdgeErrors(t *testing.T) {
 	g := New(3)
 	if err := g.AddEdge(1, 1); !errors.Is(err, ErrSelfLoop) {

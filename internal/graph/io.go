@@ -6,6 +6,8 @@ import (
 	"io"
 	"strconv"
 	"strings"
+
+	"repro/internal/weakcache"
 )
 
 // Unmarshal parses the format written by Marshal.
@@ -132,7 +134,8 @@ func NamedSpecs() []string {
 // Every argument is validated — orders outside [1, MaxNodes], probabilities
 // outside [0, 1], and surplus arguments are errors, never panics — so specs
 // arriving from CLI flags or scenario JSON fail with a message instead of
-// crashing the process.
+// crashing the process. Each call builds a fresh graph, which the caller
+// may edit; SharedNamed shares one per spec.
 func Named(spec string) (*Graph, error) {
 	parts := strings.Split(spec, ":")
 	arity := func(n int) error {
@@ -283,4 +286,16 @@ func Named(spec string) (*Graph, error) {
 	default:
 		return nil, fmt.Errorf("graph: unknown spec %q (known forms: clique:<n>, cycle:<n>, wheel:<k>, fig1a, fig1b, fig1b-analog, circulant:<n>:<offsets>, random:<n>:<p>:<seed>, torus:<rows>:<cols>, kregular:<n>:<k>:<seed>, expander:<n>:<d>:<seed>)", spec)
 	}
+}
+
+// namedCache holds the graphs SharedNamed hands out, keyed by spec.
+var namedCache weakcache.Cache[string, Graph]
+
+// SharedNamed is Named shared by every caller with the same spec: the graph
+// is built once while any caller holds it, and the most recently used one
+// besides (see weakcache), so back-to-back runs of one scenario build it
+// once. The graph is shared: it must not be edited — Clone it first. A bad
+// spec returns Named's error and caches nothing.
+func SharedNamed(spec string) (*Graph, error) {
+	return namedCache.GetErr(spec, func() (*Graph, error) { return Named(spec) })
 }

@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
+	"weak"
 )
 
 func TestMarshalRoundTrip(t *testing.T) {
@@ -165,4 +168,65 @@ func (g *Graph) SortedEdges() []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// TestNamedSharedPerSpec: SharedNamed hands every caller of a spec the graph
+// Named builds — same name, order and edges — and one graph while any caller
+// holds it: goroutines racing on a spec nobody holds yet all get the one
+// their race built, and a later caller gets it too.
+func TestNamedSharedPerSpec(t *testing.T) {
+	for _, spec := range []string{"fig1a", "torus:4:5", "random:9:0.4:7"} {
+		want, err := Named(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]*Graph, 4)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var err error
+				if got[i], err = SharedNamed(spec); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		later, err := SharedNamed(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, g := range got {
+			if g != later {
+				t.Errorf("%s: goroutine %d got another graph than a later caller", spec, i)
+			}
+		}
+		if later.Name() != want.Name() || later.N() != want.N() || !reflect.DeepEqual(later.Edges(), want.Edges()) {
+			t.Errorf("%s: shared graph %s, Named builds %s", spec, later, want)
+		}
+	}
+}
+
+// TestNamedSharedBadSpec: a bad spec returns Named's error and caches
+// nothing — the most recently used graph stays the recent one.
+func TestNamedSharedBadSpec(t *testing.T) {
+	recent := func() weak.Pointer[Graph] {
+		g, err := SharedNamed("wheel:7")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return weak.Make(g)
+	}()
+	for _, spec := range []string{"wheel:1", "torus:0:3", "clique:4:2", "nope"} {
+		_, want := Named(spec)
+		g, err := SharedNamed(spec)
+		if g != nil || err == nil || err.Error() != want.Error() {
+			t.Errorf("SharedNamed(%q) = %v, %v; Named says %v", spec, g, err, want)
+		}
+	}
+	runtime.GC()
+	if recent.Value() == nil {
+		t.Error("a bad spec displaced the most recently used graph")
+	}
 }

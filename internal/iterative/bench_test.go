@@ -62,8 +62,8 @@ func TestIterativeDeliverAllocBudget(t *testing.T) {
 
 // iterTorus1k is the benchmark's sim-iter-1k workload: the iterative
 // machine on torus:32:32, f = 1, K = 3, eps = 0.25 (four rounds), inputs
-// drawn to three decimals, through the whole Scenario.Run path — graph
-// build, machine construction and 16 384 deliveries.
+// drawn to three decimals, through the whole Scenario.Run path — the shared
+// graph's lookup, machine construction and 16 384 deliveries.
 func iterTorus1k(tb testing.TB, seed int64) *repro.Result {
 	rng := rand.New(rand.NewSource(seed))
 	inputs := make([]float64, 1024)
@@ -94,20 +94,24 @@ func BenchmarkIterTorus1k(b *testing.B) {
 
 // TestIterativeRunAllocBudget is the allocation fence for the whole
 // sim-iter-1k run. What is left is the 4 096 boxed broadcast payloads, the
-// result's per-vertex maps and the simulator's and the graph's fixed
-// handful; the nested round maps made it 28 757, and five allocations per
-// machine instead of the arena 10 305.
+// result's per-vertex maps and the simulator's fixed handful; the nested
+// round maps made it 28 757, and five allocations per machine instead of
+// the arena 10 305. Rebuilding torus:32:32 on every run, before the graph
+// was shared per spec, made the bytes 1.39 MB against 0.89 MB.
 func TestIterativeRunAllocBudget(t *testing.T) {
-	const maxAllocs = 8000
-	iterTorus1k(t, 1) // warm the runtime's size classes and the registries
+	const maxAllocs, maxBytes = 8000, 980_000
+	iterTorus1k(t, 1) // warm the runtime's size classes, the registries and the graph
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	iterTorus1k(t, 1)
 	runtime.ReadMemStats(&after)
-	got := after.Mallocs - before.Mallocs
-	t.Logf("%d allocations per run", got)
+	got, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("%d allocations, %d bytes per run", got, bytes)
 	if got > maxAllocs {
 		t.Errorf("%d allocations per run, budget %d", got, maxAllocs)
+	}
+	if bytes > maxBytes {
+		t.Errorf("%d bytes allocated per run, budget %d", bytes, maxBytes)
 	}
 }

@@ -67,10 +67,11 @@ func (o *Outbox) Messages() []transport.Message { return o.msgs }
 // backing array; slices earlier returned by Messages are overwritten.
 func (o *Outbox) Reset() { o.msgs = o.msgs[:0] }
 
-// Broadcast sends the payload to every out-neighbor.
+// Broadcast sends the payload to every out-neighbor; each is an edge, so
+// none is checked.
 func (o *Outbox) Broadcast(p transport.Payload) {
 	for _, v := range o.g.Out(o.from) {
-		o.Send(v, p)
+		o.msgs = append(o.msgs, transport.Message{From: o.from, To: v, Payload: p})
 	}
 }
 

@@ -111,6 +111,15 @@ func TestOutboxEnforcesTopology(t *testing.T) {
 	if stats.Dropped != 1 {
 		t.Errorf("dropped = %d, want 1", stats.Dropped)
 	}
+	// Ids that name no vertex are dropped and counted too, not a panic.
+	o.Send(-1, pingPayload(1))
+	if len(o.Messages()) != 1 || stats.Dropped != 2 {
+		t.Errorf("Send(-1): messages = %d, dropped = %d, want 1 and 2", len(o.Messages()), stats.Dropped)
+	}
+	o.Send(graph.MaxNodes, pingPayload(1))
+	if len(o.Messages()) != 1 || stats.Dropped != 3 {
+		t.Errorf("Send(MaxNodes): messages = %d, dropped = %d, want 1 and 3", len(o.Messages()), stats.Dropped)
+	}
 	if o.Messages()[0].From != 0 || o.Messages()[0].To != 1 {
 		t.Error("message endpoints wrong")
 	}

@@ -31,13 +31,23 @@ type entry[K comparable, V any] struct {
 // value for k is still referenced. build runs under the cache's lock, so
 // concurrent callers with one key build it once.
 func (c *Cache[K, V]) Get(k K, build func() *V) *V {
+	v, _ := c.GetErr(k, func() (*V, error) { return build(), nil })
+	return v
+}
+
+// GetErr is Get for a build that can fail: its error is returned and
+// nothing is cached, so the next caller with k builds again.
+func (c *Cache[K, V]) GetErr(k K, build func() (*V, error)) (*V, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if v := c.byKey[k].Value(); v != nil {
 		c.recent = v
-		return v
+		return v, nil
 	}
-	v := build()
+	v, err := build()
+	if err != nil {
+		return nil, err
+	}
 	ptr := weak.Make(v)
 	if c.byKey == nil {
 		c.byKey = make(map[K]weak.Pointer[V])
@@ -45,7 +55,7 @@ func (c *Cache[K, V]) Get(k K, build func() *V) *V {
 	c.byKey[k] = ptr
 	runtime.AddCleanup(v, c.drop, entry[K, V]{k, ptr})
 	c.recent = v
-	return v
+	return v, nil
 }
 
 // drop empties k's slot once its value is collected, unless a newer value

@@ -1,6 +1,7 @@
 package weakcache
 
 import (
+	"errors"
 	"runtime"
 	"testing"
 	"time"
@@ -57,4 +58,27 @@ func (c *Cache[K, V]) size() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.byKey)
+}
+
+// TestCacheKeepsNothingOnError: a build that fails returns its error and
+// leaves the cache as it was — no slot for its key, the most recently used
+// value still the recent one — and the next caller builds again.
+func TestCacheKeepsNothingOnError(t *testing.T) {
+	var c Cache[int, value]
+	recent := weak.Make(c.Get(1, func() *value { return &value{key: 1} }))
+	bad := errors.New("no value")
+	builds := 0
+	for range 2 {
+		v, err := c.GetErr(2, func() (*value, error) { builds++; return nil, bad })
+		if v != nil || err != bad {
+			t.Fatalf("failed build returned %v, %v", v, err)
+		}
+	}
+	if builds != 2 || c.size() != 1 {
+		t.Errorf("%d builds and %d slots after two failed builds, want 2 and 1", builds, c.size())
+	}
+	runtime.GC()
+	if recent.Value() == nil {
+		t.Error("a failed build displaced the most recently used value")
+	}
 }

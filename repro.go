@@ -467,7 +467,7 @@ type vectorProvider interface{ Vector() map[int]float64 }
 // runtime is judged by.
 func (a *armed) result(res *Result, handlers []Handler, links *linkfault.Set) *Result {
 	res.Honest = a.honest
-	res.Histories = make(map[int][]float64)
+	res.Histories = make(map[int][]float64, a.honest.Count())
 	res.Vectors = make(map[int]map[int]float64)
 	lo, hi := math.Inf(1), math.Inf(-1)
 	a.honest.ForEach(func(v int) bool {

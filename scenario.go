@@ -250,13 +250,16 @@ func (s Scenario) Validate() error {
 	return err
 }
 
-// Materialize validates the scenario and builds its concrete graph and
-// input vector.
+// Materialize validates the scenario and resolves its graph and input
+// vector. The graph is shared by every caller with the same spec — runs,
+// batches, instance factories and the service — and built once while any of
+// them holds it (graph.SharedNamed): it must not be edited; Clone it first.
+// The inputs are the caller's own.
 func (s Scenario) Materialize() (*Graph, []float64, error) {
 	if s.Graph == "" {
 		return nil, nil, fmt.Errorf("repro: scenario: missing graph spec")
 	}
-	g, err := graph.Named(s.Graph)
+	g, err := graph.SharedNamed(s.Graph)
 	if err != nil {
 		return nil, nil, fmt.Errorf("repro: scenario: %w", err)
 	}
@@ -306,6 +309,11 @@ func (s Scenario) Materialize() (*Graph, []float64, error) {
 		}
 		if inputs, err = gen.generate(g.N()); err != nil {
 			return nil, nil, err
+		}
+	}
+	for v, x := range inputs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return nil, nil, fmt.Errorf("repro: scenario: input %v of vertex %d is not finite", x, v)
 		}
 	}
 	return g, inputs, nil

@@ -8,8 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"weak"
 
 	"repro"
 )
@@ -658,5 +661,135 @@ func TestFaultParamsSpellNonFinite(t *testing.T) {
 		if _, err := repro.ParseScenario([]byte(doc)); err == nil || !strings.Contains(err.Error(), "not a number") {
 			t.Errorf("value %s: %v", bad, err)
 		}
+	}
+}
+
+// TestScenarioRejectsNonFiniteInputs: a NaN or infinite input, listed or
+// generated, is refused by name of its vertex — it used to validate and
+// then fail Scenario.JSON, which cannot spell it. Finite inputs still
+// round-trip.
+func TestScenarioRejectsNonFiniteInputs(t *testing.T) {
+	for _, tc := range []struct {
+		s      repro.Scenario
+		vertex string
+	}{
+		{repro.Scenario{Inputs: []float64{math.NaN(), 1, 2, 3}}, "vertex 0"},
+		{repro.Scenario{Inputs: []float64{0, 1, math.Inf(-1), 3}}, "vertex 2"},
+		{repro.Scenario{InputGen: &repro.InputGenSpec{Kind: "const", Value: math.Inf(1)}}, "vertex 0"},
+		{repro.Scenario{InputGen: &repro.InputGenSpec{Kind: "linear", Scale: 1e308}}, "vertex 2"},
+	} {
+		s := tc.s
+		s.Graph, s.Protocol = "clique:4", "iterative"
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "not finite") || !strings.Contains(err.Error(), tc.vertex) {
+			t.Errorf("inputs %v, inputGen %+v: validation says %v, want it to name %s", s.Inputs, s.InputGen, err, tc.vertex)
+		}
+	}
+	for _, s := range []repro.Scenario{
+		{Graph: "clique:4", Protocol: "iterative", Inputs: []float64{-1e308, 0, 0.5, 1e308}},
+		{Graph: "clique:4", Protocol: "iterative", InputGen: &repro.InputGenSpec{Kind: "linear", Scale: 1e307}},
+	} {
+		data, err := s.JSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := repro.ParseScenario(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(*back, s) {
+			t.Errorf("round trip changed %+v into %+v", s, *back)
+		}
+	}
+}
+
+// TestNamedSharedAcrossBatches: batches of one scenario running at once,
+// each over its own workers, and runs beside them all read one graph, built
+// once on a spec no other test of the package uses. The runs record the
+// graph they are handed; all of them are held, so a second build would show
+// as a second pointer. Run under -race; the outputs equal a sequential
+// batch's.
+func TestNamedSharedAcrossBatches(t *testing.T) {
+	s := repro.Scenario{
+		Graph: "circulant:11:1,2,5", Protocol: "iterative",
+		InputGen: &repro.InputGenSpec{Kind: "mod", Mod: 3},
+		F:        1, K: 2, Eps: 0.5, Seed: 1, Seeds: 3,
+	}
+	iterative, err := repro.ProtocolBuilder(s.Protocol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var graphs []*repro.Graph
+	record := func(g *repro.Graph, inputs []float64, opts repro.Options) (repro.HandlerFactory, error) {
+		mu.Lock()
+		graphs = append(graphs, g)
+		mu.Unlock()
+		return iterative(g, inputs, opts)
+	}
+	batches := make([][]*repro.Result, 3)
+	var wg sync.WaitGroup
+	for i := range batches {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := s.RunWith(record); err != nil {
+				t.Error(err)
+			}
+			var err error
+			if batches[i], err = s.RunBatch(context.Background(), 2); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	sequential, err := s.RunBatch(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range batches {
+		for i, res := range batch {
+			if !res.Decided || !reflect.DeepEqual(res.Outputs, sequential[i].Outputs) || res.Steps != sequential[i].Steps {
+				t.Errorf("seed %d: concurrent run %+v, sequential %+v", s.Seed+int64(i), res.Outputs, sequential[i].Outputs)
+			}
+		}
+	}
+	if len(graphs) != len(batches) {
+		t.Fatalf("%d runs recorded, want %d", len(graphs), len(batches))
+	}
+	for i, g := range graphs {
+		if g != graphs[0] {
+			t.Errorf("run %d got another graph than run 0: the spec was built more than once", i)
+		}
+	}
+}
+
+// TestNamedSharedReleased: the graph cache keeps a graph while a caller
+// holds it, and the most recent one besides — no more. After runs on
+// cycle:64 and then on fig1a, and a collection, the cycle is gone and
+// fig1a, the most recent, is not; nothing a run leaves behind holds either.
+func TestNamedSharedReleased(t *testing.T) {
+	run := func(spec string) weak.Pointer[repro.Graph] {
+		s := repro.Scenario{Graph: spec, Protocol: "bw", F: repro.FZero, K: 1, Eps: 0.6, Seed: 1}
+		g, _, err := s.Materialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Decided {
+			t.Fatalf("%s: not every vertex decided", spec)
+		}
+		return weak.Make(g)
+	}
+	cycle := run("cycle:64")
+	fig := run("fig1a")
+	runtime.GC()
+	if cycle.Value() != nil {
+		t.Error("cycle:64 outlived its runs and the next graph's")
+	}
+	if fig.Value() == nil {
+		t.Error("the most recently used graph was released")
 	}
 }
