@@ -39,16 +39,22 @@ func TestFaultOutsideGraphRefused(t *testing.T) {
 // instance is the machine the one-shot runtimes arm at that instance's seed
 // — same dynamic type, adversary-wrapped on exactly the faulty vertices,
 // same first sends — and both paths' link-fault sets draw the same fates.
+// Vertex 1 tampers and vertex 2 sprays noise until it crashes, or, where
+// the protocol refuses those kinds, runs the nearest kinds it accepts.
 func TestServiceArmsOneShotMachines(t *testing.T) {
 	base := repro.Scenario{
-		Graph:  "clique:4",
-		Inputs: []float64{0, 1, 2, 3},
-		Seed:   11,
-		Faults: []repro.FaultSpec{
-			{Node: 1, Kind: "tamper"},
-			{Node: 2, Kind: "crash", Params: map[string]float64{"after": 5}, Compose: []repro.Mutation{{Kind: "noise"}}},
-		},
+		Graph:      "clique:4",
+		Inputs:     []float64{0, 1, 2, 3},
+		Seed:       11,
 		LinkFaults: []repro.LinkFault{{Kind: "duplicate", Edges: [][2]int{{0, 3}, {3, 0}}, Params: map[string]float64{"prob": 0.5}}},
+	}
+	crashAfter5 := func(compose ...repro.Mutation) repro.FaultSpec {
+		return repro.FaultSpec{Node: 2, Kind: "crash", Params: map[string]float64{"after": 5}, Compose: compose}
+	}
+	faults := map[string][]repro.FaultSpec{
+		"aba":         {{Node: 1, Kind: "equivocate"}, crashAfter5(repro.Mutation{Kind: "replay"})},
+		"crashapprox": {{Node: 1, Kind: "silent"}, crashAfter5()},
+		"iterative":   {{Node: 1, Kind: "split"}, crashAfter5(repro.Mutation{Kind: "noise"})},
 	}
 	faulty := map[int]bool{1: true, 2: true}
 	for _, name := range repro.Protocols() {
@@ -57,6 +63,10 @@ func TestServiceArmsOneShotMachines(t *testing.T) {
 		}
 		s := base
 		s.Protocol = name
+		s.Faults = faults[name]
+		if s.Faults == nil {
+			s.Faults = []repro.FaultSpec{{Node: 1, Kind: "tamper"}, crashAfter5(repro.Mutation{Kind: "noise"})}
+		}
 		fac, err := repro.NewInstanceFactory(s)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -11,6 +11,20 @@ import (
 	"repro"
 )
 
+// simOnly is a protocol registered without a live-runtime builder, for
+// TestProtocolBuilderErrors. It is registered once per test binary, so the
+// suite passes under -count=2 and in any -shuffle order;
+// TestClusterConformance skips it by name.
+const simOnly = "zz-conformance-sim-only"
+
+func init() {
+	iterative, err := repro.ProtocolByName("iterative")
+	if err != nil {
+		panic(err)
+	}
+	repro.Register(simOnly, iterative)
+}
+
 // conformanceScenarios maps every registered protocol to a scenario whose
 // simulator run is known to decide, converge and respect validity. The
 // cross-runtime conformance test requires an entry for each registered
@@ -84,6 +98,9 @@ func TestClusterConformance(t *testing.T) {
 	scenarios := conformanceScenarios()
 	for _, proto := range repro.Protocols() {
 		s, ok := scenarios[proto]
+		if proto == simOnly {
+			continue
+		}
 		if !ok {
 			t.Fatalf("registered protocol %q has no conformance scenario; add one to conformanceScenarios", proto)
 		}
@@ -344,16 +361,11 @@ func TestProtocolBuilderErrors(t *testing.T) {
 	if _, err := repro.ProtocolBuilder("nope"); err == nil || !strings.Contains(err.Error(), "unknown protocol") {
 		t.Fatalf("unknown protocol: got %v", err)
 	}
-	iterative, err := repro.ProtocolByName("iterative")
-	if err != nil {
-		t.Fatal(err)
-	}
-	repro.Register("zz-conformance-sim-only", iterative)
-	if _, err := repro.ProtocolBuilder("zz-conformance-sim-only"); err == nil ||
+	if _, err := repro.ProtocolBuilder(simOnly); err == nil ||
 		!strings.Contains(err.Error(), "no live-runtime builder") {
 		t.Fatalf("builderless protocol: got %v", err)
 	}
-	s := repro.Scenario{Graph: "clique:3", Protocol: "zz-conformance-sim-only", F: 0}
+	s := repro.Scenario{Graph: "clique:3", Protocol: simOnly, F: 0}
 	if _, err := s.RunOn(context.Background(), repro.RuntimeLoopback); err == nil ||
 		!strings.Contains(err.Error(), "no live-runtime builder") {
 		t.Fatalf("RunOn without builder: got %v", err)

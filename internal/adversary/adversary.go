@@ -8,10 +8,10 @@ package adversary
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/aba"
 	"repro/internal/bw"
-	"repro/internal/rbc"
 	"repro/internal/sim"
 	"repro/internal/transport"
 )
@@ -154,104 +154,46 @@ func (b *Mutant) emit(msgs []transport.Message, out *sim.Outbox) {
 	}
 }
 
-// EquivocateInput makes the node report a different initial value to every
-// out-neighbor. It is protocol-shaped, covering each family's notion of
-// "my initial value": BW's round-r origination (the trivial path, entry 0
-// of the sender's path table) carries base + step·(to+1); an RBC INIT with
-// numeric content (aad's value rounds, acs's input broadcast) carries
-// content + step·(to+1), handing
-// each receiver a different slot content for the echo quorums to kill or
-// agree on; an ABA message flips its bit toward odd-id receivers — a
-// two-faced vote the binding-value rule must contain. Relayed/derived
-// traffic (echoes, readies, reports) passes through: this strategy lies
-// about inputs, it does not corrupt the transport.
-func EquivocateInput(step float64) Mutator {
-	return func(_ *rand.Rand, m transport.Message) []transport.Payload {
-		switch v := m.Payload.(type) {
-		case bw.ValPayload:
-			if v.Entry != 0 {
-				return []transport.Payload{m.Payload}
+// rewrite is the one path of every value-lying kind: it replaces the value
+// a transport.Valued payload carries with fn's — in the node's own
+// originations when own is set, in its relays otherwise — and passes every
+// other payload through. A kind therefore acts on every protocol whose
+// payloads state their value.
+func rewrite(own bool, fn func(rng *rand.Rand, to int, x float64) float64) Mutator {
+	return func(rng *rand.Rand, m transport.Message) []transport.Payload {
+		if v, ok := m.Payload.(transport.Valued); ok {
+			if x, o, ok := v.Carried(); ok && o == own {
+				return []transport.Payload{v.WithCarried(fn(rng, m.To, x))}
 			}
-			v.Value += step * float64(m.To+1)
-			return []transport.Payload{v}
-		case rbc.Msg:
-			num, isNum := v.Content.(rbc.Num)
-			if v.Phase != rbc.PhaseInit || !isNum {
-				return []transport.Payload{m.Payload}
-			}
-			v.Content = num + rbc.Num(step*float64(m.To+1))
-			return []transport.Payload{v}
-		case aba.Msg:
-			v.Value ^= m.To & 1
-			return []transport.Payload{v}
 		}
 		return []transport.Payload{m.Payload}
 	}
 }
 
-// TamperRelays corrupts every relayed state value (paths longer than one:
-// any entry but the sender's trivial path, entry 0) by applying fn.
-func TamperRelays(fn func(float64) float64) Mutator {
-	return func(_ *rand.Rand, m transport.Message) []transport.Payload {
-		v, ok := m.Payload.(bw.ValPayload)
-		if !ok || v.Entry == 0 {
-			return []transport.Payload{m.Payload}
-		}
-		v.Value = fn(v.Value)
-		return []transport.Payload{v}
-	}
-}
-
-// ExtremeInput replaces the node's own originations with an extreme value —
-// the classic attack Filter-and-Average's trimming must absorb.
-func ExtremeInput(x float64) Mutator {
-	return func(_ *rand.Rand, m transport.Message) []transport.Payload {
-		v, ok := m.Payload.(bw.ValPayload)
-		if !ok || v.Entry != 0 {
-			return []transport.Payload{m.Payload}
-		}
-		v.Value = x
-		return []transport.Payload{v}
-	}
-}
-
-// DelayedEquivocation behaves honestly for the first after originations,
-// then equivocates like EquivocateInput: base + step·(to+1). The delay
-// defeats auditors that only inspect a node's early traffic; the mutator
-// is stateful (one counter per faulty node, counting originated values
-// across all out-neighbors).
-func DelayedEquivocation(step float64, after int) Mutator {
+// equivocate behaves honestly for the first after originations (counted
+// across all out-neighbors), then reports a different value to each
+// out-neighbor: x + step·(to+1). The delay defeats auditors that only
+// inspect a node's early traffic. Relays pass through: this strategy lies
+// about inputs, it does not corrupt the transport.
+func equivocate(step float64, after int) Mutator {
 	sent := 0
-	return func(_ *rand.Rand, m transport.Message) []transport.Payload {
-		v, ok := m.Payload.(bw.ValPayload)
-		if !ok || v.Entry != 0 {
-			return []transport.Payload{m.Payload}
-		}
+	return rewrite(true, func(_ *rand.Rand, to int, x float64) float64 {
 		if sent++; sent <= after {
-			return []transport.Payload{m.Payload}
+			return x
 		}
-		v.Value += step * float64(m.To+1)
-		return []transport.Payload{v}
-	}
+		return x + step*float64(to+1)
+	})
 }
 
-// SplitInput is the targeted two-faced attack: originations to
-// out-neighbors with id <= pivot carry lo, the rest carry hi — the
-// adversary partitions its audience into two camps and tells each a
-// different story.
-func SplitInput(lo, hi float64, pivot int) Mutator {
-	return func(_ *rand.Rand, m transport.Message) []transport.Payload {
-		v, ok := m.Payload.(bw.ValPayload)
-		if !ok || v.Entry != 0 {
-			return []transport.Payload{m.Payload}
-		}
-		if m.To <= pivot {
-			v.Value = lo
-		} else {
-			v.Value = hi
-		}
+// flipVotes flips an ABA vote toward odd-id out-neighbors: the two-faced
+// vote the binding-value rule must contain. ABA's messages carry bits, not
+// values, so this is equivocate's own second layer.
+func flipVotes(_ *rand.Rand, m transport.Message) []transport.Payload {
+	if v, ok := m.Payload.(aba.Msg); ok {
+		v.Value ^= m.To & 1
 		return []transport.Payload{v}
 	}
+	return []transport.Payload{m.Payload}
 }
 
 // replayHistoryCap bounds the per-destination payload history Replay keeps,
@@ -277,44 +219,20 @@ func Replay(prob float64) Mutator {
 	}
 }
 
-// ForgeCompletes corrupts the entry sets of all COMPLETE messages the node
-// originates or relays: entry values are shifted by delta, making the
-// reported message sets inconsistent with the genuine flood.
-func ForgeCompletes(delta float64) Mutator {
-	return func(_ *rand.Rand, m transport.Message) []transport.Payload {
+// shiftCompletes adds by(rng) to every entry value of each BW COMPLETE the
+// node originates or relays, making the reported message sets inconsistent
+// with the genuine flood. An entry set carries many values, so it is the
+// one payload that takes its own mutation.
+func shiftCompletes(by func(*rand.Rand) float64) Mutator {
+	return func(rng *rand.Rand, m transport.Message) []transport.Payload {
 		c, ok := m.Payload.(bw.CompletePayload)
 		if !ok {
 			return []transport.Payload{m.Payload}
 		}
-		entries := make([]bw.ValEntry, len(c.Entries))
-		copy(entries, c.Entries)
-		for i := range entries {
-			entries[i].Value += delta
+		c.Entries = slices.Clone(c.Entries)
+		for i := range c.Entries {
+			c.Entries[i].Value += by(rng)
 		}
-		c.Entries = entries
 		return []transport.Payload{c}
-	}
-}
-
-// RandomNoise perturbs every carried value (originations, relays and
-// COMPLETE entries) by a uniform offset in [-amp, amp], independently per
-// message — a seeded fuzzing adversary.
-func RandomNoise(amp float64) Mutator {
-	return func(rng *rand.Rand, m transport.Message) []transport.Payload {
-		switch p := m.Payload.(type) {
-		case bw.ValPayload:
-			p.Value += amp * (2*rng.Float64() - 1)
-			return []transport.Payload{p}
-		case bw.CompletePayload:
-			entries := make([]bw.ValEntry, len(p.Entries))
-			copy(entries, p.Entries)
-			for i := range entries {
-				entries[i].Value += amp * (2*rng.Float64() - 1)
-			}
-			p.Entries = entries
-			return []transport.Payload{p}
-		default:
-			return []transport.Payload{m.Payload}
-		}
 	}
 }

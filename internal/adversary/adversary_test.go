@@ -2,7 +2,6 @@ package adversary_test
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"repro/internal/adversary"
@@ -51,6 +50,18 @@ func runQuiescent(t *testing.T, g *graph.Graph, f int, inputs []float64, k, eps 
 	}
 	outs, _ := r.Outputs(honest)
 	return outs, honest
+}
+
+// faultKind wraps vertex id's machine in the catalog's fault spec, for
+// runWithFaults's faulty map.
+func faultKind(t *testing.T, id int, spec adversary.Spec, seed int64) func(sim.Handler) sim.Handler {
+	return func(inner sim.Handler) sim.Handler {
+		h, err := adversary.BuildHandler(id, spec, inner, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
 }
 
 // runWithFaults executes BW where faulty[i] (if non-nil) replaces the honest
@@ -143,13 +154,7 @@ func TestBWWithExtremeInjector(t *testing.T) {
 	g := graph.Clique(4)
 	outs, _ := runWithFaults(t, g, 1, []float64{1, 0, 1.5, 2}, 3, 0.2,
 		map[int]func(sim.Handler) sim.Handler{
-			1: func(inner sim.Handler) sim.Handler {
-				return &adversary.Mutant{
-					Inner:    inner,
-					Mutators: []adversary.Mutator{adversary.ExtremeInput(1e9)},
-					Rng:      rand.New(rand.NewSource(5)),
-				}
-			},
+			1: faultKind(t, 1, adversary.Spec{Kind: "extreme", Params: adversary.Params{"value": 1e9}}, 5),
 		}, 17)
 	// Honest inputs: 1, 1.5, 2 — validity must hold despite the 1e9 bomb.
 	assertAgreementValidity(t, outs, 0.2, 1, 2)
@@ -159,13 +164,7 @@ func TestBWWithEquivocator(t *testing.T) {
 	g := graph.Fig1a()
 	outs, _ := runWithFaults(t, g, 1, []float64{0, 2, 4, 1, 3}, 4, 0.25,
 		map[int]func(sim.Handler) sim.Handler{
-			1: func(inner sim.Handler) sim.Handler {
-				return &adversary.Mutant{
-					Inner:    inner,
-					Mutators: []adversary.Mutator{adversary.EquivocateInput(0.7)},
-					Rng:      rand.New(rand.NewSource(6)),
-				}
-			},
+			1: faultKind(t, 1, adversary.Spec{Kind: "equivocate", Params: adversary.Params{"step": 0.7}}, 6),
 		}, 19)
 	// Honest inputs: 0, 4, 1, 3.
 	assertAgreementValidity(t, outs, 0.25, 0, 4)
@@ -176,16 +175,7 @@ func TestBWWithTamperingRelay(t *testing.T) {
 	inputs := []float64{0, 1, 2, 3, 4}
 	outs, _ := runWithFaults(t, g, 1, inputs, 4, 0.25,
 		map[int]func(sim.Handler) sim.Handler{
-			3: func(inner sim.Handler) sim.Handler {
-				return &adversary.Mutant{
-					Inner: inner,
-					Mutators: []adversary.Mutator{
-						adversary.TamperRelays(func(x float64) float64 { return -x - 100 }),
-						adversary.ForgeCompletes(42),
-					},
-					Rng: rand.New(rand.NewSource(7)),
-				}
-			},
+			3: faultKind(t, 3, adversary.Spec{Kind: "tamper", Params: adversary.Params{"delta": 100}}, 7),
 		}, 23)
 	// Honest inputs: 0, 1, 2, 4.
 	assertAgreementValidity(t, outs, 0.25, 0, 4)

@@ -55,12 +55,14 @@ var kinds = map[string]kind{
 	"extreme": {
 		doc:      "floods the extreme value `value` instead of its input",
 		defaults: Params{"value": 1e9},
-		mutators: func(p Params) []Mutator { return []Mutator{ExtremeInput(p["value"])} },
+		mutators: func(p Params) []Mutator {
+			return []Mutator{rewrite(true, func(*rand.Rand, int, float64) float64 { return p["value"] })}
+		},
 	},
 	"equivocate": {
 		doc:      "reports input + step*(neighbor+1) per out-neighbor",
 		defaults: Params{"step": 0.5},
-		mutators: func(p Params) []Mutator { return []Mutator{EquivocateInput(p["step"])} },
+		mutators: func(p Params) []Mutator { return []Mutator{equivocate(p["step"], 0), flipVotes} },
 	},
 	"tamper": {
 		doc:      "negates and shifts every relayed value and corrupts relayed COMPLETE sets by `delta`",
@@ -68,8 +70,8 @@ var kinds = map[string]kind{
 		mutators: func(p Params) []Mutator {
 			delta := p["delta"]
 			return []Mutator{
-				TamperRelays(func(x float64) float64 { return -x - delta }),
-				ForgeCompletes(delta),
+				rewrite(false, func(_ *rand.Rand, _ int, x float64) float64 { return -x - delta }),
+				shiftCompletes(func(*rand.Rand) float64 { return delta }),
 			}
 		},
 	},
@@ -77,18 +79,29 @@ var kinds = map[string]kind{
 		doc:      "perturbs every outgoing value by uniform noise in [-amp, amp]",
 		defaults: Params{"amp": 10},
 		check:    nonNegParam("amp"),
-		mutators: func(p Params) []Mutator { return []Mutator{RandomNoise(p["amp"])} },
+		mutators: func(p Params) []Mutator {
+			by := func(rng *rand.Rand) float64 { return p["amp"] * (2*rng.Float64() - 1) }
+			add := func(rng *rand.Rand, _ int, x float64) float64 { return x + by(rng) }
+			return []Mutator{rewrite(true, add), rewrite(false, add), shiftCompletes(by)}
+		},
 	},
 	"delayedequiv": {
 		doc:      "honest for the first `after` originations, then equivocates by `step` per neighbor — defeats detectors that only audit early rounds",
 		defaults: Params{"step": 0.5, "after": 6},
 		check:    nonNegParam("after"),
-		mutators: func(p Params) []Mutator { return []Mutator{DelayedEquivocation(p["step"], int(p["after"]))} },
+		mutators: func(p Params) []Mutator { return []Mutator{equivocate(p["step"], int(p["after"]))} },
 	},
 	"split": {
 		doc:      "targeted two-faced originations: out-neighbors with id <= `pivot` receive `lo`, the rest `hi`",
 		defaults: Params{"lo": -1e6, "hi": 1e6, "pivot": 0},
-		mutators: func(p Params) []Mutator { return []Mutator{SplitInput(p["lo"], p["hi"], int(p["pivot"]))} },
+		mutators: func(p Params) []Mutator {
+			return []Mutator{rewrite(true, func(_ *rand.Rand, to int, _ float64) float64 {
+				if to <= int(p["pivot"]) {
+					return p["lo"]
+				}
+				return p["hi"]
+			})}
+		},
 	},
 	"replay": {
 		doc:      "with probability `prob`, re-sends a previously sent payload alongside each outgoing message",

@@ -2,7 +2,6 @@ package adversary_test
 
 import (
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -202,17 +201,19 @@ func TestNewStrategiesTolerated(t *testing.T) {
 // seed-derivation satellite: two adjacent faulty nodes running the same
 // noise strategy must perturb with distinct streams. Under the old
 // opts.Seed+i derivation adjacent sources handed out correlated values;
-// with the splitmix derivation the actual RandomNoise offset sequences of
+// with the splitmix derivation the actual noise offset sequences of
 // nodes 1 and 2 must differ, for every probed base seed.
 func TestNodeSeedDecorrelatesNoiseStreams(t *testing.T) {
-	probe := transport.Message{From: 0, To: 1, Payload: bw.ValPayload{Round: 1, Value: 0, Entry: 0}}
 	stream := func(seed int64) []float64 {
-		rng := rand.New(rand.NewSource(seed))
-		mut := adversary.RandomNoise(1)
-		out := make([]float64, 8)
-		for i := range out {
-			p := mut(rng, probe)
-			out[i] = p[0].(bw.ValPayload).Value
+		h, err := adversary.BuildHandler(1, adversary.Spec{Kind: "noise", Params: adversary.Params{"amp": 1}}, originator{}, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := sim.NewCollector(1, graph.Clique(4))
+		h.Start(col)
+		var out []float64
+		for _, m := range col.Messages() {
+			out = append(out, m.Payload.(bw.ValPayload).Value)
 		}
 		return out
 	}
@@ -231,3 +232,19 @@ func TestNodeSeedDecorrelatesNoiseStreams(t *testing.T) {
 		}
 	}
 }
+
+// originator sends eight zero-valued originations from vertex 1 to vertex 0
+// on Start: a probe for the noise a wrapping kind adds.
+type originator struct{}
+
+func (originator) ID() int { return 1 }
+
+func (originator) Start(out *sim.Outbox) {
+	for range 8 {
+		out.Send(0, bw.ValPayload{Round: 1})
+	}
+}
+
+func (originator) Deliver(transport.Message, *sim.Outbox) {}
+
+func (originator) Output() (float64, bool) { return 0, false }

@@ -1,7 +1,6 @@
 package adversary_test
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/adversary"
@@ -18,13 +17,8 @@ func TestBWScheduleSweep(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
 		outs, _ := runWithFaults(t, g, 1, []float64{0, 3, 1, 2}, 3, 0.25,
 			map[int]func(sim.Handler) sim.Handler{
-				3: func(inner sim.Handler) sim.Handler {
-					return &adversary.Mutant{
-						Inner:    inner,
-						Mutators: []adversary.Mutator{adversary.TamperRelays(func(x float64) float64 { return 99 - x })},
-						Rng:      rand.New(rand.NewSource(seed)),
-					}
-				},
+				// Relays carry 99 - x, COMPLETE entries x - 99.
+				3: faultKind(t, 3, adversary.Spec{Kind: "tamper", Params: adversary.Params{"delta": -99}}, seed),
 			}, seed)
 		// Honest inputs: 0, 3, 1.
 		assertAgreementValidity(t, outs, 0.25, 0, 3)

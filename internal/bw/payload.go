@@ -17,6 +17,7 @@ import (
 	"slices"
 
 	"repro/internal/graph"
+	"repro/internal/transport"
 )
 
 // ValPayload is a RedundantFlood message (x, p): a round-r state value
@@ -33,6 +34,13 @@ type ValPayload struct {
 
 // Kind implements transport.Payload.
 func (ValPayload) Kind() string { return "VAL" }
+
+// Carried implements transport.Valued: the sender's own value travels on
+// its trivial path, entry 0; every other entry is a relay.
+func (p ValPayload) Carried() (float64, bool, bool) { return p.Value, p.Entry == 0, true }
+
+// WithCarried implements transport.Valued.
+func (p ValPayload) WithCarried(x float64) transport.Payload { p.Value = x; return p }
 
 // ValEntry is one (value, path) pair of a flooded message set M_c, the path
 // named by its entry in the origin's path table. Entries are sorted by path

@@ -2,18 +2,19 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro"
 )
 
 // Experiment E15 exercises the exact-consensus tier (aba, acs) the way E13
 // exercises the approximate tier: a ladder of graph rungs crossed with the
-// full registered adversary matrix — every fault kind with its default
-// params on all f nodes at once, a composed crash+noise cell, and a
-// link-fault cell. Exact consensus has no ε slack, so each non-skipped
-// rung must decide with spread exactly zero, stay within the honest input
-// range, and (for acs) agree on a subset of at least n−f origins — exactly
-// n−f in the rows where the f nodes run the silent or equivocate strategies.
+// adversary matrix — every fault kind the protocol accepts on all f nodes
+// at once, a composed crash cell, and a link-fault cell. Exact consensus
+// has no ε slack, so each non-skipped rung must decide with spread exactly
+// zero, be valid, and (for acs) agree on a subset of at least n−f origins
+// — exactly n−f in the rows where the f nodes run the silent or
+// equivocate strategies.
 //
 // The exact tier requires a complete communication graph (its thresholds
 // assume all-to-all links), so the ladder runs the clique family plus the
@@ -42,12 +43,20 @@ type exactAdversaryCell struct {
 	links  []repro.LinkFault
 }
 
-// exactAdversaries builds the matrix's adversary axis for a rung of order
-// n with fault bound f: the honest baseline, every registered fault kind
-// on the last f nodes simultaneously, the composed crash+noise cell, and
-// the silent+link-faults cell (duplication and delay only — unconditional
-// drops could starve a quorum, which no Byzantine node is allowed to do).
-func exactAdversaries(n, f int) []exactAdversaryCell {
+// exactParams are the kinds whose default params leave the faulty
+// vertices honest on clique:4: an aba run is over before a crash after 20
+// deliveries, and an acs vertex originates fewer values than
+// delayedequiv's 6 honest ones.
+var exactParams = map[string]map[string]float64{"aba crash": {"after": 0}, "acs delayedequiv": {"after": 0}}
+
+// exactAdversaries builds the matrix's adversary axis for protocol on a
+// rung of order n with fault bound f: the honest baseline, every fault
+// kind the protocol accepts on the last f nodes simultaneously, a composed
+// crash cell (crash+noise; crash+equivocate on aba, whose bits noise
+// cannot act on), and the silent+link-faults cell (duplication and delay
+// only — unconditional drops could starve a quorum, which no Byzantine
+// node is allowed to do).
+func exactAdversaries(protocol string, n, f int) []exactAdversaryCell {
 	lastF := func(kind string, params map[string]float64, compose []repro.Mutation) []repro.FaultSpec {
 		specs := make([]repro.FaultSpec, 0, f)
 		for v := n - f; v < n; v++ { // node order: the scenario's canonical form
@@ -56,13 +65,16 @@ func exactAdversaries(n, f int) []exactAdversaryCell {
 		return specs
 	}
 	cells := []exactAdversaryCell{{name: "none"}}
-	for _, kind := range repro.FaultKinds() {
-		cells = append(cells, exactAdversaryCell{name: kind, faults: lastF(kind, nil, nil)})
+	for _, kind := range repro.FaultKindsFor(protocol) {
+		cells = append(cells, exactAdversaryCell{name: kind, faults: lastF(kind, exactParams[protocol+" "+kind], nil)})
+	}
+	layer := repro.Mutation{Kind: "noise", Params: map[string]float64{"amp": 25}}
+	if protocol == "aba" {
+		layer = repro.Mutation{Kind: "equivocate"}
 	}
 	cells = append(cells, exactAdversaryCell{
-		name: "crash+noise",
-		faults: lastF("crash", map[string]float64{"after": 20, "finalSends": 2},
-			[]repro.Mutation{{Kind: "noise", Params: map[string]float64{"amp": 25}}}),
+		name:   "crash+" + layer.Kind,
+		faults: lastF("crash", map[string]float64{"after": 20, "finalSends": 2}, []repro.Mutation{layer}),
 	})
 	cells = append(cells, exactAdversaryCell{
 		name:   "silent+linkfaults",
@@ -76,9 +88,10 @@ func exactAdversaries(n, f int) []exactAdversaryCell {
 }
 
 // exact is E15. Inputs come from the mod generator: aba proposes bits
-// (mod 2), acs values in [0, 2] (mod 3) — in both cases the faulty nodes'
-// inputs fall inside the honest range, so validity must hold whether or not
-// a faulty origin's broadcast lands in the agreed subset.
+// (mod 2), acs values in [0, 2] (mod 3). An aba decision must lie in the
+// honest range. An acs vector is valid when every honest origin's slot
+// holds that origin's input: a faulty origin's slot may hold anything a
+// value-lying kind sends, 1e9 under extreme, and the vector's mean with it.
 func exact(seed int64) Suite {
 	su := Suite{Name: "exact", Title: "E15 / exact tier — aba and acs across complete-graph families x the full adversary matrix (f nodes per cell)"}
 	for _, protocol := range []string{"aba", "acs"} {
@@ -87,7 +100,7 @@ func exact(seed int64) Suite {
 			mod, k = 3, 2.0
 		}
 		for ri, rung := range exactRungs {
-			for ai, adv := range exactAdversaries(rung.n, rung.f) {
+			for ai, adv := range exactAdversaries(protocol, rung.n, rung.f) {
 				c := Cell{
 					Label: fmt.Sprintf("%s %s n=%d f=%d %s", protocol, rung.family, rung.n, rung.f, adv.name),
 					Scenario: repro.Scenario{
@@ -113,6 +126,11 @@ func exact(seed int64) Suite {
 		}
 		su.Notes = append(su.Notes, fmt.Sprintf(
 			"exact-%s-expander: the exact tier requires a complete graph; an expander (d < n/2) is never complete — no expander rung can run", protocol))
+		for _, kind := range repro.FaultKinds() {
+			if !slices.Contains(repro.FaultKindsFor(protocol), kind) {
+				su.Notes = append(su.Notes, fmt.Sprintf("exact-%s-*-%s: refused, %s would leave %s's faulty vertices honest", protocol, kind, kind, protocol))
+			}
+		}
 	}
 	return su
 }

@@ -2,18 +2,27 @@ package experiments
 
 import (
 	"context"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro"
 )
 
 func TestExactMatrixAllPass(t *testing.T) {
-	// Both exact protocols cross every rung with the full adversary axis:
-	// the honest baseline, every registered fault kind, and the two
-	// composed cells.
-	perRung := len(repro.FaultKinds()) + 3
+	// Both exact protocols cross every rung with their adversary axis: the
+	// honest baseline, every fault kind the protocol accepts, and the two
+	// composed cells. Each refused kind is a note, beside the expander's.
+	rows, notes := 0, 2
+	for _, protocol := range []string{"aba", "acs"} {
+		rows += 4 * (len(repro.FaultKindsFor(protocol)) + 3)
+		notes += len(repro.FaultKinds()) - len(repro.FaultKindsFor(protocol))
+	}
 	rep := mustPass(t, exact(1))
-	wantShape(t, rep, 2*4*perRung, 0)
+	wantShape(t, rep, rows, 0)
+	if len(rep.Suite.Notes) != notes {
+		t.Errorf("%d notes %v, want %d", len(rep.Suite.Notes), rep.Suite.Notes, notes)
+	}
 	exactSubsets := 0
 	for _, row := range rep.Rows {
 		e := row.Cell.Expect
@@ -42,8 +51,10 @@ func TestExactMatrixAllPass(t *testing.T) {
 	}
 	// The expander family cannot satisfy the exact tier's complete-graph
 	// requirement; it must be reported as skipped, not silently absent.
-	if len(rep.Suite.Notes) != 2 {
-		t.Fatalf("skips: %v", rep.Suite.Notes)
+	for _, protocol := range []string{"aba", "acs"} {
+		if want := "exact-" + protocol + "-expander: "; !slices.ContainsFunc(rep.Suite.Notes, func(n string) bool { return strings.HasPrefix(n, want) }) {
+			t.Errorf("no %q note in %v", want, rep.Suite.Notes)
+		}
 	}
 }
 

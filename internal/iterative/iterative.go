@@ -31,6 +31,12 @@ type ValPayload struct {
 // Kind implements transport.Payload.
 func (ValPayload) Kind() string { return "ITER-VAL" }
 
+// Carried implements transport.Valued: every value is the sender's own.
+func (p ValPayload) Carried() (float64, bool, bool) { return p.Value, true, true }
+
+// WithCarried implements transport.Valued.
+func (p ValPayload) WithCarried(x float64) transport.Payload { p.Value = x; return p }
+
 // eagerRounds is how many rounds of state a machine takes at construction.
 // It covers every default round count short of the cap (bw.RoundsFor stops
 // at 65), so a run only grows its state when a scenario sets Rounds beyond

@@ -80,6 +80,17 @@ func (m Msg) Kind() string {
 	}
 }
 
+// Carried implements transport.Valued: a Num content is carried, the
+// origin's own in INIT and relayed in ECHO and READY; any other content
+// carries no number.
+func (m Msg) Carried() (float64, bool, bool) {
+	num, ok := m.Content.(Num)
+	return float64(num), m.Phase == PhaseInit, ok
+}
+
+// WithCarried implements transport.Valued.
+func (m Msg) WithCarried(x float64) transport.Payload { m.Content = Num(x); return m }
+
 // Delivery is a reliably delivered broadcast.
 type Delivery struct {
 	Origin  int

@@ -30,6 +30,15 @@ type Payload interface {
 	Kind() string
 }
 
+// Valued is a payload that may carry a vertex's input or state value.
+// Carried reports it, whether the sender originated it rather than relayed
+// it, and whether there is one; WithCarried returns a copy carrying x.
+type Valued interface {
+	Payload
+	Carried() (x float64, own, ok bool)
+	WithCarried(x float64) Payload
+}
+
 // Message is a message in flight on a directed edge.
 type Message struct {
 	From, To int

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 
@@ -186,23 +187,36 @@ func simRun(build BuilderFunc) RunFunc {
 }
 
 // builtins are the protocols every build registers: each one's machine
-// factory (its simulator face is simRun over it) and catalog metadata.
+// factory (its simulator face is simRun over it), catalog metadata and,
+// when not every kind, the fault kinds that act on it (FaultKindsFor).
 var builtins = map[string]struct {
 	build BuilderFunc
 	ProtocolInfo
+	faults []string
 }{
 	"bw": {buildBW, ProtocolInfo{Tier: TierApproximate, Shape: ShapeScalar,
-		Doc: "the paper's Algorithm BW: Byzantine approximate consensus on directed graphs"}},
+		Doc: "the paper's Algorithm BW: Byzantine approximate consensus on directed graphs"}, nil},
 	"aad": {buildAAD, ProtocolInfo{Tier: TierApproximate, Shape: ShapeScalar,
-		Doc: "Abraham-Amit-Dolev clique baseline on reliable broadcast"}},
+		Doc: "Abraham-Amit-Dolev clique baseline on reliable broadcast"}, nil},
 	"crashapprox": {buildCrashApprox, ProtocolInfo{Tier: TierApproximate, Shape: ShapeScalar,
-		Doc: "crash-fault 2-reach approximate consensus (Theorem 2)"}},
+		Doc: "crash-fault 2-reach approximate consensus (Theorem 2)"}, []string{"crash", "silent"}},
 	"iterative": {buildIterative, ProtocolInfo{Tier: TierApproximate, Shape: ShapeScalar,
-		Doc: "local iterative trimmed-mean ablation"}},
+		Doc: "local iterative trimmed-mean ablation"},
+		[]string{"crash", "delayedequiv", "equivocate", "extreme", "noise", "replay", "silent", "split"}},
 	"aba": {buildABA, ProtocolInfo{Tier: TierExact, Shape: ShapeScalar,
-		Doc: "MMR asynchronous binary agreement with a seeded deterministic coin"}},
+		Doc: "MMR asynchronous binary agreement with a seeded deterministic coin"}, []string{"crash", "equivocate", "replay", "silent"}},
 	"acs": {buildACS, ProtocolInfo{Tier: TierExact, Shape: ShapeVector,
-		Doc: "BKR agreement on a common subset: n reliable broadcasts + n ABA instances"}},
+		Doc: "BKR agreement on a common subset: n reliable broadcasts + n ABA instances"}, nil},
+}
+
+// FaultKindsFor lists the fault kinds a scenario of protocol accepts,
+// sorted: every kind but those that would leave the faulty vertex's
+// traffic honest, and only crashes for the crash-model crashapprox.
+func FaultKindsFor(protocol string) []string {
+	if kinds := builtins[protocol].faults; kinds != nil {
+		return slices.Clone(kinds)
+	}
+	return FaultKinds()
 }
 
 func init() {

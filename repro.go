@@ -320,7 +320,8 @@ type Result struct {
 	// Converged reports Spread < Eps, Decided that all honest nodes output.
 	Converged bool
 	Decided   bool
-	// ValidityOK reports that outputs stayed within the honest input range.
+	// ValidityOK reports that outputs stayed within the honest input range;
+	// for a vector decision, that every honest origin's slot holds its input.
 	ValidityOK bool
 	// Steps is the number of message deliveries; MessagesSent the number of
 	// sends (they differ only when a run is cut short).
@@ -470,6 +471,7 @@ func (a *armed) result(res *Result, handlers []Handler, links *linkfault.Set) *R
 	res.Histories = make(map[int][]float64, a.honest.Count())
 	res.Vectors = make(map[int]map[int]float64)
 	lo, hi := math.Inf(1), math.Inf(-1)
+	slots := true // every honest origin's slot holds that origin's input
 	a.honest.ForEach(func(v int) bool {
 		lo, hi = math.Min(lo, a.inputs[v]), math.Max(hi, a.inputs[v])
 		if hp, ok := handlers[v].(historyProvider); ok {
@@ -478,6 +480,9 @@ func (a *armed) result(res *Result, handlers []Handler, links *linkfault.Set) *R
 		if vp, ok := handlers[v].(vectorProvider); ok {
 			if vec := vp.Vector(); vec != nil {
 				res.Vectors[v] = vec
+				for o, x := range vec {
+					slots = slots && (!a.honest.Has(o) || x == a.inputs[o])
+				}
 			}
 		}
 		return true
@@ -490,7 +495,9 @@ func (a *armed) result(res *Result, handlers []Handler, links *linkfault.Set) *R
 	}
 	if len(res.Outputs) > 0 {
 		res.Spread = omax - omin
-		res.ValidityOK = omin >= lo && omax <= hi
+		// A faulty origin's slot may hold anything and pull the mean out of
+		// the honest range, so a vector decision is judged by its slots.
+		res.ValidityOK = slots && (len(res.Vectors) > 0 || (omin >= lo && omax <= hi))
 	}
 	res.Converged = res.Decided && res.Spread < a.opts.Eps
 	return res

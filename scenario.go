@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -241,10 +242,10 @@ func (g *InputGenSpec) validate() error {
 var defaultInputGen = InputGenSpec{Kind: "mod", Mod: 4}
 
 // Validate checks every name and cross-reference in the scenario eagerly —
-// graph spec, protocol, policy and params, fault kinds and node
-// ranges, input arity — so a bad scenario file fails at decode time with a
-// message naming the valid values, not mid-run from deep inside the
-// simulator.
+// graph spec, protocol, policy and params, fault kinds (each one its
+// protocol accepts) and node ranges, input arity — so a bad scenario file
+// fails at decode time with a message naming the valid values, not mid-run
+// from deep inside the simulator.
 func (s Scenario) Validate() error {
 	_, _, err := s.Materialize()
 	return err
@@ -285,6 +286,14 @@ func (s Scenario) Materialize() (*Graph, []float64, error) {
 	}
 	if _, err := faultPlan(s.Faults, g.N()); err != nil {
 		return nil, nil, fmt.Errorf("repro: scenario: %w", err)
+	}
+	accepted := FaultKindsFor(s.Protocol)
+	for _, fl := range s.Faults {
+		for _, l := range append([]Mutation{{Kind: fl.Kind}}, fl.Compose...) {
+			if !slices.Contains(accepted, l.Kind) {
+				return nil, nil, fmt.Errorf("repro: scenario: fault at node %d: protocol %q does not accept fault kind %q (it accepts %v)", fl.Node, s.Protocol, l.Kind, accepted)
+			}
+		}
 	}
 	if err := linkfault.Validate(g, linkRules(s.LinkFaults)); err != nil {
 		return nil, nil, fmt.Errorf("repro: scenario: %w", err)
