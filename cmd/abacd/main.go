@@ -109,7 +109,7 @@ func run() error {
 		ID:           *id,
 		Scenario:     *s,
 		PeerListener: peerL,
-		Peers:        peerOutEdges(peers, *id),
+		Peers:        peers,
 		QueueCap:     *queueCap,
 		Linger:       *linger,
 		DrainTimeout: *drainTO,
@@ -171,19 +171,6 @@ func orOff(addr string) string {
 		return "off"
 	}
 	return addr
-}
-
-// peerOutEdges passes the peer map through minus our own entry (the Mux
-// wants only out-neighbors; extra entries for non-neighbors are ignored by
-// construction in the service).
-func peerOutEdges(peers map[int]string, self int) map[int]string {
-	out := make(map[int]string, len(peers))
-	for id, addr := range peers {
-		if id != self {
-			out[id] = addr
-		}
-	}
-	return out
 }
 
 // parsePeers parses "0=host:port,1=host:port,..." into a vertex->address

@@ -12,8 +12,10 @@ import (
 // batches (one lock round-trip per burst, see queue.popBatch), coalesce
 // each batch into a single reused buffer with the length prefixes appended
 // in place (wire.AppendRawFrame), and hand the whole batch to the kernel as
-// one Write syscall. A write failure redials with the unwritten tail
-// retained and replays it — exactly once from the peer's point of view,
+// one Write syscall. The writer does not dial: it writes to the linked
+// pair's current connection, which it shares with the reverse direction.
+// A write failure retires that connection and replays the unwritten tail
+// on the pair's next one — exactly once from the peer's point of view,
 // because a frame cut mid-write died with the broken connection.
 
 const (
@@ -65,13 +67,14 @@ func releaseFrames(frames [][]byte) {
 	}
 }
 
-// drainLoop is the per-edge writer: batches from q, coalesced
-// writes to a connection obtained from dial, redial with tail replay on
-// write failure, exit when the queue closes or ctx ends. track registers
-// each new connection for the owner's teardown (false means the owner is
-// already stopped). dial must block-retry until ctx ends, returning an
-// error only for shutdown (dialMux does).
-func drainLoop(ctx context.Context, q *queue[[]byte], dial func(context.Context) (net.Conn, error), track func(net.Conn) bool) {
+// drainLoop is the per-edge writer: batches from q, coalesced writes to
+// the connection next hands it, exit when the queue closes or ctx ends. On
+// a write failure the connection goes to failed, which returns false once
+// the owner is stopped, and the unwritten tail is replayed on the next
+// connection. next waits for a connection newer than the last one it
+// returned (Mux.writeLoop waits for the pair's next one) and returns an
+// error only for shutdown.
+func drainLoop(ctx context.Context, q *queue[[]byte], next func(context.Context) (net.Conn, error), failed func(net.Conn) bool) {
 	var (
 		c       net.Conn
 		backoff = dialRetryFloor
@@ -89,13 +92,9 @@ func drainLoop(ctx context.Context, q *queue[[]byte], dial func(context.Context)
 		for len(tail) > 0 {
 			if c == nil {
 				var err error
-				if c, err = dial(ctx); err != nil {
+				if c, err = next(ctx); err != nil {
 					releaseFrames(tail)
-					return // context ended while dialing: shutdown
-				}
-				if !track(c) {
-					releaseFrames(tail)
-					return
+					return // context ended while waiting: shutdown
 				}
 			}
 			n, err := c.Write(buf)
@@ -107,15 +106,19 @@ func drainLoop(ctx context.Context, q *queue[[]byte], dial func(context.Context)
 			// The written prefix is transmitted; the frame the cut landed in
 			// died with the connection, so the replay starts there and the
 			// peer sees every frame exactly once.
-			c.Close()
-			c = nil
 			k := tailStart(ends, n)
 			releaseFrames(tail[:k])
 			tail = tail[k:]
+			if !failed(c) {
+				releaseFrames(tail)
+				return
+			}
+			c = nil
 			buf, ends = coalesceFrames(buf[:0], ends[:0], tail)
-			// Back off before the redial: a peer that accepts the TCP
-			// handshake but rejects the link would otherwise drive a
-			// dial-ok/write-fail cycle at full speed.
+			// Back off before the next connection: a peer that accepts the
+			// TCP handshake but rejects the link would otherwise drive a
+			// dial-ok/write-fail cycle at full speed, since the dialer
+			// redials as soon as its writer reports the failure.
 			select {
 			case <-ctx.Done():
 				releaseFrames(tail)

@@ -74,8 +74,8 @@ type Outcome struct {
 }
 
 // RunLoopback executes the spec in process: the same Mux fleet as RunTCP,
-// each directed edge one net.Pipe of a memory network instead of one TCP
-// connection.
+// each linked vertex pair one net.Pipe of a memory network instead of one
+// TCP connection.
 func RunLoopback(ctx context.Context, spec Spec) (*Outcome, error) {
 	mem := newMemNetwork()
 	return run(ctx, spec, medium{name: "loopback", listen: mem.listen, dial: mem.dial})
@@ -83,8 +83,9 @@ func RunLoopback(ctx context.Context, spec Spec) (*Outcome, error) {
 
 // RunTCP executes the spec over localhost TCP sockets: every vertex gets
 // its own listener on an ephemeral port, ports are discovered in-process,
-// and each directed edge becomes one TCP connection dialed by the sender
-// (a Mux fleet carrying instance 0, see tcp.go).
+// and each linked vertex pair — an edge either way — becomes one TCP
+// connection, dialed by the lower id and carrying both directed edges (a
+// Mux fleet carrying instance 0, see tcp.go).
 func RunTCP(ctx context.Context, spec Spec) (*Outcome, error) {
 	return run(ctx, spec, medium{name: "tcp", listen: listenTCP, dial: dialTCP})
 }

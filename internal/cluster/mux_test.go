@@ -2,14 +2,18 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/bw"
 	"repro/internal/graph"
+	"repro/internal/iterative"
+	"repro/internal/node"
 	"repro/internal/transport"
 	"repro/internal/wire"
 )
@@ -242,28 +246,29 @@ func TestMuxLateListener(t *testing.T) {
 	}
 }
 
+// TestMuxRejectsBadHello: the acceptor takes a pair only from a lower-id
+// neighbour — the vertex that dials it. Every other hello is refused
+// without dispatching the frame that follows it; the lower-id neighbour's
+// frame is dispatched as its own.
 func TestMuxRejectsBadHello(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// 0 <-> 1 plus 0 -> 2: vertex 2 is a cluster member with no edge to 0.
-	g := graph.New(3)
-	g.MustAddEdge(0, 1)
-	g.MustAddEdge(1, 0)
+	// Vertex 2 links with 0 (0 <-> 2) and 3 (2 -> 3); 1 is a cluster member
+	// with no edge to or from 2.
+	g := graph.New(4)
 	g.MustAddEdge(0, 2)
+	g.MustAddEdge(2, 0)
+	g.MustAddEdge(2, 3)
+	g.MustAddEdge(0, 1)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	frames := 0
+	got := make(chan Inbound2, 4)
 	m, err := NewMux(MuxConfig{
-		ID: 0, Graph: g, Listener: l,
-		Peers: map[int]string{1: "127.0.0.1:1", 2: "127.0.0.1:1"},
-		OnFrameBatch: func(_ int, batch [][]byte, _ []wire.FrameInfo) {
-			mu.Lock()
-			frames += len(batch)
-			mu.Unlock()
-		},
+		ID: 2, Graph: g, Listener: l,
+		Peers:        map[int]string{3: "127.0.0.1:1"},
+		OnFrameBatch: sinkTo(got),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +281,7 @@ func TestMuxRejectsBadHello(t *testing.T) {
 		return append(h, version, byte(id>>8), byte(id))
 	}
 	frame, err := wire.EncodeInstanceMessage(0, transport.Message{
-		From: 1, To: 0, Payload: bw.ValPayload{Round: 1, Value: 1},
+		From: 0, To: 2, Payload: bw.ValPayload{Round: 1, Value: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -285,24 +290,31 @@ func TestMuxRejectsBadHello(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// dialWith opens a connection that sends the hello, then a well-formed
+	// frame.
+	dialWith := func(hello []byte) net.Conn {
+		c, err := net.Dial("tcp", l.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Write(hello)
+		c.Write(body)
+		return c
+	}
 	cases := []struct {
 		name  string
 		hello []byte
 	}{
 		{"bad magic", []byte("NOPE\x04\x00\x01")},
-		{"wrong wire version", hello(wire.Version+1, 1)},
+		{"wrong wire version", hello(wire.Version+1, 0)},
 		{"id outside the graph", hello(wire.Version, 7)},
-		{"member with no edge to us", hello(wire.Version, 2)},
+		{"higher-id neighbour", hello(wire.Version, 3)},
+		{"itself", hello(wire.Version, 2)},
+		{"member with no edge either way", hello(wire.Version, 1)},
 	}
 	for _, tc := range cases {
-		// Each connection follows its hello with a well-formed frame: a
-		// refused link must close without dispatching it.
-		c, err := net.Dial("tcp", l.Addr().String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Write(tc.hello)
-		c.Write(body)
+		// A refused link must close without dispatching the frame.
+		c := dialWith(tc.hello)
 		c.SetReadDeadline(time.Now().Add(5 * time.Second))
 		var ne net.Error
 		if _, err := c.Read(make([]byte, 1)); err == nil || (errors.As(err, &ne) && ne.Timeout()) {
@@ -310,10 +322,279 @@ func TestMuxRejectsBadHello(t *testing.T) {
 		}
 		c.Close()
 	}
+	select {
+	case in := <-got:
+		t.Fatalf("frame from %d dispatched from a refused connection", in.From)
+	default:
+	}
 
-	mu.Lock()
-	defer mu.Unlock()
-	if frames != 0 {
-		t.Fatalf("%d frames dispatched from refused connections", frames)
+	c := dialWith(hello(wire.Version, 0))
+	defer c.Close()
+	if in := recvFrame(t, got); in.From != 0 {
+		t.Fatalf("lower-id neighbour's frame attributed to %d, want 0", in.From)
+	}
+}
+
+// liveConns counts the links holding a connection.
+func (m *Mux) liveConns() int {
+	live := 0
+	for _, l := range m.links {
+		l.mu.Lock()
+		if l.conn != nil {
+			live++
+		}
+		l.mu.Unlock()
+	}
+	return live
+}
+
+// current returns the link's connection, nil between connections.
+func (l *link) current() net.Conn {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.conn
+}
+
+// countingDial wraps a medium's dial to count the connections it opens.
+func countingDial(dial func(context.Context, string) (net.Conn, error), opened *atomic.Int64) func(context.Context, string) (net.Conn, error) {
+	return func(ctx context.Context, addr string) (net.Conn, error) {
+		c, err := dial(ctx, addr)
+		if err == nil {
+			opened.Add(1)
+		}
+		return c, err
+	}
+}
+
+// TestMuxOnePerLinkedPair fences the fabric's shape: a fleet opens one
+// connection per vertex pair with an edge either way, and each Mux holds
+// one live connection per neighbour — on fig1a (16 directed edges, 8
+// pairs), clique:8 (56, 28) and fig1b-analog (28 directed edges, 4 of them
+// one-way: 16 pairs), over both media.
+func TestMuxOnePerLinkedPair(t *testing.T) {
+	for _, tc := range []struct {
+		g     *graph.Graph
+		pairs int
+	}{
+		{graph.Fig1a(), 8},
+		{graph.Clique(8), 28},
+		{graph.Fig1bAnalog(), 16},
+	} {
+		mem := newMemNetwork()
+		for _, md := range []medium{
+			{name: "loopback", listen: mem.listen, dial: mem.dial},
+			{name: "tcp", listen: listenTCP, dial: dialTCP},
+		} {
+			t.Run(tc.g.Name()+"/"+md.name, func(t *testing.T) {
+				var opened atomic.Int64
+				md.dial = countingDial(md.dial, &opened)
+				fl, err := newFleet(tc.g, md)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer fl.stop()
+				for _, o := range fl {
+					o.mux.Start(context.Background())
+				}
+				for i, o := range fl {
+					want := len(o.mux.links)
+					for deadline := time.Now().Add(5 * time.Second); o.mux.liveConns() != want; {
+						if time.Now().After(deadline) {
+							t.Fatalf("vertex %d holds %d live connections, want one per neighbour (%d)", i, o.mux.liveConns(), want)
+						}
+						time.Sleep(time.Millisecond)
+					}
+				}
+				live := 0
+				for _, o := range fl {
+					live += o.mux.liveConns()
+				}
+				if live != 2*tc.pairs || opened.Load() != int64(tc.pairs) {
+					t.Fatalf("%d connections opened, %d live ends; want %d and %d", opened.Load(), live, tc.pairs, 2*tc.pairs)
+				}
+			})
+		}
+	}
+}
+
+// TestMuxWrongVertexFramesSpoofed: a dialer that reached the wrong vertex
+// attributes what it reads to the vertex it dialed, and the node's
+// per-frame sender check drops all of it. On the star 1 <-> 0 <-> 2,
+// vertex 0's dials for 1 and 2 land on each other's listeners: every frame
+// of the run then arrives on a link that names another sender or
+// destination than its header does.
+func TestMuxWrongVertexFramesSpoofed(t *testing.T) {
+	g := graph.New(3)
+	for _, v := range []int{1, 2} {
+		g.MustAddEdge(0, v)
+		g.MustAddEdge(v, 0)
+	}
+	mem := newMemNetwork()
+	swapped := map[string]string{"1": "2", "2": "1"} // memory addresses follow listen order
+	dial := func(ctx context.Context, addr string) (net.Conn, error) { return mem.dial(ctx, swapped[addr]) }
+	n := g.N()
+	nodes := make([]*node.Node, n)
+	arrived := make([]atomic.Int64, n)
+	var muxes []*Mux
+	addrs := make(map[int]string, n)
+	var ls []net.Listener
+	for i := 0; i < n; i++ {
+		l, _ := mem.listen()
+		ls = append(ls, l)
+		addrs[i] = l.Addr().String()
+	}
+	for i := 0; i < n; i++ {
+		m, err := NewMux(MuxConfig{ID: i, Graph: g, Listener: ls[i], Peers: addrs, Dial: dial,
+			OnFrameBatch: func(from int, frames [][]byte, _ []wire.FrameInfo) {
+				if !nodes[i].Post(from, frames) {
+					releaseFrames(frames)
+				}
+				arrived[i].Add(int64(len(frames)))
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		muxes = append(muxes, m)
+		h, err := iterative.NewMachine(g, 0, i, 1<<20, float64(i), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nodes[i], err = node.New(node.Config{ID: i, Graph: g, Handler: h, Out: m}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, m := range muxes {
+		m.Start(ctx)
+		defer m.Stop()
+	}
+	for _, nd := range nodes {
+		nd.Start(nil)
+	}
+	for i := range arrived {
+		for deadline := time.Now().Add(5 * time.Second); arrived[i].Load() == 0; {
+			if time.Now().After(deadline) {
+				t.Fatalf("no frame reached vertex %d", i)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	cancel()
+	for _, nd := range nodes {
+		nd.Close()
+	}
+	for _, m := range muxes {
+		m.Stop()
+	}
+	for i, nd := range nodes {
+		if st := nd.Stats(); st.Spoofed == 0 || st.Delivered != 0 {
+			t.Errorf("vertex %d: %d spoofed, %d delivered; want every arrival dropped as spoofed", i, st.Spoofed, st.Delivered)
+		}
+	}
+}
+
+// TestMuxCutLinkRepeatedly cuts one pair's connection 100 times, from
+// either end, while frames flow both ways over it. Each cut breaks both
+// directed edges: the dialer redials, the acceptor replaces the dead
+// connection, and each writer replays its own tail — so every frame
+// arrives exactly once and in order, and each Mux still holds one
+// connection per neighbour, not one per connection it ever had. The
+// memory network makes exactly-once checkable: a pipe write completes only
+// as the peer reads it, so no accepted byte dies in a kernel buffer.
+func TestMuxCutLinkRepeatedly(t *testing.T) {
+	const cuts = 100
+	g := graph.Clique(3)
+	mem := newMemNetwork()
+	addrs := make(map[int]string)
+	var ls []net.Listener
+	for i := 0; i < g.N(); i++ {
+		l, _ := mem.listen()
+		ls = append(ls, l)
+		addrs[i] = l.Addr().String()
+	}
+	// next[i] is the sequence number vertex i expects next from its pair
+	// partner 1-i; only the reader of that link touches it.
+	var next [2]atomic.Uint64
+	var muxes []*Mux
+	for i := 0; i < g.N(); i++ {
+		m, err := NewMux(MuxConfig{ID: i, Graph: g, Listener: ls[i], Peers: addrs, Dial: mem.dial,
+			OnFrameBatch: func(from int, frames [][]byte, _ []wire.FrameInfo) {
+				for _, f := range frames {
+					if i < 2 && from == 1-i {
+						if seq, want := binary.BigEndian.Uint64(f), next[i].Load(); seq != want {
+							t.Errorf("vertex %d got frame %d from %d, want %d", i, seq, from, want)
+						}
+						next[i].Add(1)
+					}
+					wire.PutBuf(f)
+				}
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		muxes = append(muxes, m)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	for _, m := range muxes {
+		m.Start(ctx)
+		defer m.Stop()
+	}
+
+	var cutting atomic.Bool
+	cutting.Store(true)
+	var sent [2]uint64
+	var senders sync.WaitGroup
+	for i := range sent {
+		senders.Add(1)
+		go func() {
+			defer senders.Done()
+			for seq := uint64(0); cutting.Load(); seq++ {
+				if err := muxes[i].Send(1-i, binary.BigEndian.AppendUint64(wire.GetBuf(), seq)); err != nil {
+					t.Error(err)
+					return
+				}
+				sent[i] = seq + 1
+			}
+		}()
+	}
+	// waitFor polls cond until it holds or the deadline passes.
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); {
+			if time.Now().After(deadline) {
+				cutting.Store(false)
+				t.Fatalf("timed out waiting for %s", what)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	for k := 0; k < cuts; k++ {
+		// Cut from the dialer's end (0) and the acceptor's (1) in turn,
+		// each time once traffic has crossed the current connection.
+		l := muxes[k%2].links[1-k%2]
+		var c net.Conn
+		waitFor("the pair's connection", func() bool { c = l.current(); return c != nil })
+		before := [2]uint64{next[0].Load(), next[1].Load()}
+		waitFor("traffic over the connection", func() bool { return next[0].Load() > before[0] && next[1].Load() > before[1] })
+		c.Close()
+		waitFor("a new connection", func() bool { cur := l.current(); return cur != nil && cur != c })
+	}
+	cutting.Store(false)
+	senders.Wait()
+	for i := range sent {
+		waitFor("every frame", func() bool { return next[1-i].Load() >= sent[i] })
+		if got := next[1-i].Load(); got != sent[i] {
+			t.Errorf("vertex %d received %d frames from %d, which sent %d", 1-i, got, i, sent[i])
+		}
+	}
+	for i, m := range muxes {
+		m.mu.Lock()
+		hellos := len(m.hellos)
+		m.mu.Unlock()
+		if live := m.liveConns(); live != len(m.links) || hellos != 0 {
+			t.Errorf("vertex %d holds %d live connections and %d in their hello after %d cuts; want %d and 0", i, live, hellos, cuts, len(m.links))
+		}
 	}
 }

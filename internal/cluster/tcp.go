@@ -10,10 +10,10 @@ import (
 )
 
 // Both one-shot runtimes are a Mux fleet whose every frame carries
-// instance id 0: each vertex owns one Mux (see mux.go for the hello, the
-// per-edge FIFO writers and the reconnect discipline), the Mux is the
-// node's Outbound, and its readers post their bursts to the node's
-// mailbox. The runtimes differ only in the medium under the Mux:
+// instance id 0: each vertex owns one Mux (see mux.go for the one
+// connection per linked pair, the hello, the per-edge FIFO writers and the
+// reconnect discipline), the Mux is the node's Outbound, and its readers
+// post their bursts to the node's mailbox. The runtimes differ only in the medium under the Mux:
 // localhost TCP sockets (RunTCP) or the in-process memNetwork
 // (RunLoopback).
 
@@ -49,8 +49,9 @@ func dialTCP(ctx context.Context, addr string) (net.Conn, error) {
 // abortOnClose makes closing c reset the connection rather than shut it
 // down gracefully. A one-shot fleet is torn down only once its run is
 // over, so nothing still in flight is needed, and a graceful close leaves
-// a TIME_WAIT socket behind for every edge: at tens of runs per second the
-// kernel's table of them fills, and every later connect on the host slows.
+// a TIME_WAIT socket behind for every connection: at tens of runs per
+// second the kernel's table of them fills, and every later connect on the
+// host slows.
 func abortOnClose(c net.Conn) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		_ = tc.SetLinger(0) // best effort: a graceful close is still correct
@@ -88,7 +89,8 @@ func (o *oneShot) push(from int, frames [][]byte, _ []wire.FrameInfo) {
 }
 
 // fleet is a run's transport: one oneShot per vertex, listeners bound up
-// front so addresses are known before anything dials.
+// front so addresses are known before anything dials. Every Mux gets every
+// address and dials the higher-id neighbours it links with.
 type fleet []*oneShot
 
 func newFleet(g *graph.Graph, md medium) (fleet, error) {

@@ -57,12 +57,14 @@ func Deploy(ctx context.Context, cfg DeployConfig) (*Deployment, error) {
 		}
 		addrs[i] = peerLs[i].Addr().String()
 	}
+	// Every daemon gets every address: each dials the higher-id
+	// neighbours it links with and ignores the rest.
+	peers := make(map[int]string, n)
+	for i, addr := range addrs {
+		peers[i] = addr
+	}
 	dep := &Deployment{Daemons: make([]*Daemon, n)}
 	for i := 0; i < n; i++ {
-		peers := make(map[int]string)
-		for _, v := range g.Out(i) {
-			peers[v] = addrs[v]
-		}
 		dcfg := Config{
 			ID:           i,
 			Scenario:     cfg.Scenario,

@@ -98,7 +98,9 @@ type Config struct {
 	Protocols []string
 	// PeerListener accepts peer-plane connections (the Mux fabric).
 	PeerListener net.Listener
-	// Peers maps every out-neighbor of ID to its peer-plane address.
+	// Peers maps every higher-id neighbour of ID (in or out: the lower id
+	// dials the pair's one connection) to its peer-plane address; other
+	// entries are ignored.
 	Peers map[int]string
 	// ClientListener, when non-nil, serves the JSON-lines client plane.
 	ClientListener net.Listener
